@@ -28,7 +28,6 @@ from ..decomp.base import Decomposition
 from ..decomp.multidim import GridDecomposition
 from ..decomp.replicated import Replicated
 from ..machine.distributed import DistributedMachine, NodeContext
-from ..machine.ndmemory import gather_global_nd, scatter_global_nd
 from ..sets.table1 import OptimizedAccess, optimize_access
 from .dist_tmpl import _eval_fetched
 
@@ -363,21 +362,12 @@ def run_distributed_nd(
     if machine is None:
         machine = DistributedMachine(plan.pmax)
         for name, dec in decs.items():
-            arr = np.asarray(env[name], dtype=np.float64)
-            if isinstance(dec, GridDecomposition):
-                scatter_global_nd(name, arr, dec, machine.memories)
-                machine.decomps[name] = dec  # for bookkeeping
-            else:
-                machine.place(name, arr, dec)
+            machine.place(name, env[name], dec)
     machine.run(lambda ctx: make_nd_node_program(plan, ctx))
     return machine
 
 
 def collect_nd(machine: DistributedMachine, name: str) -> np.ndarray:
-    """Gather a grid-decomposed array back to its global nd view."""
-    if getattr(machine, "is_mp", False):
-        return machine.collect(name)
-    dec = machine.decomps[name]
-    if isinstance(dec, GridDecomposition):
-        return gather_global_nd(name, dec, machine.memories)
+    """Gather a grid-decomposed array back to its global nd view
+    (``machine.collect`` under the name nd callers already use)."""
     return machine.collect(name)

@@ -17,7 +17,9 @@ redistribution generator need.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Tuple, Union
+
+import numpy as np
 
 from ..core.indexset import IndexSet
 from ..core.view import GeneralMap, View
@@ -61,8 +63,6 @@ class Decomposition:
         array arithmetic; the default evaluates element-wise (correct for
         any decomposition, used only by the vector executor's fallback).
         """
-        import numpy as np
-
         idx = np.asarray(idx, dtype=np.int64)
         return np.fromiter(
             (self.proc(int(i)) for i in idx.ravel()),
@@ -71,13 +71,32 @@ class Decomposition:
 
     def local_array(self, idx):
         """``local`` over an integer ndarray (see :meth:`proc_array`)."""
-        import numpy as np
-
         idx = np.asarray(idx, dtype=np.int64)
         return np.fromiter(
             (self.local(int(i)) for i in idx.ravel()),
             dtype=np.int64, count=idx.size,
         ).reshape(idx.shape)
+
+    # -- placement as NumPy indices ----------------------------------------------
+
+    def owned_indices(self, p: int) -> Union[slice, np.ndarray]:
+        """``owned(p)`` as a NumPy index into the global array: a ``slice``
+        where the owned set is a single ``l:u:s`` triplet, an increasing
+        int64 array otherwise.
+
+        The machine layer places and collects whole nodes with this (one
+        array assignment instead of one ``local(i)`` call per element).
+        The default materializes :meth:`owned` — correct for any
+        decomposition, but per-element; closed-form subclasses override.
+        """
+        return np.asarray(self.owned(p), dtype=np.int64)
+
+    def local_indices(self, p: int) -> Union[slice, np.ndarray]:
+        """Local slots of ``owned_indices(p)``, element for element."""
+        own = self.owned_indices(p)
+        if isinstance(own, slice):
+            own = np.arange(*own.indices(self.n), dtype=np.int64)
+        return self.local_array(own)
 
     # -- caching ---------------------------------------------------------------
 

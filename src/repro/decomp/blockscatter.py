@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from ..core.ifunc import ceil_div
 from .base import Decomposition
 
@@ -45,14 +47,10 @@ class BlockScatter(Decomposition):
     # The same formulas broadcast over ndarrays; Block and Scatter inherit
     # these (their proc/local are the b = ceil(n/pmax) and b = 1 cases).
     def proc_array(self, idx):
-        import numpy as np
-
         idx = np.asarray(idx, dtype=np.int64)
         return (idx // self.b) % self.pmax
 
     def local_array(self, idx):
-        import numpy as np
-
         idx = np.asarray(idx, dtype=np.int64)
         return self.b * (idx // (self.b * self.pmax)) + idx % self.b
 
@@ -71,9 +69,28 @@ class BlockScatter(Decomposition):
             out.extend(range(base, min(base + self.b, self.n)))
         return out
 
+    # The owned set as the paper's generation function: course starts
+    # ``p.b + k.b.pmax`` plus the in-block offsets ``0:b-1``, clipped to
+    # ``n``.  One course (every Block) and ``b = 1`` (Scatter) are single
+    # ``l:u:s`` triplets.
+    def owned_indices(self, p: int):
+        b, n = self.b, self.n
+        start, stride = p * b, b * self.pmax
+        if start + stride >= n:
+            return slice(min(start, n), min(start + b, n))
+        if b == 1:
+            return slice(start, n, stride)
+        idx = (np.arange(start, n, stride, dtype=np.int64)[:, None]
+               + np.arange(b, dtype=np.int64)).ravel()
+        return idx[: self.local_size(p)]
+
+    def local_indices(self, p: int):
+        # ``local`` numbers a processor's elements densely in global order
+        return slice(0, self.local_size(p))
+
     def local_size(self, p: int) -> int:
-        own = self.owned(p)
-        return (self.local(own[-1]) + 1) if own else 0
+        full, rest = divmod(self.n, self.b * self.pmax)
+        return full * self.b + min(max(rest - p * self.b, 0), self.b)
 
     def courses(self) -> int:
         """Number of rounds of block dealing (the ``k`` range extent)."""

@@ -13,6 +13,7 @@ Undistributed dimensions use :class:`Collapsed` (a single grid axis point).
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Sequence, Tuple
 
 from .base import Decomposition
@@ -55,6 +56,11 @@ class Collapsed(Decomposition):
 
     def owned(self, p: int) -> List[int]:
         return list(range(self.n))
+
+    def owned_indices(self, p: int) -> slice:
+        return slice(0, self.n)
+
+    local_indices = owned_indices  # local(i) = i
 
     def local_size(self, p: int) -> int:
         return self.n
@@ -125,18 +131,19 @@ class GridDecomposition:
     def owned(self, p: int) -> List[Index]:
         """All global index tuples owned by *p*, lexicographic."""
         coord = self.grid_coord(p)
-        per_dim = [d.owned(c) for d, c in zip(self.dims, coord)]
-        out: List[Index] = []
+        return list(itertools.product(
+            *(d.owned(c) for d, c in zip(self.dims, coord))))
 
-        def rec(d: int, prefix: Tuple[int, ...]) -> None:
-            if d == len(per_dim):
-                out.append(prefix)
-                return
-            for i in per_dim[d]:
-                rec(d + 1, prefix + (i,))
+    def owned_indices(self, p: int) -> tuple:
+        """Per-axis ``owned_indices`` of *p*'s grid coordinate; the owned
+        set is their Cartesian product."""
+        coord = self.grid_coord(p)
+        return tuple(d.owned_indices(c) for d, c in zip(self.dims, coord))
 
-        rec(0, ())
-        return out
+    def local_indices(self, p: int) -> tuple:
+        """Per-axis local slots of :meth:`owned_indices`."""
+        coord = self.grid_coord(p)
+        return tuple(d.local_indices(c) for d, c in zip(self.dims, coord))
 
     def local_shape(self, p: int) -> Index:
         coord = self.grid_coord(p)
@@ -159,8 +166,6 @@ class GridDecomposition:
     def validate(self) -> None:
         """Bijectivity check over the full product space (test helper)."""
         seen = set()
-        import itertools
-
         for idx in itertools.product(*(range(n) for n in self.shape)):
             key = (self.proc(idx), self.local(idx))
             assert key not in seen, f"double placement at {idx}"

@@ -58,6 +58,11 @@ class SingleOwner(Decomposition):
     def owned(self, p: int) -> List[int]:
         return list(range(self.n)) if p == self.owner else []
 
+    def owned_indices(self, p: int) -> slice:
+        return slice(0, self.local_size(p))
+
+    local_indices = owned_indices  # local(i) = i
+
     def local_size(self, p: int) -> int:
         return self.n if p == self.owner else 0
 
@@ -100,6 +105,11 @@ class Replicated(Decomposition):
 
     def owned(self, p: int) -> List[int]:
         return list(range(self.n))
+
+    def owned_indices(self, p: int) -> slice:
+        return slice(0, self.n)
+
+    local_indices = owned_indices  # local(i) = i
 
     def local_size(self, p: int) -> int:
         return self.n

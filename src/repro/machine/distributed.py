@@ -14,18 +14,30 @@ property the paper's claims are about.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional, Union
 
 import numpy as np
 
 from ..decomp.base import Decomposition
+from ..decomp.multidim import GridDecomposition
 from .channels import LatencyModel, Network
 from .memory import LocalMemory, gather_global, scatter_global
+from .ndmemory import gather_global_nd, scatter_global_nd
 from .scheduler import Barrier, Irecv, NodeGen, Probe, Recv, RecvFuture, \
     Yield, run_spmd
 from .stats import MachineStats
 
 __all__ = ["NodeContext", "DistributedMachine"]
+
+AnyDec = Union[Decomposition, GridDecomposition]
+
+
+def _movers(d: AnyDec):
+    """``(scatter, gather)`` for *d* — the one place the machine tells a
+    grid from a 1-D decomposition."""
+    if isinstance(d, GridDecomposition):
+        return scatter_global_nd, gather_global_nd
+    return scatter_global, gather_global
 
 
 class NodeContext:
@@ -98,25 +110,34 @@ class DistributedMachine:
         self.memories: List[LocalMemory] = [LocalMemory(p) for p in range(pmax)]
         self.network = Network(pmax, model=model)
         self.stats = MachineStats.for_nodes(pmax)
-        self.decomps: Dict[str, Decomposition] = {}
+        self.decomps: Dict[str, AnyDec] = {}
 
     # -- data placement -----------------------------------------------------
 
-    def place(self, name: str, global_array: np.ndarray, d: Decomposition) -> None:
-        """Distribute a global array onto the nodes under decomposition *d*."""
+    def place(self, name: str, global_array: np.ndarray, d: AnyDec) -> None:
+        """Distribute a global array onto the nodes under decomposition *d*
+        (1-D or grid)."""
         if d.pmax != self.pmax:
             raise ValueError(
                 f"decomposition pmax={d.pmax} != machine pmax={self.pmax}"
             )
+        scatter, _ = _movers(d)
+        scatter(name, np.asarray(global_array, dtype=np.float64), d,
+                self.memories)
         self.decomps[name] = d
-        scatter_global(name, np.asarray(global_array, dtype=np.float64), d,
-                       self.memories)
 
     def collect(self, name: str) -> np.ndarray:
         """Gather the global view of a placed array."""
-        return gather_global(name, self.decomps[name], self.memories)
+        d = self.decomps.get(name)
+        if d is None:
+            raise KeyError(
+                f"array {name!r} was never placed on this machine "
+                f"(placed: {sorted(self.decomps)})"
+            )
+        _, gather = _movers(d)
+        return gather(name, d, self.memories)
 
-    def decomposition(self, name: str) -> Decomposition:
+    def decomposition(self, name: str) -> AnyDec:
         return self.decomps[name]
 
     # -- execution -----------------------------------------------------------

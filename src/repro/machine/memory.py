@@ -51,30 +51,30 @@ def scatter_global(
 ) -> None:
     """Distribute *global_array* into the node memories according to *d*.
 
-    Replicated structures are copied whole to every node; overlapped
-    blocks also fill their halo copies (so a run starts halo-consistent).
+    One array assignment per node, from the decomposition's closed forms
+    (``owned_indices``/``local_indices``); every node memory is a fresh
+    copy, never a view of *global_array*.  Replicated structures land
+    whole on every node; overlapped blocks also fill their halo copies
+    (so a run starts halo-consistent).
     """
-    if len(global_array) != d.n:
+    if np.shape(global_array) != (d.n,):
         raise ValueError(
-            f"array {name!r} has {len(global_array)} elements, decomposition "
-            f"covers {d.n}"
+            f"array {name!r} has shape {np.shape(global_array)}, "
+            f"decomposition covers ({d.n},)"
         )
-    if isinstance(d, Replicated):
-        for mem in memories:
-            mem.arrays[name] = np.array(global_array, copy=True)
-        return
+    if len(memories) != d.pmax:
+        raise ValueError(
+            f"{len(memories)} node memories for decomposition pmax={d.pmax}"
+        )
     if isinstance(d, OverlappedBlock):
         for p, mem in enumerate(memories):
             lo, hi = d.resident_range(p)
-            size = max(0, hi - lo + 1)
-            local = mem.alloc(name, size, dtype=global_array.dtype)
-            if size:
-                local[:] = global_array[lo : hi + 1]
+            local = mem.alloc(name, hi - lo + 1, dtype=global_array.dtype)
+            local[:] = global_array[lo : hi + 1]
         return
     for p, mem in enumerate(memories):
         local = mem.alloc(name, d.local_size(p), dtype=global_array.dtype)
-        for i in d.owned(p):
-            local[d.local(i)] = global_array[i]
+        local[d.local_indices(p)] = global_array[d.owned_indices(p)]
 
 
 def gather_global(
@@ -98,13 +98,13 @@ def gather_global(
         return np.array(ref, copy=True)
     out = np.zeros(d.n, dtype=dtype)
     if isinstance(d, OverlappedBlock):
+        # owned element ``g`` sits at ``local_slot(p, g) = g - lo``; a
+        # block's owned set is one unit-stride slice
         for p, mem in enumerate(memories):
-            local = mem[name]
-            for i in d.owned(p):
-                out[i] = local[d.local_slot(p, i)]
+            lo, _ = d.resident_range(p)
+            own = d.owned_indices(p)
+            out[own] = mem[name][own.start - lo : own.stop - lo]
         return out
     for p, mem in enumerate(memories):
-        local = mem[name]
-        for i in d.owned(p):
-            out[i] = local[d.local(i)]
+        out[d.owned_indices(p)] = mem[name][d.local_indices(p)]
     return out

@@ -17,6 +17,18 @@ from .memory import LocalMemory
 __all__ = ["scatter_global_nd", "gather_global_nd"]
 
 
+def _product(parts, shape):
+    """NumPy index selecting the Cartesian product of per-axis index sets:
+    basic slicing when every axis is an ``l:u:s`` triplet, an open mesh
+    (``np.ix_``) otherwise."""
+    if all(isinstance(s, slice) for s in parts):
+        return tuple(parts)
+    return np.ix_(*(
+        np.arange(*s.indices(n)) if isinstance(s, slice) else s
+        for s, n in zip(parts, shape)
+    ))
+
+
 def scatter_global_nd(
     name: str,
     global_array: np.ndarray,
@@ -24,16 +36,22 @@ def scatter_global_nd(
     memories: List[LocalMemory],
 ) -> None:
     """Distribute an nd-array onto node memories under a grid
-    decomposition."""
+    decomposition: one array assignment per node, each node memory a
+    fresh C-contiguous copy."""
     if tuple(global_array.shape) != grid.shape:
         raise ValueError(
             f"array {name!r} shape {global_array.shape} != decomposition "
             f"shape {grid.shape}"
         )
+    if len(memories) != grid.pmax:
+        raise ValueError(
+            f"{len(memories)} node memories for decomposition pmax={grid.pmax}"
+        )
     for p, mem in enumerate(memories):
-        local = np.zeros(grid.local_shape(p), dtype=global_array.dtype)
-        for idx in grid.owned(p):
-            local[grid.local(idx)] = global_array[idx]
+        shape = grid.local_shape(p)
+        local = np.zeros(shape, dtype=global_array.dtype)
+        local[_product(grid.local_indices(p), shape)] = \
+            global_array[_product(grid.owned_indices(p), grid.shape)]
         mem.arrays[name] = local
 
 
@@ -47,6 +65,6 @@ def gather_global_nd(
     out = np.zeros(grid.shape, dtype=dtype)
     for p, mem in enumerate(memories):
         local = mem[name]
-        for idx in grid.owned(p):
-            out[idx] = local[grid.local(idx)]
+        out[_product(grid.owned_indices(p), grid.shape)] = \
+            local[_product(grid.local_indices(p), local.shape)]
     return out

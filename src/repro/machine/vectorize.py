@@ -34,7 +34,6 @@ from ..core.expr import BinOp, Const, LoopIndex, Ref, UnOp
 from ..decomp.multidim import GridDecomposition
 from ..pipeline.ir import AccessIR, PlanIR, access_spec
 from .distributed import DistributedMachine, NodeContext
-from .ndmemory import scatter_global_nd
 from .shared import SharedMachine
 
 __all__ = [
@@ -341,12 +340,7 @@ def _place_env(ir: PlanIR, env: Dict[str, np.ndarray],
     for acc in ir.reads:
         decs.setdefault(acc.name, acc.dec)
     for name, dec in decs.items():
-        arr = np.asarray(env[name], dtype=np.float64)
-        if isinstance(dec, GridDecomposition):
-            scatter_global_nd(name, arr, dec, machine.memories)
-            machine.decomps[name] = dec
-        else:
-            machine.place(name, arr, dec)
+        machine.place(name, env[name], dec)
 
 
 def run_distributed_vector(
