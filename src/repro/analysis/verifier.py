@@ -34,8 +34,7 @@ def verify_ir(ir) -> DiagnosticReport:
         report.extend(analyze(ir))
     report.finish()
     ir.diagnostics = report
-    if ir.trace is not None:
-        ir.trace.diagnostics = report
+    ir.trace.diagnostics = report
     return report
 
 
@@ -81,8 +80,6 @@ def annotate_deadlock(err, ir):
     certificate is *clean* is called out as contradicting the
     certificate.  The error object (``blocked``/``undelivered``
     included) is returned unchanged apart from its message."""
-    if ir is None:
-        return err
     try:
         report = ir.diagnostics if ir.diagnostics is not None \
             else verify_ir(ir)

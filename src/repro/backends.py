@@ -1,36 +1,50 @@
-"""Execution-backend registry.
+"""Execution-backend registry and the one dispatcher.
 
-One canonical table of every ``backend=`` flavor the generated node
-programs can run under, shared by the CLI and the ``run_*`` dispatchers
-so an unknown name fails the same way everywhere: a one-line error that
-lists the valid backends instead of a traceback from deep inside a
-template.
+One table, :data:`TIERS`, says everything there is to know about a
+``backend=`` name: what it is, which tier it falls to when a plan has no
+form on it, the preconditions of running it (as data — ``//`` ordering,
+replicated write, pre-placed machine, availability probe), and where its
+runners live.  The CLI, the ``run_*`` entry points and ``run_program``
+all read this table, so an unknown name fails the same way everywhere (a
+one-line error listing the valid backends), an unavailable optional
+dependency (``native`` → numba, ``mpi`` → mpi4py) is reported the same
+way everywhere, and every fallback hop leaves exactly one trace note::
 
-Entry points that only support a subset (e.g. shared-memory program runs
-have no ``overlap`` — there is no communication to hide) pass their
-subset as *allowed*; the error message then lists that subset.
+    backend='X' fell back to the Y path: why
 
-The registry also centralizes *availability*: backends that depend on an
-optional package (``native`` → numba, ``mpi`` → mpi4py) register a probe
-here, so every dispatcher and the CLI report "numba not installed" /
-"mpi4py unavailable" the same way — one :func:`backend_availability`
-lookup, one trace-noted line, fused fallback — instead of scattered
-backend-specific probes.
+The declared chain is ``mpi → fused``, ``mp → fused``, ``native →
+fused``, ``fused → vector``, ``overlap → vector`` (shared memory has no
+messages to overlap), ``vector → scalar``; ``scalar`` is the caller's
+own reference template and the end of every chain.  ``docs/execution.md``
+renders the table.
+
+Target and transport are parameters of one computation, not code paths:
+:func:`dispatch` runs one clause (shared or distributed flavor),
+:func:`dispatch_program` tries the whole-program forms of the
+real-process tiers, :func:`dispatch_group` runs a fused clause group on
+the kernel tiers.  Entry points that only support a subset of names pass
+it as *allowed*; the error message then lists that subset.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, NamedTuple, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
+
+from .core.clause import Ordering
 
 __all__ = [
     "BACKENDS",
+    "TIERS",
     "BackendAvailability",
     "UnknownBackendError",
     "availability_snapshot",
     "backend_availability",
     "backend_names",
-    "resolve_backend",
+    "dispatch",
+    "dispatch_group",
+    "dispatch_program",
     "validate_backend",
 ]
 
@@ -40,20 +54,202 @@ class UnknownBackendError(ValueError):
     by the entry point that validated it)."""
 
 
-#: name -> one-line description, in increasing order of specialization
-BACKENDS: "OrderedDict[str, str]" = OrderedDict((
-    ("scalar", "per-element reference templates (paper §2.9/§2.10)"),
-    ("vector", "NumPy segment executor (batched messages)"),
-    ("overlap", "vector + interior compute while messages are in flight"),
-    ("fused", "compile-once fused node kernels, in-process"),
-    ("native", "numba-njit compiled node kernels (falls back to fused "
-               "when numba is absent)"),
-    ("mp", "multi-process runtime: fused kernels on real OS processes"),
-    ("mpi", "multi-node SPMD under mpiexec: nonblocking point-to-point "
-            "messages over a Cartesian process grid (falls back to "
-            "fused when mpi4py is absent)"),
+# ---------------------------------------------------------------------------
+# requests, preconditions, tiers
+# ---------------------------------------------------------------------------
+
+class Run(NamedTuple):
+    """One dispatch request, as every precondition and runner sees it."""
+
+    flavor: str                 # "shared" | "dist" | "program"
+    ir: object                  # PlanIR (ProgramIR for "program")
+    env: object
+    machine: object             # dist: the caller's pre-placed machine
+    strict: bool = False
+    model: object = None
+    processes: Optional[int] = None
+    timeout: Optional[float] = None
+
+    def process_opts(self) -> dict:
+        return {"strict": self.strict, "processes": self.processes,
+                "timeout": self.timeout}
+
+
+class Need(NamedTuple):
+    """One precondition of a tier: a request of one of *flavors* for
+    which *unmet* holds skips the tier, with *why* on the trace."""
+
+    flavors: Tuple[str, ...]
+    unmet: Callable[[Run], bool]
+    why: str
+    #: where to go instead of the tier's own ``falls_to``
+    falls_to: Optional[str] = None
+    #: the whole trace note, when it is not a "fell back" sentence
+    note: Optional[str] = None
+
+
+class Impl(NamedTuple):
+    """A tier's resolved code: runner per flavor, and the exception
+    types that mean "this plan has no form here"."""
+
+    no_form: tuple
+    run: Dict[str, Callable[[Run], object]]
+
+
+class Tier(NamedTuple):
+    name: str
+    doc: str
+    falls_to: Optional[str]
+    #: imports the tier's modules and returns its :class:`Impl`; called
+    #: once, on the first request that reaches the tier
+    load: Optional[Callable[[], Impl]] = None
+    needs: Tuple[Need, ...] = ()
+    #: consult :func:`backend_availability` before anything else
+    probed: bool = False
+    #: what the tier calls its whole-program form ("" = it has none)
+    program: str = ""
+
+
+def _replicated(r: Run) -> bool:
+    return r.ir.write.replicated
+
+
+_SERIAL = Need(("shared",),
+               lambda r: r.ir.clause.ordering is not Ordering.PAR,
+               "sequential (•) clause is a serial chain")
+_BROADCAST = "replicated write (per-copy broadcast)"
+#: in-process tiers leave a replicated write to the scalar template
+_SCALAR_BROADCAST = Need(("dist",), _replicated, _BROADCAST,
+                         falls_to="scalar")
+
+
+def _owns_placement(who: str) -> Tuple[Need, ...]:
+    return (
+        Need(("dist",), lambda r: r.machine is not None,
+             f"a pre-placed machine was supplied; the {who} owns its own "
+             "placement"),
+        Need(("dist",), _replicated,
+             "replicated write is a per-copy broadcast"),
+    )
+
+
+def _process_impl(no_form, shared, dist, program) -> Impl:
+    """The real-process drivers share one calling convention."""
+    return Impl(no_form, {
+        "shared": lambda r: shared(r.ir, r.env, r.machine,
+                                   **r.process_opts()),
+        "dist": lambda r: dist(r.ir, r.env, **r.process_opts()),
+        "program": lambda r: program(r.ir, r.machine, **r.process_opts()),
+    })
+
+
+def _load_mpi() -> Impl:
+    from .mpi.exec import (
+        MpiUnavailableError,
+        run_distributed_mpi,
+        run_program_mpi,
+        run_shared_mpi,
+    )
+    from .runtime import MpLoweringError
+
+    return _process_impl((MpLoweringError, MpiUnavailableError),
+                         run_shared_mpi, run_distributed_mpi,
+                         run_program_mpi)
+
+
+def _load_mp() -> Impl:
+    from .runtime import (
+        MpLoweringError,
+        run_distributed_mp,
+        run_program_mp,
+        run_shared_mp,
+    )
+
+    return _process_impl((MpLoweringError,), run_shared_mp,
+                         run_distributed_mp, run_program_mp)
+
+
+def _kernel_impl(tier) -> Impl:
+    return Impl((tier.no_form,), {
+        "shared": lambda r: tier.run_shared(r.ir, r.env, r.machine,
+                                            r.strict),
+        "dist": lambda r: tier.run_distributed(r.ir, r.env, r.machine,
+                                               r.model, r.strict),
+        "group": tier.run_group,
+    })
+
+
+def _load_native() -> Impl:
+    from .machine.fused import NATIVE
+
+    return _kernel_impl(NATIVE)
+
+
+def _load_fused() -> Impl:
+    from .machine.fused import FUSED
+
+    return _kernel_impl(FUSED)
+
+
+def _load_overlap() -> Impl:
+    from .machine.vectorize import run_distributed_overlap
+
+    return Impl((), {"dist": lambda r: run_distributed_overlap(
+        r.ir, r.env, r.machine, model=r.model)})
+
+
+def _load_vector() -> Impl:
+    from .machine.vectorize import run_distributed_vector, run_shared_vector
+
+    return Impl((), {
+        "shared": lambda r: run_shared_vector(r.ir, r.env, r.machine),
+        "dist": lambda r: run_distributed_vector(r.ir, r.env, r.machine,
+                                                 model=r.model),
+    })
+
+
+#: name -> tier, in increasing order of specialization
+TIERS: "OrderedDict[str, Tier]" = OrderedDict((t.name, t) for t in (
+    Tier("scalar", "per-element reference templates (paper §2.9/§2.10)",
+         None),
+    Tier("vector", "NumPy segment executor (batched messages)",
+         "scalar", _load_vector, (_SERIAL, _SCALAR_BROADCAST)),
+    Tier("overlap", "vector + interior compute while messages are in flight",
+         "vector", _load_overlap,
+         (Need(("shared", "program"), lambda r: True, "",
+               note="backend='overlap' on shared memory: no messages to "
+                    "overlap; running the vector backend"),
+          _SCALAR_BROADCAST)),
+    Tier("fused", "compile-once fused node kernels, in-process",
+         "vector", _load_fused, (_SERIAL, _SCALAR_BROADCAST)),
+    Tier("native", "numba-njit compiled node kernels (falls back to fused "
+                   "when numba is absent)",
+         "fused", _load_native,
+         (_SERIAL, Need(("dist",), _replicated, _BROADCAST))),
+    Tier("mp", "multi-process runtime: fused kernels on real OS processes",
+         "fused", _load_mp, _owns_placement("mp runtime"),
+         program="pipelining"),
+    Tier("mpi", "multi-node SPMD under mpiexec: nonblocking point-to-point "
+                "messages over a Cartesian process grid (falls back to "
+                "fused when mpi4py is absent)",
+         "fused", _load_mpi, _owns_placement("MPI backend"),
+         probed=True, program="execution"),
 ))
 
+#: name -> one-line description (the CLI's listing)
+BACKENDS: "OrderedDict[str, str]" = OrderedDict(
+    (t.name, t.doc) for t in TIERS.values())
+
+
+@lru_cache(maxsize=None)
+def _impl(tier: str) -> Impl:
+    """The tier's code, imported on the first request that reaches it."""
+    return TIERS[tier].load()
+
+
+# ---------------------------------------------------------------------------
+# availability
+# ---------------------------------------------------------------------------
 
 class BackendAvailability(NamedTuple):
     """One backend's probed availability."""
@@ -69,7 +265,7 @@ def backend_availability(backend: str) -> BackendAvailability:
 
     In-process backends are always available ("builtin"); optional-
     dependency backends delegate to their cached probe.  The ``reason``
-    string is what dispatchers put on the trace when falling back.
+    string is what the dispatcher puts on the trace when falling back.
     """
     if backend == "native":
         from .pipeline.native import native_support
@@ -81,10 +277,7 @@ def backend_availability(backend: str) -> BackendAvailability:
 
         s = mpi_support()
         return BackendAvailability("mpi", s.available, s.mode, s.reason)
-    if backend not in BACKENDS:
-        raise UnknownBackendError(
-            f"unknown backend {backend!r}; valid backends: "
-            + ", ".join(BACKENDS))
+    validate_backend(backend)
     return BackendAvailability(backend, True, "builtin",
                                "always available (in-process)")
 
@@ -94,21 +287,6 @@ def availability_snapshot() -> "OrderedDict[str, dict]":
     ``repro calibrate`` output)."""
     return OrderedDict(
         (name, backend_availability(name)._asdict()) for name in BACKENDS)
-
-
-def resolve_backend(backend, allowed=None, context=None, trace=None,
-                    fallback: str = "fused") -> str:
-    """Validate *backend*, then degrade to *fallback* (with a one-line
-    trace note) when its availability probe fails.  The single entry
-    point dispatchers use before branching on optional backends."""
-    validate_backend(backend, allowed, context)
-    av = backend_availability(backend)
-    if av.available:
-        return backend
-    if trace is not None:
-        trace.note(f"backend={backend!r} fell back to the {fallback} "
-                   f"path: {av.reason}")
-    return fallback
 
 
 def backend_names(allowed: Optional[Iterable[str]] = None) -> Tuple[str, ...]:
@@ -136,3 +314,129 @@ def validate_backend(
         f"unknown backend {backend!r}{where}; valid backends: "
         + ", ".join(names)
     )
+
+
+# ---------------------------------------------------------------------------
+# the dispatcher
+# ---------------------------------------------------------------------------
+
+def _hop(tier: Tier, r: Run) -> Optional[Tuple[str, str]]:
+    """``(next tier, trace note)`` when a precondition of *tier* is
+    unmet for *r*; ``None`` when the tier may run."""
+    if tier.probed:
+        av = backend_availability(tier.name)
+        if not av.available:
+            return tier.falls_to, _fell_back(tier.name, tier.falls_to, r,
+                                             av.reason)
+    for need in tier.needs:
+        if r.flavor in need.flavors and need.unmet(r):
+            target = need.falls_to or tier.falls_to
+            return target, need.note or _fell_back(tier.name, target, r,
+                                                   need.why)
+    return None
+
+
+def _fell_back(tier: str, target: str, r: Run, why) -> str:
+    """The one note formatter (tests and the ledger's fallback detector
+    grep these strings)."""
+    what = ("template" if target == "scalar" and r.flavor == "dist"
+            else "path")
+    return f"backend={tier!r} fell back to the {target} {what}: {why}"
+
+
+@lru_cache(maxsize=None)
+def _deadlock():
+    """``(DeadlockError, annotate_deadlock)``, imported once."""
+    from .analysis import annotate_deadlock
+    from .machine.scheduler import DeadlockError
+
+    return DeadlockError, annotate_deadlock
+
+
+def dispatch(backend: str, flavor: str, ir, env, machine, scalar, *,
+             context: str, allowed=None, strict: bool = False, model=None,
+             processes: Optional[int] = None,
+             timeout: Optional[float] = None):
+    """Run one compiled clause under *backend*: walk the tier chain from
+    *backend* — skip a tier whose precondition is unmet, run it
+    otherwise, fall to the next when the plan has no form on it — and
+    end at the caller's *scalar* template.  Every hop is one note on the
+    plan's trace; a simulator :class:`DeadlockError` from any tier
+    leaves citing the static COMM/BND/SCHED verdict.  Returns the
+    machine the tier that ran produced."""
+    validate_backend(backend, allowed, context)
+    r = Run(flavor, ir, env, machine, strict, model, processes, timeout)
+    deadlock_error, annotate = _deadlock()
+    tier = backend
+    try:
+        while tier != "scalar":
+            t = TIERS[tier]
+            hop = _hop(t, r)
+            if hop is None:
+                impl = _impl(tier)
+                try:
+                    return impl.run[flavor](r)
+                except impl.no_form as err:
+                    hop = t.falls_to, _fell_back(tier, t.falls_to, r, err)
+            tier, note = hop
+            ir.trace.note(note)
+        return scalar()
+    except deadlock_error as err:
+        annotate(err, ir)
+        raise
+
+
+def dispatch_program(backend: str, pir, machine, *, strict: bool = False,
+                     processes: Optional[int] = None,
+                     timeout: Optional[float] = None):
+    """Try the whole-program form of *backend* (one session or world
+    across every clause and iteration — the real-process tiers have
+    one).  Returns ``(result, tier)``: *result* is ``None`` when the
+    caller must drive the clauses itself, each under *tier*."""
+    validate_backend(backend, context="run_program")
+    r = Run("program", pir, machine.env, machine, strict, None, processes,
+            timeout)
+    tier = backend
+    while True:
+        t = TIERS[tier]
+        hop = _hop(t, r)
+        if hop is not None:
+            tier, note = hop
+            pir.trace.note(note)
+            continue
+        if not t.program:
+            return None, tier
+        impl = _impl(tier)
+        try:
+            return impl.run["program"](r), tier
+        except impl.no_form as err:
+            pir.trace.note(
+                f"backend={tier!r} whole-program {t.program} unavailable "
+                f"({err}); driving clauses individually")
+            return None, tier
+
+
+def dispatch_group(backend: str, irs, machine, strict: bool, trace) -> bool:
+    """Run a fused clause group on the kernel tiers — ``native`` tries
+    its own walk first, every other non-scalar backend starts at the
+    ``fused`` walk (only the kernel tiers have one; it matches the
+    vector executor counter for counter).  ``False`` leaves the group
+    to the caller's scalar walk, memory untouched."""
+    if backend == "scalar":
+        return False
+    if backend == "native":
+        native = _impl("native")
+        try:
+            native.run["group"](irs, machine, strict)
+            return True
+        except native.no_form as err:
+            trace.note("backend='native' clause group fell back to the "
+                       f"fused walk: {err}")
+    fused = _impl("fused")
+    try:
+        fused.run["group"](irs, machine, strict)
+        return True
+    except fused.no_form:
+        trace.note("fused clause group fell back to the scalar walk "
+                   "(a clause in the group has no shared kernels)")
+        return False

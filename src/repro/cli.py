@@ -183,11 +183,11 @@ def _compile_body(args) -> int:
         print("rules:")
         for access, rule in plan.rules().items():
             print(f"    {access:14s} -> {rule}")
-        if getattr(args, "explain", False) and plan.trace is not None:
+        if getattr(args, "explain", False):
             print()
             print(plan.trace.pretty(verbose=args.verbose))
         backend = getattr(args, "backend", "scalar")
-        kernels = getattr(getattr(plan, "ir", None), "kernels", None)
+        kernels = plan.ir.kernels
         if backend in ("fused", "native", "mp", "mpi") \
                 and getattr(args, "explain", False):
             print()
@@ -255,12 +255,11 @@ def _explain_native(plan, kernels) -> None:
     sup = native_support()
     print(f"# native tier: available={sup.available} mode={sup.mode} "
           f"({sup.reason})")
-    ir = getattr(plan, "ir", None)
-    if kernels is None or ir is None:
+    if kernels is None:
         print("# native kernel unavailable: no fused kernels on this plan")
         return
     try:
-        nat = ensure_native(kernels, ir)
+        nat = ensure_native(kernels, plan.ir)
     except NativeBuildError as e:
         print(f"# native kernel unavailable ({e}); the fused tier runs")
         return

@@ -36,12 +36,10 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis import annotate_deadlock
-from ..backends import validate_backend
+from ..backends import dispatch
 from ..core.clause import Ordering
 from ..decomp.replicated import Replicated
 from ..machine.distributed import DistributedMachine, NodeContext
-from ..machine.scheduler import DeadlockError
 from ..sets.membership import Work
 from .plan import CompiledRead, SPMDPlan
 
@@ -148,162 +146,36 @@ def run_distributed(
     machine (use ``machine.collect(name)`` for the post-state).
 
     When *machine* is given it must already hold the placed arrays.
-    ``backend="vector"`` batches communication into one message per
-    (read, peer) pair and executes each phase as NumPy array operations;
-    ``backend="overlap"`` additionally computes the interior of
-    ``Modify_p`` while messages are in flight (non-blocking receives);
-    ``backend="fused"`` runs the compile-once node kernels attached by
-    the `lower-kernels` pass — precomputed flat gather/scatter index
-    arrays and a generated fused expression, with the interior kernel
-    overlapping communication — falling back to the vector path (trace
-    note) when the plan has no fused form; ``backend="native"`` runs the
-    same schedule with the njit-compiled scalar-loop kernel, degrading
-    to the fused path (trace note) when numba is absent or the plan has
-    no native form.  Replicated writes (a
-    per-copy broadcast) keep the scalar path.  *model* is an optional
+    *backend* names a tier of :data:`repro.backends.TIERS`; the table in
+    ``docs/execution.md`` ("Backend tiers") says what each needs, what it
+    falls to and the trace note each hop leaves.  Replicated writes (a
+    per-copy broadcast) keep this scalar template under every in-process
+    backend.  *model* is an optional
     :class:`~repro.machine.channels.LatencyModel` attached to a newly
-    created machine (virtual-time accounting only).  *strict* makes a
-    fused run refuse clauses the static verifier flagged RACE*/COMM*.
-    ``backend="mp"`` executes the fused kernels on the real worker
-    processes of :mod:`repro.runtime` — real messages over queues,
-    global arrays in shared memory (*processes*/*timeout* apply there)
-    — falling back to the fused path when the plan has no mp form or a
-    pre-placed *machine* is supplied.  ``backend="mpi"`` runs the same
-    lowered programs SPMD under ``mpiexec`` with nonblocking
-    point-to-point messages and private rank memories
-    (:mod:`repro.mpi`), degrading to fused with a trace note when
-    mpi4py is unavailable.
+    created machine (virtual-time accounting only); *strict* makes the
+    kernel and real-process tiers refuse clauses the static verifier
+    flagged; *processes*/*timeout* apply to ``mp``/``mpi``.  A simulator
+    deadlock leaves citing the static COMM/BND/SCHED verdict.
     """
-    validate_backend(backend, context="run_distributed")
     if plan.clause.ordering is Ordering.SEQ:
         raise NotImplementedError(
             "distributed DOACROSS (the paper's 'more complicated orderings') "
             "is not generated; use the shared-memory template for • clauses"
         )
-    ir = getattr(plan, "ir", None)
-    if backend == "mpi":
-        from ..backends import backend_availability
 
-        trace = getattr(plan, "trace", None)
-        av = backend_availability("mpi")
-        why = None
-        if not av.available:
-            why = av.reason
-        elif ir is None:
-            why = "plan carries no IR"
-        elif machine is not None:
-            why = ("a pre-placed machine was supplied; the MPI backend "
-                   "owns its own placement")
-        elif plan.write_replicated:
-            why = "replicated write is a per-copy broadcast"
-        if why is None:
-            from ..mpi.exec import MpiUnavailableError, run_distributed_mpi
-            from ..runtime import MpLoweringError
+    def scalar() -> DistributedMachine:
+        m = machine
+        if m is None:
+            m = DistributedMachine(plan.pmax)
+            all_decomps = {plan.write_name: plan.write_dec}
+            for read in plan.reads:
+                all_decomps[read.name] = read.dec
+            for name, arr in env.items():
+                if name in all_decomps:
+                    m.place(name, arr, all_decomps[name])
+        m.run(lambda ctx: make_node_program(plan, ctx))
+        return m
 
-            try:
-                return run_distributed_mpi(ir, env, strict=strict,
-                                           processes=processes,
-                                           timeout=timeout)
-            except (MpLoweringError, MpiUnavailableError) as err:
-                why = str(err)
-        if trace is not None:
-            trace.note(f"backend='mpi' fell back to the fused path: {why}")
-        backend = "fused"
-    if backend == "mp":
-        trace = getattr(plan, "trace", None)
-        why = None
-        if ir is None:
-            why = "plan carries no IR"
-        elif machine is not None:
-            why = ("a pre-placed machine was supplied; the mp runtime "
-                   "owns its own placement")
-        elif plan.write_replicated:
-            why = "replicated write is a per-copy broadcast"
-        if why is None:
-            from ..runtime import MpLoweringError, run_distributed_mp
-
-            try:
-                return run_distributed_mp(ir, env, strict=strict,
-                                          processes=processes,
-                                          timeout=timeout)
-            except MpLoweringError as err:
-                why = str(err)
-        if trace is not None:
-            trace.note(f"backend='mp' fell back to the fused path: {why}")
-        backend = "fused"
-    if backend == "native":
-        trace = getattr(plan, "trace", None)
-        if ir is not None and not plan.write_replicated:
-            from ..machine.native import run_distributed_native
-            from ..pipeline.native import NativeBuildError
-
-            try:
-                return run_distributed_native(ir, env, machine, model=model,
-                                              strict=strict)
-            except NativeBuildError as err:
-                if trace is not None:
-                    trace.note("backend='native' fell back to the fused "
-                               f"path: {err}")
-            except DeadlockError as err:
-                annotate_deadlock(err, ir)
-                raise
-        elif trace is not None:
-            why = ("replicated write (per-copy broadcast)"
-                   if plan.write_replicated else "plan carries no IR")
-            trace.note(f"backend='native' fell back to the fused path: {why}")
-        backend = "fused"
-    if backend == "fused" and ir is not None and not plan.write_replicated:
-        kernels = getattr(ir, "kernels", None)
-        if kernels is not None and kernels.dist is not None:
-            from ..machine.fused import run_distributed_fused
-
-            try:
-                return run_distributed_fused(ir, env, machine, model=model,
-                                             strict=strict)
-            except DeadlockError as err:
-                annotate_deadlock(err, ir)
-                raise
-        if strict:
-            from ..machine.fused import check_strict
-
-            check_strict(ir, True)
-        trace = getattr(plan, "trace", None)
-        if trace is not None:
-            why = (kernels.dist_note if kernels is not None
-                   else "no fused kernels on the plan")
-            trace.note(f"backend='fused' fell back to the vector path: {why}")
-        backend = "vector"
-    if backend in ("vector", "overlap") and ir is not None \
-            and not plan.write_replicated:
-        try:
-            if backend == "overlap":
-                from ..machine.vectorize import run_distributed_overlap
-
-                return run_distributed_overlap(ir, env, machine, model=model)
-            from ..machine.vectorize import run_distributed_vector
-
-            return run_distributed_vector(ir, env, machine, model=model)
-        except DeadlockError as err:
-            annotate_deadlock(err, ir)
-            raise
-    if backend != "scalar":
-        trace = getattr(plan, "trace", None)
-        if trace is not None:
-            trace.note(f"backend={backend!r} fell back to the scalar "
-                       "template: "
-                       + ("replicated write (per-copy broadcast)"
-                          if plan.write_replicated else "plan carries no IR"))
-    if machine is None:
-        machine = DistributedMachine(plan.pmax)
-        all_decomps = {plan.write_name: plan.write_dec}
-        for read in plan.reads:
-            all_decomps[read.name] = read.dec
-        for name, arr in env.items():
-            if name in all_decomps:
-                machine.place(name, arr, all_decomps[name])
-    try:
-        machine.run(lambda ctx: make_node_program(plan, ctx))
-    except DeadlockError as err:
-        annotate_deadlock(err, ir)
-        raise
-    return machine
+    return dispatch(backend, "dist", plan.ir, env, machine, scalar,
+                    context="run_distributed", strict=strict, model=model,
+                    processes=processes, timeout=timeout)

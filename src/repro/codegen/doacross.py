@@ -106,18 +106,17 @@ def compile_doacross(
                 )
     if base.write_replicated:
         raise ValueError("DOACROSS write decomposition cannot be replicated")
-    ir = getattr(base, "ir", None)
-    if ir is not None:
-        from ..analysis import verify_ir
+    from ..analysis import verify_ir
 
-        report = ir.diagnostics if ir.diagnostics is not None else verify_ir(ir)
-        bad = sorted({d.code for d in report.errors()
-                      if d.code in ("BND001", "BND002", "COMM001", "COMM003")})
-        if bad:
-            raise ValueError(
-                "DOACROSS clause fails static verification "
-                f"({', '.join(bad)}); run `repro check` for details"
-            )
+    ir = base.ir
+    report = ir.diagnostics if ir.diagnostics is not None else verify_ir(ir)
+    bad = sorted({d.code for d in report.errors()
+                  if d.code in ("BND001", "BND002", "COMM001", "COMM003")})
+    if bad:
+        raise ValueError(
+            "DOACROSS clause fails static verification "
+            f"({', '.join(bad)}); run `repro check` for details"
+        )
     return DoacrossPlan(base, recurrence, others, distances)
 
 

@@ -22,12 +22,13 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..backends import dispatch
 from ..core.clause import Clause, Ordering
-from ..core.view import ProjectedMap, SeparableMap
 from ..decomp.base import Decomposition
 from ..decomp.multidim import GridDecomposition
 from ..decomp.replicated import Replicated
 from ..machine.distributed import DistributedMachine, NodeContext
+from ..pipeline.ir import access_spec
 from ..sets.table1 import OptimizedAccess, optimize_access
 from .dist_tmpl import _eval_fetched
 
@@ -35,14 +36,6 @@ __all__ = ["NDDistPlan", "compile_clause_nd_dist", "run_distributed_nd"]
 
 AnyDec = Union[Decomposition, GridDecomposition]
 Index = Tuple[int, ...]
-
-
-def _access_spec(imap) -> Tuple[Tuple[int, ...], tuple]:
-    if isinstance(imap, SeparableMap):
-        return tuple(range(imap.dim)), imap.funcs
-    if isinstance(imap, ProjectedMap):
-        return imap.dims, imap.funcs
-    raise ValueError("ND generation needs separable/projected accesses")
 
 
 @dataclass
@@ -91,7 +84,7 @@ class _NDAccess:
 
 
 def _compile_access(ref_name: str, imap, dec: AnyDec, loop_bounds) -> _NDAccess:
-    dims, funcs = _access_spec(imap)
+    dims, funcs = access_spec(imap)
     axes = (dec.dims if isinstance(dec, GridDecomposition) else (dec,))
     if len(axes) != len(funcs):
         raise ValueError(
@@ -139,7 +132,7 @@ def compile_clause_nd_dist(
         raise ValueError("ND distributed generation handles // clauses")
 
     def check_rank(name: str, imap, dec: AnyDec) -> None:
-        _dims, funcs = _access_spec(imap)
+        _dims, funcs = access_spec(imap)
         axes = (dec.dims if isinstance(dec, GridDecomposition) else (dec,))
         if len(axes) != len(funcs):
             raise ValueError(
@@ -161,7 +154,7 @@ def compile_clause_nd_dist(
                 f"write over {pmax}"
             )
         if isinstance(dec, Replicated):
-            _access_spec(ref.imap)  # same shape error as before
+            access_spec(ref.imap)  # same shape error as before
         else:
             check_rank(ref.name, ref.imap, dec)
 
@@ -239,132 +232,28 @@ def run_distributed_nd(
     """Place *env* (grid decompositions get nd-local layouts), run the
     clause, return the machine; use :func:`collect_nd` for grid arrays.
 
-    ``backend="vector"`` batches each (read, peer) transfer into a single
-    value-vector message and evaluates the clause body as NumPy array
-    operations over the factorized membership products;
-    ``backend="overlap"`` additionally computes the interior of
-    ``Modify_p`` while messages are in flight; ``backend="fused"`` runs
-    the compile-once node kernels of the `lower-kernels` pass (grid
-    local buffers addressed through precomputed raveled index arrays),
-    falling back to the vector path with a trace note when the plan has
-    no fused form.  *model* is an optional
-    :class:`~repro.machine.channels.LatencyModel` for a new machine.
-    *strict* makes a fused run refuse RACE*/COMM*-flagged clauses.
-    ``backend="mp"`` runs the fused kernels on real worker processes
-    (*processes*/*timeout* apply there), falling back to the fused path
-    when the plan has no mp form or a pre-placed *machine* is given.
-    ``backend="mpi"`` runs the same lowered programs SPMD under
-    ``mpiexec`` over a Cartesian process grid matching the
-    decomposition (:mod:`repro.mpi`), degrading to fused with a trace
-    note when mpi4py is unavailable.
+    Backends, fallbacks, *model*, *strict*, *processes*/*timeout* and
+    deadlock citation behave exactly as for
+    :func:`~repro.codegen.dist_tmpl.run_distributed` (one dispatcher —
+    see the "Backend tiers" table in ``docs/execution.md``); ``mpi``
+    attaches ranks through a Cartesian grid matching the decomposition.
     """
-    from ..backends import validate_backend
 
-    validate_backend(backend, context="run_distributed_nd")
-    if backend == "mpi":
-        from ..backends import backend_availability
+    def scalar() -> DistributedMachine:
+        m = machine
+        if m is None:
+            m = DistributedMachine(plan.pmax)
+            decs: Dict[str, AnyDec] = {plan.write.name: plan.write.dec}
+            for read in plan.reads:
+                decs.setdefault(read.name, read.dec)
+            for name, dec in decs.items():
+                m.place(name, env[name], dec)
+        m.run(lambda ctx: make_nd_node_program(plan, ctx))
+        return m
 
-        trace = getattr(plan, "trace", None)
-        av = backend_availability("mpi")
-        why = None
-        if not av.available:
-            why = av.reason
-        elif plan.ir is None:
-            why = "plan carries no IR"
-        elif machine is not None:
-            why = ("a pre-placed machine was supplied; the MPI backend "
-                   "owns its own placement")
-        if why is None:
-            from ..mpi.exec import MpiUnavailableError, run_distributed_mpi
-            from ..runtime import MpLoweringError
-
-            try:
-                return run_distributed_mpi(plan.ir, env, strict=strict,
-                                           processes=processes,
-                                           timeout=timeout)
-            except (MpLoweringError, MpiUnavailableError) as err:
-                why = str(err)
-        if trace is not None:
-            trace.note(f"backend='mpi' fell back to the fused path: {why}")
-        backend = "fused"
-    if backend == "mp":
-        trace = getattr(plan, "trace", None)
-        why = None
-        if plan.ir is None:
-            why = "plan carries no IR"
-        elif machine is not None:
-            why = ("a pre-placed machine was supplied; the mp runtime "
-                   "owns its own placement")
-        if why is None:
-            from ..runtime import MpLoweringError, run_distributed_mp
-
-            try:
-                return run_distributed_mp(plan.ir, env, strict=strict,
-                                          processes=processes,
-                                          timeout=timeout)
-            except MpLoweringError as err:
-                why = str(err)
-        if trace is not None:
-            trace.note(f"backend='mp' fell back to the fused path: {why}")
-        backend = "fused"
-    if backend == "native":
-        if plan.ir is not None:
-            from ..machine.native import run_distributed_native
-            from ..pipeline.native import NativeBuildError
-
-            try:
-                return run_distributed_native(plan.ir, env, machine,
-                                              model=model, strict=strict)
-            except NativeBuildError as err:
-                trace = getattr(plan, "trace", None)
-                if trace is not None:
-                    trace.note("backend='native' fell back to the fused "
-                               f"path: {err}")
-        else:
-            trace = getattr(plan, "trace", None)
-            if trace is not None:
-                trace.note("backend='native' fell back to the fused path: "
-                           "plan carries no IR")
-        backend = "fused"
-    if backend == "fused" and plan.ir is not None:
-        kernels = getattr(plan.ir, "kernels", None)
-        if kernels is not None and kernels.dist is not None:
-            from ..machine.fused import run_distributed_fused
-
-            return run_distributed_fused(plan.ir, env, machine, model=model,
-                                         strict=strict)
-        if strict:
-            from ..machine.fused import check_strict
-
-            check_strict(plan.ir, True)
-        trace = getattr(plan, "trace", None)
-        if trace is not None:
-            why = (kernels.dist_note if kernels is not None
-                   else "no fused kernels on the plan")
-            trace.note(f"backend='fused' fell back to the vector path: {why}")
-        backend = "vector"
-    if backend == "overlap" and plan.ir is not None:
-        from ..machine.vectorize import run_distributed_overlap
-
-        return run_distributed_overlap(plan.ir, env, machine, model=model)
-    if backend == "vector" and plan.ir is not None:
-        from ..machine.vectorize import run_distributed_vector
-
-        return run_distributed_vector(plan.ir, env, machine, model=model)
-    if backend != "scalar":
-        trace = getattr(plan, "trace", None)
-        if trace is not None:
-            trace.note(f"backend={backend!r} fell back to the scalar "
-                       "template: plan carries no IR")
-    decs: Dict[str, AnyDec] = {plan.write.name: plan.write.dec}
-    for read in plan.reads:
-        decs.setdefault(read.name, read.dec)
-    if machine is None:
-        machine = DistributedMachine(plan.pmax)
-        for name, dec in decs.items():
-            machine.place(name, env[name], dec)
-    machine.run(lambda ctx: make_nd_node_program(plan, ctx))
-    return machine
+    return dispatch(backend, "dist", plan.ir, env, machine, scalar,
+                    context="run_distributed_nd", strict=strict,
+                    model=model, processes=processes, timeout=timeout)
 
 
 def collect_nd(machine: DistributedMachine, name: str) -> np.ndarray:

@@ -23,28 +23,18 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..backends import dispatch
 from ..core.clause import Clause, Ordering
-from ..core.view import ProjectedMap, SeparableMap
 from ..decomp.base import Decomposition
 from ..decomp.multidim import GridDecomposition
 from ..machine.shared import SharedMachine
+from ..pipeline.ir import access_spec
 from ..sets.membership import Work
 from ..sets.table1 import OptimizedAccess, optimize_access
 
 __all__ = ["NDPlan", "compile_clause_nd", "run_shared_nd"]
 
 AnyDec = Union[Decomposition, GridDecomposition]
-
-
-def _lhs_dims_funcs(clause: Clause) -> Tuple[Tuple[int, ...], tuple]:
-    imap = clause.lhs.imap
-    if isinstance(imap, SeparableMap):
-        return tuple(range(imap.dim)), imap.funcs
-    if isinstance(imap, ProjectedMap):
-        return imap.dims, imap.funcs
-    raise ValueError(
-        "ND generation needs a separable/projected write access"
-    )
 
 
 @dataclass
@@ -95,7 +85,7 @@ def compile_clause_nd(
 
     A shim over the unified pass pipeline: reads address global memory
     directly here, so only the written array needs a decomposition."""
-    out_dims, funcs = _lhs_dims_funcs(clause)
+    out_dims, funcs = access_spec(clause.lhs.imap)
     if len(set(out_dims)) != len(out_dims):
         raise ValueError(
             "two output dimensions draw from the same loop dimension"
@@ -118,148 +108,60 @@ def run_shared_nd(
     env: Dict[str, np.ndarray],
     machine: Optional[SharedMachine] = None,
     backend: str = "scalar",
+    strict: bool = False,
     processes: Optional[int] = None,
     timeout: Optional[float] = None,
 ) -> SharedMachine:
     """Execute on the shared-memory machine (direct global addressing).
 
-    ``backend="vector"`` runs ``//`` clauses through the NumPy segment
-    executor; ``backend="fused"`` runs the compile-once node kernels
-    (falling back to the vector executor when the plan has none);
-    ``backend="native"`` runs the njit-compiled scalar-loop kernels
-    (falling back to fused when numba is absent or the plan has no
-    native form); ``backend="mp"`` runs those kernels on real worker processes
-    (falling back to fused when the plan has no mp form);
-    ``backend="mpi"`` runs them SPMD under ``mpiexec`` (falling back to
-    fused when mpi4py is unavailable);
-    • clauses (a serial chain) always take the scalar path.
+    Backends, fallbacks and *strict* behave exactly as for
+    :func:`~repro.codegen.shared_tmpl.run_shared` (one dispatcher — see
+    the "Backend tiers" table in ``docs/execution.md``); ``overlap`` is
+    not accepted here.  • clauses always end on the scalar path.
     """
-    from ..backends import validate_backend
-
-    validate_backend(
-        backend,
-        allowed=("scalar", "vector", "fused", "native", "mp", "mpi"),
-        context="run_shared_nd")
     clause = plan.clause
     if machine is None:
         machine = SharedMachine(plan.pmax, env)
 
-    if backend == "mpi":
-        from ..backends import backend_availability
+    def store(p: int, ai: Tuple[int, ...], value) -> None:
+        machine.env[clause.lhs.name][ai if len(ai) > 1 else ai[0]] = value
+        machine.stats[p].local_updates += 1
 
-        trace = getattr(plan, "trace", None)
-        av = backend_availability("mpi")
-        why = None
-        if not av.available:
-            why = av.reason
-        elif plan.ir is None:
-            why = "plan carries no IR"
-        elif clause.ordering is not Ordering.PAR:
-            why = "sequential (•) clause is a serial chain"
-        if why is None:
-            from ..mpi.exec import MpiUnavailableError, run_shared_mpi
-            from ..runtime import MpLoweringError
-
-            try:
-                return run_shared_mpi(plan.ir, env, machine,
-                                      processes=processes, timeout=timeout)
-            except (MpLoweringError, MpiUnavailableError) as err:
-                why = str(err)
-        if trace is not None:
-            trace.note(f"backend='mpi' fell back to the fused path: {why}")
-        backend = "fused"
-
-    if backend == "mp":
-        if plan.ir is not None:
-            from ..runtime import MpLoweringError, run_shared_mp
-
-            try:
-                return run_shared_mp(plan.ir, env, machine,
-                                     processes=processes, timeout=timeout)
-            except MpLoweringError as err:
-                trace = getattr(plan, "trace", None)
-                if trace is not None:
-                    trace.note("backend='mp' fell back to the fused "
-                               f"path: {err}")
-        backend = "fused"
-
-    if backend == "native":
-        if plan.ir is not None and clause.ordering is Ordering.PAR:
-            from ..machine.native import run_shared_native
-            from ..pipeline.native import NativeBuildError
-
-            try:
-                return run_shared_native(plan.ir, env, machine)
-            except NativeBuildError as err:
-                trace = getattr(plan, "trace", None)
-                if trace is not None:
-                    trace.note("backend='native' fell back to the fused "
-                               f"path: {err}")
-        backend = "fused"
-
-    if backend == "fused":
-        kernels = getattr(plan.ir, "kernels", None) \
-            if plan.ir is not None else None
-        if (kernels is not None and kernels.shared is not None
-                and clause.ordering is Ordering.PAR):
-            from ..machine.fused import run_shared_fused
-
-            return run_shared_fused(plan.ir, env, machine)
-        trace = getattr(plan, "trace", None)
-        if trace is not None:
-            why = ("sequential (•) clause is a serial chain"
-                   if clause.ordering is Ordering.SEQ else
-                   kernels.shared_note if kernels is not None else
-                   "no fused kernels on the plan")
-            trace.note(f"backend='fused' fell back to the vector path: {why}")
-        backend = "vector"
-
-    if (backend == "vector" and clause.ordering is Ordering.PAR
-            and plan.ir is not None):
-        from ..machine.vectorize import run_shared_vector
-
-        return run_shared_vector(plan.ir, env, machine)
-
-    if clause.ordering is Ordering.SEQ:
-        # global lexicographic serialization, charged to owners
-        order: List[Tuple[int, Tuple[int, ...]]] = []
+    def scalar() -> SharedMachine:
+        if clause.ordering is Ordering.SEQ:
+            # global lexicographic serialization, charged to owners
+            order = sorted(((idx, p) for p in range(plan.pmax)
+                            for idx in plan.modify_indices(p)))
+            for idx, p in order:
+                machine.stats[p].iterations += 1
+                if clause.guard is None or clause.guard.eval(
+                        idx, machine.env):
+                    store(p, clause.lhs.array_index(idx),
+                          clause.rhs.eval(idx, machine.env))
+            return machine
+        # // phase: every node reads pre-state, commits follow in node
+        # order (SharedMachine.run_phase stores via [idx]; indices here
+        # are tuples)
+        buffers = []
         for p in range(plan.pmax):
-            for idx in plan.modify_indices(p):
-                order.append((p, idx))
-        order.sort(key=lambda t: t[1])
-        target = machine.env[clause.lhs.name]
-        for p, idx in order:
-            machine.stats[p].iterations += 1
-            if clause.guard is not None and not clause.guard.eval(
-                idx, machine.env
-            ):
-                continue
-            ai = clause.lhs.array_index(idx)
-            target[ai if len(ai) > 1 else ai[0]] = clause.rhs.eval(
-                idx, machine.env
-            )
-            machine.stats[p].local_updates += 1
+            writes = []
+            work = Work()
+            for idx in plan.modify_indices(p, work):
+                machine.stats[p].iterations += 1
+                if clause.guard is None or clause.guard.eval(
+                        idx, machine.env):
+                    writes.append((clause.lhs.array_index(idx),
+                                   clause.rhs.eval(idx, machine.env)))
+            machine.stats[p].membership_tests += work.tests
+            buffers.append(writes)
+        for p, writes in enumerate(buffers):
+            for ai, value in writes:
+                store(p, ai, value)
+            machine.stats[p].barriers += 1
         return machine
 
-    def phase(p: int):
-        writes = []
-        work = Work()
-        for idx in plan.modify_indices(p, work):
-            machine.stats[p].iterations += 1
-            if clause.guard is not None and not clause.guard.eval(
-                idx, machine.env
-            ):
-                continue
-            ai = clause.lhs.array_index(idx)
-            writes.append((clause.lhs.name, ai, clause.rhs.eval(idx, machine.env)))
-        machine.stats[p].membership_tests += work.tests
-        return writes
-
-    # SharedMachine.run_phase stores via [idx] — adapt tuple indices
-    buffers = [phase(p) for p in range(plan.pmax)]
-    for p, buf in enumerate(buffers):
-        for name, ai, value in buf:
-            machine.env[name][ai if len(ai) > 1 else ai[0]] = value
-            machine.stats[p].local_updates += 1
-        machine.stats[p].barriers += 1
-    return machine
+    return dispatch(
+        backend, "shared", plan.ir, env, machine, scalar,
+        context="run_shared_nd",
+        allowed=("scalar", "vector", "fused", "native", "mp", "mpi"),
+        strict=strict, processes=processes, timeout=timeout)

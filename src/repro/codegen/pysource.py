@@ -76,8 +76,7 @@ class RuntimeTables:
         the overlap program then degrades to the vector schedule)."""
         import numpy as np
 
-        ir = getattr(self.plan, "ir", None)
-        split = getattr(ir, "interior_split", None) if ir is not None else None
+        split = self.plan.ir.interior_split
         if split is None or p not in split.per_node:
             return np.empty(0, dtype=np.int64)
         segs = split.per_node[p].interior[0]
@@ -516,10 +515,8 @@ def compile_distributed(plan: SPMDPlan, backend: str = "scalar"):
             helpers = SUPPORT_HELPERS + "\n\n" + VECTOR_HELPERS
         except CodegenError as exc:
             source = emit_distributed_source(plan)
-            trace = getattr(plan, "trace", None)
-            if trace is not None:
-                trace.note(f"emitted source for backend={backend!r} fell "
-                           f"back to the scalar template: {exc}")
+            plan.trace.note(f"emitted source for backend={backend!r} fell "
+                            f"back to the scalar template: {exc}")
     else:
         source = emit_distributed_source(plan, backend=backend)
     fn = _exec_source(source, "node_program", helpers)
@@ -537,10 +534,8 @@ def compile_shared(plan: SPMDPlan, backend: str = "scalar"):
     """
     helpers = SUPPORT_HELPERS
     if backend == "overlap":
-        trace = getattr(plan, "trace", None)
-        if trace is not None:
-            trace.note("backend='overlap' on shared memory: no messages "
-                       "to overlap; emitting the vector phase")
+        plan.trace.note("backend='overlap' on shared memory: no messages "
+                        "to overlap; emitting the vector phase")
         backend = "vector"
     if backend == "vector":
         try:
@@ -548,10 +543,8 @@ def compile_shared(plan: SPMDPlan, backend: str = "scalar"):
             helpers = SUPPORT_HELPERS + "\n\n" + VECTOR_HELPERS
         except CodegenError as exc:
             source = emit_shared_source(plan)
-            trace = getattr(plan, "trace", None)
-            if trace is not None:
-                trace.note("emitted source for backend='vector' fell "
-                           f"back to the scalar template: {exc}")
+            plan.trace.note("emitted source for backend='vector' fell "
+                            f"back to the scalar template: {exc}")
     else:
         source = emit_shared_source(plan, backend=backend)
     fn = _exec_source(source, "node_phase", helpers)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backends import validate_backend
+from ..backends import dispatch
 from ..core.clause import Clause, Ordering
 from ..machine.shared import SharedMachine
 from ..sets.membership import Work
@@ -60,142 +60,26 @@ def run_shared(
     """Execute one clause on a shared-memory machine; returns the machine
     (its ``env`` holds the post-state, its ``stats`` the counters).
 
-    ``backend="vector"`` executes ``//`` clauses as NumPy strided
-    operations over the closed-form membership segments (• clauses are a
-    serial chain and always take the scalar path — recorded as a trace
-    note, see ``compile --explain``).  ``backend="overlap"`` has no
-    shared-memory meaning (there is no communication to hide) and runs
-    as the vector backend, also noted on the trace.  ``backend="fused"``
-    runs the compile-once node kernels attached by the `lower-kernels`
-    pass (falling back to the vector path, with a trace note, when the
-    plan has no fused form); *strict* makes a fused run refuse clauses
-    the static verifier flagged RACE*/COMM*.  ``backend="native"`` runs
-    the njit-compiled scalar-loop kernels of
-    :mod:`repro.pipeline.native`, degrading to the fused path with a
-    trace note when numba is absent or the plan has no native form.
-    ``backend="mp"`` executes
-    those same kernels on the real worker processes of
-    :mod:`repro.runtime` (*processes*/*timeout* apply there), falling
-    back to the fused path when the plan has no mp form.
-    ``backend="mpi"`` runs them SPMD under ``mpiexec``
-    (:mod:`repro.mpi`), degrading to fused with a trace note when
-    mpi4py is unavailable.
+    *backend* names a tier of :data:`repro.backends.TIERS`; the table in
+    ``docs/execution.md`` ("Backend tiers") says what each needs, what it
+    falls to and the trace note each hop leaves.  • clauses are a serial
+    chain and end on the scalar path under every backend.  *strict*
+    makes the kernel and real-process tiers refuse clauses the static
+    verifier flagged; *processes*/*timeout* apply to ``mp``/``mpi``.
     """
-    validate_backend(backend, context="run_shared")
     if machine is None:
         machine = SharedMachine(plan.pmax, env)
-    if backend == "mpi":
-        from ..backends import backend_availability
 
-        trace = getattr(plan, "trace", None)
-        av = backend_availability("mpi")
-        ir = getattr(plan, "ir", None)
-        why = None
-        if not av.available:
-            why = av.reason
-        elif ir is None:
-            why = "plan carries no IR"
-        if why is None:
-            from ..mpi.exec import MpiUnavailableError, run_shared_mpi
-            from ..runtime import MpLoweringError
-
-            try:
-                return run_shared_mpi(ir, env, machine, strict=strict,
-                                      processes=processes, timeout=timeout)
-            except (MpLoweringError, MpiUnavailableError) as err:
-                why = str(err)
-        if trace is not None:
-            trace.note(f"backend='mpi' fell back to the fused path: {why}")
-        backend = "fused"
-    if backend == "mp":
-        ir = getattr(plan, "ir", None)
-        if ir is not None:
-            from ..runtime import MpLoweringError, run_shared_mp
-
-            try:
-                return run_shared_mp(ir, env, machine, strict=strict,
-                                     processes=processes, timeout=timeout)
-            except MpLoweringError as err:
-                trace = getattr(plan, "trace", None)
-                if trace is not None:
-                    trace.note("backend='mp' fell back to the fused "
-                               f"path: {err}")
+    def scalar() -> SharedMachine:
+        if plan.clause.ordering is Ordering.SEQ:
+            _run_shared_seq(plan, machine)
         else:
-            trace = getattr(plan, "trace", None)
-            if trace is not None:
-                trace.note("backend='mp' fell back to the fused path: "
-                           "plan carries no IR")
-        backend = "fused"
-    if backend == "overlap":
-        trace = getattr(plan, "trace", None)
-        if trace is not None:
-            trace.note("backend='overlap' on shared memory: no messages "
-                       "to overlap; running the vector backend")
-        backend = "vector"
-    if backend == "native":
-        ir = getattr(plan, "ir", None)
-        if ir is not None and plan.clause.ordering is Ordering.PAR:
-            from ..machine.native import run_shared_native
-            from ..pipeline.native import NativeBuildError
+            machine.run_phase(shared_phase(plan, machine))
+        return machine
 
-            try:
-                return run_shared_native(ir, env, machine, strict=strict)
-            except NativeBuildError as err:
-                trace = getattr(plan, "trace", None)
-                if trace is not None:
-                    trace.note("backend='native' fell back to the fused "
-                               f"path: {err}")
-        else:
-            trace = getattr(plan, "trace", None)
-            if trace is not None:
-                why = ("plan carries no IR" if ir is None else
-                       "sequential (•) clause is a serial chain")
-                trace.note(f"backend='native' fell back to the fused "
-                           f"path: {why}")
-        backend = "fused"
-    if backend == "fused":
-        ir = getattr(plan, "ir", None)
-        kernels = getattr(ir, "kernels", None) if ir is not None else None
-        if (ir is not None and kernels is not None
-                and kernels.shared is not None
-                and plan.clause.ordering is Ordering.PAR):
-            from ..machine.fused import run_shared_fused
-
-            return run_shared_fused(ir, env, machine, strict=strict)
-        if strict and ir is not None \
-                and plan.clause.ordering is Ordering.PAR:
-            from ..machine.fused import check_strict
-
-            check_strict(ir, True)
-        trace = getattr(plan, "trace", None)
-        if trace is not None:
-            why = ("plan carries no IR" if ir is None else
-                   kernels.shared_note if kernels is not None else
-                   "no fused kernels on the plan")
-            if plan.clause.ordering is Ordering.SEQ:
-                why = "sequential (•) clause is a serial chain"
-            trace.note(f"backend='fused' fell back to the vector path: {why}")
-        backend = "vector"
-    if plan.clause.ordering is Ordering.SEQ:
-        if backend == "vector":
-            trace = getattr(plan, "trace", None)
-            if trace is not None:
-                trace.note("backend='vector' fell back to the scalar "
-                           "path: sequential (•) clause is a serial chain")
-        _run_shared_seq(plan, machine)
-    elif backend == "vector":
-        ir = getattr(plan, "ir", None)
-        if ir is None:
-            raise ValueError(
-                "vector backend needs the pipeline IR; compile the plan "
-                "via compile_clause / repro.pipeline.compile_plan"
-            )
-        from ..machine.vectorize import run_shared_vector
-
-        run_shared_vector(ir, env, machine)
-    else:
-        machine.run_phase(shared_phase(plan, machine))
-    return machine
+    return dispatch(backend, "shared", plan.ir, env, machine, scalar,
+                    context="run_shared", strict=strict,
+                    processes=processes, timeout=timeout)
 
 
 def _run_shared_seq(plan: SPMDPlan, machine: SharedMachine) -> None:

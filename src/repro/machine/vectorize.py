@@ -334,13 +334,21 @@ def make_vector_node_program(ir: PlanIR, ctx: NodeContext):
     return program()
 
 
-def _place_env(ir: PlanIR, env: Dict[str, np.ndarray],
-               machine: DistributedMachine) -> None:
-    decs = {ir.write.name: ir.write.dec}
-    for acc in ir.reads:
-        decs.setdefault(acc.name, acc.dec)
-    for name, dec in decs.items():
-        machine.place(name, env[name], dec)
+def _run_nodes(ir: PlanIR, env: Dict[str, np.ndarray],
+               machine: Optional[DistributedMachine], model,
+               node_program) -> DistributedMachine:
+    """Place *env* on a new machine (a given *machine* already holds the
+    placed arrays), run ``node_program(ctx)`` on every node, return the
+    machine — the one driver of every simulated-mailbox executor."""
+    if machine is None:
+        machine = DistributedMachine(ir.pmax, model=model)
+        decs = {ir.write.name: ir.write.dec}
+        for acc in ir.reads:
+            decs.setdefault(acc.name, acc.dec)
+        for name, dec in decs.items():
+            machine.place(name, env[name], dec)
+    machine.run(node_program)
+    return machine
 
 
 def run_distributed_vector(
@@ -350,16 +358,12 @@ def run_distributed_vector(
     model=None,
 ) -> DistributedMachine:
     """Place *env*, run the batched node programs, return the machine."""
-    clause = ir.clause
-    if clause.ordering is not Ordering.PAR:
+    if ir.clause.ordering is not Ordering.PAR:
         raise ValueError("the vector executor handles // clauses")
     if ir.write.replicated:
         raise ValueError("replicated writes keep the scalar path")
-    if machine is None:
-        machine = DistributedMachine(ir.pmax, model=model)
-        _place_env(ir, env, machine)
-    machine.run(lambda ctx: make_vector_node_program(ir, ctx))
-    return machine
+    return _run_nodes(ir, env, machine, model,
+                      lambda ctx: make_vector_node_program(ir, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +513,9 @@ def run_distributed_overlap(
     model=None,
 ) -> DistributedMachine:
     """Place *env*, run the overlapped node programs, return the machine."""
-    clause = ir.clause
-    if clause.ordering is not Ordering.PAR:
+    if ir.clause.ordering is not Ordering.PAR:
         raise ValueError("the overlap executor handles // clauses")
     if ir.write.replicated:
         raise ValueError("replicated writes keep the scalar path")
-    if machine is None:
-        machine = DistributedMachine(ir.pmax, model=model)
-        _place_env(ir, env, machine)
-    machine.run(lambda ctx: make_overlap_node_program(ir, ctx))
-    return machine
+    return _run_nodes(ir, env, machine, model,
+                      lambda ctx: make_overlap_node_program(ir, ctx))

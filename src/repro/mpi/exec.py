@@ -24,14 +24,20 @@ both and fall back to the in-process fused path with a trace note.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..machine.shared import SharedMachine
-from ..runtime.exec import MpMachine, _certify, _check, _fill_stats
+from ..runtime.exec import (
+    MpMachine,
+    _certify,
+    _check,
+    _fill_stats,
+    _nprocs,
+    _touched,
+)
 from ..runtime.lowering import MpLoweringError, lower_dist, lower_shared
 from .rank import MpiJob, attach, max_tag, run_job
 from .support import in_mpi_world, mpi_support
@@ -50,9 +56,6 @@ __all__ = [
 #: cannot read the real attribute without initializing MPI, so programs
 #: whose encoded tag space exceeds this fall back to fused
 MAX_PORTABLE_TAG = 32767
-
-#: default rank-count ceiling when ``processes``/``--np`` is not given
-_DEFAULT_MAX_RANKS = 8
 
 DEFAULT_TIMEOUT = 120.0
 
@@ -89,10 +92,7 @@ class MpiMachine(MpMachine):
 
 
 def _nranks(processes: Optional[int], pmax: int) -> int:
-    if processes is None:
-        env = os.environ.get("REPRO_MPI_RANKS")
-        processes = int(env) if env else min(pmax, _DEFAULT_MAX_RANKS)
-    return max(1, min(int(processes), pmax))
+    return _nprocs(processes, pmax, "REPRO_MPI_RANKS")
 
 
 def _grid_shape_of(prog) -> tuple:
@@ -217,24 +217,41 @@ def run_distributed_mpi(
     covering the world exactly)."""
     _check(ir, strict)
     prog = lower_dist(ir)
-    _guard_tags([prog])
-    cert = _certify([prog], strict)
-    arrays = _as_arrays(env, prog.array_names)
     machine = MpiMachine(ir.pmax, prog.decomps)
     for name, arr in env.items():
         machine.arrays[name] = np.asarray(arr, dtype=np.float64).copy()
-    nranks = _nranks(processes, ir.pmax)
-    job = MpiJob(progs=(prog,), flags=(True,),
-                 names=tuple(prog.array_names),
-                 grid_shape=_grid_shape_of(prog),
-                 timeout=timeout or DEFAULT_TIMEOUT,
-                 fault_rank=_fault_rank)
+    machine.mode, machine.nranks = _drive(
+        [prog], (True,), 1, (), machine.arrays, machine, ir.pmax, strict,
+        processes, timeout, _fault_rank, grid_shape=_grid_shape_of(prog))
+    return machine
+
+
+def _drive(progs, flags, repeat: int, swap, genv, machine, pmax: int,
+           strict: bool, processes, timeout, fault_rank: int,
+           grid_shape: tuple = ()) -> Tuple[str, int]:
+    """Certify, then run ``repeat`` iterations of the lowered clause
+    sequence *progs* in ONE MPI world starting from the global arrays
+    *genv*; copy every written (or swapped) array back and fill
+    *machine*'s counters.  Returns ``(transport mode, world size)``."""
+    _guard_tags(progs)
+    cert = _certify(progs, strict, flags=flags, repeat=repeat)
+    names, changed = _touched(progs, swap)
+    arrays = _as_arrays(genv, names)
+    nranks = _nranks(processes, pmax)
+    job = MpiJob(progs=tuple(progs), flags=tuple(flags), repeat=repeat,
+                 swap=tuple(swap), names=tuple(names),
+                 grid_shape=grid_shape, timeout=timeout or DEFAULT_TIMEOUT,
+                 fault_rank=fault_rank)
     mode, stats, counts = _execute(job, arrays, nranks, cert)
-    machine.mode, machine.nranks = mode, nranks
-    machine.arrays[prog.write_name] = arrays[prog.write_name]
+    # ranks swap their name -> buffer dicts after every step (including
+    # the last), exactly like the reference semantics swaps env entries,
+    # and the final allgather fills the post-swap names — so the dict
+    # already carries every array under its final name
+    for name in changed:
+        np.copyto(genv[name], arrays[name])
     machine.runtime_stats = _fill_stats(machine.stats,
                                         list(zip(stats, counts)))
-    return machine
+    return mode, nranks
 
 
 def run_shared_mpi(
@@ -251,21 +268,10 @@ def run_shared_mpi(
     communication beside the final state exchange)."""
     _check(ir, strict)
     prog = lower_shared(ir)
-    _guard_tags([prog])
-    cert = _certify([prog], strict)
     if machine is None:
         machine = SharedMachine(ir.pmax, env)
-    genv = machine.env
-    arrays = _as_arrays(genv, prog.array_names)
-    nranks = _nranks(processes, ir.pmax)
-    job = MpiJob(progs=(prog,), flags=(True,),
-                 names=tuple(prog.array_names),
-                 timeout=timeout or DEFAULT_TIMEOUT,
-                 fault_rank=_fault_rank)
-    mode, stats, counts = _execute(job, arrays, nranks, cert)
-    np.copyto(genv[prog.write_name], arrays[prog.write_name])
-    machine.runtime_stats = _fill_stats(machine.stats,
-                                        list(zip(stats, counts)))
+    _drive([prog], (True,), 1, (), machine.env, machine, ir.pmax, strict,
+           processes, timeout, _fault_rank)
     return machine
 
 
@@ -296,8 +302,7 @@ def run_program_mpi(
     whole-program form — the caller falls back to driving clauses
     individually (one MPI world per clause per step, each starting from
     globally consistent state)."""
-    steps = pir.steps
-    for st in steps:
+    for st in pir.steps:
         _check(st.ir, strict)
     if pir.repeat > 1 and not pir.pipelined:
         raise MpLoweringError(
@@ -307,28 +312,7 @@ def run_program_mpi(
         raise MpLoweringError(
             f"redistribution boundary survives elision ({name!r} at "
             f"{label}): private rank memories would read stale data")
-    progs = [lower_dist(st.ir) for st in steps]
-    _guard_tags(progs)
-    cert = _certify(progs, strict, flags=pir.barrier_flags(),
-                    repeat=pir.repeat)
-    genv = machine.env
-    names = sorted(
-        set().union(*(set(p.array_names) for p in progs))
-        | {n for pair in pir.swap for n in pair})
-    arrays = _as_arrays(genv, names)
-    nranks = _nranks(processes, pir.pmax)
-    job = MpiJob(progs=tuple(progs), flags=tuple(pir.barrier_flags()),
-                 repeat=pir.repeat, swap=tuple(pir.swap),
-                 names=tuple(names),
-                 timeout=timeout or DEFAULT_TIMEOUT,
-                 fault_rank=_fault_rank)
-    mode, stats, counts = _execute(job, arrays, nranks, cert)
-    # ranks swap their name -> buffer dicts after every step (including
-    # the last), exactly like the reference semantics swaps env entries,
-    # and the final allgather fills the post-swap names — so the dict
-    # already carries every array under its final name
-    for name in names:
-        np.copyto(genv[name], arrays[name])
-    machine.runtime_stats = _fill_stats(machine.stats,
-                                        list(zip(stats, counts)))
+    _drive([lower_dist(st.ir) for st in pir.steps], pir.barrier_flags(),
+           pir.repeat, pir.swap, machine.env, machine, pir.pmax, strict,
+           processes, timeout, _fault_rank)
     return machine, pir.barriers_per_step() * pir.repeat

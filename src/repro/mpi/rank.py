@@ -1,25 +1,24 @@
 """Rank-side SPMD runner: lowered ``MpProgram``s over real Isend/Irecv.
 
-Every rank executes the same schedule the shm workers prove correct
-(:mod:`repro.runtime.worker`), with the queue transport replaced by
-nonblocking point-to-point messages:
+Every rank executes the one real-process schedule,
+:func:`repro.runtime.worker.run_sequence` — the function the shm workers
+run — with :class:`MpiTransport` in place of the queue transport.  The
+transport maps the schedule's steps onto nonblocking point-to-point
+messages:
 
-1. **post**      — ``Irecv`` one buffer per expected ``(dst node,
-                   src node, read pos)`` message *before* anything is
-                   sent, so even self- and same-rank messages match
-                   without buffering surprises;
-2. **send**      — gather pre-state payloads with the precomputed global
-                   keys, ``Isend`` one message per (read, peer) pair;
-3. **gather**    — fill each owned node's local read lanes from the
-                   rank-private global arrays;
-4. **barrier**   — the pre-commit barrier (kept for schedule parity with
-                   the shm runtime; rank memories are private, so it
-                   also pins the per-clause skew to one clause);
-5. **interior**  — fused/native interior kernel + commit while messages
-                   are in flight;
-6. **drain**     — ``Waitall`` the receives, fill remote lanes;
-7. **boundary**  — boundary kernel + commit; then ``Waitall`` the sends
-                   (send buffers stay referenced until here).
+* **post**      — ``Irecv`` one buffer per expected ``(dst node, src
+                  node, read pos)`` message *before* anything is sent,
+                  so even self- and same-rank messages match without
+                  buffering surprises;
+* **send**      — ``Isend`` a fresh contiguous pre-state copy per
+                  (read, peer) pair (valid until the clause's
+                  ``Waitall``);
+* **barrier**   — the pre-commit barrier (kept for schedule parity with
+                  the shm runtime; rank memories are private, so it also
+                  pins the per-clause skew to one clause);
+* **drain**     — ``Waitall`` the receives, fill remote lanes;
+* **finish**    — ``Waitall`` the sends (send buffers stay referenced
+                  until here).
 
 Tags encode ``(seq, dst node, src node, pos)`` — the same key the shm
 queues use — with the clause sequence number taken modulo
@@ -59,11 +58,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..runtime.stats import RuntimeStats
-from ..runtime.worker import _commit, _compile_kernel, _flat, _index
+from ..pipeline.native import flat_key
+from ..runtime.stats import PHASES
+from ..runtime.worker import Installed, run_sequence
 
 __all__ = [
     "MpiJob",
+    "MpiTransport",
     "TAG_SEQ_WINDOW",
     "encode_tag",
     "max_tag",
@@ -104,156 +105,76 @@ class MpiJob:
     meta: dict = field(default_factory=dict)
 
 
-class _RankInstall:
-    """One clause's installed program on this rank: compiled kernel(s)
-    plus the nodes attached here (``node % size == rank``) — the exact
-    analogue of the shm worker's ``_Installed``."""
+class MpiTransport:
+    """Nonblocking point-to-point messages on *comm* (mpi4py or the
+    stub) for the clause sequence *progs*; progress goes to the one-slot
+    *phase* list the failure path reads."""
 
-    def __init__(self, prog, rank: int, size: int):
-        (self.token, self.flavor, self.source, self.nreads,
-         self.write_name, self.my_nodes, native_source) = \
-            prog.payload_for(rank, size)
-        self.prog = prog
-        self.rhs, self.guard = _compile_kernel(self.source)
-        self.native_entry = None
-        self.native_jit_s = 0.0
-        if native_source is not None:
-            from ..pipeline.native import compile_native_entry, native_support
+    def __init__(self, comm, progs, phase: List[str], fault_rank: int = -1):
+        self.comm = comm
+        self.rank = comm.rank
+        self.progs = progs
+        self.phase = phase
+        self.fault_rank = fault_rank
 
-            if native_support().available:
-                try:
-                    self.native_entry, self.native_jit_s = \
-                        compile_native_entry(native_source)
-                except Exception:
-                    self.native_entry = None
+    def set_phase(self, idx: int, node: int = -1) -> None:
+        self.phase[0] = PHASES[idx]
 
+    def _tag(self, dst: int, src: int, pos: int) -> int:
+        return encode_tag(self.seq, dst, src, pos, self.pmax, self.nreads)
 
-def _zero_counts() -> Dict[str, int]:
-    return {"sends": 0, "recvs": 0, "elements_sent": 0,
-            "elements_received": 0, "local_updates": 0,
-            "iterations": 0, "barriers": 0}
+    def post(self, seq: int, expect) -> None:
+        self.phase[0] = "post"
+        prog = self.progs[seq % len(self.progs)]
+        self.seq, self.pmax, self.nreads = seq, prog.pmax, prog.nreads
+        self.sends, self.bufs = [], []  # requests + their live payloads
+        self.recvs = []
+        for dst, src, pos, row, fill in expect:
+            buf = np.empty(int(fill.size), dtype=np.float64)
+            req = self.comm.irecv(buf, source=int(src) % self.comm.size,
+                                  tag=self._tag(dst, int(src), pos))
+            self.recvs.append((req, dst, row, fill, buf))
 
+    def send(self, node, pos, q, key, src_arr) -> np.ndarray:
+        buf = src_arr.reshape(-1)[flat_key(key, src_arr.shape)]
+        self.sends.append(self.comm.isend(
+            buf, dest=int(q) % self.comm.size,
+            tag=self._tag(int(q), node.p, pos)))
+        self.bufs.append(buf)
+        return buf
 
-def _run_clause(comm, inst: _RankInstall, arrays, seq: int, counts,
-                stats: RuntimeStats, phase: List[str],
-                fault_rank: int = -1) -> None:
-    """One clause of the overlap schedule on this rank (steps 1-7 of the
-    module docstring)."""
-    prog = inst.prog
-    pmax, nreads = prog.pmax, prog.nreads
-    my_nodes = inst.my_nodes
+    def barrier(self, node: int) -> None:
+        # fault-injection hook: fail between the first clause's gather
+        # and its pre-commit barrier, while peers already wait
+        if self.fault_rank == self.rank and self.seq == 0:
+            raise RuntimeError(
+                f"injected fault on rank {self.rank} (test hook)")
+        self.phase[0] = "barrier"
+        self.comm.barrier()
 
-    # ---- post: Irecv every expected message before any send ---------------
-    phase[0] = "post"
-    recvs = []   # (request, dst node, read pos, buffer, fill lanes)
-    rvals_by: Dict[int, np.ndarray] = {}
-    for node in my_nodes:
-        counts[node.p]["iterations"] += node.n
-        if node.n:
-            rvals_by[node.p] = np.empty((max(nreads, 0), node.n),
-                                        dtype=np.float64)
-        for r in node.reads:
-            for src, fill in r.sources:
-                buf = np.empty(int(fill.size), dtype=np.float64)
-                tag = encode_tag(seq, node.p, int(src), r.pos, pmax, nreads)
-                req = comm.irecv(buf, source=int(src) % comm.size, tag=tag)
-                recvs.append((req, node.p, r.pos, buf, fill))
+    def drain(self, deliver) -> None:
+        self.comm.waitall([r[0] for r in self.recvs])
+        for _req, dst, row, fill, buf in self.recvs:
+            deliver(dst, row, fill, buf)
 
-    # ---- send: pre-state payloads, one Isend per (read, peer) -------------
-    phase[0] = "send"
-    sends = []   # requests; payload buffers stay referenced alongside
-    bufs = []
-    for node in my_nodes:
-        c = counts[node.p]
-        for s in node.sends:
-            c["iterations"] += s.count
-            src_arr = arrays[s.name]
-            flat_src = src_arr.reshape(-1)
-            for q, key in s.peers:
-                # fresh contiguous copy per send: valid until Waitall
-                buf = flat_src[_flat(key, src_arr.shape)]
-                tag = encode_tag(seq, int(q), node.p, s.pos, pmax, nreads)
-                sends.append(comm.isend(buf, dest=int(q) % comm.size,
-                                        tag=tag))
-                bufs.append(buf)
-                c["sends"] += 1
-                c["elements_sent"] += int(buf.size)
-                stats.send_count += 1
-                stats.send_bytes += int(buf.nbytes)
-
-    # ---- gather: local lanes from the rank-private global arrays ----------
-    phase[0] = "gather"
-    for node in my_nodes:
-        if node.n == 0:
-            continue
-        rvals = rvals_by[node.p]
-        for r in node.reads:
-            vals = rvals[r.pos]
-            if r.local_pos is None:
-                vals[:] = arrays[r.name][_index(r.local_key)]
-            elif r.local_pos.size:
-                vals[r.local_pos] = arrays[r.name][_index(r.local_key)]
-
-    if fault_rank == comm.rank and seq == 0:
-        raise RuntimeError(
-            f"injected fault on rank {comm.rank} (test hook)")
-
-    # ---- pre-commit barrier ----------------------------------------------
-    phase[0] = "barrier"
-    t0 = time.perf_counter()
-    comm.barrier()
-    stats.barrier_s += time.perf_counter() - t0
-    for node in my_nodes:
-        counts[node.p]["barriers"] += 1
-
-    # ---- interior kernels (messages still in flight) ----------------------
-    phase[0] = "interior"
-    t0 = time.perf_counter()
-    for node in my_nodes:
-        if node.n:
-            _commit(inst, node, rvals_by[node.p], node.interior,
-                    node.idx_interior, node.wkey_interior,
-                    arrays[inst.write_name], counts[node.p], "int")
-    stats.kernel_s += time.perf_counter() - t0
-
-    # ---- drain: Waitall receives, fill remote lanes -----------------------
-    phase[0] = "drain"
-    comm.waitall([r[0] for r in recvs])
-    for _req, p, pos, buf, fill in recvs:
-        rvals_by[p][pos][fill] = buf
-        counts[p]["recvs"] += 1
-        counts[p]["elements_received"] += int(buf.size)
-        stats.recv_count += 1
-        stats.recv_bytes += int(buf.nbytes)
-
-    # ---- boundary kernels -------------------------------------------------
-    phase[0] = "boundary"
-    t0 = time.perf_counter()
-    for node in my_nodes:
-        if node.n:
-            _commit(inst, node, rvals_by[node.p], node.boundary,
-                    node.idx_boundary, node.wkey_boundary,
-                    arrays[inst.write_name], counts[node.p], "bnd")
-    stats.kernel_s += time.perf_counter() - t0
-
-    # ---- send completion (buffers released after this) --------------------
-    phase[0] = "send-wait"
-    comm.waitall(sends)
-    del bufs
+    def finish(self) -> None:
+        self.phase[0] = "send-wait"
+        self.comm.waitall(self.sends)
+        self.bufs = []
 
 
-def _final_names(prog, job: MpiJob) -> Tuple[str, ...]:
-    """Array names the content written by *prog* can end up under: the
-    write name itself plus, under a time-loop buffer swap, its partner —
-    the swap after the last step leaves the final commits under the
-    partner's name.  The pipeline pass has already proven the pair
-    placement-compatible, so the node -> positions map is identical
+def _final_names(write_name: str, job: MpiJob) -> Tuple[str, ...]:
+    """Array names the content written under *write_name* can end up
+    under: the name itself plus, under a time-loop buffer swap, its
+    partner — the swap after the last step leaves the final commits
+    under the partner's name.  The pipeline pass has already proven the
+    pair placement-compatible, so the node -> positions map is identical
     under either name."""
-    names = {prog.write_name}
+    names = {write_name}
     for a, b in job.swap:
-        if prog.write_name == a:
+        if write_name == a:
             names.add(b)
-        elif prog.write_name == b:
+        elif write_name == b:
             names.add(a)
     return tuple(sorted(names))
 
@@ -265,12 +186,12 @@ def _contrib(insts, job: MpiJob, arrays) -> Dict[str, tuple]:
     local values at those positions are the global truth."""
     out: Dict[str, List[np.ndarray]] = {}
     for inst in insts:
-        for name in _final_names(inst.prog, job):
+        for name in _final_names(inst.write_name, job):
             shape = arrays[name].shape
             flats = out.setdefault(name, [])
             for node in inst.my_nodes:
-                flats.append(_flat(node.wkey_interior, shape))
-                flats.append(_flat(node.wkey_boundary, shape))
+                flats.append(flat_key(node.wkey_interior, shape))
+                flats.append(flat_key(node.wkey_boundary, shape))
     final = {}
     for name, flats in out.items():
         flat = (np.concatenate(flats) if flats
@@ -292,30 +213,11 @@ def run_job(comm, job: MpiJob, arrays: Dict[str, np.ndarray]):
                 raise RuntimeError(
                     f"encoded tag space needs {need} but this MPI "
                     f"implementation guarantees only tag_ub={comm.tag_ub}")
-        insts = [_RankInstall(prog, comm.rank, comm.size)
+        insts = [Installed(prog.payload_for(comm.rank, comm.size))
                  for prog in job.progs]
-        nodes = sorted({nd.p for inst in insts for nd in inst.my_nodes})
-        stats = RuntimeStats(
-            rank=comm.rank, pid=os.getpid(), nodes=tuple(nodes),
-            native=any(inst.native_entry is not None for inst in insts))
-        counts = {p: _zero_counts() for p in nodes}
-        t_start = time.perf_counter()
-        nclauses = len(insts)
-        seq = 0
-        for step in range(job.repeat):
-            for k, inst in enumerate(insts):
-                _run_clause(comm, inst, arrays, seq, counts, stats,
-                            phase, job.fault_rank)
-                last = step == job.repeat - 1 and k == nclauses - 1
-                if job.flags[k] and not last:
-                    phase[0] = "barrier"
-                    t0 = time.perf_counter()
-                    comm.barrier()
-                    stats.barrier_s += time.perf_counter() - t0
-                seq += 1
-            for a, b in job.swap:
-                arrays[a], arrays[b] = arrays[b], arrays[a]
-        stats.total_s = time.perf_counter() - t_start
+        stats, counts = run_sequence(
+            insts, job.repeat, job.swap, job.flags, arrays,
+            MpiTransport(comm, job.progs, phase, job.fault_rank))
 
         # ---- exchange authoritative post-state + observability ------------
         phase[0] = "collect"

@@ -136,7 +136,7 @@ class SharedNodeKernel:
     """One node's shared-memory kernel: everything but the data."""
 
     n: int
-    idx: tuple                      # per-loop-dim membership index vectors
+    idx: np.ndarray                 # int64[ndim, n] membership index vectors
     read_keys: tuple                # per read: (name, global index key)
     write_key_vecs: tuple           # index arrays into the global target
 
@@ -165,13 +165,13 @@ class DistNodeKernel:
     """One node's distributed kernel: send plan, gather plan, lane split."""
 
     n: int
-    idx: tuple
+    idx: np.ndarray                 # int64[ndim, n]
     sends: tuple
     reads: tuple
     interior: np.ndarray            # lane positions computed pre-drain
     boundary: np.ndarray
-    idx_interior: tuple             # idx restricted to each lane set
-    idx_boundary: tuple
+    idx_interior: np.ndarray        # idx restricted to each lane set
+    idx_boundary: np.ndarray
     scatter_interior: np.ndarray    # flat store keys into the write buffer
     scatter_boundary: np.ndarray
 
@@ -205,6 +205,14 @@ class FusedKernels:
             else:
                 parts.append(f"{label}: dict-memory fallback ({note})")
         return "; ".join(parts)
+
+
+def _stack_i64(vecs) -> np.ndarray:
+    """Stack per-dim index vectors into one C-contiguous ``int64[ndim,
+    n]`` — the generated NumPy line reads row ``_i[d]``, the njit scalar
+    loop element ``_i[d, t]``, so both kernel tiers take the same array."""
+    return np.ascontiguousarray(np.stack(
+        [np.asarray(v, dtype=np.int64) for v in vecs]))
 
 
 def _flat_local(acc, idx_vecs, p: int) -> np.ndarray:
@@ -252,7 +260,7 @@ def _build_shared(ir) -> List[SharedNodeKernel]:
         w_ai = tuple(apply_ifunc(f, idx_vecs[d])
                      for d, f in zip(ir.write.dims, ir.write.funcs))
         nodes.append(SharedNodeKernel(
-            n=n, idx=tuple(idx_vecs), read_keys=tuple(read_keys),
+            n=n, idx=_stack_i64(idx_vecs), read_keys=tuple(read_keys),
             write_key_vecs=w_ai,
         ))
     return nodes
@@ -338,13 +346,13 @@ def _build_dist(ir) -> List[DistNodeKernel]:
             interior = boundary = np.zeros(0, dtype=np.int64)
         nodes.append(DistNodeKernel(
             n=n,
-            idx=tuple(idx_vecs),
+            idx=_stack_i64(idx_vecs),
             sends=tuple(sends),
             reads=tuple(reads),
             interior=interior,
             boundary=boundary,
-            idx_interior=tuple(v[interior] for v in idx_vecs),
-            idx_boundary=tuple(v[boundary] for v in idx_vecs),
+            idx_interior=_stack_i64([v[interior] for v in idx_vecs]),
+            idx_boundary=_stack_i64([v[boundary] for v in idx_vecs]),
             scatter_interior=scatter[interior],
             scatter_boundary=scatter[boundary],
         ))

@@ -262,17 +262,8 @@ def compile_native_entry(source: str) -> Tuple[Callable, float]:
 
 
 # ---------------------------------------------------------------------------
-# per-node native data (stacked index arrays + flat scatters)
+# per-node native data (flat global scatters)
 # ---------------------------------------------------------------------------
-
-def _stack_i64(vecs: tuple) -> np.ndarray:
-    """Stack per-dim index vectors into the kernel's ``int64[ndim, n]``."""
-    if not vecs:
-        return np.zeros((1, 0), dtype=np.int64)
-    out = np.ascontiguousarray(np.stack(
-        [np.asarray(v, dtype=np.int64) for v in vecs]))
-    return out
-
 
 def flat_key(key_vecs: tuple, shape: Tuple[int, ...]) -> np.ndarray:
     """Flatten a tuple of per-dim global index vectors against *shape*."""
@@ -287,12 +278,11 @@ def flat_key(key_vecs: tuple, shape: Tuple[int, ...]) -> np.ndarray:
 
 @dataclass
 class NativeSharedNode:
-    """One node's shared-flavor native data: stacked indices, all-lane
-    set, and a flat global scatter resolved against the target shape on
-    first run (cached — shapes are stable for a given decomposition)."""
+    """One node's shared-flavor native data beyond the fused kernel's
+    own arrays: the all-lane set, and a flat global scatter resolved
+    against the target shape on first run (cached — shapes are stable
+    for a given decomposition)."""
 
-    n: int
-    idx2: np.ndarray                # int64[ndim, n]
     lanes: np.ndarray               # arange(n)
     write_key_vecs: tuple           # per-dim global store vectors
     _scatter: Optional[np.ndarray] = field(default=None, repr=False)
@@ -306,35 +296,26 @@ class NativeSharedNode:
 
 
 @dataclass
-class NativeDistNode:
-    """One node's distributed-flavor native data (send/gather plans stay
-    on the fused :class:`DistNodeKernel`; only the stacked per-lane-set
-    index arrays are new — the flat local scatters already exist)."""
-
-    idx2_interior: np.ndarray
-    idx2_boundary: np.ndarray
-
-
-@dataclass
 class NativeKernels:
     """The native tier of one plan: one compiled entry point plus the
-    per-node stacked/flattened data both executors consume."""
+    shared flavor's per-node flat scatters (the distributed flavor runs
+    entirely on the fused kernel's stacked indices and flat local
+    scatters)."""
 
     source: str
     entry: Callable
     mode: str                       # "njit" | "interp"
     jit_s: float
-    nreads: int
-    write_name: str
     shared: Optional[List[NativeSharedNode]] = None
-    dist: Optional[List[NativeDistNode]] = None
+    #: node count of the distributed flavor (``None`` = no such kernels)
+    dist: Optional[int] = None
 
     def describe(self) -> str:
         parts = [f"mode={self.mode}", f"jit={self.jit_s * 1e3:.1f} ms"]
-        for label, nodes in (("shared", self.shared),
-                             ("distributed", self.dist)):
-            if nodes is not None:
-                parts.append(f"{label}: {len(nodes)} node kernels")
+        if self.shared is not None:
+            parts.append(f"shared: {len(self.shared)} node kernels")
+        if self.dist is not None:
+            parts.append(f"distributed: {self.dist} node kernels")
         return "; ".join(parts)
 
 
@@ -354,13 +335,10 @@ def _build_native(kernels, ir) -> NativeKernels:
     source = render_native_source(ir.clause)
     entry, jit_s = compile_native_entry(source)
     nat = NativeKernels(source=source, entry=entry, mode=sup.mode,
-                        jit_s=jit_s, nreads=kernels.nreads,
-                        write_name=kernels.write_name)
+                        jit_s=jit_s)
     if kernels.shared is not None:
         nat.shared = [
             NativeSharedNode(
-                n=nk.n,
-                idx2=_stack_i64(nk.idx),
                 lanes=np.arange(nk.n, dtype=np.int64),
                 write_key_vecs=tuple(
                     np.asarray(a, dtype=np.int64) for a in nk.write_key_vecs),
@@ -368,13 +346,7 @@ def _build_native(kernels, ir) -> NativeKernels:
             for nk in kernels.shared
         ]
     if kernels.dist is not None:
-        nat.dist = [
-            NativeDistNode(
-                idx2_interior=_stack_i64(nk.idx_interior),
-                idx2_boundary=_stack_i64(nk.idx_boundary),
-            )
-            for nk in kernels.dist
-        ]
+        nat.dist = len(kernels.dist)
     return nat
 
 

@@ -598,19 +598,12 @@ def compile_program(
 def _run_step(st: ProgramStep, machine: SharedMachine, backend: str,
               strict: bool, processes, timeout) -> None:
     if st.nd:
-        from ..codegen.ndplan import run_shared_nd
-
-        if strict and backend in ("fused", "native", "mp", "mpi"):
-            from ..machine.fused import check_strict
-
-            check_strict(st.ir, True)
-        run_shared_nd(st.plan(), machine.env, machine, backend=backend,
-                      processes=processes, timeout=timeout)
+        from ..codegen.ndplan import run_shared_nd as run
     else:
-        from ..codegen.shared_tmpl import run_shared
+        from ..codegen.shared_tmpl import run_shared as run
 
-        run_shared(st.plan(), machine.env, machine, backend=backend,
-                   strict=strict, processes=processes, timeout=timeout)
+    run(st.plan(), machine.env, machine, backend=backend, strict=strict,
+        processes=processes, timeout=timeout)
 
 
 def _run_group_scalar(steps: List[ProgramStep],
@@ -641,40 +634,12 @@ def _run_group_scalar(steps: List[ProgramStep],
 
 def _run_group(pir: ProgramIR, group: List[int], machine: SharedMachine,
                backend: str, strict: bool) -> None:
+    from ..backends import dispatch_group
+
     steps = [pir.steps[k] for k in group]
-    irs = [st.ir for st in steps]
-    if backend != "scalar" and all(
-            ir.kernels is not None and ir.kernels.shared is not None
-            for ir in irs):
-        from ..machine.fused import check_strict, run_group_fused
-
-        if strict:
-            for ir in irs:
-                check_strict(ir, True)
-        if backend == "native":
-            from ..machine.native import run_group_native
-            from .native import NativeBuildError, ensure_native
-
-            try:
-                for ir in irs:
-                    ensure_native(ir.kernels, ir)
-                    t = machine.env[ir.kernels.write_name]
-                    if not t.flags.c_contiguous or t.dtype != np.float64:
-                        raise NativeBuildError(
-                            f"write target {ir.kernels.write_name!r} has "
-                            "no contiguous float64 flat view")
-                run_group_native(irs, machine)
-                return
-            except NativeBuildError as err:
-                pir.trace.note("backend='native' clause group fell back "
-                               f"to the fused walk: {err}")
-        run_group_fused(irs, machine)
-        return
-    if backend != "scalar":
-        pir.trace.note(
-            "fused clause group fell back to the scalar walk "
-            "(a clause in the group has no shared kernels)")
-    _run_group_scalar(steps, machine)
+    if not dispatch_group(backend, [st.ir for st in steps], machine,
+                          strict, pir.trace):
+        _run_group_scalar(steps, machine)
 
 
 def run_program(
@@ -690,56 +655,22 @@ def run_program(
     """Execute a compiled program on the shared-memory machine; returns
     ``(machine, barriers)`` — the barrier count covers all iterations.
 
-    The full backend registry applies, exactly as for single clauses:
-    ``overlap`` has no shared-memory meaning and runs the vector backend
-    (trace note); ``mp`` executes the whole program on the worker pool —
-    one shared-memory session across every clause and iteration when the
-    program is pipelined — and falls back to per-clause driving (with a
-    trace note) when a clause has no mp form; ``mpi`` executes the whole
-    program SPMD under ``mpiexec`` — one MPI world across every clause
-    and iteration, rank-local buffer swaps, a single final-state
-    exchange — degrading first to per-clause driving and ultimately to
-    fused when mpi4py is unavailable.
+    The full backend registry applies, exactly as for single clauses
+    (``docs/execution.md``, "Backend tiers").  ``mp`` and ``mpi`` first
+    try their whole-program form — one shared-memory session / one MPI
+    world across every clause and iteration when the program is
+    pipelined — and fall back to driving clauses individually, with a
+    trace note, when the program has none.
     """
-    from ..backends import validate_backend
+    from ..backends import dispatch_program
 
-    validate_backend(backend, context="run_program")
     if machine is None:
         machine = SharedMachine(pir.pmax, env)
-    if backend == "overlap":
-        pir.trace.note("backend='overlap' on shared memory: no messages "
-                       "to overlap; running the vector backend")
-        backend = "vector"
-    if backend == "mpi":
-        from ..backends import backend_availability
-
-        av = backend_availability("mpi")
-        if av.available:
-            from ..mpi.exec import MpiUnavailableError, run_program_mpi
-            from ..runtime import MpLoweringError
-
-            try:
-                return run_program_mpi(pir, machine, strict=strict,
-                                       processes=processes,
-                                       timeout=timeout)
-            except (MpLoweringError, MpiUnavailableError) as err:
-                pir.trace.note(
-                    f"backend='mpi' whole-program execution unavailable "
-                    f"({err}); driving clauses individually")
-        else:
-            pir.trace.note(
-                f"backend='mpi' fell back to the fused path: {av.reason}")
-            backend = "fused"
-    if backend == "mp":
-        from ..runtime import MpLoweringError, run_program_mp
-
-        try:
-            return run_program_mp(pir, machine, strict=strict,
-                                  processes=processes, timeout=timeout)
-        except MpLoweringError as err:
-            pir.trace.note(
-                f"backend='mp' whole-program pipelining unavailable "
-                f"({err}); driving clauses individually")
+    result, backend = dispatch_program(
+        backend, pir, machine, strict=strict, processes=processes,
+        timeout=timeout)
+    if result is not None:
+        return result
     barriers = 0
     genv = machine.env
     for _step in range(pir.repeat):

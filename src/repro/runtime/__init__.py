@@ -13,7 +13,8 @@ Layers
 ``lowering``   plan IR -> :class:`MpProgram` (global-address gather/
                scatter keys, per-node send/read plans, lane split)
 ``shm``        per-run shared-memory sessions + leak-proof unlinking
-``worker``     the worker process main loop (install/run protocol)
+``worker``     the worker main loop, and ``run_sequence`` — the one
+               real-process schedule the MPI ranks run too
 ``pool``       persistent :class:`WorkerPool`, crash/timeout detection,
                self-healing respawn, :func:`shutdown_runtime`
 ``exec``       ``run_shared_mp`` / ``run_distributed_mp`` drivers and

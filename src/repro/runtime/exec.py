@@ -42,9 +42,10 @@ __all__ = ["MpMachine", "run_distributed_mp", "run_program_mp",
 _DEFAULT_MAX_PROCESSES = 8
 
 
-def _nprocs(processes: Optional[int], pmax: int) -> int:
+def _nprocs(processes: Optional[int], pmax: int,
+            knob: str = "REPRO_MP_PROCESSES") -> int:
     if processes is None:
-        env = os.environ.get("REPRO_MP_PROCESSES")
+        env = os.environ.get(knob)
         processes = int(env) if env else min(pmax, _DEFAULT_MAX_PROCESSES)
     return max(1, min(int(processes), pmax))
 
@@ -64,6 +65,10 @@ class MpMachine:
         self.runtime_stats: List[RuntimeStats] = []
 
     def collect(self, name: str) -> np.ndarray:
+        if name not in self.arrays:
+            raise KeyError(
+                f"array {name!r} was never placed on this machine "
+                f"(placed: {sorted(self.arrays)})")
         return np.array(self.arrays[name])
 
     def global_view(self, name: str) -> np.ndarray:
@@ -112,6 +117,49 @@ def _certify(progs, strict: bool, *, flags=None, repeat: int = 1):
     return cert
 
 
+def _touched(progs, swap):
+    """``(every array the clause sequence names, those it can change)``
+    — written arrays and swap partners."""
+    swapped = {n for pair in swap for n in pair}
+    return (sorted(set().union(*(p.array_names for p in progs)) | swapped),
+            {p.write_name for p in progs} | swapped)
+
+
+def _drive(progs, flags, repeat: int, swap, genv, machine, pmax: int,
+           strict: bool, processes, timeout, fault_delay) -> None:
+    """Certify, then run ``repeat`` iterations of the lowered clause
+    sequence *progs* on the pool against ONE shared-memory session
+    backing the global arrays *genv*; copy every written (or swapped)
+    array back and fill *machine*'s counters.  A single clause is the
+    sequence of one program with ``repeat=1``."""
+    cert = _certify(progs, strict, flags=flags, repeat=repeat)
+    names, changed = _touched(progs, swap)
+    for name in names:
+        if name not in genv:
+            raise KeyError(f"environment is missing array {name!r}")
+    pool = get_pool(_nprocs(processes, pmax))
+    session = ShmSession({name: genv[name] for name in names})
+    try:
+        replies = pool.run_seq(progs, session.spec(), repeat, swap, flags,
+                               timeout or DEFAULT_TIMEOUT, fault_delay)
+        # workers swap their name -> segment maps after every step, so
+        # after an odd number of steps a pair's contents sit swapped
+        mapping = {name: name for name in names}
+        if repeat % 2:
+            for a, b in swap:
+                mapping[a], mapping[b] = b, a
+        for name in changed:
+            np.copyto(genv[name], session.views[mapping[name]])
+        machine.runtime_stats = _fill_stats(machine.stats, replies)
+    except WorkerCrashError as err:
+        from ..analysis import cite_certificate
+
+        cite_certificate(err, cert)
+        raise
+    finally:
+        session.close()
+
+
 def run_shared_mp(
     ir,
     env: Dict[str, np.ndarray],
@@ -125,24 +173,10 @@ def run_shared_mp(
     returned :class:`SharedMachine` holds post-state and counters."""
     _check(ir, strict)
     prog = lower_shared(ir)
-    cert = _certify([prog], strict)
     if machine is None:
         machine = SharedMachine(ir.pmax, env)
-    genv = machine.env
-    pool = get_pool(_nprocs(processes, ir.pmax))
-    session = ShmSession({name: genv[name] for name in prog.array_names})
-    try:
-        replies = pool.run(prog, session.spec(),
-                           timeout or DEFAULT_TIMEOUT, _fault_delay)
-        np.copyto(genv[prog.write_name], session.views[prog.write_name])
-        machine.runtime_stats = _fill_stats(machine.stats, replies)
-    except WorkerCrashError as err:
-        from ..analysis import cite_certificate
-
-        cite_certificate(err, cert)
-        raise
-    finally:
-        session.close()
+    _drive([prog], (True,), 1, (), machine.env, machine, ir.pmax, strict,
+           processes, timeout, _fault_delay)
     return machine
 
 
@@ -166,42 +200,14 @@ def run_program_mp(
     incompatible swap pair) — in which case the caller falls back to
     driving clauses individually, one session per clause per step.
     """
-    steps = pir.steps
-    for st in steps:
+    for st in pir.steps:
         _check(st.ir, strict)
     if pir.repeat > 1 and not pir.pipelined:
         raise MpLoweringError(
             f"time loop is not pipelined ({pir.pipeline_reason})")
-    progs = [lower_shared(st.ir) for st in steps]
-    cert = _certify(progs, strict, flags=pir.barrier_flags(),
-                    repeat=pir.repeat)
-    genv = machine.env
-    names = sorted(
-        set().union(*(set(p.array_names) for p in progs))
-        | {n for pair in pir.swap for n in pair})
-    for name in names:
-        if name not in genv:
-            raise KeyError(f"environment is missing array {name!r}")
-    pool = get_pool(_nprocs(processes, pir.pmax))
-    session = ShmSession({name: genv[name] for name in names})
-    try:
-        replies = pool.run_seq(
-            progs, session.spec(), pir.repeat, pir.swap,
-            pir.barrier_flags(), timeout or DEFAULT_TIMEOUT, _fault_delay)
-        mapping = {name: name for name in names}
-        if pir.repeat % 2:
-            for a, b in pir.swap:
-                mapping[a], mapping[b] = b, a
-        for name in names:
-            np.copyto(genv[name], session.views[mapping[name]])
-        machine.runtime_stats = _fill_stats(machine.stats, replies)
-    except WorkerCrashError as err:
-        from ..analysis import cite_certificate
-
-        cite_certificate(err, cert)
-        raise
-    finally:
-        session.close()
+    _drive([lower_shared(st.ir) for st in pir.steps], pir.barrier_flags(),
+           pir.repeat, pir.swap, machine.env, machine, pir.pmax, strict,
+           processes, timeout, _fault_delay)
     return machine, pir.barriers_per_step() * pir.repeat
 
 
@@ -217,25 +223,9 @@ def run_distributed_mp(
     (real messages over the worker queues, overlap schedule)."""
     _check(ir, strict)
     prog = lower_dist(ir)
-    cert = _certify([prog], strict)
-    for name in prog.array_names:
-        if name not in env:
-            raise KeyError(f"environment is missing array {name!r}")
     machine = MpMachine(ir.pmax, prog.decomps)
     for name, arr in env.items():
         machine.arrays[name] = np.asarray(arr, dtype=np.float64).copy()
-    pool = get_pool(_nprocs(processes, ir.pmax))
-    session = ShmSession({name: env[name] for name in prog.array_names})
-    try:
-        replies = pool.run(prog, session.spec(),
-                           timeout or DEFAULT_TIMEOUT, _fault_delay)
-        machine.arrays[prog.write_name] = session.read(prog.write_name)
-        machine.runtime_stats = _fill_stats(machine.stats, replies)
-    except WorkerCrashError as err:
-        from ..analysis import cite_certificate
-
-        cite_certificate(err, cert)
-        raise
-    finally:
-        session.close()
+    _drive([prog], (True,), 1, (), machine.arrays, machine, ir.pmax, strict,
+           processes, timeout, _fault_delay)
     return machine

@@ -38,8 +38,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..core.clause import Ordering
-
 __all__ = [
     "MpLoweringError",
     "MpNode",
@@ -155,19 +153,11 @@ def _native_source_of(ir):
         return None
 
 
-def _kernels_of(ir):
-    k = getattr(ir, "kernels", None)
+def _cached(ir, flavor: str, build):
+    k = ir.kernels
     if k is None:
         raise MpLoweringError(
             "plan carries no fused kernels (lower-kernels fallback)")
-    if ir.clause.ordering is not Ordering.PAR:
-        raise MpLoweringError(
-            "sequential (•) clause is a serial chain; scalar path kept")
-    return k
-
-
-def _cached(ir, flavor: str, build):
-    k = _kernels_of(ir)
     cache = getattr(k, "_mp_programs", None)
     if cache is None:
         cache = {}

@@ -33,7 +33,7 @@ from multiprocessing.connection import wait as _conn_wait
 from typing import Dict, List, Optional, Tuple
 
 from .shm import unlink_leftovers
-from .stats import PHASES
+from .stats import PHASES, phase_of
 from .worker import worker_main
 
 __all__ = [
@@ -127,12 +127,7 @@ class WorkerPool:
 
     def phases(self) -> List[Tuple[str, int]]:
         """Per-worker (phase name, current node) snapshot."""
-        out = []
-        for r in range(self.nprocs):
-            pi = int(self.phase_table[2 * r])
-            out.append((PHASES[pi] if 0 <= pi < len(PHASES) else str(pi),
-                        int(self.phase_table[2 * r + 1])))
-        return out
+        return [phase_of(self.phase_table, r) for r in range(self.nprocs)]
 
     def _teardown(self) -> None:
         for conn in self.conns:
@@ -272,33 +267,14 @@ class WorkerPool:
         self._await_each(match, deadline, "program install")
         self.installed.add(prog.token)
 
-    def run(self, prog, shm_spec, timeout: Optional[float] = None,
-            fault_delay=None) -> list:
-        """Execute one installed (or auto-installed) program; returns the
-        per-rank ``(RuntimeStats, {node: counters})`` replies."""
-        timeout = float(timeout) if timeout else DEFAULT_TIMEOUT
-        deadline = time.monotonic() + timeout + _REPORT_GRACE
-        if not self.alive():
-            self.respawn()
-        self.install(prog, deadline)
-        run_id = next(self._run_seq)
-        for rank in range(self.nprocs):
-            self._send(rank, ("run", prog.token, run_id, shm_spec,
-                              timeout, fault_delay))
-
-        def match(msg):
-            if msg[0] == "done" and msg[1] == run_id:
-                return (msg[3], msg[4])
-            return None
-
-        return self._await_each(match, deadline, f"run {run_id}")
-
     def run_seq(self, progs, shm_spec, steps: int, swap, flags,
                 timeout: Optional[float] = None, fault_delay=None) -> list:
-        """Execute a pipelined program: ``steps`` iterations of the
-        installed clause sequence against one set of segments, buffer
-        pairs in *swap* exchanged worker-side after every step.  One
-        command, one reply per worker for the whole time loop."""
+        """Execute ``steps`` iterations of the (auto-installed) clause
+        sequence *progs* against one set of segments, buffer pairs in
+        *swap* exchanged worker-side after every step — a single clause
+        is the sequence of one program with ``steps=1``.  One command,
+        one reply per worker for the whole time loop: the per-rank
+        ``(RuntimeStats, {node: counters})``."""
         timeout = float(timeout) if timeout else DEFAULT_TIMEOUT
         deadline = time.monotonic() + timeout + _REPORT_GRACE
         if not self.alive():
@@ -317,7 +293,7 @@ class WorkerPool:
                 return (msg[3], msg[4])
             return None
 
-        return self._await_each(match, deadline, f"program run {run_id}")
+        return self._await_each(match, deadline, f"run {run_id}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, Tuple
 
-__all__ = ["PHASES", "RuntimeStats"]
+__all__ = ["PHASES", "RuntimeStats", "phase_of"]
 
 #: Worker phases in schedule order.  Low index = further behind — the
 #: pool's blame heuristic picks the laggard on a hang.
@@ -35,6 +35,14 @@ PHASES = (
 
 (PH_IDLE, PH_INSTALL, PH_DELAY, PH_SEND, PH_GATHER, PH_BARRIER,
  PH_INTERIOR, PH_DRAIN, PH_BOUNDARY, PH_DONE) = range(len(PHASES))
+
+
+def phase_of(phase_table, rank: int) -> Tuple[str, int]:
+    """Worker *rank*'s ``(phase name, current node)`` as last reported
+    in the pool's shared phase table."""
+    pi = int(phase_table[2 * rank])
+    return (PHASES[pi] if 0 <= pi < len(PHASES) else str(pi),
+            int(phase_table[2 * rank + 1]))
 
 
 @dataclass

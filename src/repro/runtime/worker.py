@@ -1,26 +1,33 @@
-"""Worker process main loop of the multi-process runtime.
+"""Worker process main loop — and the one real-process schedule.
+
+:func:`run_sequence` is the overlap schedule over *global* keys, stated
+once for every real-process transport: the pool workers below run it
+over :class:`QueueTransport` (global arrays in shared memory, one inbox
+queue per worker, the pool's ``mp.Barrier``), the MPI ranks of
+:mod:`repro.mpi.rank` over ``MpiTransport`` (private rank memories,
+``Irecv``/``Isend``/``Waitall``).  Per clause:
+
+1. **post**      — tell the transport which ``(dst node, src node, read
+                   pos)`` messages this clause expects (MPI posts its
+                   ``Irecv``s here, before anything is sent);
+2. **send**      — gather pre-state payloads with the precomputed global
+                   keys, one message per (read, peer);
+3. **gather**    — assemble each owned node's read rows from direct
+                   global loads (remote lanes left to fill);
+4. **barrier**   — the pre-commit barrier: every send and local gather
+                   on every process happened against pre-state;
+5. **interior**  — interior kernel + global scatter commit while
+                   messages are in flight;
+6. **drain**     — the transport delivers the expected messages into
+                   the remote lanes;
+7. **boundary**  — boundary kernel + commit; then the transport
+                   completes its sends.
 
 Each worker owns a command pipe to the parent, one inbox queue (its end
 of the inter-node message fabric) and a slice of the pool's shared phase
 table.  Installed programs are kept in a small LRU keyed by the
 program's token; the kernel source is ``exec``-compiled once per
 install, exactly like the fused backend does in-process.
-
-A run follows the overlap schedule against the shared-memory global
-arrays:
-
-1. **send**      — gather pre-state payloads with the precomputed global
-                   keys, put one message per (read, peer) on the
-                   destination worker's inbox;
-2. **gather**    — assemble each owned node's read value vectors from
-                   direct global loads (remote lanes left to fill);
-3. **barrier**   — the pre-commit barrier: every send and local gather
-                   on every worker happened against pre-state;
-4. **interior**  — fused interior kernel + global scatter commit;
-5. **drain**     — blocking inbox reads fill the remote lanes (messages
-                   are matched by ``(dst node, src node, read pos)`` and
-                   stale run ids discarded);
-6. **boundary**  — fused boundary kernel + commit.
 
 Every blocking operation carries the remaining per-run timeout, so a
 worker never hangs: it reports a failure (with its phase) and the parent
@@ -38,6 +45,8 @@ from typing import Dict
 
 import numpy as np
 
+from ..pipeline.kernels import _stack_i64
+from ..pipeline.native import flat_key
 from .shm import attach_segment
 from .stats import (
     PH_BARRIER,
@@ -51,9 +60,10 @@ from .stats import (
     PH_INTERIOR,
     PH_SEND,
     RuntimeStats,
+    phase_of,
 )
 
-__all__ = ["worker_main"]
+__all__ = ["Installed", "QueueTransport", "run_sequence", "worker_main"]
 
 _PLAN_LRU = 64
 
@@ -64,95 +74,67 @@ def _compile_kernel(source: str):
     return ns["_rhs"], ns.get("_guard")
 
 
-class _Installed:
-    """One installed program on this worker: compiled kernel + my nodes.
+class Installed:
+    """One installed program on this process: its nodes and the entry
+    that computes and commits one lane set (the calling convention of
+    :func:`repro.machine.fused.numpy_entry`).
 
     When the payload carries a native scalar-loop source and this
-    worker's numba probe succeeds, the njit dispatcher is compiled here
+    process's numba probe succeeds, the njit dispatcher is compiled here
     — once per install, so pipelined time loops never pay JIT in the hot
-    path — and ``_commit`` routes through it; any probe or compile
-    failure silently keeps the NumPy kernel (same results, the parent's
-    trace already notes availability)."""
+    path — and replaces the NumPy entry; any probe or compile failure
+    silently keeps the NumPy kernel (same results, the parent's trace
+    already notes availability)."""
 
     def __init__(self, payload):
-        (self.token, self.flavor, self.source, self.nreads,
-         self.write_name, self.my_nodes, native_source) = payload
-        self.rhs, self.guard = _compile_kernel(self.source)
-        self.native_entry = None
-        self.native_jit_s = 0.0
+        from ..machine.fused import numpy_entry
+
+        (self.token, self.flavor, source, self.nreads, self.write_name,
+         self.my_nodes, native_source) = payload
+        self.entry = numpy_entry(*_compile_kernel(source))
+        self.native = False
         if native_source is not None:
             from ..pipeline.native import compile_native_entry, native_support
 
             if native_support().available:
                 try:
-                    self.native_entry, self.native_jit_s = \
-                        compile_native_entry(native_source)
+                    self.entry = compile_native_entry(native_source)[0]
+                    self.native = True
                 except Exception:
-                    self.native_entry = None
-
-
-def _zero_counts() -> Dict[str, int]:
-    return {"sends": 0, "recvs": 0, "elements_sent": 0,
-            "elements_received": 0, "local_updates": 0,
-            "iterations": 0, "barriers": 0}
+                    pass
 
 
 def _index(key: tuple):
     return key if len(key) > 1 else key[0]
 
 
-def _flat(key: tuple, shape) -> np.ndarray:
-    """Flatten a global multi-dim index key against *shape*."""
-    if len(key) == 1:
-        return np.ascontiguousarray(key[0], dtype=np.int64)
-    if key[0].size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.ravel_multi_index(key, shape).astype(np.int64, copy=False)
-
-
 def _native_node_data(node, which, idx_sub, wkey, shape):
-    """The native entry's stacked index + flat scatter arrays for one
-    lane set, cached on the (worker-local, unpickled) node object —
-    computed once per install regardless of step count."""
+    """The entry's stacked index + flat scatter arrays for one lane set,
+    cached on the (process-local) node object — computed once per
+    install regardless of step count."""
     cache = getattr(node, "_native_cache", None)
     if cache is None:
         cache = node._native_cache = {}
     entry = cache.get(which)
     if entry is None or entry[0] != shape:
-        idx2 = (np.ascontiguousarray(np.stack(
-                    [np.asarray(v, dtype=np.int64) for v in idx_sub]))
-                if idx_sub else np.zeros((1, 0), dtype=np.int64))
-        entry = cache[which] = (shape, idx2, _flat(wkey, shape))
+        idx2 = (_stack_i64(idx_sub) if idx_sub
+                else np.zeros((1, 0), dtype=np.int64))
+        entry = cache[which] = (shape, idx2, flat_key(wkey, shape))
     return entry[1], entry[2]
 
 
-def _commit(inst, node, rvals, lanes, idx_sub, wkey, target, count,
-            which):
-    """Kernel + global scatter over one lane set (mirrors the fused
-    executors' commit, with global write keys).  With an installed
-    native entry the whole gather/guard/compute/scatter is one call into
-    the njit scalar loop; otherwise the NumPy kernel runs."""
-    m = int(lanes.size)
-    if not m:
-        return
-    if inst.native_entry is not None:
+def _commit(inst, node, rows, which, target, count):
+    """Kernel + global scatter over one lane set: one call into the
+    installed entry, flattened write keys into the raveled target."""
+    lanes, idx_sub, wkey = (
+        (node.interior, node.idx_interior, node.wkey_interior)
+        if which == "int" else
+        (node.boundary, node.idx_boundary, node.wkey_boundary))
+    if lanes.size:
         idx2, scatter = _native_node_data(node, which, idx_sub, wkey,
                                           target.shape)
-        stored = inst.native_entry(idx2, rvals, lanes, scatter,
-                                   target.reshape(-1))
-        count["local_updates"] += int(stored)
-        return
-    from ..machine.vectorize import _as_value_vec
-
-    sub_r = [v[lanes] for v in rvals]
-    values = _as_value_vec(inst.rhs(idx_sub, sub_r), m)
-    if inst.guard is not None:
-        mask = np.broadcast_to(
-            np.asarray(inst.guard(idx_sub, sub_r), dtype=bool), (m,))
-        wkey = tuple(a[mask] for a in wkey)
-        values = values[mask]
-    target[_index(wkey)] = values
-    count["local_updates"] += int(values.size)
+        count["local_updates"] += int(inst.entry(
+            idx2, rows, lanes, scatter, target.reshape(-1)))
 
 
 def _send_buf(node, pos, q, key, shape):
@@ -163,208 +145,215 @@ def _send_buf(node, pos, q, key, shape):
         cache = node._send_bufs = {}
     entry = cache.get((pos, q))
     if entry is None or entry[0] != shape:
-        flat = _flat(key, shape)
+        flat = flat_key(key, shape)
         entry = cache[(pos, q)] = (
             shape, np.empty(flat.size, dtype=np.float64), flat)
     return entry[1], entry[2]
 
 
-def _run_clause(inst, rid, arrays, remaining, rank, nprocs, inboxes,
-                barrier, set_phase, stats, counts, stash):
-    """One clause of the overlap schedule: send, gather, pre-commit
-    barrier, interior, drain, boundary.  *rid* tags this clause's
-    messages: ``(run id, clause sequence number)``.  *stash* holds
-    early messages of later clauses — at a fused (barrier-free) clause
-    boundary a fast peer may already be sending for the next clause
-    while this worker still drains the current one."""
-    inbox = inboxes[rank]
-    first = inst.my_nodes[0].p if inst.my_nodes else -1
+def run_sequence(insts, steps, swap, flags, arrays, transport):
+    """``steps`` iterations of the installed clause sequence *insts*
+    against the global *arrays*, every clause in the order of the module
+    docstring; returns ``(RuntimeStats, {node: counters})``.
 
-    # ---- send phase -----------------------------------------------------
-    # Payload buffers are reused across steps of a pipelined loop (and
-    # across runs): between two uses of the same (node, read, peer)
-    # buffer sits at least one global pre-commit barrier that every
-    # worker only passes after the previous message was drained — i.e.
-    # fully pickled off this buffer by the queue's feeder thread — so
-    # depth-1 reuse can never corrupt an in-flight message.
-    for node in inst.my_nodes:
-        set_phase(PH_SEND, node.p)
-        c = counts[node.p]
-        for s in node.sends:
-            c["iterations"] += s.count
-            src_arr = arrays[s.name]
-            for q, key in s.peers:
-                buf, flat = _send_buf(node, s.pos, q, key, src_arr.shape)
-                np.take(src_arr.reshape(-1), flat, out=buf)
-                inboxes[q % nprocs].put((rid, q, node.p, s.pos, buf))
-                c["sends"] += 1
-                c["elements_sent"] += int(buf.size)
-                stats.send_count += 1
-                stats.send_bytes += int(buf.nbytes)
-
-    # ---- gather phase ---------------------------------------------------
-    rvals_by = {}
-    missing = {}  # (dst node, src node, read pos) -> (row view, fill lanes)
-    for node in inst.my_nodes:
-        set_phase(PH_GATHER, node.p)
-        counts[node.p]["iterations"] += node.n
-        if node.n == 0:
-            continue
-        # stacked float64[nreads, n] — row views fill in place, and the
-        # whole block is what a native entry consumes as `_r`
-        rvals = np.empty((max(inst.nreads, 0), node.n), dtype=np.float64)
-        for r in node.reads:
-            vals = rvals[r.pos]
-            if r.local_pos is None:
-                vals[:] = arrays[r.name][_index(r.local_key)]
-            elif r.local_pos.size:
-                vals[r.local_pos] = arrays[r.name][_index(r.local_key)]
-            for src, fill in r.sources:
-                missing[(node.p, src, r.pos)] = (vals, fill)
-        rvals_by[node.p] = rvals
-
-    # ---- pre-commit barrier ---------------------------------------------
-    set_phase(PH_BARRIER, first)
-    t0 = time.perf_counter()
-    barrier.wait(remaining())
-    stats.barrier_s += time.perf_counter() - t0
-    for node in inst.my_nodes:
-        counts[node.p]["barriers"] += 1
-
-    # ---- interior kernels (messages may still be in flight) -------------
-    t0 = time.perf_counter()
-    for node in inst.my_nodes:
-        if node.n:
-            set_phase(PH_INTERIOR, node.p)
-            _commit(inst, node, rvals_by[node.p], node.interior,
-                    node.idx_interior, node.wkey_interior,
-                    arrays[inst.write_name], counts[node.p], "int")
-    stats.kernel_s += time.perf_counter() - t0
-
-    # ---- drain ----------------------------------------------------------
-    set_phase(PH_DRAIN, first)
-
-    def fill(dst, src, pos, payload):
-        entry = missing.pop((dst, src, pos), None)
-        if entry is None:
-            return
-        vals, lanes = entry
-        payload = np.asarray(payload, dtype=np.float64)
-        vals[lanes] = payload
-        counts[dst]["recvs"] += 1
-        counts[dst]["elements_received"] += int(payload.size)
-        stats.recv_count += 1
-        stats.recv_bytes += int(payload.nbytes)
-
-    for dst, src, pos, payload in stash.pop(rid, ()):
-        fill(dst, src, pos, payload)
-    while missing:
-        try:
-            item = inbox.get(timeout=remaining())
-        except queue_mod.Empty:
-            raise TimeoutError(
-                f"worker {rank} timed out draining messages "
-                f"({len(missing)} pending)") from None
-        mid, dst, src, pos, payload = item
-        if mid == rid:
-            fill(dst, src, pos, payload)
-        elif mid[0] == rid[0] and mid[1] > rid[1]:
-            # early message of a later clause in this same run sequence
-            stash.setdefault(mid, []).append((dst, src, pos, payload))
-        # else: stale message from an aborted run — discard
-
-    # ---- boundary kernels ------------------------------------------------
-    t0 = time.perf_counter()
-    for node in inst.my_nodes:
-        if node.n:
-            set_phase(PH_BOUNDARY, node.p)
-            _commit(inst, node, rvals_by[node.p], node.boundary,
-                    node.idx_boundary, node.wkey_boundary,
-                    arrays[inst.write_name], counts[node.p], "bnd")
-    stats.kernel_s += time.perf_counter() - t0
-
-
-def _make_remaining(rank, timeout):
-    deadline = time.monotonic() + timeout
-
-    def remaining() -> float:
-        left = deadline - time.monotonic()
-        if left <= 0:
-            raise TimeoutError(
-                f"worker {rank} exceeded the {timeout:.1f}s run timeout")
-        return left
-
-    return remaining
-
-
-def _run(inst, run_id, arrays, timeout, fault_delay, rank, nprocs,
-         inboxes, barrier, set_phase):
-    t_start = time.perf_counter()
-    stats = RuntimeStats(rank=rank, pid=os.getpid(),
-                         nodes=tuple(nd.p for nd in inst.my_nodes),
-                         native=inst.native_entry is not None)
-    counts = {nd.p: _zero_counts() for nd in inst.my_nodes}
-    remaining = _make_remaining(rank, timeout)
-
-    first = inst.my_nodes[0].p if inst.my_nodes else -1
-    if fault_delay is not None and fault_delay[0] == rank:
-        # test hook: park this worker so crash/timeout paths are
-        # deterministically exercisable
-        set_phase(PH_DELAY, first)
-        time.sleep(float(fault_delay[1]))
-
-    _run_clause(inst, (run_id, 0), arrays, remaining, rank, nprocs,
-                inboxes, barrier, set_phase, stats, counts, {})
-    set_phase(PH_DONE, first)
-    stats.total_s = time.perf_counter() - t_start
-    return stats, counts
-
-
-def _run_seq(insts, run_id, arrays, steps, swap, flags, timeout,
-             fault_delay, rank, nprocs, inboxes, barrier, set_phase):
-    """A whole pipelined program: ``steps`` iterations of the installed
-    clause sequence against one set of attached segments.
-
-    Every worker executes the same barrier.wait sequence (one pre-commit
+    Every process executes the same barrier sequence (one pre-commit
     wait per clause, plus one end-of-clause wait where ``flags[k]`` keeps
-    the barrier), so mp.Barrier generations stay globally ordered.  The
+    the barrier), so barrier generations stay globally ordered.  The
     end-of-clause barrier is skipped at fused boundaries — the fusion
     certificate rules out cross-processor traffic there — and after the
     very last clause of the very last step.  Buffer pairs in *swap* are
     exchanged in the local array dict after every step (zero-copy; the
-    parent maps segment names back accordingly)."""
+    parent maps names back accordingly).  A single clause is the
+    sequence of one program with ``steps=1``.
+
+    *transport* supplies only ``post/send/barrier/drain/finish`` and
+    ``set_phase`` (progress reporting for crash attribution)."""
     t_start = time.perf_counter()
     nodes = sorted({nd.p for inst in insts for nd in inst.my_nodes})
-    stats = RuntimeStats(rank=rank, pid=os.getpid(), nodes=tuple(nodes),
-                         native=any(inst.native_entry is not None
-                                    for inst in insts))
-    counts = {p: _zero_counts() for p in nodes}
-    remaining = _make_remaining(rank, timeout)
-    stash: Dict[tuple, list] = {}
-
     first = nodes[0] if nodes else -1
-    if fault_delay is not None and fault_delay[0] == rank:
-        set_phase(PH_DELAY, first)
-        time.sleep(float(fault_delay[1]))
+    stats = RuntimeStats(rank=transport.rank, pid=os.getpid(),
+                         nodes=tuple(nodes),
+                         native=any(inst.native for inst in insts))
+    counts = {p: {"sends": 0, "recvs": 0, "elements_sent": 0,
+                  "elements_received": 0, "local_updates": 0,
+                  "iterations": 0, "barriers": 0} for p in nodes}
+    set_phase = transport.set_phase
+
+    def barrier() -> None:
+        t0 = time.perf_counter()
+        transport.barrier(first)
+        stats.barrier_s += time.perf_counter() - t0
+
+    def deliver(dst, row, lanes, payload) -> None:
+        row[lanes] = payload
+        c = counts[dst]
+        c["recvs"] += 1
+        c["elements_received"] += int(payload.size)
+        stats.recv_count += 1
+        stats.recv_bytes += int(payload.nbytes)
+
+    def commit_all(inst, rows_by, phase, which) -> None:
+        t0 = time.perf_counter()
+        for node in inst.my_nodes:
+            if node.n:
+                set_phase(phase, node.p)
+                _commit(inst, node, rows_by[node.p], which,
+                        arrays[inst.write_name], counts[node.p])
+        stats.kernel_s += time.perf_counter() - t0
 
     nclauses = len(insts)
     for step in range(steps):
         for k, inst in enumerate(insts):
-            _run_clause(inst, (run_id, step * nclauses + k), arrays,
-                        remaining, rank, nprocs, inboxes, barrier,
-                        set_phase, stats, counts, stash)
-            last = step == steps - 1 and k == nclauses - 1
-            if flags[k] and not last:
-                set_phase(PH_BARRIER, first)
-                t0 = time.perf_counter()
-                barrier.wait(remaining())
-                stats.barrier_s += time.perf_counter() - t0
+            # ---- post: stacked float64[nreads, n] rows per node (row
+            # views fill in place); remote lanes are what we expect -------
+            rows_by = {}
+            expect = []  # (dst node, src node, read pos, row, fill lanes)
+            for node in inst.my_nodes:
+                if node.n:
+                    rows = rows_by[node.p] = np.empty(
+                        (inst.nreads, node.n), dtype=np.float64)
+                    for r in node.reads:
+                        for src, fill in r.sources:
+                            expect.append(
+                                (node.p, src, r.pos, rows[r.pos], fill))
+            transport.post(step * nclauses + k, expect)
+
+            # ---- send: pre-state payloads, one per (read, peer) ----------
+            for node in inst.my_nodes:
+                set_phase(PH_SEND, node.p)
+                c = counts[node.p]
+                for s in node.sends:
+                    c["iterations"] += s.count
+                    src_arr = arrays[s.name]
+                    for q, key in s.peers:
+                        buf = transport.send(node, s.pos, q, key, src_arr)
+                        c["sends"] += 1
+                        c["elements_sent"] += int(buf.size)
+                        stats.send_count += 1
+                        stats.send_bytes += int(buf.nbytes)
+
+            # ---- gather: local lanes by direct global loads --------------
+            for node in inst.my_nodes:
+                set_phase(PH_GATHER, node.p)
+                counts[node.p]["iterations"] += node.n
+                if node.n == 0:
+                    continue
+                rows = rows_by[node.p]
+                for r in node.reads:
+                    if r.local_pos is None:
+                        rows[r.pos] = arrays[r.name][_index(r.local_key)]
+                    elif r.local_pos.size:
+                        rows[r.pos, r.local_pos] = \
+                            arrays[r.name][_index(r.local_key)]
+
+            # ---- pre-commit barrier --------------------------------------
+            barrier()
+            for node in inst.my_nodes:
+                counts[node.p]["barriers"] += 1
+
+            # ---- interior (messages may still be in flight), drain,
+            # boundary, send completion ------------------------------------
+            commit_all(inst, rows_by, PH_INTERIOR, "int")
+            set_phase(PH_DRAIN, first)
+            transport.drain(deliver)
+            commit_all(inst, rows_by, PH_BOUNDARY, "bnd")
+            transport.finish()
+
+            if flags[k] and not (step == steps - 1 and k == nclauses - 1):
+                barrier()
         for a, b in swap:
             arrays[a], arrays[b] = arrays[b], arrays[a]
 
     set_phase(PH_DONE, first)
     stats.total_s = time.perf_counter() - t_start
     return stats, counts
+
+
+class QueueTransport:
+    """The pool's transport: payloads travel over one inbox queue per
+    worker, matched by ``(dst node, src node, read pos)`` under a
+    ``(run id, clause seq)`` tag; the barrier is the pool's
+    ``mp.Barrier``; progress goes to the shared phase table.  One
+    instance lives as long as its worker; :meth:`start` arms it for a
+    run."""
+
+    def __init__(self, rank, nprocs, inboxes, barrier, phase_table):
+        self.rank = rank
+        self.nprocs = nprocs
+        self.inboxes = inboxes
+        self.mp_barrier = barrier
+        self.phase_table = phase_table
+
+    def set_phase(self, idx: int, node: int = -1) -> None:
+        self.phase_table[2 * self.rank] = idx
+        self.phase_table[2 * self.rank + 1] = node
+
+    def start(self, run_id, timeout: float) -> None:
+        self.run_id = run_id
+        self.deadline = time.monotonic() + timeout
+        self.timeout = timeout
+        # early messages of later clauses: at a fused (barrier-free)
+        # clause boundary a fast peer may already be sending for the
+        # next clause while this worker still drains the current one
+        self.stash: Dict[tuple, list] = {}
+
+    def remaining(self) -> float:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError(f"worker {self.rank} exceeded the "
+                               f"{self.timeout:.1f}s run timeout")
+        return left
+
+    def post(self, seq: int, expect) -> None:
+        self.rid = (self.run_id, seq)
+        self.missing = {(dst, src, pos): (row, fill)
+                        for dst, src, pos, row, fill in expect}
+
+    def send(self, node, pos, q, key, src_arr) -> np.ndarray:
+        # Payload buffers are reused across steps of a pipelined loop
+        # (and across runs): between two uses of the same (node, read,
+        # peer) buffer sits at least one global pre-commit barrier that
+        # every worker only passes after the previous message was
+        # drained — i.e. fully pickled off this buffer by the queue's
+        # feeder thread — so depth-1 reuse can never corrupt an
+        # in-flight message.
+        buf, flat = _send_buf(node, pos, q, key, src_arr.shape)
+        np.take(src_arr.reshape(-1), flat, out=buf)
+        self.inboxes[q % self.nprocs].put((self.rid, q, node.p, pos, buf))
+        return buf
+
+    def barrier(self, node: int) -> None:
+        self.set_phase(PH_BARRIER, node)
+        self.mp_barrier.wait(self.remaining())
+
+    def drain(self, deliver) -> None:
+        missing, rid = self.missing, self.rid
+        inbox = self.inboxes[self.rank]
+        early = self.stash.pop(rid, [])
+        while missing:
+            if early:
+                dst, src, pos, payload = early.pop()
+            else:
+                try:
+                    mid, dst, src, pos, payload = inbox.get(
+                        timeout=self.remaining())
+                except queue_mod.Empty:
+                    raise TimeoutError(
+                        f"worker {self.rank} timed out draining messages "
+                        f"({len(missing)} pending)") from None
+                if mid != rid:
+                    if mid[0] == rid[0] and mid[1] > rid[1]:
+                        self.stash.setdefault(mid, []).append(
+                            (dst, src, pos, payload))
+                    # else: stale message from an aborted run — discard
+                    continue
+            entry = missing.pop((dst, src, pos), None)
+            if entry is not None:
+                deliver(dst, entry[0], entry[1],
+                        np.asarray(payload, dtype=np.float64))
+
+    def finish(self) -> None:
+        pass  # a queue put completes on its own
 
 
 def _attached(shm_spec, untrack, body):
@@ -387,29 +376,21 @@ def _attached(shm_spec, untrack, body):
                 pass
 
 
-def _execute(inst, run_id, shm_spec, timeout, fault_delay, rank, nprocs,
-             inboxes, barrier, set_phase, untrack):
-    return _attached(shm_spec, untrack, lambda arrays: _run(
-        inst, run_id, arrays, timeout, fault_delay, rank, nprocs,
-        inboxes, barrier, set_phase))
-
-
-def _execute_seq(insts, run_id, shm_spec, steps, swap, flags, timeout,
-                 fault_delay, rank, nprocs, inboxes, barrier, set_phase,
-                 untrack):
-    return _attached(shm_spec, untrack, lambda arrays: _run_seq(
-        insts, run_id, arrays, steps, swap, flags, timeout, fault_delay,
-        rank, nprocs, inboxes, barrier, set_phase))
-
-
 def worker_main(rank, nprocs, conn, inboxes, barrier, phase_table,
                 untrack=False):
     """Entry point of one pool worker (runs until exit/EOF)."""
-    plans: "OrderedDict[int, _Installed]" = OrderedDict()
+    plans: "OrderedDict[int, Installed]" = OrderedDict()
+    transport = QueueTransport(rank, nprocs, inboxes, barrier, phase_table)
+    set_phase = transport.set_phase
 
-    def set_phase(idx: int, node: int = -1) -> None:
-        phase_table[2 * rank] = idx
-        phase_table[2 * rank + 1] = node
+    def run(insts, steps, swap, flags, fault_delay, arrays):
+        if fault_delay is not None and fault_delay[0] == rank:
+            # test hook: park this worker so crash/timeout paths are
+            # deterministically exercisable
+            set_phase(PH_DELAY, min((nd.p for inst in insts
+                                     for nd in inst.my_nodes), default=-1))
+            time.sleep(float(fault_delay[1]))
+        return run_sequence(insts, steps, swap, flags, arrays, transport)
 
     set_phase(PH_IDLE)
     while True:
@@ -421,7 +402,7 @@ def worker_main(rank, nprocs, conn, inboxes, barrier, phase_table,
         if kind == "plan":
             set_phase(PH_INSTALL)
             try:
-                inst = _Installed(msg[1])
+                inst = Installed(msg[1])
                 plans[inst.token] = inst
                 while len(plans) > _PLAN_LRU:
                     plans.popitem(last=False)
@@ -430,30 +411,6 @@ def worker_main(rank, nprocs, conn, inboxes, barrier, phase_table,
                 conn.send(("err", -1, rank, "install", -1,
                            traceback.format_exc()))
             set_phase(PH_IDLE)
-        elif kind == "run":
-            _, token, run_id, shm_spec, timeout, fault_delay = msg
-            try:
-                inst = plans.get(token)
-                if inst is None:
-                    raise RuntimeError(
-                        f"program {token} is not installed on worker {rank}")
-                stats, counts = _execute(
-                    inst, run_id, shm_spec, timeout, fault_delay,
-                    rank, nprocs, inboxes, barrier, set_phase, untrack)
-                conn.send(("done", run_id, rank, stats, counts))
-            except BaseException:
-                from .stats import PHASES
-
-                pi = int(phase_table[2 * rank])
-                node = int(phase_table[2 * rank + 1])
-                phase = PHASES[pi] if 0 <= pi < len(PHASES) else str(pi)
-                try:
-                    conn.send(("err", run_id, rank, phase, node,
-                               traceback.format_exc()))
-                except Exception:
-                    return
-            finally:
-                set_phase(PH_IDLE)
         elif kind == "runseq":
             (_, tokens, run_id, shm_spec, steps, swap, flags,
              timeout, fault_delay) = msg
@@ -466,17 +423,13 @@ def worker_main(rank, nprocs, conn, inboxes, barrier, phase_table,
                             f"program {token} is not installed on "
                             f"worker {rank}")
                     insts.append(inst)
-                stats, counts = _execute_seq(
-                    insts, run_id, shm_spec, steps, swap, flags,
-                    timeout, fault_delay, rank, nprocs, inboxes,
-                    barrier, set_phase, untrack)
+                transport.start(run_id, timeout)
+                stats, counts = _attached(
+                    shm_spec, untrack, lambda arrays: run(
+                        insts, steps, swap, flags, fault_delay, arrays))
                 conn.send(("done", run_id, rank, stats, counts))
             except BaseException:
-                from .stats import PHASES
-
-                pi = int(phase_table[2 * rank])
-                node = int(phase_table[2 * rank + 1])
-                phase = PHASES[pi] if 0 <= pi < len(PHASES) else str(pi)
+                phase, node = phase_of(phase_table, rank)
                 try:
                     conn.send(("err", run_id, rank, phase, node,
                                traceback.format_exc()))

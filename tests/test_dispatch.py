@@ -1,0 +1,403 @@
+"""The one dispatcher (:mod:`repro.backends`): 4 entry points x 7
+backends x forced conditions.
+
+Every case asserts three things: the tier that actually ran (runners are
+spied on, not inferred), exactly one trace note per fallback hop with
+its exact text, and bit-identity to ``evaluate_clause``.  The nd entry
+points had no fallback coverage before this matrix.
+"""
+
+from __future__ import annotations
+
+import os
+
+import numpy as np
+import pytest
+
+from repro import backends
+from repro.backends import UnknownBackendError
+from repro.codegen import compile_clause, run_distributed, run_shared
+from repro.codegen.nddist import compile_clause_nd_dist, run_distributed_nd
+from repro.codegen.ndplan import compile_clause_nd, run_shared_nd
+from repro.core import (
+    SEQ,
+    AffineF,
+    Bounds,
+    Clause,
+    IdentityF,
+    IndexSet,
+    Ref,
+    SeparableMap,
+    copy_env,
+    evaluate_clause,
+)
+from repro.decomp import Block, GridDecomposition, Replicated
+from repro.machine import DeadlockError, DistributedMachine
+from repro.machine.fused import FusedStrictError
+from repro.mpi import reset_mpi_support
+from repro.pipeline import clear_plan_cache, reset_native_support
+from repro.runtime import shutdown_runtime
+from repro.runtime.lowering import lower_dist
+
+N, P = 16, 4
+BACKENDS = ("scalar", "vector", "overlap", "fused", "native", "mp", "mpi")
+ENTRIES = ("shared", "shared_nd", "dist", "dist_nd")
+
+SERIAL = "sequential (•) clause is a serial chain"
+BROADCAST = "replicated write (per-copy broadcast)"
+NO_KERNELS = "plan carries no fused kernels (lower-kernels fallback)"
+OVERLAP_SHARED = ("backend='overlap' on shared memory: no messages to "
+                  "overlap; running the vector backend")
+
+
+def fell(tier, target, why, what="path"):
+    return f"backend={tier!r} fell back to the {target} {what}: {why}"
+
+
+# ---------------------------------------------------------------------------
+# workloads
+# ---------------------------------------------------------------------------
+
+def ref1(name, c=0):
+    return Ref(name, SeparableMap([AffineF(1, c) if c else IdentityF()]))
+
+
+def ref2(name, di=0):
+    return Ref(name, SeparableMap(
+        [AffineF(1, di) if di else IdentityF(), IdentityF()]))
+
+
+def clause_for(entry, seq=False):
+    kw = {"ordering": SEQ} if seq else {}
+    if entry.endswith("_nd"):
+        return Clause(IndexSet(Bounds((1, 0), (N - 2, N - 1))), ref2("T"),
+                      (ref2("S", -1) + ref2("S", 1)) * 0.5, **kw)
+    return Clause(IndexSet(Bounds((1,), (N - 2,))), ref1("A"),
+                  (ref1("B", -1) + ref1("B", 1)) * 0.5, **kw)
+
+
+def env_for(entry, seed=0):
+    rng = np.random.default_rng(seed)
+    if entry.endswith("_nd"):
+        return {"S": rng.random((N, N)), "T": rng.random((N, N))}
+    return {"A": rng.random(N), "B": rng.random(N)}
+
+
+def decomps_for(entry, replicated=False):
+    if entry.endswith("_nd"):
+        g = GridDecomposition([Block(N, 2), Block(N, 2)])
+        return {"S": g, "T": g}
+    return {"A": Replicated(N, P) if replicated else Block(N, P),
+            "B": Block(N, P)}
+
+
+COMPILE = {"shared": compile_clause, "dist": compile_clause,
+           "shared_nd": compile_clause_nd, "dist_nd": compile_clause_nd_dist}
+RUN = {"shared": run_shared, "dist": run_distributed,
+       "shared_nd": run_shared_nd, "dist_nd": run_distributed_nd}
+
+
+def run_case(entry, backend, *, seq=False, replicated=False,
+             preplaced=False, no_form=False, **kw):
+    """Compile fresh, run, return ``(plan, result array, reference)``."""
+    clause = clause_for(entry, seq)
+    decomps = decomps_for(entry, replicated)
+    plan = COMPILE[entry](clause, decomps)
+    if no_form:
+        plan.ir.kernels = None  # the lower-kernels pass found no form
+    env0 = env_for(entry)
+    write = clause.lhs.name
+    ref = evaluate_clause(clause, copy_env(env0))[write]
+    if entry.startswith("dist"):
+        if preplaced:
+            kw["machine"] = DistributedMachine(plan.pmax)
+            for name, dec in decomps.items():
+                kw["machine"].place(name, env0[name], dec)
+        m = RUN[entry](plan, copy_env(env0), backend=backend, processes=2,
+                       **kw)
+        return plan, m.collect(write), ref
+    m = RUN[entry](plan, copy_env(env0), backend=backend, processes=2, **kw)
+    return plan, m.env[write], ref
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(autouse=True)
+def all_tiers_available(monkeypatch):
+    """Default condition: every tier can run here — native as
+    exec-compiled Python, mpi on the threaded stub."""
+    monkeypatch.setenv("REPRO_NATIVE_INTERP", "1")
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    monkeypatch.setenv("REPRO_MPI_STUB", "1")
+    monkeypatch.delenv("REPRO_NO_MPI", raising=False)
+    reset_native_support()
+    reset_mpi_support()
+    clear_plan_cache()
+    yield
+    monkeypatch.undo()
+    reset_native_support()
+    reset_mpi_support()
+    clear_plan_cache()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def dispose_pool():
+    yield
+    shutdown_runtime()
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """Names of the tiers whose runner completed, in order."""
+    log = []
+
+    def spy(tier, fn):
+        def run(*args, **kw):
+            out = fn(*args, **kw)
+            log.append(tier)
+            return out
+        return run
+
+    real = backends._impl
+
+    def spied(name):
+        impl = real(name)
+        return impl._replace(
+            run={f: spy(name, fn) for f, fn in impl.run.items()})
+
+    monkeypatch.setattr(backends, "_impl", spied)
+    return log
+
+
+def check(entry, backend, ran, tier, notes, **conditions):
+    plan, got, ref = run_case(entry, backend, **conditions)
+    assert (ran or ["scalar"]) == [tier]
+    assert plan.trace.notes == notes
+    assert np.array_equal(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# the matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_every_tier_runs_itself_when_it_can(entry, backend, ran):
+    if (entry, backend) == ("shared_nd", "overlap"):
+        with pytest.raises(UnknownBackendError, match="run_shared_nd"):
+            run_case(entry, backend)
+    elif (entry, backend) == ("shared", "overlap"):
+        check(entry, backend, ran, "vector", [OVERLAP_SHARED])
+    else:
+        check(entry, backend, ran, backend, [])
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_no_native_hops_to_fused(entry, ran, monkeypatch):
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    reset_native_support()
+    check(entry, "native", ran, "fused",
+          [fell("native", "fused", "disabled by REPRO_NO_NATIVE")])
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_no_mpi_hops_to_fused(entry, ran, monkeypatch):
+    monkeypatch.setenv("REPRO_NO_MPI", "1")
+    reset_mpi_support()
+    check(entry, "mpi", ran, "fused",
+          [fell("mpi", "fused", "disabled by REPRO_NO_MPI")])
+
+
+SEQ_CHAINS = {
+    "scalar": [],
+    "vector": [fell("vector", "scalar", SERIAL)],
+    "overlap": [OVERLAP_SHARED, fell("vector", "scalar", SERIAL)],
+    "fused": [fell("fused", "vector", SERIAL),
+              fell("vector", "scalar", SERIAL)],
+    "native": [fell("native", "fused", SERIAL),
+               fell("fused", "vector", SERIAL),
+               fell("vector", "scalar", SERIAL)],
+    "mp": [fell("mp", "fused", SERIAL + "; scalar path kept"),
+           fell("fused", "vector", SERIAL),
+           fell("vector", "scalar", SERIAL)],
+    "mpi": [fell("mpi", "fused", SERIAL + "; scalar path kept"),
+            fell("fused", "vector", SERIAL),
+            fell("vector", "scalar", SERIAL)],
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("entry", ("shared", "shared_nd"))
+def test_sequential_clause_ends_on_the_scalar_path(entry, backend, ran):
+    if (entry, backend) == ("shared_nd", "overlap"):
+        pytest.skip("run_shared_nd does not accept overlap")
+    check(entry, backend, ran, "scalar", SEQ_CHAINS[backend], seq=True)
+
+
+TO_TEMPLATE = {b: fell(b, "scalar", BROADCAST, "template")
+               for b in ("vector", "overlap", "fused")}
+REPLICATED_CHAINS = {
+    "scalar": [],
+    "vector": [TO_TEMPLATE["vector"]],
+    "overlap": [TO_TEMPLATE["overlap"]],
+    "fused": [TO_TEMPLATE["fused"]],
+    "native": [fell("native", "fused", BROADCAST), TO_TEMPLATE["fused"]],
+    "mp": [fell("mp", "fused", "replicated write is a per-copy broadcast"),
+           TO_TEMPLATE["fused"]],
+    "mpi": [fell("mpi", "fused", "replicated write is a per-copy broadcast"),
+            TO_TEMPLATE["fused"]],
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_replicated_write_keeps_the_scalar_template(backend, ran):
+    check("dist", backend, ran, "scalar", REPLICATED_CHAINS[backend],
+          replicated=True)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("entry", ("dist", "dist_nd"))
+def test_preplaced_machine_stays_in_process(entry, backend, ran):
+    owner = {"mp": "mp runtime", "mpi": "MPI backend"}.get(backend)
+    if owner is None:
+        check(entry, backend, ran, backend, [], preplaced=True)
+    else:
+        check(entry, backend, ran, "fused", [fell(
+            backend, "fused", "a pre-placed machine was supplied; the "
+            f"{owner} owns its own placement")], preplaced=True)
+
+
+TO_VECTOR = fell("fused", "vector", "no fused kernels on the plan")
+NO_FORM_CHAINS = {
+    "fused": [TO_VECTOR],
+    "native": [fell("native", "fused", NO_KERNELS), TO_VECTOR],
+    "mp": [fell("mp", "fused", NO_KERNELS), TO_VECTOR],
+    "mpi": [fell("mpi", "fused", NO_KERNELS), TO_VECTOR],
+}
+
+
+@pytest.mark.parametrize("backend", sorted(NO_FORM_CHAINS))
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_clause_with_no_fused_form_runs_the_vector_tier(entry, backend,
+                                                        ran):
+    check(entry, backend, ran, "vector", NO_FORM_CHAINS[backend],
+          no_form=True)
+
+
+# ---------------------------------------------------------------------------
+# the two nd gaps the shared dispatcher closes
+# ---------------------------------------------------------------------------
+
+def racy(entry):
+    """In-place shift: reads an element another iteration writes."""
+    if entry.endswith("_nd"):
+        cl = Clause(IndexSet(Bounds((0, 0), (N - 2, N - 1))), ref2("T"),
+                    ref2("T", 1) * 0.5)
+        g = GridDecomposition([Block(N, 2), Block(N, 2)])
+        return cl, {"T": g}, {"T": np.ones((N, N))}
+    cl = Clause(IndexSet(Bounds((0,), (N - 2,))), ref1("A"),
+                ref1("A", 1) * 0.5)
+    return cl, {"A": Block(N, P)}, {"A": np.ones(N)}
+
+
+@pytest.mark.parametrize("backend", ("fused", "native", "mp", "mpi"))
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_strict_refuses_a_flagged_clause_on_every_kernel_tier(entry,
+                                                              backend):
+    cl, decomps, env0 = racy(entry)
+    plan = COMPILE[entry](cl, decomps)
+    with pytest.raises(FusedStrictError, match="RACE003"):
+        RUN[entry](plan, env0, backend=backend, strict=True, processes=2)
+
+
+def test_run_program_strict_reaches_nd_steps():
+    from repro.pipeline import compile_program, run_program
+
+    cl, decomps, env0 = racy("shared_nd")
+    pir = compile_program([cl], decomps)
+    for backend in ("fused", "native", "mp", "mpi"):
+        with pytest.raises(FusedStrictError, match="RACE003"):
+            run_program(pir, copy_env(env0), backend=backend, strict=True,
+                        processes=2)
+
+
+@pytest.mark.parametrize("entry", ("dist", "dist_nd"))
+def test_deadlock_cites_the_static_verdict(entry):
+    """A send plan with one node's sends removed: its peers wait for
+    messages nobody posts.  The simulator's DeadlockError must name the
+    SCHED code the static schedule check gives the same program."""
+    plan = COMPILE[entry](clause_for(entry), decomps_for(entry))
+    k = plan.ir.kernels
+    k.dist[0].sends = ()
+    prog = lower_dist(plan.ir)
+    prog.nodes[0].sends = ()
+    with pytest.raises(DeadlockError, match="SCHED001"):
+        RUN[entry](plan, env_for(entry), backend="fused")
+
+
+# ---------------------------------------------------------------------------
+# env arrays of any dtype and layout ("no dtype guard is needed")
+# ---------------------------------------------------------------------------
+
+def strided(a):
+    wide = np.zeros(tuple(2 * s for s in a.shape))
+    view = wide[tuple(slice(None, None, 2) for _ in a.shape)]
+    view[...] = a
+    return view
+
+
+LAYOUTS = {
+    "float32": lambda a: a.astype(np.float32),
+    "int64": lambda a: (a * 100).astype(np.int64),
+    "fortran": np.asfortranarray,
+    "strided": strided,
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("backend", ("fused", "native"))
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_any_env_dtype_and_layout_is_exact_or_a_noted_hop(entry, backend,
+                                                          layout, ran):
+    """Machines hold float64: a float32 / int64 / Fortran-order /
+    strided env array ends bit-identical to the float64 evaluator on
+    the tier asked for, or on fused after one noted native -> fused hop
+    (a shared write target with no contiguous float64 flat view)."""
+    clause = clause_for(entry)
+    env0 = {k: LAYOUTS[layout](v) for k, v in env_for(entry).items()}
+    write = clause.lhs.name
+    ref = evaluate_clause(clause, {
+        k: np.array(v, dtype=np.float64) for k, v in env0.items()})[write]
+    plan = COMPILE[entry](clause, decomps_for(entry))
+    m = RUN[entry](plan, env0, backend=backend)
+    got = m.collect(write) if entry.startswith("dist") else m.env[write]
+    assert np.array_equal(got, ref)
+    if ran == [backend]:
+        assert plan.trace.notes == []
+    else:
+        assert ran == ["fused"]
+        (note,) = plan.trace.notes
+        assert note.startswith(
+            fell("native", "fused", f"write target {write!r} is not C-"))
+
+
+# ---------------------------------------------------------------------------
+# result-surface errors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", ("mp", "mpi"))
+def test_collect_of_unknown_name_is_a_one_line_error(backend):
+    plan = compile_clause(clause_for("dist"), decomps_for("dist"))
+    m = run_distributed(plan, env_for("dist"), backend=backend, processes=2)
+    assert getattr(m, "is_mp", False) and m.runtime_stats[0].pid
+    assert backend == "mp" or m.is_mpi
+    with pytest.raises(KeyError, match=r"'Z' was never placed.*'A', 'B'"):
+        m.collect("Z")
+
+
+def test_mp_really_ran_on_other_processes():
+    plan = compile_clause(clause_for("dist"), decomps_for("dist"))
+    m = run_distributed(plan, env_for("dist"), backend="mp", processes=2)
+    assert all(s.pid != os.getpid() for s in m.runtime_stats)
