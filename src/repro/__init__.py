@@ -38,7 +38,6 @@ from .analysis import (
 from .backends import UnknownBackendError, backend_names, validate_backend
 from .baselines import run_distributed_naive, run_shared_naive
 from .codegen import (
-    SPMDPlan,
     compile_clause,
     compile_distributed,
     compile_shared,
@@ -115,7 +114,7 @@ __all__ = [
     # membership sets
     "Work", "modify_naive", "optimize_access",
     # codegen
-    "SPMDPlan", "compile_clause", "run_shared", "run_distributed",
+    "compile_clause", "run_shared", "run_distributed",
     "compile_shared", "compile_distributed",
     "emit_shared_source", "emit_distributed_source", "run_redistribution",
     # static analysis

@@ -22,15 +22,14 @@ Target and transport are parameters of one computation, not code paths:
 :func:`dispatch` runs one clause (shared or distributed flavor),
 :func:`dispatch_program` tries the whole-program forms of the
 real-process tiers, :func:`dispatch_group` runs a fused clause group on
-the kernel tiers.  Entry points that only support a subset of names pass
-it as *allowed*; the error message then lists that subset.
+the kernel tiers.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .core.clause import Ordering
 
@@ -50,8 +49,7 @@ __all__ = [
 
 
 class UnknownBackendError(ValueError):
-    """A ``backend=`` name not present in the registry (or not supported
-    by the entry point that validated it)."""
+    """A ``backend=`` name not present in the registry."""
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +287,18 @@ def availability_snapshot() -> "OrderedDict[str, dict]":
         (name, backend_availability(name)._asdict()) for name in BACKENDS)
 
 
-def backend_names(allowed: Optional[Iterable[str]] = None) -> Tuple[str, ...]:
-    """The valid backend names, optionally restricted to *allowed*."""
-    if allowed is None:
-        return tuple(BACKENDS)
-    return tuple(allowed)
+def backend_names() -> Tuple[str, ...]:
+    """The valid backend names."""
+    return tuple(BACKENDS)
 
 
-def validate_backend(
-    backend: str,
-    allowed: Optional[Iterable[str]] = None,
-    context: Optional[str] = None,
-) -> str:
-    """Return *backend* if known (and in *allowed*); raise otherwise.
+def validate_backend(backend: str, context: Optional[str] = None) -> str:
+    """Return *backend* if known; raise otherwise.
 
     The exception message is a single line naming the valid choices —
     callers surface it verbatim (the CLI turns it into ``error: ...``).
     """
-    names = backend_names(allowed)
+    names = backend_names()
     if backend in names:
         return backend
     where = f" for {context}" if context else ""
@@ -354,7 +346,7 @@ def _deadlock():
 
 
 def dispatch(backend: str, flavor: str, ir, env, machine, scalar, *,
-             context: str, allowed=None, strict: bool = False, model=None,
+             context: str, strict: bool = False, model=None,
              processes: Optional[int] = None,
              timeout: Optional[float] = None):
     """Run one compiled clause under *backend*: walk the tier chain from
@@ -364,7 +356,7 @@ def dispatch(backend: str, flavor: str, ir, env, machine, scalar, *,
     plan's trace; a simulator :class:`DeadlockError` from any tier
     leaves citing the static COMM/BND/SCHED verdict.  Returns the
     machine the tier that ran produced."""
-    validate_backend(backend, allowed, context)
+    validate_backend(backend, context)
     r = Run(flavor, ir, env, machine, strict, model, processes, timeout)
     deadlock_error, annotate = _deadlock()
     tier = backend

@@ -20,14 +20,15 @@ import numpy as np
 from ..core.clause import Ordering
 from ..machine.distributed import DistributedMachine, NodeContext
 from ..machine.shared import SharedMachine
-from .. codegen.dist_tmpl import _eval_fetched, _read_value
-from ..codegen.plan import SPMDPlan
+from ..codegen.dist_tmpl import _read_value
+from ..core.expr import eval_fetched
+from ..pipeline.ir import PlanIR
 
 __all__ = ["run_shared_naive", "run_distributed_naive", "make_naive_node_program"]
 
 
 def run_shared_naive(
-    plan: SPMDPlan,
+    plan: PlanIR,
     env: Dict[str, np.ndarray],
     machine: Optional[SharedMachine] = None,
 ) -> SharedMachine:
@@ -38,79 +39,82 @@ def run_shared_naive(
     if machine is None:
         machine = SharedMachine(plan.pmax, env)
     clause = plan.clause
+    imin, imax = plan.loop_bounds[0]
+    write = plan.write
 
-    def phase(p: int) -> List[Tuple[str, int, float]]:
-        writes: List[Tuple[str, int, float]] = []
+    def phase(p: int) -> List[Tuple[str, Tuple[int, ...], float]]:
+        writes: List[Tuple[str, Tuple[int, ...], float]] = []
         st = machine.stats[p]
-        for i in range(plan.imin, plan.imax + 1):
+        for i in range(imin, imax + 1):
             st.iterations += 1
             st.membership_tests += 1
-            if not plan.write_replicated:
-                if plan.write_dec.proc(plan.write_func(i)) != p:
-                    continue
             idx = (i,)
+            if not write.replicated and write.proc_of(idx) != p:
+                continue
             if clause.guard is not None and not clause.guard.eval(idx, machine.env):
                 continue
-            ai = clause.lhs.array_index(idx)[0]
-            writes.append((clause.lhs.name, ai, clause.rhs.eval(idx, machine.env)))
+            writes.append((write.name, clause.lhs.array_index(idx),
+                           clause.rhs.eval(idx, machine.env)))
         return writes
 
     machine.run_phase(phase)
     return machine
 
 
-def make_naive_node_program(plan: SPMDPlan, ctx: NodeContext) -> Generator:
+def make_naive_node_program(plan: PlanIR, ctx: NodeContext) -> Generator:
     """Distributed §2.10 template, literal form: one full-range loop with
     the three membership cases tested per index."""
 
     def program() -> Generator:
         p = ctx.p
         clause = plan.clause
+        imin, imax = plan.loop_bounds[0]
+        write = plan.write
 
         # The paper's single All_p loop is split into a send sweep and an
         # update sweep for the same deadlock-freedom reason as the
         # optimized template; each sweep scans the FULL range and tests.
         for read in plan.reads:
-            if read.always_local:
+            if read.replicated:
                 continue
-            for i in range(plan.imin, plan.imax + 1):
+            for i in range(imin, imax + 1):
                 ctx.stats.iterations += 1
                 ctx.stats.membership_tests += 1
-                if read.dec.proc(read.func(i)) != p:
+                idx = (i,)
+                if read.proc_of(idx) != p:
                     continue  # not in Reside_p
-                for q in plan.writers_of(i):
+                for q in plan.writers_of(idx):
                     ctx.stats.membership_tests += 1
                     if q != p:
-                        ctx.send(q, (read.pos, i), _read_value(ctx, read, i))
+                        ctx.send(q, (read.pos, idx),
+                                 _read_value(ctx, read, idx))
 
         # Buffered writes: same //-independence discipline as the
         # optimized template (see dist_tmpl).
         pending = []
-        for i in range(plan.imin, plan.imax + 1):
+        for i in range(imin, imax + 1):
             ctx.stats.iterations += 1
             ctx.stats.membership_tests += 1
-            if not plan.write_replicated:
-                if plan.write_dec.proc(plan.write_func(i)) != p:
-                    continue  # not in Modify_p
+            idx = (i,)
+            if not write.replicated and write.proc_of(idx) != p:
+                continue  # not in Modify_p
             by_ref: Dict[int, float] = {}
             for read in plan.reads:
                 ctx.stats.membership_tests += 1
-                if read.always_local or read.dec.proc(read.func(i)) == p:
-                    by_ref[id(read.ref)] = _read_value(ctx, read, i)
+                if read.replicated or read.proc_of(idx) == p:
+                    by_ref[id(read.ref)] = _read_value(ctx, read, idx)
                 else:
-                    src = read.dec.proc(read.func(i))
-                    payload = yield ctx.recv(src, (read.pos, i))
+                    payload = yield ctx.recv(read.proc_of(idx),
+                                             (read.pos, idx))
                     by_ref[id(read.ref)] = ctx.note_received(payload)
-            idx = (i,)
-            if clause.guard is not None and not _eval_fetched(
+            if clause.guard is not None and not eval_fetched(
                 clause.guard, idx, by_ref
             ):
                 continue
-            gi = plan.write_func(i)
-            slot = gi if plan.write_replicated else plan.write_dec.local(gi)
-            pending.append((slot, _eval_fetched(clause.rhs, idx, by_ref)))
+            pending.append((write.local_of(idx),
+                            eval_fetched(clause.rhs, idx, by_ref)))
         for slot, value in pending:
-            ctx.update(plan.write_name, slot, value)
+            ctx.update(write.name, slot, value)
 
         yield ctx.barrier()
 
@@ -118,7 +122,7 @@ def make_naive_node_program(plan: SPMDPlan, ctx: NodeContext) -> Generator:
 
 
 def run_distributed_naive(
-    plan: SPMDPlan,
+    plan: PlanIR,
     env: Dict[str, np.ndarray],
 ) -> DistributedMachine:
     """Place, run, and return the machine for the naive distributed
@@ -126,9 +130,7 @@ def run_distributed_naive(
     if plan.clause.ordering is Ordering.SEQ:
         raise NotImplementedError("naive baseline implements // clauses")
     machine = DistributedMachine(plan.pmax)
-    all_decomps = {plan.write_name: plan.write_dec}
-    for read in plan.reads:
-        all_decomps[read.name] = read.dec
+    all_decomps = {acc.name: acc.dec for acc in plan.accesses()}
     for name, arr in env.items():
         if name in all_decomps:
             machine.place(name, arr, all_decomps[name])

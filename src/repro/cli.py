@@ -187,7 +187,7 @@ def _compile_body(args) -> int:
             print()
             print(plan.trace.pretty(verbose=args.verbose))
         backend = getattr(args, "backend", "scalar")
-        kernels = plan.ir.kernels
+        kernels = plan.kernels
         if backend in ("fused", "native", "mp", "mpi") \
                 and getattr(args, "explain", False):
             print()
@@ -259,7 +259,7 @@ def _explain_native(plan, kernels) -> None:
         print("# native kernel unavailable: no fused kernels on this plan")
         return
     try:
-        nat = ensure_native(kernels, plan.ir)
+        nat = ensure_native(kernels, plan)
     except NativeBuildError as e:
         print(f"# native kernel unavailable ({e}); the fused tier runs")
         return

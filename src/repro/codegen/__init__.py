@@ -18,7 +18,7 @@ from .halo import compile_halo_stencil, run_halo_stencil
 from .inspector import build_schedule, compile_indirect, run_executor
 from .nddist import collect_nd, compile_clause_nd_dist, run_distributed_nd
 from .ndplan import compile_clause_nd, run_shared_nd
-from .plan import CompiledRead, SPMDPlan, compile_clause
+from .plan import compile_clause
 from .pysource import (
     RuntimeTables,
     compile_distributed,
@@ -51,8 +51,6 @@ __all__ = [
     "ReduceOp",
     "build_schedule",
     "run_executor",
-    "SPMDPlan",
-    "CompiledRead",
     "compile_clause",
     "run_shared",
     "shared_phase",

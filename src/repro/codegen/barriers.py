@@ -61,12 +61,13 @@ def clause_access_maps(
     plan = compile_clause(clause, decomps)
     writes: Dict[Elem, Set[int]] = {}
     reads: Dict[Elem, Set[int]] = {}
-    for i in range(plan.imin, plan.imax + 1):
-        owners = plan.writers_of(i)
-        w_elem = (plan.write_name, plan.write_func(i))
+    imin, imax = plan.loop_bounds[0]
+    for i in range(imin, imax + 1):
+        owners = plan.writers_of((i,))
+        w_elem = (plan.write_name, plan.write.funcs[0](i))
         writes.setdefault(w_elem, set()).update(owners)
         for read in plan.reads:
-            r_elem = (read.name, read.func(i))
+            r_elem = (read.name, read.funcs[0](i))
             reads.setdefault(r_elem, set()).update(owners)
     return AccessMaps(writes, reads)
 

@@ -15,7 +15,8 @@ from the closed-form ``Modify``/``Reside`` enumerators of Section 3:
 
 * **send phase**  — for each read access ``r`` and each ``i`` in
   ``Reside_p(r)``: the target ``q = proc_A(f(i))`` is *computed* (not
-  searched); if ``q ≠ p`` the element is sent, tagged ``(r.pos, i)``.
+  searched); if ``q ≠ p`` the element is sent, tagged ``(r.pos, i)``
+  (``i`` the loop index tuple).
 * **update phase** — for each ``i`` in ``Modify_p``: every read value is
   taken locally when ``proc_B(g(i)) = p`` (or the read is replicated),
   otherwise received (blocking) from its owner; then the guard and
@@ -28,6 +29,11 @@ in program order on some node that is never itself blocked on ``p``.
 Guards (data-dependent predicates) are evaluated by the *owner* of the
 write; senders ship their elements unconditionally, so sends stay matched
 — the receiver simply discards values whose guard fails.
+
+The template is rank-generic: over a product decomposition the write
+owner is a grid point and ``Modify_p`` and every ``Reside_p`` factorize
+into Cartesian products of 1-D Table I memberships
+(:meth:`~repro.pipeline.ir.AccessIR.membership`).
 """
 
 from __future__ import annotations
@@ -38,41 +44,45 @@ import numpy as np
 
 from ..backends import dispatch
 from ..core.clause import Ordering
-from ..decomp.replicated import Replicated
+from ..core.expr import eval_fetched
 from ..machine.distributed import DistributedMachine, NodeContext
+from ..pipeline.ir import AccessIR, PlanIR
 from ..sets.membership import Work
-from .plan import CompiledRead, SPMDPlan
 
 __all__ = ["make_node_program", "run_distributed"]
 
-
-def _read_value(ctx: NodeContext, read: CompiledRead, i: int):
-    """Local fetch of read *pos* at global index *i* (must be resident)."""
-    gi = read.func(i)
-    if isinstance(read.dec, Replicated):
-        return ctx.mem[read.name][gi]
-    return ctx.mem[read.name][read.dec.local(gi)]
+Index = Tuple[int, ...]
 
 
-def make_node_program(plan: SPMDPlan, ctx: NodeContext) -> Generator:
+def _read_value(ctx: NodeContext, read: AccessIR, idx: Index):
+    """Local fetch of *read* at loop index *idx* (must be resident)."""
+    return ctx.mem[read.name][read.local_of(idx)]
+
+
+def make_node_program(plan: PlanIR, ctx: NodeContext) -> Generator:
     """Node program generator for processor ``ctx.p`` — the optimized
     instantiation of the §2.10 template."""
 
     def program() -> Generator:
         p = ctx.p
         clause = plan.clause
+        bounds = plan.loop_bounds
         work = Work()
+        # each read's owner function, resolved once (a replicated read is
+        # resident on every node)
+        owners = [(lambda idx: p) if read.replicated else read.proc_of
+                  for read in plan.reads]
 
         # ---- send phase -------------------------------------------------
         for read in plan.reads:
-            if read.always_local:
+            if read.replicated:
                 continue  # replicated reads never communicate
-            for i in plan.reside_indices(read, p, work):
+            for idx in read.membership(p, bounds, work):
                 ctx.stats.iterations += 1
-                for q in plan.writers_of(i):
+                for q in plan.writers_of(idx):
                     if q == p:
                         continue
-                    ctx.send(q, (read.pos, i), _read_value(ctx, read, i))
+                    ctx.send(q, (read.pos, idx), _read_value(ctx, read, idx))
 
         # ---- update phase ------------------------------------------------
         # Writes are buffered and committed after the loop: a //-clause
@@ -80,25 +90,23 @@ def make_node_program(plan: SPMDPlan, ctx: NodeContext) -> Generator:
         # paper's independence premise); sends above already shipped
         # pre-state values because they precede all updates in program
         # order on every node.
-        pending: List[Tuple[int, float]] = []
-        for i in plan.modify_indices(p, work):
+        pending: List[Tuple[Index, float]] = []
+        for idx in plan.modify_indices(p, work):
             ctx.stats.iterations += 1
             by_ref: Dict[int, float] = {}
-            for read in plan.reads:
-                if read.always_local or read.dec.proc(read.func(i)) == p:
-                    by_ref[id(read.ref)] = _read_value(ctx, read, i)
+            for read, owner in zip(plan.reads, owners):
+                src = owner(idx)
+                if src == p:
+                    by_ref[id(read.ref)] = _read_value(ctx, read, idx)
                 else:
-                    src = read.dec.proc(read.func(i))
-                    payload = yield ctx.recv(src, (read.pos, i))
+                    payload = yield ctx.recv(src, (read.pos, idx))
                     by_ref[id(read.ref)] = ctx.note_received(payload)
-            idx = (i,)
-            if clause.guard is not None and not _eval_fetched(
+            if clause.guard is not None and not eval_fetched(
                 clause.guard, idx, by_ref
             ):
                 continue
-            gi = plan.write_func(i)
-            slot = gi if plan.write_replicated else plan.write_dec.local(gi)
-            pending.append((slot, _eval_fetched(clause.rhs, idx, by_ref)))
+            pending.append((plan.write.local_of(idx),
+                            eval_fetched(clause.rhs, idx, by_ref)))
         for slot, value in pending:
             ctx.update(plan.write_name, slot, value)
 
@@ -108,34 +116,10 @@ def make_node_program(plan: SPMDPlan, ctx: NodeContext) -> Generator:
     return program()
 
 
-def _eval_fetched(expr, idx: Tuple[int, ...], by_ref: Dict[int, float]):
-    """Evaluate an expression tree with every data reference resolved to
-    its pre-fetched value (local load or received message), keyed by the
-    identity of the Ref node — exact, regardless of how many times the
-    same array appears with different access functions."""
-    from ..core.expr import OPS, UNARY_OPS, BinOp, Const, LoopIndex, Ref, UnOp
-
-    if isinstance(expr, Ref):
-        return by_ref[id(expr)]
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, LoopIndex):
-        return idx[expr.dim]
-    if isinstance(expr, BinOp):
-        return OPS[expr.op](
-            _eval_fetched(expr.left, idx, by_ref),
-            _eval_fetched(expr.right, idx, by_ref),
-        )
-    if isinstance(expr, UnOp):
-        return UNARY_OPS[expr.op](_eval_fetched(expr.operand, idx, by_ref))
-    raise TypeError(f"cannot evaluate expression node {type(expr).__name__}")
-
-
 def run_distributed(
-    plan: SPMDPlan,
+    plan: PlanIR,
     env: Dict[str, np.ndarray],
     machine: Optional[DistributedMachine] = None,
-    decomps: Optional[Dict[str, object]] = None,
     backend: str = "scalar",
     model=None,
     strict: bool = False,
@@ -154,28 +138,32 @@ def run_distributed(
     :class:`~repro.machine.channels.LatencyModel` attached to a newly
     created machine (virtual-time accounting only); *strict* makes the
     kernel and real-process tiers refuse clauses the static verifier
-    flagged; *processes*/*timeout* apply to ``mp``/``mpi``.  A simulator
-    deadlock leaves citing the static COMM/BND/SCHED verdict.
+    flagged; *processes*/*timeout* apply to ``mp``/``mpi`` (``mpi``
+    attaches ranks through a Cartesian grid matching the decomposition).
+    A simulator deadlock leaves citing the static COMM/BND/SCHED verdict.
     """
     if plan.clause.ordering is Ordering.SEQ:
         raise NotImplementedError(
             "distributed DOACROSS (the paper's 'more complicated orderings') "
             "is not generated; use the shared-memory template for • clauses"
         )
+    for read in plan.reads:
+        if not read.placed:
+            raise ValueError(
+                f"read of array {read.name!r} has no decomposition (the plan "
+                "was compiled for shared-memory execution)")
 
     def scalar() -> DistributedMachine:
         m = machine
         if m is None:
             m = DistributedMachine(plan.pmax)
-            all_decomps = {plan.write_name: plan.write_dec}
-            for read in plan.reads:
-                all_decomps[read.name] = read.dec
+            decs = {acc.name: acc.dec for acc in plan.accesses()}
             for name, arr in env.items():
-                if name in all_decomps:
-                    m.place(name, arr, all_decomps[name])
+                if name in decs:
+                    m.place(name, arr, decs[name])
         m.run(lambda ctx: make_node_program(plan, ctx))
         return m
 
-    return dispatch(backend, "dist", plan.ir, env, machine, scalar,
+    return dispatch(backend, "dist", plan, env, machine, scalar,
                     context="run_distributed", strict=strict, model=model,
                     processes=processes, timeout=timeout)

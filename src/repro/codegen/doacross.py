@@ -40,12 +40,14 @@ from typing import Dict, Generator, List, Optional
 import numpy as np
 
 from ..core.clause import Clause, Ordering
+from ..core.expr import eval_fetched
 from ..core.ifunc import AffineF
 from ..decomp.base import Decomposition
 from ..machine.distributed import DistributedMachine, NodeContext
+from ..pipeline.ir import AccessIR, PlanIR
 from ..sets.membership import Work
-from .dist_tmpl import _eval_fetched, _read_value
-from .plan import CompiledRead, SPMDPlan, compile_clause
+from .dist_tmpl import _read_value
+from .plan import compile_clause
 
 __all__ = ["DoacrossPlan", "compile_doacross", "run_doacross",
            "make_doacross_program"]
@@ -56,9 +58,9 @@ class DoacrossPlan:
     """A validated DOACROSS pipeline: the underlying SPMD plan plus the
     recurrence structure (dependence distance per recurrence read)."""
 
-    base: SPMDPlan
-    recurrence_reads: List[CompiledRead]
-    other_reads: List[CompiledRead]
+    base: PlanIR
+    recurrence_reads: List[AccessIR]
+    other_reads: List[AccessIR]
     distances: Dict[int, int]  # read.pos -> s
 
     @property
@@ -73,7 +75,7 @@ def compile_doacross(
     if clause.ordering is not Ordering.SEQ:
         raise ValueError("DOACROSS generation applies to •-ordered clauses")
     base = compile_clause(clause, decomps)
-    wf = base.write_func
+    wf = base.write.funcs[0]
     if not (isinstance(wf, AffineF) and wf.a == 1 and wf.c == 0):
         raise ValueError(
             "DOACROSS template requires the identity write access A[i]"
@@ -82,7 +84,7 @@ def compile_doacross(
     distances: Dict[int, int] = {}
     for read in base.reads:
         if read.name == base.write_name:
-            g = read.func
+            g = read.funcs[0]
             if not (isinstance(g, AffineF) and g.a == 1 and g.c <= -1):
                 raise ValueError(
                     "reads of the written array must be backward shifts "
@@ -104,12 +106,12 @@ def compile_doacross(
                     "guards may not reference the written array in the "
                     "DOACROSS template"
                 )
-    if base.write_replicated:
+    if base.write.replicated:
         raise ValueError("DOACROSS write decomposition cannot be replicated")
     from ..analysis import verify_ir
 
-    ir = base.ir
-    report = ir.diagnostics if ir.diagnostics is not None else verify_ir(ir)
+    report = (base.diagnostics if base.diagnostics is not None
+              else verify_ir(base))
     bad = sorted({d.code for d in report.errors()
                   if d.code in ("BND001", "BND002", "COMM001", "COMM003")})
     if bad:
@@ -136,12 +138,9 @@ def make_doacross_program(
         p = ctx.p
         base = plan.base
         clause = base.clause
-        d = base.write_dec
-        imin, imax = base.imin, base.imax
+        d = base.write.dec
+        imin, imax = base.loop_bounds[0]
         work = Work()
-
-        my_modify = base.modify_indices(p, work)
-        my_set = set(my_modify)
 
         # ---- prefetch phase: pre-state A[j], j in [imin - s, imin - 1] --
         for read in plan.recurrence_reads:
@@ -158,17 +157,18 @@ def make_doacross_program(
 
         # ---- send phase for non-recurrence reads (pre-state) ------------
         for read in plan.other_reads:
-            if read.always_local:
+            if read.replicated:
                 continue
-            for i in base.reside_indices(read, p, work):
+            for idx in read.membership(p, base.loop_bounds, work):
                 ctx.stats.iterations += 1
-                q = d.proc(i)  # write func is identity
+                q = d.proc(idx[0])  # write func is identity
                 if q != p:
-                    ctx.send(q, (read.pos, i), _read_value(ctx, read, i))
+                    ctx.send(q, (read.pos, idx), _read_value(ctx, read, idx))
 
         # ---- main pipeline loop ------------------------------------------
         a_loc = ctx.mem[base.write_name]
-        for i in my_modify:
+        for idx in base.modify_indices(p, work):
+            i = idx[0]
             ctx.stats.iterations += 1
             by_ref: Dict[int, float] = {}
             # recurrence operands
@@ -185,19 +185,18 @@ def make_doacross_program(
                     by_ref[id(read.ref)] = ctx.note_received(payload)
             # ordinary operands
             for read in plan.other_reads:
-                if read.always_local or read.dec.proc(read.func(i)) == p:
-                    by_ref[id(read.ref)] = _read_value(ctx, read, i)
+                if read.replicated or read.proc_of(idx) == p:
+                    by_ref[id(read.ref)] = _read_value(ctx, read, idx)
                 else:
-                    src = read.dec.proc(read.func(i))
-                    payload = yield ctx.recv(src, (read.pos, i))
+                    payload = yield ctx.recv(read.proc_of(idx),
+                                             (read.pos, idx))
                     by_ref[id(read.ref)] = ctx.note_received(payload)
-            idx = (i,)
             fire = True
             if clause.guard is not None:
-                fire = bool(_eval_fetched(clause.guard, idx, by_ref))
+                fire = bool(eval_fetched(clause.guard, idx, by_ref))
             if fire:
                 ctx.update(base.write_name, d.local(i),
-                           _eval_fetched(clause.rhs, idx, by_ref))
+                           eval_fetched(clause.rhs, idx, by_ref))
             # forward the settled value to each consumer of i (+s lag)
             for read in plan.recurrence_reads:
                 s = plan.distances[read.pos]
@@ -223,11 +222,7 @@ def run_doacross(
     base = plan.base
     if machine is None:
         machine = DistributedMachine(base.pmax)
-        all_decomps: Dict[str, Decomposition] = {
-            base.write_name: base.write_dec
-        }
-        for read in base.reads:
-            all_decomps.setdefault(read.name, read.dec)
+        all_decomps = {acc.name: acc.dec for acc in base.accesses()}
         for name, arr in env.items():
             if name in all_decomps:
                 machine.place(name, arr, all_decomps[name])

@@ -26,10 +26,10 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..core.clause import Clause, Ordering
+from ..core.expr import eval_fetched
 from ..core.ifunc import AffineF
 from ..decomp.overlap import OverlappedBlock, halo_exchange_plan
 from ..machine.distributed import DistributedMachine, NodeContext
-from .dist_tmpl import _eval_fetched
 
 __all__ = ["HaloPlan", "compile_halo_stencil", "run_halo_stencil",
            "make_halo_program"]
@@ -152,12 +152,12 @@ def make_halo_program(plan: HaloPlan, ctx: NodeContext) -> Generator:
                 gi = i + plan.shifts[pos]
                 by_ref[id(ref)] = ctx.mem[ref.name][dec.local_slot(p, gi)]
             idx = (i,)
-            if clause.guard is not None and not _eval_fetched(
+            if clause.guard is not None and not eval_fetched(
                 clause.guard, idx, by_ref
             ):
                 continue
             pending.append((wd.local_slot(p, i),
-                            _eval_fetched(clause.rhs, idx, by_ref)))
+                            eval_fetched(clause.rhs, idx, by_ref)))
         for slot, value in pending:
             ctx.mem[plan.write_name][slot] = value
             ctx.stats.local_updates += 1

@@ -31,11 +31,10 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..core.clause import Clause, Ordering
-from ..core.expr import Ref
+from ..core.expr import Ref, eval_fetched
 from ..decomp.base import Decomposition
 from ..machine.distributed import DistributedMachine, NodeContext
 from ..sets.table1 import optimize_access
-from .dist_tmpl import _eval_fetched
 
 __all__ = ["IndirectPlan", "CommSchedule", "compile_indirect",
            "build_schedule", "run_executor"]
@@ -197,11 +196,11 @@ def _executor_program(sched: CommSchedule, ctx: NodeContext) -> Generator:
                 value = inbox[src][off]
             by_ref = {id(plan.read_ref): value}
             idx = (i,)
-            if clause.guard is not None and not _eval_fetched(
+            if clause.guard is not None and not eval_fetched(
                 clause.guard, idx, by_ref
             ):
                 continue
-            pending.append((w_slot, _eval_fetched(clause.rhs, idx, by_ref)))
+            pending.append((w_slot, eval_fetched(clause.rhs, idx, by_ref)))
         for slot, value in pending:
             ctx.update(plan.clause.lhs.name, slot, value)
         yield ctx.barrier()

@@ -10,119 +10,33 @@ Eq. (3): the processor parameter ``p``, the membership condition
 ``proc_A(f(i)) = p`` (compiled to a Table I enumerator — the *owner
 computes* rule), and the placement ``(proc, local)`` of every read.
 
-The plan is machine-independent; :mod:`repro.codegen.shared_tmpl` and
-:mod:`repro.codegen.dist_tmpl` instantiate it for the two machine models,
-and :mod:`repro.codegen.pysource` emits it as Python node-program source.
+The plan (a :class:`~repro.pipeline.ir.PlanIR`) is machine-independent;
+:mod:`repro.codegen.shared_tmpl` and :mod:`repro.codegen.dist_tmpl`
+instantiate it for the two machine models, and
+:mod:`repro.codegen.pysource` emits it as Python node-program source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
-from ..core.clause import Clause, Ordering
-from ..core.expr import Ref
-from ..core.ifunc import IFunc
+from ..core.clause import Clause
 from ..decomp.base import Decomposition
-from ..decomp.replicated import Replicated
-from ..sets.membership import Work
-from ..sets.table1 import OptimizedAccess, optimize_access
+from ..pipeline.ir import PlanIR
 
-__all__ = ["CompiledRead", "SPMDPlan", "compile_clause"]
-
-
-@dataclass
-class CompiledRead:
-    """One read access ``[g(i)](B)`` with its decomposition and enumerator.
-
-    ``temp`` names the per-iteration value slot in generated code; ``pos``
-    is the read's position in the clause (tags disambiguate two reads of
-    the same array with different access functions).
-    """
-
-    ref: Ref
-    dec: Decomposition
-    func: IFunc
-    pos: int
-    reside: OptimizedAccess
-
-    @property
-    def name(self) -> str:
-        return self.ref.name
-
-    @property
-    def temp(self) -> str:
-        return f"v{self.pos}"
-
-    @property
-    def always_local(self) -> bool:
-        return isinstance(self.dec, Replicated)
-
-
-@dataclass
-class SPMDPlan:
-    """Everything the machine templates need to emit node programs."""
-
-    clause: Clause
-    imin: int
-    imax: int
-    write_dec: Decomposition
-    write_func: IFunc
-    modify: OptimizedAccess
-    reads: List[CompiledRead]
-    pmax: int
-    compile_work: Work = field(default_factory=Work)
-    #: unified pipeline IR and pass trace (set by ``compile_clause``)
-    ir: object = field(default=None, repr=False, compare=False)
-    trace: object = field(default=None, repr=False, compare=False)
-
-    @property
-    def write_name(self) -> str:
-        return self.clause.lhs.name
-
-    @property
-    def write_replicated(self) -> bool:
-        return isinstance(self.write_dec, Replicated)
-
-    def modify_indices(self, p: int, work: Optional[Work] = None) -> List[int]:
-        """``Modify_p`` via the chosen Table I rule."""
-        if self.write_replicated:
-            return list(range(self.imin, self.imax + 1))
-        return self.modify.indices(p, work)
-
-    def reside_indices(
-        self, read: CompiledRead, p: int, work: Optional[Work] = None
-    ) -> List[int]:
-        """``Reside_p`` of one read access."""
-        return read.reside.indices(p, work)
-
-    def writers_of(self, i: int) -> List[int]:
-        """Processors that update ``A[f(i)]`` — one under owner-computes,
-        all of them for a replicated target."""
-        if self.write_replicated:
-            return list(range(self.pmax))
-        return [self.write_dec.proc(self.write_func(i))]
-
-    def rules(self) -> Dict[str, str]:
-        """Which Table I rule fired for each access (diagnostics)."""
-        out = {f"write:{self.write_name}": self.modify.rule}
-        for r in self.reads:
-            out[f"read{r.pos}:{r.name}"] = r.reside.rule
-        return out
+__all__ = ["compile_clause"]
 
 
 def compile_clause(
     clause: Clause, decomps: Dict[str, Decomposition]
-) -> SPMDPlan:
+) -> PlanIR:
     """Compile a 1-D canonical clause against per-array decompositions.
 
-    A thin shim over the unified pass pipeline
-    (:func:`repro.pipeline.compile_plan`): it enforces this entry point's
-    historical contract, then projects the Plan IR back onto
-    :class:`SPMDPlan` (the IR and pass trace ride along as ``plan.ir`` /
-    ``plan.trace``).  Raises ``KeyError`` when an array lacks a
-    decomposition and ``ValueError`` for clause shapes outside the
-    paper's canonical form (non-1-D domains).
+    A contract check over the unified pass pipeline
+    (:func:`repro.pipeline.compile_plan`), whose :class:`PlanIR` it
+    returns.  Raises ``KeyError`` when an array lacks a decomposition
+    and ``ValueError`` for clause shapes outside the paper's canonical
+    form (non-1-D domains).
     """
     if clause.domain.dim != 1:
         raise ValueError(
@@ -153,4 +67,4 @@ def compile_clause(
 
     from ..pipeline import compile_plan
 
-    return compile_plan(clause, decomps).to_spmd_plan()
+    return compile_plan(clause, decomps)

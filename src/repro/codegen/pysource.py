@@ -17,11 +17,10 @@ generated code.
 
 from __future__ import annotations
 
-import textwrap
 from typing import Callable, Dict, List, Tuple
 
 from ..core.expr import Ref
-from ..decomp.replicated import Replicated
+from ..pipeline.ir import PlanIR
 from .exprsrc import (
     CodegenError,
     expr_src,
@@ -31,10 +30,19 @@ from .exprsrc import (
     vexpr_src,
 )
 from .gensrc import SUPPORT_HELPERS, VECTOR_HELPERS, segments_source
-from .plan import SPMDPlan
 
 __all__ = ["RuntimeTables", "emit_distributed_source", "emit_shared_source",
            "compile_distributed", "compile_shared"]
+
+
+def _require_1d(plan: PlanIR) -> None:
+    """The emitter is the paper's canonical 1-D form: one loop index
+    ``i``, one access function per array."""
+    rank = max([plan.ndim] + [len(acc.funcs) for acc in plan.accesses()])
+    if rank != 1:
+        raise CodegenError(
+            f"node-program source is emitted for 1-D clauses only; this "
+            f"plan has rank {rank} (run it with run_shared/run_distributed)")
 
 
 class RuntimeTables:
@@ -45,15 +53,15 @@ class RuntimeTables:
     of segments, never to the loop range.
     """
 
-    def __init__(self, plan: SPMDPlan):
+    def __init__(self, plan: PlanIR):
         self.plan = plan
-        self._acc = {"write": plan.modify}
-        for read in plan.reads:
-            self._acc[f"read{read.pos}"] = read.reside
+        self._acc = {acc.label: acc.axes[0].access
+                     for acc in plan.accesses() if acc.axes}
 
     def segments(self, key: str, p: int) -> List[Tuple[int, int, int]]:
-        if key == "write" and self.plan.write_replicated:
-            return [(self.plan.imin, self.plan.imax, 1)]
+        if key == "write" and self.plan.write.replicated:
+            imin, imax = self.plan.loop_bounds[0]
+            return [(imin, imax, 1)]
         enum = self._acc[key].enumerate(p)
         return [(s.lo, s.hi, s.step) for s in enum.segments]
 
@@ -62,9 +70,9 @@ class RuntimeTables:
         int64 index vector (the vector backend's working set)."""
         import numpy as np
 
-        if key == "write" and self.plan.write_replicated:
-            return np.arange(self.plan.imin, self.plan.imax + 1,
-                             dtype=np.int64)
+        if key == "write" and self.plan.write.replicated:
+            imin, imax = self.plan.loop_bounds[0]
+            return np.arange(imin, imax + 1, dtype=np.int64)
         return self._acc[key].enumerate(p).index_array()
 
     def rule(self, key: str) -> str:
@@ -76,7 +84,7 @@ class RuntimeTables:
         the overlap program then degrades to the vector schedule)."""
         import numpy as np
 
-        split = self.plan.ir.interior_split
+        split = self.plan.interior_split
         if split is None or p not in split.per_node:
             return np.empty(0, dtype=np.int64)
         segs = split.per_node[p].interior[0]
@@ -85,169 +93,85 @@ class RuntimeTables:
         return np.concatenate([s.index_array() for s in segs])
 
 
-def _ref_temp_render(plan: SPMDPlan) -> Callable[[Ref], str]:
-    by_id = {id(read.ref): read.temp for read in plan.reads}
+# ---------------------------------------------------------------------------
+# pieces every variant states the same way
+# ---------------------------------------------------------------------------
 
-    def render(ref: Ref) -> str:
-        return by_id[id(ref)]
+def _temp(read) -> str:
+    """Distributed memory: a reference is its pre-fetched value slot."""
+    return f"v{read.pos}"
 
-    return render
+
+def _render_refs(plan: PlanIR, text: Callable) -> Callable[[Ref], str]:
+    """Expression-source renderer: each Ref node (by identity) becomes
+    ``text(its read access)``."""
+    by_id = {id(read.ref): text(read) for read in plan.reads}
+    return lambda ref: by_id[id(ref)]
 
 
-def emit_distributed_source(plan: SPMDPlan, backend: str = "scalar") -> str:
-    """Source of the distributed-memory node program for *plan*.
+def _global_load(read) -> str:
+    """Shared memory: a reference is a direct global load."""
+    return f"env[{read.name!r}][{ifunc_src(read.funcs[0])}]"
 
-    ``backend="vector"`` emits the batched NumPy variant (one message per
-    (read, peer) pair); ``backend="overlap"`` emits the split-interior
-    variant (non-blocking receives, interior computed while messages are
-    in flight).  Raises :class:`CodegenError` where only the scalar
-    template applies (replicated writes, opaque index functions).
-    """
-    if backend not in ("scalar", "vector", "overlap"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "vector":
-        return _emit_distributed_vector(plan)
-    if backend == "overlap":
-        return _emit_distributed_overlap(plan)
-    c = plan.clause
+
+def _write_segments(plan: PlanIR) -> List[str]:
+    """Source lines binding ``segs_w`` to ``Modify_p``'s segments."""
+    if plan.write.replicated:
+        imin, imax = plan.loop_bounds[0]
+        return [f"segs_w = [({imin}, {imax}, 1)]  # replicated write"]
+    return segments_source(plan.write.axes[0].access, "segs_w", "write")
+
+
+def _open_node_program(plan: PlanIR, kind: str = "") -> List[str]:
+    """What every distributed variant starts with: the comment header,
+    the local-buffer bindings and the Table I membership segments."""
+    for acc in plan.accesses():
+        if not acc.placed:
+            raise CodegenError(
+                f"array {acc.name!r} has no decomposition: nothing to "
+                "address its local memory with")
     lines: List[str] = []
     w = lines.append
     w(f"def node_program(ctx, RT):")
-    w(f"    # SPMD node program generated from clause {c.name!r}")
-    w(f"    # write: {plan.write_name}[{plan.write_func.name}] "
-      f"under {plan.write_dec!r}  [rule {plan.modify.rule}]")
-    for read in plan.reads:
-        w(f"    # read{read.pos}: {read.name}[{read.func.name}] "
-          f"under {read.dec!r}  [rule {read.reside.rule}]")
+    w(f"    # {kind}SPMD node program generated from clause "
+      f"{plan.clause.name!r}")
+    for acc in plan.accesses():
+        w(f"    # {acc.label}: {acc.name}[{acc.funcs[0].name}] "
+          f"under {acc.dec!r}  [rule {acc.axes[0].rule}]")
     w(f"    p = ctx.p")
-    arrays = {plan.write_name}
-    for read in plan.reads:
-        arrays.add(read.name)
-    for name in sorted(arrays):
+    for name in sorted({acc.name for acc in plan.accesses()}):
         w(f"    {name}_loc = ctx.mem[{name!r}]")
     w("")
-
-    # ---- Table I generation functions, inlined where closed-form --------
     w(f"    # membership segments (Table I generation functions)")
     for read in plan.reads:
-        if read.always_local:
+        if read.replicated:
             continue
-        for line in segments_source(read.reside, f"segs_r{read.pos}",
-                                    f"read{read.pos}"):
+        for line in segments_source(read.axes[0].access,
+                                    f"segs_r{read.pos}", read.label):
             w(f"    {line}")
-    if plan.write_replicated:
-        w(f"    segs_w = [({plan.imin}, {plan.imax}, 1)]  # replicated write")
-    else:
-        for line in segments_source(plan.modify, "segs_w", "write"):
-            w(f"    {line}")
-    w("")
-
-    # ---- send phase -----------------------------------------------------
-    for read in plan.reads:
-        if read.always_local:
-            w(f"    # read{read.pos} ({read.name}) is replicated: no sends")
-            continue
-        g_src = ifunc_src(read.func)
-        f_of_i = ifunc_src(plan.write_func)
-        load = f"{read.name}_loc[{local_src(read.dec, g_src)}]"
-        w(f"    # send phase for read{read.pos}: elements resident here,")
-        w(f"    # needed by the writer of {plan.write_name}[f(i)]")
-        w(f"    for lo, hi, st in segs_r{read.pos}:")
-        w(f"        for i in range(lo, hi + 1, st):")
-        if plan.write_replicated:
-            w(f"            for q in range({plan.pmax}):")
-            w(f"                if q != p:")
-            w(f"                    ctx.send(q, ({read.pos}, i), {load})")
-        else:
-            w(f"            q = {proc_src(plan.write_dec, f_of_i)}")
-            w(f"            if q != p:")
-            w(f"                ctx.send(q, ({read.pos}, i), {load})")
-        w("")
-
-    # ---- update phase -----------------------------------------------------
-    render = _ref_temp_render(plan)
-    f_src = ifunc_src(plan.write_func)
-    w(f"    # update phase: i in Modify_p; writes buffered until the loop")
-    w(f"    # ends so no iteration observes another's write (// premise)")
-    w(f"    pending = []")
-    w(f"    for lo, hi, st in segs_w:")
-    w(f"        for i in range(lo, hi + 1, st):")
-    for read in plan.reads:
-        g_src = ifunc_src(read.func)
-        load = f"{read.name}_loc[{local_src(read.dec, g_src)}]"
-        if read.always_local:
-            w(f"            {read.temp} = {load}")
-        else:
-            w(f"            src{read.pos} = {proc_src(read.dec, g_src)}")
-            w(f"            if src{read.pos} == p:")
-            w(f"                {read.temp} = {load}")
-            w(f"            else:")
-            w(f"                {read.temp} = ctx.note_received(")
-            w(f"                    (yield ctx.recv(src{read.pos}, ({read.pos}, i))))")
-    indent = "            "
-    if c.guard is not None:
-        w(f"{indent}if not ({expr_src(c.guard, render)}):")
-        w(f"{indent}    continue")
-    slot = f_src if plan.write_replicated else local_src(plan.write_dec, f_src)
-    w(f"{indent}pending.append(({slot}, {expr_src(c.rhs, render)}))")
-    w(f"    for slot, value in pending:")
-    w(f"        ctx.update({plan.write_name!r}, slot, value)")
-    w("")
-    w(f"    yield ctx.barrier()")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_distributed_vector(plan: SPMDPlan) -> str:
-    """Vector variant of the §2.10 node program: memberships become sorted
-    strided index vectors, placement arithmetic broadcasts over them, and
-    each (read, peer) transfer is a single value-vector message tagged
-    ``("vec", pos)`` — positions are reconstructed from the shared
-    lexicographic enumeration order, never shipped."""
-    c = plan.clause
-    if plan.write_replicated:
-        raise CodegenError(
-            "replicated write: per-copy broadcast keeps the scalar template"
-        )
-    lines: List[str] = []
-    w = lines.append
-    w(f"def node_program(ctx, RT):")
-    w(f"    # vectorized SPMD node program generated from clause {c.name!r}")
-    w(f"    # write: {plan.write_name}[{plan.write_func.name}] "
-      f"under {plan.write_dec!r}  [rule {plan.modify.rule}]")
-    for read in plan.reads:
-        w(f"    # read{read.pos}: {read.name}[{read.func.name}] "
-          f"under {read.dec!r}  [rule {read.reside.rule}]")
-    w(f"    p = ctx.p")
-    arrays = {plan.write_name}
-    for read in plan.reads:
-        arrays.add(read.name)
-    for name in sorted(arrays):
-        w(f"    {name}_loc = ctx.mem[{name!r}]")
-    w("")
-
-    w(f"    # membership segments (Table I generation functions)")
-    for read in plan.reads:
-        if read.always_local:
-            continue
-        for line in segments_source(read.reside, f"segs_r{read.pos}",
-                                    f"read{read.pos}"):
-            w(f"    {line}")
-    for line in segments_source(plan.modify, "segs_w", "write"):
+    for line in _write_segments(plan):
         w(f"    {line}")
     w("")
+    return lines
 
-    f_of_i = ifunc_src(plan.write_func)
+
+def _batched_send_phase(plan: PlanIR, w: Callable[[str], None]) -> None:
+    """The vector/overlap send phase: each (read, peer) transfer is a
+    single value-vector message tagged ``("vec", pos)`` — positions are
+    reconstructed from the shared lexicographic enumeration order, never
+    shipped."""
+    f_of_i = ifunc_src(plan.write.funcs[0])
     for read in plan.reads:
-        if read.always_local:
+        if read.replicated:
             w(f"    # read{read.pos} ({read.name}) is replicated: no sends")
             continue
-        g_src = ifunc_src(read.func)
+        g_src = ifunc_src(read.funcs[0])
         w(f"    # send phase for read{read.pos}: one value vector per "
           f"destination writer")
         w(f"    i = _vec_index(segs_r{read.pos})")
         w(f"    if i.size:")
         w(f"        ctx.stats.iterations += int(i.size)")
-        w(f"        q = _vec_full({proc_src(plan.write_dec, f_of_i)}, "
+        w(f"        q = _vec_full({proc_src(plan.write.dec, f_of_i)}, "
           f"i.size, _np.int64)")
         w(f"        vals = _vec_full({read.name}_loc"
           f"[{local_src(read.dec, g_src)}], i.size, _np.float64)")
@@ -257,8 +181,104 @@ def _emit_distributed_vector(plan: SPMDPlan) -> str:
           f"_np.ascontiguousarray(vals[q == dest]))")
         w("")
 
-    def temp(ref: Ref) -> str:
-        return next(r.temp for r in plan.reads if r.ref is ref)
+
+def _no_replicated_write(plan: PlanIR) -> None:
+    if plan.write.replicated:
+        raise CodegenError(
+            "replicated write: per-copy broadcast keeps the scalar template"
+        )
+
+
+# ---------------------------------------------------------------------------
+# distributed memory (§2.10)
+# ---------------------------------------------------------------------------
+
+def emit_distributed_source(plan: PlanIR, backend: str = "scalar") -> str:
+    """Source of the distributed-memory node program for *plan*.
+
+    ``backend="vector"`` emits the batched NumPy variant (one message per
+    (read, peer) pair); ``backend="overlap"`` emits the split-interior
+    variant (non-blocking receives, interior computed while messages are
+    in flight).  Raises :class:`CodegenError` where only the scalar
+    template applies (replicated writes, opaque index functions) and for
+    plans of rank > 1 (the emitter is 1-D).
+    """
+    if backend not in ("scalar", "vector", "overlap"):
+        raise ValueError(f"unknown backend {backend!r}")
+    _require_1d(plan)
+    if backend == "vector":
+        return _emit_distributed_vector(plan)
+    if backend == "overlap":
+        return _emit_distributed_overlap(plan)
+    c = plan.clause
+    write = plan.write
+    lines = _open_node_program(plan)
+    w = lines.append
+    f_src = ifunc_src(write.funcs[0])
+
+    # ---- send phase -----------------------------------------------------
+    for read in plan.reads:
+        if read.replicated:
+            w(f"    # read{read.pos} ({read.name}) is replicated: no sends")
+            continue
+        g_src = ifunc_src(read.funcs[0])
+        load = f"{read.name}_loc[{local_src(read.dec, g_src)}]"
+        w(f"    # send phase for read{read.pos}: elements resident here,")
+        w(f"    # needed by the writer of {plan.write_name}[f(i)]")
+        w(f"    for lo, hi, st in segs_r{read.pos}:")
+        w(f"        for i in range(lo, hi + 1, st):")
+        if write.replicated:
+            w(f"            for q in range({plan.pmax}):")
+            w(f"                if q != p:")
+            w(f"                    ctx.send(q, ({read.pos}, i), {load})")
+        else:
+            w(f"            q = {proc_src(write.dec, f_src)}")
+            w(f"            if q != p:")
+            w(f"                ctx.send(q, ({read.pos}, i), {load})")
+        w("")
+
+    # ---- update phase -----------------------------------------------------
+    render = _render_refs(plan, _temp)
+    w(f"    # update phase: i in Modify_p; writes buffered until the loop")
+    w(f"    # ends so no iteration observes another's write (// premise)")
+    w(f"    pending = []")
+    w(f"    for lo, hi, st in segs_w:")
+    w(f"        for i in range(lo, hi + 1, st):")
+    for read in plan.reads:
+        g_src = ifunc_src(read.funcs[0])
+        load = f"{read.name}_loc[{local_src(read.dec, g_src)}]"
+        if read.replicated:
+            w(f"            {_temp(read)} = {load}")
+        else:
+            w(f"            src{read.pos} = {proc_src(read.dec, g_src)}")
+            w(f"            if src{read.pos} == p:")
+            w(f"                {_temp(read)} = {load}")
+            w(f"            else:")
+            w(f"                {_temp(read)} = ctx.note_received(")
+            w(f"                    (yield ctx.recv(src{read.pos}, ({read.pos}, i))))")
+    indent = "            "
+    if c.guard is not None:
+        w(f"{indent}if not ({expr_src(c.guard, render)}):")
+        w(f"{indent}    continue")
+    slot = f_src if write.replicated else local_src(write.dec, f_src)
+    w(f"{indent}pending.append(({slot}, {expr_src(c.rhs, render)}))")
+    w(f"    for slot, value in pending:")
+    w(f"        ctx.update({plan.write_name!r}, slot, value)")
+    w("")
+    w(f"    yield ctx.barrier()")
+    return "\n".join(lines) + "\n"
+
+
+def _emit_distributed_vector(plan: PlanIR) -> str:
+    """Vector variant of the §2.10 node program: memberships become sorted
+    strided index vectors, placement arithmetic broadcasts over them, and
+    each (read, peer) transfer is a single value-vector message."""
+    c = plan.clause
+    _no_replicated_write(plan)
+    lines = _open_node_program(plan, "vectorized ")
+    w = lines.append
+    _batched_send_phase(plan, w)
+    temp = _render_refs(plan, _temp)
 
     w(f"    # update phase: Modify_p as one index vector, reads assembled")
     w(f"    # from local gathers plus one receive per source")
@@ -267,20 +287,21 @@ def _emit_distributed_vector(plan: SPMDPlan) -> str:
     w(f"    if i.size:")
     w(f"        n = int(i.size)")
     for read in plan.reads:
-        g_src = ifunc_src(read.func)
-        if read.always_local:
-            w(f"        {read.temp} = _vec_full({read.name}_loc"
+        g_src = ifunc_src(read.funcs[0])
+        v = _temp(read)
+        if read.replicated:
+            w(f"        {v} = _vec_full({read.name}_loc"
               f"[{local_src(read.dec, g_src)}], n, _np.float64)")
             continue
         w(f"        src{read.pos} = _vec_full("
           f"{proc_src(read.dec, g_src)}, n, _np.int64)")
-        w(f"        {read.temp} = _vec_gather({read.name}_loc, _vec_full("
+        w(f"        {v} = _vec_gather({read.name}_loc, _vec_full("
           f"{local_src(read.dec, g_src)}, n, _np.int64))")
         w(f"        for s in _np.unique(src{read.pos}[src{read.pos} != p]):")
-        w(f"            {read.temp}[src{read.pos} == s] = _np.asarray(")
+        w(f"            {v}[src{read.pos} == s] = _np.asarray(")
         w(f"                ctx.note_received((yield ctx.recv(int(s), "
           f"('vec', {read.pos})))), dtype=_np.float64)")
-    slot = local_src(plan.write_dec, f_of_i)
+    slot = local_src(plan.write.dec, ifunc_src(plan.write.funcs[0]))
     w(f"        slot = _vec_full({slot}, n, _np.int64)")
     w(f"        value = _vec_full({vexpr_src(c.rhs, temp)}, n, _np.float64)")
     if c.guard is not None:
@@ -294,7 +315,7 @@ def _emit_distributed_vector(plan: SPMDPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_distributed_overlap(plan: SPMDPlan) -> str:
+def _emit_distributed_overlap(plan: PlanIR) -> str:
     """Overlapped variant of the §2.10 node program.
 
     Same batched messages as the vector variant, but receives are
@@ -307,61 +328,11 @@ def _emit_distributed_overlap(plan: SPMDPlan) -> str:
     array still observes pre-state; element-wise evaluation over lane
     subsets keeps the result bit-identical to the other backends."""
     c = plan.clause
-    if plan.write_replicated:
-        raise CodegenError(
-            "replicated write: per-copy broadcast keeps the scalar template"
-        )
-    lines: List[str] = []
+    _no_replicated_write(plan)
+    lines = _open_node_program(plan, "overlapped ")
     w = lines.append
-    w(f"def node_program(ctx, RT):")
-    w(f"    # overlapped SPMD node program generated from clause {c.name!r}")
-    w(f"    # write: {plan.write_name}[{plan.write_func.name}] "
-      f"under {plan.write_dec!r}  [rule {plan.modify.rule}]")
-    for read in plan.reads:
-        w(f"    # read{read.pos}: {read.name}[{read.func.name}] "
-          f"under {read.dec!r}  [rule {read.reside.rule}]")
-    w(f"    p = ctx.p")
-    arrays = {plan.write_name}
-    for read in plan.reads:
-        arrays.add(read.name)
-    for name in sorted(arrays):
-        w(f"    {name}_loc = ctx.mem[{name!r}]")
-    w("")
-
-    w(f"    # membership segments (Table I generation functions)")
-    for read in plan.reads:
-        if read.always_local:
-            continue
-        for line in segments_source(read.reside, f"segs_r{read.pos}",
-                                    f"read{read.pos}"):
-            w(f"    {line}")
-    for line in segments_source(plan.modify, "segs_w", "write"):
-        w(f"    {line}")
-    w("")
-
-    f_of_i = ifunc_src(plan.write_func)
-    for read in plan.reads:
-        if read.always_local:
-            w(f"    # read{read.pos} ({read.name}) is replicated: no sends")
-            continue
-        g_src = ifunc_src(read.func)
-        w(f"    # send phase for read{read.pos}: one value vector per "
-          f"destination writer")
-        w(f"    i = _vec_index(segs_r{read.pos})")
-        w(f"    if i.size:")
-        w(f"        ctx.stats.iterations += int(i.size)")
-        w(f"        q = _vec_full({proc_src(plan.write_dec, f_of_i)}, "
-          f"i.size, _np.int64)")
-        w(f"        vals = _vec_full({read.name}_loc"
-          f"[{local_src(read.dec, g_src)}], i.size, _np.float64)")
-        w(f"        for dest in _np.unique(q):")
-        w(f"            if int(dest) != p:")
-        w(f"                ctx.send(int(dest), ('vec', {read.pos}), "
-          f"_np.ascontiguousarray(vals[q == dest]))")
-        w("")
-
-    def temp(ref: Ref) -> str:
-        return next(r.temp for r in plan.reads if r.ref is ref)
+    _batched_send_phase(plan, w)
+    temp = _render_refs(plan, _temp)
 
     w(f"    # update phase: gather local reads (pre-state), post the")
     w(f"    # receives, compute the interior while messages are in flight,")
@@ -372,20 +343,21 @@ def _emit_distributed_overlap(plan: SPMDPlan) -> str:
     w(f"        n = int(i.size)")
     w(f"        _pending = []")
     for read in plan.reads:
-        g_src = ifunc_src(read.func)
-        if read.always_local:
-            w(f"        {read.temp} = _vec_full({read.name}_loc"
+        g_src = ifunc_src(read.funcs[0])
+        v = _temp(read)
+        if read.replicated:
+            w(f"        {v} = _vec_full({read.name}_loc"
               f"[{local_src(read.dec, g_src)}], n, _np.float64)")
             continue
         w(f"        src{read.pos} = _vec_full("
           f"{proc_src(read.dec, g_src)}, n, _np.int64)")
-        w(f"        {read.temp} = _vec_gather({read.name}_loc, _vec_full("
+        w(f"        {v} = _vec_gather({read.name}_loc, _vec_full("
           f"{local_src(read.dec, g_src)}, n, _np.int64))")
         w(f"        for s in _np.unique(src{read.pos}[src{read.pos} != p]):")
         w(f"            _h = yield ctx.irecv(int(s), ('vec', {read.pos}))")
-        w(f"            _pending.append((_h, {read.temp}, "
+        w(f"            _pending.append((_h, {v}, "
           f"src{read.pos} == int(s)))")
-    slot = local_src(plan.write_dec, f_of_i)
+    slot = local_src(plan.write.dec, ifunc_src(plan.write.funcs[0]))
     w(f"        slot = _vec_full({slot}, n, _np.int64)")
     w(f"        _interior = _np.isin(i, RT.interior_index(p))")
     w(f"        for _lanes in (_interior, ~_interior):")
@@ -416,26 +388,23 @@ def _emit_distributed_overlap(plan: SPMDPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_shared_vector(plan: SPMDPlan) -> str:
+# ---------------------------------------------------------------------------
+# shared memory (§2.9)
+# ---------------------------------------------------------------------------
+
+def _emit_shared_vector(plan: PlanIR) -> str:
     """Vector variant of the §2.9 phase: the whole ``Modify_p`` walk
     becomes one gather / evaluate / fancy-store batch; the returned write
     buffer holds a single ``(name, index_vector, value_vector)`` entry."""
     c = plan.clause
-
-    def render(ref: Ref) -> str:
-        read = next(r for r in plan.reads if r.ref is ref)
-        return f"env[{read.name!r}][{ifunc_src(read.func)}]"
-
+    render = _render_refs(plan, _global_load)
     lines: List[str] = []
     w = lines.append
     w(f"def node_phase(p, env, RT):")
     w(f"    # vectorized shared-memory SPMD phase for clause {c.name!r}")
     w(f"    # forall i in Modify_p, as one strided-gather batch")
-    if plan.write_replicated:
-        w(f"    segs_w = [({plan.imin}, {plan.imax}, 1)]  # replicated write")
-    else:
-        for line in segments_source(plan.modify, "segs_w", "write"):
-            w(f"    {line}")
+    for line in _write_segments(plan):
+        w(f"    {line}")
     w(f"    i = _vec_index(segs_w)")
     if c.guard is not None:
         w(f"    if i.size:")
@@ -447,37 +416,31 @@ def _emit_shared_vector(plan: SPMDPlan) -> str:
     w(f"    value = _vec_full({vexpr_src(c.rhs, render)}, "
       f"int(i.size), _np.float64)")
     w(f"    return [({plan.write_name!r}, "
-      f"{ifunc_src(plan.write_func)}, value)]")
+      f"{ifunc_src(plan.write.funcs[0])}, value)]")
     return "\n".join(lines) + "\n"
 
 
-def emit_shared_source(plan: SPMDPlan, backend: str = "scalar") -> str:
+def emit_shared_source(plan: PlanIR, backend: str = "scalar") -> str:
     """Source of the shared-memory phase function (Section 2.9 template).
 
     ``backend="vector"`` emits the batched NumPy variant; its write
     buffer holds index/value *vectors* instead of per-element tuples.
+    Raises :class:`CodegenError` for plans of rank > 1.
     """
     if backend not in ("scalar", "vector"):
         raise ValueError(f"unknown backend {backend!r}")
+    _require_1d(plan)
     if backend == "vector":
         return _emit_shared_vector(plan)
     c = plan.clause
-
-    def render(ref: Ref) -> str:
-        # shared memory: direct global addressing
-        read = next(r for r in plan.reads if r.ref is ref)
-        return f"env[{read.name!r}][{ifunc_src(read.func)}]"
-
+    render = _render_refs(plan, _global_load)
     lines: List[str] = []
     w = lines.append
     w(f"def node_phase(p, env, RT):")
     w(f"    # shared-memory SPMD phase generated from clause {c.name!r}")
     w(f"    # forall i in Modify_p do {plan.write_name}[f(i)] := Expr(...) od")
-    if plan.write_replicated:
-        w(f"    segs_w = [({plan.imin}, {plan.imax}, 1)]  # replicated write")
-    else:
-        for line in segments_source(plan.modify, "segs_w", "write"):
-            w(f"    {line}")
+    for line in _write_segments(plan):
+        w(f"    {line}")
     w(f"    writes = []")
     w(f"    for lo, hi, st in segs_w:")
     w(f"        for i in range(lo, hi + 1, st):")
@@ -486,7 +449,7 @@ def emit_shared_source(plan: SPMDPlan, backend: str = "scalar") -> str:
         w(f"{indent}if not ({expr_src(c.guard, render)}):")
         w(f"{indent}    continue")
     w(f"{indent}writes.append(({plan.write_name!r}, "
-      f"{ifunc_src(plan.write_func)}, {expr_src(c.rhs, render)}))")
+      f"{ifunc_src(plan.write.funcs[0])}, {expr_src(c.rhs, render)}))")
     w(f"    return writes")
     return "\n".join(lines) + "\n"
 
@@ -499,7 +462,7 @@ def _exec_source(source: str, entry: str, helpers: str = SUPPORT_HELPERS):
     return namespace[entry]
 
 
-def compile_distributed(plan: SPMDPlan, backend: str = "scalar"):
+def compile_distributed(plan: PlanIR, backend: str = "scalar"):
     """Emit + compile the distributed node program.
 
     Returns ``(source, factory)`` where ``factory(ctx)`` yields a node
@@ -524,7 +487,7 @@ def compile_distributed(plan: SPMDPlan, backend: str = "scalar"):
     return source, (lambda ctx: fn(ctx, rt))
 
 
-def compile_shared(plan: SPMDPlan, backend: str = "scalar"):
+def compile_shared(plan: PlanIR, backend: str = "scalar"):
     """Emit + compile the shared-memory phase function.
 
     Returns ``(source, phase)`` where ``phase(p, env)`` gives the write

@@ -29,13 +29,14 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..core.clause import Clause, Ordering
-from ..core.expr import Expr, Ref
+from ..core.expr import Expr, Ref, eval_fetched
 from ..core.ifunc import AffineF
 from ..core.indexset import IndexSet
 from ..decomp.base import Decomposition
 from ..machine.distributed import DistributedMachine, NodeContext
-from .dist_tmpl import _eval_fetched, _read_value
-from .plan import SPMDPlan, compile_clause
+from ..pipeline.ir import PlanIR
+from .dist_tmpl import _read_value
+from .plan import compile_clause
 
 __all__ = ["ReduceOp", "ReducePlan", "compile_reduce", "run_reduce",
            "reference_reduce"]
@@ -72,12 +73,12 @@ class ReduceOp:
 
 @dataclass
 class ReducePlan:
-    """Compiled reduction: the iteration partition rides on an SPMDPlan
-    whose 'write' is the identity over the iteration decomposition."""
+    """Compiled reduction: the iteration partition rides on a plan whose
+    'write' is the identity over the iteration decomposition."""
 
     op: ReduceOp
     expr: Expr
-    base: SPMDPlan
+    base: PlanIR
     guard: Optional[Expr]
 
     @property
@@ -185,32 +186,31 @@ def make_reduce_program(
 
         # ---- send phase for remote operands (same as §2.10) ---------------
         for read in base.reads:
-            if read.always_local:
+            if read.replicated:
                 continue
-            for i in base.reside_indices(read, p):
+            for idx in read.membership(p, base.loop_bounds):
                 ctx.stats.iterations += 1
-                q = base.write_dec.proc(i)
+                q = base.write.proc_of(idx)
                 if q != p:
-                    ctx.send(q, (read.pos, i), _read_value(ctx, read, i))
+                    ctx.send(q, (read.pos, idx), _read_value(ctx, read, idx))
 
         # ---- local fold ----------------------------------------------------
         partial = op.identity
-        for i in base.modify_indices(p):
+        for idx in base.modify_indices(p):
             ctx.stats.iterations += 1
             by_ref: Dict[int, float] = {}
             for read in base.reads:
-                if read.always_local or read.dec.proc(read.func(i)) == p:
-                    by_ref[id(read.ref)] = _read_value(ctx, read, i)
+                if read.replicated or read.proc_of(idx) == p:
+                    by_ref[id(read.ref)] = _read_value(ctx, read, idx)
                 else:
-                    src = read.dec.proc(read.func(i))
-                    payload = yield ctx.recv(src, (read.pos, i))
+                    payload = yield ctx.recv(read.proc_of(idx),
+                                             (read.pos, idx))
                     by_ref[id(read.ref)] = ctx.note_received(payload)
-            idx = (i,)
-            if plan.guard is not None and not _eval_fetched(
+            if plan.guard is not None and not eval_fetched(
                 plan.guard, idx, by_ref
             ):
                 continue
-            partial = op.fn(partial, _eval_fetched(plan.expr, idx, by_ref))
+            partial = op.fn(partial, eval_fetched(plan.expr, idx, by_ref))
             ctx.stats.local_updates += 1
             if paced:
                 yield Yield()

@@ -19,37 +19,41 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..backends import dispatch
-from ..core.clause import Clause, Ordering
+from ..core.clause import Ordering
 from ..machine.shared import SharedMachine
+from ..pipeline.ir import PlanIR
 from ..sets.membership import Work
-from .plan import SPMDPlan
 
 __all__ = ["run_shared", "shared_phase"]
 
+Index = Tuple[int, ...]
 
-def shared_phase(plan: SPMDPlan, machine: SharedMachine):
-    """Build the per-node phase function for one clause."""
+
+def shared_phase(plan: PlanIR, machine: SharedMachine):
+    """Build the per-node phase function for one clause (any rank: loop
+    and array indices are tuples)."""
     clause = plan.clause
     env = machine.env
+    name = plan.write_name
 
-    def phase(p: int) -> List[Tuple[str, int, float]]:
-        writes: List[Tuple[str, int, float]] = []
+    def phase(p: int) -> List[Tuple[str, Index, float]]:
+        writes: List[Tuple[str, Index, float]] = []
+        stats = machine.stats[p]
         work = Work()
-        for i in plan.modify_indices(p, work):
-            machine.stats[p].iterations += 1
-            idx = (i,)
+        for idx in plan.modify_indices(p, work):
+            stats.iterations += 1
             if clause.guard is not None and not clause.guard.eval(idx, env):
                 continue
-            ai = clause.lhs.array_index(idx)[0]
-            writes.append((clause.lhs.name, ai, clause.rhs.eval(idx, env)))
-        machine.stats[p].membership_tests += work.tests
+            writes.append((name, clause.lhs.array_index(idx),
+                           clause.rhs.eval(idx, env)))
+        stats.membership_tests += work.tests
         return writes
 
     return phase
 
 
 def run_shared(
-    plan: SPMDPlan,
+    plan: PlanIR,
     env: Dict[str, np.ndarray],
     machine: Optional[SharedMachine] = None,
     backend: str = "scalar",
@@ -77,12 +81,12 @@ def run_shared(
             machine.run_phase(shared_phase(plan, machine))
         return machine
 
-    return dispatch(backend, "shared", plan.ir, env, machine, scalar,
+    return dispatch(backend, "shared", plan, env, machine, scalar,
                     context="run_shared", strict=strict,
                     processes=processes, timeout=timeout)
 
 
-def _run_shared_seq(plan: SPMDPlan, machine: SharedMachine) -> None:
+def _run_shared_seq(plan: PlanIR, machine: SharedMachine) -> None:
     """``•`` ordering: a fully serialized DOACROSS schedule.
 
     Indices execute in global lexicographic order; each index is executed
@@ -92,15 +96,14 @@ def _run_shared_seq(plan: SPMDPlan, machine: SharedMachine) -> None:
     """
     clause = plan.clause
     env = machine.env
-    for i in range(plan.imin, plan.imax + 1):
-        owners = plan.writers_of(i)
-        p = owners[0]
-        machine.stats[p].iterations += 1
-        if not plan.write_replicated:
-            machine.stats[p].membership_tests += 1
-        idx = (i,)
+    target = env[plan.write_name]
+    tested = not plan.write.replicated
+    for idx in clause.domain.bounds:  # lexicographic — the • order
+        stats = machine.stats[plan.writers_of(idx)[0]]
+        stats.iterations += 1
+        if tested:
+            stats.membership_tests += 1
         if clause.guard is not None and not clause.guard.eval(idx, env):
             continue
-        ai = clause.lhs.array_index(idx)[0]
-        env[clause.lhs.name][ai] = clause.rhs.eval(idx, env)
-        machine.stats[p].local_updates += 1
+        target[clause.lhs.array_index(idx)] = clause.rhs.eval(idx, env)
+        stats.local_updates += 1

@@ -28,6 +28,7 @@ __all__ = [
     "UnOp",
     "OPS",
     "UNARY_OPS",
+    "eval_fetched",
 ]
 
 Index = Tuple[int, ...]
@@ -217,3 +218,24 @@ class UnOp(Expr):
 
     def __repr__(self) -> str:
         return f"({self.op} {self.operand!r})"
+
+
+def eval_fetched(expr, idx: Index, by_ref: Dict[int, float]):
+    """Evaluate an expression tree with every data reference resolved to
+    its pre-fetched value (local load or received message), keyed by the
+    identity of the Ref node — exact, regardless of how many times the
+    same array appears with different access functions."""
+    if isinstance(expr, Ref):
+        return by_ref[id(expr)]
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, LoopIndex):
+        return idx[expr.dim]
+    if isinstance(expr, BinOp):
+        return OPS[expr.op](
+            eval_fetched(expr.left, idx, by_ref),
+            eval_fetched(expr.right, idx, by_ref),
+        )
+    if isinstance(expr, UnOp):
+        return UNARY_OPS[expr.op](eval_fetched(expr.operand, idx, by_ref))
+    raise TypeError(f"cannot evaluate expression node {type(expr).__name__}")

@@ -37,6 +37,7 @@ import numpy as np
 from ..decomp.base import Decomposition
 from .clause import Clause, Ordering
 from .evaluator import copy_env, evaluate_clause
+from .expr import eval_fetched
 
 __all__ = ["DerivationStep", "SPMDDerivation", "derive_spmd",
            "derivation_forms"]
@@ -165,9 +166,7 @@ def derive_spmd(
         for r, dec, g in reads:
             p, l = dec.place(g(idx[0]))
             values[id(r)] = images[r.name][p][l]
-        from ..codegen.dist_tmpl import _eval_fetched
-
-        return _eval_fetched(clause.rhs, idx, values)
+        return eval_fetched(clause.rhs, idx, values)
 
     def guard_on_images(images, idx) -> bool:
         if clause.guard is None:
@@ -176,9 +175,7 @@ def derive_spmd(
         for r, dec, g in reads:
             p, l = dec.place(g(idx[0]))
             values[id(r)] = images[r.name][p][l]
-        from ..codegen.dist_tmpl import _eval_fetched
-
-        return bool(_eval_fetched(clause.guard, idx, values))
+        return bool(eval_fetched(clause.guard, idx, values))
 
     # -- step 2+3: substitution and contraction (Eq. 2) --------------------
     def run_contracted(env: Env) -> np.ndarray:
@@ -235,8 +232,6 @@ def derive_spmd(
         images = make_images(env)
         fetches = 0
         pending = []
-        from ..codegen.dist_tmpl import _eval_fetched
-
         for p in range(pmax):
             for i in range(imin, imax + 1):
                 if dA.proc(f(i)) != p:
@@ -248,12 +243,12 @@ def derive_spmd(
                     if q != p:
                         fetches += 1  # fetch(proc_B(g(i)), local_B(g(i)))
                     values[id(r)] = images[r.name][q][l]
-                if clause.guard is not None and not _eval_fetched(
+                if clause.guard is not None and not eval_fetched(
                     clause.guard, idx, values
                 ):
                     continue
                 pending.append(
-                    ((p, dA.local(f(i))), _eval_fetched(clause.rhs, idx, values))
+                    ((p, dA.local(f(i))), eval_fetched(clause.rhs, idx, values))
                 )
         for (p, l), v in pending:
             images[A][p][l] = v

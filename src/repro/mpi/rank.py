@@ -369,10 +369,10 @@ def _selftest_job(pmax: int, n: int = 48):
         "A": np.zeros(n), "B": rng.random(n),
     }
     jobs = [
-        ("E19", MpiJob(progs=(lower_dist(plan19.ir),), flags=(True,),
+        ("E19", MpiJob(progs=(lower_dist(plan19),), flags=(True,),
                        names=("S", "T"), grid_shape=grid.grid_shape),
          plan19, "T"),
-        ("E13", MpiJob(progs=(lower_dist(plan13.ir),), flags=(True,),
+        ("E13", MpiJob(progs=(lower_dist(plan13),), flags=(True,),
                        names=("A", "B")),
          plan13, "A"),
     ]

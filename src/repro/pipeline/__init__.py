@@ -3,9 +3,9 @@
 Both the canonical 1-D clause path (``repro.codegen.plan``) and the
 d-dimensional grid paths (``repro.codegen.ndplan`` / ``nddist``) route
 through :func:`compile_plan`: one Plan IR, one ordered pass list, one
-trace.  The legacy ``compile_clause*`` entry points survive as thin
-shims that validate their historical contracts and project the IR back
-onto the plan dataclasses the machine templates consume.
+trace.  The ``compile_clause*`` entry points are contract checks over it
+and return the :class:`PlanIR` itself — the one plan every template,
+emitter and kernel tier consumes.
 """
 
 from __future__ import annotations

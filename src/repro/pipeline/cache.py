@@ -248,7 +248,7 @@ def _clone_hit(ir, key: tuple, clause=None, decomps=None, successor=None):
 
     Pass records are shared (they are not mutated after compilation);
     the note list is fresh so backend fallback notes recorded while
-    *running* one projection never leak into later cache hits.
+    *running* one clone never leak into later cache hits.
 
     When *clause* is the caller's (structurally identical) clause, the
     clone is *re-anchored* onto it: ``ir.clause`` and each access's

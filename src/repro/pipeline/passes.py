@@ -27,8 +27,8 @@ one an explicit, introspectable pass over :class:`~repro.pipeline.ir.PlanIR`:
                           races, communication completeness, bounds and
                           decomposition lint over the Table I segments.
 
-Passes only *record* facts on the IR; projections to the legacy plan
-dataclasses and the machine templates consume them.  Passes import
+Passes only *record* facts on the IR; the machine templates, the source
+emitter and the kernel tiers consume them.  Passes import
 codegen helpers lazily so the pipeline stays importable from anywhere in
 the package without cycles.
 """

@@ -94,18 +94,14 @@ class ProgramStep:
     #: provisional: the eliminate-barriers proof said the barrier between
     #: this clause and its successor is removable
     fusable_next: bool = False
-    _plan: object = field(default=None, repr=False, compare=False)
 
     @property
     def name(self) -> str:
         return self.clause.name or f"clause{self.index}"
 
     def plan(self):
-        """The legacy plan projection the machine templates consume."""
-        if self._plan is None:
-            self._plan = (self.ir.to_nd_plan() if self.nd
-                          else self.ir.to_spmd_plan())
-        return self._plan
+        """The step's plan — ``self.ir`` (see :mod:`repro.pipeline.ir`)."""
+        return self.ir
 
 
 @dataclass
@@ -268,8 +264,7 @@ def _clone_program_hit(pir: ProgramIR, key, clauses) -> ProgramIR:
     for st, clause in zip(pir.steps, clauses):
         ir = _clone_hit(st.ir, st.ir.trace.cache_key, clause,
                         st.ir.decomps, st.ir.successor)
-        steps.append(dataclasses.replace(st, clause=clause, ir=ir,
-                                         _plan=None))
+        steps.append(dataclasses.replace(st, clause=clause, ir=ir))
     return dataclasses.replace(pir, steps=steps, trace=trace)
 
 
@@ -597,37 +592,24 @@ def compile_program(
 
 def _run_step(st: ProgramStep, machine: SharedMachine, backend: str,
               strict: bool, processes, timeout) -> None:
-    if st.nd:
-        from ..codegen.ndplan import run_shared_nd as run
-    else:
-        from ..codegen.shared_tmpl import run_shared as run
+    from ..codegen.shared_tmpl import run_shared
 
-    run(st.plan(), machine.env, machine, backend=backend, strict=strict,
-        processes=processes, timeout=timeout)
+    run_shared(st.ir, machine.env, machine, backend=backend, strict=strict,
+               processes=processes, timeout=timeout)
 
 
 def _run_group_scalar(steps: List[ProgramStep],
                       machine: SharedMachine) -> None:
     """The legacy fused-group walk: node-major, each node committing its
-    own writes per clause as it goes — legal exactly because the barrier
-    proof showed no datum crosses a processor across (or within) the
-    fused phases."""
+    own writes per clause as it goes (the §2.9 phase of each clause, one
+    node at a time) — legal exactly because the barrier proof showed no
+    datum crosses a processor across (or within) the fused phases."""
+    from ..codegen.shared_tmpl import shared_phase
+
+    phases = [shared_phase(st.ir, machine) for st in steps]
     for p in range(machine.pmax):
-        for st in steps:
-            clause, plan = st.clause, st.plan()
-            buf = []
-            for i in plan.modify_indices(p):
-                machine.stats[p].iterations += 1
-                idx = (i,)
-                if clause.guard is not None and not clause.guard.eval(
-                        idx, machine.env):
-                    continue
-                ai = clause.lhs.array_index(idx)[0]
-                buf.append((clause.lhs.name, ai,
-                            clause.rhs.eval(idx, machine.env)))
-            for name, ai, v in buf:
-                machine.env[name][ai] = v
-                machine.stats[p].local_updates += 1
+        for phase in phases:
+            machine.run_sequential_phase(phase, order=(p,))
     for p in range(machine.pmax):
         machine.stats[p].barriers += 1
 

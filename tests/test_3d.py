@@ -79,9 +79,9 @@ class TestNdPlan3D:
     def test_3d_rules_per_dim(self):
         plan = compile_clause_nd(self.mk_clause(), {"T": grid3()})
         rules = plan.rules()
-        assert rules["dim0"] == "block"
-        assert rules["dim1"].startswith("thm3")
-        assert rules["dim2"] == "collapsed"  # undistributed axis
+        assert rules["write:T:dim0"] == "block"
+        assert rules["write:T:dim1"].startswith("thm3")
+        assert rules["write:T:dim2"] == "collapsed"  # undistributed axis
 
     def test_3d_owner_computes(self):
         g = grid3()

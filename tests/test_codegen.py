@@ -68,7 +68,7 @@ class TestPlanCompilation:
     def test_modify_partitions_domain(self):
         cl = mk_clause()
         plan = compile_clause(cl, {"A": Block(20, 4), "B": Block(20, 4)})
-        all_idx = sorted(i for p in range(4) for i in plan.modify_indices(p))
+        all_idx = sorted(i for p in range(4) for (i,) in plan.modify_indices(p))
         assert all_idx == list(range(20))
 
     def test_owner_computes_rule(self):
@@ -76,18 +76,18 @@ class TestPlanCompilation:
         plan = compile_clause(cl, {"A": Scatter(40, 4), "B": Block(20, 4)},)
         for p in range(4):
             for i in plan.modify_indices(p):
-                assert plan.write_dec.proc(plan.write_func(i)) == p
+                assert plan.write.proc_of(i) == p
 
     def test_writers_of(self):
         cl = mk_clause()
         plan = compile_clause(cl, {"A": Block(20, 4), "B": Block(20, 4)})
-        assert plan.writers_of(0) == [0]
-        assert plan.writers_of(19) == [3]
+        assert plan.writers_of((0,)) == [0]
+        assert plan.writers_of((19,)) == [3]
 
     def test_writers_of_replicated(self):
         cl = mk_clause()
         plan = compile_clause(cl, {"A": Replicated(20, 4), "B": Block(20, 4)})
-        assert plan.writers_of(7) == [0, 1, 2, 3]
+        assert plan.writers_of((7,)) == [0, 1, 2, 3]
 
     def test_2d_domain_rejected(self):
         cl = Clause(

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro import backends
-from repro.backends import UnknownBackendError
 from repro.codegen import compile_clause, run_distributed, run_shared
 from repro.codegen.nddist import compile_clause_nd_dist, run_distributed_nd
 from repro.codegen.ndplan import compile_clause_nd, run_shared_nd
@@ -185,10 +184,7 @@ def check(entry, backend, ran, tier, notes, **conditions):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_every_tier_runs_itself_when_it_can(entry, backend, ran):
-    if (entry, backend) == ("shared_nd", "overlap"):
-        with pytest.raises(UnknownBackendError, match="run_shared_nd"):
-            run_case(entry, backend)
-    elif (entry, backend) == ("shared", "overlap"):
+    if (entry, backend) in (("shared", "overlap"), ("shared_nd", "overlap")):
         check(entry, backend, ran, "vector", [OVERLAP_SHARED])
     else:
         check(entry, backend, ran, backend, [])
@@ -231,8 +227,6 @@ SEQ_CHAINS = {
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("entry", ("shared", "shared_nd"))
 def test_sequential_clause_ends_on_the_scalar_path(entry, backend, ran):
-    if (entry, backend) == ("shared_nd", "overlap"):
-        pytest.skip("run_shared_nd does not accept overlap")
     check(entry, backend, ran, "scalar", SEQ_CHAINS[backend], seq=True)
 
 

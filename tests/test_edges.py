@@ -59,7 +59,7 @@ class TestEmptyDomains:
         cl = self.mk(5, 4)
         env0 = {"A": np.arange(8.0), "B": np.zeros(8)}
         plan = compile_clause(cl, {"A": Block(8, 2), "B": Block(8, 2)})
-        assert plan.modify.rule == "empty"
+        assert plan.write.axes[0].rule == "empty"
         m = run_distributed(plan, copy_env(env0))
         assert np.array_equal(m.collect("A"), env0["A"])
         assert m.stats.total_messages() == 0
@@ -116,7 +116,7 @@ class TestDegenerateAccess:
         )
         env0 = {"A": np.zeros(10), "B": np.arange(10.0)}
         plan = compile_clause(cl, {"A": Block(10, 2), "B": Block(10, 2)})
-        assert plan.modify.rule == "thm1-constant"
+        assert plan.write.axes[0].rule == "thm1-constant"
         m = run_distributed(plan, copy_env(env0))
         out = m.collect("A")
         assert out[3] == 7.0

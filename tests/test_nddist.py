@@ -83,7 +83,7 @@ class TestCompilation:
             shift_clause(), {"T": grid(), "S": grid("block", "scatter")}
         )
         rules = plan.rules()
-        assert rules["write:dim0"] == "block"
+        assert rules["write:T:dim0"] == "block"
         assert rules["read0:S:dim1"].startswith("thm3")
 
     def test_seq_rejected(self):

@@ -49,8 +49,8 @@ class TestCompilation:
     def test_per_dimension_rules(self):
         plan = compile_clause_nd(scale_clause(), {"N": grid_bs(), "M": grid_bs()})
         rules = plan.rules()
-        assert rules["dim0"] == "block"
-        assert rules["dim1"].startswith("thm3")
+        assert rules["write:N:dim0"] == "block"
+        assert rules["write:N:dim1"].startswith("thm3")
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rank"):

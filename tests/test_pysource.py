@@ -119,7 +119,8 @@ class TestGeneratedDistributed:
         )
         src = emit_distributed_source(plan)
         assert "RT.segments" in src
-        assert f"range({plan.imin}, {plan.imax + 1})" not in src
+        imin, imax = plan.loop_bounds[0]
+        assert f"range({imin}, {imax + 1})" not in src
 
     def test_guarded_distributed_execution(self):
         n, pmax = 20, 4
