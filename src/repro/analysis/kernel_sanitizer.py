@@ -1,17 +1,16 @@
 """Generated-kernel sanitizer (the ``KRN`` diagnostic family).
 
 The fused/native/mp tiers execute *generated artifacts*: exec-compiled
-NumPy source, njit scalar loops, and precomputed flat gather/scatter
-index arrays.  Until now those artifacts were trusted — a codegen bug
+NumPy source, njit scalar loops, and precomputed regions (slices and
+index vectors).  Until now those artifacts were trusted — a codegen bug
 would fault inside a worker (or worse, silently read the wrong slot).
 This module audits them statically, per plan:
 
 ``KRN001``
-    Every precomputed index array stays inside the flat extent of the
-    buffer it addresses: shared-kernel global gather/scatter keys and
-    lowered mp-program keys against the declared array sizes, dist-kernel
-    local gathers/scatters against the node's local (resident) buffer
-    size.
+    Every precomputed region and index array stays inside the buffer it
+    addresses: shared-kernel regions and lowered mp-program key vectors
+    against the declared array extents, dist-kernel regions (gathers,
+    sends, stores) against the node's local (resident) buffer shape.
 
 ``KRN002``
     AST audit of the rendered kernel sources.  The fused rendering may
@@ -204,170 +203,85 @@ def _extents(ir, name: str) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _key_violation(key, extents) -> Optional[Tuple[int, int, int, int]]:
-    """First ``(dim, lane, value, extent)`` escaping the per-dim extents,
-    or ``None`` when every index is in bounds."""
-    vecs = key if isinstance(key, tuple) else (key,)
-    if extents is None or len(vecs) != len(extents):
-        return None
-    for d, (vec, n) in enumerate(zip(vecs, extents)):
-        v = np.asarray(vec)
-        if v.size == 0:
-            continue
-        bad = (v < 0) | (v >= n)
-        if bad.any():
-            lane = int(np.argmax(bad))
-            return d, lane, int(v[lane]), int(n)
+def _violation(key, extents) -> Optional[Tuple[int, int, object]]:
+    """First ``(axis, index, extent)`` of a key escaping its array:
+    *key* is a region (a slice is checked at its first and last element,
+    a vector at its min and max — exact without enumeration) or a
+    lowered tuple of per-dim key vectors.  A safety property, not an
+    optimisation: NumPy silently wraps a negative slice bound and clips
+    one past the end.  Negative indices are flagged even without known
+    extents."""
+    spans = key.extent() if hasattr(key, "extent") else tuple(
+        (int(v.min()), int(v.max())) if v.size else None
+        for v in map(np.asarray, key))
+    if extents is None or len(extents) != len(spans):
+        extents = (None,) * len(spans)
+    for axis, (span, n) in enumerate(zip(spans, extents)):
+        if span is not None and (
+                span[0] < 0 or n is not None and span[1] >= n):
+            return axis, span[0] if span[0] < 0 else span[1], n
     return None
 
 
-def _flat_violation(vec, extent: Optional[int]) -> Optional[Tuple[int, int]]:
-    """First ``(lane, value)`` of a flat local index array escaping
-    ``[0, extent)`` (negative indices are flagged even without extent)."""
-    v = np.asarray(vec)
-    if v.size == 0:
-        return None
-    bad = v < 0
-    if extent is not None:
-        bad = bad | (v >= extent)
-    if bad.any():
-        lane = int(np.argmax(bad))
-        return lane, int(v[lane])
-    return None
-
-
-def _local_extent(dec, p: int) -> Optional[int]:
-    """Size of node *p*'s local buffer (halo-extended when overlapped)."""
-    for attr in ("resident_size", "local_size"):
+def _local_shape(dec, p: int) -> Optional[Tuple[int, ...]]:
+    """Shape of node *p*'s local buffer (halo-extended when overlapped)."""
+    for attr in ("local_shape", "resident_size", "local_size"):
         f = getattr(dec, attr, None)
         if callable(f):
             try:
-                return int(f(p))
+                size = f(p)
             except Exception:
                 return None
+            return tuple(size) if attr == "local_shape" else (int(size),)
     return None
 
 
-def _check_shared(ir, kernels) -> List[Diagnostic]:
+def _node_keys(nd, write_name):
+    """``(what, access, array, key)`` for every gather, send and store
+    key of one node — a fused node kernel (regions) or a lowered mp node
+    (key vectors)."""
+    for r in nd.reads:
+        yield (f"gather of read {r.name!r} (pos {r.pos})",
+               f"read{r.pos}:{r.name}", r.name,
+               r.mem if hasattr(r, "mem") else r.local_key)
+    for s in getattr(nd, "sends", ()):
+        for q, key in s.peers:
+            yield (f"send of read {s.name!r} (pos {s.pos}) to node {q}",
+                   f"read{s.pos}:{s.name}", s.name, key)
+    stores = [b.write for b in (*nd.blocks, getattr(nd, "interior", None))
+              if b is not None] if hasattr(nd, "blocks") \
+        else [nd.wkey_interior, nd.wkey_boundary]
+    for key in stores:
+        yield (f"store of write {write_name!r}", f"write:{write_name}",
+               write_name, key)
+
+
+def _check_bounds(ir, kernels) -> List[Diagnostic]:
+    """Every key against the buffer it addresses: global arrays for the
+    shared flavor and the lowered mp programs (their keys are global),
+    node *p*'s local buffers for the distributed flavor."""
     out: List[Diagnostic] = []
-    cname = ir.clause.name or "<anonymous>"
-    if not kernels.shared:
-        return out
-    wext = _extents(ir, kernels.write_name)
-    for p, nk in enumerate(kernels.shared):
-        for pos, (name, ai) in enumerate(nk.read_keys):
-            hit = _key_violation(ai, _extents(ir, name))
-            if hit is not None:
-                d, lane, v, n = hit
-                out.append(_diag(
-                    "KRN001",
-                    f"shared kernel of node {p}: gather key of read "
-                    f"{name!r} (pos {pos}) holds index {v} outside "
-                    f"[0, {n}) at dim {d} lane {lane}",
-                    clause=cname, access=f"read{pos}:{name}",
-                    witnesses={p: [lane]},
-                    hint="a corrupted or stale gather index array would "
-                         "fault (or silently wrap) at run time"))
-        hit = _key_violation(nk.write_key_vecs, wext)
-        if hit is not None:
-            d, lane, v, n = hit
-            out.append(_diag(
-                "KRN001",
-                f"shared kernel of node {p}: scatter key of write "
-                f"{kernels.write_name!r} holds index {v} outside "
-                f"[0, {n}) at dim {d} lane {lane}",
-                clause=cname, access=f"write:{kernels.write_name}",
-                witnesses={p: [lane]}))
-    return out
-
-
-def _check_dist(ir, kernels) -> List[Diagnostic]:
-    out: List[Diagnostic] = []
-    cname = ir.clause.name or "<anonymous>"
-    if not kernels.dist:
-        return out
-    decs = {}
-    if ir.write is not None:
-        decs[ir.write.name] = ir.write.dec
-    for acc in ir.reads:
-        decs.setdefault(acc.name, acc.dec)
-    for p, nk in enumerate(kernels.dist):
-        for rd in nk.reads:
-            if rd.replicated:
-                ext = _extents(ir, rd.name)
-                hit = _flat_violation(rd.rep_gather,
-                                      ext[0] if ext else None)
-            else:
-                hit = _flat_violation(
-                    rd.local_gather, _local_extent(decs.get(rd.name), p))
-            if hit is not None:
-                lane, v = hit
-                out.append(_diag(
-                    "KRN001",
-                    f"dist kernel of node {p}: local gather of read "
-                    f"{rd.name!r} (pos {rd.pos}) holds index {v} outside "
-                    "the node's buffer extent",
-                    clause=cname, access=f"read{rd.pos}:{rd.name}",
-                    witnesses={p: [lane]}))
-        wdec = decs.get(kernels.write_name)
-        for label, scatter in (("interior", nk.scatter_interior),
-                               ("boundary", nk.scatter_boundary)):
-            hit = _flat_violation(scatter, _local_extent(wdec, p))
-            if hit is not None:
-                lane, v = hit
-                out.append(_diag(
-                    "KRN001",
-                    f"dist kernel of node {p}: {label} scatter of write "
-                    f"{kernels.write_name!r} holds index {v} outside the "
-                    "node's buffer extent",
-                    clause=cname, access=f"write:{kernels.write_name}",
-                    witnesses={p: [lane]}))
-    return out
-
-
-def _check_mp(ir, kernels) -> List[Diagnostic]:
-    """Bounds over already-lowered mp programs (their keys are global)."""
-    out: List[Diagnostic] = []
-    cname = ir.clause.name or "<anonymous>"
+    decs = {acc.name: acc.dec for acc in reversed(ir.accesses())}
     progs = getattr(kernels, "_mp_programs", None) or {}
-    for flavor, prog in sorted(progs.items()):
-        wext = _extents(ir, prog.write_name)
-        for nd in prog.nodes:
-            for rd in nd.reads:
-                hit = _key_violation(rd.local_key, _extents(ir, rd.name))
+    plans = [(f"{f} kernel of", f == "dist", enumerate(getattr(kernels, f) or ()))
+             for f in ("shared", "dist")]
+    plans += [(f"mp[{f}]", False, ((nd.p, nd) for nd in prog.nodes))
+              for f, prog in sorted(progs.items())]
+    for where, local, nodes in plans:
+        for p, nd in nodes:
+            for what, access, name, key in _node_keys(nd, kernels.write_name):
+                hit = _violation(key, _local_shape(decs.get(name), p)
+                                 if local else _extents(ir, name))
                 if hit is not None:
-                    d, lane, v, n = hit
+                    axis, v, n = hit
                     out.append(_diag(
                         "KRN001",
-                        f"mp[{flavor}] node {nd.p}: global gather of read "
-                        f"{rd.name!r} (pos {rd.pos}) holds index {v} "
-                        f"outside [0, {n}) at dim {d} lane {lane}",
-                        clause=cname, access=f"read{rd.pos}:{rd.name}",
-                        witnesses={nd.p: [lane]}))
-            for s in nd.sends:
-                for q, key in s.peers:
-                    hit = _key_violation(key, _extents(ir, s.name))
-                    if hit is not None:
-                        d, lane, v, n = hit
-                        out.append(_diag(
-                            "KRN001",
-                            f"mp[{flavor}] node {nd.p}: send key of read "
-                            f"{s.name!r} to node {q} holds index {v} "
-                            f"outside [0, {n})",
-                            clause=cname, access=f"read{s.pos}:{s.name}",
-                            witnesses={nd.p: [lane]}))
-            for label, wkey in (("interior", nd.wkey_interior),
-                                ("boundary", nd.wkey_boundary)):
-                hit = _key_violation(wkey, wext)
-                if hit is not None:
-                    d, lane, v, n = hit
-                    out.append(_diag(
-                        "KRN001",
-                        f"mp[{flavor}] node {nd.p}: {label} commit key of "
-                        f"{prog.write_name!r} holds index {v} outside "
-                        f"[0, {n})",
-                        clause=cname, access=f"write:{prog.write_name}",
-                        witnesses={nd.p: [lane]}))
+                        f"{where} node {p}: {what} holds index {v} outside "
+                        f"[0, {n}) at axis {axis}",
+                        clause=ir.clause.name or "<anonymous>",
+                        access=access, witnesses={p: [v]},
+                        hint="a corrupted or stale key would fault (or "
+                             "silently wrap or clip) at run time"))
     return out
 
 
@@ -427,9 +341,7 @@ def sanitize_kernels(ir) -> List[Diagnostic]:
     kernels = getattr(ir, "kernels", None)
     if kernels is not None:
         out += _audit_sources(ir, kernels)
-        out += _check_shared(ir, kernels)
-        out += _check_dist(ir, kernels)
-        out += _check_mp(ir, kernels)
+        out += _check_bounds(ir, kernels)
     out += _check_guard(ir)
     return out
 

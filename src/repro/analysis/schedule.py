@@ -78,7 +78,11 @@ def _diag(code, message, **kw):
     return Diagnostic(code=code, message=message, **kw)
 
 
-def _lanes(key: tuple) -> int:
+def _lanes(key) -> int:
+    """Lane count of one message: ``region.size`` (or the length of a
+    fill vector), else the length of a lowered key's first vector."""
+    if hasattr(key, "size"):
+        return int(key.size)
     return int(key[0].size) if key else 0
 
 
@@ -107,7 +111,7 @@ def _match_messages(prog, label: str) -> Tuple[List[Diagnostic], int, set]:
         for rd in nd.reads:
             for src, fill in rd.sources:
                 expected[(nd.p, int(src), rd.pos)] = \
-                    expected.get((nd.p, int(src), rd.pos), 0) + len(fill)
+                    expected.get((nd.p, int(src), rd.pos), 0) + _lanes(fill)
     out: List[Diagnostic] = []
     unmatched: set = set()
     for k in sorted(set(sent) | set(expected)):

@@ -3,40 +3,41 @@
 Where the vector backend interprets each run — re-deriving membership
 vectors, applying placement arithmetic and tree-walking the clause body
 — these executors run the **compile-once** kernels built by the
-`lower-kernels` pass (:mod:`repro.pipeline.kernels`): every index and
-gather/scatter array is precomputed, local memory is addressed through
-flat ndarray views with static index arrays, and the clause body is one
-generated kernel.
+`lower-kernels` pass (:mod:`repro.pipeline.kernels`): every membership
+set and address is a precomputed :class:`~repro.pipeline.region.Region`
+— slices of node memory wherever Table I yields a progression, vectors
+only for the irregular remainder — and the clause body is one generated
+kernel.
 
 There is one executor, :class:`KernelTier`, and two instances of it.
-Both run the same schedule over the same stacked ``float64[nreads, n]``
-read rows and differ only in the *entry* that computes and commits one
-lane set, ``entry(idx, rows, lanes, scatter, out) -> stored``:
+Both run the same schedule over the same per-read lane rows and differ
+only in the *entry* that computes and commits one lane block,
+``entry(block, rows, out) -> stored``:
 
 ``FUSED``
-    the generated NumPy expression (:func:`numpy_entry`) — one fused
-    ufunc line, a guard mask, one fancy-indexed store;
+    the generated NumPy expression (:func:`region_entry`) over views of
+    the rows, a guard mask, one store through the block's write region;
 ``NATIVE``
     the njit-compiled (or, under ``REPRO_NATIVE_INTERP``, exec-compiled)
-    scalar loop of :mod:`repro.pipeline.native` — no NumPy temporaries,
-    guard and scatter folded into the loop.
+    scalar loop of :mod:`repro.pipeline.native`, fed the lane vectors
+    the regions materialize on demand.
 
 The distributed program keeps the overlap schedule: post sends, post
-non-blocking receives, commit the *interior* lane set while messages
-are in flight, drain with Probe, then commit the *boundary* lane set.
-A plan compiled without an interior split simply has an empty interior
-and degrades to drain-then-compute — still bit-identical.  This is the
-schedule's statement over node-local raveled offsets and the simulated
-mailbox; its one sibling, over global keys and real transports, is
+non-blocking receives, commit the *interior* block while messages are
+in flight, drain with Probe, then commit the *boundary* strips.  A plan
+compiled without an interior split simply has no interior and degrades
+to drain-then-compute — still bit-identical.  This is the schedule's
+statement over node-local regions and the simulated mailbox; its one
+sibling, over global key vectors and real transports, is
 :func:`repro.runtime.worker.run_sequence` (DESIGN.md says why the two
-stay apart).
+stay apart; :func:`numpy_entry` is that sibling's flat-lane entry).
 
-Statistics (iterations, messages, elements moved, local updates) match
-the vector backend counter-for-counter, and results are bit-identical
-across tiers (``TestAllBackendsAgree``): read rows are materialized
-float64 *before* any commit, the scalar loop evaluates the identical
-IEEE-754 expression tree per lane, and duplicate store keys resolve
-last-lane-wins exactly like the fancy-indexed NumPy store.
+Statistics match the vector backend counter-for-counter, and results
+are bit-identical across tiers (``TestAllBackendsAgree``): a read row is
+a view of node memory where the read array is not the write target and
+a pre-state copy where it is, row-major order over a region is the
+lexicographic lane order of every payload, and a repeated store address
+resolves last-lane-wins exactly like the fancy-indexed NumPy store.
 
 A plan with no form on a tier raises that tier's ``no_form`` exception
 (reason in ``args[0]``), which the dispatcher catches to fall to the
@@ -48,12 +49,13 @@ the diagnostic code in the error message.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 import numpy as np
 
 from ..analysis.kernel_sanitizer import check_kernels_strict
-from ..pipeline.kernels import KernelBuildError
+from ..pipeline.kernels import KernelBuildError, _stack_i64
 from ..pipeline.native import NativeBuildError, ensure_native
 from .distributed import DistributedMachine, NodeContext
 from .shared import SharedMachine
@@ -66,6 +68,7 @@ __all__ = [
     "KernelTier",
     "check_strict",
     "numpy_entry",
+    "region_entry",
     "run_shared_fused",
     "run_distributed_fused",
 ]
@@ -101,10 +104,10 @@ def check_strict(ir, strict: bool) -> None:
 
 
 def numpy_entry(rhs, guard):
-    """The generated NumPy kernel under the njit entry's calling
-    convention — ``entry(idx, rows, lanes, scatter, out) -> stored`` —
-    so every executor (these, the mp workers, the MPI ranks) commits a
-    lane set through one call whatever the tier.
+    """The generated NumPy kernel under the njit entry's flat-lane
+    calling convention — ``entry(idx, rows, lanes, scatter, out) ->
+    stored`` — which the real-process executors (mp workers, MPI ranks)
+    commit every lane set through, whatever their tier.
 
     ``lanes=None`` means every lane (no gather copy).  *scatter* indexes
     *out* directly: a flat key vector into a raveled buffer, or a tuple
@@ -128,12 +131,34 @@ def numpy_entry(rhs, guard):
     return entry
 
 
-def _gather_shared(k, nk, genv) -> np.ndarray:
-    """One node's stacked read rows, gathered from global pre-state."""
-    rows = np.empty((k.nreads, nk.n), dtype=np.float64)
-    for pos, (name, key) in enumerate(nk.read_keys):
-        rows[pos] = genv[name][key]
-    return rows
+def region_entry(rhs, guard):
+    """The generated NumPy kernel over one lane block —
+    ``entry(block, rows, out) -> stored``: the block's views of the lane
+    rows, one fused expression over the open-grid ``_i``, one store
+    through the block's write region."""
+
+    def entry(blk, rows, out) -> int:
+        sub = [blk.pos.take(row) for row in rows]
+        mask = None if guard is None else guard(blk.grids, sub)
+        return blk.write.store(out, rhs(blk.grids, sub), mask)
+
+    return entry
+
+
+def _lane_row(r, arr, shape, prestate: bool) -> np.ndarray:
+    """One read's float64 lane row from node (or global) memory *arr*.
+
+    Every lane resident: the memory region itself — a view, unless *arr*
+    is the write target (*prestate*: commits must not show through) or a
+    vector-keyed gather already copied it.  Otherwise a buffer holding
+    the resident lanes; the rest arrive as messages."""
+    if r.lanes is None:
+        row = r.mem.full(arr)
+        return np.array(row, dtype=np.float64) if prestate and r.mem.sliced \
+            else np.asarray(row, dtype=np.float64)
+    row = np.empty(shape)
+    r.lanes.put(row, r.mem.take(arr))
+    return row
 
 
 class KernelTier:
@@ -156,16 +181,18 @@ class KernelTier:
         if getattr(k, flavor) is None:
             raise self.no_form(getattr(k, flavor + "_note")
                                or "no kernels for this flavor")
-        return k, numpy_entry(k.rhs, k.guard)
+        return k, region_entry(k.rhs, k.guard)
 
-    def shared_stores(self, k, target):
-        """``(out, [(lanes, scatter) per node])`` for committing into
-        the global *target*: the NumPy store takes the per-dim key
-        vectors as they are, on any dtype and layout."""
-        return target, [
-            (None, nk.write_key_vecs if len(nk.write_key_vecs) > 1
-             else nk.write_key_vecs[0])
-            for nk in k.shared]
+    def check_target(self, k, target) -> None:
+        """Refuse a global write *target* this tier cannot store into:
+        the NumPy store goes through the write region on any dtype and
+        layout."""
+
+    @staticmethod
+    def _shared_rows(k, nk, genv) -> list:
+        """One node's read rows against global pre-state."""
+        return [_lane_row(r, genv[r.name], nk.shape, r.name == k.write_name)
+                for r in nk.reads]
 
     # -- shared memory ------------------------------------------------------
 
@@ -184,19 +211,19 @@ class KernelTier:
         if machine is None:
             machine = SharedMachine(ir.pmax, env)
         genv = machine.env
-        out, stores = self.shared_stores(k, genv[k.write_name])
+        out = genv[k.write_name]
+        self.check_target(k, out)
 
         gathered = []
         for p, nk in enumerate(k.shared):
             machine.stats[p].iterations += nk.n
-            gathered.append(_gather_shared(k, nk, genv) if nk.n else None)
+            gathered.append(self._shared_rows(k, nk, genv) if nk.n else None)
 
         for p, rows in enumerate(gathered):
             machine.stats[p].barriers += 1
             if rows is not None:
-                lanes, scatter = stores[p]
                 machine.stats[p].local_updates += int(
-                    entry(k.shared[p].idx, rows, lanes, scatter, out))
+                    entry(k.shared[p].blocks[0], rows, out))
         return machine
 
     def run_group(self, irs, machine: SharedMachine,
@@ -221,20 +248,18 @@ class KernelTier:
         bound = []
         for ir in irs:
             k, entry = self.bind(ir, "shared", strict)
-            bound.append((k, entry)
-                         + self.shared_stores(k, genv[k.write_name]))
+            self.check_target(k, genv[k.write_name])
+            bound.append((k, entry))
         for p in range(machine.pmax):
-            for k, entry, out, stores in bound:
+            for k, entry in bound:
                 if p >= len(k.shared):
                     continue
                 nk = k.shared[p]
                 machine.stats[p].iterations += nk.n
-                if nk.n == 0:
-                    continue
-                lanes, scatter = stores[p]
-                machine.stats[p].local_updates += int(entry(
-                    nk.idx, _gather_shared(k, nk, genv), lanes, scatter,
-                    out))
+                if nk.n:
+                    machine.stats[p].local_updates += int(entry(
+                        nk.blocks[0], self._shared_rows(k, nk, genv),
+                        genv[k.write_name]))
         for p in range(machine.pmax):
             machine.stats[p].barriers += 1
         return machine
@@ -243,59 +268,55 @@ class KernelTier:
 
     @staticmethod
     def node_program(k, entry, ctx: NodeContext):
-        """Node program driven entirely by precomputed index arrays:
-        flat gathers feed the sends, non-blocking receives fill
-        precomputed lane positions, and the interior lane set commits
-        while messages are in flight."""
+        """Node program driven entirely by precomputed regions: memory
+        regions feed the sends, non-blocking receives fill lane regions
+        of the read rows, and the interior block commits while messages
+        are in flight."""
         nk = k.dist[ctx.p]
 
         def program():
-            # ---- send phase: one flat gather + one message per peer ------
+            # ---- send phase: one memory region, one message per peer -----
             for s in nk.sends:
                 ctx.stats.iterations += s.count
-                buf = ctx.mem[s.name].ravel()
-                for q, gidx in s.peers:
-                    ctx.send(q, ("fus", s.pos), buf[gidx])
+                buf = ctx.mem[s.name]
+                for q, region in s.peers:
+                    # row-major over the region = lexicographic lane
+                    # order; always a fresh pre-clause copy
+                    ctx.send(q, ("fus", s.pos), region.full(buf).flatten())
 
             # ---- update phase ---------------------------------------------
-            n = nk.n
-            ctx.stats.iterations += n
-            if n:
-                rows = np.empty((k.nreads, n), dtype=np.float64)
-                pending = []  # (handle, row view, lane positions to fill)
+            ctx.stats.iterations += nk.n
+            if nk.n:
+                rows = []
+                pending = []  # (handle, row, lane region to fill)
                 for r in nk.reads:
-                    if r.replicated:
-                        rows[r.pos] = ctx.mem[r.name].ravel()[r.rep_gather]
-                        continue
-                    row = rows[r.pos]
-                    if r.local_pos.size:
-                        row[r.local_pos] = \
-                            ctx.mem[r.name].ravel()[r.local_gather]
+                    row = _lane_row(r, ctx.mem[r.name], nk.shape,
+                                    r.name == k.write_name)
+                    rows.append(row)
                     for src, fill in r.sources:
                         handle = yield ctx.irecv(src, ("fus", r.pos))
                         pending.append((handle, row, fill))
 
-                wbuf = ctx.mem[k.write_name].ravel()
+                out = ctx.mem[k.write_name]
 
-                def commit(idx, lanes, scatter):
-                    if lanes.size:
-                        ctx.stats.local_updates += int(
-                            entry(idx, rows, lanes, scatter, wbuf))
+                def commit(blocks):
+                    ctx.charge_elements(sum(b.pos.size for b in blocks))
+                    for blk in blocks:
+                        ctx.stats.local_updates += int(entry(blk, rows, out))
 
                 # interior kernel while messages are in flight
-                ctx.charge_elements(int(nk.interior.size))
-                commit(nk.idx_interior, nk.interior, nk.scatter_interior)
+                commit([nk.interior] if nk.interior is not None else [])
 
                 while pending:
                     done = yield ctx.probe([h for h, _, _ in pending])
                     i = next(j for j, (h, _, _) in enumerate(pending)
                              if h is done)
                     _, row, fill = pending.pop(i)
-                    row[fill] = np.asarray(
-                        ctx.note_received(done.payload), dtype=np.float64)
+                    fill.put(row, np.asarray(
+                        ctx.note_received(done.payload),
+                        dtype=np.float64).reshape(fill.shape))
 
-                ctx.charge_elements(int(nk.boundary.size))
-                commit(nk.idx_boundary, nk.boundary, nk.scatter_boundary)
+                commit(nk.blocks)
 
             yield ctx.barrier()
 
@@ -311,8 +332,8 @@ class KernelTier:
     ) -> DistributedMachine:
         """Place *env* (unless a pre-placed *machine* is given), run the
         node programs, return the machine.  Node memories are always
-        contiguous float64 (``DistributedMachine.place``), so the flat
-        local scatters need no dtype or layout guard here."""
+        contiguous float64 (``DistributedMachine.place``), so the local
+        stores need no dtype or layout guard here."""
         k, entry = self.bind(ir, "dist", strict)
         return _run_nodes(ir, env, machine, model,
                           lambda ctx: self.node_program(k, entry, ctx))
@@ -330,9 +351,21 @@ class _NativeTier(KernelTier):
     def bind(self, ir, flavor: str, strict: bool):
         k, _ = super().bind(ir, flavor, strict)
         check_kernels_strict(ir, strict)
-        return k, ensure_native(k, ir).entry
+        kernel = ensure_native(k, ir).entry
 
-    def shared_stores(self, k, target):
+        def entry(blk, rows, out) -> int:
+            # the njit signature takes lanes, not regions: stacked
+            # index vectors, contiguous float64 rows, flat offsets
+            stacked = np.empty((len(rows), math.prod(blk.of)))
+            for flat, row in zip(stacked, rows):
+                np.copyto(flat.reshape(blk.of), row)
+            return kernel(_stack_i64(blk.loop.index_vectors()), stacked,
+                          blk.pos.flat(blk.of), blk.write.flat(out.shape),
+                          out.reshape(-1))
+
+        return k, entry
+
+    def check_target(self, k, target) -> None:
         if not target.flags.c_contiguous:
             raise NativeBuildError(
                 f"write target {k.write_name!r} is not C-contiguous; the "
@@ -341,9 +374,6 @@ class _NativeTier(KernelTier):
             raise NativeBuildError(
                 f"write target {k.write_name!r} is {target.dtype}; the njit "
                 "signature stores float64")
-        return target.reshape(-1), [
-            (node.lanes, node.scatter_for(target.shape))
-            for node in k.native.shared]
 
 
 FUSED = KernelTier()

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..core.clause import Clause
@@ -146,8 +147,9 @@ class NodeSplit:
     for loop dimension *d*; the node's interior is the cartesian product
     of the per-dimension interiors (the factorized form — see the
     `split-interior` pass), and the boundary is ``Modify_p`` minus that
-    product (computed by the executor via per-dimension masks; it does
-    not factorize)."""
+    product (it does not factorize: the overlap executor recovers it
+    with per-dimension masks, the fused kernels tile it with at most
+    ``2*ndim`` strips)."""
 
     modify: List[list]    # per loop-dim List[Segment]
     interior: List[list]  # per loop-dim List[Segment]
@@ -158,11 +160,14 @@ class NodeSplit:
             total *= sum(s.count() for s in segs)
         return total
 
-    @property
+    # computed once: ``PlanIR.describe()`` reads the totals on every
+    # pass-trace snapshot, and the segment lists are final once built
+
+    @cached_property
     def modify_count(self) -> int:
         return self._prod(self.modify)
 
-    @property
+    @cached_property
     def interior_count(self) -> int:
         return self._prod(self.interior)
 

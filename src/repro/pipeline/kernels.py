@@ -10,15 +10,17 @@ This module pushes that last mile into compile time:
 * the clause body (and guard) are lowered **once per plan** to generated
   Python/NumPy source — a single fused ufunc expression line, compiled
   with :func:`compile`/``exec`` and attached to the IR;
-* per node, every membership index vector, owning-processor vector and
-  local-buffer address is evaluated at kernel-build time and stored as a
-  precomputed **flat gather/scatter index array** into the node's local
-  ndarray (``np.ravel_multi_index`` for grid layouts), so a run performs
-  one fancy-indexed load/store per access instead of per-step dict-keyed
-  ``LocalMemory`` arithmetic;
+* per node, every membership set, owning processor and local-buffer
+  address is resolved at kernel-build time into **regions**
+  (:mod:`repro.pipeline.region`): per array axis a ``slice`` where
+  Table I yields one progression and the address map is affine, an
+  int64 vector for the irregular remainder — so a run addresses node
+  memory by basic slicing (views) wherever the closed forms allow and
+  through ``np.ix_`` otherwise, never through per-lane index arrays;
 * the interior/boundary split of the `split-interior` pass is baked into
-  per-lane-set sub-kernels, so the fused distributed program computes
-  its interior while messages are in flight.
+  an interior block plus at most ``2*ndim`` boundary strips, so the
+  fused distributed program computes its interior while messages are in
+  flight.
 
 Kernels are built by the traced `lower-kernels` pass and memoized in a
 :class:`KernelCache` keyed by the same structural keys as the plan cache
@@ -36,10 +38,12 @@ backend falls back.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -47,6 +51,8 @@ import numpy as np
 from ..core.clause import Ordering
 from ..core.expr import BinOp, Const, LoopIndex, Ref, UnOp
 from .cache import _env_maxsize, plan_key
+from .region import Region, compose, compress, image, key_of, klen, locate, \
+    meet, prog, vec
 
 __all__ = [
     "FusedKernels",
@@ -70,25 +76,27 @@ class KernelBuildError(ValueError):
 # fused expression codegen
 # ---------------------------------------------------------------------------
 
-def _render(expr, posmap: Dict[int, int]) -> str:
+def _render(expr, posmap: Dict[int, int], used: set) -> str:
     """ndarray-safe source for an expression tree: loop index *d* is the
-    vector ``_i[d]``, read at position *p* is the value vector ``_r[p]``."""
+    vector ``_i[d]`` (recorded in *used*), read at position *p* is the
+    value vector ``_r[p]``."""
     from ..codegen.exprsrc import _BINOP_PY, _VEC_CALLS
 
     if isinstance(expr, Const):
         return repr(expr.value)
     if isinstance(expr, LoopIndex):
+        used.add(expr.dim)
         return f"_i[{expr.dim}]"
     if isinstance(expr, Ref):
         return f"_r[{posmap[id(expr)]}]"
     if isinstance(expr, BinOp):
-        left = _render(expr.left, posmap)
-        right = _render(expr.right, posmap)
+        left = _render(expr.left, posmap, used)
+        right = _render(expr.right, posmap, used)
         if expr.op in _VEC_CALLS:
             return f"{_VEC_CALLS[expr.op]}({left}, {right})"
         return f"({left} {_BINOP_PY[expr.op]} {right})"
     if isinstance(expr, UnOp):
-        inner = _render(expr.operand, posmap)
+        inner = _render(expr.operand, posmap, used)
         if expr.op == "abs":
             return f"_np.absolute({inner})"
         if expr.op == "not":
@@ -99,81 +107,93 @@ def _render(expr, posmap: Dict[int, int]) -> str:
     )
 
 
-def _emit_source(clause) -> Tuple[str, Callable, Optional[Callable]]:
-    """Generate, compile and return ``(source, rhs_fn, guard_fn)``.
+def _emit_source(clause) -> Tuple[str, Callable, Optional[Callable], set]:
+    """Generate, compile and return ``(source, rhs_fn, guard_fn, loop
+    dims the source reads)``.
 
     The body becomes one fused NumPy expression over the node's index
     vectors ``_i`` and pre-gathered read value vectors ``_r`` — no tree
     walk survives into the run."""
     posmap = {id(ref): pos for pos, ref in enumerate(clause.reads())}
+    used: set = set()
     lines = [
         f"# fused kernel for clause {clause.name!r}",
         f"#   {clause!r}",
-        "# _i[d]: membership index vector of loop dim d (precomputed)",
-        "# _r[k]: value vector of read k (flat gather / received message)",
+        "# _i[d]: open-grid index vector of loop dim d (precomputed)",
+        "# _r[k]: lane values of read k (memory view / received message)",
         "",
         "def _rhs(_i, _r):",
-        f"    return {_render(clause.rhs, posmap)}",
+        f"    return {_render(clause.rhs, posmap, used)}",
     ]
     if clause.guard is not None:
         lines += [
             "",
             "def _guard(_i, _r):",
-            f"    return {_render(clause.guard, posmap)}",
+            f"    return {_render(clause.guard, posmap, used)}",
         ]
     source = "\n".join(lines) + "\n"
     ns: Dict[str, object] = {"_np": np}
     exec(compile(source, "<fused-kernel>", "exec"), ns)  # noqa: S102
-    return source, ns["_rhs"], ns.get("_guard")
+    return source, ns["_rhs"], ns.get("_guard"), used
 
 
 # ---------------------------------------------------------------------------
-# per-node precomputation
+# per-node lane plans (regions only: see :mod:`repro.pipeline.region`)
 # ---------------------------------------------------------------------------
+
+@dataclass
+class _Block:
+    """One lane set committed by one kernel call."""
+
+    of: tuple                       # the node's lane shape ``pos`` indexes
+    pos: Region                     # where the lanes sit in the read rows
+    loop: Region                    # their loop indices
+    write: Region                   # where they store
+    grids: tuple                    # ``_i``: open-grid aranges of ``loop``
+                                    # (``None`` for dims the body ignores)
+
+
+@dataclass
+class _Read:
+    """How one node assembles one read's lane row."""
+
+    pos: int
+    name: str
+    mem: Region                     # resident lanes' memory addresses
+    lanes: Optional[Region] = None  # their row positions (None: all lanes)
+    sources: tuple = ()             # ((source node, lane region), ...)
+
+
+@dataclass
+class _Send:
+    pos: int
+    name: str
+    count: int                      # |Reside_p|, charged as iterations
+    peers: tuple                    # ((destination, memory region), ...)
+
 
 @dataclass
 class SharedNodeKernel:
-    """One node's shared-memory kernel: everything but the data."""
+    """One node's kernel: everything but the data.  The shared flavor
+    addresses the global arrays and commits one block."""
 
-    n: int
-    idx: np.ndarray                 # int64[ndim, n] membership index vectors
-    read_keys: tuple                # per read: (name, global index key)
-    write_key_vecs: tuple           # index arrays into the global target
+    shape: tuple                    # lane shape: |Modify_p| per loop dim
+    reads: tuple = ()
+    blocks: tuple = ()              # lane blocks in commit order
 
-
-@dataclass
-class _DistSend:
-    pos: int
-    name: str
-    count: int
-    peers: tuple                    # ((q, flat gather into local buf), ...)
+    @property
+    def n(self) -> int:
+        return math.prod(self.shape)
 
 
 @dataclass
-class _DistRead:
-    pos: int
-    name: str
-    replicated: bool
-    rep_gather: Optional[np.ndarray] = None   # replicated: flat full-copy key
-    local_pos: Optional[np.ndarray] = None    # lanes resident locally
-    local_gather: Optional[np.ndarray] = None  # flat local-buffer indices
-    sources: tuple = ()             # ((src, lane-fill positions), ...)
+class DistNodeKernel(SharedNodeKernel):
+    """The distributed flavor addresses node-local memory: ``interior``
+    commits while messages fly, ``blocks`` (the <= 2*ndim boundary
+    strips) after the drain."""
 
-
-@dataclass
-class DistNodeKernel:
-    """One node's distributed kernel: send plan, gather plan, lane split."""
-
-    n: int
-    idx: np.ndarray                 # int64[ndim, n]
-    sends: tuple
-    reads: tuple
-    interior: np.ndarray            # lane positions computed pre-drain
-    boundary: np.ndarray
-    idx_interior: np.ndarray        # idx restricted to each lane set
-    idx_boundary: np.ndarray
-    scatter_interior: np.ndarray    # flat store keys into the write buffer
-    scatter_boundary: np.ndarray
+    sends: tuple = ()
+    interior: Optional[_Block] = None
 
 
 @dataclass
@@ -189,174 +209,188 @@ class FusedKernels:
     shared_note: Optional[str] = None
     dist: Optional[List[DistNodeKernel]] = None
     dist_note: Optional[str] = None
-    build_notes: List[str] = field(default_factory=list)
     #: native (njit) tier riding on the same cache entry — built lazily
     #: by :func:`repro.pipeline.native.ensure_native`; a build failure is
     #: cached in ``native_note`` so the fallback reason is stable.
     native: Optional[object] = None
     native_note: Optional[str] = None
 
+    @cached_property
+    def region_stats(self) -> Dict[str, object]:
+        """Per flavor how many regions are slice-keyed vs vector-keyed,
+        and the entry's resident bytes as the kernel cache accounts them
+        — what a large cache entry is made of."""
+        out: Dict[str, object] = {"bytes": _approx_nbytes(self)}
+        for flavor in ("shared", "dist"):
+            sliced = [x.sliced for x in _leaves(getattr(self, flavor))
+                      if isinstance(x, Region)]
+            out[flavor] = {"slice": sum(sliced),
+                           "vector": len(sliced) - sum(sliced)}
+        return out
+
     def describe(self) -> str:
+        stats = self.region_stats
         parts = []
-        for label, nodes, note in (("shared", self.shared, self.shared_note),
-                                   ("distributed", self.dist, self.dist_note)):
-            if nodes is not None:
-                parts.append(f"{label}: {len(nodes)} node kernels")
-            else:
-                parts.append(f"{label}: dict-memory fallback ({note})")
-        return "; ".join(parts)
+        for label, flavor in (("shared", "shared"), ("distributed", "dist")):
+            nodes = getattr(self, flavor)
+            parts.append(
+                f"{label}: dict-memory fallback "
+                f"({getattr(self, flavor + '_note')})" if nodes is None else
+                f"{label}: {len(nodes)} node kernels ({stats[flavor]['slice']}"
+                f" slice / {stats[flavor]['vector']} vector regions)")
+        return "; ".join(parts) + f"; {stats['bytes']} bytes"
 
 
 def _stack_i64(vecs) -> np.ndarray:
     """Stack per-dim index vectors into one C-contiguous ``int64[ndim,
-    n]`` — the generated NumPy line reads row ``_i[d]``, the njit scalar
-    loop element ``_i[d, t]``, so both kernel tiers take the same array."""
+    n]`` — the layout the njit scalar loop reads as ``_i[d, t]``."""
     return np.ascontiguousarray(np.stack(
         [np.asarray(v, dtype=np.int64) for v in vecs]))
 
 
-def _flat_local(acc, idx_vecs, p: int) -> np.ndarray:
-    """Flat index into node *p*'s local ndarray for every member lane.
-
-    1-D layouts are flat already; grid layouts ravel through the node's
-    dense local shape.  Anything else has no static dense layout and
-    raises :class:`KernelBuildError` (the dict-memory fallback)."""
-    from ..decomp.multidim import GridDecomposition
-    from ..machine.vectorize import _local_key
-
-    key = _local_key(acc, idx_vecs)
-    if not isinstance(key, tuple):
-        return np.asarray(key, dtype=np.int64)
-    if len(key) == 1:
-        return np.asarray(key[0], dtype=np.int64)
-    dec = acc.dec
-    if isinstance(dec, GridDecomposition):
-        shape = dec.local_shape(p)
-        if any(s <= 0 for s in shape):
-            return np.zeros(0, dtype=np.int64)
-        return np.ravel_multi_index(
-            tuple(np.asarray(k, dtype=np.int64) for k in key), shape)
-    raise KernelBuildError(
-        f"{acc.name!r}: irregular local layout under {type(dec).__name__} "
-        "has no flat ndarray form"
-    )
+def _members(ir, acc, p: int) -> list:
+    """Per loop dim the key of the access's membership on node *p* (a
+    dim it does not constrain runs its full range) — the Table I closed
+    form the vector executor expands lane by lane."""
+    coord = acc.grid_coord(p)
+    out: list = [None] * len(ir.loop_bounds)
+    for k, ax in enumerate(acc.axes):
+        if out[ax.loop_dim] is None:
+            out[ax.loop_dim] = key_of(ax.access.enumerate(coord[k]).segments)
+    return [prog(lo, 1, hi - lo + 1) if k is None else k
+            for k, (lo, hi) in zip(out, ir.loop_bounds)]
 
 
-def _build_shared(ir) -> List[SharedNodeKernel]:
-    from ..machine.vectorize import _member_vecs, apply_ifunc
-
-    nodes = []
-    for p in range(ir.pmax):
-        idx_vecs = _member_vecs(ir, ir.write, p)
-        n = int(idx_vecs[0].size)
-        read_keys = []
-        for acc in ir.reads:
-            if not acc.funcs:
-                raise KernelBuildError(
-                    f"read {acc.name!r} has no separable access functions")
-            ai = tuple(apply_ifunc(f, idx_vecs[d])
-                       for d, f in zip(acc.dims, acc.funcs))
-            read_keys.append((acc.name, ai if len(ai) > 1 else ai[0]))
-        w_ai = tuple(apply_ifunc(f, idx_vecs[d])
-                     for d, f in zip(ir.write.dims, ir.write.funcs))
-        nodes.append(SharedNodeKernel(
-            n=n, idx=_stack_i64(idx_vecs), read_keys=tuple(read_keys),
-            write_key_vecs=w_ai,
-        ))
-    return nodes
+def _strips(inner: list, shape: tuple) -> list:
+    """Position keys of the <= 2*ndim blocks tiling the lanes outside
+    ``prod(inner)``: per dim, what its inner key leaves out, times the
+    inner keys before it and the full axes after it."""
+    out = []
+    for d, (j, n) in enumerate(zip(inner, shape)):
+        if isinstance(j, slice) and j.step == 1:
+            rest = [prog(0, 1, j.start), prog(j.stop, 1, n - j.stop)]
+        else:
+            rest = [compress(np.setdiff1d(np.arange(n), vec(j)))]
+        out += [inner[:d] + [r] + [prog(0, 1, m) for m in shape[d + 1:]]
+                for r in rest if klen(r)]
+    return out
 
 
-def _build_dist(ir) -> List[DistNodeKernel]:
-    from ..machine.vectorize import (
-        _interior_mask,
-        _member_vecs,
-        _proc_linear,
-        apply_ifunc,
-    )
-
-    if ir.write.replicated:
+def _build_nodes(ir, local: bool, used: set) -> list:
+    """The one lane-plan builder, from the accesses' own Table I
+    enumerations in O(segments).  *local* selects the address map:
+    node-local slots through the decompositions' ``owned_indices`` /
+    ``local_indices`` pairs — the distributed flavor, with its sends,
+    fills and interior split — or the identity: the shared flavor, every
+    read a resident global gather and one block per node.  *used* are
+    the loop dims whose index the kernel body reads."""
+    write, nd, nodes = ir.write, len(ir.loop_bounds), range(ir.pmax)
+    if local and write.replicated:
         raise KernelBuildError("replicated write (per-copy broadcast)")
-    for acc in ir.reads:
-        if not acc.placed:
+    for acc in ir.accesses():
+        if not acc.funcs or len(set(acc.dims)) != len(acc.dims):
             raise KernelBuildError(
-                f"read {acc.name!r} carries no decomposition")
-        if acc.replicated and len(acc.funcs) != 1:
+                f"{acc.label} {acc.name!r} has no separable access "
+                "functions over distinct loop dims")
+        if local and len(acc.axes) != len(acc.funcs):
             raise KernelBuildError(
-                f"replicated read {acc.name!r} is not rank-1")
+                f"{acc.label} {acc.name!r} carries no decomposition placing "
+                "it axis by axis")
+    remote = [acc for acc in ir.reads if local and not acc.replicated]
+    slots: Dict[tuple, tuple] = {}
 
-    nodes = []
-    for p in range(ir.pmax):
-        # -- send plan ------------------------------------------------------
+    def region(acc, p, loop_keys, shape) -> Region:
+        """Memory region of *acc* over a lane block on node *p*."""
+        keys = [image(f, loop_keys[d]) for d, f in zip(acc.dims, acc.funcs)]
+        if local:
+            for k, c in enumerate(acc.grid_coord(p)):
+                dec = acc.axes[k].dec
+                own, loc = slots.get((id(dec), c)) or slots.setdefault(
+                    (id(dec), c),
+                    (dec.owned_indices(c), dec.local_indices(c)))
+                keys[k] = compose(loc, locate(keys[k], own))
+        return Region(keys, acc.dims, shape)
+
+    lanes = [_members(ir, write, q) for q in nodes]
+
+    def sub(q, members):
+        """``(position keys, loop keys, shape)`` of a member subset of
+        node *q*'s lanes."""
+        pos = [locate(k, i) for k, i in zip(members, lanes[q])]
+        return (pos, [compose(i, j) for i, j in zip(lanes[q], pos)],
+                tuple(klen(j) for j in pos))
+
+    def block(p, pos) -> _Block:
+        shape = tuple(klen(j) for j in pos)
+        loop = Region([compose(i, j) for i, j in zip(lanes[p], pos)],
+                      range(nd), shape)
+        return _Block(tuple(klen(i) for i in lanes[p]),
+                      Region(pos, range(nd), shape), loop,
+                      region(write, p, loop.keys, shape),
+                      tuple(g if d in used else None
+                            for d, g in enumerate(loop.grids())))
+
+    # per remote read: its residence, and who gathers what from whom
+    reside = {acc.pos: [_members(ir, acc, s) for s in nodes]
+              for acc in remote}
+    moves = {}
+    for acc in remote:
+        for q in nodes:
+            for s in nodes:
+                both = [meet(x, y)
+                        for x, y in zip(lanes[q], reside[acc.pos][s])]
+                if all(klen(k) for k in both):
+                    moves[acc.pos, q, s] = sub(q, both)
+
+    out = []
+    for p in nodes:
+        shape = tuple(klen(i) for i in lanes[p])
         sends = []
-        for acc in ir.reads:
-            if acc.replicated:
-                continue
-            r_idx = _member_vecs(ir, acc, p)
-            cnt = int(r_idx[0].size)
-            if cnt == 0:
-                continue
-            dest = _proc_linear(ir.write, r_idx)
-            gather = _flat_local(acc, r_idx, p)
-            peers = tuple(
-                (int(q), gather[dest == q])
-                for q in np.unique(dest) if int(q) != p
-            )
-            sends.append(_DistSend(pos=acc.pos, name=acc.name, count=cnt,
-                                   peers=peers))
-
-        # -- gather plan ----------------------------------------------------
-        idx_vecs = _member_vecs(ir, ir.write, p)
-        n = int(idx_vecs[0].size)
+        for acc in remote:
+            count = math.prod(klen(k) for k in reside[acc.pos][p])
+            if count:
+                sends.append(_Send(acc.pos, acc.name, count, tuple(
+                    (q, region(acc, p, *moves[acc.pos, q, p][1:]))
+                    for q in nodes
+                    if q != p and (acc.pos, q, p) in moves)))
+        nk = DistNodeKernel(shape, sends=tuple(sends)) if local \
+            else SharedNodeKernel(shape)
+        out.append(nk)
+        if not nk.n:
+            continue
         reads = []
         for acc in ir.reads:
-            if acc.replicated:
-                ai = apply_ifunc(acc.funcs[0], idx_vecs[acc.dims[0]]) \
-                    if n else np.zeros(0, dtype=np.int64)
-                reads.append(_DistRead(pos=acc.pos, name=acc.name,
-                                       replicated=True, rep_gather=ai))
+            got = {s: moves[acc.pos, p, s] for s in nodes
+                   if (acc.pos, p, s) in moves}
+            if acc not in remote or got.keys() == {p} \
+                    and math.prod(got[p][2]) == nk.n:
+                reads.append(_Read(acc.pos, acc.name,
+                                   region(acc, p, lanes[p], shape)))
                 continue
-            if n == 0:
-                reads.append(_DistRead(
-                    pos=acc.pos, name=acc.name, replicated=False,
-                    local_pos=np.zeros(0, dtype=np.int64),
-                    local_gather=np.zeros(0, dtype=np.int64)))
-                continue
-            src = _proc_linear(acc, idx_vecs)
-            local = src == p
-            local_pos = np.nonzero(local)[0]
-            sub = [v[local] for v in idx_vecs]
-            local_gather = _flat_local(acc, sub, p)
-            sources = tuple(
-                (int(s), np.nonzero(src == s)[0])
-                for s in np.unique(src[~local])
-            )
-            reads.append(_DistRead(pos=acc.pos, name=acc.name,
-                                   replicated=False, local_pos=local_pos,
-                                   local_gather=local_gather,
-                                   sources=sources))
-
-        # -- commit plan: lane split + flat scatter --------------------------
-        if n:
-            scatter = _flat_local(ir.write, idx_vecs, p)
-            interior_mask = _interior_mask(ir, p, idx_vecs)
-            interior = np.nonzero(interior_mask)[0]
-            boundary = np.nonzero(~interior_mask)[0]
+            if sum(math.prod(m[2]) for m in got.values()) != nk.n:
+                raise KernelBuildError(
+                    f"read {acc.name!r} reaches elements that not exactly "
+                    "one node owns")
+            mine = got.pop(p, None) or sub(p, [prog(0, 1, 0)] * nd)
+            reads.append(_Read(
+                acc.pos, acc.name, region(acc, p, *mine[1:]),
+                Region(mine[0], range(nd), mine[2]),
+                tuple((s, Region(m[0], range(nd), m[2]))
+                      for s, m in got.items())))
+        nk.reads = tuple(reads)
+        split = ir.interior_split if local else None
+        ns = split.per_node.get(p) if split is not None else None
+        inner = [locate(key_of(ns.interior[d]), lanes[p][d])
+                 for d in range(nd)] if ns is not None else []
+        whole = block(p, [prog(0, 1, n) for n in shape])
+        # a store that is not a plain view may repeat an address: it
+        # commits as one block, in lexicographic lane order
+        if inner and all(klen(j) for j in inner) and whole.write.view:
+            nk.interior = block(p, inner)
+            nk.blocks = tuple(block(p, pos) for pos in _strips(inner, shape))
         else:
-            scatter = np.zeros(0, dtype=np.int64)
-            interior = boundary = np.zeros(0, dtype=np.int64)
-        nodes.append(DistNodeKernel(
-            n=n,
-            idx=_stack_i64(idx_vecs),
-            sends=tuple(sends),
-            reads=tuple(reads),
-            interior=interior,
-            boundary=boundary,
-            idx_interior=_stack_i64([v[interior] for v in idx_vecs]),
-            idx_boundary=_stack_i64([v[boundary] for v in idx_vecs]),
-            scatter_interior=scatter[interior],
-            scatter_boundary=scatter[boundary],
-        ))
-    return nodes
+            nk.blocks = (whole,)
+    return out
 
 
 def build_kernels(ir) -> FusedKernels:
@@ -372,19 +406,19 @@ def build_kernels(ir) -> FusedKernels:
             "sequential (•) clause is a serial chain; scalar path kept")
     if ir.write is None:
         raise KernelBuildError("plan carries no substituted write access")
-    source, rhs, guard = _emit_source(clause)
+    source, rhs, guard, used = _emit_source(clause)
     kernels = FusedKernels(
         source=source, rhs=rhs, guard=guard,
         nreads=len(ir.reads), write_name=ir.write.name,
     )
     try:
-        kernels.shared = _build_shared(ir)
+        kernels.shared = _build_nodes(ir, False, used)
     except KernelBuildError as e:
         kernels.shared_note = str(e)
     except Exception as e:  # enumerator/placement surprises: never fatal
         kernels.shared_note = f"{type(e).__name__}: {e}"
     try:
-        kernels.dist = _build_dist(ir)
+        kernels.dist = _build_nodes(ir, True, used)
     except KernelBuildError as e:
         kernels.dist_note = str(e)
     except Exception as e:
@@ -411,25 +445,30 @@ def _dispose_native_tier(kernels: FusedKernels) -> None:
     dispose_native(kernels)
 
 
-def _approx_nbytes(obj, _depth: int = 0) -> int:
-    """Approximate resident bytes of a kernel entry: ndarray buffers plus
-    generated source text, found by a bounded structural walk.  This is
-    an *accounting* estimate (the index arrays dominate by orders of
-    magnitude), not ``sys.getsizeof`` truth."""
+def _leaves(obj, _depth: int = 0):
+    """The ndarray, text and :class:`Region` leaves of a kernel entry,
+    found by a bounded structural walk."""
     if _depth > 8 or obj is None:
-        return 0
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, (str, bytes)):
-        return len(obj)
-    if isinstance(obj, (list, tuple)):
-        return sum(_approx_nbytes(x, _depth + 1) for x in obj)
-    if isinstance(obj, dict):
-        return sum(_approx_nbytes(x, _depth + 1) for x in obj.values())
-    if hasattr(obj, "__dataclass_fields__"):
-        return sum(_approx_nbytes(getattr(obj, name), _depth + 1)
-                   for name in obj.__dataclass_fields__)
-    return 0
+        return
+    if isinstance(obj, (np.ndarray, str, bytes, Region)):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _leaves(x, _depth + 1)
+    elif isinstance(obj, dict):
+        yield from _leaves(list(obj.values()), _depth)
+    elif hasattr(obj, "__dataclass_fields__"):
+        yield from _leaves([getattr(obj, name)
+                            for name in obj.__dataclass_fields__], _depth)
+
+
+def _approx_nbytes(obj) -> int:
+    """Approximate resident bytes of a kernel entry: the vector keys of
+    its regions, ndarray buffers and generated source text.  This is an
+    *accounting* estimate (index vectors dominate where there are any),
+    not ``sys.getsizeof`` truth."""
+    return sum(len(x) if isinstance(x, (str, bytes)) else int(x.nbytes)
+               for x in _leaves(obj))
 
 
 #: default resident-byte budget for the kernel cache (256 MiB);

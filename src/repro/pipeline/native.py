@@ -64,8 +64,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -262,7 +262,7 @@ def compile_native_entry(source: str) -> Tuple[Callable, float]:
 
 
 # ---------------------------------------------------------------------------
-# per-node native data (flat global scatters)
+# flat global scatters (the real-process executors' keys)
 # ---------------------------------------------------------------------------
 
 def flat_key(key_vecs: tuple, shape: Tuple[int, ...]) -> np.ndarray:
@@ -277,43 +277,24 @@ def flat_key(key_vecs: tuple, shape: Tuple[int, ...]) -> np.ndarray:
 
 
 @dataclass
-class NativeSharedNode:
-    """One node's shared-flavor native data beyond the fused kernel's
-    own arrays: the all-lane set, and a flat global scatter resolved
-    against the target shape on first run (cached — shapes are stable
-    for a given decomposition)."""
-
-    lanes: np.ndarray               # arange(n)
-    write_key_vecs: tuple           # per-dim global store vectors
-    _scatter: Optional[np.ndarray] = field(default=None, repr=False)
-    _scatter_shape: Optional[tuple] = field(default=None, repr=False)
-
-    def scatter_for(self, shape: Tuple[int, ...]) -> np.ndarray:
-        if self._scatter is None or self._scatter_shape != shape:
-            self._scatter = flat_key(self.write_key_vecs, shape)
-            self._scatter_shape = shape
-        return self._scatter
-
-
-@dataclass
 class NativeKernels:
-    """The native tier of one plan: one compiled entry point plus the
-    shared flavor's per-node flat scatters (the distributed flavor runs
-    entirely on the fused kernel's stacked indices and flat local
-    scatters)."""
+    """The native tier of one plan: one compiled entry point.  Both
+    flavors run on the fused kernel's regions, which materialize the
+    lane vectors the njit signature takes on demand
+    (``Region.index_vectors`` / ``Region.flat``)."""
 
     source: str
     entry: Callable
     mode: str                       # "njit" | "interp"
     jit_s: float
-    shared: Optional[List[NativeSharedNode]] = None
-    #: node count of the distributed flavor (``None`` = no such kernels)
+    #: node counts per flavor (``None`` = no such kernels)
+    shared: Optional[int] = None
     dist: Optional[int] = None
 
     def describe(self) -> str:
         parts = [f"mode={self.mode}", f"jit={self.jit_s * 1e3:.1f} ms"]
         if self.shared is not None:
-            parts.append(f"shared: {len(self.shared)} node kernels")
+            parts.append(f"shared: {self.shared} node kernels")
         if self.dist is not None:
             parts.append(f"distributed: {self.dist} node kernels")
         return "; ".join(parts)
@@ -336,17 +317,10 @@ def _build_native(kernels, ir) -> NativeKernels:
     entry, jit_s = compile_native_entry(source)
     nat = NativeKernels(source=source, entry=entry, mode=sup.mode,
                         jit_s=jit_s)
-    if kernels.shared is not None:
-        nat.shared = [
-            NativeSharedNode(
-                lanes=np.arange(nk.n, dtype=np.int64),
-                write_key_vecs=tuple(
-                    np.asarray(a, dtype=np.int64) for a in nk.write_key_vecs),
-            )
-            for nk in kernels.shared
-        ]
-    if kernels.dist is not None:
-        nat.dist = len(kernels.dist)
+    for flavor in ("shared", "dist"):
+        nodes = getattr(kernels, flavor)
+        if nodes is not None:
+            setattr(nat, flavor, len(nodes))
     return nat
 
 

@@ -178,23 +178,22 @@ def _build_shared(ir, k) -> MpProgram:
         raise MpLoweringError(k.shared_note or "no shared kernels")
     names = {k.write_name}
     nodes = []
+    empty = np.zeros(0, dtype=np.int64)
     for p, nk in enumerate(k.shared):
-        reads = []
-        for pos, (name, ai) in enumerate(nk.read_keys):
-            key = ai if isinstance(ai, tuple) else (ai,)
-            reads.append(MpRead(pos=pos, name=name, local_pos=None,
-                                local_key=tuple(_i64(a) for a in key)))
-            names.add(name)
-        ndims = len(nk.idx)
-        wdims = len(nk.write_key_vecs)
+        # the workers index by lane vectors: materialize the regions'
+        blk = nk.blocks[0] if nk.n else None
+        reads = tuple(MpRead(pos=r.pos, name=r.name, local_pos=None,
+                             local_key=r.mem.index_vectors())
+                      for r in nk.reads)
+        names.update(r.name for r in reads)
+        idx = blk.loop.index_vectors() if blk else (empty,) * len(nk.shape)
+        wkey = blk.write.index_vectors() if blk \
+            else (empty,) * len(ir.write.funcs)
         nodes.append(MpNode(
-            p=p, n=int(nk.n), sends=(), reads=tuple(reads),
-            interior=np.arange(nk.n, dtype=np.int64),
-            boundary=np.zeros(0, dtype=np.int64),
-            idx_interior=tuple(_i64(v) for v in nk.idx),
-            idx_boundary=tuple(np.zeros(0, np.int64) for _ in range(ndims)),
-            wkey_interior=tuple(_i64(a) for a in nk.write_key_vecs),
-            wkey_boundary=tuple(np.zeros(0, np.int64) for _ in range(wdims)),
+            p=p, n=nk.n, sends=(), reads=reads,
+            interior=np.arange(nk.n, dtype=np.int64), boundary=empty,
+            idx_interior=idx, idx_boundary=(empty,) * len(idx),
+            wkey_interior=wkey, wkey_boundary=(empty,) * len(wkey),
         ))
     return MpProgram(
         token=next(_TOKENS), flavor="shared", source=k.source,
@@ -205,8 +204,8 @@ def _build_shared(ir, k) -> MpProgram:
 
 
 def lower_shared(ir) -> MpProgram:
-    """The §2.9 template over real processes: reuses the fused shared
-    kernels verbatim (their keys are already global)."""
+    """The §2.9 template over real processes: the fused shared kernels'
+    regions (already global) as lane vectors."""
     return _cached(ir, "shared", _build_shared)
 
 

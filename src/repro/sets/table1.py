@@ -72,11 +72,27 @@ class OptimizedAccess:
     imax: int
     rule: str
     _fn: EnumFn
+    #: per processor ``(rule, segments, Work delta)`` — kept only on
+    #: accesses the Table I memo holds: their decomposition has a
+    #: structural ``cache_key``, so membership cannot change under them
+    _memo: Optional[Dict[int, tuple]] = None
 
     def enumerate(self, p: int, work: Optional[Work] = None) -> Enumeration:
-        if work is None:
-            work = Work()
-        return self._fn(self.d, self.f, self.imin, self.imax, p, work)
+        """``{ i | proc(f(i)) = p }``.  Each ``(access, p)`` is
+        enumerated once per compile: the segments are memoized with the
+        :class:`Work` they cost, and every call replays that cost into
+        *work* and returns a fresh :class:`Enumeration`."""
+        hit = self._memo.get(p) if self._memo is not None else None
+        if hit is None:
+            delta = Work()
+            e = self._fn(self.d, self.f, self.imin, self.imax, p, delta)
+            hit = (e.rule, tuple(e.segments), delta)
+            if self._memo is not None:
+                self._memo[p] = hit
+        if work is not None:
+            for name, spent in vars(hit[2]).items():
+                setattr(work, name, getattr(work, name) + spent)
+        return Enumeration(hit[0], list(hit[1]))
 
     def indices(self, p: int, work: Optional[Work] = None) -> list[int]:
         return self.enumerate(p, work).indices()
@@ -210,9 +226,12 @@ def table1_cache_info() -> Dict[str, int]:
 
 
 def clear_table1_cache() -> None:
-    """Drop every memoized access and reset the counters."""
+    """Drop every memoized access (and every enumeration memoized on
+    one) and reset the counters."""
     global _cache_hits, _cache_misses, _cache_evictions
     with _cache_lock:
+        for acc in _cache.values():
+            acc._memo.clear()
         _cache.clear()
         _cache_hits = 0
         _cache_misses = 0
@@ -252,6 +271,7 @@ def optimize_access(
             _cache_hits += 1
             return hit
     acc = _build_access(d, f, imin, imax)
+    acc._memo = {}
     with _cache_lock:
         global _cache_evictions
         _cache_misses += 1

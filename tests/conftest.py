@@ -75,3 +75,48 @@ def rng():
 def fig2_params():
     """The Fig. 2 configuration: 15 elements on 4 processors."""
     return {"n": 15, "pmax": 4}
+
+
+# ---------------------------------------------------------------------------
+# the cross-tier differential
+# ---------------------------------------------------------------------------
+
+IN_PROCESS_TIERS = ("scalar", "vector", "overlap", "fused", "native")
+ALL_TIERS = IN_PROCESS_TIERS + ("mp", "mpi")
+
+
+def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2):
+    """Run one ``//`` clause on the shared and the distributed machine
+    under every tier in *tiers* and assert the cross-tier contract:
+    post-state bit-identical to the sequential evaluator, the batching
+    tiers (everything but scalar) exchanging exactly the same messages
+    and elements, and batching changing only how elements are packed,
+    never which move.  Returns ``(plan, {(machine, tier): machine})``."""
+    from repro.codegen.dist_tmpl import run_distributed
+    from repro.codegen.nddist import compile_clause_nd_dist
+    from repro.codegen.plan import compile_clause
+    from repro.codegen.shared_tmpl import run_shared
+    from repro.core import copy_env, evaluate_clause
+
+    name = clause.lhs.name
+    plan = (compile_clause(clause, decomps) if clause.domain.dim == 1
+            else compile_clause_nd_dist(clause, decomps))
+    ref = evaluate_clause(clause, copy_env(env))[name]
+    ran, moved = {}, {}
+    for tier in tiers:
+        if tier != "overlap":  # the overlap schedule is distributed-only
+            m = run_shared(plan, copy_env(env), backend=tier,
+                           processes=processes)
+            assert np.array_equal(m.env[name], ref), f"shared {tier}"
+            ran["shared", tier] = m
+        m = run_distributed(plan, copy_env(env), backend=tier,
+                            processes=processes)
+        assert np.array_equal(m.collect(name), ref), f"dist {tier}"
+        ran["dist", tier] = m
+        moved[tier] = (m.stats.total_messages(),
+                       m.stats.total_elements_moved())
+    batching = {t: v for t, v in moved.items() if t != "scalar"}
+    assert len(set(batching.values())) <= 1, batching
+    if "scalar" in moved and batching:
+        assert moved["scalar"][1] == next(iter(batching.values()))[1]
+    return plan, ran

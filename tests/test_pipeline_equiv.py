@@ -48,6 +48,8 @@ from repro.decomp import (
     Scatter,
 )
 
+from .conftest import check_all_tiers
+
 N, P = 40, 4
 
 DEC_KINDS = {
@@ -427,32 +429,9 @@ class TestAllBackendsAgree:
         )
         decomps = {"A": DEC_KINDS[wkind](N), "B": DEC_KINDS[rkind](N),
                    "C": DEC_KINDS[rkind](N)}
-        plan = compile_clause(cl, decomps)
-        env0 = env1d(seed)
-        ref = evaluate_clause(cl, copy_env(env0))["A"]
-
-        # shared machine: scalar / vector / fused / native / mp / mpi
-        # all bit-identical
-        for backend in ("scalar", "vector", "fused", "native", "mp",
-                        "mpi"):
-            m = run_shared(plan, copy_env(env0), backend=backend,
-                           processes=2)
-            assert np.array_equal(m.env["A"], ref), f"shared {backend}"
-
-        # distributed machine: all seven backends bit-identical, and
-        # the batching backends move exactly the same messages/elements
-        msgs = {}
-        for backend in ("scalar", "vector", "overlap", "fused",
-                        "native", "mp", "mpi"):
-            m = run_distributed(plan, copy_env(env0), backend=backend,
-                                processes=2)
-            assert np.array_equal(m.collect("A"), ref), f"dist {backend}"
-            msgs[backend] = (m.stats.total_messages(),
-                             m.stats.total_elements_moved())
-        assert msgs["vector"] == msgs["overlap"] == msgs["fused"] \
-            == msgs["native"] == msgs["mp"] == msgs["mpi"]
-        # batching never changes what moves, only how it is packed
-        assert msgs["vector"][1] == msgs["scalar"][1]
+        # every tier on both machines: bit-identical to the evaluator,
+        # and the batching tiers move exactly the same messages/elements
+        check_all_tiers(cl, decomps, env1d(seed))
 
     def _three_clause_program(self):
         """D := f(A,B); E := g(D); F := h(E) with a redistribution

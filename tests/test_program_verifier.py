@@ -53,6 +53,7 @@ from repro.analysis import (
 )
 from repro.core import PAR, AffineF, Bounds, IdentityF, SeparableMap
 from repro.machine.fused import FusedStrictError
+from repro.pipeline.region import Region
 from repro.pipeline import (
     clear_program_cache,
     compile_plan,
@@ -278,23 +279,19 @@ class TestKrnFixtures:
 
     def test_krn001_corrupt_gather_index(self):
         ir = self._plan()
-        nk = ir.kernels.shared[0]
-        name, key = nk.read_keys[0]
-        bad_key = np.array(key, dtype=np.int64)
-        bad_key[0] = 99  # escapes B's extent [0, N)
-        nk.read_keys = ((name, bad_key),) + tuple(nk.read_keys[1:])
+        rd = ir.kernels.shared[0].reads[0]
+        # a slice past B's extent [0, N): NumPy would clip it silently
+        rd.mem = Region((slice(0, 100),), rd.mem.dims, rd.mem.shape)
         codes = {d.code for d in sanitize_kernels(ir)}
         assert "KRN001" in codes
 
     def test_krn001_strict_rejects_at_compile_time(self):
-        """The acceptance fixture: a deliberately corrupted gather index
-        array is refused by ``--strict`` *before* any worker runs."""
+        """The acceptance fixture: a deliberately corrupted gather region
+        is refused by ``--strict`` *before* any worker runs."""
         ir = self._plan()
-        nk = ir.kernels.shared[0]
-        name, key = nk.read_keys[0]
-        bad_key = np.array(key, dtype=np.int64)
-        bad_key[-1] = -N - 1
-        nk.read_keys = ((name, bad_key),) + tuple(nk.read_keys[1:])
+        rd = ir.kernels.shared[0].reads[0]
+        # a negative slice bound: NumPy would wrap it silently
+        rd.mem = Region((slice(-N - 1, 6),), rd.mem.dims, rd.mem.shape)
         with pytest.raises(FusedStrictError, match="KRN001"):
             check_kernels_strict(ir, True)
         with pytest.raises(FusedStrictError, match="KRN001"):

@@ -1,0 +1,464 @@
+"""Region-keyed kernels: the key algebra, the differential against the
+lane vectors ``_member_vecs`` would build, the timing-free complexity
+guard, and what ``describe()`` reports."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis import check_schedule, sanitize_kernels
+from repro.codegen.nddist import compile_clause_nd_dist
+from repro.codegen.plan import compile_clause
+from repro.core import (
+    AffineF,
+    Bounds,
+    Clause,
+    ConstantF,
+    IdentityF,
+    IndexSet,
+    LoopIndex,
+    ModularF,
+    Ref,
+    SeparableMap,
+)
+from repro.core.view import ProjectedMap
+from repro.decomp import (
+    Block,
+    BlockScatter,
+    GridDecomposition,
+    Replicated,
+    Scatter,
+)
+from repro.machine.vectorize import (
+    _array_vecs,
+    _interior_mask,
+    _local_key,
+    _member_vecs,
+    _proc_linear,
+)
+from repro.pipeline import clear_plan_cache, compile_plan
+from repro.pipeline.kernels import _approx_nbytes
+from repro.pipeline.region import (
+    Region,
+    compose,
+    compress,
+    image,
+    key_of,
+    klen,
+    locate,
+    meet,
+    prog,
+    vec,
+)
+from repro.runtime.lowering import lower_dist, lower_shared
+from repro.sets.enumerators import Enumeration, Segment
+
+from .conftest import IN_PROCESS_TIERS, check_all_tiers
+
+
+# ---------------------------------------------------------------------------
+# the key algebra against plain NumPy
+# ---------------------------------------------------------------------------
+
+progressions = st.tuples(st.integers(0, 40), st.integers(1, 7),
+                         st.integers(0, 12))
+
+
+def vectors(min_size=0):
+    return st.lists(st.integers(0, 60), min_size=min_size, max_size=12,
+                    unique=True).map(
+        lambda xs: np.array(sorted(xs), dtype=np.int64))
+
+
+def keys(min_size=0):
+    return st.one_of(
+        progressions.filter(lambda t: t[2] >= min_size).map(
+            lambda t: prog(*t)),
+        vectors(min_size).map(compress), vectors(min_size))
+
+
+class TestKeys:
+    @given(st.integers(-5, 40), st.integers(-7, 7), st.integers(0, 12))
+    def test_prog_addresses_exactly_its_terms(self, start, step, count):
+        want = start + step * np.arange(count)
+        key = prog(start, step, count)
+        if step == 0 and count > 1:
+            want = want[:1]  # a zero stride collapses: the axis broadcasts
+        assert np.array_equal(vec(key), want)
+        if isinstance(key, slice):
+            assert want.size == 0 or want.min() >= 0
+            assert np.array_equal(np.arange(200)[key], want)
+
+    @given(vectors())
+    def test_compress_keeps_the_elements(self, v):
+        key = compress(v)
+        assert np.array_equal(vec(key), v) and klen(key) == v.size
+        if v.size > 1 and len(set(np.diff(v))) == 1:
+            assert isinstance(key, slice)
+
+    @given(st.lists(progressions, max_size=5))
+    def test_key_of_is_the_sorted_members(self, progs):
+        segs = [Segment(lo, lo + step * (n - 1), step)
+                for lo, step, n in progs if n]
+        want = np.unique(np.concatenate(
+            [s.index_array() for s in segs] or [np.zeros(0, np.int64)]))
+        assert np.array_equal(vec(key_of(segs)), want)
+
+    @given(keys(), keys())
+    def test_meet_is_the_intersection(self, a, b):
+        assert np.array_equal(vec(meet(a, b)),
+                              np.intersect1d(vec(a), vec(b)))
+
+    @given(keys(min_size=1), st.data())
+    def test_locate_inverts_compose(self, base, data):
+        pos = data.draw(st.one_of(
+            st.tuples(st.integers(0, klen(base) - 1), st.integers(1, 3),
+                      st.integers(0, 4)).map(
+                lambda t: prog(t[0], t[1],
+                               min(t[2], (klen(base) - 1 - t[0]) // t[1] + 1))),
+            st.lists(st.integers(0, klen(base) - 1), max_size=6,
+                     unique=True).map(
+                lambda xs: np.array(xs, dtype=np.int64))))
+        sub = compose(base, pos)
+        assert np.array_equal(vec(sub), vec(base)[vec(pos)])
+        assert np.array_equal(vec(locate(sub, base)), vec(pos))
+
+    @given(progressions, st.sampled_from([
+        IdentityF(), AffineF(1, 3), AffineF(-1, 90), AffineF(2, 1),
+        ConstantF(4), ModularF(AffineF(1, 6), 20)]))
+    def test_image_applies_the_access_function(self, t, f):
+        key = image(f, prog(*t))
+        want = np.array([f(int(i)) for i in vec(prog(*t))], dtype=np.int64)
+        if klen(key) == 1 and want.size > 1:
+            want = np.unique(want)  # a constant image broadcasts
+        assert np.array_equal(vec(key), want)
+
+
+class TestRegion:
+    def test_sliced_take_is_a_view_in_lane_layout(self):
+        arr = np.arange(48.0).reshape(6, 8)
+        # a transposed access A[j, i] over lanes (i, j) of shape (3, 4)
+        r = Region([prog(1, 1, 4), prog(2, 2, 3)], (1, 0), (3, 4))
+        assert r.sliced and r.view
+        got = r.take(arr)
+        assert got.shape == (3, 4) and np.shares_memory(got, arr)
+        assert np.array_equal(got, arr[1:5, 2:8:2].T)
+
+    def test_lower_rank_and_constant_keys_broadcast(self):
+        x = np.arange(10.0)
+        r = Region([prog(2, 1, 4)], (1,), (3, 4))  # x[j] in an (i, j) loop
+        assert r.take(x).shape == (1, 4) and not r.view
+        c = Region([prog(7, 0, 5)], (0,), (5,))    # x[7] on every lane
+        assert np.array_equal(np.broadcast_to(c.take(x), (5,)), [7.0] * 5)
+        assert np.array_equal(c.index_vectors()[0], [7] * 5)
+
+    def test_vector_key_goes_through_ix(self):
+        arr = np.arange(48.0).reshape(6, 8)
+        r = Region([np.array([0, 1, 4]), prog(0, 1, 8)], (0, 1), (3, 8))
+        assert not r.sliced
+        assert np.array_equal(r.take(arr), arr[[0, 1, 4]])
+        assert not np.shares_memory(r.take(arr), arr)
+
+    def test_clipping_slice_raises_instead_of_shrinking(self):
+        with pytest.raises(IndexError):
+            Region([slice(0, 100, 1)], (0,), (100,)).take(np.zeros(10))
+
+    @pytest.mark.parametrize("region", [
+        Region([prog(1, 1, 4), prog(2, 2, 3)], (1, 0), (3, 4)),
+        Region([np.array([5, 0, 3]), prog(1, 1, 4)], (0, 1), (3, 4)),
+        Region([prog(2, 0, 3), prog(1, 1, 4)], (0, 1), (3, 4)),  # repeats
+    ])
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_store_matches_the_lane_vector_store(self, region, guarded):
+        rng = np.random.default_rng(3)
+        values = rng.random(region.shape)
+        mask = rng.random(region.shape) > 0.5 if guarded else None
+        got, want = np.zeros((6, 8)), np.zeros((6, 8))
+        stored = region.store(got, values, mask)
+        keys, flat = region.index_vectors(), values.ravel()
+        if guarded:
+            keys, flat = tuple(k[mask.ravel()] for k in keys), \
+                flat[mask.ravel()]
+        want[keys] = flat
+        assert np.array_equal(got, want) and stored == flat.size
+        assert np.array_equal(
+            region.flat((6, 8)),
+            np.ravel_multi_index(region.index_vectors(), (6, 8)))
+
+
+# ---------------------------------------------------------------------------
+# differential: region-keyed fused vs the lane vectors of _member_vecs
+# ---------------------------------------------------------------------------
+
+SHAPES = {1: ((24,), (4,)), 2: ((12, 8), (2, 2)), 3: ((6, 4, 4), (2, 1, 2))}
+
+
+def axis_dec(kind, n, p):
+    return {"block": lambda: Block(n, p), "scatter": lambda: Scatter(n, p),
+            "bs-multi": lambda: BlockScatter(n, p, 2),
+            "bs-one": lambda: BlockScatter(n, p, -(-n // p))}[kind]()
+
+
+def access(kind, n, c):
+    """``(f, lo, hi)``: an access function and the loop range keeping
+    its image inside ``[0, n)``."""
+    c %= n
+    return {
+        "identity": lambda: (IdentityF(), 0, n - 1),
+        "shift+": lambda: (AffineF(1, min(c, 2)), 0, n - 1 - min(c, 2)),
+        "shift-": lambda: (AffineF(1, -min(c, 2)), min(c, 2), n - 1),
+        "reverse": lambda: (AffineF(-1, n - 1), 0, n - 1),
+        "stride2": lambda: (AffineF(2, c % 2), 0, (n - 1 - c % 2) // 2),
+        "rotate": lambda: (ModularF(AffineF(1, c), n), 0, n - 1),
+        "constant": lambda: (ConstantF(c), 0, n - 1),
+    }[kind]()
+
+
+DEC = st.sampled_from(["block", "scatter", "bs-multi", "bs-one"])
+READ_F = st.sampled_from(["identity", "shift+", "shift-", "reverse",
+                          "stride2", "rotate", "constant"])
+WRITE_F = st.sampled_from(["identity", "shift+", "reverse"])
+
+
+@st.composite
+def clauses(draw):
+    nd = draw(st.sampled_from([1, 2, 3]))
+    extents, grid = SHAPES[nd]
+    pmax = int(np.prod(grid))
+
+    def decomposition():
+        axes = [axis_dec(draw(DEC), n, p) for n, p in zip(extents, grid)]
+        return axes[0] if nd == 1 else GridDecomposition(axes)
+
+    def ref(name, kinds):
+        funcs, bounds = [], []
+        for kind, n in zip(kinds, extents):
+            f, lo, hi = access(kind, n, draw(st.integers(0, 30)))
+            funcs.append(f)
+            bounds.append((lo, hi))
+        return Ref(name, SeparableMap(funcs)), bounds
+
+    decomps = {"A": decomposition(), "B": decomposition()}
+    lhs, wb = ref("A", [draw(WRITE_F) for _ in range(nd)])
+    rb, bb = ref("B", [draw(READ_F) for _ in range(nd)])
+    gb, _ = ref("B", ["identity"] * nd)
+    rhs, limits = rb * 0.5, [wb, bb]
+    if draw(st.booleans()):  # in place: the write target is read too
+        ra, ab = ref("A", [draw(READ_F) for _ in range(nd)])
+        rhs, limits = rhs + ra, limits + [ab]
+    if draw(st.booleans()):  # a replicated (lower-rank) read
+        d = draw(st.integers(0, nd - 1))
+        f, lo, hi = access(draw(READ_F), extents[d], draw(st.integers(0, 30)))
+        decomps["x"] = Replicated(extents[d], pmax)
+        rhs = rhs + Ref("x", ProjectedMap((d,), (f,)))
+        limits.append([(lo, hi) if e == d else (0, extents[e] - 1)
+                       for e in range(nd)])
+    if draw(st.booleans()):  # the body sees the loop index
+        rhs = rhs + LoopIndex(draw(st.integers(0, nd - 1))) * 0.25
+    lo = tuple(max(b[d][0] for b in limits) for d in range(nd))
+    hi = tuple(min(b[d][1] for b in limits) for d in range(nd))
+    clause = Clause(IndexSet(Bounds(lo, hi)), lhs, rhs,
+                    guard=gb > 0.5 if draw(st.booleans()) else None)
+    return clause, decomps, extents, draw(st.integers(0, 2**16))
+
+
+def lane_vectors(acc, idx, local):
+    """Per array axis the lane vector the vector-keyed kernels held."""
+    if not local:
+        return tuple(_array_vecs(acc, idx))
+    key = _local_key(acc, idx)
+    return key if isinstance(key, tuple) else (key,)
+
+
+def assert_region(region, want):
+    got = region.index_vectors()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, np.asarray(w, dtype=np.int64))
+
+
+def assert_node_matches_member_vecs(ir, nk, p, local):
+    """One node kernel against the old lane-vector build, element for
+    element."""
+    idx = _member_vecs(ir, ir.write, p)
+    n = int(idx[0].size)
+    assert nk.n == n
+    for s in getattr(nk, "sends", ()):
+        acc = ir.reads[s.pos]
+        r_idx = _member_vecs(ir, acc, p)
+        assert s.count == int(r_idx[0].size)
+        dest = _proc_linear(ir.write, r_idx)
+        assert [q for q, _ in s.peers] == \
+            [int(q) for q in np.unique(dest) if int(q) != p]
+        for q, region in s.peers:
+            assert_region(region, lane_vectors(
+                acc, [v[dest == q] for v in r_idx], True))
+    if not n:
+        return
+    blocks = list(nk.blocks)
+    if getattr(nk, "interior", None) is not None:
+        blocks.insert(0, nk.interior)
+        mask = _interior_mask(ir, p, idx)
+        assert np.array_equal(nk.interior.pos.flat(nk.shape),
+                              np.nonzero(mask)[0])
+    covered = np.concatenate([b.pos.flat(nk.shape) for b in blocks])
+    assert np.array_equal(np.sort(covered), np.arange(n))
+    for blk in blocks:
+        lanes = blk.pos.flat(nk.shape)
+        sub = [v[lanes] for v in idx]
+        assert_region(blk.loop, sub)
+        assert_region(blk.write, lane_vectors(ir.write, sub, local))
+        for g, want in zip(blk.grids, blk.loop.grids()):
+            assert g is None or np.array_equal(g, want)
+    for r in nk.reads:
+        acc = ir.reads[r.pos]
+        if r.lanes is None:
+            assert not r.sources
+            assert_region(r.mem, lane_vectors(acc, idx, local))
+            continue
+        src = _proc_linear(acc, idx)
+        assert np.array_equal(r.lanes.flat(nk.shape),
+                              np.nonzero(src == p)[0])
+        assert_region(r.mem, lane_vectors(
+            acc, [v[src == p] for v in idx], True))
+        assert [s for s, _ in r.sources] == \
+            [int(s) for s in np.unique(src[src != p])]
+        for s, fill in r.sources:
+            assert np.array_equal(fill.flat(nk.shape),
+                                  np.nonzero(src == s)[0])
+
+
+class TestRegionKernelsDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(clauses())
+    def test_fused_equals_vector_evaluator_and_member_vecs(self, case):
+        clause, decomps, extents, seed = case
+        rng = np.random.default_rng(seed)
+        env = {name: rng.random(extents if name != "x" else dec.n)
+               for name, dec in decomps.items()}
+        plan, ran = check_all_tiers(clause, decomps, env,
+                                    tiers=IN_PROCESS_TIERS)
+        k = plan.kernels
+        assert k is not None and k.shared is not None and k.dist is not None
+        # the same schedule, so the same MachineStats in full ...
+        assert ran["dist", "fused"].stats == ran["dist", "overlap"].stats
+        assert ran["shared", "fused"].stats == ran["shared", "vector"].stats
+        # ... and every counter of the blocking-receive vector program
+        for f, v in zip(ran["dist", "fused"].stats.nodes,
+                        ran["dist", "vector"].stats.nodes):
+            f, v = dict(vars(f), steps=0), dict(vars(v), steps=0)
+            assert f == v
+        for p in range(plan.pmax):
+            assert_node_matches_member_vecs(plan, k.shared[p], p, False)
+            assert_node_matches_member_vecs(plan, k.dist[p], p, True)
+
+
+# ---------------------------------------------------------------------------
+# complexity guard: lowering never expands a closed form
+# ---------------------------------------------------------------------------
+
+def _boom(*a, **kw):
+    raise AssertionError("lower-kernels expanded a closed form per lane")
+
+
+class TestLoweringStaysClosedForm:
+    @pytest.fixture(autouse=True)
+    def no_expansion(self, monkeypatch):
+        clear_plan_cache()
+        monkeypatch.setattr(Enumeration, "index_array", _boom)
+        monkeypatch.setattr(Segment, "index_array", _boom)
+        monkeypatch.setattr(np, "meshgrid", _boom)
+        yield
+        clear_plan_cache()
+
+    def test_e13_block_block_at_2_20(self):
+        n = 2**20
+        cl = Clause(IndexSet.range1d(1, n - 2),
+                    Ref("A", SeparableMap([IdentityF()])),
+                    Ref("B", SeparableMap([AffineF(1, -1)]))
+                    + Ref("B", SeparableMap([AffineF(1, 1)])))
+        ir = compile_clause(cl, {"A": Block(n, 4), "B": Block(n, 4)})
+        stats = ir.kernels.region_stats
+        assert stats["dist"]["vector"] == stats["shared"]["vector"] == 0
+        assert stats["bytes"] < 1 << 16  # O(pmax), not int64 lanes
+
+    def test_e19_block_x_block_at_1024(self):
+        n = 1024
+        g = GridDecomposition([Block(n, 2), Block(n, 2)])
+
+        def s(di, dj):
+            return Ref("S", SeparableMap([AffineF(1, di), AffineF(1, dj)]))
+
+        cl = Clause(IndexSet(Bounds((1, 1), (n - 2, n - 2))),
+                    Ref("T", SeparableMap([IdentityF(), IdentityF()])),
+                    (s(-1, 0) + s(1, 0) + s(0, -1) + s(0, 1)) * 0.25)
+        ir = compile_clause_nd_dist(cl, {"S": g, "T": g})
+        stats = ir.kernels.region_stats
+        assert stats["dist"]["vector"] == stats["shared"]["vector"] == 0
+        assert stats["bytes"] < 1 << 20  # O(edge), not O(edge^2)
+        assert all(nk.interior is not None and len(nk.blocks) <= 4
+                   for nk in ir.kernels.dist)
+
+
+# ---------------------------------------------------------------------------
+# what describe() and the schedule check read off regions
+# ---------------------------------------------------------------------------
+
+class TestRegionReporting:
+    def _plan(self, wdec, rdec, n=64):
+        clear_plan_cache()
+        cl = Clause(IndexSet.range1d(1, n - 2),
+                    Ref("A", SeparableMap([IdentityF()])),
+                    Ref("B", SeparableMap([AffineF(1, 1)])) * 2.0)
+        return compile_plan(cl, {"A": wdec, "B": rdec})
+
+    def test_describe_counts_slice_and_vector_regions(self):
+        k = self._plan(Block(64, 4), Block(64, 4)).kernels
+        stats = k.region_stats
+        assert stats["dist"]["vector"] == 0 and stats["dist"]["slice"] > 0
+        assert f"{stats['dist']['slice']} slice / 0 vector" in k.describe()
+        assert f"{stats['bytes']} bytes" in k.describe()
+
+    def test_vector_keys_are_counted_in_bytes(self):
+        sliced = self._plan(Block(64, 4), Block(64, 4)).kernels
+        multi = self._plan(BlockScatter(64, 4, 2), Block(64, 4)).kernels
+        assert multi.region_stats["dist"]["vector"] > 0
+        vector_bytes = sum(
+            r.nbytes for nk in multi.dist for b in nk.blocks
+            for r in (b.pos, b.loop, b.write))
+        assert vector_bytes > 0
+        assert _approx_nbytes(multi) >= _approx_nbytes(sliced) + vector_bytes
+
+    def test_lowered_key_vectors_share_the_bounds_check(self):
+        """KRN001 reads regions and lowered mp key vectors through one
+        check: first/last element of a slice, min/max of a vector."""
+        ir = self._plan(Block(64, 4), Block(64, 4))
+        dist, shared = lower_dist(ir), lower_shared(ir)
+        assert not sanitize_kernels(ir)
+        dist.nodes[1].wkey_interior[0][0] = 99
+        shared.nodes[0].reads[0].local_key[0][0] = -3
+        found = [d.message for d in sanitize_kernels(ir)
+                 if d.code == "KRN001"]
+        assert len(found) == 2
+        assert any("mp[dist] node 1" in m and "99" in m for m in found)
+        assert any("mp[shared] node 0" in m and "-3" in m for m in found)
+
+    def test_schedule_sizes_come_from_region_size(self):
+        """SCHED001 matches lane counts whether a send key is a lowered
+        vector tuple or a region."""
+        ir = self._plan(Block(64, 4), Block(64, 4))
+        prog_ = lower_dist(ir)
+        _, cert = check_schedule([prog_])
+        assert cert.ok and cert.messages > 0
+        for nd, nk in zip(prog_.nodes, ir.kernels.dist):
+            for s, ks in zip(nd.sends, nk.sends):
+                assert [q for q, _ in s.peers] == [q for q, _ in ks.peers]
+                s.peers = ks.peers  # the fused kernels' memory regions
+        _, cert = check_schedule([prog_])
+        assert cert.ok
+        short = next(s for nd in prog_.nodes for s in nd.sends if s.peers)
+        q, region = short.peers[0]
+        short.peers = ((q, Region([prog(0, 1, region.size + 1)], (0,),
+                                  (region.size + 1,))),) + short.peers[1:]
+        diags, cert = check_schedule([prog_])
+        assert not cert.ok and {d.code for d in diags} >= {"SCHED001"}
