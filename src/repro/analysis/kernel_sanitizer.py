@@ -7,10 +7,11 @@ would fault inside a worker (or worse, silently read the wrong slot).
 This module audits them statically, per plan:
 
 ``KRN001``
-    Every precomputed region and index array stays inside the buffer it
-    addresses: shared-kernel regions and lowered mp-program key vectors
-    against the declared array extents, dist-kernel regions (gathers,
-    sends, stores) against the node's local (resident) buffer shape.
+    Every precomputed region stays inside the buffer it addresses: the
+    regions of the global-address flavors (``shared``, and ``gdist`` —
+    what real processes run — once lowered) against the declared array
+    extents, dist-kernel regions (gathers, sends, stores) against the
+    node's local (resident) buffer shape.
 
 ``KRN002``
     AST audit of the rendered kernel sources.  The fused rendering may
@@ -36,8 +37,6 @@ from __future__ import annotations
 
 import ast
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from ..core.expr import BinOp, Ref, UnOp
 from .diagnostics import Diagnostic, Severity
@@ -203,17 +202,14 @@ def _extents(ir, name: str) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _violation(key, extents) -> Optional[Tuple[int, int, object]]:
-    """First ``(axis, index, extent)`` of a key escaping its array:
-    *key* is a region (a slice is checked at its first and last element,
-    a vector at its min and max — exact without enumeration) or a
-    lowered tuple of per-dim key vectors.  A safety property, not an
+def _violation(region, extents) -> Optional[Tuple[int, int, object]]:
+    """First ``(axis, index, extent)`` of a region escaping its array: a
+    slice is checked at its first and last element, a vector at its min
+    and max — exact without enumeration.  A safety property, not an
     optimisation: NumPy silently wraps a negative slice bound and clips
     one past the end.  Negative indices are flagged even without known
     extents."""
-    spans = key.extent() if hasattr(key, "extent") else tuple(
-        (int(v.min()), int(v.max())) if v.size else None
-        for v in map(np.asarray, key))
+    spans = region.extent()
     if extents is None or len(extents) != len(spans):
         extents = (None,) * len(spans)
     for axis, (span, n) in enumerate(zip(spans, extents)):
@@ -237,49 +233,42 @@ def _local_shape(dec, p: int) -> Optional[Tuple[int, ...]]:
 
 
 def _node_keys(nd, write_name):
-    """``(what, access, array, key)`` for every gather, send and store
-    key of one node — a fused node kernel (regions) or a lowered mp node
-    (key vectors)."""
+    """``(what, access, array, region)`` for every gather, send and
+    store region of one node kernel."""
     for r in nd.reads:
         yield (f"gather of read {r.name!r} (pos {r.pos})",
-               f"read{r.pos}:{r.name}", r.name,
-               r.mem if hasattr(r, "mem") else r.local_key)
-    for s in getattr(nd, "sends", ()):
-        for q, key in s.peers:
+               f"read{r.pos}:{r.name}", r.name, r.mem)
+    for s in nd.sends:
+        for q, region in s.peers:
             yield (f"send of read {s.name!r} (pos {s.pos}) to node {q}",
-                   f"read{s.pos}:{s.name}", s.name, key)
-    stores = [b.write for b in (*nd.blocks, getattr(nd, "interior", None))
-              if b is not None] if hasattr(nd, "blocks") \
-        else [nd.wkey_interior, nd.wkey_boundary]
-    for key in stores:
+                   f"read{s.pos}:{s.name}", s.name, region)
+    for blk in nd.commits:
         yield (f"store of write {write_name!r}", f"write:{write_name}",
-               write_name, key)
+               write_name, blk.write)
 
 
 def _check_bounds(ir, kernels) -> List[Diagnostic]:
-    """Every key against the buffer it addresses: global arrays for the
-    shared flavor and the lowered mp programs (their keys are global),
-    node *p*'s local buffers for the distributed flavor."""
+    """Every region against the buffer it addresses: node *p*'s local
+    buffers for the ``dist`` flavor, the global arrays for the other
+    two."""
+    from ..pipeline.kernels import _FLAVORS
+
     out: List[Diagnostic] = []
     decs = {acc.name: acc.dec for acc in reversed(ir.accesses())}
-    progs = getattr(kernels, "_mp_programs", None) or {}
-    plans = [(f"{f} kernel of", f == "dist", enumerate(getattr(kernels, f) or ()))
-             for f in ("shared", "dist")]
-    plans += [(f"mp[{f}]", False, ((nd.p, nd) for nd in prog.nodes))
-              for f, prog in sorted(progs.items())]
-    for where, local, nodes in plans:
-        for p, nd in nodes:
-            for what, access, name, key in _node_keys(nd, kernels.write_name):
-                hit = _violation(key, _local_shape(decs.get(name), p)
+    for flavor, (local, _dist) in _FLAVORS.items():
+        for nd in getattr(kernels, flavor) or ():
+            for what, access, name, region in _node_keys(
+                    nd, kernels.write_name):
+                hit = _violation(region, _local_shape(decs.get(name), nd.p)
                                  if local else _extents(ir, name))
                 if hit is not None:
                     axis, v, n = hit
                     out.append(_diag(
                         "KRN001",
-                        f"{where} node {p}: {what} holds index {v} outside "
-                        f"[0, {n}) at axis {axis}",
+                        f"{flavor} kernel of node {nd.p}: {what} holds "
+                        f"index {v} outside [0, {n}) at axis {axis}",
                         clause=ir.clause.name or "<anonymous>",
-                        access=access, witnesses={p: [v]},
+                        access=access, witnesses={nd.p: [v]},
                         hint="a corrupted or stale key would fault (or "
                              "silently wrap or clip) at run time"))
     return out

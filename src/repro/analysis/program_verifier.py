@@ -142,9 +142,9 @@ class VerifyCache:
     structural program key — warm compiles skip re-verification."""
 
     def __init__(self, maxsize: Optional[int] = None):
-        from ..pipeline.cache import _env_maxsize
+        from ..pipeline.cache import _env_number
 
-        self.maxsize = (_env_maxsize(_DEFAULT_MAXSIZE)
+        self.maxsize = (_env_number("REPRO_CACHE_SIZE", _DEFAULT_MAXSIZE)
                         if maxsize is None else maxsize)
         self.enabled = True
         self.hits = 0
@@ -508,8 +508,8 @@ def _verify_pipeline(pir, report: DiagnosticReport) -> None:
 # ---------------------------------------------------------------------------
 
 def _verify_schedule(pir, report: DiagnosticReport):
-    """Lower every step to its shared-flavor mp program (the form
-    ``run_program_mp`` executes) and run the static schedule check."""
+    """Run the static schedule check over every step's shared-flavor
+    program — the node kernels ``run_program_mp`` executes."""
     from ..runtime.lowering import MpLoweringError, lower_shared
 
     progs = []
@@ -526,8 +526,6 @@ def _verify_schedule(pir, report: DiagnosticReport):
     diags, cert = check_schedule(progs, flags=pir.barrier_flags(),
                                  repeat=pir.repeat)
     report.extend(diags)
-    for prog in progs:
-        prog._sched_cert = cert
     return cert
 
 

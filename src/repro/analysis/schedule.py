@@ -1,10 +1,13 @@
 """Static message-schedule verification (the ``SCHED`` family).
 
-The mp runtime executes *lowered* node programs: per-node send plans,
-gather plans and barrier flags computed once at compile time
-(:mod:`repro.runtime.lowering`).  Because every send peer and every
-expected gather source is a compile-time constant, the whole message
-schedule can be proven consistent before a worker ever spawns:
+Every kernel tier — the simulator, the mp workers, the MPI ranks —
+executes the plan's node kernels: per-node send plans, gather plans and
+blocks computed once at compile time as regions
+(:mod:`repro.pipeline.kernels`), wrapped per clause in an
+:class:`~repro.runtime.lowering.MpProgram`.  Because every send peer and
+every expected gather source is a compile-time constant, the whole
+message schedule can be proven consistent on the very objects that run,
+before a worker ever spawns:
 
 ``SCHED001``
     Bidirectional message matching.  Every ``(dst, src, pos)`` send key
@@ -18,7 +21,9 @@ schedule can be proven consistent before a worker ever spawns:
     no node may gather elements of the producer's write that a
     *different* node commits in the same phase — that is exactly the
     cross-processor dependence the fusion proof rules out, re-checked
-    here against the lowered global keys rather than the access algebra.
+    here against the kernels' global regions rather than the access
+    algebra: two product regions share an element iff their keys meet
+    on every axis (:meth:`~repro.pipeline.region.Region.overlap`).
 
 ``SCHED003``
     Wait-for acyclicity.  Node ``q`` waits on node ``p`` when its gather
@@ -78,22 +83,6 @@ def _diag(code, message, **kw):
     return Diagnostic(code=code, message=message, **kw)
 
 
-def _lanes(key) -> int:
-    """Lane count of one message: ``region.size`` (or the length of a
-    fill vector), else the length of a lowered key's first vector."""
-    if hasattr(key, "size"):
-        return int(key.size)
-    return int(key[0].size) if key else 0
-
-
-def _elements(key: tuple):
-    """The global elements a key tuple addresses, as hashable tuples."""
-    if not key:
-        return set()
-    cols = [v.tolist() for v in key]
-    return set(zip(*cols)) if len(cols) > 1 else set(cols[0])
-
-
 def _match_messages(prog, label: str) -> Tuple[List[Diagnostic], int, set]:
     """SCHED001 over one lowered program: sends vs expectations.
 
@@ -105,13 +94,13 @@ def _match_messages(prog, label: str) -> Tuple[List[Diagnostic], int, set]:
         for s in nd.sends:
             for q, key in s.peers:
                 sent[(int(q), nd.p, s.pos)] = \
-                    sent.get((int(q), nd.p, s.pos), 0) + _lanes(key)
+                    sent.get((int(q), nd.p, s.pos), 0) + key.size
     expected: Dict[tuple, int] = {}
     for nd in prog.nodes:
         for rd in nd.reads:
             for src, fill in rd.sources:
                 expected[(nd.p, int(src), rd.pos)] = \
-                    expected.get((nd.p, int(src), rd.pos), 0) + _lanes(fill)
+                    expected.get((nd.p, int(src), rd.pos), 0) + fill.size
     out: List[Diagnostic] = []
     unmatched: set = set()
     for k in sorted(set(sent) | set(expected)):
@@ -206,34 +195,30 @@ def _check_fused_boundaries(progs, flags) -> List[Diagnostic]:
     for run in runs:
         for j_pos, j in enumerate(run):
             prod = progs[j]
-            commits = {
-                nd.p: (_elements(nd.wkey_interior)
-                       | _elements(nd.wkey_boundary))
-                for nd in prod.nodes
-            }
+            commits = [(nd.p, blk.write) for nd in prod.nodes
+                       for blk in nd.commits]
             for k in run[j_pos + 1:]:
-                cons = progs[k]
-                for nd in cons.nodes:
+                for nd in progs[k].nodes:
                     for rd in nd.reads:
                         if rd.name != prod.write_name:
                             continue
-                        gathered = _elements(rd.local_key)
-                        for p, elems in commits.items():
-                            if p == nd.p:
-                                continue
-                            hit = gathered & elems
-                            if hit:
-                                e = sorted(hit)[0]
-                                out.append(_diag(
-                                    "SCHED002",
-                                    f"fused boundary {j}->{k}: node "
-                                    f"{nd.p} gathers element {e} of "
-                                    f"{prod.write_name!r} which node {p} "
-                                    "commits in the same phase (no "
-                                    "barrier separates them)",
-                                    clause=f"clause{k}",
-                                    access=f"read{rd.pos}:{rd.name}",
-                                    witnesses={nd.p: [p]}))
+                        hits: Dict[int, tuple] = {}
+                        for p, write in commits:
+                            e = rd.mem.overlap(write) if p != nd.p else None
+                            if e is not None:
+                                hits[p] = min(e, hits.get(p, e))
+                        for p, e in hits.items():
+                            out.append(_diag(
+                                "SCHED002",
+                                f"fused boundary {j}->{k}: node "
+                                f"{nd.p} gathers element "
+                                f"{e if len(e) > 1 else e[0]} of "
+                                f"{prod.write_name!r} which node {p} "
+                                "commits in the same phase (no "
+                                "barrier separates them)",
+                                clause=f"clause{k}",
+                                access=f"read{rd.pos}:{rd.name}",
+                                witnesses={nd.p: [p]}))
     return out
 
 
@@ -243,8 +228,9 @@ def check_schedule(
     flags: Optional[Sequence[bool]] = None,
     repeat: int = 1,
 ) -> Tuple[List[Diagnostic], ScheduleCertificate]:
-    """Statically verify a lowered program sequence (``MpProgram`` per
-    clause) and return ``(diagnostics, certificate)``.
+    """Statically verify a program sequence (``MpProgram`` per clause)
+    and return ``(diagnostics, certificate)``; the certificate is also
+    left on every program as ``sched_cert``.
 
     *flags* are the per-clause barrier flags (``ProgramIR.barrier_flags``);
     omitted means every clause barriers.  The certificate is the static
@@ -278,6 +264,8 @@ def check_schedule(
         barriers=sum(1 for f in flags if f) * max(1, int(repeat)),
         codes=tuple(sorted({d.code for d in out if d.is_error})),
     )
+    for prog in progs:
+        prog.sched_cert = cert
     return out, cert
 
 

@@ -54,15 +54,15 @@ def verify_clause(
 
 
 def _schedule_codes(ir):
-    """SCHED codes (and the certificate) of this clause's lowered
-    distributed schedule — the static message-matching proof re-run at
-    the failure boundary.  ``(codes, cert)``; ``(None, None)`` when the
-    clause has no mp form to check."""
-    from ..runtime.lowering import MpLoweringError, lower_dist
+    """SCHED codes (and the certificate) of this clause's distributed
+    schedule — the static message-matching proof re-run at the failure
+    boundary, on the node kernels the simulator just ran.  ``(codes,
+    cert)``; ``(None, None)`` when the clause has no kernels to check."""
+    from ..runtime.lowering import MpLoweringError, _envelope
     from .schedule import check_schedule
 
     try:
-        prog = lower_dist(ir)
+        prog = _envelope(ir, "dist")
     except MpLoweringError:
         return None, None
     diags, cert = check_schedule([prog])

@@ -20,17 +20,18 @@ only in the *entry* that computes and commits one lane block,
 ``NATIVE``
     the njit-compiled (or, under ``REPRO_NATIVE_INTERP``, exec-compiled)
     scalar loop of :mod:`repro.pipeline.native`, fed the lane vectors
-    the regions materialize on demand.
+    the regions materialize on demand (:func:`_lane_entry`).
 
 The distributed program keeps the overlap schedule: post sends, post
 non-blocking receives, commit the *interior* block while messages are
 in flight, drain with Probe, then commit the *boundary* strips.  A plan
 compiled without an interior split simply has no interior and degrades
 to drain-then-compute — still bit-identical.  This is the schedule's
-statement over node-local regions and the simulated mailbox; its one
-sibling, over global key vectors and real transports, is
+statement as a generator over the simulated mailbox; its one sibling,
+blocking over real transports, is
 :func:`repro.runtime.worker.run_sequence` (DESIGN.md says why the two
-stay apart; :func:`numpy_entry` is that sibling's flat-lane entry).
+stay apart).  Both run the same node kernels through the same rows
+(:func:`_lane_row`) and entries.
 
 Statistics match the vector backend counter-for-counter, and results
 are bit-identical across tiers (``TestAllBackendsAgree``): a read row is
@@ -55,11 +56,11 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..analysis.kernel_sanitizer import check_kernels_strict
-from ..pipeline.kernels import KernelBuildError, _stack_i64
+from ..pipeline.kernels import KernelBuildError
 from ..pipeline.native import NativeBuildError, ensure_native
 from .distributed import DistributedMachine, NodeContext
 from .shared import SharedMachine
-from .vectorize import _as_value_vec, _run_nodes
+from .vectorize import _run_nodes
 
 __all__ = [
     "FUSED",
@@ -67,7 +68,6 @@ __all__ = [
     "FusedStrictError",
     "KernelTier",
     "check_strict",
-    "numpy_entry",
     "region_entry",
     "run_shared_fused",
     "run_distributed_fused",
@@ -103,34 +103,6 @@ def check_strict(ir, strict: bool) -> None:
         )
 
 
-def numpy_entry(rhs, guard):
-    """The generated NumPy kernel under the njit entry's flat-lane
-    calling convention — ``entry(idx, rows, lanes, scatter, out) ->
-    stored`` — which the real-process executors (mp workers, MPI ranks)
-    commit every lane set through, whatever their tier.
-
-    ``lanes=None`` means every lane (no gather copy).  *scatter* indexes
-    *out* directly: a flat key vector into a raveled buffer, or a tuple
-    of per-dim key vectors into an array of any layout."""
-
-    def entry(idx, rows, lanes, scatter, out) -> int:
-        if lanes is None:
-            m, sub = rows.shape[1], rows
-        else:
-            m, sub = int(lanes.size), [row[lanes] for row in rows]
-        values = _as_value_vec(rhs(idx, sub), m)
-        if guard is not None:
-            mask = np.broadcast_to(
-                np.asarray(guard(idx, sub), dtype=bool), (m,))
-            scatter = (tuple(a[mask] for a in scatter)
-                       if isinstance(scatter, tuple) else scatter[mask])
-            values = values[mask]
-        out[scatter] = values
-        return int(values.size)
-
-    return entry
-
-
 def region_entry(rhs, guard):
     """The generated NumPy kernel over one lane block —
     ``entry(block, rows, out) -> stored``: the block's views of the lane
@@ -141,6 +113,25 @@ def region_entry(rhs, guard):
         sub = [blk.pos.take(row) for row in rows]
         mask = None if guard is None else guard(blk.grids, sub)
         return blk.write.store(out, rhs(blk.grids, sub), mask)
+
+    return entry
+
+
+def _lane_entry(kernel):
+    """The one adaptor of the njit ABI: *kernel* (the compiled scalar
+    loop of :mod:`repro.pipeline.native`) under the block convention.
+    Its signature takes lanes, not regions — stacked ``int64[ndim, n]``
+    index vectors, C-contiguous ``float64[nreads, n]`` rows, flat
+    offsets into the raveled target — which the block's regions
+    materialize once and keep."""
+
+    def entry(blk, rows, out) -> int:
+        stacked = np.empty((len(rows), math.prod(blk.of)))
+        for flat, row in zip(stacked, rows):
+            np.copyto(flat.reshape(blk.of), row)
+        return kernel(np.stack(blk.loop.index_vectors()), stacked,
+                      blk.pos.flat(blk.of), blk.write.flat(out.shape),
+                      out.reshape(-1))
 
     return entry
 
@@ -351,19 +342,7 @@ class _NativeTier(KernelTier):
     def bind(self, ir, flavor: str, strict: bool):
         k, _ = super().bind(ir, flavor, strict)
         check_kernels_strict(ir, strict)
-        kernel = ensure_native(k, ir).entry
-
-        def entry(blk, rows, out) -> int:
-            # the njit signature takes lanes, not regions: stacked
-            # index vectors, contiguous float64 rows, flat offsets
-            stacked = np.empty((len(rows), math.prod(blk.of)))
-            for flat, row in zip(stacked, rows):
-                np.copyto(flat.reshape(blk.of), row)
-            return kernel(_stack_i64(blk.loop.index_vectors()), stacked,
-                          blk.pos.flat(blk.of), blk.write.flat(out.shape),
-                          out.reshape(-1))
-
-        return k, entry
+        return k, _lane_entry(ensure_native(k, ir).entry)
 
     def check_target(self, k, target) -> None:
         if not target.flags.c_contiguous:

@@ -1,4 +1,4 @@
-"""Rank-side SPMD runner: lowered ``MpProgram``s over real Isend/Irecv.
+"""Rank-side SPMD runner: ``MpProgram``s over real Isend/Irecv.
 
 Every rank executes the one real-process schedule,
 :func:`repro.runtime.worker.run_sequence` — the function the shm workers
@@ -16,7 +16,7 @@ messages:
 * **barrier**   — the pre-commit barrier (kept for schedule parity with
                   the shm runtime; rank memories are private, so it also
                   pins the per-clause skew to one clause);
-* **drain**     — ``Waitall`` the receives, fill remote lanes;
+* **drain**     — ``Waitall`` the receives, fill the rows' fill regions;
 * **finish**    — ``Waitall`` the sends (send buffers stay referenced
                   until here).
 
@@ -34,8 +34,8 @@ Cartesian communicator whose dims match the decomposition's grid shape
 Because rank memories are private, a rank's copy of a global array is
 authoritative exactly on the elements its nodes own — every remote read
 lane arrives as a message.  The final allgather therefore exchanges only
-``(flat write positions, values)`` per rank, after which every rank
-holds the full post-state.
+``(write region, values)`` pairs per rank, after which every rank holds
+the full post-state.
 
 Run as a module this file is the in-world SPMD entry::
 
@@ -58,7 +58,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..pipeline.native import flat_key
 from ..runtime.stats import PHASES
 from ..runtime.worker import Installed, run_sequence
 
@@ -135,11 +134,11 @@ class MpiTransport:
                                   tag=self._tag(dst, int(src), pos))
             self.recvs.append((req, dst, row, fill, buf))
 
-    def send(self, node, pos, q, key, src_arr) -> np.ndarray:
-        buf = src_arr.reshape(-1)[flat_key(key, src_arr.shape)]
+    def send(self, inst, p, pos, q, values) -> np.ndarray:
+        buf = values.flatten()  # a fresh contiguous pre-state copy
         self.sends.append(self.comm.isend(
             buf, dest=int(q) % self.comm.size,
-            tag=self._tag(int(q), node.p, pos)))
+            tag=self._tag(int(q), p, pos)))
         self.bufs.append(buf)
         return buf
 
@@ -179,25 +178,18 @@ def _final_names(write_name: str, job: MpiJob) -> Tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def _contrib(insts, job: MpiJob, arrays) -> Dict[str, tuple]:
-    """This rank's authoritative post-state: for every array name one
-    ``(flat positions, values)`` pair covering the elements its nodes
-    own.  Rank-private commits only ever touch owned positions, so the
-    local values at those positions are the global truth."""
-    out: Dict[str, List[np.ndarray]] = {}
+def _contrib(insts, job: MpiJob, arrays) -> Dict[str, list]:
+    """This rank's authoritative post-state: for every array name the
+    ``(write region, values)`` pairs of the blocks its nodes commit.
+    Rank-private commits only ever touch owned positions, so the local
+    values under those regions are the global truth."""
+    out: Dict[str, list] = {}
     for inst in insts:
         for name in _final_names(inst.write_name, job):
-            shape = arrays[name].shape
-            flats = out.setdefault(name, [])
-            for node in inst.my_nodes:
-                flats.append(flat_key(node.wkey_interior, shape))
-                flats.append(flat_key(node.wkey_boundary, shape))
-    final = {}
-    for name, flats in out.items():
-        flat = (np.concatenate(flats) if flats
-                else np.zeros(0, dtype=np.int64))
-        final[name] = (flat, arrays[name].reshape(-1)[flat].copy())
-    return final
+            out.setdefault(name, []).extend(
+                (blk.write, np.array(blk.write.take(arrays[name])))
+                for node in inst.my_nodes for blk in node.commits)
+    return out
 
 
 def run_job(comm, job: MpiJob, arrays: Dict[str, np.ndarray]):
@@ -233,9 +225,9 @@ def run_job(comm, job: MpiJob, arrays: Dict[str, np.ndarray]):
         err._mpi_phase = phase[0]  # parent-side diagnosis
         raise
     for rank_contrib, _s, _c in gathered:
-        for name, (flat, values) in rank_contrib.items():
-            if flat.size:
-                arrays[name].reshape(-1)[flat] = values
+        for name, pairs in rank_contrib.items():
+            for region, values in pairs:
+                region.store(arrays[name], values)
     stats_by_rank = sorted((s for _c2, s, _n in gathered),
                            key=lambda s: s.rank)
     counts_by_rank = [c for _c2, _s, c in gathered]

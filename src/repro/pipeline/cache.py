@@ -58,17 +58,17 @@ __all__ = [
 _DEFAULT_MAXSIZE = 256
 
 
-def _env_maxsize(default: int) -> int:
-    """LRU capacity, overridable with ``REPRO_CACHE_SIZE`` (applies to
-    the plan, kernel, Table I and program caches alike; read at cache
-    construction time)."""
-    raw = os.environ.get("REPRO_CACHE_SIZE")
-    if not raw:
-        return default
+def _env_number(name: str, default, cast=int):
+    """The environment knob *name* as a positive number — the one
+    reader of every numeric ``REPRO_*`` variable (cache sizes and byte
+    budgets, worker and rank counts, the mp timeout).  Unset or
+    malformed means *default*; anything below the smallest positive
+    value is raised to 1."""
     try:
-        return max(1, int(raw))
+        value = cast(os.environ.get(name) or "")
     except ValueError:
         return default
+    return value if value > 0 else cast(1)
 
 
 # -- structural keys ---------------------------------------------------------
@@ -168,7 +168,7 @@ class PlanCache:
     """Thread-safe LRU cache of compiled :class:`~repro.pipeline.ir.PlanIR`."""
 
     def __init__(self, maxsize: Optional[int] = None):
-        self.maxsize = (_env_maxsize(_DEFAULT_MAXSIZE)
+        self.maxsize = (_env_number("REPRO_CACHE_SIZE", _DEFAULT_MAXSIZE)
                         if maxsize is None else maxsize)
         self.enabled = True
         self.hits = 0

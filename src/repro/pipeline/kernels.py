@@ -39,10 +39,9 @@ backend falls back.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -50,7 +49,7 @@ import numpy as np
 
 from ..core.clause import Ordering
 from ..core.expr import BinOp, Const, LoopIndex, Ref, UnOp
-from .cache import _env_maxsize, plan_key
+from .cache import _env_number, plan_key
 from .region import Region, compose, compress, image, key_of, klen, locate, \
     meet, prog, vec
 
@@ -174,26 +173,39 @@ class _Send:
 
 @dataclass
 class SharedNodeKernel:
-    """One node's kernel: everything but the data.  The shared flavor
-    addresses the global arrays and commits one block."""
+    """One node's kernel: everything but the data — the one node type
+    of every executor.  The shared schedule is the degenerate case: no
+    sends, every read resident, one block."""
 
+    p: int                          # the node
     shape: tuple                    # lane shape: |Modify_p| per loop dim
     reads: tuple = ()
     blocks: tuple = ()              # lane blocks in commit order
+    sends: tuple = ()
+    interior: Optional[_Block] = None
 
     @property
     def n(self) -> int:
         return math.prod(self.shape)
 
+    @property
+    def commits(self) -> tuple:
+        """Every block, in commit order."""
+        return self.blocks if self.interior is None \
+            else (self.interior, *self.blocks)
 
-@dataclass
+
 class DistNodeKernel(SharedNodeKernel):
-    """The distributed flavor addresses node-local memory: ``interior``
-    commits while messages fly, ``blocks`` (the <= 2*ndim boundary
-    strips) after the drain."""
+    """A node of the distributed schedule: ``sends`` go out first,
+    ``interior`` commits while messages fly, ``blocks`` (the <= 2*ndim
+    boundary strips) after the drain."""
 
-    sends: tuple = ()
-    interior: Optional[_Block] = None
+
+#: flavor -> (node-local address map?, distributed schedule?): the
+#: simulator's ``dist`` nodes address their own memories, the real
+#: processes run the same schedule over the global arrays (``gdist``)
+_FLAVORS = {"shared": (False, False), "dist": (True, True),
+            "gdist": (False, True)}
 
 
 @dataclass
@@ -205,10 +217,16 @@ class FusedKernels:
     guard: Optional[Callable]
     nreads: int
     write_name: str
+    used: tuple = ()                # loop dims whose ``_i`` the source reads
     shared: Optional[List[SharedNodeKernel]] = None
     shared_note: Optional[str] = None
     dist: Optional[List[DistNodeKernel]] = None
     dist_note: Optional[str] = None
+    #: built on first real-process lowering (:func:`flavor_nodes`)
+    gdist: Optional[List[DistNodeKernel]] = None
+    gdist_note: Optional[str] = None
+    #: install envelopes of :mod:`repro.runtime.lowering`, per flavor
+    mp_programs: Dict[str, object] = field(default_factory=dict)
     #: native (njit) tier riding on the same cache entry — built lazily
     #: by :func:`repro.pipeline.native.ensure_native`; a build failure is
     #: cached in ``native_note`` so the fallback reason is stable.
@@ -221,7 +239,7 @@ class FusedKernels:
         and the entry's resident bytes as the kernel cache accounts them
         — what a large cache entry is made of."""
         out: Dict[str, object] = {"bytes": _approx_nbytes(self)}
-        for flavor in ("shared", "dist"):
+        for flavor in _FLAVORS:
             sliced = [x.sliced for x in _leaves(getattr(self, flavor))
                       if isinstance(x, Region)]
             out[flavor] = {"slice": sum(sliced),
@@ -231,21 +249,17 @@ class FusedKernels:
     def describe(self) -> str:
         stats = self.region_stats
         parts = []
-        for label, flavor in (("shared", "shared"), ("distributed", "dist")):
-            nodes = getattr(self, flavor)
-            parts.append(
-                f"{label}: dict-memory fallback "
-                f"({getattr(self, flavor + '_note')})" if nodes is None else
-                f"{label}: {len(nodes)} node kernels ({stats[flavor]['slice']}"
-                f" slice / {stats[flavor]['vector']} vector regions)")
+        for flavor, label in (("shared", "shared"), ("dist", "distributed"),
+                              ("gdist", "real-process distributed")):
+            nodes, note = getattr(self, flavor), getattr(self, flavor + "_note")
+            if nodes is not None:
+                parts.append(
+                    f"{label}: {len(nodes)} node kernels "
+                    f"({stats[flavor]['slice']} slice / "
+                    f"{stats[flavor]['vector']} vector regions)")
+            elif note is not None:  # neither: not built yet (on demand)
+                parts.append(f"{label}: dict-memory fallback ({note})")
         return "; ".join(parts) + f"; {stats['bytes']} bytes"
-
-
-def _stack_i64(vecs) -> np.ndarray:
-    """Stack per-dim index vectors into one C-contiguous ``int64[ndim,
-    n]`` — the layout the njit scalar loop reads as ``_i[d, t]``."""
-    return np.ascontiguousarray(np.stack(
-        [np.asarray(v, dtype=np.int64) for v in vecs]))
 
 
 def _members(ir, acc, p: int) -> list:
@@ -276,27 +290,27 @@ def _strips(inner: list, shape: tuple) -> list:
     return out
 
 
-def _build_nodes(ir, local: bool, used: set) -> list:
+def _build_nodes(ir, local: bool, dist: bool, used) -> list:
     """The one lane-plan builder, from the accesses' own Table I
-    enumerations in O(segments).  *local* selects the address map:
-    node-local slots through the decompositions' ``owned_indices`` /
-    ``local_indices`` pairs — the distributed flavor, with its sends,
-    fills and interior split — or the identity: the shared flavor, every
-    read a resident global gather and one block per node.  *used* are
-    the loop dims whose index the kernel body reads."""
+    enumerations in O(segments), for every executor.  *local* selects
+    the address map — node-local slots through the decompositions'
+    ``owned_indices`` / ``local_indices`` pairs, or the identity (the
+    global arrays) — and *dist* the schedule shape: sends, fills and the
+    interior split, or every read a resident gather and one block per
+    node.  *used* are the loop dims whose index the kernel body reads."""
     write, nd, nodes = ir.write, len(ir.loop_bounds), range(ir.pmax)
-    if local and write.replicated:
+    if dist and write.replicated:
         raise KernelBuildError("replicated write (per-copy broadcast)")
     for acc in ir.accesses():
         if not acc.funcs or len(set(acc.dims)) != len(acc.dims):
             raise KernelBuildError(
                 f"{acc.label} {acc.name!r} has no separable access "
                 "functions over distinct loop dims")
-        if local and len(acc.axes) != len(acc.funcs):
+        if dist and len(acc.axes) != len(acc.funcs):
             raise KernelBuildError(
                 f"{acc.label} {acc.name!r} carries no decomposition placing "
                 "it axis by axis")
-    remote = [acc for acc in ir.reads if local and not acc.replicated]
+    remote = [acc for acc in ir.reads if dist and not acc.replicated]
     slots: Dict[tuple, tuple] = {}
 
     def region(acc, p, loop_keys, shape) -> Region:
@@ -353,8 +367,8 @@ def _build_nodes(ir, local: bool, used: set) -> list:
                     (q, region(acc, p, *moves[acc.pos, q, p][1:]))
                     for q in nodes
                     if q != p and (acc.pos, q, p) in moves)))
-        nk = DistNodeKernel(shape, sends=tuple(sends)) if local \
-            else SharedNodeKernel(shape)
+        nk = DistNodeKernel(p, shape, sends=tuple(sends)) if dist \
+            else SharedNodeKernel(p, shape)
         out.append(nk)
         if not nk.n:
             continue
@@ -378,7 +392,7 @@ def _build_nodes(ir, local: bool, used: set) -> list:
                 tuple((s, Region(m[0], range(nd), m[2]))
                       for s, m in got.items())))
         nk.reads = tuple(reads)
-        split = ir.interior_split if local else None
+        split = ir.interior_split if dist else None
         ns = split.per_node.get(p) if split is not None else None
         inner = [locate(key_of(ns.interior[d]), lanes[p][d])
                  for d in range(nd)] if ns is not None else []
@@ -408,26 +422,49 @@ def build_kernels(ir) -> FusedKernels:
         raise KernelBuildError("plan carries no substituted write access")
     source, rhs, guard, used = _emit_source(clause)
     kernels = FusedKernels(
-        source=source, rhs=rhs, guard=guard,
-        nreads=len(ir.reads), write_name=ir.write.name,
+        source=source, rhs=rhs, guard=guard, nreads=len(ir.reads),
+        write_name=ir.write.name, used=tuple(sorted(used)),
     )
-    try:
-        kernels.shared = _build_nodes(ir, False, used)
-    except KernelBuildError as e:
-        kernels.shared_note = str(e)
-    except Exception as e:  # enumerator/placement surprises: never fatal
-        kernels.shared_note = f"{type(e).__name__}: {e}"
-    try:
-        kernels.dist = _build_nodes(ir, True, used)
-    except KernelBuildError as e:
-        kernels.dist_note = str(e)
-    except Exception as e:
-        kernels.dist_note = f"{type(e).__name__}: {e}"
+    _build_flavor(kernels, ir, "shared")
+    _build_flavor(kernels, ir, "dist")
     if kernels.shared is None and kernels.dist is None:
         raise KernelBuildError(
             f"shared: {kernels.shared_note}; distributed: {kernels.dist_note}"
         )
     return kernels
+
+
+def _build_flavor(kernels: FusedKernels, ir, flavor: str) -> None:
+    """Build one flavor's nodes onto *kernels*, or record why not."""
+    try:
+        setattr(kernels, flavor,
+                _build_nodes(ir, *_FLAVORS[flavor], kernels.used))
+    except KernelBuildError as e:
+        setattr(kernels, flavor + "_note", str(e))
+    except Exception as e:  # enumerator/placement surprises: never fatal
+        setattr(kernels, flavor + "_note", f"{type(e).__name__}: {e}")
+
+
+def flavor_nodes(ir, flavor: str) -> Optional[list]:
+    """One flavor's node kernels of a compiled plan (``None``: no such
+    form, reason in its ``_note``).  ``gdist`` — what real processes
+    run — is built here on first demand, so a compile never pays for
+    it."""
+    k = ir.kernels
+    if getattr(k, flavor) is None and getattr(k, flavor + "_note") is None:
+        _build_flavor(k, ir, flavor)
+        recount(ir, getattr(k, flavor))
+    return getattr(k, flavor)
+
+
+def recount(ir, landed) -> None:
+    """Charge *landed* — something built on demand onto ``ir.kernels``
+    after its cache entry was sized (the ``gdist`` flavor, a lowered
+    program's sources) — to the kernel cache's byte budget."""
+    ir.kernels.__dict__.pop("region_stats", None)
+    key = _kernel_key(ir) if kernel_cache.enabled else None
+    if key is not None:
+        kernel_cache.grow(key, _approx_nbytes(landed))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +504,9 @@ def _approx_nbytes(obj) -> int:
     its regions, ndarray buffers and generated source text.  This is an
     *accounting* estimate (index vectors dominate where there are any),
     not ``sys.getsizeof`` truth."""
+    distinct = {id(x): x for x in _leaves(obj)}  # programs share the nodes
     return sum(len(x) if isinstance(x, (str, bytes)) else int(x.nbytes)
-               for x in _leaves(obj))
+               for x in distinct.values())
 
 
 #: default resident-byte budget for the kernel cache (256 MiB);
@@ -476,29 +514,20 @@ def _approx_nbytes(obj) -> int:
 _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 
-def _env_max_bytes(default: int) -> int:
-    raw = os.environ.get("REPRO_CACHE_BYTES")
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
-
-
 class KernelCache:
     """Thread-safe, size-accounted LRU cache of :class:`FusedKernels`,
     keyed by the plan cache's structural keys — warm recompiles skip
     codegen entirely.  Eviction fires on *either* bound: entry count
     (``maxsize`` / ``REPRO_CACHE_SIZE``) or resident bytes
-    (``max_bytes`` / ``REPRO_CACHE_BYTES``, counting the precomputed
-    gather/scatter index arrays and generated source)."""
+    (``max_bytes`` / ``REPRO_CACHE_BYTES``, counting the regions' vector
+    keys, generated source and everything lowered onto the entry later:
+    :func:`recount` charges it)."""
 
     def __init__(self, maxsize: Optional[int] = None,
                  max_bytes: Optional[int] = None):
-        self.maxsize = (_env_maxsize(_DEFAULT_MAXSIZE)
+        self.maxsize = (_env_number("REPRO_CACHE_SIZE", _DEFAULT_MAXSIZE)
                         if maxsize is None else maxsize)
-        self.max_bytes = (_env_max_bytes(_DEFAULT_MAX_BYTES)
+        self.max_bytes = (_env_number("REPRO_CACHE_BYTES", _DEFAULT_MAX_BYTES)
                           if max_bytes is None else max_bytes)
         self.enabled = True
         self.hits = 0
@@ -521,7 +550,6 @@ class KernelCache:
 
     def store(self, key: tuple, kernels: FusedKernels) -> None:
         nbytes = _approx_nbytes(kernels)  # sized outside the lock
-        dropped = []
         with self._lock:
             old = self._sizes.pop(key, None)
             if old is not None:
@@ -530,15 +558,32 @@ class KernelCache:
             self._entries.move_to_end(key)
             self._sizes[key] = nbytes
             self.bytes += nbytes
-            while len(self._entries) > 1 and (
-                    len(self._entries) > self.maxsize
-                    or self.bytes > self.max_bytes):
-                k, evicted = self._entries.popitem(last=False)
-                self.bytes -= self._sizes.pop(k, 0)
-                self.evictions += 1
-                dropped.append(evicted)
+            dropped = self._evict()
         for evicted in dropped:
             _dispose_native_tier(evicted)
+
+    def grow(self, key: tuple, nbytes: int) -> None:
+        """A resident entry grew by *nbytes* after it was stored."""
+        with self._lock:
+            if key not in self._sizes:
+                return
+            self._sizes[key] += nbytes
+            self.bytes += nbytes
+            dropped = self._evict()
+        for evicted in dropped:
+            _dispose_native_tier(evicted)
+
+    def _evict(self) -> list:
+        """Drop oldest entries until both bounds hold (lock held)."""
+        dropped = []
+        while len(self._entries) > 1 and (
+                len(self._entries) > self.maxsize
+                or self.bytes > self.max_bytes):
+            k, evicted = self._entries.popitem(last=False)
+            self.bytes -= self._sizes.pop(k, 0)
+            self.evictions += 1
+            dropped.append(evicted)
+        return dropped
 
     def clear(self) -> None:
         with self._lock:

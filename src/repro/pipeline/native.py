@@ -261,21 +261,6 @@ def compile_native_entry(source: str) -> Tuple[Callable, float]:
     return entry, time.perf_counter() - t0
 
 
-# ---------------------------------------------------------------------------
-# flat global scatters (the real-process executors' keys)
-# ---------------------------------------------------------------------------
-
-def flat_key(key_vecs: tuple, shape: Tuple[int, ...]) -> np.ndarray:
-    """Flatten a tuple of per-dim global index vectors against *shape*."""
-    if len(key_vecs) == 1:
-        return np.ascontiguousarray(key_vecs[0], dtype=np.int64)
-    if key_vecs[0].size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.ravel_multi_index(
-        tuple(np.asarray(v, dtype=np.int64) for v in key_vecs), shape
-    ).astype(np.int64, copy=False)
-
-
 @dataclass
 class NativeKernels:
     """The native tier of one plan: one compiled entry point.  Both

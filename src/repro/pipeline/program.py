@@ -57,7 +57,7 @@ from ..core.clause import Clause, Ordering
 from ..decomp.multidim import GridDecomposition
 from ..machine.shared import SharedMachine
 from . import compile_plan
-from .cache import _clone_hit, _env_maxsize, plan_key
+from .cache import _clone_hit, _env_number, plan_key
 from .trace import PassRecord, PipelineTrace
 
 __all__ = [
@@ -192,7 +192,7 @@ class ProgramCache:
     eviction-counted, ``REPRO_CACHE_SIZE`` respected)."""
 
     def __init__(self, maxsize: Optional[int] = None):
-        self.maxsize = (_env_maxsize(_DEFAULT_MAXSIZE)
+        self.maxsize = (_env_number("REPRO_CACHE_SIZE", _DEFAULT_MAXSIZE)
                         if maxsize is None else maxsize)
         self.enabled = True
         self.hits = 0

@@ -14,7 +14,7 @@ Row-major order over a region is the lexicographic lane order every
 executor and message payload uses.  Vectors are built here and nowhere
 else: :meth:`Region.index_vectors` / :meth:`Region.flat` materialize
 them lazily for the consumers that truly need lanes (the njit entry,
-the mp lowering, guarded or non-injective stores).
+guarded or non-injective stores).
 """
 
 from __future__ import annotations
@@ -133,6 +133,15 @@ def meet(a: Key, b: Key) -> Key:
     return compress(np.intersect1d(a, b))
 
 
+def _ascending(key: Key) -> Key:
+    """The key's distinct elements in ascending order (what
+    :func:`meet` takes)."""
+    if not isinstance(key, slice):  # most vector keys are built sorted
+        return key if (np.diff(key) > 0).all() else np.unique(key)
+    start, step, count = _ssc(key)
+    return key if step > 0 else prog(start + step * (count - 1), -step, count)
+
+
 def locate(sub: Key, base: Key) -> Key:
     """Positions of *sub*'s elements within the ascending key *base*
     (``sub ⊆ base``) — the inverse of :func:`compose`."""
@@ -186,6 +195,10 @@ class Region:
             n == self.shape[d] for n, d in zip(self._kshape, self.dims))
         self._vecs: Optional[tuple] = None
 
+    def __reduce__(self):
+        # an install payload carries the keys, never the derived vectors
+        return Region, (self.keys, self.dims, self.shape)
+
     @property
     def nbytes(self) -> int:
         """Resident bytes of the vector keys (slices cost nothing)."""
@@ -203,6 +216,19 @@ class Region:
                 k = np.array([start, start + step * (n - 1)])
             out.append((int(k.min()), int(k.max())) if n else None)
         return tuple(out)
+
+    def overlap(self, other: "Region") -> Optional[Tuple[int, ...]]:
+        """The smallest element both regions address (``None``:
+        disjoint) — two products intersect iff their keys meet on every
+        axis, so this is O(1) per slice-keyed axis."""
+        first = []
+        for a, b in zip(self.keys, other.keys):
+            both = meet(_ascending(a), _ascending(b))
+            if not klen(both):
+                return None
+            first.append(_ssc(both)[0] if isinstance(both, slice)
+                         else int(both[0]))
+        return tuple(first)
 
     def take(self, arr: np.ndarray) -> np.ndarray:
         """*arr* over this region, laid along the lane axes

@@ -10,8 +10,8 @@ drain, commit boundary).
 Layers
 ------
 
-``lowering``   plan IR -> :class:`MpProgram` (global-address gather/
-               scatter keys, per-node send/read plans, lane split)
+``lowering``   plan IR -> :class:`MpProgram`: the install envelope
+               around the plan's own node kernels (regions)
 ``shm``        per-run shared-memory sessions + leak-proof unlinking
 ``worker``     the worker main loop, and ``run_sequence`` — the one
                real-process schedule the MPI ranks run too

@@ -5,7 +5,7 @@ dispatch branches of the code generators call.  Both:
 
 * gate on the static verifier exactly like fused ``--strict``
   (:func:`repro.machine.fused.check_strict`);
-* lower the plan once (cached on its kernels) via
+* wrap the plan's node kernels once (cached on them) via
   :mod:`repro.runtime.lowering` — a plan with no mp form raises
   :class:`~repro.runtime.lowering.MpLoweringError`, which the
   dispatchers catch to fall back to the in-process fused path;
@@ -22,7 +22,6 @@ when fewer processes than nodes are requested.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -30,6 +29,7 @@ import numpy as np
 from ..core.clause import Ordering
 from ..machine.shared import SharedMachine
 from ..machine.stats import MachineStats
+from ..pipeline.cache import _env_number
 from .lowering import MpLoweringError, lower_dist, lower_shared
 from .pool import DEFAULT_TIMEOUT, WorkerCrashError, get_pool
 from .shm import ShmSession
@@ -45,8 +45,7 @@ _DEFAULT_MAX_PROCESSES = 8
 def _nprocs(processes: Optional[int], pmax: int,
             knob: str = "REPRO_MP_PROCESSES") -> int:
     if processes is None:
-        env = os.environ.get(knob)
-        processes = int(env) if env else min(pmax, _DEFAULT_MAX_PROCESSES)
+        processes = _env_number(knob, min(pmax, _DEFAULT_MAX_PROCESSES))
     return max(1, min(int(processes), pmax))
 
 
@@ -99,14 +98,12 @@ def _check(ir, strict: bool) -> None:
 
 
 def _certify(progs, strict: bool, *, flags=None, repeat: int = 1):
-    """Static schedule proof before any worker spawns: attach the
-    certificate to every lowered program (runtime failures cite it) and,
-    under ``--strict``, refuse to launch on a denied certificate."""
+    """Static schedule proof before any worker spawns (runtime failures
+    cite the certificate); under ``--strict``, refuse to launch on a
+    denied one."""
     from ..analysis import check_schedule
 
     diags, cert = check_schedule(progs, flags=flags, repeat=repeat)
-    for prog in progs:
-        prog._sched_cert = cert
     if strict and not cert.ok:
         from ..machine.fused import FusedStrictError
 

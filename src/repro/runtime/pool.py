@@ -32,6 +32,7 @@ import time
 from multiprocessing.connection import wait as _conn_wait
 from typing import Dict, List, Optional, Tuple
 
+from ..pipeline.cache import _env_number
 from .shm import unlink_leftovers
 from .stats import PHASES, phase_of
 from .worker import worker_main
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 #: per-run execution timeout (seconds) when none is passed
-DEFAULT_TIMEOUT = float(os.environ.get("REPRO_MP_TIMEOUT", "60"))
+DEFAULT_TIMEOUT = _env_number("REPRO_MP_TIMEOUT", 60.0, float)
 
 #: extra parent-side slack so workers report their own timeout first
 _REPORT_GRACE = 5.0

@@ -1,26 +1,34 @@
 """Worker process main loop — and the one real-process schedule.
 
-:func:`run_sequence` is the overlap schedule over *global* keys, stated
-once for every real-process transport: the pool workers below run it
-over :class:`QueueTransport` (global arrays in shared memory, one inbox
-queue per worker, the pool's ``mp.Barrier``), the MPI ranks of
-:mod:`repro.mpi.rank` over ``MpiTransport`` (private rank memories,
-``Irecv``/``Isend``/``Waitall``).  Per clause:
+:func:`run_sequence` is the overlap schedule, stated once for every
+real-process transport, over the plan's own node kernels — the regions
+the in-process tiers execute, through the same rows
+(:func:`repro.machine.fused._lane_row`) and entries: the pool workers
+below run it over :class:`QueueTransport` (global arrays in shared
+memory, one inbox queue per worker, the pool's ``mp.Barrier``), the MPI
+ranks of :mod:`repro.mpi.rank` over ``MpiTransport`` (private rank
+memories, ``Irecv``/``Isend``/``Waitall``).  Per clause:
 
-1. **post**      — tell the transport which ``(dst node, src node, read
+1. **gather**    — one lane row per read of each owned node: a view of
+                   the array where every lane is resident (a pre-state
+                   copy only of the write target), else a buffer holding
+                   the resident lanes, the rest left to fill;
+2. **post**      — tell the transport which ``(dst node, src node, read
                    pos)`` messages this clause expects (MPI posts its
                    ``Irecv``s here, before anything is sent);
-2. **send**      — gather pre-state payloads with the precomputed global
-                   keys, one message per (read, peer);
-3. **gather**    — assemble each owned node's read rows from direct
-                   global loads (remote lanes left to fill);
-4. **barrier**   — the pre-commit barrier: every send and local gather
-                   on every process happened against pre-state;
-5. **interior**  — interior kernel + global scatter commit while
-                   messages are in flight;
+3. **send**      — the send regions of pre-state, one message per
+                   (read, peer), row-major = lexicographic lane order;
+4. **barrier**   — the pre-commit barrier: every send and row copy on
+                   every process happened against pre-state.  Every
+                   commit of clause *k* sits between pre-commit barrier
+                   *k* and *k+1* on every process, and clause *k*
+                   commits nothing but its write target — which is why
+                   the rows of every other array may stay views;
+5. **interior**  — the interior block commits through its write region
+                   while messages are in flight;
 6. **drain**     — the transport delivers the expected messages into
-                   the remote lanes;
-7. **boundary**  — boundary kernel + commit; then the transport
+                   the rows' fill regions;
+7. **boundary**  — the remaining blocks commit; then the transport
                    completes its sends.
 
 Each worker owns a command pipe to the parent, one inbox queue (its end
@@ -45,8 +53,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..pipeline.kernels import _stack_i64
-from ..pipeline.native import flat_key
+from ..machine.fused import _lane_entry, _lane_row, region_entry
 from .shm import attach_segment
 from .stats import (
     PH_BARRIER,
@@ -75,9 +82,10 @@ def _compile_kernel(source: str):
 
 
 class Installed:
-    """One installed program on this process: its nodes and the entry
-    that computes and commits one lane set (the calling convention of
-    :func:`repro.machine.fused.numpy_entry`).
+    """One installed program on this process: its node kernels, the
+    entry that computes and commits one lane block (``entry(block,
+    rows, out) -> stored``, as in :mod:`repro.machine.fused`) and the
+    reusable send buffers of :class:`QueueTransport`.
 
     When the payload carries a native scalar-loop source and this
     process's numba probe succeeds, the njit dispatcher is compiled here
@@ -87,68 +95,21 @@ class Installed:
     already notes availability)."""
 
     def __init__(self, payload):
-        from ..machine.fused import numpy_entry
-
         (self.token, self.flavor, source, self.nreads, self.write_name,
          self.my_nodes, native_source) = payload
-        self.entry = numpy_entry(*_compile_kernel(source))
+        self.entry = region_entry(*_compile_kernel(source))
         self.native = False
+        self.bufs: Dict[tuple, np.ndarray] = {}
         if native_source is not None:
             from ..pipeline.native import compile_native_entry, native_support
 
             if native_support().available:
                 try:
-                    self.entry = compile_native_entry(native_source)[0]
+                    self.entry = _lane_entry(
+                        compile_native_entry(native_source)[0])
                     self.native = True
                 except Exception:
                     pass
-
-
-def _index(key: tuple):
-    return key if len(key) > 1 else key[0]
-
-
-def _native_node_data(node, which, idx_sub, wkey, shape):
-    """The entry's stacked index + flat scatter arrays for one lane set,
-    cached on the (process-local) node object — computed once per
-    install regardless of step count."""
-    cache = getattr(node, "_native_cache", None)
-    if cache is None:
-        cache = node._native_cache = {}
-    entry = cache.get(which)
-    if entry is None or entry[0] != shape:
-        idx2 = (_stack_i64(idx_sub) if idx_sub
-                else np.zeros((1, 0), dtype=np.int64))
-        entry = cache[which] = (shape, idx2, flat_key(wkey, shape))
-    return entry[1], entry[2]
-
-
-def _commit(inst, node, rows, which, target, count):
-    """Kernel + global scatter over one lane set: one call into the
-    installed entry, flattened write keys into the raveled target."""
-    lanes, idx_sub, wkey = (
-        (node.interior, node.idx_interior, node.wkey_interior)
-        if which == "int" else
-        (node.boundary, node.idx_boundary, node.wkey_boundary))
-    if lanes.size:
-        idx2, scatter = _native_node_data(node, which, idx_sub, wkey,
-                                          target.shape)
-        count["local_updates"] += int(inst.entry(
-            idx2, rows, lanes, scatter, target.reshape(-1)))
-
-
-def _send_buf(node, pos, q, key, shape):
-    """The reusable payload buffer + flat gather index for one
-    (node, read, peer) send, cached on the worker-local node object."""
-    cache = getattr(node, "_send_bufs", None)
-    if cache is None:
-        cache = node._send_bufs = {}
-    entry = cache.get((pos, q))
-    if entry is None or entry[0] != shape:
-        flat = flat_key(key, shape)
-        entry = cache[(pos, q)] = (
-            shape, np.empty(flat.size, dtype=np.float64), flat)
-    return entry[1], entry[2]
 
 
 def run_sequence(insts, steps, swap, flags, arrays, transport):
@@ -184,38 +145,43 @@ def run_sequence(insts, steps, swap, flags, arrays, transport):
         transport.barrier(first)
         stats.barrier_s += time.perf_counter() - t0
 
-    def deliver(dst, row, lanes, payload) -> None:
-        row[lanes] = payload
+    def deliver(dst, row, fill, payload) -> None:
+        fill.put(row, payload.reshape(fill.shape))
         c = counts[dst]
         c["recvs"] += 1
         c["elements_received"] += int(payload.size)
         stats.recv_count += 1
         stats.recv_bytes += int(payload.nbytes)
 
-    def commit_all(inst, rows_by, phase, which) -> None:
+    def commit(inst, rows_by, phase, interior: bool) -> None:
         t0 = time.perf_counter()
+        out = arrays[inst.write_name]
         for node in inst.my_nodes:
-            if node.n:
+            blocks = node.blocks if not interior else \
+                () if node.interior is None else (node.interior,)
+            if blocks:
                 set_phase(phase, node.p)
-                _commit(inst, node, rows_by[node.p], which,
-                        arrays[inst.write_name], counts[node.p])
+                counts[node.p]["local_updates"] += sum(
+                    int(inst.entry(blk, rows_by[node.p], out))
+                    for blk in blocks)
         stats.kernel_s += time.perf_counter() - t0
 
     nclauses = len(insts)
     for step in range(steps):
         for k, inst in enumerate(insts):
-            # ---- post: stacked float64[nreads, n] rows per node (row
-            # views fill in place); remote lanes are what we expect -------
+            # ---- gather: the lane rows; what they lack is expected -------
             rows_by = {}
-            expect = []  # (dst node, src node, read pos, row, fill lanes)
+            expect = []  # (dst node, src node, read pos, row, fill region)
             for node in inst.my_nodes:
-                if node.n:
-                    rows = rows_by[node.p] = np.empty(
-                        (inst.nreads, node.n), dtype=np.float64)
-                    for r in node.reads:
-                        for src, fill in r.sources:
-                            expect.append(
-                                (node.p, src, r.pos, rows[r.pos], fill))
+                set_phase(PH_GATHER, node.p)
+                counts[node.p]["iterations"] += node.n
+                rows = rows_by[node.p] = [
+                    _lane_row(r, arrays[r.name], node.shape,
+                              r.name == inst.write_name)
+                    for r in node.reads]
+                expect += [(node.p, src, r.pos, row, fill)
+                           for r, row in zip(node.reads, rows)
+                           for src, fill in r.sources]
             transport.post(step * nclauses + k, expect)
 
             # ---- send: pre-state payloads, one per (read, peer) ----------
@@ -224,27 +190,13 @@ def run_sequence(insts, steps, swap, flags, arrays, transport):
                 c = counts[node.p]
                 for s in node.sends:
                     c["iterations"] += s.count
-                    src_arr = arrays[s.name]
-                    for q, key in s.peers:
-                        buf = transport.send(node, s.pos, q, key, src_arr)
+                    for q, region in s.peers:
+                        buf = transport.send(inst, node.p, s.pos, q,
+                                             region.full(arrays[s.name]))
                         c["sends"] += 1
                         c["elements_sent"] += int(buf.size)
                         stats.send_count += 1
                         stats.send_bytes += int(buf.nbytes)
-
-            # ---- gather: local lanes by direct global loads --------------
-            for node in inst.my_nodes:
-                set_phase(PH_GATHER, node.p)
-                counts[node.p]["iterations"] += node.n
-                if node.n == 0:
-                    continue
-                rows = rows_by[node.p]
-                for r in node.reads:
-                    if r.local_pos is None:
-                        rows[r.pos] = arrays[r.name][_index(r.local_key)]
-                    elif r.local_pos.size:
-                        rows[r.pos, r.local_pos] = \
-                            arrays[r.name][_index(r.local_key)]
 
             # ---- pre-commit barrier --------------------------------------
             barrier()
@@ -253,10 +205,10 @@ def run_sequence(insts, steps, swap, flags, arrays, transport):
 
             # ---- interior (messages may still be in flight), drain,
             # boundary, send completion ------------------------------------
-            commit_all(inst, rows_by, PH_INTERIOR, "int")
+            commit(inst, rows_by, PH_INTERIOR, True)
             set_phase(PH_DRAIN, first)
             transport.drain(deliver)
-            commit_all(inst, rows_by, PH_BOUNDARY, "bnd")
+            commit(inst, rows_by, PH_BOUNDARY, False)
             transport.finish()
 
             if flags[k] and not (step == steps - 1 and k == nclauses - 1):
@@ -309,17 +261,19 @@ class QueueTransport:
         self.missing = {(dst, src, pos): (row, fill)
                         for dst, src, pos, row, fill in expect}
 
-    def send(self, node, pos, q, key, src_arr) -> np.ndarray:
+    def send(self, inst, p, pos, q, values) -> np.ndarray:
         # Payload buffers are reused across steps of a pipelined loop
-        # (and across runs): between two uses of the same (node, read,
-        # peer) buffer sits at least one global pre-commit barrier that
-        # every worker only passes after the previous message was
-        # drained — i.e. fully pickled off this buffer by the queue's
-        # feeder thread — so depth-1 reuse can never corrupt an
-        # in-flight message.
-        buf, flat = _send_buf(node, pos, q, key, src_arr.shape)
-        np.take(src_arr.reshape(-1), flat, out=buf)
-        self.inboxes[q % self.nprocs].put((self.rid, q, node.p, pos, buf))
+        # (and across runs): between two uses of the same (program,
+        # node, read, peer) buffer sits at least one global pre-commit
+        # barrier that every worker only passes after the previous
+        # message was drained — i.e. fully pickled off this buffer by
+        # the queue's feeder thread — so depth-1 reuse can never corrupt
+        # an in-flight message.
+        buf = inst.bufs.get((p, pos, q))
+        if buf is None:
+            buf = inst.bufs[p, pos, q] = np.empty(values.shape)
+        np.copyto(buf, values)
+        self.inboxes[q % self.nprocs].put((self.rid, q, p, pos, buf))
         return buf
 
     def barrier(self, node: int) -> None:

@@ -26,7 +26,6 @@ sets are completely reduced at compile time" (§3).
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -196,20 +195,20 @@ def _sample_piece(f: ModularF, imin: int, imax: int) -> IFunc:
 _DEFAULT_CACHE_MAXSIZE = 1024
 
 
-def _env_maxsize(default: int) -> int:
-    """LRU capacity, overridable with ``REPRO_CACHE_SIZE`` (kept in sync
-    with :func:`repro.pipeline.cache._env_maxsize`; duplicated because
-    ``sets`` is a pipeline dependency and must not import it)."""
-    raw = os.environ.get("REPRO_CACHE_SIZE")
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
+def _cache_maxsize() -> int:
+    """LRU capacity, overridable with ``REPRO_CACHE_SIZE``: read once,
+    on first use — ``pipeline`` imports ``sets``, so its env reader is
+    imported here and not at module level."""
+    global _CACHE_MAXSIZE
+    if _CACHE_MAXSIZE is None:
+        from ..pipeline.cache import _env_number
+
+        _CACHE_MAXSIZE = _env_number("REPRO_CACHE_SIZE",
+                                     _DEFAULT_CACHE_MAXSIZE)
+    return _CACHE_MAXSIZE
 
 
-_CACHE_MAXSIZE = _env_maxsize(_DEFAULT_CACHE_MAXSIZE)
+_CACHE_MAXSIZE: Optional[int] = None
 _cache: "OrderedDict[Tuple, OptimizedAccess]" = OrderedDict()
 _cache_lock = threading.Lock()
 _cache_hits = 0
@@ -222,7 +221,7 @@ def table1_cache_info() -> Dict[str, int]:
     with _cache_lock:
         return {"hits": _cache_hits, "misses": _cache_misses,
                 "evictions": _cache_evictions,
-                "size": len(_cache), "maxsize": _CACHE_MAXSIZE}
+                "size": len(_cache), "maxsize": _cache_maxsize()}
 
 
 def clear_table1_cache() -> None:
@@ -276,7 +275,7 @@ def optimize_access(
         global _cache_evictions
         _cache_misses += 1
         _cache[key] = acc
-        while len(_cache) > _CACHE_MAXSIZE:
+        while len(_cache) > _cache_maxsize():
             _cache.popitem(last=False)
             _cache_evictions += 1
     return acc

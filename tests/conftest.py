@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -85,13 +88,41 @@ IN_PROCESS_TIERS = ("scalar", "vector", "overlap", "fused", "native")
 ALL_TIERS = IN_PROCESS_TIERS + ("mp", "mpi")
 
 
+@contextlib.contextmanager
+def mpi_stub():
+    """Pin the mpi tier to its threaded stub transport: the real rank
+    and transport code without paying an ``mpiexec`` launch per run."""
+    from repro.mpi import reset_mpi_support
+
+    old = os.environ.get("REPRO_MPI_STUB")
+    os.environ["REPRO_MPI_STUB"] = "1"
+    reset_mpi_support()
+    try:
+        yield
+    finally:
+        if old is None:
+            os.environ.pop("REPRO_MPI_STUB", None)
+        else:
+            os.environ["REPRO_MPI_STUB"] = old
+        reset_mpi_support()
+
+
+def counters(machine):
+    """Per-node counters minus the simulator's scheduler resumptions
+    (real processes have no scheduler to count)."""
+    return [dict(vars(n), steps=0) for n in machine.stats.nodes]
+
+
 def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2):
     """Run one ``//`` clause on the shared and the distributed machine
-    under every tier in *tiers* and assert the cross-tier contract:
+    under every tier in *tiers* (``mp`` on *processes* workers, ``mpi``
+    on the stub transport) and assert the cross-tier contract:
     post-state bit-identical to the sequential evaluator, the batching
     tiers (everything but scalar) exchanging exactly the same messages
-    and elements, and batching changing only how elements are packed,
-    never which move.  Returns ``(plan, {(machine, tier): machine})``."""
+    and elements, batching changing only how elements are packed, never
+    which move — and the real-process tiers agreeing with ``fused`` on
+    every counter of every node.  Returns ``(plan, {(machine, tier):
+    machine})``."""
     from repro.codegen.dist_tmpl import run_distributed
     from repro.codegen.nddist import compile_clause_nd_dist
     from repro.codegen.plan import compile_clause
@@ -103,20 +134,26 @@ def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2):
             else compile_clause_nd_dist(clause, decomps))
     ref = evaluate_clause(clause, copy_env(env))[name]
     ran, moved = {}, {}
-    for tier in tiers:
-        if tier != "overlap":  # the overlap schedule is distributed-only
-            m = run_shared(plan, copy_env(env), backend=tier,
-                           processes=processes)
-            assert np.array_equal(m.env[name], ref), f"shared {tier}"
-            ran["shared", tier] = m
-        m = run_distributed(plan, copy_env(env), backend=tier,
-                            processes=processes)
-        assert np.array_equal(m.collect(name), ref), f"dist {tier}"
-        ran["dist", tier] = m
-        moved[tier] = (m.stats.total_messages(),
-                       m.stats.total_elements_moved())
+    with mpi_stub() if "mpi" in tiers else contextlib.nullcontext():
+        for tier in tiers:
+            if tier != "overlap":  # the overlap schedule is distributed-only
+                m = run_shared(plan, copy_env(env), backend=tier,
+                               processes=processes)
+                assert np.array_equal(m.env[name], ref), f"shared {tier}"
+                ran["shared", tier] = m
+            m = run_distributed(plan, copy_env(env), backend=tier,
+                                processes=processes)
+            assert np.array_equal(m.collect(name), ref), f"dist {tier}"
+            ran["dist", tier] = m
+            moved[tier] = (m.stats.total_messages(),
+                           m.stats.total_elements_moved())
     batching = {t: v for t, v in moved.items() if t != "scalar"}
     assert len(set(batching.values())) <= 1, batching
     if "scalar" in moved and batching:
         assert moved["scalar"][1] == next(iter(batching.values()))[1]
+    if "fused" in tiers:
+        for machine, tier in ran:
+            if tier in ("mp", "mpi"):
+                assert counters(ran[machine, tier]) == \
+                    counters(ran[machine, "fused"]), (machine, tier)
     return plan, ran

@@ -415,6 +415,9 @@ class TestMpRuntime:
         payload = prog.payload_for(0, 2)
         assert len(payload) == 7
         assert payload[-1] is prog.native_source
+        # the nodes that ride the pipe are the plan's own node kernels
+        assert [nd.p for nd in payload[5]] == [0, 2]
+        assert all(nd is ir.kernels.gdist[nd.p] for nd in payload[5])
 
     def test_mp_native_bit_identity_and_stats_flag(self, interp):
         plan = compile_clause(stencil_clause(), block_decomps())
@@ -439,32 +442,35 @@ class TestMpRuntime:
     def test_send_buffers_are_reused_per_step(self):
         from types import SimpleNamespace
 
-        from repro.runtime.worker import _send_buf
+        from repro.runtime.worker import QueueTransport
 
-        node = SimpleNamespace()
-        key = (np.array([1, 2, 3]),)
-        b1, f1 = _send_buf(node, 0, 1, key, (10,))
-        b2, f2 = _send_buf(node, 0, 1, key, (10,))
-        assert b1 is b2 and f1 is f2
+        inbox = SimpleNamespace(sent=[])
+        inbox.put = inbox.sent.append
+        transport = QueueTransport(0, 1, [inbox], None, [0, 0])
+        transport.rid = (1, 0)
+        inst = SimpleNamespace(bufs={})
+        b1 = transport.send(inst, 0, 0, 1, np.arange(3.0))
+        b2 = transport.send(inst, 0, 0, 1, np.arange(3.0) + 5)
+        assert b1 is b2 and np.array_equal(b2, [5.0, 6.0, 7.0])
+        assert [m[:4] for m in inbox.sent] == [((1, 0), 1, 0, 0)] * 2
         # another (read, peer) slot gets its own buffer
-        b3, _ = _send_buf(node, 1, 1, key, (10,))
-        assert b3 is not b1
-        # a shape change reallocates instead of aliasing stale data
-        b4, _ = _send_buf(node, 0, 1, (np.array([1, 2]),), (12,))
-        assert b4 is not b1
+        assert transport.send(inst, 0, 1, 1, np.arange(3.0)) is not b1
+        # ...and so does another installed program
+        other = SimpleNamespace(bufs={})
+        assert transport.send(other, 0, 0, 1, np.arange(3.0)) is not b1
 
-    def test_native_node_data_cached_per_lane_set(self):
-        from types import SimpleNamespace
+    def test_native_lane_vectors_cached_per_block(self):
+        """The njit adaptor's lane vectors are built once per block (on
+        its regions), whatever the step count."""
+        from repro.runtime.lowering import lower_dist
 
-        from repro.runtime.worker import _native_node_data
-
-        node = SimpleNamespace()
-        idx = (np.array([1, 2, 3]),)
-        wkey = (np.array([4, 5, 6]),)
-        i1, s1 = _native_node_data(node, "int", idx, wkey, (10,))
-        i2, s2 = _native_node_data(node, "int", idx, wkey, (10,))
-        assert i1 is i2 and s1 is s2
-        assert i1.dtype == np.int64 and s1.dtype == np.int64
+        ir = compile_plan(stencil_clause(), block_decomps())
+        blk = lower_dist(ir).nodes[1].interior
+        vecs = blk.loop.index_vectors()
+        assert vecs is blk.loop.index_vectors()
+        assert blk.write.flat((N,)) is blk.write.flat((N,))
+        assert all(v.dtype == np.int64 and v.flags.c_contiguous
+                   for v in vecs)
 
 
 class TestNativeCLI:

@@ -48,7 +48,7 @@ from repro.decomp import (
     Scatter,
 )
 
-from .conftest import check_all_tiers
+from .conftest import check_all_tiers, mpi_stub
 
 N, P = 40, 4
 
@@ -388,19 +388,8 @@ class TestAllBackendsAgree:
     def _mpi_stub(self):
         # exercise the real rank/transport code without mpiexec: the
         # threaded stub world (see tests/test_mpi.py for the full sweep)
-        import os
-
-        from repro.mpi import reset_mpi_support
-
-        old = os.environ.get("REPRO_MPI_STUB")
-        os.environ["REPRO_MPI_STUB"] = "1"
-        reset_mpi_support()
-        yield
-        if old is None:
-            os.environ.pop("REPRO_MPI_STUB", None)
-        else:
-            os.environ["REPRO_MPI_STUB"] = old
-        reset_mpi_support()
+        with mpi_stub():
+            yield
 
     @settings(max_examples=40, deadline=None)
     @given(

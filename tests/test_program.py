@@ -218,13 +218,16 @@ class TestProgramCache:
         from repro.pipeline import cache as cache_mod
         from repro.pipeline.program import ProgramCache
 
+        def maxsize():
+            return cache_mod._env_number("REPRO_CACHE_SIZE", 64)
+
         monkeypatch.setenv("REPRO_CACHE_SIZE", "7")
-        assert cache_mod._env_maxsize(64) == 7
+        assert maxsize() == 7
         assert ProgramCache().maxsize == 7
         monkeypatch.setenv("REPRO_CACHE_SIZE", "bogus")
-        assert cache_mod._env_maxsize(64) == 64
+        assert maxsize() == 64
         monkeypatch.setenv("REPRO_CACHE_SIZE", "0")
-        assert cache_mod._env_maxsize(64) == 1  # clamped to >= 1
+        assert maxsize() == 1  # clamped to >= 1
 
     def test_clear_plan_cache_clears_program_cache(self):
         self._compile()

@@ -251,10 +251,9 @@ class TestSchedFixtures:
         ir = compile_plan(cl, {"A": Block(N, P), "B": Block(N, P)})
         env0 = block_env("A", "B")
         run_shared_mp(ir, copy_env(env0), processes=2)
-        prog = lower_shared(ir)  # cached: the same lowered object
-        cert = getattr(prog, "_sched_cert", None)
-        assert cert is not None
-        assert cert.ok
+        prog = lower_shared(ir)  # cached: the program that ran
+        assert prog.sched_cert is not None
+        assert prog.sched_cert.ok
 
     def test_worker_crash_cites_certificate(self):
         cl = clause(1, N - 2, ref("A"), ref("B", c=-1) + ref("B", c=1))

@@ -2,6 +2,8 @@
 lane vectors ``_member_vecs`` would build, the timing-free complexity
 guard, and what ``describe()`` reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +39,7 @@ from repro.machine.vectorize import (
     _proc_linear,
 )
 from repro.pipeline import clear_plan_cache, compile_plan
-from repro.pipeline.kernels import _approx_nbytes
+from repro.pipeline.kernels import _approx_nbytes, _leaves
 from repro.pipeline.region import (
     Region,
     compose,
@@ -53,7 +55,7 @@ from repro.pipeline.region import (
 from repro.runtime.lowering import lower_dist, lower_shared
 from repro.sets.enumerators import Enumeration, Segment
 
-from .conftest import IN_PROCESS_TIERS, check_all_tiers
+from .conftest import IN_PROCESS_TIERS, check_all_tiers, counters
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +160,20 @@ class TestRegion:
         assert not r.sliced
         assert np.array_equal(r.take(arr), arr[[0, 1, 4]])
         assert not np.shares_memory(r.take(arr), arr)
+
+    @given(st.lists(st.tuples(keys(), st.booleans()), min_size=4,
+                    max_size=4))
+    def test_overlap_is_the_smallest_shared_element(self, drawn):
+        """SCHED002's intersection test: products meet iff their keys
+        meet on every axis, in whatever order the keys run."""
+        k = [compress(vec(key)[::-1]) if flip else key
+             for key, flip in drawn]
+        a = Region(k[:2], (0, 1), (klen(k[0]), klen(k[1])))
+        b = Region(k[2:], (0, 1), (klen(k[2]), klen(k[3])))
+        elements = [set(zip(*(v.tolist() for v in r.index_vectors())))
+                    for r in (a, b)]
+        shared = elements[0] & elements[1]
+        assert a.overlap(b) == (min(shared) if shared else None)
 
     def test_clipping_slice_raises_instead_of_shrinking(self):
         with pytest.raises(IndexError):
@@ -344,13 +360,76 @@ class TestRegionKernelsDifferential:
         assert ran["dist", "fused"].stats == ran["dist", "overlap"].stats
         assert ran["shared", "fused"].stats == ran["shared", "vector"].stats
         # ... and every counter of the blocking-receive vector program
-        for f, v in zip(ran["dist", "fused"].stats.nodes,
-                        ran["dist", "vector"].stats.nodes):
-            f, v = dict(vars(f), steps=0), dict(vars(v), steps=0)
-            assert f == v
+        assert counters(ran["dist", "fused"]) == \
+            counters(ran["dist", "vector"])
         for p in range(plan.pmax):
             assert_node_matches_member_vecs(plan, k.shared[p], p, False)
             assert_node_matches_member_vecs(plan, k.dist[p], p, True)
+
+
+# (loop rank, write layout, read layout, read access, guard, in place,
+# replicated lower-rank read)
+REAL_PROCESS_CASES = [
+    (1, "block", "block", "shift+", False, False, False),
+    (1, "block", "scatter", "reverse", True, False, False),
+    (1, "scatter", "block", "stride2", False, True, False),
+    (1, "bs-multi", "block", "shift-", True, True, False),
+    (1, "block", "bs-multi", "stride2", False, False, True),
+    (1, "scatter", "scatter", "reverse", False, True, True),
+    (2, "block", "block", "shift+", False, False, False),
+    (2, "block", "scatter", "reverse", True, False, False),
+    (2, "bs-multi", "block", "stride2", False, True, False),
+    (2, "block", "block", "shift-", True, True, True),
+    (2, "scatter", "bs-multi", "shift+", False, False, True),
+    (2, "bs-one", "block", "reverse", True, True, False),
+]
+
+
+@pytest.mark.parametrize(
+    "nd, wkind, rkind, fkind, guarded, in_place, replicated",
+    REAL_PROCESS_CASES)
+def test_real_process_tiers_run_the_region_kernels(
+        nd, wkind, rkind, fkind, guarded, in_place, replicated):
+    """A slice of the differential through real worker processes and
+    (stub) MPI ranks: bit-identical to the evaluator, every counter of
+    every node equal to ``fused`` — and no fallback standing in."""
+    extents, grid = SHAPES[nd]
+
+    def decomposition(kind):
+        axes = [axis_dec(kind, n, p) for n, p in zip(extents, grid)]
+        return axes[0] if nd == 1 else GridDecomposition(axes)
+
+    def ref(name, kind):
+        spec = [access(kind, n, 1) for n in extents]
+        return (Ref(name, SeparableMap([f for f, _, _ in spec])),
+                [(lo, hi) for _, lo, hi in spec])
+
+    decomps = {"A": decomposition(wkind), "B": decomposition(rkind)}
+    lhs, limits = ref("A", "identity")
+    rb, bb = ref("B", fkind)
+    rhs, limits = rb * 0.5, [limits, bb]
+    if in_place:
+        ra, ab = ref("A", fkind)
+        rhs, limits = rhs + ra, limits + [ab]
+    if replicated:
+        decomps["x"] = Replicated(extents[0], int(np.prod(grid)))
+        rhs = rhs + Ref("x", ProjectedMap((0,), (IdentityF(),)))
+    clause = Clause(
+        IndexSet(Bounds(
+            tuple(max(b[d][0] for b in limits) for d in range(nd)),
+            tuple(min(b[d][1] for b in limits) for d in range(nd)))),
+        lhs, rhs, guard=ref("B", "identity")[0] > 0.5 if guarded else None)
+    rng = np.random.default_rng(7)
+    env = {name: rng.random(extents if name != "x" else dec.n)
+           for name, dec in decomps.items()}
+    plan, ran = check_all_tiers(clause, decomps, env,
+                                tiers=("fused", "mp", "mpi"))
+    for tier in ("mp", "mpi"):
+        assert ran["shared", tier].runtime_stats, tier
+        assert ran["dist", tier].runtime_stats, tier
+    assert ran["dist", "mpi"].mode == "stub"
+    assert all(a is b for a, b in zip(lower_dist(plan).nodes,
+                                      plan.kernels.gdist))
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +479,36 @@ class TestLoweringStaysClosedForm:
                    for nk in ir.kernels.dist)
 
 
+    def test_e19_at_1024_reaches_the_workers_as_regions(self, monkeypatch):
+        """Lowering, the schedule check, the sanitizer and the install
+        payloads of E19 1024^2 never build a lane vector: what rides the
+        pipe to each worker is O(segments)."""
+        import pickle
+
+        for owner, name in ((Region, "index_vectors"), (Region, "flat"),
+                            (np, "ravel_multi_index")):
+            monkeypatch.setattr(owner, name, _boom)
+        n = 1024
+        g = GridDecomposition([Block(n, 2), Block(n, 2)])
+
+        def s(di, dj):
+            return Ref("S", SeparableMap([AffineF(1, di), AffineF(1, dj)]))
+
+        cl = Clause(IndexSet(Bounds((1, 1), (n - 2, n - 2))),
+                    Ref("T", SeparableMap([IdentityF(), IdentityF()])),
+                    (s(-1, 0) + s(1, 0) + s(0, -1) + s(0, 1)) * 0.25)
+        ir = compile_clause_nd_dist(cl, {"S": g, "T": g})
+        progs = [lower_shared(ir), lower_dist(ir)]
+        for prog_ in progs:
+            assert check_schedule([prog_])[1].ok
+            for rank in range(2):
+                payload = pickle.dumps(prog_.payload_for(rank, 2))
+                assert len(payload) < 16 << 10
+        assert check_schedule(progs, flags=[False, True])[1].ok
+        assert not sanitize_kernels(ir)
+        assert ir.kernels.region_stats["gdist"]["vector"] == 0
+
+
 # ---------------------------------------------------------------------------
 # what describe() and the schedule check read off regions
 # ---------------------------------------------------------------------------
@@ -429,33 +538,61 @@ class TestRegionReporting:
         assert vector_bytes > 0
         assert _approx_nbytes(multi) >= _approx_nbytes(sliced) + vector_bytes
 
+    def test_cache_bytes_cover_what_an_mp_run_lowers(self):
+        """The ``gdist`` flavor and the install envelope land on the
+        cached entry after it was first sized: the byte budget must see
+        them, and ``describe()`` must report them."""
+        from repro.codegen.dist_tmpl import run_distributed
+        from repro.pipeline import kernel_cache_info
+        from repro.runtime import shutdown_runtime
+
+        ir = self._plan(BlockScatter(64, 4, 2), Block(64, 4))
+        k, before = ir.kernels, kernel_cache_info()["bytes"]
+        assert k.gdist is None and "real-process" not in k.describe()
+        env = {"A": np.zeros(64), "B": np.arange(64.0)}
+        try:
+            m = run_distributed(ir, env, backend="mp", processes=2)
+        finally:
+            shutdown_runtime()
+        assert m.runtime_stats and k.gdist is not None
+        prog_ = lower_dist(ir)
+        assert k.mp_programs == {"gdist": prog_} and prog_.sched_cert.ok
+        grown = len(prog_.native_source) + sum(
+            r.nbytes for r in _leaves(k.gdist) if isinstance(r, Region))
+        assert k.region_stats["gdist"]["vector"] > 0 and grown > 0
+        assert kernel_cache_info()["bytes"] >= before + grown
+        assert k.region_stats["bytes"] >= before + grown
+        assert "real-process distributed: 4 node kernels" in k.describe()
+
     def test_lowered_key_vectors_share_the_bounds_check(self):
-        """KRN001 reads regions and lowered mp key vectors through one
-        check: first/last element of a slice, min/max of a vector."""
+        """KRN001 checks the regions the real processes run — the nodes
+        of a lowered program are the plan's own node kernels — through
+        the one check: first/last element of a slice, min/max of a
+        vector."""
         ir = self._plan(Block(64, 4), Block(64, 4))
         dist, shared = lower_dist(ir), lower_shared(ir)
+        assert all(a is b for a, b in zip(dist.nodes, ir.kernels.gdist))
+        assert all(a is b for a, b in zip(shared.nodes, ir.kernels.shared))
         assert not sanitize_kernels(ir)
-        dist.nodes[1].wkey_interior[0][0] = 99
-        shared.nodes[0].reads[0].local_key[0][0] = -3
+        dist.nodes[1].interior.write = Region(
+            [np.array([99, 17])], (0,), (2,))
+        shared.nodes[0].reads[0].mem = Region([slice(-3, 6)], (0,), (16,))
         found = [d.message for d in sanitize_kernels(ir)
                  if d.code == "KRN001"]
         assert len(found) == 2
-        assert any("mp[dist] node 1" in m and "99" in m for m in found)
-        assert any("mp[shared] node 0" in m and "-3" in m for m in found)
+        assert any("gdist kernel of node 1" in m and "99" in m for m in found)
+        assert any("shared kernel of node 0" in m and "-3" in m
+                   for m in found)
 
     def test_schedule_sizes_come_from_region_size(self):
-        """SCHED001 matches lane counts whether a send key is a lowered
-        vector tuple or a region."""
+        """SCHED001 matches lane counts by ``region.size`` on the node
+        kernels themselves, whichever address map they carry."""
         ir = self._plan(Block(64, 4), Block(64, 4))
         prog_ = lower_dist(ir)
         _, cert = check_schedule([prog_])
-        assert cert.ok and cert.messages > 0
-        for nd, nk in zip(prog_.nodes, ir.kernels.dist):
-            for s, ks in zip(nd.sends, nk.sends):
-                assert [q for q, _ in s.peers] == [q for q, _ in ks.peers]
-                s.peers = ks.peers  # the fused kernels' memory regions
-        _, cert = check_schedule([prog_])
-        assert cert.ok
+        assert cert.ok and cert.messages > 0 and prog_.sched_cert is cert
+        local = dataclasses.replace(prog_, nodes=ir.kernels.dist)
+        assert check_schedule([local])[1] == cert  # same sizes, same peers
         short = next(s for nd in prog_.nodes for s in nd.sends if s.peers)
         q, region = short.peers[0]
         short.peers = ((q, Region([prog(0, 1, region.size + 1)], (0,),

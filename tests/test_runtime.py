@@ -333,3 +333,48 @@ class TestBackendRegistryCLI:
         assert rc == 0
         assert "OK" in out
         assert "worker 0" in out
+
+
+# ---------------------------------------------------------------------------
+# numeric env knobs: one reader, malformed values never escape
+# ---------------------------------------------------------------------------
+
+def _read_knob(name):
+    from repro.mpi.exec import _nranks
+    from repro.pipeline.cache import PlanCache, _env_number
+    from repro.pipeline.kernels import KernelCache
+    from repro.runtime.exec import _nprocs
+
+    return {
+        "REPRO_CACHE_SIZE": lambda: PlanCache().maxsize,
+        "REPRO_CACHE_BYTES": lambda: KernelCache().max_bytes,
+        "REPRO_MP_PROCESSES": lambda: _nprocs(None, 64),
+        "REPRO_MPI_RANKS": lambda: _nranks(None, 64),
+        # read once, when repro.runtime.pool is imported
+        "REPRO_MP_TIMEOUT": lambda: _env_number("REPRO_MP_TIMEOUT", 60.0,
+                                                float),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", [
+    "REPRO_CACHE_SIZE", "REPRO_CACHE_BYTES", "REPRO_MP_PROCESSES",
+    "REPRO_MPI_RANKS", "REPRO_MP_TIMEOUT"])
+def test_malformed_numeric_env_means_the_default(monkeypatch, name):
+    monkeypatch.delenv(name, raising=False)
+    default = _read_knob(name)
+    for raw in ("abc", "", "1e"):
+        monkeypatch.setenv(name, raw)
+        assert _read_knob(name) == default
+    monkeypatch.setenv(name, "3")
+    assert _read_knob(name) == 3
+    monkeypatch.setenv(name, "-2")  # below the smallest useful value
+    assert _read_knob(name) == 1
+
+
+def test_mp_run_survives_a_malformed_process_count(monkeypatch):
+    monkeypatch.setenv("REPRO_MP_PROCESSES", "abc")
+    plan, env0 = stencil_plan(), env1d(3)
+    ref = evaluate_clause(stencil_clause(), copy_env(env0))
+    m = run_shared(plan, copy_env(env0), backend="mp")
+    assert np.array_equal(m.env["A"], ref["A"])
+    assert m.runtime_stats
