@@ -30,7 +30,6 @@ CLI as ``repro check``.
 from .bounds import analyze_bounds
 from .comm import analyze_comm
 from .diagnostics import CODES, Diagnostic, DiagnosticReport, Severity
-from .interference import certified_independent
 from .kernel_sanitizer import (audit_kernel_source, check_kernels_strict,
                                sanitize_kernels)
 from .lint import analyze_lint
@@ -50,7 +49,6 @@ __all__ = [
     "analyze_comm",
     "analyze_bounds",
     "analyze_lint",
-    "certified_independent",
     "verify_ir",
     "verify_clause",
     "annotate_deadlock",

@@ -37,9 +37,13 @@ _MAX_WITNESSES = 4
 
 def _segment_violations(func, segments, n: int, cap: int) -> List[int]:
     """Up to *cap* indices in *segments* whose image under *func* leaves
-    ``[0, n)`` — closed form per unit-stride segment, enumeration for
-    strided ones."""
+    ``[0, n)``: one closed-form test of the hull ``[min lo, max hi]``
+    first, then — only under a violating hull — closed form per
+    unit-stride segment, enumeration for strided ones."""
     out: List[int] = []
+    if not segments or image_violation(func, min(s.lo for s in segments),
+                                       max(s.hi for s in segments), n) is None:
+        return out
     for seg in segments:
         if seg.step == 1:
             cursor = seg.lo
@@ -98,7 +102,9 @@ def analyze_comm(ir) -> List[Diagnostic]:
                 modify = w.axes[0].access.enumerate(p).segments
                 reside = acc.axes[0].access.enumerate(p).segments
                 # receives node p posts with no matching owner anywhere
-                needed = difference_segments(list(modify), list(reside))
+                # (the difference only when Modify_p itself leaves the array)
+                needed = difference_segments(list(modify), list(reside)) \
+                    if _segment_violations(g, modify, n_read, 1) else []
                 bad = _segment_violations(g, needed, n_read, _MAX_WITNESSES)
                 if bad:
                     recv_witness[p] = bad

@@ -228,8 +228,8 @@ def analyze_races(ir) -> List[Diagnostic]:
         _write_write(ir, out)
         _read_write(ir, out)
     # cross-processor races (witnesses span more than one owner) must
-    # have kept the barrier — `eliminate-barriers` decides from the same
-    # access maps, so a contradiction means the pass and analyzer diverge
+    # have kept the barrier — `eliminate-barriers` proves the same relation
+    # on the membership keys, so a contradiction means the two diverge
     cross = [d for d in out
              if d.code == "RACE003" and len(d.witnesses) > 1]
     if cross and ir.successor is not None and not ir.barrier_needed:

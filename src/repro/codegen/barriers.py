@@ -8,68 +8,96 @@ flows between *different processors* across the phase boundary — or when
 fusing would expose a cross-processor read/write overlap *within* one of
 the clauses (the unfused template hides intra-clause overlap behind the
 global double-buffer).  With the owner-computes rule all of this is
-decidable at compile time from the decompositions and access functions;
-this module decides it by (exact, O(n)) enumeration of the access maps.
-
-``run_program_shared`` then executes a multi-clause program on the
-shared-memory machine, fusing phases whose separating barrier was proven
-removable, and reports how many barriers remain.
+decidable at compile time from the decompositions and access functions,
+and this module proves it in the key algebra of
+:mod:`repro.pipeline.region`, never by walking elements: processor *p*
+runs exactly ``Modify_p`` (a Table I key; the whole domain on every
+processor for a replicated write), so what it touches through an access
+``g`` is the key ``image(g, Modify_p)``, and an element has ONE writing
+processor unless the write is replicated.  Hence a clause overlaps itself
+iff *q*'s image under a read of the written array meets *p*'s image under
+the write, ``p != q``; and two consecutive clauses conflict iff what *p*
+writes in one meets what ``q != p`` touches in the other — flow and
+output (``w1`` against ``r2``, ``w2``), anti (``w2`` against ``r1``).
+Two progressions meet in one congruence, so a Block/Scatter/one-course
+pair costs O(pmax²) integer operations whatever the array size; an
+irregular key (multi-course BS(b), a modular access) is a sorted vector
+filtered by the same ``meet`` — one mechanism, the all-slice pair being
+its O(1) case.  (The element-by-element enumeration this replaced is the
+oracle of ``tests/test_barriers.py``.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.clause import Clause, Ordering, Program
 from ..decomp.base import Decomposition
 from ..machine.shared import SharedMachine
-from .plan import compile_clause
+from ..pipeline.ir import PlanIR
+from ..pipeline.region import Key, _ascending, image, klen, meet
+from .plan import check_canonical
 
 __all__ = [
-    "AccessMaps",
-    "clause_access_maps",
     "has_cross_processor_overlap",
     "barrier_removable",
+    "plan_barrier_removable",
     "plan_barriers",
     "run_program_shared",
 ]
 
-Elem = Tuple[str, int]
 
+class _Footprint:
+    """What one clause touches, per processor, under owner-computes:
+    read off *ir* when it is the plan being compiled, else off a
+    front-only IR (the canonical-form contract, `substitute-views`,
+    `optimize-membership`: no split, no lowering, no cache entry).
+    Guards are reads that *may* happen: every guarded iteration counts
+    for both its reads and its write."""
 
-@dataclass
-class AccessMaps:
-    """Which (array, element) each clause touches, and from which
-    processor (owner of the touching iteration)."""
+    def __init__(self, clause: Clause, decomps, ir: Optional[PlanIR] = None):
+        check_canonical(clause, decomps)
+        if ir is None:
+            from ..pipeline.passes import OptimizeMembership, SubstituteViews
 
-    writes: Dict[Elem, Set[int]]
-    reads: Dict[Elem, Set[int]]
+            ir = PlanIR(clause=clause, decomps=dict(decomps))
+            SubstituteViews().run(ir)
+            OptimizeMembership().run(ir)
+        self.ir, self.write = ir, ir.write
+        self.modify: List[Key] = [k[0] for k in ir.member_keys(ir.write)]
+        self._touched: Dict[tuple, Key] = {}
 
+    def touched(self, acc, p: int) -> Key:
+        """``image(acc, Modify_p)``, ascending — made on first demand,
+        so a pair that conflicts on its first processors never images
+        the rest."""
+        if (acc.pos, p) not in self._touched:
+            self._touched[acc.pos, p] = _ascending(
+                image(acc.funcs[0], self.modify[p]))
+        return self._touched[acc.pos, p]
 
-def clause_access_maps(
-    clause: Clause, decomps: Dict[str, Decomposition]
-) -> AccessMaps:
-    """Exact access maps of a 1-D clause under owner-computes.
+    def reads_of(self, name: str) -> list:
+        return [acc for acc in self.ir.reads if acc.name == name]
 
-    Guards are treated as reads that *may* happen (conservative: the
-    guard value is unknown at compile time, so every guarded iteration
-    counts for both its reads and its write).
-    """
-    plan = compile_clause(clause, decomps)
-    writes: Dict[Elem, Set[int]] = {}
-    reads: Dict[Elem, Set[int]] = {}
-    imin, imax = plan.loop_bounds[0]
-    for i in range(imin, imax + 1):
-        owners = plan.writers_of((i,))
-        w_elem = (plan.write_name, plan.write.funcs[0](i))
-        writes.setdefault(w_elem, set()).update(owners)
-        for read in plan.reads:
-            r_elem = (read.name, read.funcs[0](i))
-            reads.setdefault(r_elem, set()).update(owners)
-    return AccessMaps(writes, reads)
+    def crossed(self, other: "_Footprint", accs: list) -> bool:
+        """Is an element this clause writes touched — through one of
+        *other*'s accesses *accs* — by a processor that does not write
+        it?"""
+        pmax = len(self.modify)
+        return any(
+            klen(meet(self.touched(self.write, p), other.touched(acc, q)))
+            for acc in accs
+            for p in range(pmax)
+            for q in range(len(other.modify))
+            if (q >= pmax if self.write.replicated else q != p))
+
+    def overlap(self) -> bool:
+        if self.write.replicated and len(self.modify) > 1 \
+                and any(map(klen, self.modify)):
+            return True  # every processor writes every element
+        return self.crossed(self, self.reads_of(self.write.name))
 
 
 def has_cross_processor_overlap(
@@ -77,55 +105,37 @@ def has_cross_processor_overlap(
 ) -> bool:
     """True when, within ONE clause, an element is written by one
     processor and read (or written) by a different one — i.e. the global
-    double-buffer of the unfused template is load-bearing.
+    double-buffer of the unfused template is load-bearing."""
+    return _Footprint(clause, decomps).overlap()
 
-    Fast path: the static analyzer's interference certificate.  A
-    certified clause (non-replicated write, no read of the written
-    array) provably has singleton writer sets and disjoint read/write
-    element keys, so the enumeration below would always return False —
-    skip it."""
-    from ..analysis import certified_independent
 
-    if certified_independent(clause, decomps):
+def _removable(c1: Clause, c2: Clause, decomps, ir1: Optional[PlanIR]) -> bool:
+    if c1.ordering is not Ordering.PAR or c2.ordering is not Ordering.PAR:
         return False
-    maps = clause_access_maps(clause, decomps)
-    for elem, writers in maps.writes.items():
-        if len(writers) > 1:
-            return True
-        readers = maps.reads.get(elem)
-        if readers and readers - writers:
-            return True
-    return False
-
-
-def _phase_conflict(m1: AccessMaps, m2: AccessMaps) -> bool:
-    """Cross-processor dependence between two consecutive clauses:
-    flow (w1 ∩ r2), anti (r1 ∩ w2), or output (w1 ∩ w2) on different
-    processors."""
-    for elem, writers in m1.writes.items():
-        for other in (m2.reads.get(elem), m2.writes.get(elem)):
-            if other and other - writers:
-                return True
-    for elem, writers2 in m2.writes.items():
-        readers1 = m1.reads.get(elem)
-        if readers1 and readers1 - writers2:
-            return True
-    return False
+    f1 = _Footprint(c1, decomps, ir1)
+    if f1.overlap():
+        return False
+    f2 = _Footprint(c2, decomps)
+    after = f2.reads_of(f1.write.name)
+    if f2.write.name == f1.write.name:
+        after.append(f2.write)
+    # flow (w1 ∩ r2), output (w1 ∩ w2), anti (r1 ∩ w2) across processors
+    return not (f2.overlap() or f1.crossed(f2, after)
+                or f2.crossed(f1, f1.reads_of(f2.write.name)))
 
 
 def barrier_removable(
     c1: Clause, c2: Clause, decomps: Dict[str, Decomposition]
 ) -> bool:
     """Can the barrier between *c1* and *c2* be eliminated?"""
-    if c1.ordering is not Ordering.PAR or c2.ordering is not Ordering.PAR:
-        return False
-    if has_cross_processor_overlap(c1, decomps):
-        return False
-    if has_cross_processor_overlap(c2, decomps):
-        return False
-    return not _phase_conflict(
-        clause_access_maps(c1, decomps), clause_access_maps(c2, decomps)
-    )
+    return _removable(c1, c2, decomps, None)
+
+
+def plan_barrier_removable(ir: PlanIR) -> bool:
+    """:func:`barrier_removable` for a plan on its way through the
+    pipeline (past `optimize-membership`) and its successor: the plan's
+    own membership keys serve, only the successor gets a front-only IR."""
+    return _removable(ir.clause, ir.successor, ir.decomps, ir)
 
 
 def plan_barriers(
@@ -139,12 +149,8 @@ def plan_barriers(
     from ..pipeline import compile_plan
 
     clauses = program.clauses
-    flags: List[bool] = []
-    for c1, c2 in zip(clauses, clauses[1:]):
-        ir = compile_plan(c1, decomps, successor=c2)
-        flags.append(ir.barrier_needed)
-    flags.append(True)
-    return flags
+    return [compile_plan(c1, decomps, successor=c2).barrier_needed
+            for c1, c2 in zip(clauses, clauses[1:])] + [True]
 
 
 def run_program_shared(

@@ -24,20 +24,14 @@ from ..core.clause import Clause
 from ..decomp.base import Decomposition
 from ..pipeline.ir import PlanIR
 
-__all__ = ["compile_clause"]
+__all__ = ["compile_clause", "check_canonical"]
 
 
-def compile_clause(
-    clause: Clause, decomps: Dict[str, Decomposition]
-) -> PlanIR:
-    """Compile a 1-D canonical clause against per-array decompositions.
-
-    A contract check over the unified pass pipeline
-    (:func:`repro.pipeline.compile_plan`), whose :class:`PlanIR` it
-    returns.  Raises ``KeyError`` when an array lacks a decomposition
-    and ``ValueError`` for clause shapes outside the paper's canonical
-    form (non-1-D domains).
-    """
+def check_canonical(clause: Clause, decomps: Dict[str, Decomposition]) -> None:
+    """The contract of the canonical 1-D clause: raises ``KeyError`` when
+    an array lacks a decomposition and ``ValueError`` for shapes outside
+    the paper's canonical form (non-1-D domains, overlapped structures,
+    arrays over different processor counts, non-separable accesses)."""
     if clause.domain.dim != 1:
         raise ValueError(
             "SPMD generation implements the paper's canonical 1-D clause; "
@@ -65,6 +59,17 @@ def compile_clause(
             )
         ref.scalar_func()
 
+
+def compile_clause(
+    clause: Clause, decomps: Dict[str, Decomposition]
+) -> PlanIR:
+    """Compile a 1-D canonical clause against per-array decompositions.
+
+    A contract check (:func:`check_canonical`) over the unified pass
+    pipeline (:func:`repro.pipeline.compile_plan`), whose
+    :class:`PlanIR` it returns.
+    """
+    check_canonical(clause, decomps)
     from ..pipeline import compile_plan
 
     return compile_plan(clause, decomps)

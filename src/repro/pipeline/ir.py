@@ -33,6 +33,7 @@ from ..core.clause import Clause
 from ..core.expr import Ref
 from ..core.view import ProjectedMap, SeparableMap
 from ..decomp.multidim import GridDecomposition
+from .region import key_of, prog
 from .trace import PipelineTrace
 
 __all__ = ["AxisAccess", "AccessIR", "NodeSplit", "InteriorSplit", "PlanIR",
@@ -219,6 +220,8 @@ class PlanIR:
     #: node kernels for ``backend="fused"``; None when no fused form
     #: exists — the executors fall back to the vector path)
     kernels: Optional[object] = None
+    #: the memo of :meth:`member_keys`, by read position (write: ``None``)
+    _keys: Dict[Optional[int], list] = field(default_factory=dict, repr=False)
 
     trace: PipelineTrace = field(default_factory=PipelineTrace)
 
@@ -240,6 +243,25 @@ class PlanIR:
         """``Modify_p`` via the chosen Table I rules (every index, on
         every node, for a replicated write)."""
         return self.write.membership(p, self.loop_bounds, work)
+
+    def member_keys(self, acc: AccessIR) -> List[list]:
+        """Per node, per loop dim, the key (:mod:`repro.pipeline.region`)
+        of *acc*'s membership — ``Modify_p`` for the write, ``Reside_p``
+        for a read; a dim it does not constrain runs its full range.
+        Built once per plan (O(segments) each) and shared by every kernel
+        flavor, the §2.9 barrier proof and the clones of a cached plan."""
+        if acc.pos not in self._keys:
+            full = [prog(lo, 1, hi - lo + 1) for lo, hi in self.loop_bounds]
+            self._keys[acc.pos] = per_node = []
+            for p in range(self.pmax):
+                keys, coord = [None] * len(full), acc.grid_coord(p)
+                for k, ax in enumerate(acc.axes):
+                    if keys[ax.loop_dim] is None:
+                        keys[ax.loop_dim] = key_of(
+                            ax.access.enumerate(coord[k]).segments)
+                per_node.append([f if k is None else k
+                                 for k, f in zip(keys, full)])
+        return self._keys[acc.pos]
 
     def writers_of(self, idx: Index) -> List[int]:
         """Processors that update the element written at loop index

@@ -237,13 +237,18 @@ class FusedKernels:
     def region_stats(self) -> Dict[str, object]:
         """Per flavor how many regions are slice-keyed vs vector-keyed,
         and the entry's resident bytes as the kernel cache accounts them
-        — what a large cache entry is made of."""
-        out: Dict[str, object] = {"bytes": _approx_nbytes(self)}
-        for flavor in _FLAVORS:
-            sliced = [x.sliced for x in _leaves(getattr(self, flavor))
-                      if isinstance(x, Region)]
-            out[flavor] = {"slice": sum(sliced),
-                           "vector": len(sliced) - sum(sliced)}
+        — what a large cache entry is made of.  ONE walk of the entry,
+        which the cache's ``store`` and :meth:`describe` both read
+        (:func:`recount` drops it when something lands later)."""
+        out: Dict[str, object] = {"bytes": 0}
+        out.update((f, {"slice": 0, "vector": 0}) for f in _FLAVORS)
+        distinct = {}  # by identity: programs share the nodes
+        for name in self.__dataclass_fields__:
+            for x in _leaves(getattr(self, name), 1):
+                distinct[id(x)] = x
+                if name in _FLAVORS and isinstance(x, Region):
+                    out[name]["slice" if x.sliced else "vector"] += 1
+        out["bytes"] = _nbytes(distinct.values())
         return out
 
     def describe(self) -> str:
@@ -260,19 +265,6 @@ class FusedKernels:
             elif note is not None:  # neither: not built yet (on demand)
                 parts.append(f"{label}: dict-memory fallback ({note})")
         return "; ".join(parts) + f"; {stats['bytes']} bytes"
-
-
-def _members(ir, acc, p: int) -> list:
-    """Per loop dim the key of the access's membership on node *p* (a
-    dim it does not constrain runs its full range) — the Table I closed
-    form the vector executor expands lane by lane."""
-    coord = acc.grid_coord(p)
-    out: list = [None] * len(ir.loop_bounds)
-    for k, ax in enumerate(acc.axes):
-        if out[ax.loop_dim] is None:
-            out[ax.loop_dim] = key_of(ax.access.enumerate(coord[k]).segments)
-    return [prog(lo, 1, hi - lo + 1) if k is None else k
-            for k, (lo, hi) in zip(out, ir.loop_bounds)]
 
 
 def _strips(inner: list, shape: tuple) -> list:
@@ -325,7 +317,7 @@ def _build_nodes(ir, local: bool, dist: bool, used) -> list:
                 keys[k] = compose(loc, locate(keys[k], own))
         return Region(keys, acc.dims, shape)
 
-    lanes = [_members(ir, write, q) for q in nodes]
+    lanes = ir.member_keys(write)
 
     def sub(q, members):
         """``(position keys, loop keys, shape)`` of a member subset of
@@ -345,8 +337,7 @@ def _build_nodes(ir, local: bool, dist: bool, used) -> list:
                             for d, g in enumerate(loop.grids())))
 
     # per remote read: its residence, and who gathers what from whom
-    reside = {acc.pos: [_members(ir, acc, s) for s in nodes]
-              for acc in remote}
+    reside = {acc.pos: ir.member_keys(acc) for acc in remote}
     moves = {}
     for acc in remote:
         for q in nodes:
@@ -485,18 +476,25 @@ def _dispose_native_tier(kernels: FusedKernels) -> None:
 def _leaves(obj, _depth: int = 0):
     """The ndarray, text and :class:`Region` leaves of a kernel entry,
     found by a bounded structural walk."""
-    if _depth > 8 or obj is None:
-        return
-    if isinstance(obj, (np.ndarray, str, bytes, Region)):
-        yield obj
-    elif isinstance(obj, (list, tuple)):
-        for x in obj:
-            yield from _leaves(x, _depth + 1)
-    elif isinstance(obj, dict):
-        yield from _leaves(list(obj.values()), _depth)
-    elif hasattr(obj, "__dataclass_fields__"):
-        yield from _leaves([getattr(obj, name)
-                            for name in obj.__dataclass_fields__], _depth)
+    todo = [(obj, _depth)]
+    while todo:
+        obj, depth = todo.pop()
+        if depth > 8 or obj is None:
+            continue
+        if isinstance(obj, (np.ndarray, str, bytes, Region)):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            todo.extend((x, depth + 1) for x in obj)
+        elif isinstance(obj, dict):
+            todo.extend((x, depth + 1) for x in obj.values())
+        elif hasattr(obj, "__dataclass_fields__"):
+            todo.extend((getattr(obj, name), depth + 1)
+                        for name in obj.__dataclass_fields__)
+
+
+def _nbytes(leaves) -> int:
+    return sum(len(x) if isinstance(x, (str, bytes)) else int(x.nbytes)
+               for x in leaves)
 
 
 def _approx_nbytes(obj) -> int:
@@ -504,9 +502,8 @@ def _approx_nbytes(obj) -> int:
     its regions, ndarray buffers and generated source text.  This is an
     *accounting* estimate (index vectors dominate where there are any),
     not ``sys.getsizeof`` truth."""
-    distinct = {id(x): x for x in _leaves(obj)}  # programs share the nodes
-    return sum(len(x) if isinstance(x, (str, bytes)) else int(x.nbytes)
-               for x in distinct.values())
+    # by identity: programs share the nodes
+    return _nbytes({id(x): x for x in _leaves(obj)}.values())
 
 
 #: default resident-byte budget for the kernel cache (256 MiB);
@@ -549,7 +546,7 @@ class KernelCache:
             return k
 
     def store(self, key: tuple, kernels: FusedKernels) -> None:
-        nbytes = _approx_nbytes(kernels)  # sized outside the lock
+        nbytes = kernels.region_stats["bytes"]  # walked outside the lock
         with self._lock:
             old = self._sizes.pop(key, None)
             if old is not None:

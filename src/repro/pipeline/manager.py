@@ -28,11 +28,13 @@ class PassManager:
     def run(self, ir: PlanIR) -> PlanIR:
         if not ir.trace.label:
             ir.trace.label = f"clause {ir.clause.name!r}"
+        after = ir.describe()
         for ps in self.passes:
-            before = ir.describe()
+            before = after  # one render per boundary
             t0 = perf_counter()
             rewrites, notes = ps.run(ir)
             wall_ms = (perf_counter() - t0) * 1e3
+            after = ir.describe()
             ir.trace.add(PassRecord(
                 name=ps.name,
                 paper=ps.paper,
@@ -40,6 +42,6 @@ class PassManager:
                 rewrites=rewrites,
                 notes=list(notes),
                 before=before,
-                after=ir.describe(),
+                after=after,
             ))
         return ir

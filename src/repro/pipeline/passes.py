@@ -152,6 +152,7 @@ class OptimizeMembership(Pass):
     def run(self, ir: PlanIR) -> PassResult:
         notes: List[str] = []
         rewrites = 0
+        ir._keys = {}
         for acc in ir.accesses():
             for k, ax in enumerate(acc.axes):
                 lo, hi = ir.loop_bounds[ax.loop_dim]
@@ -310,7 +311,9 @@ class InsertHalo(Pass):
 class EliminateBarriers(Pass):
     """§2.9: drop the post-phase barrier when no processor's reads in the
     successor clause can observe another processor's writes from this
-    one."""
+    one — proven on the membership keys of this plan and of a front-only
+    IR of the successor (:mod:`repro.codegen.barriers`); nothing is
+    compiled, lowered or cached on the way."""
 
     name = "eliminate-barriers"
     paper = "§2.9"
@@ -320,10 +323,10 @@ class EliminateBarriers(Pass):
             return 0, ["no successor clause: barrier kept"]
         if ir.ndim != 1 or ir.successor.domain.dim != 1:
             return 0, ["barrier analysis implemented for 1-D clauses: kept"]
-        from ..codegen.barriers import barrier_removable
+        from ..codegen.barriers import plan_barrier_removable
 
         try:
-            removable = barrier_removable(ir.clause, ir.successor, ir.decomps)
+            removable = plan_barrier_removable(ir)
         except (KeyError, ValueError) as exc:
             return 0, [f"analysis unavailable ({exc}); barrier kept"]
         ir.barrier_needed = not removable

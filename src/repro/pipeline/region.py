@@ -92,8 +92,9 @@ def key_of(segments: Sequence) -> Key:
     if len(segments) == 1:
         s = segments[0]
         return prog(s.lo, s.step, s.count())
-    lo, step, cnt = (np.array(a, dtype=np.int64) for a in zip(
-        *((s.lo, s.step, s.count()) for s in segments)))
+    lo, hi, step = (np.array(a, dtype=np.int64) for a in zip(
+        *((s.lo, s.hi, s.step) for s in segments)))
+    cnt = np.maximum((hi - lo) // step + 1, 0)
     within = np.arange(int(cnt.sum()), dtype=np.int64) \
         - np.repeat(np.cumsum(cnt) - cnt, cnt)
     return compress(np.unique(np.repeat(lo, cnt) + np.repeat(step, cnt) * within))
@@ -111,8 +112,9 @@ def compose(base: Key, pos: Key) -> Key:
 
 
 def meet(a: Key, b: Key) -> Key:
-    """The members two ascending keys share: two progressions meet in a
-    progression (one congruence, O(1)); a vector is filtered."""
+    """The members two ascending (sorted, distinct) keys share: two
+    progressions meet in a progression (one congruence, O(1)); a vector
+    is filtered."""
     if isinstance(a, slice) and isinstance(b, slice):
         (a0, s, an), (b0, t, bn) = _ssc(a), _ssc(b)
         g = math.gcd(s, t)
@@ -130,7 +132,7 @@ def meet(a: Key, b: Key) -> Key:
         b0, t, bn = _ssc(b)
         return compress(
             a[(a >= b0) & (a <= b0 + t * (bn - 1)) & ((a - b0) % t == 0)])
-    return compress(np.intersect1d(a, b))
+    return compress(np.intersect1d(a, b, assume_unique=True))
 
 
 def _ascending(key: Key) -> Key:

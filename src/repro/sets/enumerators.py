@@ -18,7 +18,7 @@ benchmarks can reproduce the paper's overhead arguments quantitatively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core.ifunc import AffineF, ConstantF, IFunc, ModularF, ceil_div, floor_div
 from ..decomp.base import Decomposition
@@ -121,20 +121,6 @@ class Enumeration:
     def sort(self) -> "Enumeration":
         self.segments.sort(key=lambda s: s.lo)
         return self
-
-    def intersect(self, other: "Enumeration",
-                  rule: Optional[str] = None) -> "Enumeration":
-        """Members in both enumerations, as sorted disjoint segments."""
-        out = Enumeration(rule or f"({self.rule})∩({other.rule})")
-        out.segments = intersect_segments(self.segments, other.segments)
-        return out
-
-    def difference(self, other: "Enumeration",
-                   rule: Optional[str] = None) -> "Enumeration":
-        """Members of *self* not in *other*, as sorted disjoint segments."""
-        out = Enumeration(rule or f"({self.rule})\\({other.rule})")
-        out.segments = difference_segments(self.segments, other.segments)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -391,33 +377,39 @@ def enum_repeated_scatter(
     if kmax < kmin:
         return e
     stride = d.b * d.pmax
-    pts: List[int] = []
-    if isinstance(f, AffineF) and abs(f.a) != 1:
-        from ..diophantine.euclid import extended_euclid
+    if isinstance(f, AffineF):
+        # the whole (offset x course) grid by array arithmetic: one row
+        # per offset t, one column per candidate course of that offset
+        import numpy as np
 
-        a = abs(f.a)
-        # stride.k ≡ (c - t) (mod a): gcd and Bézout once per access —
-        # the paper's "gcd and C calculation need only be done once".
-        res = extended_euclid(stride % a if stride % a else a, a)
-        work.euclid_steps += res.steps
-        g = res.g
-        for off in range(d.b):
-            t = d.b * p + off
-            work.iterations += 1
+        t = d.b * p + np.arange(d.b, dtype=np.int64)[:, None]
+        first, every, solvable = kmin, 1, True
+        if abs(f.a) != 1:
+            from ..diophantine.euclid import extended_euclid
+
+            a = abs(f.a)
+            # stride.k ≡ (c - t) (mod a): gcd and Bézout once per access —
+            # the paper's "gcd and C calculation need only be done once".
+            res = extended_euclid(stride % a if stride % a else a, a)
+            work.euclid_steps += res.steps
+            work.iterations += d.b
             rhs = (f.c - t) % a
-            if rhs % g:
-                continue  # no course hits an integer preimage
-            # particular solution of stride.k ≡ c - t (mod a)
-            k0 = (res.x * (rhs // g)) % (a // g)
-            for k in range(kmin + (k0 - kmin) % (a // g), kmax + 1, a // g):
-                v = t + k * stride
-                if v >= d.n:
-                    break
-                i, r = divmod(v - f.c, f.a)
-                if r == 0 and imin <= i <= imax:
-                    pts.append(i)
-                    work.emitted += 1
+            solvable = rhs % res.g == 0  # else no course hits an integer
+            every = a // res.g
+            # particular solution of stride.k ≡ c - t (mod a), from kmin on
+            first = kmin + (res.x * (rhs // res.g) % every - kmin) % every
+        k = first + every * np.arange((kmax - kmin) // every + 1,
+                                      dtype=np.int64)
+        v = t + k * stride
+        live = solvable & (k <= kmax) & (v < d.n)
+        if abs(f.a) == 1:  # no congruence to prune with: every course tested
+            tested = int(live.sum())
+            work.iterations += tested
+            work.tests += tested
+        i, r = np.divmod(v - f.c, f.a)
+        pts = np.sort(i[live & (r == 0) & (imin <= i) & (i <= imax)]).tolist()
     else:
+        pts = []
         for off in range(d.b):
             t = d.b * p + off
             for k in range(kmin, kmax + 1):
@@ -426,11 +418,10 @@ def enum_repeated_scatter(
                     break
                 work.iterations += 1
                 work.tests += 1
-                for i in f.solve(v, imin, imax):
-                    pts.append(i)
-                    work.emitted += 1
-    for i in sorted(pts):
-        e.add(i, i)
+                pts.extend(f.solve(v, imin, imax))
+        pts.sort()
+    work.emitted += len(pts)
+    e.segments = [Segment(i, i) for i in pts]
     return e
 
 

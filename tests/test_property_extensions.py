@@ -139,6 +139,56 @@ class TestInspectorProperty:
         assert np.allclose(m.collect("A"), ref)
 
 
+def _scalar_repeated_scatter(d, f, imin, imax, p, work):
+    """The one-call-per-(offset, course) body `enum_repeated_scatter`
+    had before it went to grid arithmetic — the oracle for its segments
+    and for every :class:`Work` counter."""
+    from repro.diophantine.euclid import extended_euclid
+    from repro.sets.enumerators import Enumeration, _course_range
+
+    e = Enumeration("repeated-scatter")
+    kmin, kmax = _course_range(d, f, imin, imax, p)
+    if kmax < kmin:
+        return e
+    stride = d.b * d.pmax
+    pts = []
+    if isinstance(f, AffineF) and abs(f.a) != 1:
+        a = abs(f.a)
+        res = extended_euclid(stride % a if stride % a else a, a)
+        work.euclid_steps += res.steps
+        g = res.g
+        for off in range(d.b):
+            t = d.b * p + off
+            work.iterations += 1
+            rhs = (f.c - t) % a
+            if rhs % g:
+                continue
+            k0 = (res.x * (rhs // g)) % (a // g)
+            for k in range(kmin + (k0 - kmin) % (a // g), kmax + 1, a // g):
+                v = t + k * stride
+                if v >= d.n:
+                    break
+                i, r = divmod(v - f.c, f.a)
+                if r == 0 and imin <= i <= imax:
+                    pts.append(i)
+                    work.emitted += 1
+    else:
+        for off in range(d.b):
+            t = d.b * p + off
+            for k in range(kmin, kmax + 1):
+                v = t + k * stride
+                if v >= d.n:
+                    break
+                work.iterations += 1
+                work.tests += 1
+                for i in f.solve(v, imin, imax):
+                    pts.append(i)
+                    work.emitted += 1
+    for i in sorted(pts):
+        e.add(i, i)
+    return e
+
+
 class TestRepeatedScatterFastPath:
     @given(
         st.integers(1, 60), st.integers(1, 8), st.integers(1, 6),
@@ -156,3 +206,24 @@ class TestRepeatedScatterFastPath:
         for p in range(pmax):
             got = enum_repeated_scatter(d, f, imin, imax, p, Work()).indices()
             assert got == modify_naive(d, f, imin, imax, p)
+
+    @given(
+        st.integers(1, 60), st.integers(1, 8), st.integers(1, 6),
+        st.sampled_from([1, -1, 2, 3, 4, 5, 6, 7, -2, -3, -5]),
+        st.integers(-5, 10), st.integers(-20, 40), st.integers(0, 60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_grid_arithmetic_matches_the_scalar_walk(self, n, pmax, b, a, c,
+                                                     imin, span):
+        """Same segments, same `Work` — iterations, tests, emitted,
+        euclid_steps — whether or not the image stays inside the array."""
+        d = BlockScatter(n, pmax, b)
+        f = AffineF(a, c)
+        for p in range(pmax):
+            want_work, got_work = Work(), Work()
+            want = _scalar_repeated_scatter(d, f, imin, imin + span, p,
+                                            want_work)
+            got = enum_repeated_scatter(d, f, imin, imin + span, p, got_work)
+            assert got.segments == want.segments
+            assert got.rule == want.rule
+            assert vars(got_work) == vars(want_work)
