@@ -3,7 +3,7 @@
 The paper's central claim — ``Modify_p`` / ``Reside_p`` are closed-form
 sets computable at compile time (§3, Table I) — makes correctness
 questions about generated SPMD programs *decidable* with the same
-segment algebra the compiler already uses:
+key algebra (:mod:`repro.pipeline.region`) the compiler already uses:
 
 * :mod:`~repro.analysis.races`  — Bernstein conditions on ``//`` clauses
 * :mod:`~repro.analysis.comm`   — every remote read matched by a send

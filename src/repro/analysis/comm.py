@@ -16,9 +16,12 @@ so the matching can be *proven* at compile time:
              out-of-range write element ``f(i)`` — the message targets a
              node that does not exist or never posts the receive.
 
-Everything runs on segment arithmetic (``Modify_p`` minus ``Reside_p``
-via :func:`difference_segments`, out-of-bounds witnesses via the exact
-integer preimage), with bounded enumeration only for opaque functions.
+Everything runs in the key algebra of :mod:`repro.pipeline.region` on
+the plan's membership keys: ``Modify_p`` minus ``Reside_p`` and the
+out-of-bounds witnesses are both :func:`~repro.pipeline.region.minus`
+(the in-bounds loop indices come from the exact integer preimage) —
+O(1) for a pair of progressions, one vectorized evaluation under
+:data:`~repro.analysis.support.ENUM_BUDGET` only for opaque functions.
 """
 
 from __future__ import annotations
@@ -26,42 +29,36 @@ from __future__ import annotations
 from typing import List
 
 from ..core.clause import Ordering
-from ..sets.enumerators import difference_segments
+from ..core.ifunc import apply_ifunc
+from ..pipeline.region import Key, compress, minus, prog, vec
 from .diagnostics import Diagnostic, Severity
-from .support import BudgetExceeded, image_violation, segment_elements
+from .support import ENUM_BUDGET, BudgetExceeded, first_members
 
 __all__ = ["analyze_comm"]
 
 _MAX_WITNESSES = 4
 
 
-def _segment_violations(func, segments, n: int, cap: int) -> List[int]:
-    """Up to *cap* indices in *segments* whose image under *func* leaves
-    ``[0, n)``: one closed-form test of the hull ``[min lo, max hi]``
-    first, then — only under a violating hull — closed form per
-    unit-stride segment, enumeration for strided ones."""
-    out: List[int] = []
-    if not segments or image_violation(func, min(s.lo for s in segments),
-                                       max(s.hi for s in segments), n) is None:
-        return out
-    for seg in segments:
-        if seg.step == 1:
-            cursor = seg.lo
-            while cursor <= seg.hi and len(out) < cap:
-                bad = image_violation(func, cursor, seg.hi, n)
-                if bad is None:
-                    break
-                out.append(bad)
-                cursor = bad + 1
-        else:
-            for i in seg.indices():
-                if not (0 <= func(i) < n):
-                    out.append(i)
-                    if len(out) >= cap:
-                        break
-        if len(out) >= cap:
-            break
-    return out
+def _in_bounds(func, n: int, lo: int, hi: int) -> List[Key]:
+    """The loop indices of ``[lo, hi]`` whose image under *func* stays
+    inside ``[0, n)``, as disjoint keys: the exact integer preimage
+    bands, or one vectorized evaluation for an opaque function."""
+    try:
+        return [prog(l, 1, h - l + 1)
+                for l, h in func.preimage(0, n - 1, lo, hi)]
+    except NotImplementedError:
+        if hi - lo + 1 > ENUM_BUDGET:
+            raise BudgetExceeded(f"bounds scan of {func.name}") from None
+        i = vec(prog(lo, 1, hi - lo + 1))
+        e = apply_ifunc(func, i)
+        return [compress(i[(e >= 0) & (e < n)])]
+
+
+def _outside(key: Key, inside: List[Key]) -> Key:
+    """The members of *key* in none of the *inside* keys."""
+    for ok in inside:
+        key = minus(key, ok)
+    return key
 
 
 def analyze_comm(ir) -> List[Diagnostic]:
@@ -89,6 +86,7 @@ def analyze_comm(ir) -> List[Diagnostic]:
         ))
 
     wf = w.funcs[0]
+    lanes = ir.member_keys(w)
     for acc in ir.reads:
         if not acc.placed or acc.replicated or not acc.axes \
                 or acc.axes[0].access is None:
@@ -98,19 +96,20 @@ def analyze_comm(ir) -> List[Diagnostic]:
         recv_witness: dict = {}
         send_witness: dict = {}
         try:
-            for p in range(ir.pmax):
-                modify = w.axes[0].access.enumerate(p).segments
-                reside = acc.axes[0].access.enumerate(p).segments
-                # receives node p posts with no matching owner anywhere
-                # (the difference only when Modify_p itself leaves the array)
-                needed = difference_segments(list(modify), list(reside)) \
-                    if _segment_violations(g, modify, n_read, 1) else []
-                bad = _segment_violations(g, needed, n_read, _MAX_WITNESSES)
+            read_ok = _in_bounds(g, n_read, *span)
+            write_ok = _in_bounds(wf, w.dec.n, *span)
+            for p, ((modify,), (reside,)) in enumerate(
+                    zip(lanes, ir.member_keys(acc))):
+                # receives node p posts with no matching owner anywhere:
+                # the part of Modify_p whose read leaves the array (and
+                # that Reside_p does not claim all the same)
+                bad = first_members(
+                    minus(_outside(modify, read_ok), reside), _MAX_WITNESSES)
                 if bad:
                     recv_witness[p] = bad
                 # sends node p issues toward an out-of-range target
-                bad = _segment_violations(wf, list(reside), w.dec.n,
-                                          _MAX_WITNESSES)
+                bad = first_members(_outside(reside, write_ok),
+                                    _MAX_WITNESSES)
                 if bad:
                     send_witness[p] = bad
         except BudgetExceeded as exc:

@@ -1,7 +1,7 @@
 """Decomposition lint over the Plan IR.
 
 Warnings about *legal but slow* decomposition choices, computed from the
-per-processor ``|Modify_p|`` counts the Table I enumerators give in
+per-processor ``|Modify_p|`` counts the plan's membership keys give in
 closed form:
 
 ``LINT001``  load imbalance — the busiest processor holds more than
@@ -16,19 +16,21 @@ closed form:
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from ..core.clause import Ordering
 from ..decomp.blockscatter import BlockScatter
 from ..decomp.scatter import Scatter
+from ..pipeline.region import klen
 from .diagnostics import Diagnostic, Severity
 
 __all__ = ["analyze_lint"]
 
 
 def _modify_counts(ir) -> Optional[List[int]]:
-    """Per-processor ``|Modify_p|`` via the write enumerators (product
-    over axes), or ``None`` when they are unavailable."""
+    """Per-processor ``|Modify_p|`` from the write's membership keys
+    (product over loop dims), or ``None`` when they are unavailable."""
     w = ir.write
     if w is None or not w.placed or w.replicated or not w.axes:
         return None
@@ -36,14 +38,7 @@ def _modify_counts(ir) -> Optional[List[int]]:
         return None
     if sorted(ax.loop_dim for ax in w.axes) != list(range(ir.ndim)):
         return None
-    counts = []
-    for p in range(ir.pmax):
-        coord = w.grid_coord(p)
-        total = 1
-        for k, ax in enumerate(w.axes):
-            total *= ax.access.enumerate(coord[k]).count()
-        counts.append(total)
-    return counts
+    return [math.prod(map(klen, keys)) for keys in ir.member_keys(w)]
 
 
 def analyze_lint(ir) -> List[Diagnostic]:

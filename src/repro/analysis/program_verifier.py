@@ -5,7 +5,7 @@ The inter-clause passes of :mod:`repro.pipeline.program` *prove* things
 redistribution preserves the layout contract, a pipelined time loop is
 re-placement free.  This module re-derives each of those claims
 independently and cross-checks the optimizer against the result, in the
-spirit of translation validation: the passes use the Table I segment
+spirit of translation validation: the passes use the region key
 algebra, the verifier enumerates the element relation directly
 (vectorized, budget-bounded), so a disagreement is an optimizer bug
 surfaced at compile time rather than a wrong answer at run time.
@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.ifunc import apply_ifunc
 from .diagnostics import Diagnostic, DiagnosticReport, Severity
 from .kernel_sanitizer import sanitize_kernels
 from .schedule import ScheduleCertificate, check_schedule
@@ -211,8 +212,6 @@ def _instances(ir) -> Tuple[np.ndarray, np.ndarray]:
     """``(i, owner)`` per parameter instance of a 1-D clause — the
     executing processor under owner-computes is the write element's
     owner."""
-    from ..machine.vectorize import apply_ifunc
-
     if len(ir.loop_bounds) != 1:
         raise _Undecidable("clause is not 1-D")
     w = ir.write
@@ -231,8 +230,6 @@ def _instances(ir) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _access_elems(ir, acc, i: np.ndarray) -> np.ndarray:
-    from ..machine.vectorize import apply_ifunc
-
     if acc.replicated:
         raise _Undecidable(f"access of {acc.name!r} is replicated")
     if not acc.funcs or len(acc.funcs) != 1:

@@ -2,8 +2,9 @@
 
 Everything here answers a question about one scalar access function over
 one inclusive loop range, preferring the paper's closed forms (affine
-image segments, exact ``preimage`` bands, the §3.3 injectivity
-criterion) and falling back to bounded enumeration for opaque functions.
+images as progression keys of :mod:`repro.pipeline.region`, exact
+``preimage`` bands, the §3.3 injectivity criterion) and falling back to
+bounded enumeration for opaque functions.
 The enumeration budget keeps the verifier from hanging on astronomically
 large domains — analyses report ``CHK001`` when they hit it.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..core.ifunc import AffineF, ConstantF, IFunc, ModularF, MonotoneF
-from ..sets.enumerators import Segment, intersect_segments, segment_elements
+from ..pipeline.region import compose, image, klen, meet, prog, vec
 
 __all__ = [
     "ENUM_BUDGET",
@@ -21,10 +22,9 @@ __all__ = [
     "range_count",
     "injective_on",
     "find_duplicate",
-    "affine_image",
     "image_violation",
     "loop_carried_pair",
-    "segment_elements",
+    "first_members",
 ]
 
 #: largest index range the enumeration fallback will walk
@@ -46,6 +46,12 @@ def range_count(lo: int, hi: int) -> int:
 def _check_budget(lo: int, hi: int, what: str) -> None:
     if range_count(lo, hi) > ENUM_BUDGET:
         raise BudgetExceeded(what)
+
+
+def first_members(key, cap: int) -> List[int]:
+    """Up to *cap* leading members of a key — witnesses sampled without
+    materializing a large set."""
+    return vec(compose(key, prog(0, 1, min(cap, klen(key))))).tolist()
 
 
 def injective_on(f: IFunc, lo: int, hi: int) -> Optional[bool]:
@@ -77,14 +83,6 @@ def find_duplicate(f: IFunc, lo: int, hi: int) -> Optional[Tuple[int, int, int]]
             return seen[v], i, v
         seen[v] = i
     return None
-
-
-def affine_image(f: AffineF, lo: int, hi: int) -> Segment:
-    """The exact image of an affine function over ``[lo, hi]`` as one
-    strided segment."""
-    if f.a > 0:
-        return Segment(f(lo), f(hi), f.a)
-    return Segment(f(hi), f(lo), -f.a)
 
 
 def image_violation(f: IFunc, lo: int, hi: int, n: int) -> Optional[int]:
@@ -124,21 +122,23 @@ def loop_carried_pair(
     and ``f(i_write) == g(i_read)`` over ``[lo, hi]`` — the Bernstein
     write/read overlap between two distinct parameter instances.
 
-    Closed form for affine/constant pairs (intersect the strided image
-    segments; at most one intersection element can be the harmless
-    coincident instance, so probing the first few members is exact);
-    bounded enumeration otherwise.
+    Closed form for affine/constant pairs (the two images are
+    progressions and meet in one; at most one common element can be the
+    harmless coincident instance, so probing the first few members is
+    exact); bounded enumeration otherwise.
     """
     if lo > hi:
         return None
     if isinstance(f, AffineF) and isinstance(g, AffineF):
         if (f.a, f.c) == (g.a, g.c):
             return None  # f(i1) = g(i2) forces i1 = i2: no carried pair
-        common = intersect_segments([affine_image(f, lo, hi)],
-                                    [affine_image(g, lo, hi)])
+        # both images ascending: a falling function walks the range down
+        up, down = prog(lo, 1, hi - lo + 1), prog(hi, -1, hi - lo + 1)
+        common = meet(image(f, up if f.a > 0 else down),
+                      image(g, up if g.a > 0 else down))
         # i1 = (e - f.c)/f.a and i2 = (e - g.c)/g.a collide for at most
         # one e, so any two members of the intersection contain a witness.
-        for e in segment_elements(common, 3):
+        for e in first_members(common, 3):
             i1 = (e - f.c) // f.a
             i2 = (e - g.c) // g.a
             if i1 != i2:

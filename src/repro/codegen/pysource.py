@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Tuple
 
 from ..core.expr import Ref
 from ..pipeline.ir import PlanIR
+from ..pipeline.region import prog, vec
 from .exprsrc import (
     CodegenError,
     expr_src,
@@ -65,16 +66,6 @@ class RuntimeTables:
         enum = self._acc[key].enumerate(p)
         return [(s.lo, s.hi, s.step) for s in enum.segments]
 
-    def index_array(self, key: str, p: int):
-        """The same membership as ``segments`` materialized as one sorted
-        int64 index vector (the vector backend's working set)."""
-        import numpy as np
-
-        if key == "write" and self.plan.write.replicated:
-            imin, imax = self.plan.loop_bounds[0]
-            return np.arange(imin, imax + 1, dtype=np.int64)
-        return self._acc[key].enumerate(p).index_array()
-
     def rule(self, key: str) -> str:
         return self._acc[key].rule
 
@@ -82,15 +73,9 @@ class RuntimeTables:
         """Sorted int64 vector of node *p*'s interior loop indices (the
         `split-interior` pass product; empty when the plan has no split —
         the overlap program then degrades to the vector schedule)."""
-        import numpy as np
-
         split = self.plan.interior_split
-        if split is None or p not in split.per_node:
-            return np.empty(0, dtype=np.int64)
-        segs = split.per_node[p].interior[0]
-        if not segs:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([s.index_array() for s in segs])
+        ns = split.per_node.get(p) if split is not None else None
+        return vec(prog(0, 1, 0) if ns is None else ns.interior[0])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Tuple
 
+import numpy as np
+
 __all__ = [
     "ceil_div",
     "floor_div",
@@ -32,6 +34,7 @@ __all__ = [
     "ComposedF",
     "IdentityF",
     "classify",
+    "apply_ifunc",
 ]
 
 
@@ -434,9 +437,7 @@ class IndirectF(IFunc):
     """
 
     def __init__(self, table, name: str = "T"):
-        import numpy as _np
-
-        self.table = _np.asarray(table, dtype=_np.int64)
+        self.table = np.asarray(table, dtype=np.int64)
         self.name = f"{name}[i]"
 
     def __call__(self, i: int) -> int:
@@ -524,3 +525,24 @@ def classify(f: IFunc) -> str:
     if isinstance(f, IndirectF):
         return "indirect"
     return "general"
+
+
+def apply_ifunc(f, ivec: np.ndarray) -> np.ndarray:
+    """Apply index function *f* over an int64 vector.
+
+    Affine/modular/composed functions broadcast as plain arithmetic; an
+    opaque callable that cannot take an ndarray falls back to an
+    element-wise sweep (still correct, just not fast).
+    """
+    try:
+        out = f(ivec)
+    except Exception:
+        out = None
+    if isinstance(out, np.ndarray) and out.shape == ivec.shape:
+        return out.astype(np.int64, copy=False)
+    if np.isscalar(out) and ivec.size:
+        # e.g. ConstantF: one value for every index
+        return np.full(ivec.shape, int(out), dtype=np.int64)
+    return np.fromiter(
+        (f(int(i)) for i in ivec), dtype=np.int64, count=ivec.size
+    )

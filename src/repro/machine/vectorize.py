@@ -31,8 +31,10 @@ import numpy as np
 
 from ..core.clause import Ordering
 from ..core.expr import BinOp, Const, LoopIndex, Ref, UnOp
+from ..core.ifunc import apply_ifunc
 from ..decomp.multidim import GridDecomposition
 from ..pipeline.ir import AccessIR, PlanIR, access_spec
+from ..pipeline.region import vec
 from .distributed import DistributedMachine, NodeContext
 from .shared import SharedMachine
 
@@ -75,27 +77,6 @@ VEC_UNARY = {
     "not": np.logical_not,
     "abs": np.absolute,
 }
-
-
-def apply_ifunc(f, ivec: np.ndarray) -> np.ndarray:
-    """Apply index function *f* over an int64 vector.
-
-    Affine/modular/composed functions broadcast as plain arithmetic; an
-    opaque callable that cannot take an ndarray falls back to an
-    element-wise sweep (still correct, just not fast).
-    """
-    try:
-        out = f(ivec)
-    except Exception:
-        out = None
-    if isinstance(out, np.ndarray) and out.shape == ivec.shape:
-        return out.astype(np.int64, copy=False)
-    if np.isscalar(out) and ivec.size:
-        # e.g. ConstantF: one value for every index
-        return np.full(ivec.shape, int(out), dtype=np.int64)
-    return np.fromiter(
-        (f(int(i)) for i in ivec), dtype=np.int64, count=ivec.size
-    )
 
 
 def eval_expr_vec(expr, idx_vecs: List[np.ndarray], fetch):
@@ -374,7 +355,7 @@ def _interior_mask(ir: PlanIR, p: int, idx_vecs: List[np.ndarray]) -> np.ndarray
     """Boolean mask over the flattened ``Modify_p`` enumeration selecting
     the node's interior (every non-replicated read locally resident).
 
-    The per-dimension interior segments come from the `split-interior`
+    The per-dimension interior keys come from the `split-interior`
     pass; the product structure means the mask is the AND of per-dimension
     memberships.  A plan compiled without the pass gets an empty interior
     — the overlap program then degrades to the vector schedule (drain
@@ -385,11 +366,8 @@ def _interior_mask(ir: PlanIR, p: int, idx_vecs: List[np.ndarray]) -> np.ndarray
         return np.zeros(n, dtype=bool)
     ns = split.per_node[p]
     mask = np.ones(n, dtype=bool)
-    for d, segs in enumerate(ns.interior):
-        if not segs:
-            return np.zeros(n, dtype=bool)
-        members = np.concatenate([s.index_array() for s in segs])
-        mask &= np.isin(idx_vecs[d], members)
+    for d, key in enumerate(ns.interior):
+        mask &= np.isin(idx_vecs[d], vec(key))
     return mask
 
 

@@ -25,6 +25,7 @@ source emitter and the kernel tiers all take it at any rank.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -33,7 +34,7 @@ from ..core.clause import Clause
 from ..core.expr import Ref
 from ..core.view import ProjectedMap, SeparableMap
 from ..decomp.multidim import GridDecomposition
-from .region import key_of, prog
+from .region import Key, key_of, klen, meet, prog
 from .trace import PipelineTrace
 
 __all__ = ["AxisAccess", "AccessIR", "NodeSplit", "InteriorSplit", "PlanIR",
@@ -144,33 +145,28 @@ class AccessIR:
 class NodeSplit:
     """One node's interior/boundary partition of ``Modify_p``.
 
-    ``modify[d]`` / ``interior[d]`` are the sorted disjoint segment lists
-    for loop dimension *d*; the node's interior is the cartesian product
-    of the per-dimension interiors (the factorized form — see the
-    `split-interior` pass), and the boundary is ``Modify_p`` minus that
-    product (it does not factorize: the overlap executor recovers it
-    with per-dimension masks, the fused kernels tile it with at most
-    ``2*ndim`` strips)."""
+    ``modify[d]`` / ``interior[d]`` are the ascending keys
+    (:mod:`repro.pipeline.region`) for loop dimension *d* — ``modify``
+    is the node's row of :meth:`PlanIR.member_keys`, not a copy; the
+    node's interior is the cartesian product of the per-dimension
+    interiors (the factorized form — see the `split-interior` pass), and
+    the boundary is ``Modify_p`` minus that product (it does not
+    factorize: the overlap executor recovers it with per-dimension
+    masks, the fused kernels tile it with at most ``2*ndim`` strips)."""
 
-    modify: List[list]    # per loop-dim List[Segment]
-    interior: List[list]  # per loop-dim List[Segment]
-
-    def _prod(self, per_dim: List[list]) -> int:
-        total = 1
-        for segs in per_dim:
-            total *= sum(s.count() for s in segs)
-        return total
+    modify: List[Key]    # per loop dim
+    interior: List[Key]  # per loop dim
 
     # computed once: ``PlanIR.describe()`` reads the totals on every
-    # pass-trace snapshot, and the segment lists are final once built
+    # pass-trace snapshot, and the keys are final once built
 
     @cached_property
     def modify_count(self) -> int:
-        return self._prod(self.modify)
+        return math.prod(map(klen, self.modify))
 
     @cached_property
     def interior_count(self) -> int:
-        return self._prod(self.interior)
+        return math.prod(map(klen, self.interior))
 
     @property
     def boundary_count(self) -> int:
@@ -247,18 +243,21 @@ class PlanIR:
     def member_keys(self, acc: AccessIR) -> List[list]:
         """Per node, per loop dim, the key (:mod:`repro.pipeline.region`)
         of *acc*'s membership — ``Modify_p`` for the write, ``Reside_p``
-        for a read; a dim it does not constrain runs its full range.
-        Built once per plan (O(segments) each) and shared by every kernel
-        flavor, the §2.9 barrier proof and the clones of a cached plan."""
+        for a read; a dim it does not constrain runs its full range, one
+        several axes read holds what they share.  The one place a
+        compile-time consumer reads a Table I enumeration: built once
+        per plan (O(segments) each) and shared by `split-interior`, the
+        analyses, every kernel flavor, the §2.9 barrier proof and the
+        clones of a cached plan."""
         if acc.pos not in self._keys:
             full = [prog(lo, 1, hi - lo + 1) for lo, hi in self.loop_bounds]
             self._keys[acc.pos] = per_node = []
             for p in range(self.pmax):
                 keys, coord = [None] * len(full), acc.grid_coord(p)
                 for k, ax in enumerate(acc.axes):
-                    if keys[ax.loop_dim] is None:
-                        keys[ax.loop_dim] = key_of(
-                            ax.access.enumerate(coord[k]).segments)
+                    d, key = ax.loop_dim, key_of(
+                        ax.access.enumerate(coord[k]).segments)
+                    keys[d] = key if keys[d] is None else meet(keys[d], key)
                 per_node.append([f if k is None else k
                                  for k, f in zip(keys, full)])
         return self._keys[acc.pos]

@@ -50,8 +50,7 @@ import numpy as np
 from ..core.clause import Ordering
 from ..core.expr import BinOp, Const, LoopIndex, Ref, UnOp
 from .cache import _env_number, plan_key
-from .region import Region, compose, compress, image, key_of, klen, locate, \
-    meet, prog, vec
+from .region import Region, compose, image, klen, locate, meet, minus, prog
 
 __all__ = [
     "FusedKernels",
@@ -276,7 +275,7 @@ def _strips(inner: list, shape: tuple) -> list:
         if isinstance(j, slice) and j.step == 1:
             rest = [prog(0, 1, j.start), prog(j.stop, 1, n - j.stop)]
         else:
-            rest = [compress(np.setdiff1d(np.arange(n), vec(j)))]
+            rest = [minus(prog(0, 1, n), j)]
         out += [inner[:d] + [r] + [prog(0, 1, m) for m in shape[d + 1:]]
                 for r in rest if klen(r)]
     return out
@@ -385,7 +384,7 @@ def _build_nodes(ir, local: bool, dist: bool, used) -> list:
         nk.reads = tuple(reads)
         split = ir.interior_split if dist else None
         ns = split.per_node.get(p) if split is not None else None
-        inner = [locate(key_of(ns.interior[d]), lanes[p][d])
+        inner = [locate(ns.interior[d], lanes[p][d])
                  for d in range(nd)] if ns is not None else []
         whole = block(p, [prog(0, 1, n) for n in shape])
         # a store that is not a plain view may repeat an address: it

@@ -25,7 +25,7 @@ one an explicit, introspectable pass over :class:`~repro.pipeline.ir.PlanIR`:
 ``verify-plan``           (optional, ``compile_plan(..., verify=True)``)
                           the :mod:`repro.analysis` static verifier:
                           races, communication completeness, bounds and
-                          decomposition lint over the Table I segments.
+                          decomposition lint over the membership keys.
 
 Passes only *record* facts on the IR; the machine templates, the source
 emitter and the kernel tiers consume them.  Passes import
@@ -41,10 +41,10 @@ from ..core.clause import Ordering
 from ..core.ifunc import AffineF
 from ..decomp.multidim import GridDecomposition
 from ..decomp.overlap import OverlappedBlock
-from ..sets.enumerators import Segment, intersect_segments
 from ..sets.table1 import optimize_access
 from .ir import AccessIR, AxisAccess, InteriorSplit, NodeSplit, PlanIR, \
     access_spec
+from .region import Key, klen, meet, prog
 
 __all__ = [
     "Pass",
@@ -169,7 +169,8 @@ class SplitInterior(Pass):
     """Partition each node's ``Modify_p`` into *interior* (every
     non-replicated read already locally resident — computable while
     messages are in flight) and a *boundary* remainder (needs remote
-    values), by pure segment arithmetic on the Table I enumerations.
+    values), in the key algebra of :mod:`repro.pipeline.region` on the
+    plan's membership keys (:meth:`PlanIR.member_keys`).
 
     Because every access factorizes per loop dimension, so does the
     interior:
@@ -177,11 +178,13 @@ class SplitInterior(Pass):
         ``interior_d(p) = write_d(p) ∩ (∩ over reads covering d of
         resident_d(p))``
 
-    and ``interior(p) = ∏_d interior_d(p)`` while ``boundary(p) =
-    Modify_p − interior(p)`` (which does not factorize; the overlap
-    executor recovers it with per-dimension membership masks).  The pass
-    only records segments on the IR — the `overlap` backend consumes
-    them; scalar/vector backends ignore them."""
+    — one :func:`~repro.pipeline.region.meet` per (read, node, dim),
+    O(1) for a pair of progressions — and ``interior(p) = ∏_d
+    interior_d(p)`` while ``boundary(p) = Modify_p − interior(p)``
+    (which does not factorize; the overlap executor recovers it with
+    per-dimension membership masks).  The pass only records keys on the
+    IR — the `overlap` backend and the distributed kernels consume them;
+    scalar/vector backends ignore them."""
 
     name = "split-interior"
     paper = "§5 overlap (future work)"
@@ -192,36 +195,31 @@ class SplitInterior(Pass):
         if skip is not None:
             return 0, [f"skipped: {skip}"]
 
-        dim_axis = {ax.loop_dim: (k, ax)
-                    for k, ax in enumerate(ir.write.axes)}
-        split = InteriorSplit()
-        for p in range(ir.pmax):
-            wcoord = ir.write.grid_coord(p)
-            modify = []
-            interior = []
-            for d in range(ir.ndim):
-                k, ax = dim_axis[d]
-                segs = ax.access.enumerate(wcoord[k]).segments
-                modify.append(list(segs))
-                interior.append(list(segs))
-            for acc in ir.reads:
-                if acc.replicated:
-                    continue
+        nodes = range(ir.pmax)
+        lanes = ir.member_keys(ir.write)
+        interior = [list(lanes[p]) for p in nodes]
+        for acc in ir.reads:
+            if acc.replicated:
+                continue
+            resident = ir.member_keys(acc)
+            for p in nodes:
                 coord = acc.grid_coord(p)
                 for k, ax in enumerate(acc.axes):
                     d = ax.loop_dim
-                    res = self._resident_segments(ir, ax, coord[k], d)
-                    interior[d] = intersect_segments(interior[d], res)
-            split.per_node[p] = NodeSplit(modify=modify, interior=interior)
+                    halo = self._halo_resident(ax, coord[k],
+                                               ir.loop_bounds[d])
+                    interior[p][d] = meet(
+                        interior[p][d],
+                        resident[p][d] if halo is None else halo)
+        split = ir.interior_split = InteriorSplit(
+            {p: NodeSplit(modify=lanes[p], interior=interior[p])
+             for p in nodes})
 
-        ir.interior_split = split
         m, i, b = split.totals()
         notes = []
         for d in range(ir.ndim):
-            mod_d = sum(sum(s.count() for s in split.per_node[p].modify[d])
-                        for p in range(ir.pmax))
-            int_d = sum(sum(s.count() for s in split.per_node[p].interior[d])
-                        for p in range(ir.pmax))
+            mod_d = sum(klen(lanes[p][d]) for p in nodes)
+            int_d = sum(klen(interior[p][d]) for p in nodes)
             notes.append(f"axis dim{d}: interior {int_d}/{mod_d} index "
                          f"points, boundary {mod_d - int_d} "
                          f"(summed over {ir.pmax} nodes)")
@@ -257,34 +255,20 @@ class SplitInterior(Pass):
         return None
 
     @staticmethod
-    def _resident_segments(ir: PlanIR, ax: AxisAccess, pcoord: int,
-                           d: int) -> list:
-        """Loop indices along dim *d* whose read element is locally
-        resident on axis-coordinate *pcoord*.
-
-        Ownership (the Table I enumeration) is always resident; an
-        :class:`OverlappedBlock` axis with an affine access additionally
-        resolves the whole halo-extended range locally, inverted in
-        closed form.  Anything short of that falls back to ownership —
-        a conservative (smaller) interior, never an incorrect one."""
-        dec = ax.dec
-        f = ax.func
-        if isinstance(dec, OverlappedBlock) and isinstance(f, AffineF) \
-                and f.a != 0:
-            lo_r, hi_r = dec.resident_range(pcoord)
-            if lo_r > hi_r:
-                return []
-            # i with lo_r <= a.i + c <= hi_r  (every such i qualifies)
-            if f.a > 0:
-                ilo = -(-(lo_r - f.c) // f.a)   # ceil
-                ihi = (hi_r - f.c) // f.a       # floor
-            else:
-                ilo = -(-(hi_r - f.c) // f.a)
-                ihi = (lo_r - f.c) // f.a
-            blo, bhi = ir.loop_bounds[d]
-            ilo, ihi = max(ilo, blo), min(ihi, bhi)
-            return [Segment(ilo, ihi, 1)] if ilo <= ihi else []
-        return ax.access.enumerate(pcoord).segments
+    def _halo_resident(ax: AxisAccess, pcoord: int, bounds) -> "Key | None":
+        """Loop indices whose read element lies in the halo-extended
+        range an :class:`OverlappedBlock` axis keeps on axis-coordinate
+        *pcoord*, inverted in closed form for an affine access.
+        ``None`` for anything short of that: ownership (the membership
+        key) is what is resident — a conservative (smaller) interior,
+        never an incorrect one."""
+        if not (isinstance(ax.dec, OverlappedBlock)
+                and isinstance(ax.func, AffineF)):
+            return None
+        # i with lo_r <= a.i + c <= hi_r: one band, every such i qualifies
+        band = ax.func.preimage(*ax.dec.resident_range(pcoord), *bounds)
+        return prog(band[0][0], 1, band[0][1] - band[0][0] + 1) if band \
+            else prog(0, 1, 0)
 
 
 class InsertHalo(Pass):
@@ -402,7 +386,7 @@ class LicenseDoacross(Pass):
 class VerifyPlan(Pass):
     """The optional static verifier (:mod:`repro.analysis`): Bernstein
     races, communication completeness, bounds, and decomposition lint —
-    all closed-form over the Table I segments, §3's decidability claim
+    all closed-form over the membership keys, §3's decidability claim
     turned into diagnostics.  Findings land on ``ir.diagnostics`` and on
     the trace (``compile --explain`` shows them; ``repro check`` prints
     them)."""

@@ -1,4 +1,4 @@
-"""Regions: the one key type of the compile-once kernels.
+"""Regions: the one key type and the one set algebra of the compiler.
 
 Table I hands every node its membership as a few arithmetic
 progressions ``gen_p(t) = x_p + stride·t``.  A **key** keeps one axis of
@@ -9,6 +9,13 @@ is one progression, an int64 vector for the irregular remainder
 block of lanes: all-slice regions address memory by basic slicing (a
 view), anything else through ``np.ix_`` (a copy), so a slice is the
 special case of the one mechanism and not a fast path beside it.
+
+Every compile-time membership computation — the kernels' lane plans,
+`split-interior`, the §2.9 barrier proof, the static analyses — runs on
+keys through :func:`meet` (∩), :func:`minus` (∖), :func:`image`,
+:func:`compose` and :func:`locate`, O(1) on progressions; ``Segment``
+lists are what Table I emits and prints, converted once by
+:func:`key_of`.
 
 Row-major order over a region is the lexicographic lane order every
 executor and message payload uses.  Vectors are built here and nowhere
@@ -24,10 +31,10 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.ifunc import AffineF, ConstantF
+from ..core.ifunc import AffineF, ConstantF, apply_ifunc
 
 __all__ = ["Key", "Region", "prog", "klen", "vec", "compress", "key_of",
-           "compose", "locate", "meet", "image"]
+           "compose", "locate", "meet", "minus", "image"]
 
 Key = Union[slice, np.ndarray]
 
@@ -135,6 +142,26 @@ def meet(a: Key, b: Key) -> Key:
     return compress(np.intersect1d(a, b, assume_unique=True))
 
 
+def minus(a: Key, b: Key) -> Key:
+    """The members of ascending key *a* that ascending key *b* lacks: a
+    progression losing a run of its terms at one end stays a
+    progression (O(1)); anything else is one ``setdiff1d``."""
+    both = meet(a, b)
+    lost, left = klen(both), klen(a) - klen(both)
+    if not left:
+        return prog(0, 1, 0)
+    if not lost:
+        return a if isinstance(a, slice) else compress(a)
+    if isinstance(a, slice) and isinstance(both, slice):
+        (a0, s, an), (b0, t, _) = _ssc(a), _ssc(both)
+        if t == s or lost == 1:  # consecutive terms of a
+            if b0 == a0:
+                return prog(a0 + s * lost, s, left)
+            if b0 + s * (lost - 1) == a0 + s * (an - 1):
+                return prog(a0, s, left)
+    return compress(np.setdiff1d(vec(a), vec(both), assume_unique=True))
+
+
 def _ascending(key: Key) -> Key:
     """The key's distinct elements in ascending order (what
     :func:`meet` takes)."""
@@ -164,8 +191,6 @@ def image(f, key: Key) -> Key:
         i0, st, n = _ssc(key)
         a = getattr(f, "a", 0)
         return prog(a * i0 + f.c, a * st, n)
-    from ..machine.vectorize import apply_ifunc
-
     return compress(apply_ifunc(f, vec(key)))
 
 

@@ -3,7 +3,6 @@
 from .enumerators import (
     Enumeration,
     Segment,
-    difference_segments,
     enum_block,
     enum_constant,
     enum_naive,
@@ -13,9 +12,6 @@ from .enumerators import (
     enum_scatter_linear,
     enum_scatter_on_k,
     enum_trivial,
-    intersect_segments,
-    segment_elements,
-    segments_from_indices,
 )
 from .membership import Work, all_naive, modify_naive, reside_naive
 from .table1 import (
@@ -45,10 +41,6 @@ __all__ = [
     "OptimizedAccess",
     "optimize_access",
     "choose_rule",
-    "segments_from_indices",
-    "intersect_segments",
-    "difference_segments",
-    "segment_elements",
     "table1_cache_info",
     "clear_table1_cache",
 ]

@@ -31,10 +31,6 @@ from .membership import Work, modify_naive
 __all__ = [
     "Segment",
     "Enumeration",
-    "segments_from_indices",
-    "intersect_segments",
-    "difference_segments",
-    "segment_elements",
     "enum_constant",
     "enum_block",
     "enum_repeated_block",
@@ -67,10 +63,6 @@ class Segment:
             return 0
         return (self.hi - self.lo) // self.step + 1
 
-    def as_slice(self) -> slice:
-        """The segment as a Python/NumPy strided slice (half-open stop)."""
-        return slice(self.lo, self.hi + 1, self.step)
-
     def index_array(self):
         """The segment as an int64 index vector (NumPy strided range)."""
         import numpy as np
@@ -95,11 +87,6 @@ class Enumeration:
     def count(self) -> int:
         return sum(s.count() for s in self.segments)
 
-    def slices(self) -> List[slice]:
-        """The enumeration as strided slices — one NumPy basic-indexing
-        view per segment (the vector executor's unit of work)."""
-        return [s.as_slice() for s in self.segments]
-
     def index_array(self):
         """All member indices as one sorted int64 vector.
 
@@ -121,138 +108,6 @@ class Enumeration:
     def sort(self) -> "Enumeration":
         self.segments.sort(key=lambda s: s.lo)
         return self
-
-
-# ---------------------------------------------------------------------------
-# Segment set algebra (interior/boundary splitting)
-#
-# The overlap optimization needs Modify_p carved into the part whose reads
-# are all locally resident (closed-form intersection of per-axis
-# memberships) and the boundary remainder (set difference).  All three
-# operations keep the sorted-lexicographic invariant the vectorized
-# message protocol relies on: results are sorted ascending and disjoint.
-# ---------------------------------------------------------------------------
-
-def segments_from_indices(indices) -> List[Segment]:
-    """Compress a sorted, duplicate-free index vector into minimal strided
-    segments (greedy maximal runs of constant stride)."""
-    import numpy as np
-
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return []
-    if idx.size == 1:
-        v = int(idx[0])
-        return [Segment(v, v)]
-    out: List[Segment] = []
-    diffs = np.diff(idx)
-    k = 0
-    while k < idx.size:
-        if k == idx.size - 1:
-            v = int(idx[k])
-            out.append(Segment(v, v))
-            break
-        step = int(diffs[k])
-        j = k + 1
-        while j < idx.size - 1 and int(diffs[j]) == step:
-            j += 1
-        # idx[k..j] is an arithmetic run with stride `step`
-        out.append(Segment(int(idx[k]), int(idx[j]), step))
-        k = j + 1
-    return out
-
-
-def _all_unit(segs: List[Segment]) -> bool:
-    return all(s.step == 1 or s.lo == s.hi for s in segs)
-
-
-def _merged_intervals(segs: List[Segment]) -> List[Tuple[int, int]]:
-    """Sorted, coalesced (lo, hi) intervals of a unit-stride segment set."""
-    out: List[Tuple[int, int]] = []
-    for s in sorted(segs, key=lambda s: s.lo):
-        if s.lo > s.hi:
-            continue
-        if out and s.lo <= out[-1][1] + 1:
-            out[-1] = (out[-1][0], max(out[-1][1], s.hi))
-        else:
-            out.append((s.lo, s.hi))
-    return out
-
-
-def intersect_segments(a: List[Segment], b: List[Segment]) -> List[Segment]:
-    """Sorted disjoint segments of ``set(a) ∩ set(b)``.
-
-    Unit-stride inputs take the closed-form interval sweep (no
-    materialization); strided inputs fall back to vectorized index-set
-    intersection recompressed into minimal strided segments.
-    """
-    if not a or not b:
-        return []
-    if _all_unit(a) and _all_unit(b):
-        ia, ib = _merged_intervals(a), _merged_intervals(b)
-        out: List[Segment] = []
-        i = j = 0
-        while i < len(ia) and j < len(ib):
-            lo = max(ia[i][0], ib[j][0])
-            hi = min(ia[i][1], ib[j][1])
-            if lo <= hi:
-                out.append(Segment(lo, hi))
-            if ia[i][1] < ib[j][1]:
-                i += 1
-            else:
-                j += 1
-        return out
-    import numpy as np
-
-    va = np.unique(np.concatenate([s.index_array() for s in a]))
-    vb = np.unique(np.concatenate([s.index_array() for s in b]))
-    return segments_from_indices(np.intersect1d(va, vb, assume_unique=True))
-
-
-def difference_segments(a: List[Segment], b: List[Segment]) -> List[Segment]:
-    """Sorted disjoint segments of ``set(a) \\ set(b)`` (same fast/general
-    split as :func:`intersect_segments`)."""
-    if not a:
-        return []
-    if not b:
-        return sorted(a, key=lambda s: s.lo)
-    if _all_unit(a) and _all_unit(b):
-        ia, ib = _merged_intervals(a), _merged_intervals(b)
-        out: List[Segment] = []
-        j = 0
-        for lo, hi in ia:
-            cur = lo
-            while j < len(ib) and ib[j][1] < cur:
-                j += 1
-            k = j
-            while k < len(ib) and ib[k][0] <= hi:
-                if ib[k][0] > cur:
-                    out.append(Segment(cur, ib[k][0] - 1))
-                cur = max(cur, ib[k][1] + 1)
-                if cur > hi:
-                    break
-                k += 1
-            if cur <= hi:
-                out.append(Segment(cur, hi))
-        return out
-    import numpy as np
-
-    va = np.unique(np.concatenate([s.index_array() for s in a]))
-    vb = np.unique(np.concatenate([s.index_array() for s in b]))
-    return segments_from_indices(np.setdiff1d(va, vb, assume_unique=True))
-
-
-def segment_elements(segments: List[Segment], cap: int) -> List[int]:
-    """Up to *cap* members of a sorted disjoint segment list, in order —
-    for sampling witnesses without materializing a large set (used by
-    the static verifier in :mod:`repro.analysis`)."""
-    out: List[int] = []
-    for seg in segments:
-        for i in seg.indices():
-            out.append(i)
-            if len(out) >= cap:
-                return out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +312,10 @@ def enum_scatter_linear(
     rngs = f.preimage(0, d.n - 1, imin, imax)
     work.preimage_calls += 1
     for rlo, rhi in rngs:
-        pts = sol.solutions_in(rlo, rhi)
-        if pts:
-            e.add(pts[0], pts[-1], sol.stride)
-            work.emitted += len(pts)
+        tmin, tmax = sol.t_range(rlo, rhi)  # the paper's t_p,min .. t_p,max
+        if tmin <= tmax:
+            e.add(sol.gen(tmin), sol.gen(tmax), sol.stride)
+            work.emitted += tmax - tmin + 1
     return e
 
 

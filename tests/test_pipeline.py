@@ -9,7 +9,6 @@ from repro.cli import main, parse_decomposition
 from repro.codegen.ndplan import compile_clause_nd
 from repro.codegen.nddist import compile_clause_nd_dist
 from repro.codegen.plan import compile_clause
-from repro.codegen.pysource import RuntimeTables
 from repro.core import (
     PAR,
     SEQ,
@@ -153,7 +152,6 @@ class TestUnifiedEntryPoints:
 class TestSliceViews:
     def test_segment_as_slice_and_index_array(self):
         s = Segment(3, 11, 2)
-        assert s.as_slice() == slice(3, 12, 2)
         assert np.array_equal(s.index_array(), np.arange(3, 12, 2))
 
     def test_enumeration_index_array_is_sorted(self):
@@ -166,18 +164,6 @@ class TestSliceViews:
     def test_empty_enumeration(self):
         e = Enumeration([])
         assert e.index_array().size == 0
-        assert e.slices() == []
-
-    def test_runtime_tables_index_array(self):
-        plan = compile_clause(simple_clause(), block_decomps())
-        rt = RuntimeTables(plan)
-        for p in range(P):
-            idx = rt.index_array("write", p)
-            segs = rt.segments("write", p)
-            flat = sorted(
-                i for lo, hi, st in segs for i in range(lo, hi + 1, st)
-            )
-            assert idx.tolist() == flat
 
 
 class TestDeadlockDiagnosis:

@@ -3,12 +3,13 @@ lane vectors ``_member_vecs`` would build, the timing-free complexity
 guard, and what ``describe()`` reports."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import check_schedule, sanitize_kernels
+from repro.analysis import check_schedule, sanitize_kernels, verify_ir
 from repro.codegen.nddist import compile_clause_nd_dist
 from repro.codegen.plan import compile_clause
 from repro.core import (
@@ -28,9 +29,11 @@ from repro.decomp import (
     Block,
     BlockScatter,
     GridDecomposition,
+    OverlappedBlock,
     Replicated,
     Scatter,
 )
+from repro.diophantine.linear import CongruenceSolution
 from repro.machine.vectorize import (
     _array_vecs,
     _interior_mask,
@@ -49,6 +52,7 @@ from repro.pipeline.region import (
     klen,
     locate,
     meet,
+    minus,
     prog,
     vec,
 )
@@ -110,6 +114,14 @@ class TestKeys:
     def test_meet_is_the_intersection(self, a, b):
         assert np.array_equal(vec(meet(a, b)),
                               np.intersect1d(vec(a), vec(b)))
+
+    @given(keys(), keys())
+    def test_minus_is_the_difference(self, a, b):
+        got = minus(a, b)
+        want = sorted(set(vec(a).tolist()) - set(vec(b).tolist()))
+        assert vec(got).tolist() == want
+        if len({y - x for x, y in zip(want, want[1:])}) <= 1:
+            assert isinstance(got, slice)  # one progression stays one
 
     @given(keys(min_size=1), st.data())
     def test_locate_inverts_compose(self, base, data):
@@ -212,7 +224,8 @@ SHAPES = {1: ((24,), (4,)), 2: ((12, 8), (2, 2)), 3: ((6, 4, 4), (2, 1, 2))}
 def axis_dec(kind, n, p):
     return {"block": lambda: Block(n, p), "scatter": lambda: Scatter(n, p),
             "bs-multi": lambda: BlockScatter(n, p, 2),
-            "bs-one": lambda: BlockScatter(n, p, -(-n // p))}[kind]()
+            "bs-one": lambda: BlockScatter(n, p, -(-n // p)),
+            "overlapped": lambda: OverlappedBlock(n, p, 1)}[kind]()
 
 
 def access(kind, n, c):
@@ -225,6 +238,7 @@ def access(kind, n, c):
         "shift-": lambda: (AffineF(1, -min(c, 2)), min(c, 2), n - 1),
         "reverse": lambda: (AffineF(-1, n - 1), 0, n - 1),
         "stride2": lambda: (AffineF(2, c % 2), 0, (n - 1 - c % 2) // 2),
+        "stride3": lambda: (AffineF(3, c % 3), 0, (n - 1 - c % 3) // 3),
         "rotate": lambda: (ModularF(AffineF(1, c), n), 0, n - 1),
         "constant": lambda: (ConstantF(c), 0, n - 1),
     }[kind]()
@@ -367,6 +381,78 @@ class TestRegionKernelsDifferential:
             assert_node_matches_member_vecs(plan, k.dist[p], p, True)
 
 
+# ---------------------------------------------------------------------------
+# differential: split-interior against an element-wise oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def split_cases(draw):
+    nd = draw(st.sampled_from([1, 2]))
+    extents, grid = SHAPES[nd]
+
+    def decomposition(kinds):
+        axes = [axis_dec(draw(kinds), n, p) for n, p in zip(extents, grid)]
+        return axes[0] if nd == 1 else GridDecomposition(axes)
+
+    def ref(name, kinds):
+        spec = [access(draw(kinds), n, draw(st.integers(0, 30)))
+                for n in extents]
+        return (Ref(name, SeparableMap([f for f, _, _ in spec])),
+                [(lo, hi) for _, lo, hi in spec])
+
+    decomps = {"A": decomposition(DEC)}
+    lhs, wb = ref("A", WRITE_F)
+    rhs, limits = None, [wb]
+    for name in "BC"[:draw(st.integers(1, 2))]:
+        if nd == 1 and draw(st.integers(0, 5)) == 0:
+            decomps[name] = Replicated(extents[0], grid[0])
+        else:
+            decomps[name] = decomposition(st.one_of(
+                DEC, st.just("overlapped")))
+        read, rb = ref(name, st.sampled_from([
+            "identity", "shift+", "shift-", "stride2", "stride3", "reverse",
+            "rotate"]))
+        rhs, limits = read if rhs is None else rhs + read, limits + [rb]
+    lo = tuple(max(b[d][0] for b in limits) for d in range(nd))
+    hi = tuple(min(b[d][1] for b in limits) for d in range(nd))
+    return Clause(IndexSet(Bounds(lo, hi)), lhs, rhs), decomps
+
+
+def _resident(ax, coord, element):
+    """Does axis-coordinate *coord* hold *element* of this read axis —
+    by ownership, or in the halo an OverlappedBlock keeps beside it."""
+    if isinstance(ax.dec, OverlappedBlock) and isinstance(ax.func, AffineF):
+        return ax.dec.is_resident(coord, element)
+    return ax.dec.proc(element) == coord
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cases())
+def test_split_interior_matches_the_element_oracle(case):
+    """Per node: ``modify`` is ``Modify_p``, ``interior`` is the part of
+    it whose every non-replicated read element is already on the node."""
+    clause, decomps = case
+    clear_plan_cache()
+    ir = compile_plan(clause, decomps)
+    lanes = ir.member_keys(ir.write)
+    domain = list(itertools.product(
+        *(range(lo, hi + 1) for lo, hi in ir.loop_bounds)))
+    for p, ns in ir.interior_split.per_node.items():
+        modify = {idx for idx in domain if ir.write.proc_of(idx) == p}
+        interior = {
+            idx for idx in modify
+            if all(_resident(ax, c, ax.func(idx[ax.loop_dim]))
+                   for acc in ir.reads if not acc.replicated
+                   for ax, c in zip(acc.axes, acc.grid_coord(p)))}
+        assert ns.modify is lanes[p]  # the plan's keys, not a copy
+        for keys_, want in ((ns.modify, modify), (ns.interior, interior)):
+            assert all((np.diff(vec(k)) > 0).all() for k in keys_)
+            assert set(itertools.product(
+                *(vec(k).tolist() for k in keys_))) == want
+        assert (ns.modify_count, ns.interior_count) == \
+            (len(modify), len(interior))
+
+
 # (loop rank, write layout, read layout, read access, guard, in place,
 # replicated lower-rank read)
 REAL_PROCESS_CASES = [
@@ -446,17 +532,25 @@ class TestLoweringStaysClosedForm:
         clear_plan_cache()
         monkeypatch.setattr(Enumeration, "index_array", _boom)
         monkeypatch.setattr(Segment, "index_array", _boom)
+        monkeypatch.setattr(Segment, "indices", _boom)
+        monkeypatch.setattr(CongruenceSolution, "solutions_in", _boom)
         monkeypatch.setattr(np, "meshgrid", _boom)
         yield
         clear_plan_cache()
 
-    def test_e13_block_block_at_2_20(self):
+    @pytest.mark.parametrize("wdec, rdec", [
+        (Block, Block), (Scatter, Scatter), (Block, Scatter),
+        (Scatter, Block)])
+    def test_e13_block_block_at_2_20(self, wdec, rdec):
+        """Compile and verify stay closed-form whichever side strides:
+        two progressions meet in one congruence."""
         n = 2**20
         cl = Clause(IndexSet.range1d(1, n - 2),
                     Ref("A", SeparableMap([IdentityF()])),
                     Ref("B", SeparableMap([AffineF(1, -1)]))
                     + Ref("B", SeparableMap([AffineF(1, 1)])))
-        ir = compile_clause(cl, {"A": Block(n, 4), "B": Block(n, 4)})
+        ir = compile_clause(cl, {"A": wdec(n, 4), "B": rdec(n, 4)})
+        assert not verify_ir(ir).diagnostics
         stats = ir.kernels.region_stats
         assert stats["dist"]["vector"] == stats["shared"]["vector"] == 0
         assert stats["bytes"] < 1 << 16  # O(pmax), not int64 lanes

@@ -5,7 +5,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.ifunc import AffineF, ConstantF, ModularF, MonotoneF
 from repro.decomp import Block, BlockScatter, Replicated, Scatter, SingleOwner
-from repro.sets import Work, choose_rule, modify_naive, optimize_access
+from repro.diophantine.linear import solve_scatter_congruence
+from repro.sets import (
+    Segment,
+    Work,
+    choose_rule,
+    enum_scatter_linear,
+    modify_naive,
+    optimize_access,
+)
 
 
 class TestRuleSelection:
@@ -147,6 +155,37 @@ class TestOracle:
             assert acc.indices(p) == modify_naive(d, f, imin, imax, p), (
                 acc.rule, d, f.name, (imin, imax), p,
             )
+
+    @given(
+        st.integers(1, 64),
+        st.integers(1, 8),
+        st.integers(-5, 5).filter(lambda a: a),
+        st.integers(0, 10),
+    )
+    @settings(max_examples=300)
+    def test_scatter_linear_is_the_t_range_of_the_listed_solutions(
+            self, n, pmax, a, c):
+        """Theorem 3 in O(1): the segments and every ``Work`` field of
+        ``t_min..t_max`` equal those of listing the solutions."""
+        d, f = Scatter(n, pmax), AffineF(a, c)
+        cand = [i for i in range(0, 80) if 0 <= f(i) < d.n]
+        assume(cand)
+        imin, imax = min(cand) - 2, max(cand) + 2  # clipped to the data
+        for p in range(pmax):
+            want, spent = [], Work()
+            sol = solve_scatter_congruence(a, c, pmax, p)
+            if sol is None:
+                spent.euclid_steps = 1
+            else:
+                spent.euclid_steps, spent.preimage_calls = sol.euclid_steps, 1
+                for rlo, rhi in f.preimage(0, n - 1, imin, imax):
+                    pts = sol.solutions_in(rlo, rhi)
+                    if pts:
+                        want.append(Segment(pts[0], pts[-1], sol.stride))
+                        spent.emitted += len(pts)
+            work = Work()
+            got = enum_scatter_linear(d, f, imin, imax, p, work)
+            assert got.segments == want and vars(work) == vars(spent)
 
     @given(
         _decomp_strategy(),
