@@ -1,13 +1,15 @@
-"""E25 (extension) — the vectorized segment executor vs scalar templates.
+"""E25 (extension) — the batching executor vs the scalar templates.
 
 The pipeline's closed-form Enumerations (Table I) describe each node's
 iteration set as a handful of strides, so the per-element interpreter
 loop can be replaced by NumPy strided operations wholesale: membership
-becomes ``np.arange`` over segments, placement an integer ufunc, and the
-communication phase one batched message per (read, destination).  Same
-messages' *content*, far fewer Python-level steps — the acceptance bar
-is a ≥3x wall-clock win on the E19 five-point stencil with bit-identical
-results.
+and placement become slices of node memory (``backend="fused"``), and
+the communication phase one batched message per (read, destination).
+Same messages' *content*, far fewer Python-level steps — the acceptance
+bar is a ≥3x wall-clock win on the E19 five-point stencil with
+bit-identical results.  (The file is named after the ``vector`` tier
+that first stated the batched schedule; ``fused`` is its compile-once
+successor and the only in-process batching tier.)
 """
 
 import time
@@ -57,7 +59,7 @@ def test_vector_beats_scalar_3x_on_e19_stencil(rng):
 
     t_s, m_s = _best_of(lambda: run_distributed_nd(plan, copy_env(env0)))
     t_v, m_v = _best_of(
-        lambda: run_distributed_nd(plan, copy_env(env0), backend="vector")
+        lambda: run_distributed_nd(plan, copy_env(env0), backend="fused")
     )
 
     out_s, out_v = collect_nd(m_s, "T"), collect_nd(m_v, "T")
@@ -71,12 +73,12 @@ def test_vector_beats_scalar_3x_on_e19_stencil(rng):
     speedup = t_s / t_v
     print_table(
         f"E25: 5-point stencil {N}x{N} on {PMAX} tiles — scalar template "
-        f"vs vectorized segment executor",
+        f"vs fused node kernels",
         ["backend", "best of 3 (ms)", "messages", "elements moved"],
         [
             ["scalar", f"{t_s * 1e3:.1f}", m_s.stats.total_messages(),
              m_s.stats.total_elements_moved()],
-            ["vector", f"{t_v * 1e3:.1f}", m_v.stats.total_messages(),
+            ["fused", f"{t_v * 1e3:.1f}", m_v.stats.total_messages(),
              m_v.stats.total_elements_moved()],
             ["speedup", f"{speedup:.1f}x", "", ""],
         ],
@@ -84,7 +86,7 @@ def test_vector_beats_scalar_3x_on_e19_stencil(rng):
     assert speedup >= 3.0
 
 
-@pytest.mark.parametrize("backend", ["scalar", "vector"])
+@pytest.mark.parametrize("backend", ["scalar", "fused"])
 def test_stencil_backend_timing(benchmark, backend, rng):
     cl = five_point()
     env0 = env2d(rng)

@@ -20,7 +20,7 @@ Everything runs in the key algebra of :mod:`repro.pipeline.region` on
 the plan's membership keys: ``Modify_p`` minus ``Reside_p`` and the
 out-of-bounds witnesses are both :func:`~repro.pipeline.region.minus`
 (the in-bounds loop indices come from the exact integer preimage) —
-O(1) for a pair of progressions, one vectorized evaluation under
+O(1) for a pair of progressions, one NumPy evaluation under
 :data:`~repro.analysis.support.ENUM_BUDGET` only for opaque functions.
 """
 
@@ -42,7 +42,7 @@ _MAX_WITNESSES = 4
 def _in_bounds(func, n: int, lo: int, hi: int) -> List[Key]:
     """The loop indices of ``[lo, hi]`` whose image under *func* stays
     inside ``[0, n)``, as disjoint keys: the exact integer preimage
-    bands, or one vectorized evaluation for an opaque function."""
+    bands, or one NumPy evaluation for an opaque function."""
     try:
         return [prog(l, 1, h - l + 1)
                 for l, h in func.preimage(0, n - 1, lo, hi)]

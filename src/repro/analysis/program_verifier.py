@@ -7,7 +7,7 @@ re-placement free.  This module re-derives each of those claims
 independently and cross-checks the optimizer against the result, in the
 spirit of translation validation: the passes use the region key
 algebra, the verifier enumerates the element relation directly
-(vectorized, budget-bounded), so a disagreement is an optimizer bug
+(as NumPy arrays, budget-bounded), so a disagreement is an optimizer bug
 surfaced at compile time rather than a wrong answer at run time.
 
 ``PROG001``

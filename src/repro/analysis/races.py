@@ -9,7 +9,7 @@ to *generate* the program:
              function).
 ``RACE002``  replicated write — every processor writes every element;
              deterministic only as a per-copy broadcast, and the
-             vector/overlap backends fall back to scalar for it.
+             kernel tiers fall back to the scalar template for it.
 ``RACE003``  read/write — an instance reads an element a *different*
              instance writes: the ``//`` (pre-state) result diverges
              from the sequential ordering.
@@ -222,7 +222,7 @@ def analyze_races(ir) -> List[Diagnostic]:
             access=f"{w.label}:{w.name}",
             span=_span(ir),
             hint="place the write (e.g. block) unless the broadcast is "
-                 "intended; vector/overlap backends fall back to scalar",
+                 "intended; the kernel tiers fall back to scalar",
         ))
     if w.funcs:
         _write_write(ir, out)

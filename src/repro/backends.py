@@ -13,10 +13,9 @@ way everywhere, and every fallback hop leaves exactly one trace note::
     backend='X' fell back to the Y path: why
 
 The declared chain is ``mpi → fused``, ``mp → fused``, ``native →
-fused``, ``fused → vector``, ``overlap → vector`` (shared memory has no
-messages to overlap), ``vector → scalar``; ``scalar`` is the caller's
-own reference template and the end of every chain.  ``docs/execution.md``
-renders the table.
+fused``, ``fused → scalar``; ``scalar`` is the caller's own reference
+template and the end of every chain.  ``docs/execution.md`` renders the
+table.
 
 Target and transport are parameters of one computation, not code paths:
 :func:`dispatch` runs one clause (shared or distributed flavor),
@@ -80,10 +79,6 @@ class Need(NamedTuple):
     flavors: Tuple[str, ...]
     unmet: Callable[[Run], bool]
     why: str
-    #: where to go instead of the tier's own ``falls_to``
-    falls_to: Optional[str] = None
-    #: the whole trace note, when it is not a "fell back" sentence
-    note: Optional[str] = None
 
 
 class Impl(NamedTuple):
@@ -115,10 +110,9 @@ def _replicated(r: Run) -> bool:
 _SERIAL = Need(("shared",),
                lambda r: r.ir.clause.ordering is not Ordering.PAR,
                "sequential (•) clause is a serial chain")
-_BROADCAST = "replicated write (per-copy broadcast)"
-#: in-process tiers leave a replicated write to the scalar template
-_SCALAR_BROADCAST = Need(("dist",), _replicated, _BROADCAST,
-                         falls_to="scalar")
+#: the kernel tiers leave a replicated write to the scalar template
+_BROADCAST = Need(("dist",), _replicated,
+                  "replicated write (per-copy broadcast)")
 
 
 def _owns_placement(who: str) -> Tuple[Need, ...]:
@@ -189,41 +183,15 @@ def _load_fused() -> Impl:
     return _kernel_impl(FUSED)
 
 
-def _load_overlap() -> Impl:
-    from .machine.vectorize import run_distributed_overlap
-
-    return Impl((), {"dist": lambda r: run_distributed_overlap(
-        r.ir, r.env, r.machine, model=r.model)})
-
-
-def _load_vector() -> Impl:
-    from .machine.vectorize import run_distributed_vector, run_shared_vector
-
-    return Impl((), {
-        "shared": lambda r: run_shared_vector(r.ir, r.env, r.machine),
-        "dist": lambda r: run_distributed_vector(r.ir, r.env, r.machine,
-                                                 model=r.model),
-    })
-
-
 #: name -> tier, in increasing order of specialization
 TIERS: "OrderedDict[str, Tier]" = OrderedDict((t.name, t) for t in (
     Tier("scalar", "per-element reference templates (paper §2.9/§2.10)",
          None),
-    Tier("vector", "NumPy segment executor (batched messages)",
-         "scalar", _load_vector, (_SERIAL, _SCALAR_BROADCAST)),
-    Tier("overlap", "vector + interior compute while messages are in flight",
-         "vector", _load_overlap,
-         (Need(("shared", "program"), lambda r: True, "",
-               note="backend='overlap' on shared memory: no messages to "
-                    "overlap; running the vector backend"),
-          _SCALAR_BROADCAST)),
     Tier("fused", "compile-once fused node kernels, in-process",
-         "vector", _load_fused, (_SERIAL, _SCALAR_BROADCAST)),
+         "scalar", _load_fused, (_SERIAL, _BROADCAST)),
     Tier("native", "numba-njit compiled node kernels (falls back to fused "
                    "when numba is absent)",
-         "fused", _load_native,
-         (_SERIAL, Need(("dist",), _replicated, _BROADCAST))),
+         "fused", _load_native, (_SERIAL, _BROADCAST)),
     Tier("mp", "multi-process runtime: fused kernels on real OS processes",
          "fused", _load_mp, _owns_placement("mp runtime"),
          program="pipelining"),
@@ -322,9 +290,8 @@ def _hop(tier: Tier, r: Run) -> Optional[Tuple[str, str]]:
                                              av.reason)
     for need in tier.needs:
         if r.flavor in need.flavors and need.unmet(r):
-            target = need.falls_to or tier.falls_to
-            return target, need.note or _fell_back(tier.name, target, r,
-                                                   need.why)
+            return tier.falls_to, _fell_back(tier.name, tier.falls_to, r,
+                                             need.why)
     return None
 
 
@@ -411,9 +378,8 @@ def dispatch_program(backend: str, pir, machine, *, strict: bool = False,
 def dispatch_group(backend: str, irs, machine, strict: bool, trace) -> bool:
     """Run a fused clause group on the kernel tiers — ``native`` tries
     its own walk first, every other non-scalar backend starts at the
-    ``fused`` walk (only the kernel tiers have one; it matches the
-    vector executor counter for counter).  ``False`` leaves the group
-    to the caller's scalar walk, memory untouched."""
+    ``fused`` walk (only the kernel tiers have one).  ``False`` leaves
+    the group to the caller's scalar walk, memory untouched."""
     if backend == "scalar":
         return False
     if backend == "native":

@@ -31,6 +31,7 @@ from typing import Dict, List
 import numpy as np
 
 from .backends import (
+    BACKENDS,
     UnknownBackendError,
     backend_availability,
     backend_names,
@@ -188,45 +189,26 @@ def _compile_body(args) -> int:
             print(plan.trace.pretty(verbose=args.verbose))
         backend = getattr(args, "backend", "scalar")
         kernels = plan.kernels
-        if backend in ("fused", "native", "mp", "mpi") \
-                and getattr(args, "explain", False):
-            print()
+        print()
+        if backend != "scalar":
+            # every other tier runs the compile-once kernels
             if kernels is not None:
                 print(f"# fused kernels — {kernels.describe()}")
                 print(kernels.source)
             else:
                 print("# no fused kernels on this plan")
-            if backend == "native":
-                _explain_native(plan, kernels)
-            if backend == "mpi":
-                _explain_mpi(plan, decomps,
-                             getattr(args, "processes", None))
-        print()
-        if backend in ("fused", "native", "mp", "mpi"):
-            if kernels is not None and kernels.dist is not None:
-                what = ("multi-process runtime executing the compile-once "
-                        "node kernels" if backend == "mp"
-                        else "SPMD ranks under mpiexec exchanging halos "
-                             "by nonblocking point-to-point messages "
-                             "(fused fallback when mpi4py is absent)"
-                        if backend == "mpi"
-                        else "njit-compiled node kernels (fused fallback "
-                             "when numba is absent)" if backend == "native"
-                        else "compile-once node kernels")
-                print(f"# {backend} backend: {what} "
-                      "(see --explain for the generated source);")
-                print("# equivalent vector-form node program:")
-            backend = "vector"
-        if backend in ("vector", "overlap"):
-            from .codegen.pysource import CodegenError
-
-            try:
-                print(emit_distributed_source(plan, backend=backend))
-            except CodegenError as e:
-                print(f"# {backend} emission unavailable ({e}); scalar form:")
-                print(emit_distributed_source(plan))
-        else:
-            print(emit_distributed_source(plan))
+            if getattr(args, "explain", False):
+                if backend == "native":
+                    _explain_native(plan, kernels)
+                if backend == "mpi":
+                    _explain_mpi(plan, decomps,
+                                 getattr(args, "processes", None))
+            print()
+            print(f"# {backend} backend: {BACKENDS[backend]} — runs the "
+                  "kernels above;")
+            print("# scalar §2.10 node program (the reference template, and "
+                  "where a clause with no kernel form runs):")
+        print(emit_distributed_source(plan))
     steps = max(1, getattr(args, "steps", 1) or 1)
     if len(list(program)) > 1 or steps > 1:
         from .analysis import verify_program
@@ -675,11 +657,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="with --explain: include before/after IR "
                            "snapshots per pass")
     comp.add_argument("--backend", default="scalar", metavar="BACKEND",
-                      help="flavor of emitted node program, one of: "
-                           f"{', '.join(backend_names())} (fused/native/mp "
-                           "show the compile-once kernel source with "
-                           "--explain; native adds the njit scalar loop "
-                           "and the probe verdict)")
+                      help="tier whose program is shown, one of: "
+                           f"{', '.join(backend_names())} (scalar prints "
+                           "the §2.10 node program; fused/native/mp/mpi "
+                           "print the compile-once kernel source before "
+                           "it; with --explain native adds the njit "
+                           "scalar loop and the probe verdict, mpi the "
+                           "rank mapping)")
     comp.add_argument("--cache-stats", action="store_true",
                       help="print one unified block of plan-, Table I "
                            "enumerator-, kernel-, native- (JIT time), and "
@@ -733,11 +717,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "elimination (whole program, fused phases)")
     run.add_argument("--backend", default="scalar", metavar="BACKEND",
                      help=f"one of: {', '.join(backend_names())} — scalar "
-                          "per-element templates, the NumPy vectorized "
-                          "segment executor, the overlapped "
-                          "interior/boundary executor, the compile-once "
-                          "fused kernel executor, the numba-njit native "
-                          "executor (fused fallback when numba is "
+                          "per-element templates, the compile-once "
+                          "fused kernel executor (interior computed "
+                          "while messages are in flight), the numba-njit "
+                          "native executor (fused fallback when numba is "
                           "absent), the multi-process runtime (real "
                           "OS processes + shared memory), or the mpi "
                           "SPMD runtime under mpiexec (fused fallback "

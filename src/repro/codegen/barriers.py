@@ -171,8 +171,7 @@ def run_program_shared(
     :func:`repro.pipeline.run_program`.  Returns the machine and the
     number of barriers actually executed.
 
-    The full backend registry applies, exactly as for single clauses
-    (``overlap`` degrades to the vector backend with a trace note).
+    The full backend registry applies, exactly as for single clauses.
     """
     from ..pipeline import compile_program, run_program
 

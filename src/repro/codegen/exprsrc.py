@@ -23,8 +23,7 @@ from ..decomp.blockscatter import BlockScatter
 from ..decomp.replicated import Replicated, SingleOwner
 from ..decomp.scatter import Scatter
 
-__all__ = ["ifunc_src", "proc_src", "local_src", "expr_src", "vexpr_src",
-           "CodegenError"]
+__all__ = ["ifunc_src", "proc_src", "local_src", "expr_src", "CodegenError"]
 
 
 class CodegenError(ValueError):
@@ -124,41 +123,12 @@ def expr_src(
 
 
 #: operators whose scalar Python spelling (builtin min/max, short-circuit
-#: and/or/not) does not broadcast over ndarrays — vector source uses the
-#: element-wise NumPy counterparts instead.
+#: and/or/not) does not broadcast over ndarrays — the fused kernel source
+#: (:mod:`repro.pipeline.kernels`) uses the element-wise NumPy
+#: counterparts instead.
 _VEC_CALLS = {
     "min": "_np.minimum",
     "max": "_np.maximum",
     "and": "_np.logical_and",
     "or": "_np.logical_or",
 }
-
-
-def vexpr_src(
-    expr: Expr, ref_render: Callable[[Ref], str], var: str = "i"
-) -> str:
-    """ndarray-safe Python source for an expression tree.
-
-    Like :func:`expr_src`, but *var* is an index *vector* and every
-    operator broadcasts element-wise; used by the vector-backend emitters.
-    """
-    if isinstance(expr, Const):
-        return repr(expr.value)
-    if isinstance(expr, LoopIndex):
-        return var if expr.dim == 0 else f"{var}{expr.dim}"
-    if isinstance(expr, Ref):
-        return ref_render(expr)
-    if isinstance(expr, BinOp):
-        left = vexpr_src(expr.left, ref_render, var)
-        right = vexpr_src(expr.right, ref_render, var)
-        if expr.op in _VEC_CALLS:
-            return f"{_VEC_CALLS[expr.op]}({left}, {right})"
-        return f"({left} {_BINOP_PY[expr.op]} {right})"
-    if isinstance(expr, UnOp):
-        inner = vexpr_src(expr.operand, ref_render, var)
-        if expr.op == "abs":
-            return f"_np.absolute({inner})"
-        if expr.op == "not":
-            return f"_np.logical_not({inner})"
-        return f"(-{inner})"
-    raise CodegenError(f"cannot render expression node {type(expr).__name__}")

@@ -33,7 +33,7 @@ from ..decomp.replicated import Replicated, SingleOwner
 from ..decomp.scatter import Scatter
 from ..sets.table1 import OptimizedAccess
 
-__all__ = ["segments_source", "SUPPORT_HELPERS", "VECTOR_HELPERS"]
+__all__ = ["segments_source", "SUPPORT_HELPERS"]
 
 #: helper functions injected into the generated module's namespace
 SUPPORT_HELPERS = '''\
@@ -64,40 +64,6 @@ def _solve_congruence(a, c, pmax, p):
     x0 = (bez * (rhs // g)) % stride
     return x0, stride
 '''
-
-#: additional helpers for vector-backend generated modules: the segment
-#: list becomes one sorted strided index vector, gathers broadcast and
-#: tolerate non-resident placeholder slots (overwritten by receives).
-VECTOR_HELPERS = '''\
-import numpy as _np
-
-
-def _vec_index(segs):
-    """Sorted index vector of a (lo, hi, step) segment union — the
-    lexicographic order both peers of a batched transfer agree on."""
-    if not segs:
-        return _np.empty(0, dtype=_np.int64)
-    return _np.sort(_np.concatenate(
-        [_np.arange(lo, hi + 1, st, dtype=_np.int64) for lo, hi, st in segs]))
-
-
-def _vec_full(x, n, dtype):
-    """Broadcast a scalar or vector result to a length-*n* vector."""
-    a = _np.asarray(x, dtype=dtype)
-    if a.shape != (n,):
-        a = _np.broadcast_to(a, (n,)).copy()
-    return a
-
-
-def _vec_gather(buf, idx):
-    """Gather with clamped indices: non-resident slots yield placeholder
-    values that the update phase overwrites from received messages."""
-    buf = _np.asarray(buf, dtype=_np.float64)
-    if idx.size == 0 or buf.size == 0:
-        return _np.zeros(idx.size, dtype=_np.float64)
-    return buf[_np.clip(idx, 0, buf.shape[0] - 1)]
-'''
-
 
 def _affine_block_bounds(d: Block, f: AffineF, imin: int, imax: int,
                          var: str) -> List[str]:

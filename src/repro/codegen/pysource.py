@@ -21,16 +21,8 @@ from typing import Callable, Dict, List, Tuple
 
 from ..core.expr import Ref
 from ..pipeline.ir import PlanIR
-from ..pipeline.region import prog, vec
-from .exprsrc import (
-    CodegenError,
-    expr_src,
-    ifunc_src,
-    local_src,
-    proc_src,
-    vexpr_src,
-)
-from .gensrc import SUPPORT_HELPERS, VECTOR_HELPERS, segments_source
+from .exprsrc import CodegenError, expr_src, ifunc_src, local_src, proc_src
+from .gensrc import SUPPORT_HELPERS, segments_source
 
 __all__ = ["RuntimeTables", "emit_distributed_source", "emit_shared_source",
            "compile_distributed", "compile_shared"]
@@ -69,17 +61,9 @@ class RuntimeTables:
     def rule(self, key: str) -> str:
         return self._acc[key].rule
 
-    def interior_index(self, p: int):
-        """Sorted int64 vector of node *p*'s interior loop indices (the
-        `split-interior` pass product; empty when the plan has no split —
-        the overlap program then degrades to the vector schedule)."""
-        split = self.plan.interior_split
-        ns = split.per_node.get(p) if split is not None else None
-        return vec(prog(0, 1, 0) if ns is None else ns.interior[0])
-
 
 # ---------------------------------------------------------------------------
-# pieces every variant states the same way
+# pieces both templates state the same way
 # ---------------------------------------------------------------------------
 
 def _temp(read) -> str:
@@ -107,9 +91,9 @@ def _write_segments(plan: PlanIR) -> List[str]:
     return segments_source(plan.write.axes[0].access, "segs_w", "write")
 
 
-def _open_node_program(plan: PlanIR, kind: str = "") -> List[str]:
-    """What every distributed variant starts with: the comment header,
-    the local-buffer bindings and the Table I membership segments."""
+def _open_node_program(plan: PlanIR) -> List[str]:
+    """How the distributed node program starts: the comment header, the
+    local-buffer bindings and the Table I membership segments."""
     for acc in plan.accesses():
         if not acc.placed:
             raise CodegenError(
@@ -118,7 +102,7 @@ def _open_node_program(plan: PlanIR, kind: str = "") -> List[str]:
     lines: List[str] = []
     w = lines.append
     w(f"def node_program(ctx, RT):")
-    w(f"    # {kind}SPMD node program generated from clause "
+    w(f"    # SPMD node program generated from clause "
       f"{plan.clause.name!r}")
     for acc in plan.accesses():
         w(f"    # {acc.label}: {acc.name}[{acc.funcs[0].name}] "
@@ -140,61 +124,17 @@ def _open_node_program(plan: PlanIR, kind: str = "") -> List[str]:
     return lines
 
 
-def _batched_send_phase(plan: PlanIR, w: Callable[[str], None]) -> None:
-    """The vector/overlap send phase: each (read, peer) transfer is a
-    single value-vector message tagged ``("vec", pos)`` — positions are
-    reconstructed from the shared lexicographic enumeration order, never
-    shipped."""
-    f_of_i = ifunc_src(plan.write.funcs[0])
-    for read in plan.reads:
-        if read.replicated:
-            w(f"    # read{read.pos} ({read.name}) is replicated: no sends")
-            continue
-        g_src = ifunc_src(read.funcs[0])
-        w(f"    # send phase for read{read.pos}: one value vector per "
-          f"destination writer")
-        w(f"    i = _vec_index(segs_r{read.pos})")
-        w(f"    if i.size:")
-        w(f"        ctx.stats.iterations += int(i.size)")
-        w(f"        q = _vec_full({proc_src(plan.write.dec, f_of_i)}, "
-          f"i.size, _np.int64)")
-        w(f"        vals = _vec_full({read.name}_loc"
-          f"[{local_src(read.dec, g_src)}], i.size, _np.float64)")
-        w(f"        for dest in _np.unique(q):")
-        w(f"            if int(dest) != p:")
-        w(f"                ctx.send(int(dest), ('vec', {read.pos}), "
-          f"_np.ascontiguousarray(vals[q == dest]))")
-        w("")
-
-
-def _no_replicated_write(plan: PlanIR) -> None:
-    if plan.write.replicated:
-        raise CodegenError(
-            "replicated write: per-copy broadcast keeps the scalar template"
-        )
-
-
 # ---------------------------------------------------------------------------
 # distributed memory (§2.10)
 # ---------------------------------------------------------------------------
 
-def emit_distributed_source(plan: PlanIR, backend: str = "scalar") -> str:
-    """Source of the distributed-memory node program for *plan*.
-
-    ``backend="vector"`` emits the batched NumPy variant (one message per
-    (read, peer) pair); ``backend="overlap"`` emits the split-interior
-    variant (non-blocking receives, interior computed while messages are
-    in flight).  Raises :class:`CodegenError` where only the scalar
-    template applies (replicated writes, opaque index functions) and for
-    plans of rank > 1 (the emitter is 1-D).
+def emit_distributed_source(plan: PlanIR) -> str:
+    """Source of the distributed-memory node program for *plan* (Section
+    2.10 template).  Raises :class:`CodegenError` for an access function
+    with no closed-form source, an unplaced array, and plans of rank > 1
+    (the emitter is 1-D).
     """
-    if backend not in ("scalar", "vector", "overlap"):
-        raise ValueError(f"unknown backend {backend!r}")
     _require_1d(plan)
-    if backend == "vector":
-        return _emit_distributed_vector(plan)
-    if backend == "overlap":
-        return _emit_distributed_overlap(plan)
     c = plan.clause
     write = plan.write
     lines = _open_node_program(plan)
@@ -254,169 +194,15 @@ def emit_distributed_source(plan: PlanIR, backend: str = "scalar") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_distributed_vector(plan: PlanIR) -> str:
-    """Vector variant of the §2.10 node program: memberships become sorted
-    strided index vectors, placement arithmetic broadcasts over them, and
-    each (read, peer) transfer is a single value-vector message."""
-    c = plan.clause
-    _no_replicated_write(plan)
-    lines = _open_node_program(plan, "vectorized ")
-    w = lines.append
-    _batched_send_phase(plan, w)
-    temp = _render_refs(plan, _temp)
-
-    w(f"    # update phase: Modify_p as one index vector, reads assembled")
-    w(f"    # from local gathers plus one receive per source")
-    w(f"    i = _vec_index(segs_w)")
-    w(f"    ctx.stats.iterations += int(i.size)")
-    w(f"    if i.size:")
-    w(f"        n = int(i.size)")
-    for read in plan.reads:
-        g_src = ifunc_src(read.funcs[0])
-        v = _temp(read)
-        if read.replicated:
-            w(f"        {v} = _vec_full({read.name}_loc"
-              f"[{local_src(read.dec, g_src)}], n, _np.float64)")
-            continue
-        w(f"        src{read.pos} = _vec_full("
-          f"{proc_src(read.dec, g_src)}, n, _np.int64)")
-        w(f"        {v} = _vec_gather({read.name}_loc, _vec_full("
-          f"{local_src(read.dec, g_src)}, n, _np.int64))")
-        w(f"        for s in _np.unique(src{read.pos}[src{read.pos} != p]):")
-        w(f"            {v}[src{read.pos} == s] = _np.asarray(")
-        w(f"                ctx.note_received((yield ctx.recv(int(s), "
-          f"('vec', {read.pos})))), dtype=_np.float64)")
-    slot = local_src(plan.write.dec, ifunc_src(plan.write.funcs[0]))
-    w(f"        slot = _vec_full({slot}, n, _np.int64)")
-    w(f"        value = _vec_full({vexpr_src(c.rhs, temp)}, n, _np.float64)")
-    if c.guard is not None:
-        w(f"        keep = _np.broadcast_to(_np.asarray("
-          f"{vexpr_src(c.guard, temp)}, dtype=bool), (n,))")
-        w(f"        slot, value = slot[keep], value[keep]")
-    w(f"        {plan.write_name}_loc[slot] = value")
-    w(f"        ctx.stats.local_updates += int(value.size)")
-    w("")
-    w(f"    yield ctx.barrier()")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_distributed_overlap(plan: PlanIR) -> str:
-    """Overlapped variant of the §2.10 node program.
-
-    Same batched messages as the vector variant, but receives are
-    *posted* (``ctx.irecv``) instead of awaited: the interior of
-    ``Modify_p`` — lanes whose reads are all locally resident, from the
-    `split-interior` pass via ``RT.interior_index(p)`` — is computed and
-    committed while messages are in flight, then the receives are
-    drained with ``ctx.probe`` and the boundary remainder finishes.
-    Local gathers happen before any commit, so a read of the written
-    array still observes pre-state; element-wise evaluation over lane
-    subsets keeps the result bit-identical to the other backends."""
-    c = plan.clause
-    _no_replicated_write(plan)
-    lines = _open_node_program(plan, "overlapped ")
-    w = lines.append
-    _batched_send_phase(plan, w)
-    temp = _render_refs(plan, _temp)
-
-    w(f"    # update phase: gather local reads (pre-state), post the")
-    w(f"    # receives, compute the interior while messages are in flight,")
-    w(f"    # drain, finish the boundary")
-    w(f"    i = _vec_index(segs_w)")
-    w(f"    ctx.stats.iterations += int(i.size)")
-    w(f"    if i.size:")
-    w(f"        n = int(i.size)")
-    w(f"        _pending = []")
-    for read in plan.reads:
-        g_src = ifunc_src(read.funcs[0])
-        v = _temp(read)
-        if read.replicated:
-            w(f"        {v} = _vec_full({read.name}_loc"
-              f"[{local_src(read.dec, g_src)}], n, _np.float64)")
-            continue
-        w(f"        src{read.pos} = _vec_full("
-          f"{proc_src(read.dec, g_src)}, n, _np.int64)")
-        w(f"        {v} = _vec_gather({read.name}_loc, _vec_full("
-          f"{local_src(read.dec, g_src)}, n, _np.int64))")
-        w(f"        for s in _np.unique(src{read.pos}[src{read.pos} != p]):")
-        w(f"            _h = yield ctx.irecv(int(s), ('vec', {read.pos}))")
-        w(f"            _pending.append((_h, {v}, "
-          f"src{read.pos} == int(s)))")
-    slot = local_src(plan.write.dec, ifunc_src(plan.write.funcs[0]))
-    w(f"        slot = _vec_full({slot}, n, _np.int64)")
-    w(f"        _interior = _np.isin(i, RT.interior_index(p))")
-    w(f"        for _lanes in (_interior, ~_interior):")
-    w(f"            ctx.charge_elements(int(_np.count_nonzero(_lanes)))")
-    w(f"            if _lanes.any():")
-    w(f"                value = _vec_full({vexpr_src(c.rhs, temp)}, "
-      f"n, _np.float64)")
-    if c.guard is not None:
-        w(f"                _lanes = _lanes & _np.broadcast_to(_np.asarray("
-          f"{vexpr_src(c.guard, temp)}, dtype=bool), (n,))")
-    w(f"                {plan.write_name}_loc[slot[_lanes]] = value[_lanes]")
-    w(f"                ctx.stats.local_updates += "
-      f"int(_np.count_nonzero(_lanes))")
-    w(f"            if _pending is not None:")
-    w(f"                # drain the posted receives before the boundary")
-    w(f"                while _pending:")
-    w(f"                    _done = yield ctx.probe("
-      f"[h for h, _, _ in _pending])")
-    w(f"                    for _k, (_h, _t, _m) in enumerate(_pending):")
-    w(f"                        if _h is _done:")
-    w(f"                            _t[_m] = _np.asarray(ctx.note_received(")
-    w(f"                                _done.payload), dtype=_np.float64)")
-    w(f"                            del _pending[_k]")
-    w(f"                            break")
-    w(f"                _pending = None")
-    w("")
-    w(f"    yield ctx.barrier()")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # shared memory (§2.9)
 # ---------------------------------------------------------------------------
 
-def _emit_shared_vector(plan: PlanIR) -> str:
-    """Vector variant of the §2.9 phase: the whole ``Modify_p`` walk
-    becomes one gather / evaluate / fancy-store batch; the returned write
-    buffer holds a single ``(name, index_vector, value_vector)`` entry."""
-    c = plan.clause
-    render = _render_refs(plan, _global_load)
-    lines: List[str] = []
-    w = lines.append
-    w(f"def node_phase(p, env, RT):")
-    w(f"    # vectorized shared-memory SPMD phase for clause {c.name!r}")
-    w(f"    # forall i in Modify_p, as one strided-gather batch")
-    for line in _write_segments(plan):
-        w(f"    {line}")
-    w(f"    i = _vec_index(segs_w)")
-    if c.guard is not None:
-        w(f"    if i.size:")
-        w(f"        keep = _np.broadcast_to(_np.asarray("
-          f"{vexpr_src(c.guard, render)}, dtype=bool), i.shape)")
-        w(f"        i = i[keep]")
-    w(f"    if i.size == 0:")
-    w(f"        return []")
-    w(f"    value = _vec_full({vexpr_src(c.rhs, render)}, "
-      f"int(i.size), _np.float64)")
-    w(f"    return [({plan.write_name!r}, "
-      f"{ifunc_src(plan.write.funcs[0])}, value)]")
-    return "\n".join(lines) + "\n"
-
-
-def emit_shared_source(plan: PlanIR, backend: str = "scalar") -> str:
+def emit_shared_source(plan: PlanIR) -> str:
     """Source of the shared-memory phase function (Section 2.9 template).
-
-    ``backend="vector"`` emits the batched NumPy variant; its write
-    buffer holds index/value *vectors* instead of per-element tuples.
     Raises :class:`CodegenError` for plans of rank > 1.
     """
-    if backend not in ("scalar", "vector"):
-        raise ValueError(f"unknown backend {backend!r}")
     _require_1d(plan)
-    if backend == "vector":
-        return _emit_shared_vector(plan)
     c = plan.clause
     render = _render_refs(plan, _global_load)
     lines: List[str] = []
@@ -439,62 +225,33 @@ def emit_shared_source(plan: PlanIR, backend: str = "scalar") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _exec_source(source: str, entry: str, helpers: str = SUPPORT_HELPERS):
+def _exec_source(source: str, entry: str):
     namespace: Dict[str, object] = {}
-    full = helpers + "\n\n" + source
+    full = SUPPORT_HELPERS + "\n\n" + source
     code = compile(full, f"<generated {entry}>", "exec")
     exec(code, namespace)  # noqa: S102 - generated by us, from our own AST
     return namespace[entry]
 
 
-def compile_distributed(plan: PlanIR, backend: str = "scalar"):
+def compile_distributed(plan: PlanIR):
     """Emit + compile the distributed node program.
 
     Returns ``(source, factory)`` where ``factory(ctx)`` yields a node
-    generator (the RT tables are bound in).  ``backend="vector"`` and
-    ``backend="overlap"`` fall back to the scalar template when no
-    batched form exists (replicated writes, opaque index functions) —
-    recorded as a note on the plan's trace.
+    generator (the RT tables are bound in).
     """
-    helpers = SUPPORT_HELPERS
-    if backend in ("vector", "overlap"):
-        try:
-            source = emit_distributed_source(plan, backend=backend)
-            helpers = SUPPORT_HELPERS + "\n\n" + VECTOR_HELPERS
-        except CodegenError as exc:
-            source = emit_distributed_source(plan)
-            plan.trace.note(f"emitted source for backend={backend!r} fell "
-                            f"back to the scalar template: {exc}")
-    else:
-        source = emit_distributed_source(plan, backend=backend)
-    fn = _exec_source(source, "node_program", helpers)
+    source = emit_distributed_source(plan)
+    fn = _exec_source(source, "node_program")
     rt = RuntimeTables(plan)
     return source, (lambda ctx: fn(ctx, rt))
 
 
-def compile_shared(plan: PlanIR, backend: str = "scalar"):
+def compile_shared(plan: PlanIR):
     """Emit + compile the shared-memory phase function.
 
     Returns ``(source, phase)`` where ``phase(p, env)`` gives the write
-    buffer for node *p* (index/value vectors under ``backend="vector"``;
-    ``backend="overlap"`` has no shared-memory meaning and aliases the
-    vector form).
+    buffer for node *p*.
     """
-    helpers = SUPPORT_HELPERS
-    if backend == "overlap":
-        plan.trace.note("backend='overlap' on shared memory: no messages "
-                        "to overlap; emitting the vector phase")
-        backend = "vector"
-    if backend == "vector":
-        try:
-            source = emit_shared_source(plan, backend="vector")
-            helpers = SUPPORT_HELPERS + "\n\n" + VECTOR_HELPERS
-        except CodegenError as exc:
-            source = emit_shared_source(plan)
-            plan.trace.note("emitted source for backend='vector' fell "
-                            f"back to the scalar template: {exc}")
-    else:
-        source = emit_shared_source(plan, backend=backend)
-    fn = _exec_source(source, "node_phase", helpers)
+    source = emit_shared_source(plan)
+    fn = _exec_source(source, "node_phase")
     rt = RuntimeTables(plan)
     return source, (lambda p, env: fn(p, env, rt))

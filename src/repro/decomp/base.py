@@ -54,14 +54,14 @@ class Decomposition:
         """Local-memory slot of global element *i* on ``proc(i)``."""
         raise NotImplementedError
 
-    # -- vectorized forms ----------------------------------------------------
+    # -- ndarray forms -------------------------------------------------------
 
     def proc_array(self, idx):
         """``proc`` over an integer ndarray.
 
         Subclasses with closed-form placement override this with pure
         array arithmetic; the default evaluates element-wise (correct for
-        any decomposition, used only by the vector executor's fallback).
+        any decomposition).
         """
         idx = np.asarray(idx, dtype=np.int64)
         return np.fromiter(

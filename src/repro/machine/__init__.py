@@ -28,15 +28,6 @@ from .scheduler import (
 from .trace import activity_spans, overlap_factor, render_timeline
 from .shared import SharedMachine
 from .stats import MachineStats, NodeStats
-from .vectorize import (
-    apply_ifunc,
-    eval_expr_vec,
-    make_overlap_node_program,
-    make_vector_node_program,
-    run_distributed_overlap,
-    run_distributed_vector,
-    run_shared_vector,
-)
 
 __all__ = [
     "Network",
@@ -71,11 +62,4 @@ __all__ = [
     "SharedMachine",
     "MachineStats",
     "NodeStats",
-    "apply_ifunc",
-    "eval_expr_vec",
-    "run_shared_vector",
-    "make_vector_node_program",
-    "run_distributed_vector",
-    "make_overlap_node_program",
-    "run_distributed_overlap",
 ]

@@ -13,7 +13,7 @@ numbers measured on the host:
   without one it falls back to a :mod:`multiprocessing` pipe between two
   OS processes — the same host-local transport class the mp backend and
   the MPI stub exercise, recorded as such in ``method``.
-* **t_element** — a vectorized three-point stencil microbenchmark, the
+* **t_element** — a whole-array three-point stencil microbenchmark, the
   per-element compute rate of the fused kernels' NumPy substrate.
 
 The result is a :class:`MachineDescription`, serialized as JSON.  Set
@@ -260,8 +260,8 @@ def pingpong_points(
 
 
 def measure_t_element(n: int = 1 << 16, reps: int = 30) -> float:
-    """Seconds per element of a vectorized three-point stencil update —
-    the compute substrate the fused kernels run on."""
+    """Seconds per element of a whole-array NumPy three-point stencil
+    update — the compute substrate the fused kernels run on."""
     rng = np.random.default_rng(0)
     b = rng.random(n)
     a = np.zeros(n)

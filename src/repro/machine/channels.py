@@ -28,7 +28,7 @@ class LatencyModel:
     costs ``t_element``.  The model is pure *accounting* — it never
     changes what the deterministic scheduler does, only the per-node
     virtual clocks (:attr:`~repro.machine.stats.NodeStats.vtime`), so
-    the overlap backend's latency hiding is measurable on the simulator
+    the overlap schedule's latency hiding is measurable on the simulator
     without giving up reproducible runs.  Times are arbitrary units.
     """
 

@@ -1,13 +1,12 @@
 """In-process kernel executors (``backend="fused"`` and ``"native"``).
 
-Where the vector backend interprets each run — re-deriving membership
-vectors, applying placement arithmetic and tree-walking the clause body
-— these executors run the **compile-once** kernels built by the
-`lower-kernels` pass (:mod:`repro.pipeline.kernels`): every membership
-set and address is a precomputed :class:`~repro.pipeline.region.Region`
-— slices of node memory wherever Table I yields a progression, vectors
-only for the irregular remainder — and the clause body is one generated
-kernel.
+Where the scalar templates walk ``Modify_p`` / ``Reside_p`` element by
+element on every run, these executors run the **compile-once** kernels
+built by the `lower-kernels` pass (:mod:`repro.pipeline.kernels`): every
+membership set and address is a precomputed
+:class:`~repro.pipeline.region.Region` — slices of node memory wherever
+Table I yields a progression, vectors only for the irregular remainder —
+and the clause body is one generated kernel.
 
 There is one executor, :class:`KernelTier`, and two instances of it.
 Both run the same schedule over the same per-read lane rows and differ
@@ -33,8 +32,10 @@ blocking over real transports, is
 stay apart).  Both run the same node kernels through the same rows
 (:func:`_lane_row`) and entries.
 
-Statistics match the vector backend counter-for-counter, and results
-are bit-identical across tiers (``TestAllBackendsAgree``): a read row is
+Statistics match the element oracle of ``tests/test_regions.py``
+(``expected_counters``: membership vectors from ``enumerate(p)`` and
+``proc_array`` / ``local_array``) counter for counter, and results are
+bit-identical across tiers (``TestAllBackendsAgree``): a read row is
 a view of node memory where the read array is not the write target and
 a pre-state copy where it is, row-major order over a region is the
 lexicographic lane order of every payload, and a repeated store address
@@ -60,7 +61,6 @@ from ..pipeline.kernels import KernelBuildError
 from ..pipeline.native import NativeBuildError, ensure_native
 from .distributed import DistributedMachine, NodeContext
 from .shared import SharedMachine
-from .vectorize import _run_nodes
 
 __all__ = [
     "FUSED",
@@ -196,8 +196,8 @@ class KernelTier:
     ) -> SharedMachine:
         """Execute a ``//`` clause with the precompiled shared kernels:
         gather every node's read rows against pre-state first, then one
-        compute+commit per node in node order — semantics identical to
-        the vector executor."""
+        compute+commit per node in node order (all phases read
+        pre-state, like the scalar template)."""
         k, entry = self.bind(ir, "shared", strict)
         if machine is None:
             machine = SharedMachine(ir.pmax, env)
@@ -326,8 +326,15 @@ class KernelTier:
         contiguous float64 (``DistributedMachine.place``), so the local
         stores need no dtype or layout guard here."""
         k, entry = self.bind(ir, "dist", strict)
-        return _run_nodes(ir, env, machine, model,
-                          lambda ctx: self.node_program(k, entry, ctx))
+        if machine is None:
+            machine = DistributedMachine(ir.pmax, model=model)
+            decs = {ir.write.name: ir.write.dec}
+            for acc in ir.reads:
+                decs.setdefault(acc.name, acc.dec)
+            for name, dec in decs.items():
+                machine.place(name, env[name], dec)
+        machine.run(lambda ctx: self.node_program(k, entry, ctx))
+        return machine
 
 
 class _NativeTier(KernelTier):

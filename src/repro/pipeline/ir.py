@@ -101,8 +101,8 @@ class AccessIR:
     def rules(self) -> List[str]:
         return [ax.rule for ax in self.axes]
 
-    # -- scalar placement (the per-element twins of the index-vector
-    # -- helpers in :mod:`repro.machine.vectorize`) -------------------------
+    # -- scalar placement (per element; the kernels address whole
+    # -- regions through :mod:`repro.pipeline.region`) ---------------------
 
     def array_index(self, idx: Index) -> Index:
         """The array index ``(f_k(i_{dims[k]}))_k`` at loop index *idx*."""
@@ -124,15 +124,21 @@ class AccessIR:
 
     def membership(self, p: int, loop_bounds, work=None) -> List[Index]:
         """``{idx in domain | proc(access(idx)) = p}`` — the Cartesian
-        product of the per-axis Table I enumerations (loop dimensions the
-        access does not constrain run their full range), lexicographic.
+        product of the per-axis Table I enumerations (a loop dimension
+        the access does not constrain runs its full range, one several
+        axes read holds what their enumerations share), lexicographic.
         *work* accumulates the enumerators' run-time overhead."""
         coord = self.grid_coord(p)
-        per_loop: list = [range(lo, hi + 1) for lo, hi in loop_bounds]
+        per_loop: list = [None] * len(loop_bounds)
         for k, ax in enumerate(self.axes):
-            per_loop[ax.loop_dim] = ax.access.enumerate(
+            d, found = ax.loop_dim, ax.access.enumerate(
                 coord[k], work).indices()
-        return list(itertools.product(*per_loop))
+            if per_loop[d] is not None:
+                found = sorted(set(per_loop[d]).intersection(found))
+            per_loop[d] = found
+        return list(itertools.product(*(
+            range(lo, hi + 1) if found is None else found
+            for found, (lo, hi) in zip(per_loop, loop_bounds))))
 
     def describe(self) -> str:
         shape = ",".join(f.name for f in self.funcs) if self.funcs else "?"
@@ -151,8 +157,8 @@ class NodeSplit:
     node's interior is the cartesian product of the per-dimension
     interiors (the factorized form — see the `split-interior` pass), and
     the boundary is ``Modify_p`` minus that product (it does not
-    factorize: the overlap executor recovers it with per-dimension
-    masks, the fused kernels tile it with at most ``2*ndim`` strips)."""
+    factorize: the fused kernels tile it with at most ``2*ndim``
+    strips)."""
 
     modify: List[Key]    # per loop dim
     interior: List[Key]  # per loop dim
@@ -214,7 +220,7 @@ class PlanIR:
     diagnostics: Optional[object] = None
     #: FusedKernels attached by the `lower-kernels` pass (compile-once
     #: node kernels for ``backend="fused"``; None when no fused form
-    #: exists — the executors fall back to the vector path)
+    #: exists — the executors fall back to the scalar templates)
     kernels: Optional[object] = None
     #: the memo of :meth:`member_keys`, by read position (write: ``None``)
     _keys: Dict[Optional[int], list] = field(default_factory=dict, repr=False)

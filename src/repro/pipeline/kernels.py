@@ -1,10 +1,9 @@
 """Compile-once fused node kernels (the ``fused`` backend).
 
 The paper's central claim is that ``Modify``/``Reside`` reduce to
-closed-form generation functions *at compile time* — yet the vector
-backend still re-derives its membership vectors, placement arithmetic
-and local-buffer keys on every run, and walks the clause's expression
-tree element-wise through :func:`~repro.machine.vectorize.eval_expr_vec`.
+closed-form generation functions *at compile time* — yet the scalar
+templates still walk those sets, apply the placement arithmetic and
+tree-walk the clause's expression element by element on every run.
 This module pushes that last mile into compile time:
 
 * the clause body (and guard) are lowered **once per plan** to generated
@@ -31,7 +30,7 @@ cache too, so a stale kernel can never outlive its plan.
 Plans the lowering cannot specialize — sequential (``•``) clauses,
 expressions without a closed-form source rendering, and dynamic or
 irregular decompositions whose local layout is not a dense ndarray —
-keep the dict-keyed vector path; the reason is recorded as a trace note
+keep the scalar templates; the reason is recorded as a trace note
 (shown by ``compile --explain``) and again at run time when the fused
 backend falls back.
 """
@@ -652,6 +651,6 @@ def attach_kernels(ir) -> List[str]:
     for label, note in (("shared", kernels.shared_note),
                         ("distributed", kernels.dist_note)):
         if note:
-            notes.append(f"{label} fallback → dict-keyed vector path: "
+            notes.append(f"{label} fallback → scalar template: "
                          f"{note}")
     return notes

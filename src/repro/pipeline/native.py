@@ -52,7 +52,7 @@ every ``backend="native"`` entry point degrades to the fused tier with a
 trace note; it is never an error.
 
 Float semantics are preserved bit-for-bit: the scalar loop evaluates the
-same IEEE-754 double expression tree in the same order as the vectorized
+same IEEE-754 double expression tree in the same order as the fused
 NumPy line (``min``/``max`` render to the NaN-propagating
 ``np.minimum``/``np.maximum``; ``and``/``or`` to their non-short-circuit
 ``!= 0`` forms), which is what lets ``TestAllBackendsAgree`` require

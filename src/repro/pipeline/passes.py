@@ -181,10 +181,10 @@ class SplitInterior(Pass):
     — one :func:`~repro.pipeline.region.meet` per (read, node, dim),
     O(1) for a pair of progressions — and ``interior(p) = ∏_d
     interior_d(p)`` while ``boundary(p) = Modify_p − interior(p)``
-    (which does not factorize; the overlap executor recovers it with
-    per-dimension membership masks).  The pass only records keys on the
-    IR — the `overlap` backend and the distributed kernels consume them;
-    scalar/vector backends ignore them."""
+    (which does not factorize; `lower-kernels` tiles it with at most
+    ``2*ndim`` strips).  The pass only records keys on the IR — the
+    distributed kernels consume them; the scalar templates ignore
+    them."""
 
     name = "split-interior"
     paper = "§5 overlap (future work)"
@@ -411,7 +411,7 @@ class LowerKernels(Pass):
     evaluated now into flat gather/scatter index arrays, and the result
     is attached to ``ir.kernels`` for ``backend="fused"``.  Plans with
     no fused form (sequential clauses, irregular layouts) keep the
-    vector path; the reason lands on the trace."""
+    scalar templates; the reason lands on the trace."""
 
     name = "lower-kernels"
     paper = "§4 (compile-time specialization of generated programs)"

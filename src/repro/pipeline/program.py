@@ -36,10 +36,9 @@ run over the sequence:
     iteration.
 
 ``run_program`` executes the IR on the shared-memory model under the
-full backend registry (``overlap`` degrades to ``vector`` with a trace
-note, exactly like single-clause shared runs).  Compiled programs are
-memoized in a structural-key LRU (:class:`ProgramCache`) alongside the
-plan/kernel/Table I caches.
+full backend registry, exactly like single-clause shared runs.  Compiled
+programs are memoized in a structural-key LRU (:class:`ProgramCache`)
+alongside the plan/kernel/Table I caches.
 """
 
 from __future__ import annotations

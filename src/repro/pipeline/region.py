@@ -93,7 +93,7 @@ def compress(v: np.ndarray) -> Key:
 
 def key_of(segments: Sequence) -> Key:
     """The (sorted, distinct) members of a Table I segment list as a key —
-    O(segments) for one progression, one vectorized expansion otherwise."""
+    O(segments) for one progression, one NumPy expansion otherwise."""
     if not segments:
         return prog(0, 1, 0)
     if len(segments) == 1:

@@ -92,7 +92,8 @@ class Enumeration:
 
         Sorted ascending so that *every* node enumerating the same index
         set walks it in the same (lexicographic) order — the alignment
-        property the vectorized message protocol relies on.
+        property the batched message protocol relies on (a payload
+        carries values only, never positions).
         """
         import numpy as np
 

@@ -84,7 +84,7 @@ def fig2_params():
 # the cross-tier differential
 # ---------------------------------------------------------------------------
 
-IN_PROCESS_TIERS = ("scalar", "vector", "overlap", "fused", "native")
+IN_PROCESS_TIERS = ("scalar", "fused", "native")
 ALL_TIERS = IN_PROCESS_TIERS + ("mp", "mpi")
 
 
@@ -136,11 +136,10 @@ def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2):
     ran, moved = {}, {}
     with mpi_stub() if "mpi" in tiers else contextlib.nullcontext():
         for tier in tiers:
-            if tier != "overlap":  # the overlap schedule is distributed-only
-                m = run_shared(plan, copy_env(env), backend=tier,
-                               processes=processes)
-                assert np.array_equal(m.env[name], ref), f"shared {tier}"
-                ran["shared", tier] = m
+            m = run_shared(plan, copy_env(env), backend=tier,
+                           processes=processes)
+            assert np.array_equal(m.env[name], ref), f"shared {tier}"
+            ran["shared", tier] = m
             m = run_distributed(plan, copy_env(env), backend=tier,
                                 processes=processes)
             assert np.array_equal(m.collect(name), ref), f"dist {tier}"

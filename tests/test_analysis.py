@@ -363,7 +363,7 @@ class TestIndependenceCertificate:
         env0 = {"Y": rng.random(n), "X": rng.random(n)}
         ref = evaluate_clause(cl, copy_env(env0))
         plan = compile_clause(cl, decomps)
-        for backend in ("scalar", "vector", "overlap"):
+        for backend in ("scalar", "fused"):
             machine = run_distributed(plan, copy_env(env0), backend=backend)
             got = machine.collect("Y")
             assert np.array_equal(got, ref["Y"]), backend

@@ -1,4 +1,4 @@
-"""The one dispatcher (:mod:`repro.backends`): 4 entry points x 7
+"""The one dispatcher (:mod:`repro.backends`): 4 entry points x 5
 backends x forced conditions.
 
 Every case asserts three things: the tier that actually ran (runners are
@@ -30,6 +30,7 @@ from repro.core import (
     copy_env,
     evaluate_clause,
 )
+from repro.core.view import ProjectedMap
 from repro.decomp import Block, GridDecomposition, Replicated
 from repro.machine import DeadlockError, DistributedMachine
 from repro.machine.fused import FusedStrictError
@@ -38,14 +39,12 @@ from repro.pipeline import clear_plan_cache, reset_native_support
 from repro.runtime import shutdown_runtime
 
 N, P = 16, 4
-BACKENDS = ("scalar", "vector", "overlap", "fused", "native", "mp", "mpi")
+BACKENDS = ("scalar", "fused", "native", "mp", "mpi")
 ENTRIES = ("shared", "shared_nd", "dist", "dist_nd")
 
 SERIAL = "sequential (•) clause is a serial chain"
 BROADCAST = "replicated write (per-copy broadcast)"
 NO_KERNELS = "plan carries no fused kernels (lower-kernels fallback)"
-OVERLAP_SHARED = ("backend='overlap' on shared memory: no messages to "
-                  "overlap; running the vector backend")
 
 
 def fell(tier, target, why, what="path"):
@@ -183,10 +182,7 @@ def check(entry, backend, ran, tier, notes, **conditions):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_every_tier_runs_itself_when_it_can(entry, backend, ran):
-    if (entry, backend) in (("shared", "overlap"), ("shared_nd", "overlap")):
-        check(entry, backend, ran, "vector", [OVERLAP_SHARED])
-    else:
-        check(entry, backend, ran, backend, [])
+    check(entry, backend, ran, backend, [])
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -207,19 +203,13 @@ def test_no_mpi_hops_to_fused(entry, ran, monkeypatch):
 
 SEQ_CHAINS = {
     "scalar": [],
-    "vector": [fell("vector", "scalar", SERIAL)],
-    "overlap": [OVERLAP_SHARED, fell("vector", "scalar", SERIAL)],
-    "fused": [fell("fused", "vector", SERIAL),
-              fell("vector", "scalar", SERIAL)],
+    "fused": [fell("fused", "scalar", SERIAL)],
     "native": [fell("native", "fused", SERIAL),
-               fell("fused", "vector", SERIAL),
-               fell("vector", "scalar", SERIAL)],
+               fell("fused", "scalar", SERIAL)],
     "mp": [fell("mp", "fused", SERIAL + "; scalar path kept"),
-           fell("fused", "vector", SERIAL),
-           fell("vector", "scalar", SERIAL)],
+           fell("fused", "scalar", SERIAL)],
     "mpi": [fell("mpi", "fused", SERIAL + "; scalar path kept"),
-            fell("fused", "vector", SERIAL),
-            fell("vector", "scalar", SERIAL)],
+            fell("fused", "scalar", SERIAL)],
 }
 
 
@@ -229,18 +219,15 @@ def test_sequential_clause_ends_on_the_scalar_path(entry, backend, ran):
     check(entry, backend, ran, "scalar", SEQ_CHAINS[backend], seq=True)
 
 
-TO_TEMPLATE = {b: fell(b, "scalar", BROADCAST, "template")
-               for b in ("vector", "overlap", "fused")}
+TO_TEMPLATE = fell("fused", "scalar", BROADCAST, "template")
 REPLICATED_CHAINS = {
     "scalar": [],
-    "vector": [TO_TEMPLATE["vector"]],
-    "overlap": [TO_TEMPLATE["overlap"]],
-    "fused": [TO_TEMPLATE["fused"]],
-    "native": [fell("native", "fused", BROADCAST), TO_TEMPLATE["fused"]],
+    "fused": [TO_TEMPLATE],
+    "native": [fell("native", "fused", BROADCAST), TO_TEMPLATE],
     "mp": [fell("mp", "fused", "replicated write is a per-copy broadcast"),
-           TO_TEMPLATE["fused"]],
+           TO_TEMPLATE],
     "mpi": [fell("mpi", "fused", "replicated write is a per-copy broadcast"),
-            TO_TEMPLATE["fused"]],
+            TO_TEMPLATE],
 }
 
 
@@ -262,21 +249,114 @@ def test_preplaced_machine_stays_in_process(entry, backend, ran):
             f"{owner} owns its own placement")], preplaced=True)
 
 
-TO_VECTOR = fell("fused", "vector", "no fused kernels on the plan")
-NO_FORM_CHAINS = {
-    "fused": [TO_VECTOR],
-    "native": [fell("native", "fused", NO_KERNELS), TO_VECTOR],
-    "mp": [fell("mp", "fused", NO_KERNELS), TO_VECTOR],
-    "mpi": [fell("mpi", "fused", NO_KERNELS), TO_VECTOR],
-}
+def no_form_chain(entry, backend):
+    """The hops of a plan without kernels, down to the scalar template."""
+    what = "template" if entry.startswith("dist") else "path"
+    head = [] if backend == "fused" else [fell(backend, "fused", NO_KERNELS)]
+    return head + [fell("fused", "scalar", "no fused kernels on the plan",
+                        what)]
 
 
-@pytest.mark.parametrize("backend", sorted(NO_FORM_CHAINS))
+@pytest.mark.parametrize("backend", ("fused", "mp", "mpi", "native"))
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_clause_with_no_fused_form_runs_the_vector_tier(entry, backend,
                                                         ran):
-    check(entry, backend, ran, "vector", NO_FORM_CHAINS[backend],
+    """(Named when ``fused`` fell to the since-retired vector tier: a
+    clause with no kernels now ends, one hop later, on the scalar
+    template.)"""
+    check(entry, backend, ran, "scalar", no_form_chain(entry, backend),
           no_form=True)
+
+
+# ---------------------------------------------------------------------------
+# a read whose axes share a loop dim: Reside_p is an intersection
+# ---------------------------------------------------------------------------
+
+M = 8
+
+
+def projected(dims):
+    """``T[i,j] := 2 * S[i_dims[0], i_dims[1]]`` on a 2x2 grid."""
+    g = GridDecomposition([Block(M, 2), Block(M, 2)])
+    cl = Clause(IndexSet(Bounds((0, 0), (M - 1, M - 1))), ref2("T"),
+                Ref("S", ProjectedMap(dims, (IdentityF(), IdentityF()))) * 2)
+    rng = np.random.default_rng(5)
+    return cl, {"S": g, "T": g}, {"S": rng.random((M, M)),
+                                  "T": np.zeros((M, M))}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("entry", ("shared_nd", "dist_nd"))
+@pytest.mark.parametrize("dims", ((0, 0), (1, 0)),
+                         ids=("diagonal", "transposed"))
+def test_projected_read_on_every_backend(dims, entry, backend, ran):
+    """``S[i,i]``: both axes read loop dim 0, so ``Reside_p`` is what the
+    two enumerations share.  No kernel form (the lane plan wants
+    distinct loop dims); one note per hop down to the scalar template,
+    which used to send elements nobody received.  ``S[j,i]`` is the
+    control: a kernel form on every tier, no hop."""
+    cl, decomps, env0 = projected(dims)
+    plan = COMPILE[entry](cl, decomps)
+    m = RUN[entry](plan, copy_env(env0), backend=backend, processes=2)
+    got = m.collect("T") if entry == "dist_nd" else m.env["T"]
+    assert np.array_equal(got, evaluate_clause(cl, copy_env(env0))["T"])
+    if dims == (1, 0) or backend == "scalar":
+        hops, tier = [], backend
+    else:
+        hops, tier = no_form_chain(entry, backend), "scalar"
+    assert plan.trace.notes == hops
+    assert (ran or ["scalar"]) == [tier]
+
+
+# ---------------------------------------------------------------------------
+# retired names
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ("vector", "overlap"))
+def test_retired_backend_names_are_unknown(name, tmp_path):
+    """``vector`` and ``overlap`` were tiers once; they get the one-line
+    error any unknown name gets, from every entry point."""
+    import asyncio
+
+    from repro.cli import main
+    from repro.pipeline import compile_program, run_program
+    from repro.serve import ERR_BADREQ, ReproService
+
+    line = (f"unknown backend {name!r} for {{}}; valid backends: "
+            "scalar, fused, native, mp, mpi")
+    clause, decomps, env0 = clause_for("dist"), decomps_for("dist"), \
+        env_for("dist")
+    plan = compile_clause(clause, decomps)
+    for context, call in (
+            ("run_shared", lambda: run_shared(plan, env0, backend=name)),
+            ("run_distributed",
+             lambda: run_distributed(plan, env0, backend=name)),
+            ("run_program", lambda: run_program(
+                compile_program([clause], decomps), env0, backend=name))):
+        with pytest.raises(backends.UnknownBackendError) as err:
+            call()
+        assert str(err.value) == line.format(context)
+
+    prog = tmp_path / "prog.pal"
+    prog.write_text("for i := 1 to 14 par do\n"
+                    "    A[i] := B[i - 1] + B[i + 1];\nod\n")
+    arrays = [f"A=block:{N}", f"B=block:{N}"]
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", str(prog), "--backend", name]
+             + [x for a in arrays for x in ("--array", a)])
+    assert exit_.value.code == "error: " + line.format("run")
+
+    async def serve_run():
+        service = ReproService(workers=1)
+        try:
+            return await service.handle(
+                {"op": "run", "program": prog.read_text(),
+                 "arrays": arrays, "backend": name})
+        finally:
+            service.close()
+
+    error = asyncio.run(serve_run())["error"]
+    assert error == {"code": ERR_BADREQ, "message": line.format("serve")}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.codegen.nddist import (
     compile_clause_nd_dist,
     run_distributed_nd,
 )
-from repro.codegen.shared_tmpl import run_shared
 from repro.core import (
     SEQ,
     AffineF,
@@ -277,28 +276,43 @@ class TestLatencyModel:
     def test_makespan_zero_without_model(self):
         plan = compile_clause(stencil_clause(), {"A": Block(N, P),
                                                  "B": Block(N, P)})
-        m = run_distributed(plan, copy_env(stencil_env()), backend="vector")
+        m = run_distributed(plan, copy_env(stencil_env()), backend="fused")
         assert m.stats.makespan() == 0.0
 
     def test_overlap_beats_vector_makespan(self):
-        plan = compile_clause(stencil_clause(), {"A": Block(N, P),
-                                                 "B": Block(N, P)})
-        env0 = stencil_env()
-        mv = run_distributed(plan, copy_env(env0), backend="vector",
-                             model=self.MODEL)
-        mo = run_distributed(plan, copy_env(env0), backend="overlap",
-                             model=self.MODEL)
-        assert np.array_equal(mv.collect("A"), mo.collect("A"))
-        assert mv.stats.makespan() > 0
+        """(Named when the two schedules were two tiers.)  The modeled
+        time of the overlap schedule in closed form — per node
+        ``max(interior * t, alpha + beta * k) + boundary * t`` — against
+        drain-then-compute, ``(alpha + beta * k) + n_p * t``, on E13."""
+        n, pmax = 4096, 4
+        plan = compile_clause(stencil_clause(n), {"A": Block(n, pmax),
+                                                  "B": Block(n, pmax)})
+        env0 = stencil_env(n)
+        base = run_distributed(plan, copy_env(env0), backend="fused")
+        m = run_distributed(plan, copy_env(env0), backend="fused",
+                            model=self.MODEL)
+        assert np.array_equal(base.collect("A"), m.collect("A"))
+        assert base.stats.total_messages() == m.stats.total_messages()
+        assert (base.stats.total_elements_moved()
+                == m.stats.total_elements_moved())
+        hop = self.MODEL.message_time(1)  # every halo message: one element
+        t = self.MODEL.t_element
+        overlapped, drained = [], []
+        for p, ns in plan.ir.interior_split.per_node.items():
+            assert m.stats[p].recvs == m.stats[p].elements_received > 0
+            overlapped.append(max(ns.interior_count * t, hop)
+                              + ns.boundary_count * t)
+            drained.append(hop + ns.modify_count * t)
         # interior work hides the modeled message latency
-        assert mo.stats.makespan() < mv.stats.makespan()
+        assert m.stats.makespan() == max(overlapped) == 1024.0
+        assert max(drained) == pytest.approx(1124.1)
 
     def test_model_does_not_change_results_or_traffic(self):
         plan = compile_clause(stencil_clause(), {"A": Block(N, P),
                                                  "B": Scatter(N, P)})
         env0 = stencil_env()
-        base = run_distributed(plan, copy_env(env0), backend="vector")
-        timed = run_distributed(plan, copy_env(env0), backend="vector",
+        base = run_distributed(plan, copy_env(env0), backend="fused")
+        timed = run_distributed(plan, copy_env(env0), backend="fused",
                                 model=self.MODEL)
         assert np.array_equal(base.collect("A"), timed.collect("A"))
         assert (base.stats.total_messages()
@@ -369,11 +383,11 @@ class TestPlanCache:
         env0 = stencil_env()
         p1 = compile_clause(stencil_clause(), self._decomps())
         a = run_distributed(p1, copy_env(env0),
-                            backend="overlap").collect("A")
+                            backend="fused").collect("A")
         p2 = compile_clause(stencil_clause(), self._decomps())
         assert p2.trace.cache_hit
         b = run_distributed(p2, copy_env(env0),
-                            backend="overlap").collect("A")
+                            backend="fused").collect("A")
         assert np.array_equal(a, b)
 
     def test_plan_key_is_structural(self):
@@ -406,26 +420,6 @@ class TestTable1Memo:
 
 
 class TestBackendFallbackNotes:
-    def test_seq_vector_fallback_is_noted(self):
-        cl = Clause(
-            IndexSet(Bounds((1,), (N - 1,))),
-            Ref("A", SeparableMap([IdentityF()])),
-            Ref("A", SeparableMap([AffineF(1, -1)])) * 0.5,
-            ordering=SEQ,
-        )
-        plan = compile_clause(cl, {"A": Block(N, P)})
-        run_shared(plan, copy_env(stencil_env()), backend="vector")
-        assert any("fell back to the scalar" in n for n in plan.trace.notes)
-        assert "note:" in plan.trace.pretty()
-
-    def test_shared_overlap_runs_as_vector_with_note(self):
-        plan = compile_clause(stencil_clause(), {"A": Block(N, P),
-                                                 "B": Block(N, P)})
-        ref = run_shared(plan, copy_env(stencil_env())).env["A"]
-        m = run_shared(plan, copy_env(stencil_env()), backend="overlap")
-        assert np.array_equal(m.env["A"], ref)
-        assert any("no messages to overlap" in n for n in plan.trace.notes)
-
     def test_replicated_write_fallback_is_noted(self):
         cl = Clause(
             IndexSet(Bounds((0,), (N - 1,))),
@@ -435,5 +429,6 @@ class TestBackendFallbackNotes:
         plan = compile_clause(cl, {"r": Replicated(N, P),
                                    "B": Block(N, P)})
         env0 = {"r": np.zeros(N), "B": stencil_env()["B"]}
-        run_distributed(plan, copy_env(env0), backend="overlap")
+        run_distributed(plan, copy_env(env0), backend="fused")
         assert any("replicated write" in n for n in plan.trace.notes)
+        assert "note:" in plan.trace.pretty()

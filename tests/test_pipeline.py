@@ -219,23 +219,29 @@ class TestCLI:
         assert "rewrites=" in out
 
     def test_compile_vector_backend_emits_numpy(self, tmp_path, capsys):
+        """``compile --backend fused`` prints what runs — the NumPy kernel
+        source — and then the scalar §2.10 node program."""
         rc = main(["compile", self._write(tmp_path), "--pmax", "4",
                    "--array", "A=block:20", "--array", "B=scatter:20",
-                   "--backend", "vector"])
+                   "--backend", "fused"])
         assert rc == 0
-        assert "_vec_index" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "_vec_index" not in out and "vector-form" not in out
+        kernel, template = out.index("def _rhs(_i, _r):"), \
+            out.index("def node_program(ctx, RT):")
+        assert kernel < out.index("# scalar §2.10 node program") < template
 
     def test_run_vector_backend(self, tmp_path, capsys):
         rc = main(["run", self._write(tmp_path), "--pmax", "4",
                    "--array", "A=block:20", "--array", "B=scatter:20",
-                   "--backend", "vector"])
+                   "--backend", "fused"])
         assert rc == 0
         assert "OK" in capsys.readouterr().out
 
     def test_run_shared_vector_backend(self, tmp_path, capsys):
         rc = main(["run", self._write(tmp_path), "--pmax", "4",
                    "--array", "A=block:20", "--array", "B=scatter:20",
-                   "--shared", "--backend", "vector"])
+                   "--shared", "--backend", "fused"])
         assert rc == 0
         assert "OK" in capsys.readouterr().out
 

@@ -1,11 +1,14 @@
-"""Equivalence properties of the unified pipeline and the vector backend.
+"""Equivalence properties of the unified pipeline and its batching tier.
 
 Two families of checks:
 
 * pipeline-compiled plans execute element-identically to the sequential
   reference evaluator across decomposition kinds and both machines;
-* the vectorized segment executor (interpreter and emitted source)
-  produces bit-identical arrays to the scalar templates.
+* the batching executor (``fused``: one message per (read, peer) pair,
+  interior computed while messages are in flight) and the emitted
+  source produce bit-identical arrays to the scalar templates.  (The
+  ``TestVector*`` / ``TestOverlap*`` classes are named after the two
+  interpreting tiers that stated those schedules before ``fused``.)
 """
 
 import numpy as np
@@ -117,21 +120,20 @@ class TestVectorMatchesScalar1D:
     def test_shared_interpreter(self, kind, make):
         plan, env0 = self._plan_env(kind, make)
         a = run_shared(plan, copy_env(env0)).env["A"]
-        b = run_shared(plan, copy_env(env0), backend="vector").env["A"]
+        b = run_shared(plan, copy_env(env0), backend="fused").env["A"]
         assert np.array_equal(a, b)
 
     def test_distributed_interpreter(self, kind, make):
         plan, env0 = self._plan_env(kind, make)
         a = run_distributed(plan, copy_env(env0)).collect("A")
-        for backend in ("vector", "overlap"):
-            b = run_distributed(plan, copy_env(env0),
-                                backend=backend).collect("A")
-            assert np.array_equal(a, b), backend
+        b = run_distributed(plan, copy_env(env0),
+                            backend="fused").collect("A")
+        assert np.array_equal(a, b)
 
     def test_distributed_vector_batches_messages(self, kind, make):
         plan, env0 = self._plan_env(kind, make)
         ms = run_distributed(plan, copy_env(env0))
-        mv = run_distributed(plan, copy_env(env0), backend="vector")
+        mv = run_distributed(plan, copy_env(env0), backend="fused")
         assert mv.stats.total_messages() <= ms.stats.total_messages()
         # batching must not change what moves
         assert (mv.stats.total_elements_moved()
@@ -141,28 +143,23 @@ class TestVectorMatchesScalar1D:
         from repro.machine import DistributedMachine
 
         plan, env0 = self._plan_env(kind, make)
-        results = {}
-        for backend in ("scalar", "vector", "overlap"):
-            src, factory = compile_distributed(plan, backend=backend)
-            m = DistributedMachine(P)
-            for name in "ABC":
-                m.place(name, env0[name].copy(), plan.ir.decomps[name])
-            m.run(factory)
-            results[backend] = m.collect("A")
-        assert np.array_equal(results["scalar"], results["vector"])
-        assert np.array_equal(results["scalar"], results["overlap"])
+        _src, factory = compile_distributed(plan)
+        m = DistributedMachine(P)
+        for name in "ABC":
+            m.place(name, env0[name].copy(), plan.ir.decomps[name])
+        m.run(factory)
+        ref = run_distributed(plan, copy_env(env0), backend="fused")
+        assert np.array_equal(m.collect("A"), ref.collect("A"))
 
     def test_emitted_shared_source(self, kind, make):
         plan, env0 = self._plan_env(kind, make)
-        results = {}
-        for backend in ("scalar", "vector"):
-            _src, phase = compile_shared(plan, backend=backend)
-            env = copy_env(env0)
-            for p in range(P):
-                for name, idx, value in phase(p, env):
-                    env[name][idx] = value
-            results[backend] = env["A"]
-        assert np.array_equal(results["scalar"], results["vector"])
+        _src, phase = compile_shared(plan)
+        env = copy_env(env0)
+        pending = [w for p in range(P) for w in phase(p, env)]
+        for name, idx, value in pending:
+            env[name][idx] = value
+        ref = run_shared(plan, copy_env(env0), backend="fused")
+        assert np.array_equal(env["A"], ref.env["A"])
 
 
 class TestVectorMatchesScalarND:
@@ -187,7 +184,7 @@ class TestVectorMatchesScalarND:
         plan = compile_clause_nd(cl, {"T": g})
         env0 = self._env()
         a = run_shared_nd(plan, copy_env(env0)).env["T"]
-        b = run_shared_nd(plan, copy_env(env0), backend="vector").env["T"]
+        b = run_shared_nd(plan, copy_env(env0), backend="fused").env["T"]
         assert np.array_equal(a, b)
 
     def test_distributed_grid_shift(self):
@@ -201,11 +198,9 @@ class TestVectorMatchesScalarND:
         plan = compile_clause_nd_dist(cl, {"T": g, "S": g})
         env0 = self._env()
         ms = run_distributed_nd(plan, copy_env(env0))
-        mv = run_distributed_nd(plan, copy_env(env0), backend="vector")
+        mv = run_distributed_nd(plan, copy_env(env0), backend="fused")
         assert np.array_equal(collect_nd(ms, "T"), collect_nd(mv, "T"))
         assert mv.stats.total_messages() < ms.stats.total_messages()
-        mo = run_distributed_nd(plan, copy_env(env0), backend="overlap")
-        assert np.array_equal(collect_nd(ms, "T"), collect_nd(mo, "T"))
 
     def test_distributed_replicated_projected_read(self):
         g = self._grid()
@@ -219,7 +214,7 @@ class TestVectorMatchesScalarND:
         plan = compile_clause_nd_dist(cl, decomps)
         env0 = self._env()
         ms = run_distributed_nd(plan, copy_env(env0))
-        mv = run_distributed_nd(plan, copy_env(env0), backend="vector")
+        mv = run_distributed_nd(plan, copy_env(env0), backend="fused")
         assert np.array_equal(collect_nd(ms, "T"), collect_nd(mv, "T"))
 
     def test_distributed_transposed_read(self):
@@ -234,13 +229,13 @@ class TestVectorMatchesScalarND:
         env0 = {"S": rng.random((self.N2, self.N2)),
                 "T": np.zeros((self.N2, self.N2))}
         ms = run_distributed_nd(plan, copy_env(env0))
-        mv = run_distributed_nd(plan, copy_env(env0), backend="vector")
+        mv = run_distributed_nd(plan, copy_env(env0), backend="fused")
         assert np.array_equal(collect_nd(ms, "T"), collect_nd(mv, "T"))
 
 
 class TestOverlapMatchesScalar:
-    """The overlapped executor is bit-identical on the issue's workloads:
-    E13 (block and scatter reads) and the E19 2-D five-point stencil."""
+    """The overlap schedule (``fused``) is bit-identical on E13 (block
+    and scatter reads) and the E19 2-D five-point stencil."""
 
     def _e13(self, read_kind):
         n, pmax = 64, 8
@@ -260,10 +255,9 @@ class TestOverlapMatchesScalar:
     def test_e13_bit_identical(self, read_kind):
         plan, env0 = self._e13(read_kind)
         ref = run_distributed(plan, copy_env(env0)).collect("A")
-        for backend in ("vector", "overlap"):
-            out = run_distributed(plan, copy_env(env0),
-                                  backend=backend).collect("A")
-            assert np.array_equal(ref, out), backend
+        out = run_distributed(plan, copy_env(env0),
+                              backend="fused").collect("A")
+        assert np.array_equal(ref, out)
 
     def test_e13_block_has_nonempty_interior(self):
         plan, _ = self._e13("block")
@@ -300,9 +294,8 @@ class TestOverlapMatchesScalar:
         rng = np.random.default_rng(8)
         env0 = {"S": rng.random((n, n)), "T": np.zeros((n, n))}
         ref = collect_nd(run_distributed_nd(plan, copy_env(env0)), "T")
-        for backend in ("vector", "overlap"):
-            m = run_distributed_nd(plan, copy_env(env0), backend=backend)
-            assert np.array_equal(ref, collect_nd(m, "T")), backend
+        m = run_distributed_nd(plan, copy_env(env0), backend="fused")
+        assert np.array_equal(ref, collect_nd(m, "T"))
         split = plan.ir.interior_split
         assert split is not None and split.totals()[1] > 0
 
@@ -318,7 +311,7 @@ class TestFallbacks:
         plan = compile_clause(cl, {"A": Block(N, P)})
         env0 = env1d()
         a = run_shared(plan, copy_env(env0)).env["A"]
-        b = run_shared(plan, copy_env(env0), backend="vector").env["A"]
+        b = run_shared(plan, copy_env(env0), backend="fused").env["A"]
         assert np.array_equal(a, b)
 
     def test_replicated_write_distributed_falls_back(self):
@@ -331,10 +324,9 @@ class TestFallbacks:
         plan = compile_clause(cl, decomps)
         env0 = {"r": np.zeros(N), "B": env1d()["B"]}
         a = run_distributed(plan, copy_env(env0)).collect("r")
-        for backend in ("vector", "overlap"):
-            b = run_distributed(plan, copy_env(env0),
-                                backend=backend).collect("r")
-            assert np.array_equal(a, b), backend
+        b = run_distributed(plan, copy_env(env0),
+                            backend="fused").collect("r")
+        assert np.array_equal(a, b)
 
     def test_min_expression_vectorizes(self):
         cl = Clause(
@@ -348,7 +340,7 @@ class TestFallbacks:
         env0 = env1d()
         a = run_distributed(plan, copy_env(env0)).collect("A")
         b = run_distributed(plan, copy_env(env0),
-                            backend="vector").collect("A")
+                            backend="fused").collect("A")
         assert np.array_equal(a, b)
 
     def test_whole_program_shared_vector(self):
@@ -360,17 +352,16 @@ class TestFallbacks:
         env0 = env1d()
         ms, bs = run_program_shared(program, decomps, copy_env(env0))
         mv, bv = run_program_shared(program, decomps, copy_env(env0),
-                                    backend="vector")
+                                    backend="fused")
         assert bs == bv
         assert np.array_equal(ms.env["A"], mv.env["A"])
 
 
 class TestAllBackendsAgree:
-    """The fused-backend acceptance property: scalar, vector, overlap,
-    fused, native, mp and mpi executions produce bit-identical
-    post-state memories, and the batching backends (vector / overlap /
-    fused / native / mp / mpi) exchange exactly the same messages,
-    across decomposition kinds.
+    """The fused-backend acceptance property: scalar, fused, native, mp
+    and mpi executions produce bit-identical post-state memories, and
+    the batching backends (fused / native / mp / mpi) exchange exactly
+    the same messages, across decomposition kinds.
 
     The mp backend runs the same kernels on real OS processes — a small
     fixed worker count keeps the hypothesis sweep fast (the pool is
@@ -472,8 +463,7 @@ class TestAllBackendsAgree:
                     assert any(name == "E"
                                for _, name, _ in pir.redistributions)
                 ref = evaluate_program_reference(pir, env0)
-                for backend in ("scalar", "vector", "overlap", "fused",
-                                "mp"):
+                for backend in ("scalar", "fused", "mp"):
                     m, _ = run_program(pir, copy_env(env0),
                                        backend=backend, processes=2)
                     for name in "DEF":
@@ -506,7 +496,7 @@ class TestAllBackendsAgree:
                                   swap=(("U", "V"),))
             assert pir.pipelined, pir.pipeline_reason
             ref = evaluate_program_reference(pir, env0)
-            for backend in ("scalar", "vector", "overlap", "fused", "mp"):
+            for backend in ("scalar", "fused", "mp"):
                 m, barriers = run_program(pir, copy_env(env0),
                                           backend=backend, processes=2)
                 assert barriers == steps

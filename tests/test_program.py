@@ -247,7 +247,7 @@ class TestRunProgram:
             pir = compile_program(program, decomps, repeat=repeat,
                                   swap=(("U", "V"),))
             ref = evaluate_program_reference(pir, env0)
-            for backend in ("scalar", "vector", "fused"):
+            for backend in ("scalar", "fused"):
                 m, barriers = run_program(pir, copy_env(env0),
                                           backend=backend)
                 assert barriers == repeat
@@ -281,15 +281,6 @@ class TestRunProgram:
         m, barriers = run_program(pir, copy_env(env0), backend="fused")
         assert barriers == 1
         assert np.array_equal(m.env["C"], ref["C"])
-
-    def test_overlap_degrades_with_note(self):
-        program = Program([scale_clause("B", "A")])
-        pir = compile_program(program, {n: Block(N, P) for n in "AB"})
-        env0 = env_for("AB")
-        ref = evaluate_program_reference(pir, env0)
-        m, _ = run_program(pir, copy_env(env0), backend="overlap")
-        assert np.array_equal(m.env["B"], ref["B"])
-        assert any("overlap" in n for n in pir.trace.notes)
 
     def test_unknown_backend_refused(self):
         from repro.backends import UnknownBackendError

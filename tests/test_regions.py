@@ -1,6 +1,7 @@
 """Region-keyed kernels: the key algebra, the differential against the
-lane vectors ``_member_vecs`` would build, the timing-free complexity
-guard, and what ``describe()`` reports."""
+element oracle (``_member_vecs`` lane vectors and the counters they
+imply), the timing-free complexity guard, and what ``describe()``
+reports."""
 
 import dataclasses
 import itertools
@@ -24,6 +25,7 @@ from repro.core import (
     Ref,
     SeparableMap,
 )
+from repro.core.ifunc import apply_ifunc
 from repro.core.view import ProjectedMap
 from repro.decomp import (
     Block,
@@ -34,13 +36,7 @@ from repro.decomp import (
     Scatter,
 )
 from repro.diophantine.linear import CongruenceSolution
-from repro.machine.vectorize import (
-    _array_vecs,
-    _interior_mask,
-    _local_key,
-    _member_vecs,
-    _proc_linear,
-)
+from repro.machine import NodeStats
 from repro.pipeline import clear_plan_cache, compile_plan
 from repro.pipeline.kernels import _approx_nbytes, _leaves
 from repro.pipeline.region import (
@@ -215,6 +211,99 @@ class TestRegion:
 
 
 # ---------------------------------------------------------------------------
+# the element oracle: membership and placement as lane vectors, straight
+# from ``enumerate(p)`` and ``proc_array`` / ``local_array`` — what the
+# retired vector tier executed, independent of repro.pipeline.region
+# ---------------------------------------------------------------------------
+
+def _member_vecs(ir, acc, p):
+    """Per-loop-dimension index vectors whose implicit Cartesian product
+    (row-major, flattened) is the access's membership set on node *p*:
+    ``len(loop_bounds)`` vectors of equal length, one entry per member
+    index tuple, in lexicographic order."""
+    coord = acc.grid_coord(p)
+    per_dim = []
+    for d, (lo, hi) in enumerate(ir.loop_bounds):
+        if acc.axes and d in acc.dims:
+            k = acc.dims.index(d)
+            per_dim.append(
+                acc.axes[k].access.enumerate(coord[k]).index_array())
+        else:
+            per_dim.append(np.arange(lo, hi + 1, dtype=np.int64))
+    if len(per_dim) == 1:
+        return per_dim
+    return [m.ravel() for m in np.meshgrid(*per_dim, indexing="ij")]
+
+
+def _array_vecs(acc, idx_vecs):
+    """The access's array index vectors ``f_k(i_{dims[k]})``."""
+    return [apply_ifunc(f, idx_vecs[d]) for d, f in zip(acc.dims, acc.funcs)]
+
+
+def _proc_linear(acc, idx_vecs):
+    """Owning (linear) processor of every member index tuple."""
+    ai = _array_vecs(acc, idx_vecs)
+    dec = acc.dec
+    if isinstance(dec, GridDecomposition):
+        out = np.zeros(ai[0].shape, dtype=np.int64)
+        for axis_dec, g, a in zip(dec.dims, dec.grid_shape, ai):
+            out = out * g + axis_dec.proc_array(a)
+        return out
+    return dec.proc_array(ai[0])
+
+
+def _local_key(acc, idx_vecs):
+    """Local-buffer index (vector or tuple of vectors) of every member."""
+    ai = _array_vecs(acc, idx_vecs)
+    dec = acc.dec
+    if isinstance(dec, GridDecomposition):
+        return tuple(
+            axis_dec.local_array(a) for axis_dec, a in zip(dec.dims, ai))
+    if acc.replicated:
+        return tuple(ai) if len(ai) > 1 else ai[0]
+    return dec.local_array(ai[0])
+
+
+def _interior_mask(ir, p, idx_vecs):
+    """Boolean mask over the flattened ``Modify_p`` enumeration selecting
+    the node's interior: the AND of the per-dimension memberships in the
+    `split-interior` keys."""
+    mask = np.ones(idx_vecs[0].size, dtype=bool)
+    for d, key in enumerate(ir.interior_split.per_node[p].interior):
+        mask &= np.isin(idx_vecs[d], vec(key))
+    return mask
+
+
+def expected_counters(ir, env, dist):
+    """Per node, the counters (as :func:`counters` reports them) a
+    batching tier must show after running *ir* on *env*: ``Modify_p``
+    walked once, one store per lane the sequential evaluator's guard
+    keeps, one barrier — and on the distributed machine ``Reside_p``
+    walked once per placed read, one message per (read, peer) pair
+    carrying exactly the elements the peer's ``Modify`` reads from
+    here."""
+    kept = set(ir.clause.iter_indices(env))
+    nodes = [NodeStats(barriers=1) for _ in range(ir.pmax)]
+    for p, st in enumerate(nodes):
+        idx = _member_vecs(ir, ir.write, p)
+        st.iterations += int(idx[0].size)
+        st.local_updates = sum(
+            i in kept for i in zip(*(v.tolist() for v in idx)))
+        for acc in ir.reads if dist else ():
+            if acc.replicated:
+                continue
+            r_idx = _member_vecs(ir, acc, p)
+            st.iterations += int(r_idx[0].size)
+            dest = _proc_linear(ir.write, r_idx)
+            st.sends += len(set(dest.tolist()) - {p})
+            st.elements_sent += int((dest != p).sum())
+            src = _proc_linear(acc, idx)
+            st.recvs += len(set(src.tolist()) - {p})
+            st.elements_received += int((src != p).sum())
+    return [vars(st) for st in nodes]
+
+
+# ---------------------------------------------------------------------------
 # differential: region-keyed fused vs the lane vectors of _member_vecs
 # ---------------------------------------------------------------------------
 
@@ -370,12 +459,11 @@ class TestRegionKernelsDifferential:
                                     tiers=IN_PROCESS_TIERS)
         k = plan.kernels
         assert k is not None and k.shared is not None and k.dist is not None
-        # the same schedule, so the same MachineStats in full ...
-        assert ran["dist", "fused"].stats == ran["dist", "overlap"].stats
-        assert ran["shared", "fused"].stats == ran["shared", "vector"].stats
-        # ... and every counter of the blocking-receive vector program
+        # every counter of every node is what the element oracle implies
+        assert counters(ran["shared", "fused"]) == \
+            expected_counters(plan, env, dist=False)
         assert counters(ran["dist", "fused"]) == \
-            counters(ran["dist", "vector"])
+            expected_counters(plan, env, dist=True)
         for p in range(plan.pmax):
             assert_node_matches_member_vecs(plan, k.shared[p], p, False)
             assert_node_matches_member_vecs(plan, k.dist[p], p, True)

@@ -297,8 +297,8 @@ def _run_args(prog_file, *extra):
 
 class TestBackendRegistryCLI:
     def test_registry_lists_all_backends(self):
-        assert backend_names() == ("scalar", "vector", "overlap",
-                                   "fused", "native", "mp", "mpi")
+        assert backend_names() == ("scalar", "fused", "native", "mp",
+                                   "mpi")
 
     def test_unknown_backend_is_one_line_error(self):
         plan, env0 = stencil_plan(), env1d()
