@@ -10,8 +10,9 @@ This module audits them statically, per plan:
     Every precomputed region stays inside the buffer it addresses: the
     regions of the global-address flavors (``shared``, and ``gdist`` —
     what real processes run — once lowered) against the declared array
-    extents, dist-kernel regions (gathers, sends, stores) against the
-    node's local (resident) buffer shape.
+    extents, dist-kernel regions (gathers, sends, ghost fills, stores)
+    against the node's local (resident) buffer shape plus the ghost
+    margins the node kernel frames it with.
 
 ``KRN002``
     AST audit of the rendered kernel sources.  The fused rendering may
@@ -238,6 +239,9 @@ def _node_keys(nd, write_name):
     for r in nd.reads:
         yield (f"gather of read {r.name!r} (pos {r.pos})",
                f"read{r.pos}:{r.name}", r.name, r.mem)
+        for src, fill in r.sources if r.lanes is None else ():
+            yield (f"ghost fill of read {r.name!r} (pos {r.pos}) from "
+                   f"node {src}", f"read{r.pos}:{r.name}", r.name, fill)
     for s in nd.sends:
         for q, region in s.peers:
             yield (f"send of read {s.name!r} (pos {s.pos}) to node {q}",
@@ -249,7 +253,8 @@ def _node_keys(nd, write_name):
 
 def _check_bounds(ir, kernels) -> List[Diagnostic]:
     """Every region against the buffer it addresses: node *p*'s local
-    buffers for the ``dist`` flavor, the global arrays for the other
+    buffers for the ``dist`` flavor — framed by the node kernel's ghost
+    margins, ``lo + n + hi`` per axis — the global arrays for the other
     two."""
     from ..pipeline.kernels import _FLAVORS
 
@@ -259,8 +264,12 @@ def _check_bounds(ir, kernels) -> List[Diagnostic]:
         for nd in getattr(kernels, flavor) or ():
             for what, access, name, region in _node_keys(
                     nd, kernels.write_name):
-                hit = _violation(region, _local_shape(decs.get(name), nd.p)
-                                 if local else _extents(ir, name))
+                shape = _local_shape(decs.get(name), nd.p) if local \
+                    else _extents(ir, name)
+                if shape is not None and name in nd.margins:
+                    shape = tuple(lo + n + hi for (lo, hi), n
+                                  in zip(nd.margins[name], shape))
+                hit = _violation(region, shape)
                 if hit is not None:
                     axis, v, n = hit
                     out.append(_diag(

@@ -41,6 +41,13 @@ a pre-state copy where it is, row-major order over a region is the
 lexicographic lane order of every payload, and a repeated store address
 resolves last-lane-wins exactly like the fancy-indexed NumPy store.
 
+Node memory has ghost cells: a distributed read with remote lanes is,
+where the keys allow (a unit-stride image meeting the node's own block —
+every stencil shift), a view of the node's *framed* buffer
+(``LocalMemory.frame``, margins derived by ``kernels._build_nodes``) and
+the drain writes each received strip into the ghost cells beside the
+tile; other fetched reads assemble a row buffer (:func:`_lane_row`).
+
 A plan with no form on a tier raises that tier's ``no_form`` exception
 (reason in ``args[0]``), which the dispatcher catches to fall to the
 next tier with a trace note.  ``strict=True`` composes the static
@@ -122,18 +129,31 @@ def _lane_entry(kernel):
     loop of :mod:`repro.pipeline.native`) under the block convention.
     Its signature takes lanes, not regions — stacked ``int64[ndim, n]``
     index vectors, C-contiguous ``float64[nreads, n]`` rows, flat
-    offsets into the raveled target — which the block's regions
-    materialize once and keep."""
+    offsets into the raveled target buffer (from the target's own offset
+    and strides in it) — which the block's regions materialize once and
+    keep."""
 
     def entry(blk, rows, out) -> int:
         stacked = np.empty((len(rows), math.prod(blk.of)))
         for flat, row in zip(stacked, rows):
             np.copyto(flat.reshape(blk.of), row)
+        # the core of a framed node memory is a view ``reshape(-1)``
+        # would copy: store through the buffer it sits in
+        base = _flat_base(out)
+        offset = (out.__array_interface__["data"][0]
+                  - base.__array_interface__["data"][0]) // out.itemsize
+        scatter = offset + sum(v * (s // out.itemsize) for v, s in zip(
+            blk.write.index_vectors(), out.strides))
         return kernel(np.stack(blk.loop.index_vectors()), stacked,
-                      blk.pos.flat(blk.of), blk.write.flat(out.shape),
-                      out.reshape(-1))
+                      blk.pos.flat(blk.of), scatter, base.reshape(-1))
 
     return entry
+
+
+def _flat_base(out: np.ndarray) -> np.ndarray:
+    """The buffer a native store into *out* addresses: *out* itself, or
+    the frame that *out* — the core of a framed node memory — views."""
+    return out if out.flags.c_contiguous or out.base is None else out.base
 
 
 def _lane_row(r, arr, shape, prestate: bool) -> np.ndarray:
@@ -266,10 +286,16 @@ class KernelTier:
         nk = k.dist[ctx.p]
 
         def program():
+            # what the regions address: each array's core, or its ghost
+            # frame — resolved first, since a wider request moves the core
+            frames = {name: ctx.mem.frame(name, m)
+                      for name, m in nk.margins.items()}
+            bufs = {**ctx.mem.arrays, **frames}
+
             # ---- send phase: one memory region, one message per peer -----
             for s in nk.sends:
                 ctx.stats.iterations += s.count
-                buf = ctx.mem[s.name]
+                buf = bufs[s.name]
                 for q, region in s.peers:
                     # row-major over the region = lexicographic lane
                     # order; always a fresh pre-clause copy
@@ -279,16 +305,19 @@ class KernelTier:
             ctx.stats.iterations += nk.n
             if nk.n:
                 rows = []
-                pending = []  # (handle, row, lane region to fill)
+                pending = []  # (handle, buffer, region of it to fill)
                 for r in nk.reads:
-                    row = _lane_row(r, ctx.mem[r.name], nk.shape,
+                    row = _lane_row(r, bufs[r.name], nk.shape,
                                     r.name == k.write_name)
                     rows.append(row)
+                    # a ghost read's row is a view of the frame: its
+                    # strips land in the ghost cells beside the tile
+                    into = row if r.lanes is not None else bufs[r.name]
                     for src, fill in r.sources:
                         handle = yield ctx.irecv(src, ("fus", r.pos))
-                        pending.append((handle, row, fill))
+                        pending.append((handle, into, fill))
 
-                out = ctx.mem[k.write_name]
+                out = bufs[k.write_name]
 
                 def commit(blocks):
                     ctx.charge_elements(sum(b.pos.size for b in blocks))
@@ -302,8 +331,8 @@ class KernelTier:
                     done = yield ctx.probe([h for h, _, _ in pending])
                     i = next(j for j, (h, _, _) in enumerate(pending)
                              if h is done)
-                    _, row, fill = pending.pop(i)
-                    fill.put(row, np.asarray(
+                    _, into, fill = pending.pop(i)
+                    fill.put(into, np.asarray(
                         ctx.note_received(done.payload),
                         dtype=np.float64).reshape(fill.shape))
 
@@ -322,9 +351,10 @@ class KernelTier:
         strict: bool = False,
     ) -> DistributedMachine:
         """Place *env* (unless a pre-placed *machine* is given), run the
-        node programs, return the machine.  Node memories are always
-        contiguous float64 (``DistributedMachine.place``), so the local
-        stores need no dtype or layout guard here."""
+        node programs, return the machine.  A node's write target is
+        float64 and contiguous as placed (``DistributedMachine.place``),
+        or the core of a ghost frame — a view of such a buffer; the tier
+        checks the buffer it will store through."""
         k, entry = self.bind(ir, "dist", strict)
         if machine is None:
             machine = DistributedMachine(ir.pmax, model=model)
@@ -333,6 +363,8 @@ class KernelTier:
                 decs.setdefault(acc.name, acc.dec)
             for name, dec in decs.items():
                 machine.place(name, env[name], dec)
+        for mem in machine.memories:
+            self.check_target(k, _flat_base(mem[k.write_name]))
         machine.run(lambda ctx: self.node_program(k, entry, ctx))
         return machine
 

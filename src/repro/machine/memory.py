@@ -25,7 +25,36 @@ class LocalMemory:
 
     def __init__(self, p: int):
         self.p = p
+        #: name -> the **core**: what placement and every ``mem[name]`` see
         self.arrays: Dict[str, np.ndarray] = {}
+        #: name -> (core, frame buffer, its per-axis (lo, hi) margins)
+        self._frames: Dict[str, tuple] = {}
+
+    def frame(self, name: str, margins) -> np.ndarray:
+        """Array *name* with ghost cells: a float64 view holding the
+        core at offset ``lo`` with ``margins[k] = (lo, hi)`` spare cells
+        on axis *k*, where received halo strips land beside the tile.
+
+        The first request moves the core into a wider buffer once
+        (``arrays[name]`` becomes a view of it), a wider one grows it, a
+        covered one is a sub-view; a re-placement (a new
+        ``arrays[name]``) drops the frame."""
+        core = self.arrays[name]
+        held = self._frames.get(name)
+        buf, old = held[1:] if held is not None and held[0] is core \
+            else (core, ((0, 0),) * core.ndim)
+        have = tuple((max(lo, a), max(hi, b))
+                     for (lo, hi), (a, b) in zip(margins, old))
+        if have != old:
+            buf = np.zeros([lo + n + hi
+                            for (lo, hi), n in zip(have, core.shape)])
+            inner = tuple(slice(lo, lo + n)
+                          for (lo, _), n in zip(have, core.shape))
+            buf[inner] = core
+            core = self.arrays[name] = buf[inner]
+            self._frames[name] = (core, buf, have)
+        return buf[tuple(slice(a - lo, a + n + hi) for (lo, hi), (a, _), n
+                         in zip(margins, have, core.shape))]
 
     def alloc(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
         arr = np.zeros(max(size, 0), dtype=dtype)

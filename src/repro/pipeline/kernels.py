@@ -49,7 +49,8 @@ import numpy as np
 from ..core.clause import Ordering
 from ..core.expr import BinOp, Const, LoopIndex, Ref, UnOp
 from .cache import _env_number, plan_key
-from .region import Region, compose, image, klen, locate, meet, minus, prog
+from .region import Region, compose, image, klen, locate, meet, minus, \
+    overhang, prog
 
 __all__ = [
     "FusedKernels",
@@ -158,7 +159,9 @@ class _Read:
     name: str
     mem: Region                     # resident lanes' memory addresses
     lanes: Optional[Region] = None  # their row positions (None: all lanes)
-    sources: tuple = ()             # ((source node, lane region), ...)
+    #: ((source node, region its payload fills), ...): lanes of the row
+    #: buffer — with ``lanes = None`` (a ghost read), cells of the frame
+    sources: tuple = ()
 
 
 @dataclass
@@ -181,6 +184,9 @@ class SharedNodeKernel:
     blocks: tuple = ()              # lane blocks in commit order
     sends: tuple = ()
     interior: Optional[_Block] = None
+    #: array -> per-axis ``(lo, hi)`` ghost widths this node's regions of
+    #: it are shifted by (``dist`` flavor: ``LocalMemory.frame``)
+    margins: Dict[str, tuple] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -256,13 +262,25 @@ class FusedKernels:
                               ("gdist", "real-process distributed")):
             nodes, note = getattr(self, flavor), getattr(self, flavor + "_note")
             if nodes is not None:
+                ghost: Dict[str, tuple] = {}  # the widest frame of any node
+                for nk in nodes:
+                    for name, m in nk.margins.items():
+                        ghost[name] = _widest(m, ghost.get(name, m))
                 parts.append(
                     f"{label}: {len(nodes)} node kernels "
                     f"({stats[flavor]['slice']} slice / "
-                    f"{stats[flavor]['vector']} vector regions)")
+                    f"{stats[flavor]['vector']} vector regions" + "".join(
+                        f", ghost {name}"
+                        f"[{', '.join(f'{lo}:{hi}' for lo, hi in m)}]"
+                        for name, m in ghost.items()) + ")")
             elif note is not None:  # neither: not built yet (on demand)
                 parts.append(f"{label}: dict-memory fallback ({note})")
         return "; ".join(parts) + f"; {stats['bytes']} bytes"
+
+
+def _widest(a: tuple, b: tuple) -> tuple:
+    """Per-axis maximum of two ghost margins."""
+    return tuple((max(lo, m), max(hi, n)) for (lo, hi), (m, n) in zip(a, b))
 
 
 def _strips(inner: list, shape: tuple) -> list:
@@ -302,20 +320,41 @@ def _build_nodes(ir, local: bool, dist: bool, used) -> list:
                 "it axis by axis")
     remote = [acc for acc in ir.reads if dist and not acc.replicated]
     slots: Dict[tuple, tuple] = {}
+    where: Dict[tuple, list] = {}
+    out: list = []
+    lanes = ir.member_keys(write)
+
+    def placed(acc, p):
+        """Per array axis of *acc* on node *p*: ``(owned, slots)``."""
+        return where.get((acc.pos, p)) or where.setdefault((acc.pos, p), [
+            slots.get((id(ax.dec), c)) or slots.setdefault(
+                (id(ax.dec), c),
+                (ax.dec.owned_indices(c), ax.dec.local_indices(c)))
+            for ax, c in zip(acc.axes, acc.grid_coord(p))])
 
     def region(acc, p, loop_keys, shape) -> Region:
-        """Memory region of *acc* over a lane block on node *p*."""
+        """Memory region of *acc* over a lane block on node *p*: slots of
+        owned elements — or global indices shifted into its ghost frame."""
         keys = [image(f, loop_keys[d]) for d, f in zip(acc.dims, acc.funcs)]
         if local:
-            for k, c in enumerate(acc.grid_coord(p)):
-                dec = acc.axes[k].dec
-                own, loc = slots.get((id(dec), c)) or slots.setdefault(
-                    (id(dec), c),
-                    (dec.owned_indices(c), dec.local_indices(c)))
-                keys[k] = compose(loc, locate(keys[k], own))
+            ghost = out[p].margins.get(acc.name)
+            for k, (own, loc) in enumerate(placed(acc, p)):
+                keys[k] = compose(loc, locate(keys[k], own)) if ghost is None \
+                    else compose(slice(ghost[k][0] - own.start, None), keys[k])
         return Region(keys, acc.dims, shape)
 
-    lanes = ir.member_keys(write)
+    def ghost_widths(acc, p, shape) -> Optional[tuple]:
+        """Per-axis ``(lo, hi)`` cells beside node *p*'s owned block that
+        make every lane of read *acc* a slot of one frame (``None``: no
+        such frame — a strided, wrapped, broadcast or vector-keyed image,
+        or the write target, whose pre-state needs a copy anyway)."""
+        if acc.name == write.name or len(acc.dims) != nd \
+                or not all(isinstance(i, slice) for i in lanes[p]):
+            return None
+        keys = [image(f, lanes[p][d]) for d, f in zip(acc.dims, acc.funcs)]
+        widths = [overhang(k, own, loc) if klen(k) == shape[d] else None
+                  for k, d, (own, loc) in zip(keys, acc.dims, placed(acc, p))]
+        return None if None in widths else tuple(widths)
 
     def sub(q, members):
         """``(position keys, loop keys, shape)`` of a member subset of
@@ -340,14 +379,30 @@ def _build_nodes(ir, local: bool, dist: bool, used) -> list:
     for acc in remote:
         for q in nodes:
             for s in nodes:
-                both = [meet(x, y)
-                        for x, y in zip(lanes[q], reside[acc.pos][s])]
-                if all(klen(k) for k in both):
+                both = []  # empty on one axis is empty: stop there
+                for x, y in zip(lanes[q], reside[acc.pos][s]):
+                    both.append(meet(x, y))
+                    if not klen(both[-1]):
+                        break
+                else:
                     moves[acc.pos, q, s] = sub(q, both)
 
-    out = []
     for p in nodes:
         shape = tuple(klen(i) for i in lanes[p])
+        nk = DistNodeKernel(p, shape) if dist else SharedNodeKernel(p, shape)
+        out.append(nk)
+        # a read with a remote source may claim ghost cells beside the
+        # node's block — settled before any region of the array is built
+        got, ghosts = {}, set()
+        for acc in remote if nk.n else ():
+            got[acc.pos] = g = {s: moves[acc.pos, p, s] for s in nodes
+                                if (acc.pos, p, s) in moves}
+            w = ghost_widths(acc, p, shape) if local and g.keys() != {p} \
+                else None
+            if w is not None:
+                ghosts.add(acc.pos)
+                nk.margins[acc.name] = _widest(
+                    w, nk.margins.get(acc.name, w))
         sends = []
         for acc in remote:
             count = math.prod(klen(k) for k in reside[acc.pos][p])
@@ -356,30 +411,34 @@ def _build_nodes(ir, local: bool, dist: bool, used) -> list:
                     (q, region(acc, p, *moves[acc.pos, q, p][1:]))
                     for q in nodes
                     if q != p and (acc.pos, q, p) in moves)))
-        nk = DistNodeKernel(p, shape, sends=tuple(sends)) if dist \
-            else SharedNodeKernel(p, shape)
-        out.append(nk)
+        nk.sends = tuple(sends)
         if not nk.n:
             continue
         reads = []
         for acc in ir.reads:
-            got = {s: moves[acc.pos, p, s] for s in nodes
-                   if (acc.pos, p, s) in moves}
-            if acc not in remote or got.keys() == {p} \
-                    and math.prod(got[p][2]) == nk.n:
+            g = got.get(acc.pos)
+            if g is None or g.keys() == {p} \
+                    and math.prod(g[p][2]) == nk.n:
                 reads.append(_Read(acc.pos, acc.name,
                                    region(acc, p, lanes[p], shape)))
                 continue
-            if sum(math.prod(m[2]) for m in got.values()) != nk.n:
+            if sum(math.prod(m[2]) for m in g.values()) != nk.n:
                 raise KernelBuildError(
                     f"read {acc.name!r} reaches elements that not exactly "
                     "one node owns")
-            mine = got.pop(p, None) or sub(p, [prog(0, 1, 0)] * nd)
+            mine = g.pop(p, None) or sub(p, [prog(0, 1, 0)] * nd)
+            if acc.pos in ghosts:  # one view; each strip lands beside it
+                mem = region(acc, p, lanes[p], shape)
+                reads.append(_Read(acc.pos, acc.name, mem, sources=tuple(
+                    (s, Region([compose(k, m[0][d])
+                                for k, d in zip(mem.keys, acc.dims)],
+                               acc.dims, m[2])) for s, m in g.items())))
+                continue
             reads.append(_Read(
                 acc.pos, acc.name, region(acc, p, *mine[1:]),
                 Region(mine[0], range(nd), mine[2]),
                 tuple((s, Region(m[0], range(nd), m[2]))
-                      for s, m in got.items())))
+                      for s, m in g.items())))
         nk.reads = tuple(reads)
         split = ir.interior_split if dist else None
         ns = split.per_node.get(p) if split is not None else None

@@ -34,7 +34,7 @@ import numpy as np
 from ..core.ifunc import AffineF, ConstantF, apply_ifunc
 
 __all__ = ["Key", "Region", "prog", "klen", "vec", "compress", "key_of",
-           "compose", "locate", "meet", "minus", "image"]
+           "compose", "locate", "meet", "minus", "image", "overhang"]
 
 Key = Union[slice, np.ndarray]
 
@@ -194,6 +194,23 @@ def image(f, key: Key) -> Key:
     return compress(apply_ifunc(f, vec(key)))
 
 
+def overhang(key: Key, own: Key, loc: Key) -> Optional[Tuple[int, int]]:
+    """Ghost widths of one array axis: how many elements the unit-stride
+    run *key* (either direction) reaches below and above the unit-stride
+    run *own* it meets, *own* sitting in slots ``0, 1, …`` (*loc*) —
+    ``None`` for any other shape: nothing a margin beside the owned
+    block could hold."""
+    if not (isinstance(key, slice) and isinstance(own, slice)
+            and isinstance(loc, slice) and loc.start in (0, None)
+            and loc.step in (1, None)):
+        return None
+    (k0, ks, kn), (o0, os, on) = _ssc(key), _ssc(own)
+    lo, hi = (k0, k0 + kn - 1) if ks > 0 else (k0 - kn + 1, k0)
+    if abs(ks) != 1 or os != 1 or not (kn and on) or hi < o0 or lo >= o0 + on:
+        return None
+    return max(0, o0 - lo), max(0, hi - (o0 + on - 1))
+
+
 class Region:
     """Keys (one per array axis) over a block of lanes of *shape* (one
     extent per loop dim); array axis *k* is fed by lane axis
@@ -276,8 +293,12 @@ class Region:
         return v if v.shape == self.shape else np.broadcast_to(v, self.shape)
 
     def put(self, arr: np.ndarray, values) -> None:
-        """``arr[region] = values`` for a region of lane positions."""
-        arr[self._index] = values
+        """``arr[region] = values``, *values* in lane layout: through the
+        view where the region is one, else for lane positions."""
+        if self.sliced:
+            self.take(arr)[...] = values
+        else:
+            arr[self._index] = values
 
     def store(self, out: np.ndarray, values, mask=None) -> int:
         """Store one value per lane (where *mask*), last lane wins on a

@@ -89,22 +89,43 @@ ALL_TIERS = IN_PROCESS_TIERS + ("mp", "mpi")
 
 
 @contextlib.contextmanager
+def _pinned(variable, reset):
+    """Set environment *variable* to ``1`` around a block, calling
+    *reset* (the cached probe that reads it) on the way in and out."""
+    old = os.environ.get(variable)
+    os.environ[variable] = "1"
+    reset()
+    try:
+        yield
+    finally:
+        if old is None:
+            os.environ.pop(variable, None)
+        else:
+            os.environ[variable] = old
+        reset()
+
+
 def mpi_stub():
     """Pin the mpi tier to its threaded stub transport: the real rank
     and transport code without paying an ``mpiexec`` launch per run."""
     from repro.mpi import reset_mpi_support
 
-    old = os.environ.get("REPRO_MPI_STUB")
-    os.environ["REPRO_MPI_STUB"] = "1"
-    reset_mpi_support()
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_MPI_STUB", None)
-        else:
-            os.environ["REPRO_MPI_STUB"] = old
-        reset_mpi_support()
+    return _pinned("REPRO_MPI_STUB", reset_mpi_support)
+
+
+def native_interp():
+    """Run the native tier as exec-compiled Python: the whole native
+    stack (lane adaptor, flat stores) without numba.  A native build —
+    or the reason it failed — is cached on the kernel entry, so the
+    plan caches are dropped on the way in and out."""
+    from repro.pipeline import clear_plan_cache
+    from repro.pipeline.native import reset_native_support
+
+    def reset():
+        reset_native_support()
+        clear_plan_cache()
+
+    return _pinned("REPRO_NATIVE_INTERP", reset)
 
 
 def counters(machine):
@@ -113,7 +134,13 @@ def counters(machine):
     return [dict(vars(n), steps=0) for n in machine.stats.nodes]
 
 
-def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2):
+#: one machine, several tiers: every hand-over between an executor that
+#: frames node memory with ghost cells and one that sees only the core
+MIXED_TIERS = ("fused", "scalar", "fused", "native", "scalar")
+
+
+def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2,
+                    steps=0):
     """Run one ``//`` clause on the shared and the distributed machine
     under every tier in *tiers* (``mp`` on *processes* workers, ``mpi``
     on the stub transport) and assert the cross-tier contract:
@@ -122,19 +149,36 @@ def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2):
     and elements, batching changing only how elements are packed, never
     which move — and the real-process tiers agreeing with ``fused`` on
     every counter of every node.  Returns ``(plan, {(machine, tier):
-    machine})``."""
+    machine})``.
+
+    *clause* may be a sequence of clauses over the same arrays (its
+    first is what the fresh-machine runs above execute).  With *steps*,
+    the clauses then run *steps* times in rotation on ONE pre-placed
+    distributed machine per in-process tier (``native`` as
+    exec-compiled Python, for the whole call), and once through
+    :data:`MIXED_TIERS` on a single machine: every placed array bit-identical to the evaluator's
+    after every step, fresh data re-placed half way honoured, the
+    batching tiers' counters equal step for step, no tier falling
+    back."""
     from repro.codegen.dist_tmpl import run_distributed
     from repro.codegen.nddist import compile_clause_nd_dist
     from repro.codegen.plan import compile_clause
     from repro.codegen.shared_tmpl import run_shared
     from repro.core import copy_env, evaluate_clause
+    from repro.machine import DistributedMachine
 
-    name = clause.lhs.name
-    plan = (compile_clause(clause, decomps) if clause.domain.dim == 1
-            else compile_clause_nd_dist(clause, decomps))
-    ref = evaluate_clause(clause, copy_env(env))[name]
-    ran, moved = {}, {}
-    with mpi_stub() if "mpi" in tiers else contextlib.nullcontext():
+    clauses = list(clause) if isinstance(clause, (list, tuple)) else [clause]
+    with contextlib.ExitStack() as stack:
+        if "mpi" in tiers:
+            stack.enter_context(mpi_stub())
+        if steps:
+            stack.enter_context(native_interp())
+        plans = [compile_clause(c, decomps) if c.domain.dim == 1
+                 else compile_clause_nd_dist(c, decomps) for c in clauses]
+        clause, plan = clauses[0], plans[0]
+        name = clause.lhs.name
+        ref = evaluate_clause(clause, copy_env(env))[name]
+        ran, moved = {}, {}
         for tier in tiers:
             m = run_shared(plan, copy_env(env), backend=tier,
                            processes=processes)
@@ -146,6 +190,35 @@ def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2):
             ran["dist", tier] = m
             moved[tier] = (m.stats.total_messages(),
                            m.stats.total_elements_moved())
+
+        def persistent(sequence):
+            """Counters after each step of *sequence* on one machine."""
+            m, ref, seen = DistributedMachine(plan.pmax), copy_env(env), []
+            for i, tier in enumerate(sequence):
+                if i in (0, len(sequence) // 2):  # the second: fresh data
+                    ref = {k: np.sqrt(v + i) for k, v in ref.items()}
+                    for k, dec in decomps.items():
+                        m.place(k, ref[k], dec)
+                evaluate_clause(clauses[i % len(clauses)], ref)
+                run_distributed(plans[i % len(plans)], copy_env(ref),
+                                machine=m, backend=tier)
+                for k in decomps:
+                    assert np.array_equal(m.collect(k), ref[k]), \
+                        (sequence, i, k)
+                seen.append(counters(m))
+            return seen
+
+        if steps:
+            inproc = [t for t in IN_PROCESS_TIERS if t in tiers]
+            per_step = {t: persistent([t] * steps) for t in inproc}
+            if set(MIXED_TIERS) <= set(inproc):
+                persistent(MIXED_TIERS)
+            assert not any("fell back" in note for p in plans
+                           for note in p.trace.notes)
+            assert "native" not in inproc or all(
+                p.kernels.native.mode == "interp" for p in plans)
+            stepwise = [v for t, v in per_step.items() if t != "scalar"]
+            assert all(v == stepwise[0] for v in stepwise)
     batching = {t: v for t, v in moved.items() if t != "scalar"}
     assert len(set(batching.values())) <= 1, batching
     if "scalar" in moved and batching:

@@ -49,6 +49,7 @@ from repro.pipeline.region import (
     locate,
     meet,
     minus,
+    overhang,
     prog,
     vec,
 )
@@ -144,6 +145,27 @@ class TestKeys:
         assert np.array_equal(vec(key), want)
 
 
+    @given(st.integers(0, 40), st.sampled_from([1, -1, 2, -3]),
+           st.integers(0, 12), st.integers(0, 40), st.integers(0, 12),
+           st.sampled_from([1, 1, 1, 2]))
+    def test_overhang_is_what_sticks_out_of_the_owned_run(
+            self, start, step, count, o0, on, ostep):
+        """Ghost widths: only a unit-stride run (either way) meeting a
+        unit-stride owned run stored in order has any."""
+        key = prog(start + (12 * abs(step) if step < 0 else 0), step, count)
+        own = slice(o0, o0 + on * ostep, ostep)
+        a, o = vec(key), vec(own)
+        ok = a.size and o.size and set(np.abs(np.diff(a))) <= {1} \
+            and ostep == 1 \
+            and a.max() >= o[0] and a.min() <= o[-1]
+        want = (max(0, o[0] - a.min()), max(0, a.max() - o[-1])) \
+            if ok else None
+        assert overhang(key, own, slice(0, on)) == want
+        assert overhang(vec(key), own, slice(0, on)) is None
+        assert overhang(key, own, np.arange(on)) is None
+        assert overhang(key, own, slice(1, on + 1)) is None
+
+
 class TestRegion:
     def test_sliced_take_is_a_view_in_lane_layout(self):
         arr = np.arange(48.0).reshape(6, 8)
@@ -216,11 +238,12 @@ class TestRegion:
 # retired vector tier executed, independent of repro.pipeline.region
 # ---------------------------------------------------------------------------
 
-def _member_vecs(ir, acc, p):
+def _member_vecs(ir, acc, p, flat=True):
     """Per-loop-dimension index vectors whose implicit Cartesian product
     (row-major, flattened) is the access's membership set on node *p*:
     ``len(loop_bounds)`` vectors of equal length, one entry per member
-    index tuple, in lexicographic order."""
+    index tuple, in lexicographic order (``flat=False``: the factors of
+    that product, one per loop dimension)."""
     coord = acc.grid_coord(p)
     per_dim = []
     for d, (lo, hi) in enumerate(ir.loop_bounds):
@@ -230,7 +253,7 @@ def _member_vecs(ir, acc, p):
                 acc.axes[k].access.enumerate(coord[k]).index_array())
         else:
             per_dim.append(np.arange(lo, hi + 1, dtype=np.int64))
-    if len(per_dim) == 1:
+    if len(per_dim) == 1 or not flat:
         return per_dim
     return [m.ravel() for m in np.meshgrid(*per_dim, indexing="ij")]
 
@@ -317,14 +340,14 @@ def axis_dec(kind, n, p):
             "overlapped": lambda: OverlappedBlock(n, p, 1)}[kind]()
 
 
-def access(kind, n, c):
+def access(kind, n, c, cap=2):
     """``(f, lo, hi)``: an access function and the loop range keeping
-    its image inside ``[0, n)``."""
+    its image inside ``[0, n)``; a shift reaches at most *cap*."""
     c %= n
     return {
         "identity": lambda: (IdentityF(), 0, n - 1),
-        "shift+": lambda: (AffineF(1, min(c, 2)), 0, n - 1 - min(c, 2)),
-        "shift-": lambda: (AffineF(1, -min(c, 2)), min(c, 2), n - 1),
+        "shift+": lambda: (AffineF(1, min(c, cap)), 0, n - 1 - min(c, cap)),
+        "shift-": lambda: (AffineF(1, -min(c, cap)), min(c, cap), n - 1),
         "reverse": lambda: (AffineF(-1, n - 1), 0, n - 1),
         "stride2": lambda: (AffineF(2, c % 2), 0, (n - 1 - c % 2) // 2),
         "stride3": lambda: (AffineF(3, c % 3), 0, (n - 1 - c % 3) // 3),
@@ -351,8 +374,10 @@ def clauses(draw):
 
     def ref(name, kinds):
         funcs, bounds = [], []
-        for kind, n in zip(kinds, extents):
-            f, lo, hi = access(kind, n, draw(st.integers(0, 30)))
+        for kind, n, p in zip(kinds, extents, grid):
+            # shifts up to a whole block: margins wider than a stencil's
+            f, lo, hi = access(kind, n, draw(st.integers(0, 30)),
+                               cap=-(-n // p))
             funcs.append(f)
             bounds.append((lo, hi))
         return Ref(name, SeparableMap(funcs)), bounds
@@ -381,12 +406,49 @@ def clauses(draw):
     return clause, decomps, extents, draw(st.integers(0, 2**16))
 
 
-def lane_vectors(acc, idx, local):
-    """Per array axis the lane vector the vector-keyed kernels held."""
+def _owned(acc, p):
+    """Per array axis ``(axis decomposition, the global indices node *p*
+    owns)``, straight from ``proc_array``."""
+    dec = acc.dec
+    axes = dec.dims if isinstance(dec, GridDecomposition) else [dec]
+    return [(ax, np.nonzero(ax.proc_array(np.arange(ax.n)) == c)[0])
+            for ax, c in zip(axes, acc.grid_coord(p))]
+
+
+def lane_vectors(acc, idx, local, nk=None):
+    """Per array axis the lane vector the vector-keyed kernels held: the
+    global index, its local slot — or, on a node *nk* that frames the
+    array with ghost cells, global index - first owned index + ``lo``."""
     if not local:
         return tuple(_array_vecs(acc, idx))
+    if nk is not None and acc.name in nk.margins:
+        return tuple(a - own[0] + lo for a, (_, own), (lo, _hi) in zip(
+            _array_vecs(acc, idx), _owned(acc, nk.p), nk.margins[acc.name]))
     key = _local_key(acc, idx)
     return key if isinstance(key, tuple) else (key,)
+
+
+def expected_overhang(ir, acc, p):
+    """Per array axis what the image of node *p*'s lanes reaches below
+    and above its owned block — ``None`` unless the read is one the
+    ghost form serves: not the write target, full rank, and on every
+    axis a run of consecutive indices (either direction, one per lane)
+    meeting an owned run that sits in slots ``0, 1, ...``."""
+    if acc.name == ir.write.name or len(acc.dims) != len(ir.loop_bounds):
+        return None
+    per_dim, out = _member_vecs(ir, ir.write, p, flat=False), []
+    for (ax, own), d, f in zip(_owned(acc, p), acc.dims, acc.funcs):
+        a = apply_ifunc(f, per_dim[d])
+        steps = set(np.diff(a).tolist())
+        if not own.size or steps - {1} and steps - {-1} \
+                or set(np.diff(own).tolist()) - {1} \
+                or not np.array_equal(ax.local_array(own),
+                                      np.arange(own.size)) \
+                or a.max() < own[0] or a.min() > own[-1]:
+            return None
+        out.append((max(0, int(own[0] - a.min())),
+                    max(0, int(a.max() - own[-1]))))
+    return tuple(out)
 
 
 def assert_region(region, want):
@@ -411,8 +473,9 @@ def assert_node_matches_member_vecs(ir, nk, p, local):
             [int(q) for q in np.unique(dest) if int(q) != p]
         for q, region in s.peers:
             assert_region(region, lane_vectors(
-                acc, [v[dest == q] for v in r_idx], True))
+                acc, [v[dest == q] for v in r_idx], True, nk))
     if not n:
+        assert not nk.margins
         return
     blocks = list(nk.blocks)
     if getattr(nk, "interior", None) is not None:
@@ -426,25 +489,44 @@ def assert_node_matches_member_vecs(ir, nk, p, local):
         lanes = blk.pos.flat(nk.shape)
         sub = [v[lanes] for v in idx]
         assert_region(blk.loop, sub)
-        assert_region(blk.write, lane_vectors(ir.write, sub, local))
+        assert_region(blk.write, lane_vectors(ir.write, sub, local, nk))
         for g, want in zip(blk.grids, blk.loop.grids()):
             assert g is None or np.array_equal(g, want)
+    margins = {}  # the tight frame: the widest overhang of a ghost read
     for r in nk.reads:
         acc = ir.reads[r.pos]
+        src = _proc_linear(acc, idx) if local and not acc.replicated \
+            else np.full(n, p)
+        remote = [int(s) for s in np.unique(src[src != p])]
+        assert [s for s, _ in r.sources] == remote
+        over = expected_overhang(ir, acc, p) if remote else None
+        assert (r.lanes is None) == (over is not None or not remote)
         if r.lanes is None:
-            assert not r.sources
-            assert_region(r.mem, lane_vectors(acc, idx, local))
+            # every lane one slot of the (framed) memory; each strip
+            # lands in the ghost cells of exactly its owner's lanes
+            assert_region(r.mem, lane_vectors(acc, idx, local, nk))
+            for s, fill in r.sources:
+                assert fill.view and fill.shape == tuple(
+                    len(np.unique(v[src == s])) for v in idx)
+                assert_region(fill, lane_vectors(
+                    acc, [v[src == s] for v in idx], True, nk))
+            if over is not None:
+                old = margins.get(acc.name, over)
+                margins[acc.name] = tuple(
+                    (max(a, c), max(b, d))
+                    for (a, b), (c, d) in zip(over, old))
             continue
-        src = _proc_linear(acc, idx)
         assert np.array_equal(r.lanes.flat(nk.shape),
                               np.nonzero(src == p)[0])
         assert_region(r.mem, lane_vectors(
-            acc, [v[src == p] for v in idx], True))
-        assert [s for s, _ in r.sources] == \
-            [int(s) for s in np.unique(src[src != p])]
+            acc, [v[src == p] for v in idx], True, nk))
         for s, fill in r.sources:
             assert np.array_equal(fill.flat(nk.shape),
                                   np.nonzero(src == s)[0])
+    assert nk.margins == margins
+    for name, m in margins.items():
+        acc = next(a for a in ir.reads if a.name == name)
+        assert all(max(w) <= nk.shape[d] - 1 for w, d in zip(m, acc.dims))
 
 
 class TestRegionKernelsDifferential:
