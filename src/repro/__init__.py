@@ -78,7 +78,6 @@ from .decomp import (
     BlockScatter,
     Decomposition,
     GridDecomposition,
-    OverlappedBlock,
     Replicated,
     Scatter,
     SingleOwner,
@@ -109,7 +108,7 @@ __all__ = [
     "evaluate_clause", "evaluate_program", "copy_env",
     # decompositions
     "Decomposition", "Block", "Scatter", "BlockScatter", "SingleOwner",
-    "Replicated", "GridDecomposition", "OverlappedBlock",
+    "Replicated", "GridDecomposition",
     "plan_redistribution",
     # membership sets
     "Work", "modify_naive", "optimize_access",

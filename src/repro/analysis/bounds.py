@@ -9,17 +9,12 @@ integer preimage of the valid band:
 ``BND001``  a read image leaves ``[0, n)``.
 ``BND002``  the write image leaves ``[0, n)`` — those iterations belong
             to no ``Modify_p`` and are dropped without a trace.
-``BND003``  an :class:`~repro.decomp.overlap.OverlappedBlock` read
-            shifts further than the halo width: the local slot the halo
-            template would address does not exist.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ..core.ifunc import AffineF
-from ..decomp.overlap import OverlappedBlock
 from .diagnostics import Diagnostic, Severity
 from .support import BudgetExceeded, image_violation
 
@@ -64,21 +59,5 @@ def analyze_bounds(ir) -> List[Diagnostic]:
                     span=span,
                     hint=f"restrict the domain so {ax.func.name} stays "
                          f"inside [0, {n})",
-                ))
-            # halo-extent check: a shift past the overlap region has no
-            # local slot for the halo template to address
-            if acc.pos is not None and isinstance(ax.dec, OverlappedBlock) \
-                    and isinstance(ax.func, AffineF) and ax.func.a == 1 \
-                    and abs(ax.func.c) > ax.dec.halo:
-                out.append(Diagnostic(
-                    code="BND003",
-                    message=f"read shift {ax.func.name} reaches "
-                            f"{abs(ax.func.c)} past the owned block, but "
-                            f"the overlap is only {ax.dec.halo} wide",
-                    access=f"{acc.label}:{acc.name}",
-                    span=span,
-                    hint=f"widen the halo to >= {abs(ax.func.c)} "
-                         "(OverlappedBlock(n, pmax, halo=...)) or reduce "
-                         "the stencil radius",
                 ))
     return out

@@ -51,8 +51,6 @@ CODES: Dict[str, str] = {
     "BND001": "read access image falls outside the declared array bounds",
     "BND002": "write access image falls outside the declared array "
               "bounds (those iterations are silently dropped)",
-    "BND003": "halo exceeded: an OverlappedBlock read reaches beyond "
-              "the overlap extent",
     "LINT001": "load imbalance: the largest |Modify_p| is more than "
                "twice the mean",
     "LINT002": "idle processors: some processors own no iteration of "
@@ -71,9 +69,6 @@ CODES: Dict[str, str] = {
     "PROG003": "uncertified pipelining: a pipelined time loop violates "
                "its own preconditions (surviving redistribution or "
                "incompatible swap pair)",
-    "PROG004": "buffer-swap aliasing: a pipelined swap pair exchanges "
-               "halo-extended (overlapped) buffers by name, leaving "
-               "ghost copies stale on distributed targets",
     "SCHED001": "unmatched message: a lowered (dst, src, pos) send key "
                 "has no matching expected gather (or the lane counts "
                 "disagree)",

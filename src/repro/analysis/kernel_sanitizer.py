@@ -221,8 +221,8 @@ def _violation(region, extents) -> Optional[Tuple[int, int, object]]:
 
 
 def _local_shape(dec, p: int) -> Optional[Tuple[int, ...]]:
-    """Shape of node *p*'s local buffer (halo-extended when overlapped)."""
-    for attr in ("local_shape", "resident_size", "local_size"):
+    """Shape of node *p*'s local buffer."""
+    for attr in ("local_shape", "local_size"):
         f = getattr(dec, attr, None)
         if callable(f):
             try:

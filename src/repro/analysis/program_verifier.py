@@ -29,12 +29,6 @@ surfaced at compile time rather than a wrong answer at run time.
     count above one, no surviving redistribution boundary, and
     element-wise placement agreement of every swap pair.
 
-``PROG004``
-    Buffer-swap aliasing: a pipelined loop that exchanges halo-extended
-    (``OverlappedBlock``) buffers by name leaves the ghost copies of the
-    swapped arrays stale on distributed targets — the zero-copy name
-    exchange swaps owned data but no halo refresh runs between steps.
-
 :func:`verify_program` aggregates these with the per-clause reports, the
 static schedule check (:mod:`repro.analysis.schedule`) over the lowered
 mp programs, and the generated-kernel sanitizer
@@ -484,20 +478,6 @@ def _verify_pipeline(pir, report: DiagnosticReport) -> None:
                 f"{a!r} but p{p2} in {b!r} — the zero-copy name exchange "
                 "moves data across processors",
                 witnesses={max(p1, 0): [e]}))
-        # PROG004: halo-extended swap buffers alias stale ghost copies
-        for name, dec in ((a, da), (b, db)):
-            halo = int(getattr(dec, "halo", 0) or 0)
-            if halo > 0:
-                report.add(_diag(
-                    "PROG004",
-                    f"pipelined swap buffer {name!r} is halo-extended "
-                    f"({type(dec).__name__}, halo={halo}): the zero-copy "
-                    "name exchange swaps owned data but no ghost-cell "
-                    "refresh runs between iterations — distributed "
-                    "targets read stale halo copies",
-                    access=f"array:{name}",
-                    hint="swap non-overlapped buffers, or re-place (do "
-                         "not pipeline) so halos are rebuilt each step"))
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +536,7 @@ def verify_program(
 ) -> ProgramVerification:
     """Verify one compiled :class:`~repro.pipeline.program.ProgramIR`.
 
-    Re-derives the optimizer's inter-clause claims (PROG001-PROG004),
+    Re-derives the optimizer's inter-clause claims (PROG001-PROG003),
     statically checks the lowered message schedule (SCHED001-SCHED003,
     yielding a :class:`ScheduleCertificate`), audits the generated
     kernels (KRN001-KRN003), and bundles the per-clause reports.

@@ -112,9 +112,12 @@ def _load_program(args):
 
 def _decomps(args) -> Dict[str, Decomposition]:
     if getattr(args, "spec", None):
-        from .decomp.spec import parse_spec
+        from .decomp.spec import SpecError, parse_spec
 
-        out = parse_spec(_read_file(args.spec))
+        try:
+            out = parse_spec(_read_file(args.spec))
+        except SpecError as e:
+            raise SystemExit(f"error: {args.spec}: {e}") from None
         pmaxes = {d.pmax for d in out.values()}
         if len(pmaxes) > 1:
             raise SystemExit(
@@ -132,6 +135,12 @@ def _decomps(args) -> Dict[str, Decomposition]:
 
 
 def _random_env(decomps: Dict[str, Decomposition], seed: int):
+    for name, dec in decomps.items():
+        if not hasattr(dec, "n"):
+            raise SystemExit(
+                f"error: array {name!r} is distributed over a processor "
+                "grid; run and derive execute 1-D clauses (check accepts "
+                "grid specs)")
     rng = np.random.default_rng(seed)
     return {name: rng.random(dec.n) for name, dec in decomps.items()}
 
@@ -175,9 +184,9 @@ def _compile_body(args) -> int:
         try:
             plan = compile_clause(clause, decomps)
         except ValueError as e:
-            # e.g. overlapped (halo) structures: the legacy node-program
-            # emitter refuses them; the program pipeline below still
-            # compiles and reports the whole program.
+            # e.g. a 2-D clause: the 1-D node-program emitter refuses
+            # it; the program pipeline below still compiles and reports
+            # the whole program.
             print(f"# node-program emission unavailable: {e}")
             print()
             continue
@@ -705,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--swap", action="append", default=[], metavar="A:B",
                      help="buffer pair exchanged after every time-loop "
                           "iteration (repeatable; checked for placement "
-                          "compatibility and halo aliasing)")
+                          "compatibility)")
     chk.set_defaults(fn=cmd_check)
 
     run = sub.add_parser("run", help="execute on the simulated machine")

@@ -2,11 +2,10 @@
 
 Beyond the paper's core (plan / shared_tmpl / dist_tmpl / pysource /
 redistribute), this package implements the extensions inventoried in
-DESIGN.md: DOACROSS pipelines (:mod:`.doacross`), halo stencils
-(:mod:`.halo`), barrier elimination (:mod:`.barriers`), d-dimensional
-generation (:mod:`.ndplan`, :mod:`.nddist`), inspector/executor for
-indirect accesses (:mod:`.inspector`), and inline Table I formula
-emission (:mod:`.gensrc`).
+DESIGN.md: DOACROSS pipelines (:mod:`.doacross`), barrier elimination
+(:mod:`.barriers`), d-dimensional generation (:mod:`.ndplan`,
+:mod:`.nddist`), inspector/executor for indirect accesses
+(:mod:`.inspector`), and inline Table I formula emission (:mod:`.gensrc`).
 """
 
 from .autoselect import choose_dynamic, choose_static
@@ -14,7 +13,6 @@ from .barriers import barrier_removable, plan_barriers, run_program_shared
 from .dist_tmpl import make_node_program, run_distributed
 from .doacross import compile_doacross, run_doacross
 from .exprsrc import CodegenError, expr_src, ifunc_src, local_src, proc_src
-from .halo import compile_halo_stencil, run_halo_stencil
 from .inspector import build_schedule, compile_indirect, run_executor
 from .nddist import collect_nd, compile_clause_nd_dist, run_distributed_nd
 from .ndplan import compile_clause_nd, run_shared_nd
@@ -35,8 +33,6 @@ __all__ = [
     "choose_dynamic",
     "compile_doacross",
     "run_doacross",
-    "compile_halo_stencil",
-    "run_halo_stencil",
     "barrier_removable",
     "plan_barriers",
     "run_program_shared",

@@ -30,22 +30,13 @@ __all__ = ["compile_clause", "check_canonical"]
 def check_canonical(clause: Clause, decomps: Dict[str, Decomposition]) -> None:
     """The contract of the canonical 1-D clause: raises ``KeyError`` when
     an array lacks a decomposition and ``ValueError`` for shapes outside
-    the paper's canonical form (non-1-D domains, overlapped structures,
-    arrays over different processor counts, non-separable accesses)."""
+    the paper's canonical form (non-1-D domains, arrays over different
+    processor counts, non-separable accesses)."""
     if clause.domain.dim != 1:
         raise ValueError(
             "SPMD generation implements the paper's canonical 1-D clause; "
             f"got a {clause.domain.dim}-D domain"
         )
-    from ..decomp.overlap import OverlappedBlock
-
-    for name in clause.array_names():
-        if isinstance(decomps.get(name), OverlappedBlock):
-            raise ValueError(
-                f"array {name!r} uses an OverlappedBlock: overlapped "
-                "structures address local memory through halo slots — use "
-                "repro.codegen.halo.compile_halo_stencil instead"
-            )
     write_dec = decomps[clause.lhs.name]
     clause.lhs.scalar_func()  # same non-separable ValueError as always
     pmax = write_dec.pmax

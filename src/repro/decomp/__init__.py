@@ -10,7 +10,6 @@ from .block import Block
 from .blockscatter import BlockScatter
 from .dynamic import RedistributionPlan, Transfer, plan_redistribution
 from .multidim import Collapsed, GridDecomposition
-from .overlap import HaloTransfer, OverlappedBlock, halo_exchange_plan
 from .replicated import Replicated, SingleOwner
 from .scatter import Scatter
 from .spec import SpecError, parse_distribution, parse_spec
@@ -24,9 +23,6 @@ __all__ = [
     "Replicated",
     "Collapsed",
     "GridDecomposition",
-    "OverlappedBlock",
-    "HaloTransfer",
-    "halo_exchange_plan",
     "RedistributionPlan",
     "Transfer",
     "plan_redistribution",

@@ -9,8 +9,8 @@ decomposition.  Two degenerate members are useful substrates:
 * :class:`Replicated` — every processor holds a full copy.  Strictly this
   is not a decomposition in the paper's bijective sense (an element has
   ``pmax`` placements); reads are always local and writes go to every
-  copy.  It models broadcast scalars/coefficient tables and is what the
-  future-work "overlapped decompositions" degenerate to at full overlap.
+  copy.  It models broadcast scalars/coefficient tables and is what a
+  derived ghost margin degenerates to at full overlap.
 """
 
 from __future__ import annotations

@@ -11,12 +11,12 @@ syntax::
     distribute C[24](blockscatter(2)) on 4;
     distribute D[24](replicated) on 4;
     distribute E[24](single(1)) on 4;
-    distribute H[24](overlapped(1)) on 4;          # halo width 1
     distribute M[8, 6](block, scatter) on 2 x 3;   # processor grid
     distribute N[8, 6](block, collapsed) on 2;     # undistributed axis
 
 Kinds: ``block[(b)]``, ``scatter``, ``blockscatter(b)``, ``single(owner)``,
-``replicated``, ``overlapped(halo[, b])``, ``collapsed`` (grid axes only).
+``replicated``, ``collapsed`` (grid axes only).  There is no halo kind:
+the ghost margin of a shifted read is derived per clause from ownership.
 Changing the parallelization of a program is editing this file — never
 the program text.
 """
@@ -30,7 +30,6 @@ from .base import Decomposition
 from .block import Block
 from .blockscatter import BlockScatter
 from .multidim import Collapsed, GridDecomposition
-from .overlap import OverlappedBlock
 from .replicated import Replicated, SingleOwner
 from .scatter import Scatter
 
@@ -47,7 +46,7 @@ _STMT = re.compile(
     r"""^distribute\s+
         (?P<name>[A-Za-z_]\w*)\s*
         \[(?P<shape>[^\]]+)\]\s*
-        \((?P<kinds>[^)]*(?:\([^)]*\))?[^)]*)\)\s*
+        \((?P<kinds>(?:[^()]|\([^()]*\))*)\)\s*
         on\s+(?P<grid>[0-9]+(?:\s*x\s*[0-9]+)*)\s*$""",
     re.VERBOSE,
 )
@@ -92,16 +91,13 @@ def _axis(kind_text: str, n: int, pmax: int) -> Decomposition:
         return SingleOwner(n, pmax, args[0] if args else 0)
     if kind == "replicated":
         return Replicated(n, pmax)
-    if kind == "overlapped":
-        if not args:
-            raise SpecError("overlapped needs a halo width")
-        return OverlappedBlock(n, pmax, halo=args[0],
-                               b=args[1] if len(args) > 1 else None)
     if kind == "collapsed":
         if pmax != 1:
             raise SpecError("a collapsed axis takes one grid point")
         return Collapsed(n)
-    raise SpecError(f"unknown distribution kind {kind!r}")
+    raise SpecError(
+        f"unknown distribution kind {kind!r}; valid kinds: block[(b)], "
+        "scatter, blockscatter(b), single(owner), replicated, collapsed")
 
 
 def parse_distribution(line: str) -> Tuple[str, AnyDec]:

@@ -14,7 +14,6 @@ from typing import Dict, Iterable, List
 import numpy as np
 
 from ..decomp.base import Decomposition
-from ..decomp.overlap import OverlappedBlock
 from ..decomp.replicated import Replicated
 
 __all__ = ["LocalMemory", "scatter_global", "gather_global"]
@@ -83,8 +82,8 @@ def scatter_global(
     One array assignment per node, from the decomposition's closed forms
     (``owned_indices``/``local_indices``); every node memory is a fresh
     copy, never a view of *global_array*.  Replicated structures land
-    whole on every node; overlapped blocks also fill their halo copies
-    (so a run starts halo-consistent).
+    whole on every node.  A node holds what it owns; ghost cells are not
+    placed — :meth:`LocalMemory.frame` adds the margin a clause derives.
     """
     if np.shape(global_array) != (d.n,):
         raise ValueError(
@@ -95,12 +94,6 @@ def scatter_global(
         raise ValueError(
             f"{len(memories)} node memories for decomposition pmax={d.pmax}"
         )
-    if isinstance(d, OverlappedBlock):
-        for p, mem in enumerate(memories):
-            lo, hi = d.resident_range(p)
-            local = mem.alloc(name, hi - lo + 1, dtype=global_array.dtype)
-            local[:] = global_array[lo : hi + 1]
-        return
     for p, mem in enumerate(memories):
         local = mem.alloc(name, d.local_size(p), dtype=global_array.dtype)
         local[d.local_indices(p)] = global_array[d.owned_indices(p)]
@@ -126,14 +119,6 @@ def gather_global(
                 )
         return np.array(ref, copy=True)
     out = np.zeros(d.n, dtype=dtype)
-    if isinstance(d, OverlappedBlock):
-        # owned element ``g`` sits at ``local_slot(p, g) = g - lo``; a
-        # block's owned set is one unit-stride slice
-        for p, mem in enumerate(memories):
-            lo, _ = d.resident_range(p)
-            own = d.owned_indices(p)
-            out[own] = mem[name][own.start - lo : own.stop - lo]
-        return out
     for p, mem in enumerate(memories):
         out[d.owned_indices(p)] = mem[name][d.local_indices(p)]
     return out

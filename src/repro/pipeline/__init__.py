@@ -45,7 +45,6 @@ from .native import (
 )
 from .passes import (
     EliminateBarriers,
-    InsertHalo,
     LicenseDoacross,
     LowerKernels,
     OptimizeMembership,
@@ -71,7 +70,6 @@ __all__ = [
     "SubstituteViews",
     "OptimizeMembership",
     "SplitInterior",
-    "InsertHalo",
     "EliminateBarriers",
     "RecognizeReduction",
     "LicenseDoacross",

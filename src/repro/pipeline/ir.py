@@ -210,7 +210,6 @@ class PlanIR:
     pmax: int = 0
 
     # filled by later passes -----------------------------------------------
-    halo_arrays: List[str] = field(default_factory=list)
     barrier_needed: bool = True
     reduction: Optional[object] = None
     doacross_distances: Dict[int, int] = field(default_factory=dict)
@@ -294,8 +293,6 @@ class PlanIR:
         for acc in self.accesses():
             lines.append("  " + acc.describe())
         flags = []
-        if self.halo_arrays:
-            flags.append(f"halo={self.halo_arrays}")
         if self.reduction is not None:
             flags.append("reduction")
         if self.doacross_distances:

@@ -9,9 +9,6 @@ one an explicit, introspectable pass over :class:`~repro.pipeline.ir.PlanIR`:
                           decomposition/function pairs.
 ``optimize-membership``   Table I rule selection per axis (§3): each axis
                           gets its closed-form membership enumerator.
-``insert-halo``           flag OverlappedBlock arrays whose local buffers
-                          carry halo slots (the §2.7 fetch turned into a
-                          pre-copied overlap region).
 ``eliminate-barriers``    §2.9 post-phase barrier removal: the barrier
                           after this clause is dropped when no processor's
                           reads in the successor overlap another's writes.
@@ -40,18 +37,16 @@ from typing import List, Tuple
 from ..core.clause import Ordering
 from ..core.ifunc import AffineF
 from ..decomp.multidim import GridDecomposition
-from ..decomp.overlap import OverlappedBlock
 from ..sets.table1 import optimize_access
 from .ir import AccessIR, AxisAccess, InteriorSplit, NodeSplit, PlanIR, \
     access_spec
-from .region import Key, klen, meet, prog
+from .region import klen, meet
 
 __all__ = [
     "Pass",
     "SubstituteViews",
     "OptimizeMembership",
     "SplitInterior",
-    "InsertHalo",
     "EliminateBarriers",
     "RecognizeReduction",
     "LicenseDoacross",
@@ -203,14 +198,9 @@ class SplitInterior(Pass):
                 continue
             resident = ir.member_keys(acc)
             for p in nodes:
-                coord = acc.grid_coord(p)
-                for k, ax in enumerate(acc.axes):
+                for ax in acc.axes:
                     d = ax.loop_dim
-                    halo = self._halo_resident(ax, coord[k],
-                                               ir.loop_bounds[d])
-                    interior[p][d] = meet(
-                        interior[p][d],
-                        resident[p][d] if halo is None else halo)
+                    interior[p][d] = meet(interior[p][d], resident[p][d])
         split = ir.interior_split = InteriorSplit(
             {p: NodeSplit(modify=lanes[p], interior=interior[p])
              for p in nodes})
@@ -253,43 +243,6 @@ class SplitInterior(Pass):
                 return (f"{acc.label}:{acc.name} has no optimized "
                         "per-axis enumerators")
         return None
-
-    @staticmethod
-    def _halo_resident(ax: AxisAccess, pcoord: int, bounds) -> "Key | None":
-        """Loop indices whose read element lies in the halo-extended
-        range an :class:`OverlappedBlock` axis keeps on axis-coordinate
-        *pcoord*, inverted in closed form for an affine access.
-        ``None`` for anything short of that: ownership (the membership
-        key) is what is resident — a conservative (smaller) interior,
-        never an incorrect one."""
-        if not (isinstance(ax.dec, OverlappedBlock)
-                and isinstance(ax.func, AffineF)):
-            return None
-        # i with lo_r <= a.i + c <= hi_r: one band, every such i qualifies
-        band = ax.func.preimage(*ax.dec.resident_range(pcoord), *bounds)
-        return prog(band[0][0], 1, band[0][1] - band[0][0] + 1) if band \
-            else prog(0, 1, 0)
-
-
-class InsertHalo(Pass):
-    """Flag OverlappedBlock arrays: their local buffers carry halo slots,
-    so reads within the overlap become local accesses (§2.7's fetch
-    replaced by a pre-copied region)."""
-
-    name = "insert-halo"
-    paper = "§2.7"
-
-    def run(self, ir: PlanIR) -> PassResult:
-        ir.halo_arrays = [
-            name for name in ir.clause.array_names()
-            if isinstance(ir.decomps.get(name), OverlappedBlock)
-        ]
-        notes = [
-            f"{name}: halo width {ir.decomps[name].halo} "
-            "(reads inside the overlap resolve locally)"
-            for name in ir.halo_arrays
-        ]
-        return len(ir.halo_arrays), notes
 
 
 class EliminateBarriers(Pass):
@@ -430,7 +383,6 @@ def default_passes(verify: bool = False) -> List[Pass]:
         SubstituteViews(),
         OptimizeMembership(),
         SplitInterior(),
-        InsertHalo(),
         EliminateBarriers(),
         RecognizeReduction(),
         LicenseDoacross(),

@@ -33,7 +33,6 @@ from repro.core.ifunc import IFunc
 from repro.decomp import (
     Block,
     BlockScatter,
-    OverlappedBlock,
     Replicated,
     Scatter,
     SingleOwner,
@@ -102,13 +101,6 @@ class TestSeededBad:
         cl = clause1d(0, N - 1, shifted("A", 1), ident("B"))
         report = verify(cl, {"A": Block(N, P), "B": Block(N, P)})
         assert report.has("BND002") and report.has("COMM003")
-
-    def test_halo_exceeded_bnd003(self):
-        # halo width 1 cannot cover the +2 offset
-        cl = clause1d(1, N - 3, ident("V"), shifted("U", 2))
-        report = verify(cl, {"V": Block(N, P),
-                             "U": OverlappedBlock(N, P, halo=1)})
-        assert report.has("BND003")
 
     def test_single_owner_lint(self):
         cl = clause1d(0, N - 1, ident("A"), ident("B"))

@@ -35,7 +35,7 @@ from repro.core import (
     evaluate_program,
 )
 from repro.core.ifunc import ConstantF, ModularF
-from repro.decomp import Block, BlockScatter, OverlappedBlock, Replicated, Scatter
+from repro.decomp import Block, BlockScatter, Replicated, Scatter
 from repro.pipeline import compile_plan, compile_program
 from repro.pipeline.ir import AccessIR, PlanIR
 
@@ -340,8 +340,6 @@ class TestProofAgainstOracle:
     @pytest.mark.parametrize("broken", [
         pytest.param(lambda d: d.pop("D"), id="missing-decomposition"),
         pytest.param(lambda d: d.update(D=Block(N, 2)), id="pmax-mismatch"),
-        pytest.param(lambda d: d.update(D=OverlappedBlock(N, PMAX, 1)),
-                     id="overlapped"),
     ])
     def test_refusals_match_the_oracle(self, broken):
         """A successor outside the canonical form: same "analysis

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,40 @@ class TestSpecFileIntegration:
             "--array", "B=scatter:20",
         ])
         assert rc == 0
+
+    @pytest.mark.parametrize("command", ["compile", "run", "check", "derive"])
+    def test_malformed_spec_is_a_one_line_error(self, command, prog_file,
+                                                tmp_path):
+        spec = tmp_path / "old.spec"
+        spec.write_text("distribute A[20](block) on 4;\n"
+                        "distribute B[20](overlapped(1)) on 4;\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, prog_file, "--spec", str(spec)])
+        assert str(exc.value) == (
+            f"error: {spec}: unknown distribution kind 'overlapped'; "
+            "valid kinds: block[(b)], scatter, blockscatter(b), "
+            "single(owner), replicated, collapsed")
+
+    def test_run_with_grid_spec_is_a_one_line_error(self, prog_file,
+                                                    tmp_path):
+        spec = tmp_path / "grid.spec"
+        spec.write_text("distribute A[20](block) on 4;\n"
+                        "distribute B[4, 5](block, block) on 2 x 2;\n")
+        with pytest.raises(SystemExit, match="error: array 'B' is "
+                           "distributed over a processor grid; run and "
+                           "derive execute 1-D clauses"):
+            main(["run", prog_file, "--spec", str(spec)])
+
+    @pytest.mark.parametrize("backend", ["scalar", "fused"])
+    def test_shipped_stencil_example_runs(self, backend, capsys):
+        root = pathlib.Path(__file__).parent.parent / "examples" / "programs"
+        rc = main(["run", str(root / "stencil.pal"),
+                   "--spec", str(root / "stencil.spec"),
+                   "--backend", backend])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert [line.split()[:3] for line in out] == [
+            ["clause", "clause1:", "OK"], ["clause", "clause2:", "OK"]]
 
 
 class TestSharedProgramMode:

@@ -7,7 +7,6 @@ from repro.decomp import (
     BlockScatter,
     Collapsed,
     GridDecomposition,
-    OverlappedBlock,
     Replicated,
     Scatter,
     SingleOwner,
@@ -50,9 +49,12 @@ class TestSingleStatements:
         assert isinstance(d, Replicated)
 
     def test_overlapped(self):
-        _, d = parse_distribution("distribute H[24](overlapped(2)) on 4")
-        assert isinstance(d, OverlappedBlock)
-        assert d.halo == 2
+        # retired kind: a one-line error naming what is valid, no alias
+        with pytest.raises(SpecError, match=r"unknown distribution kind "
+                           r"'overlapped'; valid kinds: block\[\(b\)\], "
+                           r"scatter, blockscatter\(b\), single\(owner\), "
+                           r"replicated, collapsed$"):
+            parse_distribution("distribute H[24](overlapped(1)) on 4")
 
     def test_grid_2d(self):
         _, d = parse_distribution(
@@ -69,6 +71,17 @@ class TestSingleStatements:
         )
         assert isinstance(d.dims[1], Collapsed)
         assert d.pmax == 2
+
+    def test_grid_kinds_each_with_arguments(self):
+        _, d = parse_distribution(
+            "distribute M[8, 6](blockscatter(2), blockscatter(3)) on 2 x 3"
+        )
+        assert [(type(a), a.b) for a in d.dims] \
+            == [(BlockScatter, 2), (BlockScatter, 3)]
+        _, d = parse_distribution(
+            "distribute M[8, 6](block(4), block(2)) on 2 x 3"
+        )
+        assert [(type(a), a.b) for a in d.dims] == [(Block, 4), (Block, 2)]
 
     def test_kind_count_mismatch(self):
         with pytest.raises(SpecError, match="dimensions"):

@@ -48,7 +48,7 @@ def test_example_program_specs_pair_up():
 
 def test_generation_doc_mentions_real_modules():
     text = (DOCS / "generation.md").read_text()
-    for mod in ("doacross", "halo", "barriers", "ndplan", "nddist",
+    for mod in ("doacross", "barriers", "ndplan", "nddist",
                 "inspector", "reduction", "autoselect"):
         assert mod in text
         assert (ROOT / "src" / "repro" / "codegen" / f"{mod}.py").exists()

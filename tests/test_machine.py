@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.decomp import Block, OverlappedBlock, Replicated, Scatter
+from repro.decomp import Block, Replicated, Scatter
 from repro.machine import (
     Barrier,
     DeadlockError,
@@ -225,15 +225,6 @@ class TestLocalMemoryPlacement:
         mems[2]["A"][0] = 99
         with pytest.raises(AssertionError):
             gather_global("A", d, mems)
-
-    def test_overlapped_block_fills_halo(self):
-        d = OverlappedBlock(16, 4, halo=1)
-        mems = [LocalMemory(p) for p in range(4)]
-        scatter_global("A", np.arange(16.0), d, mems)
-        # node 1 resident range is [3, 8]
-        assert list(mems[1]["A"]) == [3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-        out = gather_global("A", d, mems)
-        assert np.array_equal(out, np.arange(16.0))
 
     def test_size_mismatch_rejected(self):
         d = Block(10, 2)

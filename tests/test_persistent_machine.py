@@ -55,6 +55,14 @@ def e13(n, src, dst):
                   ref1(src, 1, -1) + ref1(src, 1, 1))
 
 
+def stencil(n, r, src, dst, guard=None):
+    """``dst[i] := Σ_{c=-r..r} src[i+c]`` — what a declared halo of
+    width *r* used to be needed for."""
+    terms = [ref1(src, 1, c) for c in range(-r, r + 1)]
+    return Clause(IndexSet.range1d(r, n - 1 - r), ref1(dst, 1, 0),
+                  sum(terms[1:], terms[0]), guard=guard)
+
+
 def case(name):
     """``(clauses, decomps, every read of every node a view?)``"""
     if name == "e19-2x2":
@@ -64,6 +72,12 @@ def case(name):
     if name == "e13-block-block":
         return ([e13(24, "B", "A"), e13(24, "A", "B")],
                 {"A": Block(24, 4), "B": Block(24, 4)}, True)
+    if name == "radius3-pingpong":
+        return ([stencil(64, 3, "U", "V"), stencil(64, 3, "V", "U")],
+                {"U": Block(64, 4), "V": Block(64, 4)}, True)
+    if name == "guarded-stencil":
+        return ([stencil(64, 1, "U", "V", guard=ref1("U", 1, 0) > 0.5)],
+                {"U": Block(64, 4), "V": Block(64, 4)}, True)
     if name == "shift-block-1":  # the widest margin a block can have
         return ([Clause(IndexSet.range1d(0, 24 - 1 - 5), ref1("A", 1, 0),
                         ref1("B", 1, 5) * 0.5)],
@@ -82,8 +96,8 @@ def case(name):
             {"A": BlockScatter(32, 4, 2), "B": Scatter(64, 4)}, False)
 
 
-CASES = ("e19-2x2", "e13-block-block", "shift-block-1", "reversed",
-         "reversed-shift", "bs1d")
+CASES = ("e19-2x2", "e13-block-block", "radius3-pingpong", "guarded-stencil",
+         "shift-block-1", "reversed", "reversed-shift", "bs1d")
 
 
 def env_for(decomps, seed=5):
@@ -118,6 +132,9 @@ def test_every_tier_reruns_on_one_machine(name):
             assert all((r.lanes is None) == views for r in fetched(nk))
             assert bool(nk.margins) == (views and bool(fetched(nk)))
     assert any(fetched(nk) for nk in k.dist)
+    if name == "radius3-pingpong":  # the margin nobody declared
+        assert [nk.margins["U"] for nk in k.dist] == \
+            [((0, 3),), ((3, 3),), ((3, 3),), ((3, 0),)]
     if name == "shift-block-1":
         assert k.dist[0].margins == {"B": ((0, 5),)}
     if name == "reversed-shift":

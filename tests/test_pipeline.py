@@ -38,7 +38,6 @@ PASS_ORDER = [
     "substitute-views",
     "optimize-membership",
     "split-interior",
-    "insert-halo",
     "eliminate-barriers",
     "recognize-reduction",
     "license-doacross",

@@ -34,7 +34,6 @@ from repro.decomp import (
     Collapsed,
     Decomposition,
     GridDecomposition,
-    OverlappedBlock,
     Replicated,
     Scatter,
     SingleOwner,
@@ -57,28 +56,15 @@ SETTINGS = settings(
 # the oracle: the per-element loops placement used to be
 # ---------------------------------------------------------------------------
 
-def oracle_resident_range(d, p):
-    own = d.owned(p)
-    if not own:
-        return (0, -1)
-    return max(0, own[0] - d.halo), min(d.n - 1, own[-1] + d.halo)
-
-
 def oracle_scatter(arr, d):
     """Node memories of *arr* under the 1-D decomposition *d*."""
     if isinstance(d, Replicated):
         return [np.array(arr, copy=True) for _ in range(d.pmax)]
     out = []
     for p in range(d.pmax):
-        if isinstance(d, OverlappedBlock):
-            lo, hi = oracle_resident_range(d, p)
-            local = np.zeros(max(0, hi - lo + 1), dtype=arr.dtype)
-            for i in range(lo, hi + 1):
-                local[i - lo] = arr[i]
-        else:
-            local = np.zeros(Decomposition.local_size(d, p), dtype=arr.dtype)
-            for i in d.owned(p):
-                local[d.local(i)] = arr[i]
+        local = np.zeros(Decomposition.local_size(d, p), dtype=arr.dtype)
+        for i in d.owned(p):
+            local[d.local(i)] = arr[i]
         out.append(local)
     return out
 
@@ -141,8 +127,6 @@ def decompositions_1d(n, pmax):
     yield SingleOwner(n, pmax, owner=pmax // 2)
     yield Replicated(n, pmax)
     yield Permuted(n, pmax)
-    for halo in (0, 1, 3):
-        yield OverlappedBlock(n, pmax, halo)
     for b in range(1, 10):
         yield BlockScatter(n, pmax, b)
     if pmax == 1:
@@ -177,18 +161,12 @@ class TestClosedForms:
     def test_single_triplets_are_slices(self):
         for d in (Block(17, 4), Block(3, 8), Scatter(17, 4), Collapsed(9),
                   SingleOwner(9, 3, 1), Replicated(9, 3),
-                  BlockScatter(10, 4, 3), OverlappedBlock(16, 4, 1)):
+                  BlockScatter(10, 4, 3)):
             for p in range(d.pmax):
                 assert isinstance(d.owned_indices(p), slice), (d, p)
                 assert isinstance(d.local_indices(p), slice), (d, p)
         multi = BlockScatter(40, 4, 3).owned_indices(1)
         assert multi.dtype == np.int64
-
-    def test_overlapped_resident_range(self):
-        for d in ALL_1D:
-            if isinstance(d, OverlappedBlock):
-                for p in range(d.pmax):
-                    assert d.resident_range(p) == oracle_resident_range(d, p)
 
 
 class TestPlacement1D:
@@ -213,12 +191,12 @@ class TestPlacement1D:
         assert out.dtype == np.int32 and np.array_equal(out, arr)
 
     def test_gather_reads_owned_slots_only(self):
-        # halo copies and other nodes' stale values never reach the result
-        d = OverlappedBlock(16, 4, halo=2)
+        # ghost cells beside the core never reach the result
+        d = Block(16, 4)
         mems = memories(4)
         scatter_global("A", np.arange(16.0), d, mems)
-        mems[1]["A"][:2] = -1.0
-        mems[1]["A"][-2:] = -1.0
+        frame = mems[1].frame("A", ((2, 2),))
+        frame[:2] = frame[-2:] = -1.0
         assert np.array_equal(gather_global("A", d, mems), np.arange(16.0))
 
 
@@ -288,7 +266,7 @@ class TestPlacementGrid:
 
 ALIASING = [
     Block(12, 3), Scatter(12, 3), BlockScatter(12, 2, 2), Replicated(12, 3),
-    SingleOwner(12, 3, 1), OverlappedBlock(12, 3, 1), Block(12, 1),
+    SingleOwner(12, 3, 1), Block(12, 1),
     GridDecomposition([Collapsed(12)]),
     GridDecomposition([Block(4, 2), Collapsed(3)]),
     GridDecomposition([Collapsed(4), Collapsed(3)]),
@@ -338,7 +316,7 @@ class TestNoPerElementCalls:
         Block(1 << 18, 4),
         BlockScatter(1 << 16, 4, 8),
         Scatter(1 << 16, 4),
-        OverlappedBlock(1 << 16, 4, 2),
+        Block(1 << 16, 4),
         Replicated(1 << 12, 4),
         SingleOwner(1 << 12, 4, 2),
         GridDecomposition([Block(256, 2), Block(256, 2)]),

@@ -5,8 +5,7 @@ optimizer handles correctly, then tampered so the independent
 re-derivation (``verify_program`` / ``check_schedule`` /
 ``sanitize_kernels``) must catch the now-false claim:
 
-* ``PROG001``-``PROG004``: uncertified fusion / elision / pipelining
-  and buffer-swap halo aliasing;
+* ``PROG001``-``PROG003``: uncertified fusion / elision / pipelining;
 * ``SCHED001``-``SCHED003``: unmatched messages, misplaced barriers,
   wait-for cycles — plus the deadlock-freedom certificate and its
   citation in runtime failures;
@@ -32,7 +31,6 @@ from repro import (
     Const,
     IndexSet,
     LoopIndex,
-    OverlappedBlock,
     Ref,
     Scatter,
     WorkerCrashError,
@@ -150,17 +148,6 @@ class TestProgFixtures:
         pir.pipelined = True
         report = verify_prog(pir).program
         assert report.has("PROG003")
-
-    def test_prog004_swap_halo_aliasing(self):
-        c = clause(1, N - 2, ref("V"), ref("U", c=-1) + ref("U", c=1))
-        decs = {"V": Block(N, P), "U": OverlappedBlock(N, P, halo=1),
-                "U2": OverlappedBlock(N, P, halo=1)}
-        pir = compile_program([c], decs, repeat=2, swap=[("U", "U2")],
-                              verify=True)
-        assert pir.pipelined  # placements agree, so the pass accepts
-        report = verify_prog(pir).program
-        assert report.has("PROG004")
-        assert not report.has("PROG003")
 
     def test_clean_program_stays_clean(self):
         c = clause(1, N - 2, ref("V"), ref("U", c=-1) + ref("U", c=1))

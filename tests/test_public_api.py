@@ -43,11 +43,15 @@ def test_key_entry_points_importable():
     from repro.codegen import (  # noqa: F401
         choose_static,
         compile_doacross,
-        compile_halo_stencil,
         compile_indirect,
         compile_reduce,
         run_program_shared,
     )
+    # the hand-declared halo is retired without an alias
+    with pytest.raises(ImportError):
+        from repro import OverlappedBlock  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro.codegen import compile_halo_stencil  # noqa: F401
 
 
 def test_plan_cache_controls_exported():

@@ -31,7 +31,6 @@ from repro.decomp import (
     Block,
     BlockScatter,
     GridDecomposition,
-    OverlappedBlock,
     Replicated,
     Scatter,
 )
@@ -336,8 +335,7 @@ SHAPES = {1: ((24,), (4,)), 2: ((12, 8), (2, 2)), 3: ((6, 4, 4), (2, 1, 2))}
 def axis_dec(kind, n, p):
     return {"block": lambda: Block(n, p), "scatter": lambda: Scatter(n, p),
             "bs-multi": lambda: BlockScatter(n, p, 2),
-            "bs-one": lambda: BlockScatter(n, p, -(-n // p)),
-            "overlapped": lambda: OverlappedBlock(n, p, 1)}[kind]()
+            "bs-one": lambda: BlockScatter(n, p, -(-n // p))}[kind]()
 
 
 def access(kind, n, c, cap=2):
@@ -477,12 +475,11 @@ def assert_node_matches_member_vecs(ir, nk, p, local):
     if not n:
         assert not nk.margins
         return
-    blocks = list(nk.blocks)
+    blocks, inner = list(nk.blocks), np.zeros(0, dtype=np.int64)
     if getattr(nk, "interior", None) is not None:
         blocks.insert(0, nk.interior)
-        mask = _interior_mask(ir, p, idx)
-        assert np.array_equal(nk.interior.pos.flat(nk.shape),
-                              np.nonzero(mask)[0])
+        inner = np.nonzero(_interior_mask(ir, p, idx))[0]
+        assert np.array_equal(nk.interior.pos.flat(nk.shape), inner)
     covered = np.concatenate([b.pos.flat(nk.shape) for b in blocks])
     assert np.array_equal(np.sort(covered), np.arange(n))
     for blk in blocks:
@@ -499,13 +496,20 @@ def assert_node_matches_member_vecs(ir, nk, p, local):
             else np.full(n, p)
         remote = [int(s) for s in np.unique(src[src != p])]
         assert [s for s, _ in r.sources] == remote
+        # the interior commits before the drain: none of its lanes may
+        # wait for a strip (residence is ownership, nothing declared)
+        assert (src[inner] == p).all()
         over = expected_overhang(ir, acc, p) if remote else None
         assert (r.lanes is None) == (over is not None or not remote)
         if r.lanes is None:
             # every lane one slot of the (framed) memory; each strip
             # lands in the ghost cells of exactly its owner's lanes
             assert_region(r.mem, lane_vectors(acc, idx, local, nk))
+            held = set(zip(*(v.tolist() for v in lane_vectors(
+                acc, [v[inner] for v in idx], local, nk))))
             for s, fill in r.sources:
+                assert held.isdisjoint(
+                    zip(*(v.tolist() for v in fill.index_vectors())))
                 assert fill.view and fill.shape == tuple(
                     len(np.unique(v[src == s])) for v in idx)
                 assert_region(fill, lane_vectors(
@@ -523,6 +527,7 @@ def assert_node_matches_member_vecs(ir, nk, p, local):
         for s, fill in r.sources:
             assert np.array_equal(fill.flat(nk.shape),
                                   np.nonzero(src == s)[0])
+            assert not np.isin(fill.flat(nk.shape), inner).any()
     assert nk.margins == margins
     for name, m in margins.items():
         acc = next(a for a in ir.reads if a.name == name)
@@ -577,8 +582,7 @@ def split_cases(draw):
         if nd == 1 and draw(st.integers(0, 5)) == 0:
             decomps[name] = Replicated(extents[0], grid[0])
         else:
-            decomps[name] = decomposition(st.one_of(
-                DEC, st.just("overlapped")))
+            decomps[name] = decomposition(DEC)
         read, rb = ref(name, st.sampled_from([
             "identity", "shift+", "shift-", "stride2", "stride3", "reverse",
             "rotate"]))
@@ -588,19 +592,11 @@ def split_cases(draw):
     return Clause(IndexSet(Bounds(lo, hi)), lhs, rhs), decomps
 
 
-def _resident(ax, coord, element):
-    """Does axis-coordinate *coord* hold *element* of this read axis —
-    by ownership, or in the halo an OverlappedBlock keeps beside it."""
-    if isinstance(ax.dec, OverlappedBlock) and isinstance(ax.func, AffineF):
-        return ax.dec.is_resident(coord, element)
-    return ax.dec.proc(element) == coord
-
-
 @settings(max_examples=150, deadline=None)
 @given(split_cases())
 def test_split_interior_matches_the_element_oracle(case):
     """Per node: ``modify`` is ``Modify_p``, ``interior`` is the part of
-    it whose every non-replicated read element is already on the node."""
+    it whose every non-replicated read element the node *owns*."""
     clause, decomps = case
     clear_plan_cache()
     ir = compile_plan(clause, decomps)
@@ -611,7 +607,7 @@ def test_split_interior_matches_the_element_oracle(case):
         modify = {idx for idx in domain if ir.write.proc_of(idx) == p}
         interior = {
             idx for idx in modify
-            if all(_resident(ax, c, ax.func(idx[ax.loop_dim]))
+            if all(ax.dec.proc(ax.func(idx[ax.loop_dim])) == c
                    for acc in ir.reads if not acc.replicated
                    for ax, c in zip(acc.axes, acc.grid_coord(p)))}
         assert ns.modify is lanes[p]  # the plan's keys, not a copy

@@ -243,9 +243,10 @@ class TestService:
 
     def test_bad_array_spec(self):
         async def body(service):
-            resp = await service.handle(
-                {"op": "compile", "program": PROG, "arrays": ["A"]})
-            assert resp["error"]["code"] == ERR_BADREQ
+            for arrays in (["A"], ["A=overlapped:16:1"]):
+                resp = await service.handle(
+                    {"op": "compile", "program": PROG, "arrays": arrays})
+                assert resp["error"]["code"] == ERR_BADREQ
 
         run_service(body)
 
