@@ -71,11 +71,13 @@ class BlockScatter(Decomposition):
 
     # The owned set as the paper's generation function: course starts
     # ``p.b + k.b.pmax`` plus the in-block offsets ``0:b-1``, clipped to
-    # ``n``.  One course (every Block) and ``b = 1`` (Scatter) are single
-    # ``l:u:s`` triplets.
+    # ``n``.  One node, one course (every Block) and ``b = 1`` (Scatter)
+    # are single ``l:u:s`` triplets.
     def owned_indices(self, p: int):
         b, n = self.b, self.n
         start, stride = p * b, b * self.pmax
+        if self.pmax == 1:  # one node owns the whole axis
+            return slice(0, n)
         if start + stride >= n:
             return slice(min(start, n), min(start + b, n))
         if b == 1:

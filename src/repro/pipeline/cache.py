@@ -130,8 +130,8 @@ def _decomps_key(clause: Clause, decomps: Dict[str, object]) -> Optional[tuple]:
         if dec is None:
             items.append((name, None))
             continue
-        key_of = getattr(dec, "cache_key", None)
-        ck = key_of() if callable(key_of) else None
+        cache_key = getattr(dec, "cache_key", None)
+        ck = cache_key() if callable(cache_key) else None
         if ck is None:
             return None
         items.append((name, ck))

@@ -34,7 +34,7 @@ from ..core.clause import Clause
 from ..core.expr import Ref
 from ..core.view import ProjectedMap, SeparableMap
 from ..decomp.multidim import GridDecomposition
-from .region import Key, key_of, klen, meet, prog
+from .region import Key, klen, meet, prog
 from .trace import PipelineTrace
 
 __all__ = ["AxisAccess", "AccessIR", "NodeSplit", "InteriorSplit", "PlanIR",
@@ -250,9 +250,9 @@ class PlanIR:
         of *acc*'s membership — ``Modify_p`` for the write, ``Reside_p``
         for a read; a dim it does not constrain runs its full range, one
         several axes read holds what they share.  The one place a
-        compile-time consumer reads a Table I enumeration: built once
-        per plan (O(segments) each) and shared by `split-interior`, the
-        analyses, every kernel flavor, the §2.9 barrier proof and the
+        compile-time consumer reads a Table I enumeration (the key it
+        carries): gathered once per plan and shared by `split-interior`,
+        the analyses, every kernel flavor, the §2.9 barrier proof and the
         clones of a cached plan."""
         if acc.pos not in self._keys:
             full = [prog(lo, 1, hi - lo + 1) for lo, hi in self.loop_bounds]
@@ -260,8 +260,7 @@ class PlanIR:
             for p in range(self.pmax):
                 keys, coord = [None] * len(full), acc.grid_coord(p)
                 for k, ax in enumerate(acc.axes):
-                    d, key = ax.loop_dim, key_of(
-                        ax.access.enumerate(coord[k]).segments)
+                    d, key = ax.loop_dim, ax.access.enumerate(coord[k]).key
                     keys[d] = key if keys[d] is None else meet(keys[d], key)
                 per_node.append([f if k is None else k
                                  for k, f in zip(keys, full)])

@@ -299,8 +299,8 @@ def _strips(inner: list, shape: tuple) -> list:
 
 
 def _build_nodes(ir, local: bool, dist: bool, used) -> list:
-    """The one lane-plan builder, from the accesses' own Table I
-    enumerations in O(segments), for every executor.  *local* selects
+    """The one lane-plan builder, from the accesses' membership keys
+    (:meth:`PlanIR.member_keys`), for every executor.  *local* selects
     the address map — node-local slots through the decompositions'
     ``owned_indices`` / ``local_indices`` pairs, or the identity (the
     global arrays) — and *dist* the schedule shape: sends, fills and the

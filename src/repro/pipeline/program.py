@@ -293,8 +293,8 @@ def _is_nd(clause: Clause, decomps: Dict[str, object]) -> bool:
 def _dec_key(dec) -> Optional[tuple]:
     if dec is None:
         return ("unplaced",)
-    key_of = getattr(dec, "cache_key", None)
-    return key_of() if callable(key_of) else None
+    cache_key = getattr(dec, "cache_key", None)
+    return cache_key() if callable(cache_key) else None
 
 
 def _placements_agree(d1, d2) -> bool:

@@ -13,9 +13,9 @@ special case of the one mechanism and not a fast path beside it.
 Every compile-time membership computation — the kernels' lane plans,
 `split-interior`, the §2.9 barrier proof, the static analyses — runs on
 keys through :func:`meet` (∩), :func:`minus` (∖), :func:`image`,
-:func:`compose` and :func:`locate`, O(1) on progressions; ``Segment``
-lists are what Table I emits and prints, converted once by
-:func:`key_of`.
+:func:`compose` and :func:`locate`, O(1) on progressions.  Table I
+builds each enumeration's key itself, by array arithmetic on its segment
+table (:class:`repro.sets.enumerators.Enumeration`).
 
 Row-major order over a region is the lexicographic lane order every
 executor and message payload uses.  Vectors are built here and nowhere
@@ -33,7 +33,7 @@ import numpy as np
 
 from ..core.ifunc import AffineF, ConstantF, apply_ifunc
 
-__all__ = ["Key", "Region", "prog", "klen", "vec", "compress", "key_of",
+__all__ = ["Key", "Region", "prog", "klen", "vec", "compress",
            "compose", "locate", "meet", "minus", "image", "overhang"]
 
 Key = Union[slice, np.ndarray]
@@ -89,22 +89,6 @@ def compress(v: np.ndarray) -> Key:
     if (np.diff(v) == step).all():
         return prog(int(v[0]), step, v.size)
     return v
-
-
-def key_of(segments: Sequence) -> Key:
-    """The (sorted, distinct) members of a Table I segment list as a key —
-    O(segments) for one progression, one NumPy expansion otherwise."""
-    if not segments:
-        return prog(0, 1, 0)
-    if len(segments) == 1:
-        s = segments[0]
-        return prog(s.lo, s.step, s.count())
-    lo, hi, step = (np.array(a, dtype=np.int64) for a in zip(
-        *((s.lo, s.hi, s.step) for s in segments)))
-    cnt = np.maximum((hi - lo) // step + 1, 0)
-    within = np.arange(int(cnt.sum()), dtype=np.int64) \
-        - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    return compress(np.unique(np.repeat(lo, cnt) + np.repeat(step, cnt) * within))
 
 
 def compose(base: Key, pos: Key) -> Key:

@@ -4,11 +4,12 @@ Each enumerator produces exactly the members of
 
     ``Modify_p = { i in [imin, imax] | proc(f(i)) = p }``
 
-in increasing order, but — unlike the naive scan — without testing every
-index in the range.  The enumerators return :class:`Enumeration` objects
-whose ``segments`` are strided integer ranges, the direct counterpart of
-the paper's generation functions ``gen_p(t)`` with bounds
-``t_p,min .. t_p,max``; codegen turns each segment into a plain loop.
+— but, unlike the naive scan, without testing every index in the range.
+The enumerators return :class:`Enumeration` objects: a table of strided
+integer ranges in three int64 arrays, the direct counterpart of the
+paper's generation functions ``gen_p(t)`` with bounds ``t_p,min ..
+t_p,max``, and the membership key the compiler reads; codegen turns each
+row into a plain loop.
 
 The :class:`~repro.sets.membership.Work` counters record what run-time
 effort remains (Euclid steps, inverse evaluations, divisibility tests), so
@@ -17,8 +18,10 @@ benchmarks can reproduce the paper's overhead arguments quantitatively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
+
+import numpy as np
 
 from ..core.ifunc import AffineF, ConstantF, IFunc, ModularF, ceil_div, floor_div
 from ..decomp.base import Decomposition
@@ -26,6 +29,7 @@ from ..decomp.block import Block
 from ..decomp.blockscatter import BlockScatter
 from ..decomp.replicated import Replicated, SingleOwner
 from ..decomp.scatter import Scatter
+from ..pipeline.region import Key, compress, prog, vec
 from .membership import Work, modify_naive
 
 __all__ = [
@@ -65,50 +69,77 @@ class Segment:
 
     def index_array(self):
         """The segment as an int64 index vector (NumPy strided range)."""
-        import numpy as np
-
         return np.arange(self.lo, self.hi + 1, self.step, dtype=np.int64)
 
 
-@dataclass
+def _expand(lo: np.ndarray, hi: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Every member of the rows ``lo .. hi`` by ``step``, row after row."""
+    cnt = (hi - lo) // step + 1
+    within = np.arange(int(cnt.sum()), dtype=np.int64) \
+        - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return np.repeat(lo, cnt) + np.repeat(step, cnt) * within
+
+
+@dataclass(frozen=True, eq=False)
 class Enumeration:
-    """Result of one optimized enumeration: which rule fired and the
-    strided segments that *are* ``Modify_p`` (or ``Reside_p``)."""
+    """Which rule fired, the segment table that *is* ``Modify_p`` (or
+    ``Reside_p``) — row ``r`` the range ``lo[r] .. hi[r]`` by ``step[r]``
+    — and its ``key`` (:mod:`repro.pipeline.region`), the members
+    ascending and distinct.  Read-only: shared, never copied."""
 
     rule: str
-    segments: List[Segment] = field(default_factory=list)
+    lo: np.ndarray
+    hi: np.ndarray
+    step: np.ndarray
+    key: Key
+
+    @classmethod
+    def table(cls, rule: str, lo=(), hi=(), step=1) -> "Enumeration":
+        """The rows ``lo .. hi`` by *step* (scalars broadcast) in the
+        order given, empty rows dropped."""
+        lo, hi, step = np.broadcast_arrays(
+            *(np.asarray(a, dtype=np.int64) for a in (lo, hi, step)))
+        live = lo <= hi
+        lo, hi, step = lo[live], hi[live], step[live]
+        if (step < 1).any():
+            raise ValueError("step must be >= 1")
+        if lo.size == 1:
+            key = prog(int(lo[0]), int(step[0]),
+                       int((hi[0] - lo[0]) // step[0]) + 1)
+        else:
+            v = _expand(lo, hi, step)
+            key = compress(v if (v[1:] > v[:-1]).all() else np.unique(v))
+        for a in (lo, hi, step, key):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        return cls(rule, lo, hi, step, key)
+
+    @property
+    def segments(self) -> List[Segment]:
+        """The rows as :class:`Segment` objects, for what prints them."""
+        return [Segment(*row) for row in zip(
+            self.lo.tolist(), self.hi.tolist(), self.step.tolist())]
 
     def indices(self) -> List[int]:
-        out: List[int] = []
-        for s in self.segments:
-            out.extend(s.indices())
-        return out
+        """The members in row order."""
+        return _expand(self.lo, self.hi, self.step).tolist()
 
     def count(self) -> int:
-        return sum(s.count() for s in self.segments)
+        return int(((self.hi - self.lo) // self.step + 1).sum())
 
-    def index_array(self):
-        """All member indices as one sorted int64 vector.
+    def index_array(self) -> np.ndarray:
+        """All member indices as one ascending int64 vector: every node
+        walks a shared index set in the same order, so a message payload
+        carries values only, never positions."""
+        return vec(self.key)
 
-        Sorted ascending so that *every* node enumerating the same index
-        set walks it in the same (lexicographic) order — the alignment
-        property the batched message protocol relies on (a payload
-        carries values only, never positions).
-        """
-        import numpy as np
 
-        if not self.segments:
-            return np.empty(0, dtype=np.int64)
-        out = np.concatenate([s.index_array() for s in self.segments])
-        return np.sort(out)
-
-    def add(self, lo: int, hi: int, step: int = 1) -> None:
-        if lo <= hi:
-            self.segments.append(Segment(lo, hi, step))
-
-    def sort(self) -> "Enumeration":
-        self.segments.sort(key=lambda s: s.lo)
-        return self
+def _whole(rule: str, owns: bool, imin: int, imax: int,
+           work: Work) -> Enumeration:
+    """``imin .. imax`` on a node that *owns* the range, else nothing."""
+    e = Enumeration.table(rule, imin, imax) if owns else Enumeration.table(rule)
+    work.emitted += e.count()
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +151,8 @@ def enum_constant(
 ) -> Enumeration:
     """Theorem 1: ``f(i) = c`` — the full range on ``proc(c)``, empty
     elsewhere.  One test, total."""
-    e = Enumeration("thm1-constant")
     work.tests += 1
-    if d.proc(f.c) == p:
-        e.add(imin, imax)
-        work.emitted += e.count()
-    return e
+    return _whole("thm1-constant", d.proc(f.c) == p, imin, imax, work)
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +164,10 @@ def enum_trivial(
 ) -> Enumeration:
     """SingleOwner / Replicated: membership is independent of ``f``."""
     if isinstance(d, Replicated):
-        e = Enumeration("replicated-all")
-        e.add(imin, imax)
-        work.emitted += e.count()
-        return e
+        return _whole("replicated-all", True, imin, imax, work)
     if isinstance(d, SingleOwner):
-        e = Enumeration("singleowner")
         work.tests += 1
-        if d.owner == p:
-            e.add(imin, imax)
-            work.emitted += e.count()
-        return e
+        return _whole("singleowner", d.owner == p, imin, imax, work)
     raise TypeError(f"enum_trivial does not handle {type(d).__name__}")
 
 
@@ -160,16 +180,14 @@ def enum_block(
 ) -> Enumeration:
     """Block: ``j in [max(imin, f⁻¹(b.p)), min(imax, f⁻¹(b.p + b - 1))]``
     — a single contiguous range per processor (``k`` eliminated)."""
-    e = Enumeration("block")
     lo = d.b * p
     hi = min(d.b * p + d.b - 1, d.n - 1)
     if lo > hi:
-        return e
+        return Enumeration.table("block")
     work.preimage_calls += 1
-    for jmin, jmax in f.preimage(lo, hi, imin, imax):
-        e.add(jmin, jmax)
-        work.emitted += jmax - jmin + 1
-    return e
+    rows = f.preimage(lo, hi, imin, imax)
+    work.emitted += sum(jmax - jmin + 1 for jmin, jmax in rows)
+    return Enumeration.table("block", *zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +218,7 @@ def enum_repeated_block(
 ) -> Enumeration:
     """Theorem 2 (*Repeated Block*): one contiguous ``j`` range per course
     ``k``, obtained from the preimage of each owned data block."""
-    e = Enumeration("thm2-repeated-block")
+    rows: List[Tuple[int, int]] = []
     kmin, kmax = _course_range(d, f, imin, imax, p)
     for k in range(kmin, kmax + 1):
         t = p + k * d.pmax
@@ -211,9 +229,10 @@ def enum_repeated_block(
         work.iterations += 1
         work.preimage_calls += 1
         for jmin, jmax in f.preimage(lo, hi, imin, imax):
-            e.add(jmin, jmax)
+            rows.append((jmin, jmax))
             work.emitted += jmax - jmin + 1
-    return e.sort()
+    rows.sort(key=lambda r: r[0])
+    return Enumeration.table("thm2-repeated-block", *zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +247,13 @@ def enum_repeated_scatter(
     ``k`` with ``f⁻¹(t + b.k.pmax) ∈ Z`` are found — in closed form via a
     congruence on ``k`` for affine ``f``, or by divisibility testing
     otherwise.  Favourable when ``b <= f(imax)/(2.pmax)``."""
-    e = Enumeration("repeated-scatter")
     kmin, kmax = _course_range(d, f, imin, imax, p)
     if kmax < kmin:
-        return e
+        return Enumeration.table("repeated-scatter")
     stride = d.b * d.pmax
     if isinstance(f, AffineF):
         # the whole (offset x course) grid by array arithmetic: one row
         # per offset t, one column per candidate course of that offset
-        import numpy as np
-
         t = d.b * p + np.arange(d.b, dtype=np.int64)[:, None]
         first, every, solvable = kmin, 1, True
         if abs(f.a) != 1:
@@ -263,7 +279,7 @@ def enum_repeated_scatter(
             work.iterations += tested
             work.tests += tested
         i, r = np.divmod(v - f.c, f.a)
-        pts = np.sort(i[live & (r == 0) & (imin <= i) & (i <= imax)]).tolist()
+        pts = np.sort(i[live & (r == 0) & (imin <= i) & (i <= imax)])
     else:
         pts = []
         for off in range(d.b):
@@ -277,8 +293,7 @@ def enum_repeated_scatter(
                 pts.extend(f.solve(v, imin, imax))
         pts.sort()
     work.emitted += len(pts)
-    e.segments = [Segment(i, i) for i in pts]
-    return e
+    return Enumeration.table("repeated-scatter", pts, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +319,20 @@ def enum_scatter_linear(
     else:
         rule = "thm3-linear"
     sol = solve_scatter_congruence(f.a, f.c, d.pmax, p)
-    e = Enumeration(rule)
     if sol is None:
         work.euclid_steps += 1  # the failed solvability check still ran
-        return e
+        return Enumeration.table(rule)
     work.euclid_steps += sol.euclid_steps
     # Clip also to indices whose image lies inside the data range [0, n).
     rngs = f.preimage(0, d.n - 1, imin, imax)
     work.preimage_calls += 1
+    rows = []
     for rlo, rhi in rngs:
         tmin, tmax = sol.t_range(rlo, rhi)  # the paper's t_p,min .. t_p,max
         if tmin <= tmax:
-            e.add(sol.gen(tmin), sol.gen(tmax), sol.stride)
+            rows.append((sol.gen(tmin), sol.gen(tmax)))
             work.emitted += tmax - tmin + 1
-    return e
+    return Enumeration.table(rule, *zip(*rows), step=sol.stride)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +346,6 @@ def enum_scatter_on_k(
     ``v = p + k.pmax`` and test ``f(i) = v`` for integer ``i`` — sampling
     rate ``pmax`` instead of ``df/di``, an improvement of
     ``pmax/(df/di)`` when ``df/di < pmax``."""
-    e = Enumeration("enum-on-k")
     flo, fhi = f.image_bounds(imin, imax)
     flo = max(flo, 0)
     fhi = min(fhi, d.n - 1)
@@ -346,9 +360,8 @@ def enum_scatter_on_k(
                 pts.append(i)
                 work.emitted += 1
             v += d.pmax
-    for i in sorted(pts):
-        e.add(i, i)
-    return e
+    pts.sort()
+    return Enumeration.table("enum-on-k", pts, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +379,16 @@ def enum_piecewise(
 ) -> Enumeration:
     """§3.3: split ``[imin, imax]`` at the breakpoints of
     ``f(i) = g(i) mod z + d`` and run *piece_enum* on each monotone piece
-    (``f = g - z.k + d``), concatenating the per-piece segments."""
-    e = Enumeration("piecewise")
+    (``f = g - z.k + d``), concatenating the per-piece tables — the
+    pieces are consecutive subranges, so the rows stay in order."""
+    rule, subs = "piecewise", []
     for seg_lo, seg_hi, piece in f.pieces(imin, imax):
         work.iterations += 1
-        sub = piece_enum(d, piece, seg_lo, seg_hi, p, work)
-        e.segments.extend(sub.segments)
-        e.rule = f"piecewise({sub.rule})"
-    return e.sort()
+        subs.append(piece_enum(d, piece, seg_lo, seg_hi, p, work))
+        rule = f"piecewise({subs[-1].rule})"
+    return Enumeration.table(rule, *(
+        np.concatenate([getattr(e, c) for e in subs] or [()])
+        for c in ("lo", "hi", "step")))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +399,5 @@ def enum_naive(
     d: Decomposition, f: IFunc, imin: int, imax: int, p: int, work: Work
 ) -> Enumeration:
     """No optimization applies: the full run-time scan."""
-    e = Enumeration("naive")
-    for i in modify_naive(d, f, imin, imax, p, work):
-        e.add(i, i)
-    return e
+    pts = modify_naive(d, f, imin, imax, p, work)
+    return Enumeration.table("naive", pts, pts)

@@ -48,6 +48,7 @@ from .enumerators import (
     enum_scatter_linear,
     enum_scatter_on_k,
     enum_trivial,
+    _whole,
 )
 from .membership import Work
 
@@ -71,27 +72,27 @@ class OptimizedAccess:
     imax: int
     rule: str
     _fn: EnumFn
-    #: per processor ``(rule, segments, Work delta)`` — kept only on
+    #: per processor ``(Enumeration, Work delta)`` — kept only on
     #: accesses the Table I memo holds: their decomposition has a
     #: structural ``cache_key``, so membership cannot change under them
     _memo: Optional[Dict[int, tuple]] = None
 
     def enumerate(self, p: int, work: Optional[Work] = None) -> Enumeration:
         """``{ i | proc(f(i)) = p }``.  Each ``(access, p)`` is
-        enumerated once per compile: the segments are memoized with the
-        :class:`Work` they cost, and every call replays that cost into
-        *work* and returns a fresh :class:`Enumeration`."""
+        enumerated once per compile: the enumeration is memoized with the
+        :class:`Work` it cost, and every call replays that cost into
+        *work* and returns the same read-only :class:`Enumeration`."""
         hit = self._memo.get(p) if self._memo is not None else None
         if hit is None:
             delta = Work()
-            e = self._fn(self.d, self.f, self.imin, self.imax, p, delta)
-            hit = (e.rule, tuple(e.segments), delta)
+            hit = (self._fn(self.d, self.f, self.imin, self.imax, p, delta),
+                   delta)
             if self._memo is not None:
                 self._memo[p] = hit
         if work is not None:
-            for name, spent in vars(hit[2]).items():
+            for name, spent in vars(hit[1]).items():
                 setattr(work, name, getattr(work, name) + spent)
-        return Enumeration(hit[0], list(hit[1]))
+        return hit[0]
 
     def indices(self, p: int, work: Optional[Work] = None) -> list[int]:
         return self.enumerate(p, work).indices()
@@ -123,11 +124,7 @@ def choose_rule(
     if isinstance(d, Collapsed):
         # an undistributed grid axis: its single processor owns everything
         def collapsed(d_, f_, lo, hi, p, work):
-            e = Enumeration("collapsed")
-            if p == 0:
-                e.add(lo, hi)
-                work.emitted += e.count()
-            return e
+            return _whole("collapsed", p == 0, lo, hi, work)
 
         return "collapsed", collapsed
 
@@ -239,7 +236,7 @@ def clear_table1_cache() -> None:
 
 def _build_access(d: Decomposition, f: IFunc, imin: int, imax: int) -> OptimizedAccess:
     if imin > imax:
-        rule, fn = "empty", lambda d_, f_, lo, hi, p, w: Enumeration("empty")
+        rule, fn = "empty", lambda d_, f_, lo, hi, p, w: Enumeration.table("empty")
         return OptimizedAccess(d, f, imin, imax, rule, fn)
     rule, fn = choose_rule(d, f, imin, imax)
     return OptimizedAccess(d, f, imin, imax, rule, fn)

@@ -78,14 +78,15 @@ class TestSegments:
             Segment(0, 5, 0)
 
     def test_enumeration_flattening(self):
-        e = Enumeration("x", [Segment(0, 2), Segment(10, 12)])
+        e = Enumeration.table("x", [0, 10], [2, 12])
+        assert e.segments == [Segment(0, 2), Segment(10, 12)]
         assert e.indices() == [0, 1, 2, 10, 11, 12]
         assert e.count() == 6
 
     def test_add_skips_empty(self):
-        e = Enumeration("x")
-        e.add(5, 3)
-        assert e.segments == []
+        e = Enumeration.table("x", [5, 7], [3, 7])
+        assert e.segments == [Segment(7, 7)]
+        assert Enumeration.table("x", 5, 3).segments == []
 
 
 class TestTheorem1:

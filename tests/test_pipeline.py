@@ -154,14 +154,14 @@ class TestSliceViews:
         assert np.array_equal(s.index_array(), np.arange(3, 12, 2))
 
     def test_enumeration_index_array_is_sorted(self):
-        e = Enumeration([Segment(10, 14, 2), Segment(1, 5, 2)])
+        e = Enumeration.table("x", [10, 1], [14, 5], 2)
         arr = e.index_array()
         assert arr.dtype == np.int64
         assert np.array_equal(arr, np.sort(arr))
         assert set(arr.tolist()) == set(e.indices())
 
     def test_empty_enumeration(self):
-        e = Enumeration([])
+        e = Enumeration.table("x")
         assert e.index_array().size == 0
 
 

@@ -161,7 +161,7 @@ class TestClosedForms:
     def test_single_triplets_are_slices(self):
         for d in (Block(17, 4), Block(3, 8), Scatter(17, 4), Collapsed(9),
                   SingleOwner(9, 3, 1), Replicated(9, 3),
-                  BlockScatter(10, 4, 3)):
+                  BlockScatter(10, 4, 3), BlockScatter(10, 1, 3)):
             for p in range(d.pmax):
                 assert isinstance(d.owned_indices(p), slice), (d, p)
                 assert isinstance(d.local_indices(p), slice), (d, p)

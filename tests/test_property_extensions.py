@@ -3,6 +3,8 @@ DOACROSS pipelines, ND distributed generation, inspector/executor, and
 the repeated-scatter affine fast path — each against the sequential
 V-cal oracle or the naive membership definition."""
 
+from typing import List, NamedTuple
+
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -26,11 +28,17 @@ from repro.core import (
     copy_env,
     evaluate_clause,
 )
-from repro.core.ifunc import IndirectF
+from repro.core.ifunc import IndirectF, ModularF, MonotoneF
 from repro.decomp import Block, BlockScatter, Collapsed, GridDecomposition, Scatter
 from repro.machine import DistributedMachine
-from repro.sets import Work, modify_naive
-from repro.sets.enumerators import enum_repeated_scatter
+from repro.pipeline.region import vec
+from repro.sets import Work, choose_rule, modify_naive
+from repro.sets.enumerators import (
+    Segment,
+    _course_range,
+    enum_repeated_block,
+    enum_repeated_scatter,
+)
 
 SETTINGS = settings(
     max_examples=60, deadline=None,
@@ -139,17 +147,34 @@ class TestInspectorProperty:
         assert np.allclose(m.collect("A"), ref)
 
 
+class _ObjectForm(NamedTuple):
+    """What an enumerator returned before Table I emitted arrays: the
+    fired rule and one :class:`Segment` object per row."""
+
+    rule: str
+    segments: List[Segment]
+
+
+def _assert_matches(got, got_work, want, want_work):
+    """The array form *got* is the object form *want*: same rows, the
+    key is their sorted expansion, same member order, same `Work`."""
+    assert got.rule == want.rule
+    assert got.segments == want.segments
+    members = [i for s in want.segments for i in s.indices()]
+    assert np.array_equal(vec(got.key), np.unique(np.array(members, np.int64)))
+    assert got.indices() == members
+    assert vars(got_work) == vars(want_work)
+
+
 def _scalar_repeated_scatter(d, f, imin, imax, p, work):
     """The one-call-per-(offset, course) body `enum_repeated_scatter`
     had before it went to grid arithmetic — the oracle for its segments
     and for every :class:`Work` counter."""
     from repro.diophantine.euclid import extended_euclid
-    from repro.sets.enumerators import Enumeration, _course_range
 
-    e = Enumeration("repeated-scatter")
     kmin, kmax = _course_range(d, f, imin, imax, p)
     if kmax < kmin:
-        return e
+        return _ObjectForm("repeated-scatter", [])
     stride = d.b * d.pmax
     pts = []
     if isinstance(f, AffineF) and abs(f.a) != 1:
@@ -184,9 +209,53 @@ def _scalar_repeated_scatter(d, f, imin, imax, p, work):
                 for i in f.solve(v, imin, imax):
                     pts.append(i)
                     work.emitted += 1
-    for i in sorted(pts):
-        e.add(i, i)
-    return e
+    return _ObjectForm("repeated-scatter", [Segment(i, i) for i in sorted(pts)])
+
+
+def _object_repeated_block(d, f, imin, imax, p, work):
+    """`enum_repeated_block` as it was when it built one `Segment` per
+    course — the oracle for its rows and every :class:`Work` counter."""
+    segs = []
+    kmin, kmax = _course_range(d, f, imin, imax, p)
+    for k in range(kmin, kmax + 1):
+        t = p + k * d.pmax
+        lo = d.b * t
+        hi = min(lo + d.b - 1, d.n - 1)
+        if lo > hi:
+            continue
+        work.iterations += 1
+        work.preimage_calls += 1
+        for jmin, jmax in f.preimage(lo, hi, imin, imax):
+            if jmin <= jmax:
+                segs.append(Segment(jmin, jmax))
+            work.emitted += jmax - jmin + 1
+    segs.sort(key=lambda s: s.lo)
+    return _ObjectForm("thm2-repeated-block", segs)
+
+
+def _object_inner(d, f, imin, imax, p, work):
+    """One monotone piece through the Table I rule, object form: the two
+    BS(b) forms by their oracles, the one-row rules by their segments."""
+    _rule, fn = choose_rule(d, f, imin, imax)
+    oracle = {enum_repeated_block: _object_repeated_block,
+              enum_repeated_scatter: _scalar_repeated_scatter}.get(fn)
+    if oracle is not None:
+        return oracle(d, f, imin, imax, p, work)
+    e = fn(d, f, imin, imax, p, work)
+    return _ObjectForm(e.rule, e.segments)
+
+
+def _object_piecewise(d, f, imin, imax, p, work):
+    """`enum_piecewise` as it was when it extended one `Segment` list
+    piece by piece — the oracle for the concatenation."""
+    rule, segs = "piecewise", []
+    for seg_lo, seg_hi, piece in f.pieces(imin, imax):
+        work.iterations += 1
+        sub = _object_inner(d, piece, seg_lo, seg_hi, p, work)
+        segs.extend(sub.segments)
+        rule = f"piecewise({sub.rule})"
+    segs.sort(key=lambda s: s.lo)
+    return _ObjectForm(rule, segs)
 
 
 class TestRepeatedScatterFastPath:
@@ -224,6 +293,67 @@ class TestRepeatedScatterFastPath:
             want = _scalar_repeated_scatter(d, f, imin, imin + span, p,
                                             want_work)
             got = enum_repeated_scatter(d, f, imin, imin + span, p, got_work)
-            assert got.segments == want.segments
-            assert got.rule == want.rule
-            assert vars(got_work) == vars(want_work)
+            _assert_matches(got, got_work, want, want_work)
+
+
+def _monotone(kind, c):
+    """A monotone non-affine access on ``i >= 0``: increasing or
+    decreasing quadratic."""
+    if kind == "up":
+        return MonotoneF(lambda i: i * i + c, 1, f"i*i{c:+d}")
+    return MonotoneF(lambda i: c - i * i, -1, f"{c}-i*i")
+
+
+class TestArrayFormMatchesObjectForm:
+    """Table I emits arrays: the two BS(b) forms and the piecewise
+    concatenation against the object-form bodies they replaced."""
+
+    @given(
+        st.integers(1, 80), st.integers(1, 6), st.integers(1, 6),
+        st.sampled_from([1, -1, 2, 3, -2, -3, 5]),
+        st.integers(-5, 20), st.integers(-10, 30), st.integers(0, 40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_repeated_block_affine(self, n, pmax, b, a, c, imin, span):
+        d, f = BlockScatter(n, pmax, b), AffineF(a, c)
+        for p in range(pmax):
+            want_work, got_work = Work(), Work()
+            want = _object_repeated_block(d, f, imin, imin + span, p,
+                                          want_work)
+            got = enum_repeated_block(d, f, imin, imin + span, p, got_work)
+            _assert_matches(got, got_work, want, want_work)
+
+    @given(
+        st.integers(1, 200), st.integers(1, 6), st.integers(1, 6),
+        st.sampled_from(["up", "down"]), st.integers(-5, 120),
+        st.integers(0, 8), st.integers(0, 12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_block_monotone(self, n, pmax, b, kind, c, imin, span):
+        d, f = BlockScatter(n, pmax, b), _monotone(kind, c)
+        for p in range(pmax):
+            want_work, got_work = Work(), Work()
+            want = _object_repeated_block(d, f, imin, imin + span, p,
+                                          want_work)
+            got = enum_repeated_block(d, f, imin, imin + span, p, got_work)
+            _assert_matches(got, got_work, want, want_work)
+
+    @given(
+        st.sampled_from(["blockscatter", "block", "scatter"]),
+        st.integers(2, 60), st.integers(1, 6), st.integers(1, 4),
+        st.integers(1, 3), st.integers(-5, 20), st.integers(1, 60),
+        st.integers(0, 5), st.integers(0, 10), st.integers(0, 50),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_piecewise(self, kind, n, pmax, b, a, c, z, dz, imin, span):
+        dec = {"blockscatter": BlockScatter(n, pmax, b),
+               "block": Block(n, pmax), "scatter": Scatter(n, pmax)}[kind]
+        z = min(z, n)
+        f = ModularF(AffineF(a, c), z, min(dz, n - z))
+        rule, fn = choose_rule(dec, f, imin, imin + span)
+        assert rule.startswith("piecewise(")
+        for p in range(pmax):
+            want_work, got_work = Work(), Work()
+            want = _object_piecewise(dec, f, imin, imin + span, p, want_work)
+            got = fn(dec, f, imin, imin + span, p, got_work)
+            _assert_matches(got, got_work, want, want_work)

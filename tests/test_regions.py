@@ -43,7 +43,6 @@ from repro.pipeline.region import (
     compose,
     compress,
     image,
-    key_of,
     klen,
     locate,
     meet,
@@ -99,12 +98,16 @@ class TestKeys:
             assert isinstance(key, slice)
 
     @given(st.lists(progressions, max_size=5))
-    def test_key_of_is_the_sorted_members(self, progs):
+    def test_enumeration_key_is_the_sorted_members(self, progs):
         segs = [Segment(lo, lo + step * (n - 1), step)
                 for lo, step, n in progs if n]
+        e = Enumeration.table("x", [s.lo for s in segs],
+                              [s.hi for s in segs], [s.step for s in segs])
         want = np.unique(np.concatenate(
             [s.index_array() for s in segs] or [np.zeros(0, np.int64)]))
-        assert np.array_equal(vec(key_of(segs)), want)
+        assert np.array_equal(vec(e.key), want)
+        assert e.segments == segs
+        assert e.indices() == [i for s in segs for i in s.indices()]
 
     @given(keys(), keys())
     def test_meet_is_the_intersection(self, a, b):

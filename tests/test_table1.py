@@ -1,15 +1,32 @@
 """Tests for the Table I dispatch (rule selection + the grand oracle)."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.analysis import verify_program
+from repro.cacheinfo import clear_all_caches
+from repro.codegen import compile_clause, emit_distributed_source, run_distributed
+from repro.codegen.pysource import RuntimeTables
+from repro.core import (
+    Clause,
+    IdentityF,
+    IndexSet,
+    Ref,
+    SeparableMap,
+    copy_env,
+    evaluate_clause,
+)
 from repro.core.ifunc import AffineF, ConstantF, ModularF, MonotoneF
 from repro.decomp import Block, BlockScatter, Replicated, Scatter, SingleOwner
 from repro.diophantine.linear import solve_scatter_congruence
+from repro.pipeline import compile_program
+from repro.pipeline.region import vec
 from repro.sets import (
     Segment,
     Work,
     choose_rule,
+    clear_table1_cache,
     enum_scatter_linear,
     modify_naive,
     optimize_access,
@@ -101,6 +118,23 @@ class TestOptimizedAccessApi:
         w = Work()
         acc.enumerate(1, w)
         assert w.preimage_calls == 1
+
+    def test_memo_is_shared_read_only(self):
+        """The memo hands out its arrays, not copies: they cannot be
+        written, and a second call returns the same membership and
+        replays the same `Work`."""
+        clear_table1_cache()
+        acc = optimize_access(BlockScatter(400, 4, 3), AffineF(1, 0), 0, 399)
+        first, second = Work(), Work()
+        e = acc.enumerate(2, first)
+        with pytest.raises(ValueError):
+            e.lo[0] = -1
+        with pytest.raises(ValueError):
+            e.key[0] = -1
+        again = acc.enumerate(2, second)
+        assert again.segments == e.segments
+        assert np.array_equal(vec(again.key), vec(e.key))
+        assert vars(second) == vars(first) and first.emitted == e.count()
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +299,40 @@ class TestOverheadClaims:
         for p in range(pmax):
             modify_naive(d, f, 0, n, p, total_naive)
         assert total_opt.overhead() * 100 < total_naive.overhead()
+
+
+def _raise(*a, **kw):
+    raise AssertionError("a Segment object was built on the compile path")
+
+
+class TestNoSegmentOnTheCompilePath:
+    """Table I emits arrays: compiling, verifying and running BS(b) never
+    builds a per-member object; only what prints the rows does."""
+
+    def test_bs1d_at_2_16(self, monkeypatch):
+        n = 2**16
+        da, db = BlockScatter(n, 4, 8), Scatter(2 * n, 4)
+        cl = Clause(IndexSet.range1d(0, n - 1),
+                    Ref("A", SeparableMap([IdentityF()])),
+                    Ref("B", SeparableMap([AffineF(2, 1)])) + 1.0)
+        rng = np.random.default_rng(5)
+        env = {"A": rng.random(n), "B": rng.random(2 * n)}
+        clear_all_caches()
+        monkeypatch.setattr(Segment, "__post_init__", _raise)
+        plan = compile_clause(cl, {"A": da, "B": db})
+        assert plan.rules()["write:A"] == "repeated-scatter"
+        verdict = verify_program(compile_program([cl], {"A": da, "B": db}),
+                                 use_cache=False)
+        assert verdict.ok and verdict.certificate.ok
+        got = run_distributed(plan, copy_env(env), backend="fused")
+        want = evaluate_clause(cl, copy_env(env))["A"]
+        assert np.array_equal(got.collect("A"), want)
+        monkeypatch.undo()
+        # the emitted program reads its rows from the runtime tables,
+        # which still print one single-point segment per member
+        src = emit_distributed_source(plan)
+        assert "segs_w = RT.segments('write', p)" in src
+        rt = RuntimeTables(plan)
+        for p in range(4):
+            own = da.owned_indices(p)
+            assert rt.segments("write", p) == [(i, i, 1) for i in own.tolist()]
