@@ -34,6 +34,7 @@ from repro.core import (
     evaluate_clause,
 )
 from repro.decomp import Block
+from repro.pipeline.kernels import flavor_nodes
 
 from .conftest import print_table
 
@@ -73,7 +74,7 @@ def test_message_discipline_ablation(rng):
         m_f = run_distributed(plan, copy_env(env0), backend="fused")
         assert np.array_equal(m_f.collect("V"), ref)
         assert plan.trace.notes == []
-        assert plan.kernels.dist[PMAX // 2].margins == \
+        assert flavor_nodes(plan, "dist")[PMAX // 2].margins == \
             {"U": ((radius, radius),)}
 
         rows.append([

@@ -8,11 +8,11 @@ This module audits them statically, per plan:
 
 ``KRN001``
     Every precomputed region stays inside the buffer it addresses: the
-    regions of the global-address flavors (``shared``, and ``gdist`` —
-    what real processes run — once lowered) against the declared array
-    extents, dist-kernel regions (gathers, sends, ghost fills, stores)
-    against the node's local (resident) buffer shape plus the ghost
-    margins the node kernel frames it with.
+    regions of the global-address flavors (``shared``, ``gdist``) against
+    the declared array extents, dist-kernel regions (gathers, sends,
+    ghost fills, stores) against the node's local buffer shape plus its
+    ghost margins — on each flavor as it is built (a finding refuses it)
+    and again by :func:`sanitize_kernels`.
 
 ``KRN002``
     AST audit of the rendered kernel sources.  The fused rendering may
@@ -251,35 +251,34 @@ def _node_keys(nd, write_name):
                write_name, blk.write)
 
 
-def _check_bounds(ir, kernels) -> List[Diagnostic]:
-    """Every region against the buffer it addresses: node *p*'s local
-    buffers for the ``dist`` flavor — framed by the node kernel's ghost
-    margins, ``lo + n + hi`` per axis — the global arrays for the other
-    two."""
+def _check_bounds(ir, flavor: str, nodes) -> List[Diagnostic]:
+    """Every region of one flavor's *nodes* against the buffer it
+    addresses: node *p*'s local buffers for the ``dist`` flavor — framed
+    by the node kernel's ghost margins, ``lo + n + hi`` per axis — the
+    global arrays for the other two."""
     from ..pipeline.kernels import _FLAVORS
 
     out: List[Diagnostic] = []
+    local = _FLAVORS[flavor][0]
     decs = {acc.name: acc.dec for acc in reversed(ir.accesses())}
-    for flavor, (local, _dist) in _FLAVORS.items():
-        for nd in getattr(kernels, flavor) or ():
-            for what, access, name, region in _node_keys(
-                    nd, kernels.write_name):
-                shape = _local_shape(decs.get(name), nd.p) if local \
-                    else _extents(ir, name)
-                if shape is not None and name in nd.margins:
-                    shape = tuple(lo + n + hi for (lo, hi), n
-                                  in zip(nd.margins[name], shape))
-                hit = _violation(region, shape)
-                if hit is not None:
-                    axis, v, n = hit
-                    out.append(_diag(
-                        "KRN001",
-                        f"{flavor} kernel of node {nd.p}: {what} holds "
-                        f"index {v} outside [0, {n}) at axis {axis}",
-                        clause=ir.clause.name or "<anonymous>",
-                        access=access, witnesses={nd.p: [v]},
-                        hint="a corrupted or stale key would fault (or "
-                             "silently wrap or clip) at run time"))
+    for nd in nodes:
+        for what, access, name, region in _node_keys(nd, ir.write.name):
+            shape = _local_shape(decs.get(name), nd.p) if local \
+                else _extents(ir, name)
+            if shape is not None and name in nd.margins:
+                shape = tuple(lo + n + hi for (lo, hi), n
+                              in zip(nd.margins[name], shape))
+            hit = _violation(region, shape)
+            if hit is not None:
+                axis, v, n = hit
+                out.append(_diag(
+                    "KRN001",
+                    f"{flavor} kernel of node {nd.p}: {what} holds "
+                    f"index {v} outside [0, {n}) at axis {axis}",
+                    clause=ir.clause.name or "<anonymous>",
+                    access=access, witnesses={nd.p: [v]},
+                    hint="a corrupted or stale key would fault (or "
+                         "silently wrap or clip) at run time"))
     return out
 
 
@@ -332,14 +331,15 @@ def _check_guard(ir) -> List[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 def sanitize_kernels(ir) -> List[Diagnostic]:
-    """Audit one compiled plan's generated kernels; returns KRN findings
-    (empty when the plan has no kernels — nothing generated, nothing to
-    audit)."""
+    """Audit one compiled plan's generated kernels — the source and
+    the flavors built so far; returns KRN findings (empty when the plan
+    has no kernels — nothing generated, nothing to audit)."""
     out: List[Diagnostic] = []
     kernels = getattr(ir, "kernels", None)
     if kernels is not None:
         out += _audit_sources(ir, kernels)
-        out += _check_bounds(ir, kernels)
+        for flavor, nodes in kernels.built().items():
+            out += _check_bounds(ir, flavor, nodes)
     out += _check_guard(ir)
     return out
 

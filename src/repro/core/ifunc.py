@@ -426,6 +426,14 @@ class ModularF(IFunc):
             return ConstantF(composed_g.c % self.z + self.d)
         return ComposedF(self, inner)
 
+    # structural: an affine or constant ``g`` by value, an opaque one by id
+    def __eq__(self, other):
+        return isinstance(other, ModularF) and \
+            (other.g, other.z, other.d) == (self.g, self.z, self.d)
+
+    def __hash__(self):
+        return hash(("ModularF", self.g, self.z, self.d))
+
 
 class IndirectF(IFunc):
     """``f(i) = T[i]`` — indirection through a run-time integer table.

@@ -2,7 +2,8 @@
 
 Where the scalar templates walk ``Modify_p`` / ``Reside_p`` element by
 element on every run, these executors run the **compile-once** kernels
-built by the `lower-kernels` pass (:mod:`repro.pipeline.kernels`): every
+of the `lower-kernels` pass (:mod:`repro.pipeline.kernels`; the flavor a
+run needs is built, and bounds-audited, on its first use): every
 membership set and address is a precomputed
 :class:`~repro.pipeline.region.Region` — slices of node memory wherever
 Table I yields a progression, vectors only for the irregular remainder —
@@ -64,7 +65,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..analysis.kernel_sanitizer import check_kernels_strict
-from ..pipeline.kernels import KernelBuildError
+from ..pipeline.kernels import KernelBuildError, flavor_nodes
 from ..pipeline.native import NativeBuildError, ensure_native
 from .distributed import DistributedMachine, NodeContext
 from .shared import SharedMachine
@@ -181,7 +182,7 @@ class KernelTier:
     _no_kernels = "no fused kernels on the plan"
 
     def bind(self, ir, flavor: str, strict: bool):
-        """Gate on the static verifier, then resolve ``(kernels,
+        """Gate on the static verifier, then resolve ``(kernels, nodes,
         entry)`` for one flavor or raise :attr:`no_form`.  Sequential
         clauses and replicated writes never get kernels built, so they
         end here too."""
@@ -189,10 +190,8 @@ class KernelTier:
         k = ir.kernels
         if k is None:
             raise self.no_form(self._no_kernels)
-        if getattr(k, flavor) is None:
-            raise self.no_form(getattr(k, flavor + "_note")
-                               or "no kernels for this flavor")
-        return k, region_entry(k.rhs, k.guard)
+        nodes = flavor_nodes(ir, flavor, strict, self.no_form)
+        return k, nodes, region_entry(k.rhs, k.guard)
 
     def check_target(self, k, target) -> None:
         """Refuse a global write *target* this tier cannot store into:
@@ -218,7 +217,7 @@ class KernelTier:
         gather every node's read rows against pre-state first, then one
         compute+commit per node in node order (all phases read
         pre-state, like the scalar template)."""
-        k, entry = self.bind(ir, "shared", strict)
+        k, nodes, entry = self.bind(ir, "shared", strict)
         if machine is None:
             machine = SharedMachine(ir.pmax, env)
         genv = machine.env
@@ -226,7 +225,7 @@ class KernelTier:
         self.check_target(k, out)
 
         gathered = []
-        for p, nk in enumerate(k.shared):
+        for p, nk in enumerate(nodes):
             machine.stats[p].iterations += nk.n
             gathered.append(self._shared_rows(k, nk, genv) if nk.n else None)
 
@@ -234,7 +233,7 @@ class KernelTier:
             machine.stats[p].barriers += 1
             if rows is not None:
                 machine.stats[p].local_updates += int(
-                    entry(k.shared[p].blocks[0], rows, out))
+                    entry(nodes[p].blocks[0], rows, out))
         return machine
 
     def run_group(self, irs, machine: SharedMachine,
@@ -258,14 +257,14 @@ class KernelTier:
         genv = machine.env
         bound = []
         for ir in irs:
-            k, entry = self.bind(ir, "shared", strict)
+            k, nodes, entry = self.bind(ir, "shared", strict)
             self.check_target(k, genv[k.write_name])
-            bound.append((k, entry))
+            bound.append((k, nodes, entry))
         for p in range(machine.pmax):
-            for k, entry in bound:
-                if p >= len(k.shared):
+            for k, nodes, entry in bound:
+                if p >= len(nodes):
                     continue
-                nk = k.shared[p]
+                nk = nodes[p]
                 machine.stats[p].iterations += nk.n
                 if nk.n:
                     machine.stats[p].local_updates += int(entry(
@@ -278,12 +277,11 @@ class KernelTier:
     # -- distributed memory (overlap schedule) -------------------------------
 
     @staticmethod
-    def node_program(k, entry, ctx: NodeContext):
-        """Node program driven entirely by precomputed regions: memory
-        regions feed the sends, non-blocking receives fill lane regions
-        of the read rows, and the interior block commits while messages
-        are in flight."""
-        nk = k.dist[ctx.p]
+    def node_program(k, nk, entry, ctx: NodeContext):
+        """Node *nk*'s program, driven entirely by precomputed regions:
+        memory regions feed the sends, non-blocking receives fill lane
+        regions of the read rows, and the interior block commits while
+        messages are in flight."""
 
         def program():
             # what the regions address: each array's core, or its ghost
@@ -355,7 +353,7 @@ class KernelTier:
         float64 and contiguous as placed (``DistributedMachine.place``),
         or the core of a ghost frame — a view of such a buffer; the tier
         checks the buffer it will store through."""
-        k, entry = self.bind(ir, "dist", strict)
+        k, nodes, entry = self.bind(ir, "dist", strict)
         if machine is None:
             machine = DistributedMachine(ir.pmax, model=model)
             decs = {ir.write.name: ir.write.dec}
@@ -365,7 +363,8 @@ class KernelTier:
                 machine.place(name, env[name], dec)
         for mem in machine.memories:
             self.check_target(k, _flat_base(mem[k.write_name]))
-        machine.run(lambda ctx: self.node_program(k, entry, ctx))
+        machine.run(lambda ctx: self.node_program(k, nodes[ctx.p], entry,
+                                                  ctx))
         return machine
 
 
@@ -379,9 +378,9 @@ class _NativeTier(KernelTier):
     _no_kernels = "plan carries no fused kernels (lower-kernels fallback)"
 
     def bind(self, ir, flavor: str, strict: bool):
-        k, _ = super().bind(ir, flavor, strict)
+        k, nodes, _ = super().bind(ir, flavor, strict)
         check_kernels_strict(ir, strict)
-        return k, _lane_entry(ensure_native(k, ir).entry)
+        return k, nodes, _lane_entry(ensure_native(k, ir).entry)
 
     def check_target(self, k, target) -> None:
         if not target.flags.c_contiguous:

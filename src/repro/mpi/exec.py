@@ -216,7 +216,7 @@ def run_distributed_mpi(
     ranks (Cartesian attachment when the write decomposition is a grid
     covering the world exactly)."""
     _check(ir, strict)
-    prog = lower_dist(ir)
+    prog = lower_dist(ir, strict)
     machine = MpiMachine(ir.pmax, prog.decomps)
     for name, arr in env.items():
         machine.arrays[name] = np.asarray(arr, dtype=np.float64).copy()
@@ -267,7 +267,7 @@ def run_shared_mpi(
     degenerate no-send flavor: the pre-commit barrier is the only
     communication beside the final state exchange)."""
     _check(ir, strict)
-    prog = lower_shared(ir)
+    prog = lower_shared(ir, strict)
     if machine is None:
         machine = SharedMachine(ir.pmax, env)
     _drive([prog], (True,), 1, (), machine.env, machine, ir.pmax, strict,
@@ -312,7 +312,7 @@ def run_program_mpi(
         raise MpLoweringError(
             f"redistribution boundary survives elision ({name!r} at "
             f"{label}): private rank memories would read stale data")
-    _drive([lower_dist(st.ir) for st in pir.steps], pir.barrier_flags(),
-           pir.repeat, pir.swap, machine.env, machine, pir.pmax, strict,
-           processes, timeout, _fault_rank)
+    _drive([lower_dist(st.ir, strict) for st in pir.steps],
+           pir.barrier_flags(), pir.repeat, pir.swap, machine.env, machine,
+           pir.pmax, strict, processes, timeout, _fault_rank)
     return machine, pir.barriers_per_step() * pir.repeat

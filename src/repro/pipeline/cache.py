@@ -11,14 +11,14 @@ the key itself (``repro compile --explain`` shows ``[plan-cache hit]``).
 
 Structural means *never a false hit*:
 
-* ``ConstantF`` / ``AffineF`` access functions and separable/projected
-  index maps key by their defining integers; two independently built
-  ``AffineF(1, -1)`` instances hit the same entry.
-* Opaque parts (``MonotoneF`` closures, ``IndirectF`` tables, general
-  maps, non-trivial domain predicates) key by *object identity* — the
-  cache entry keeps the object alive, so the id can never be reused
-  while the entry exists.  Distinct-but-equivalent opaque objects miss,
-  which is merely a lost optimization.
+* ``ConstantF`` / ``AffineF`` / ``ModularF`` (of those two) access
+  functions and separable/projected index maps key by their integers;
+  two independently built ``AffineF(1, -1)`` instances hit one entry.
+* Opaque parts (``MonotoneF`` closures and a ``ModularF`` of one,
+  ``IndirectF`` tables, general maps, non-trivial domain predicates) key
+  by *object identity* — the cache entry keeps the object alive, so the
+  id can never be reused while the entry exists.  Distinct-but-equivalent
+  opaque objects miss, which is merely a lost optimization.
 * A decomposition whose ``cache_key()`` returns ``None`` opts the whole
   compilation out of the cache.
 
@@ -39,7 +39,7 @@ from typing import Dict, Optional, Tuple
 
 from ..core.clause import Clause
 from ..core.expr import BinOp, Const, Expr, LoopIndex, Ref, UnOp
-from ..core.ifunc import AffineF, ConstantF
+from ..core.ifunc import AffineF, ConstantF, ModularF
 from ..core.indexset import TRUE
 from ..core.view import ProjectedMap, SeparableMap
 from .trace import PipelineTrace
@@ -79,6 +79,8 @@ def _func_key(f) -> tuple:
         return ("const", f.c)
     if isinstance(f, AffineF):  # includes IdentityF
         return ("affine", f.a, f.c)
+    if isinstance(f, ModularF) and isinstance(f.g, (AffineF, ConstantF)):
+        return ("mod", _func_key(f.g), f.z, f.d)
     return ("opaque", f)
 
 

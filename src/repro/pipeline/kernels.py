@@ -21,18 +21,19 @@ This module pushes that last mile into compile time:
   fused distributed program computes its interior while messages are in
   flight.
 
-Kernels are built by the traced `lower-kernels` pass and memoized in a
+The traced `lower-kernels` pass renders the source; each flavor's nodes
+are built by :func:`flavor_nodes` on first use and audited as they land,
+so no plan pays for a template it never runs.  Entries are memoized in a
 :class:`KernelCache` keyed by the same structural keys as the plan cache
 (:func:`repro.pipeline.cache.plan_key`): a structurally identical
 recompile skips codegen entirely.  ``clear_plan_cache()`` clears this
 cache too, so a stale kernel can never outlive its plan.
 
 Plans the lowering cannot specialize — sequential (``•``) clauses,
-expressions without a closed-form source rendering, and dynamic or
-irregular decompositions whose local layout is not a dense ndarray —
-keep the scalar templates; the reason is recorded as a trace note
-(shown by ``compile --explain``) and again at run time when the fused
-backend falls back.
+unrenderable expressions, non-separable accesses — keep the scalar
+templates; the reason is recorded as a trace note (shown by ``compile
+--explain``).  A flavor that cannot be built keeps its reason on the
+entry, and the executor falls back with it.
 """
 
 from __future__ import annotations
@@ -54,14 +55,14 @@ from .region import Region, compose, image, klen, locate, meet, minus, \
 
 __all__ = [
     "FusedKernels",
-    "SharedNodeKernel",
-    "DistNodeKernel",
+    "NodeKernel",
     "KernelCache",
     "kernel_cache",
     "kernel_cache_info",
     "clear_kernel_cache",
     "build_kernels",
     "attach_kernels",
+    "flavor_nodes",
     "KernelBuildError",
 ]
 
@@ -173,10 +174,12 @@ class _Send:
 
 
 @dataclass
-class SharedNodeKernel:
+class NodeKernel:
     """One node's kernel: everything but the data — the one node type
-    of every executor.  The shared schedule is the degenerate case: no
-    sends, every read resident, one block."""
+    of every executor.  The distributed schedule sends first, commits
+    ``interior`` while messages fly and ``blocks`` (the <= 2*ndim
+    boundary strips) after the drain; the shared one is the degenerate
+    case: no sends, every read resident, one block."""
 
     p: int                          # the node
     shape: tuple                    # lane shape: |Modify_p| per loop dim
@@ -199,22 +202,18 @@ class SharedNodeKernel:
             else (self.interior, *self.blocks)
 
 
-class DistNodeKernel(SharedNodeKernel):
-    """A node of the distributed schedule: ``sends`` go out first,
-    ``interior`` commits while messages fly, ``blocks`` (the <= 2*ndim
-    boundary strips) after the drain."""
-
-
 #: flavor -> (node-local address map?, distributed schedule?): the
 #: simulator's ``dist`` nodes address their own memories, the real
 #: processes run the same schedule over the global arrays (``gdist``)
 _FLAVORS = {"shared": (False, False), "dist": (True, True),
             "gdist": (False, True)}
+_REPLICATED = "replicated write (per-copy broadcast)"
 
 
 @dataclass
 class FusedKernels:
-    """Everything ``backend="fused"`` needs, built once per plan."""
+    """Everything ``backend="fused"`` needs: the source, and per flavor
+    the node kernels or why there are none (:func:`flavor_nodes`)."""
 
     source: str
     rhs: Callable
@@ -222,13 +221,15 @@ class FusedKernels:
     nreads: int
     write_name: str
     used: tuple = ()                # loop dims whose ``_i`` the source reads
-    shared: Optional[List[SharedNodeKernel]] = None
+    shared: Optional[List[NodeKernel]] = None
     shared_note: Optional[str] = None
-    dist: Optional[List[DistNodeKernel]] = None
+    dist: Optional[List[NodeKernel]] = None
     dist_note: Optional[str] = None
-    #: built on first real-process lowering (:func:`flavor_nodes`)
-    gdist: Optional[List[DistNodeKernel]] = None
+    gdist: Optional[List[NodeKernel]] = None
     gdist_note: Optional[str] = None
+    #: makes building a flavor (and lowering an envelope) single-flight
+    lock: object = field(default_factory=threading.RLock, repr=False,
+                         compare=False)
     #: install envelopes of :mod:`repro.runtime.lowering`, per flavor
     mp_programs: Dict[str, object] = field(default_factory=dict)
     #: native (njit) tier riding on the same cache entry — built lazily
@@ -255,6 +256,11 @@ class FusedKernels:
         out["bytes"] = _nbytes(distinct.values())
         return out
 
+    def built(self) -> Dict[str, list]:
+        """flavor -> node kernels, of the flavors built so far."""
+        return {f: getattr(self, f) for f in _FLAVORS
+                if getattr(self, f) is not None}
+
     def describe(self) -> str:
         stats = self.region_stats
         parts = []
@@ -273,8 +279,10 @@ class FusedKernels:
                         f", ghost {name}"
                         f"[{', '.join(f'{lo}:{hi}' for lo, hi in m)}]"
                         for name, m in ghost.items()) + ")")
-            elif note is not None:  # neither: not built yet (on demand)
+            elif note is not None:
                 parts.append(f"{label}: dict-memory fallback ({note})")
+            else:
+                parts.append(f"{label}: built on first use")
         return "; ".join(parts) + f"; {stats['bytes']} bytes"
 
 
@@ -308,13 +316,9 @@ def _build_nodes(ir, local: bool, dist: bool, used) -> list:
     node.  *used* are the loop dims whose index the kernel body reads."""
     write, nd, nodes = ir.write, len(ir.loop_bounds), range(ir.pmax)
     if dist and write.replicated:
-        raise KernelBuildError("replicated write (per-copy broadcast)")
-    for acc in ir.accesses():
-        if not acc.funcs or len(set(acc.dims)) != len(acc.dims):
-            raise KernelBuildError(
-                f"{acc.label} {acc.name!r} has no separable access "
-                "functions over distinct loop dims")
-        if dist and len(acc.axes) != len(acc.funcs):
+        raise KernelBuildError(_REPLICATED)
+    for acc in ir.accesses() if dist else ():
+        if len(acc.axes) != len(acc.funcs):
             raise KernelBuildError(
                 f"{acc.label} {acc.name!r} carries no decomposition placing "
                 "it axis by axis")
@@ -369,9 +373,7 @@ def _build_nodes(ir, local: bool, dist: bool, used) -> list:
                       range(nd), shape)
         return _Block(tuple(klen(i) for i in lanes[p]),
                       Region(pos, range(nd), shape), loop,
-                      region(write, p, loop.keys, shape),
-                      tuple(g if d in used else None
-                            for d, g in enumerate(loop.grids())))
+                      region(write, p, loop.keys, shape), loop.grids(used))
 
     # per remote read: its residence, and who gathers what from whom
     reside = {acc.pos: ir.member_keys(acc) for acc in remote}
@@ -389,7 +391,7 @@ def _build_nodes(ir, local: bool, dist: bool, used) -> list:
 
     for p in nodes:
         shape = tuple(klen(i) for i in lanes[p])
-        nk = DistNodeKernel(p, shape) if dist else SharedNodeKernel(p, shape)
+        nk = NodeKernel(p, shape)
         out.append(nk)
         # a read with a remote source may claim ghost cells beside the
         # node's block — settled before any region of the array is built
@@ -444,24 +446,23 @@ def _build_nodes(ir, local: bool, dist: bool, used) -> list:
         ns = split.per_node.get(p) if split is not None else None
         inner = [locate(ns.interior[d], lanes[p][d])
                  for d in range(nd)] if ns is not None else []
-        whole = block(p, [prog(0, 1, n) for n in shape])
+        whole = [prog(0, 1, n) for n in shape]
         # a store that is not a plain view may repeat an address: it
         # commits as one block, in lexicographic lane order
-        if inner and all(klen(j) for j in inner) and whole.write.view:
+        if inner and all(klen(j) for j in inner) and region(
+                write, p, [compose(i, j) for i, j in zip(lanes[p], whole)],
+                shape).view:
             nk.interior = block(p, inner)
             nk.blocks = tuple(block(p, pos) for pos in _strips(inner, shape))
         else:
-            nk.blocks = (whole,)
+            nk.blocks = (block(p, whole),)
     return out
 
 
 def build_kernels(ir) -> FusedKernels:
-    """Lower one compiled Plan IR to its fused kernels.
-
-    Raises :class:`KernelBuildError` when *no* fused form exists at all
-    (sequential clause, unrenderable expression); partial availability —
-    e.g. shared kernels without distributed ones — is recorded per
-    flavor with the fallback reason."""
+    """Lower one compiled Plan IR to its fused kernels — the source,
+    no nodes yet.  Raises :class:`KernelBuildError` when *no* fused form
+    exists, as far as that is decided without per-node work."""
     clause = ir.clause
     if clause.ordering is not Ordering.PAR:
         raise KernelBuildError(
@@ -469,45 +470,58 @@ def build_kernels(ir) -> FusedKernels:
     if ir.write is None:
         raise KernelBuildError("plan carries no substituted write access")
     source, rhs, guard, used = _emit_source(clause)
-    kernels = FusedKernels(
+    for acc in ir.accesses():
+        if not acc.funcs or len(set(acc.dims)) != len(acc.dims):
+            raise KernelBuildError(
+                f"{acc.label} {acc.name!r} has no separable access "
+                "functions over distinct loop dims")
+    return FusedKernels(
         source=source, rhs=rhs, guard=guard, nreads=len(ir.reads),
         write_name=ir.write.name, used=tuple(sorted(used)),
+        dist_note=_REPLICATED if ir.write.replicated else None,
     )
-    _build_flavor(kernels, ir, "shared")
-    _build_flavor(kernels, ir, "dist")
-    if kernels.shared is None and kernels.dist is None:
-        raise KernelBuildError(
-            f"shared: {kernels.shared_note}; distributed: {kernels.dist_note}"
-        )
-    return kernels
 
 
-def _build_flavor(kernels: FusedKernels, ir, flavor: str) -> None:
-    """Build one flavor's nodes onto *kernels*, or record why not."""
-    try:
-        setattr(kernels, flavor,
-                _build_nodes(ir, *_FLAVORS[flavor], kernels.used))
-    except KernelBuildError as e:
-        setattr(kernels, flavor + "_note", str(e))
-    except Exception as e:  # enumerator/placement surprises: never fatal
-        setattr(kernels, flavor + "_note", f"{type(e).__name__}: {e}")
-
-
-def flavor_nodes(ir, flavor: str) -> Optional[list]:
-    """One flavor's node kernels of a compiled plan (``None``: no such
-    form, reason in its ``_note``).  ``gdist`` — what real processes
-    run — is built here on first demand, so a compile never pays for
-    it."""
+def flavor_nodes(ir, flavor: str, strict: bool = False,
+                 error=KernelBuildError) -> list:
+    """One flavor's node kernels of a compiled plan, built on first use
+    (once per cache entry, however many threads ask), charged to the
+    kernel cache and bounds-audited (KRN001) as they land: a finding
+    refuses the flavor, so no node kernel runs unaudited.  Raises
+    *error* with the reason the plan has no such form —
+    :class:`~repro.machine.fused.FusedStrictError` for a refusal under
+    *strict*."""
     k = ir.kernels
-    if getattr(k, flavor) is None and getattr(k, flavor + "_note") is None:
-        _build_flavor(k, ir, flavor)
-        recount(ir, getattr(k, flavor))
-    return getattr(k, flavor)
+    with k.lock:
+        if getattr(k, flavor) is None and getattr(k, flavor + "_note") is None:
+            from ..analysis.kernel_sanitizer import _check_bounds
+
+            try:
+                nodes = _build_nodes(ir, *_FLAVORS[flavor], k.used)
+                found = _check_bounds(ir, flavor, nodes)
+                if found:
+                    raise KernelBuildError(f"KRN001: {found[0].message}")
+            except KernelBuildError as e:
+                setattr(k, flavor + "_note", str(e))
+            except Exception as e:  # enumerator/placement surprises
+                setattr(k, flavor + "_note", f"{type(e).__name__}: {e}")
+            else:
+                setattr(k, flavor, nodes)
+                recount(ir, nodes)
+    nodes, note = getattr(k, flavor), getattr(k, flavor + "_note")
+    if nodes is not None:
+        return nodes
+    if strict and note.startswith("KRN"):
+        from ..machine.fused import FusedStrictError as error
+
+        note = f"execution refused under --strict: kernel sanitizer " \
+            f"flagged {note}"
+    raise error(note)
 
 
 def recount(ir, landed) -> None:
     """Charge *landed* — something built on demand onto ``ir.kernels``
-    after its cache entry was sized (the ``gdist`` flavor, a lowered
+    after its cache entry was sized (a flavor's nodes, a lowered
     program's sources) — to the kernel cache's byte budget."""
     ir.kernels.__dict__.pop("region_stats", None)
     key = _kernel_key(ir) if kernel_cache.enabled else None
@@ -522,12 +536,13 @@ def recount(ir, landed) -> None:
 _DEFAULT_MAXSIZE = 256
 
 
-def _dispose_native_tier(kernels: FusedKernels) -> None:
-    """Drop the native (njit) artifacts riding on an evicted entry so
-    the dispatcher and its compiled machine code can be collected."""
+def _dispose_native_tiers(entries) -> None:
+    """Drop the native (njit) artifacts riding on evicted entries so
+    the dispatchers and their compiled machine code can be collected."""
     from .native import dispose_native  # local: kernels <- native cycle
 
-    dispose_native(kernels)
+    for kernels in entries:
+        dispose_native(kernels)
 
 
 def _leaves(obj, _depth: int = 0):
@@ -605,16 +620,12 @@ class KernelCache:
     def store(self, key: tuple, kernels: FusedKernels) -> None:
         nbytes = kernels.region_stats["bytes"]  # walked outside the lock
         with self._lock:
-            old = self._sizes.pop(key, None)
-            if old is not None:
-                self.bytes -= old
+            self.bytes += nbytes - self._sizes.pop(key, 0)
             self._entries[key] = kernels
             self._entries.move_to_end(key)
             self._sizes[key] = nbytes
-            self.bytes += nbytes
             dropped = self._evict()
-        for evicted in dropped:
-            _dispose_native_tier(evicted)
+        _dispose_native_tiers(dropped)
 
     def grow(self, key: tuple, nbytes: int) -> None:
         """A resident entry grew by *nbytes* after it was stored."""
@@ -624,8 +635,7 @@ class KernelCache:
             self._sizes[key] += nbytes
             self.bytes += nbytes
             dropped = self._evict()
-        for evicted in dropped:
-            _dispose_native_tier(evicted)
+        _dispose_native_tiers(dropped)
 
     def _evict(self) -> list:
         """Drop oldest entries until both bounds hold (lock held)."""
@@ -648,8 +658,7 @@ class KernelCache:
             self.misses = 0
             self.evictions = 0
             self.bytes = 0
-        for evicted in dropped:
-            _dispose_native_tier(evicted)
+        _dispose_native_tiers(dropped)
 
     def info(self) -> Dict[str, object]:
         with self._lock:
@@ -706,10 +715,4 @@ def attach_kernels(ir) -> List[str]:
     ir.kernels = kernels
     if key is not None:
         kernel_cache.store(key, kernels)
-    notes = [f"compiled fused kernels: {kernels.describe()}"]
-    for label, note in (("shared", kernels.shared_note),
-                        ("distributed", kernels.dist_note)):
-        if note:
-            notes.append(f"{label} fallback → scalar template: "
-                         f"{note}")
-    return notes
+    return [f"compiled fused kernels: {kernels.describe()}"]

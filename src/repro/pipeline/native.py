@@ -272,17 +272,9 @@ class NativeKernels:
     entry: Callable
     mode: str                       # "njit" | "interp"
     jit_s: float
-    #: node counts per flavor (``None`` = no such kernels)
-    shared: Optional[int] = None
-    dist: Optional[int] = None
 
     def describe(self) -> str:
-        parts = [f"mode={self.mode}", f"jit={self.jit_s * 1e3:.1f} ms"]
-        if self.shared is not None:
-            parts.append(f"shared: {self.shared} node kernels")
-        if self.dist is not None:
-            parts.append(f"distributed: {self.dist} node kernels")
-        return "; ".join(parts)
+        return f"mode={self.mode}; jit={self.jit_s * 1e3:.1f} ms"
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +286,14 @@ _STATS = {"builds": 0, "hits": 0, "failures": 0, "disposed": 0,
 _stats_lock = threading.Lock()
 
 
-def _build_native(kernels, ir) -> NativeKernels:
+def _build_native(ir) -> NativeKernels:
     sup = native_support()
     if not sup.available:
         raise NativeBuildError(sup.reason)
     source = render_native_source(ir.clause)
     entry, jit_s = compile_native_entry(source)
-    nat = NativeKernels(source=source, entry=entry, mode=sup.mode,
-                        jit_s=jit_s)
-    for flavor in ("shared", "dist"):
-        nodes = getattr(kernels, flavor)
-        if nodes is not None:
-            setattr(nat, flavor, len(nodes))
-    return nat
+    return NativeKernels(source=source, entry=entry, mode=sup.mode,
+                         jit_s=jit_s)
 
 
 def ensure_native(kernels, ir) -> NativeKernels:
@@ -324,7 +311,7 @@ def ensure_native(kernels, ir) -> NativeKernels:
     if note is not None:
         raise NativeBuildError(note)
     try:
-        nat = _build_native(kernels, ir)
+        nat = _build_native(ir)
     except NativeBuildError as e:
         kernels.native_note = str(e)
         with _stats_lock:

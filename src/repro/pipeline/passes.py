@@ -360,11 +360,10 @@ class VerifyPlan(Pass):
 class LowerKernels(Pass):
     """Lower the plan to compile-once fused node kernels (§4's generated
     programs, specialized all the way): the clause body becomes one
-    generated NumPy expression, membership/placement arithmetic is
-    evaluated now into flat gather/scatter index arrays, and the result
-    is attached to ``ir.kernels`` for ``backend="fused"``.  Plans with
-    no fused form (sequential clauses, irregular layouts) keep the
-    scalar templates; the reason lands on the trace."""
+    generated NumPy expression attached to ``ir.kernels``; the template a
+    run executes is resolved into regions on its first use.  Plans with
+    no fused form (sequential clauses, unrenderable expressions) keep
+    the scalar templates; the reason lands on the trace."""
 
     name = "lower-kernels"
     paper = "§4 (compile-time specialization of generated programs)"

@@ -302,10 +302,12 @@ class Region:
         out[keys if len(keys) > 1 else keys[0]] = values
         return int(values.size)
 
-    def grids(self) -> Tuple[np.ndarray, ...]:
-        """Open-grid index vectors, one per key along its lane axis."""
+    def grids(self, used=None) -> Tuple[Optional[np.ndarray], ...]:
+        """Open-grid index vectors, one per key along its lane axis
+        (``None`` for an axis outside *used*, when given)."""
         n = len(self.shape)
-        return tuple(vec(k).reshape([-1 if e == d else 1 for e in range(n)])
+        return tuple(None if used is not None and d not in used else
+                     vec(k).reshape([-1 if e == d else 1 for e in range(n)])
                      for k, d in zip(self.keys, self.dims))
 
     def index_vectors(self) -> Tuple[np.ndarray, ...]:

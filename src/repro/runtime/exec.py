@@ -169,7 +169,7 @@ def run_shared_mp(
     """Execute a ``//`` clause's shared kernels on real processes; the
     returned :class:`SharedMachine` holds post-state and counters."""
     _check(ir, strict)
-    prog = lower_shared(ir)
+    prog = lower_shared(ir, strict)
     if machine is None:
         machine = SharedMachine(ir.pmax, env)
     _drive([prog], (True,), 1, (), machine.env, machine, ir.pmax, strict,
@@ -202,9 +202,9 @@ def run_program_mp(
     if pir.repeat > 1 and not pir.pipelined:
         raise MpLoweringError(
             f"time loop is not pipelined ({pir.pipeline_reason})")
-    _drive([lower_shared(st.ir) for st in pir.steps], pir.barrier_flags(),
-           pir.repeat, pir.swap, machine.env, machine, pir.pmax, strict,
-           processes, timeout, _fault_delay)
+    _drive([lower_shared(st.ir, strict) for st in pir.steps],
+           pir.barrier_flags(), pir.repeat, pir.swap, machine.env, machine,
+           pir.pmax, strict, processes, timeout, _fault_delay)
     return machine, pir.barriers_per_step() * pir.repeat
 
 
@@ -219,7 +219,7 @@ def run_distributed_mp(
     """Execute a ``//`` clause's distributed program on real processes
     (real messages over the worker queues, overlap schedule)."""
     _check(ir, strict)
-    prog = lower_dist(ir)
+    prog = lower_dist(ir, strict)
     machine = MpMachine(ir.pmax, prog.decomps)
     for name, arr in env.items():
         machine.arrays[name] = np.asarray(arr, dtype=np.float64).copy()

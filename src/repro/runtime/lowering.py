@@ -1,21 +1,21 @@
 """Compiled plans as real-process programs: the install envelope.
 
-There is nothing left to lower.  The `lower-kernels` pass already holds
-every node's lane plan as regions (:mod:`repro.pipeline.kernels`), and
-the mp workers and MPI ranks run those very node kernels — the same
-rows, entry and key type as the in-process tiers.  An :class:`MpProgram`
-only wraps one flavor's node list with what a worker needs to install
-it: a process-unique ``token`` (keys the workers' installed-plan LRU),
-the kernel sources, the array names and the decompositions.
+There is nothing left to lower.  The mp workers and MPI ranks run the
+node kernels :func:`~repro.pipeline.kernels.flavor_nodes` builds — every
+node's lane plan as regions, the same rows, entry and key type as the
+in-process tiers.  An :class:`MpProgram` only wraps one flavor's node
+list with what a worker needs to install it: a process-unique ``token``
+(keys the workers' installed-plan LRU), the kernel sources, the array
+names and the decompositions.
 
-* ``shared`` — ``ir.kernels.shared``: no sends, every read resident,
+* ``shared`` — the ``shared`` flavor: no sends, every read resident,
   one block per node committed after the pre-commit barrier (which is
   exactly the §2.9 phase barrier).
-* ``dist``   — ``ir.kernels.gdist``: the §2.10 overlap schedule (sends,
+* ``dist``   — the ``gdist`` flavor: the §2.10 overlap schedule (sends,
   fills, interior block, boundary strips) over the *identity* address
   map, because real processes index the global arrays in shared or
   rank-private memory.  Same builder as the simulator's node-local
-  ``dist`` flavor; built on first demand.
+  ``dist`` flavor.
 
 Envelopes are cached on the plan's ``FusedKernels`` (a declared field the
 kernel cache's byte budget counts), so they share its lifetime and
@@ -58,7 +58,7 @@ class MpProgram:
     nreads: int
     write_name: str
     array_names: Tuple[str, ...]
-    #: the plan's own node kernels (``ir.kernels.shared`` / ``.gdist``)
+    #: the plan's own node kernels (its ``shared`` / ``gdist`` flavor)
     nodes: Sequence = ()
     decomps: Dict[str, object] = field(default_factory=dict)
     #: njit-compilable scalar-loop source (None when the clause has no
@@ -94,37 +94,36 @@ def _native_source_of(ir):
         return None
 
 
-def _envelope(ir, nodes_of: str) -> MpProgram:
-    """The (cached) program around ``ir.kernels.<nodes_of>``."""
+def _envelope(ir, nodes_of: str, strict: bool = False) -> MpProgram:
+    """The (cached) program around the plan's *nodes_of* flavor."""
     k, flavor = ir.kernels, "dist" if _FLAVORS[nodes_of][1] else "shared"
     if k is None:
         raise MpLoweringError(
             "plan carries no fused kernels (lower-kernels fallback)")
-    prog = k.mp_programs.get(nodes_of)
-    if prog is None:
-        nodes = flavor_nodes(ir, nodes_of)
-        if nodes is None:
-            raise MpLoweringError(getattr(k, nodes_of + "_note"))
-        prog = k.mp_programs[nodes_of] = MpProgram(
-            token=next(_TOKENS), flavor=flavor, source=k.source,
-            nreads=k.nreads, write_name=k.write_name,
-            array_names=tuple(sorted(
-                {k.write_name} | {acc.name for acc in ir.reads})),
-            nodes=nodes,
-            decomps={} if flavor == "shared" else {
-                acc.name: acc.dec for acc in reversed(ir.accesses())},
-            native_source=_native_source_of(ir),
-        )
-        recount(ir, prog.native_source)
+    with k.lock:  # one envelope (one token) per flavor
+        prog = k.mp_programs.get(nodes_of)
+        if prog is None:
+            nodes = flavor_nodes(ir, nodes_of, strict, MpLoweringError)
+            prog = k.mp_programs[nodes_of] = MpProgram(
+                token=next(_TOKENS), flavor=flavor, source=k.source,
+                nreads=k.nreads, write_name=k.write_name,
+                array_names=tuple(sorted(
+                    {k.write_name} | {acc.name for acc in ir.reads})),
+                nodes=nodes,
+                decomps={} if flavor == "shared" else {
+                    acc.name: acc.dec for acc in reversed(ir.accesses())},
+                native_source=_native_source_of(ir),
+            )
+            recount(ir, prog.native_source)
     return prog
 
 
-def lower_shared(ir) -> MpProgram:
+def lower_shared(ir, strict: bool = False) -> MpProgram:
     """The §2.9 template over real processes."""
-    return _envelope(ir, "shared")
+    return _envelope(ir, "shared", strict)
 
 
-def lower_dist(ir) -> MpProgram:
+def lower_dist(ir, strict: bool = False) -> MpProgram:
     """The §2.10 overlap template over real processes: the distributed
     schedule against the global address space."""
-    return _envelope(ir, "gdist")
+    return _envelope(ir, "gdist", strict)

@@ -8,6 +8,7 @@ eviction keeps the kernel cache inside its budget.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +190,46 @@ class TestKernelCacheBytes:
         assert kernel_cache_info()["bytes"] > 0
         clear_plan_cache()
         assert kernel_cache_info()["bytes"] == 0
+
+
+class TestSingleFlightFlavorBuild:
+    def test_first_runs_build_each_flavor_once(self, monkeypatch):
+        """Threads sharing one cached entry: concurrent first runs of a
+        plan build each flavor exactly once and charge its bytes to the
+        kernel cache exactly once."""
+        from repro.codegen import compile_clause, run_distributed, run_shared
+        from repro.core import copy_env, evaluate_clause
+        from repro.pipeline import kernels
+
+        calls, lock, real = [], threading.Lock(), kernels._build_nodes
+
+        def build(ir, local, dist, used):
+            with lock:
+                calls.append((local, dist))
+            time.sleep(0.02)  # widen the window a second build would hit
+            return real(ir, local, dist, used)
+
+        monkeypatch.setattr(kernels, "_build_nodes", build)
+        decomps = {"A": Block(N, P), "B": Block(N, P)}
+        plan = compile_clause(stencil_clause(), decomps)
+        before = kernel_cache_info()["bytes"]
+        env0 = {k: np.random.default_rng(5).random(N) for k in "AB"}
+        want = evaluate_clause(stencil_clause(), copy_env(env0))["A"]
+
+        def first_runs():
+            mine = compile_clause(stencil_clause(), decomps)
+            dist = run_distributed(mine, copy_env(env0), backend="fused")
+            shared = run_shared(mine, copy_env(env0), backend="fused")
+            return dist.collect("A"), shared.env["A"]
+
+        results, errors = hammer(first_runs, n=8)
+        assert errors == [] and len(results) == 8
+        assert all(np.array_equal(a, want) for r in results for a in r)
+        assert sorted(calls) == [(False, False), (True, True)]
+        built = plan.kernels.built()
+        assert set(built) == {"shared", "dist"}
+        assert kernel_cache_info()["bytes"] == before + sum(
+            kernels._approx_nbytes(nodes) for nodes in built.values())
 
 
 class TestTable1Concurrency:

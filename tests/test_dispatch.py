@@ -36,6 +36,7 @@ from repro.machine import DeadlockError, DistributedMachine
 from repro.machine.fused import FusedStrictError
 from repro.mpi import reset_mpi_support
 from repro.pipeline import clear_plan_cache, reset_native_support
+from repro.pipeline.kernels import flavor_nodes
 from repro.runtime import shutdown_runtime
 
 N, P = 16, 4
@@ -403,7 +404,7 @@ def test_deadlock_cites_the_static_verdict(entry):
     SCHED code the static schedule check gives the node kernels that
     ran — one object, corrupted once."""
     plan = COMPILE[entry](clause_for(entry), decomps_for(entry))
-    plan.ir.kernels.dist[0].sends = ()
+    flavor_nodes(plan.ir, "dist")[0].sends = ()
     with pytest.raises(DeadlockError, match="SCHED001"):
         RUN[entry](plan, env_for(entry), backend="fused")
 

@@ -34,6 +34,7 @@ from repro.pipeline import (
     kernel_cache_info,
     plan_cache_info,
 )
+from repro.pipeline.kernels import KernelBuildError, flavor_nodes
 
 N, P = 24, 4
 
@@ -176,8 +177,9 @@ class TestFallbacks:
         decomps = {"r": Replicated(N, P), "B": Block(N, P)}
         plan = compile_clause(cl, decomps)
         k = plan.ir.kernels
-        assert k is not None and k.dist is None
-        assert "replicated write" in k.dist_note
+        assert k is not None and "replicated write" in k.dist_note
+        with pytest.raises(KernelBuildError, match="replicated write"):
+            flavor_nodes(plan.ir, "dist")
         env0 = {"r": np.zeros(N), "B": env1d()["B"]}
         ref = evaluate_clause(cl, copy_env(env0))["r"]
         a = run_distributed(plan, copy_env(env0),
@@ -190,6 +192,19 @@ class TestFallbacks:
         with pytest.raises(ValueError):
             run_shared_fused(ir, env1d())
 
+    def test_failed_flavor_falls_back_at_run_time(self):
+        """A flavor with no fused form is found on its first use: the
+        compile keeps the kernels, the run falls back to the scalar
+        template with the reason the build failed."""
+        plan = compile_clause(stencil_clause(), {"A": Block(N, P),
+                                                 "B": Block(N, P)})
+        plan.ir.kernels.shared_note = "no dense local layout"
+        env0 = env1d()
+        ref = evaluate_clause(stencil_clause(), copy_env(env0))["A"]
+        m = run_shared(plan, copy_env(env0), backend="fused")
+        assert np.array_equal(m.env["A"], ref)
+        assert any("no dense local layout" in n for n in plan.trace.notes)
+
     def test_grid_plan_builds_raveled_kernels(self):
         g = GridDecomposition([Block(8, 2), Block(8, 2)])
         cl = Clause(
@@ -198,7 +213,7 @@ class TestFallbacks:
             Ref("U", SeparableMap([AffineF(1, -1), IdentityF()])) * 0.5,
         )
         ir = compile_plan(cl, {"T": g, "U": g})
-        assert ir.kernels is not None and ir.kernels.dist is not None
+        assert ir.kernels is not None and flavor_nodes(ir, "dist")
 
 
 class TestStrictGating:
@@ -266,6 +281,9 @@ class TestFusedCLI:
         assert rc == 0
         assert "def _rhs(_i, _r):" in out
         assert "lower-kernels" in out
+        # a compile runs no template: every flavor waits for its first use
+        assert "shared: built on first use; distributed: built on first " \
+               "use; real-process distributed: built on first use" in out
 
     def test_run_fused_backend(self, stencil_prog, capsys):
         from repro.cli import main
@@ -295,3 +313,103 @@ class TestFusedCLI:
         assert "caches:" in out
         for line in ("plan:", "table1:", "kernel:"):
             assert line in out
+
+
+# ---------------------------------------------------------------------------
+# lower what runs: each flavor is built on its first use
+# ---------------------------------------------------------------------------
+
+ROTATE = ("for i := 0 to 255 par do\n"
+          "    A[i] := B[(i + 5) mod 256] * 2;\nod;\n",
+          "distribute A[256](blockscatter(4)) on 4;\n"
+          "distribute B[256](blockscatter(4)) on 4;\n")
+CHAIN = ("for i := 1 to 254 par do\n"
+         "    V[i] := U[i - 1] + 3 * U[i] + U[i + 1];\nod;\n"
+         "for i := 1 to 254 par do\n"
+         "    W[i] := V[i - 1] + V[i] + V[i + 1];\nod;\n",
+         "".join(f"distribute {x}[256](block) on 4;\n" for x in "UVW"))
+
+
+class TestLowerWhatRuns:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Every ``(local, dist)`` flavor shape built while armed; a
+        ``dist=True`` build raises (the executor would fall back)."""
+        from repro.pipeline import kernels
+
+        seen, real = [], kernels._build_nodes
+
+        def build(ir, local, dist, used):
+            seen.append((local, dist))
+            if dist:
+                raise AssertionError("a distributed flavor was built")
+            return real(ir, local, dist, used)
+
+        monkeypatch.setattr(kernels, "_build_nodes", build)
+        return seen
+
+    @pytest.mark.parametrize("text", [ROTATE, CHAIN], ids=["rotate", "chain"])
+    def test_compile_verify_run_fused_never_build_dist(self, text, builds):
+        """A cold compile, verify and shared ``run_program`` build the
+        ``shared`` flavor only — bit-identical to the evaluator, no
+        fallback."""
+        from repro.analysis import verify_program
+        from repro.cacheinfo import clear_all_caches
+        from repro.core import evaluate_program
+        from repro.decomp.spec import parse_spec
+        from repro.frontend import translate_source
+        from repro.pipeline import compile_program, run_program
+
+        clear_all_caches()
+        source, spec = text
+        program, decomps = translate_source(source, {}), parse_spec(spec)
+        rng = np.random.default_rng(4)
+        env = {name: rng.random(dec.n) for name, dec in decomps.items()}
+        expected = evaluate_program(program, copy_env(env))
+        pir = compile_program(program, decomps)
+        assert builds == []  # the compile built no node kernels at all
+        assert verify_program(pir).ok
+        machine, _ = run_program(pir, copy_env(env), backend="fused")
+        for name, want in expected.items():
+            assert np.array_equal(machine.env[name], want)
+        assert set(builds) == {(False, False)}
+        assert not pir.trace.notes
+        for st in pir.steps:
+            assert set(st.ir.kernels.built()) == {"shared"}
+            assert not st.ir.trace.notes
+
+    def test_pre_placed_e19_never_builds_shared(self, monkeypatch):
+        from repro.codegen.nddist import collect_nd, compile_clause_nd_dist, \
+            run_distributed_nd
+        from repro.machine import DistributedMachine
+        from repro.pipeline import kernels
+
+        seen, real = [], kernels._build_nodes
+
+        def build(ir, local, dist, used):
+            seen.append((local, dist))
+            if not dist:
+                raise AssertionError("the shared flavor was built")
+            return real(ir, local, dist, used)
+
+        monkeypatch.setattr(kernels, "_build_nodes", build)
+        n, g = 12, GridDecomposition([Block(12, 2), Block(12, 2)])
+
+        def s(di, dj):
+            return Ref("S", SeparableMap([AffineF(1, di), AffineF(1, dj)]))
+
+        cl = Clause(IndexSet(Bounds((1, 1), (n - 2, n - 2))),
+                    Ref("T", SeparableMap([IdentityF(), IdentityF()])),
+                    (s(-1, 0) + s(1, 0) + s(0, -1) + s(0, 1)) * 0.25)
+        rng = np.random.default_rng(2)
+        env = {"S": rng.random((n, n)), "T": rng.random((n, n))}
+        want = evaluate_clause(cl, copy_env(env))["T"]
+        plan = compile_clause_nd_dist(cl, {"S": g, "T": g})
+        m = DistributedMachine(4)
+        for name in "ST":
+            m.place(name, env[name], g)
+        for _ in range(3):
+            run_distributed_nd(plan, None, machine=m, backend="fused")
+        assert np.array_equal(collect_nd(m, "T"), want)
+        assert seen == [(True, True)] and not plan.trace.notes
+        assert set(plan.kernels.built()) == {"dist"}

@@ -47,7 +47,7 @@ from repro.pipeline import (
     reset_native_stats,
     reset_native_support,
 )
-from repro.pipeline.kernels import KernelCache, kernel_cache
+from repro.pipeline.kernels import KernelCache, flavor_nodes, kernel_cache
 from repro.runtime import shutdown_runtime
 
 N, P = 24, 4
@@ -417,7 +417,8 @@ class TestMpRuntime:
         assert payload[-1] is prog.native_source
         # the nodes that ride the pipe are the plan's own node kernels
         assert [nd.p for nd in payload[5]] == [0, 2]
-        assert all(nd is ir.kernels.gdist[nd.p] for nd in payload[5])
+        gdist = flavor_nodes(ir, "gdist")
+        assert all(nd is gdist[nd.p] for nd in payload[5])
 
     def test_mp_native_bit_identity_and_stats_flag(self, interp):
         plan = compile_clause(stencil_clause(), block_decomps())

@@ -30,6 +30,7 @@ from repro.core import (
 from repro.decomp import Block, BlockScatter, GridDecomposition, Scatter
 from repro.machine import DistributedMachine, fused
 from repro.pipeline import clear_plan_cache
+from repro.pipeline.kernels import flavor_nodes
 from repro.pipeline.region import Region
 
 from .conftest import IN_PROCESS_TIERS, check_all_tiers
@@ -125,21 +126,21 @@ def test_every_tier_reruns_on_one_machine(name):
     clauses, decomps, views = case(name)
     plan, _ = check_all_tiers(clauses, decomps, env_for(decomps),
                               tiers=IN_PROCESS_TIERS, steps=8)
-    k = plan.kernels
-    for p, nk in enumerate(k.dist):
+    dist = flavor_nodes(plan, "dist")
+    for p, nk in enumerate(dist):
         assert_node_matches_member_vecs(plan, nk, p, True)
         if views is not None:
             assert all((r.lanes is None) == views for r in fetched(nk))
             assert bool(nk.margins) == (views and bool(fetched(nk)))
-    assert any(fetched(nk) for nk in k.dist)
+    assert any(fetched(nk) for nk in dist)
     if name == "radius3-pingpong":  # the margin nobody declared
-        assert [nk.margins["U"] for nk in k.dist] == \
+        assert [nk.margins["U"] for nk in dist] == \
             [((0, 3),), ((3, 3),), ((3, 3),), ((3, 0),)]
     if name == "shift-block-1":
-        assert k.dist[0].margins == {"B": ((0, 5),)}
+        assert dist[0].margins == {"B": ((0, 5),)}
     if name == "reversed-shift":
-        assert [nk.margins for nk in k.dist] == [{}, {"B": ((0, 2),)}, {}]
-        assert k.dist[1].reads[0].mem.keys == (slice(7, 1, -1),)
+        assert [nk.margins for nk in dist] == [{}, {"B": ((0, 2),)}, {}]
+        assert dist[1].reads[0].mem.keys == (slice(7, 1, -1),)
 
 
 def test_frame_keeps_the_core_and_follows_a_replacement():
@@ -223,7 +224,8 @@ def test_fused_gathers_copy_nothing_where_a_frame_serves(name, copies):
             assert all(np.shares_memory(arr, row)
                        for arr, row in copies["rows"])
             assert all(mem[r.name].base is not None
-                       for mem, nk in zip(m.memories, plans[i].kernels.dist)
+                       for mem, nk in zip(m.memories,
+                                          flavor_nodes(plans[i], "dist"))
                        for r in fetched(nk))
         else:  # the control: a strided image still assembles a buffer
             assert gathered > 0 and drained > received
@@ -237,11 +239,10 @@ def test_sanitizer_checks_ghost_fills_against_the_framed_shape():
     clear_plan_cache()
     clauses, decomps, _ = case("e19-2x2")
     plan = compiled(clauses[0], decomps)
-    k = plan.kernels
+    k, nk = plan.kernels, flavor_nodes(plan, "dist")[0]
     assert "ghost S[1:1, 1:1]" in k.describe()
     assert k.region_stats["dist"]["vector"] == 0
     assert not sanitize_kernels(plan)
-    nk = k.dist[0]
     assert nk.margins == {"S": ((0, 1), (0, 1))}
     nk.margins["S"] = ((0, 0), (0, 1))  # one ghost row short
     found = [d.message for d in sanitize_kernels(plan) if d.code == "KRN001"]
@@ -260,7 +261,7 @@ def test_non_ghost_control_allocates_no_margin():
     decomps = {"A": Scatter(24, 4), "B": Block(24, 4)}
     plan, _ = check_all_tiers(cl, decomps, env_for(decomps),
                               tiers=IN_PROCESS_TIERS, steps=2)
-    for p, nk in enumerate(plan.kernels.dist):
+    for p, nk in enumerate(flavor_nodes(plan, "dist")):
         assert_node_matches_member_vecs(plan, nk, p, True)
         assert not nk.margins and fetched(nk)
         assert all(r.lanes is not None for r in fetched(nk))

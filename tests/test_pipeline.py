@@ -102,6 +102,46 @@ class TestPassManager:
         assert "substitute-views" in payload
 
 
+class TestModularKeys:
+    ROTATE = "for i := 0 to 63 par do\n    A[i] := B[(i + 6) mod 64] * 2;\nod;\n"
+    SPEC = ("distribute A[64](blockscatter(4)) on 4;\n"
+            "distribute B[64](blockscatter(4)) on 4;\n")
+
+    def test_rotate_source_translated_twice_hits_every_cache(self):
+        """``B[(i + c) mod n]`` keys structurally: a second translation of
+        the same text is one hit on every cache, not a recompile."""
+        from repro.analysis import verify_program
+        from repro.cacheinfo import cache_stats, clear_all_caches
+        from repro.decomp.spec import parse_spec
+        from repro.frontend import translate_source
+        from repro.pipeline import compile_program
+
+        clear_all_caches()
+        stats = []
+        for _ in range(2):
+            pir = compile_program(translate_source(self.ROTATE, {}),
+                                  parse_spec(self.SPEC))
+            assert verify_program(pir).ok
+            stats.append(cache_stats())
+        cold, warm = stats
+        assert warm["program"]["hits"] == cold["program"]["hits"] + 1
+        assert warm["verify"]["hits"] == cold["verify"]["hits"] + 1
+        for cache in ("plan", "kernel", "program", "table1", "verify"):
+            assert warm[cache]["misses"] == cold[cache]["misses"], cache
+
+    def test_modular_functions_compare_by_structure(self):
+        from repro.core.ifunc import ConstantF, ModularF, MonotoneF
+
+        assert ModularF(AffineF(1, 6), 64) == ModularF(AffineF(1, 6), 64)
+        assert hash(ModularF(AffineF(1, 6), 64)) == \
+            hash(ModularF(AffineF(1, 6), 64))
+        assert ModularF(AffineF(1, 6), 64) != ModularF(AffineF(1, 6), 64, 1)
+        assert ModularF(ConstantF(3), 8) != ModularF(AffineF(1, 3), 8)
+        g = MonotoneF(lambda i: 2 * i)
+        assert ModularF(g, 8) == ModularF(g, 8)  # one opaque g: identity
+        assert ModularF(g, 8) != ModularF(MonotoneF(lambda i: 2 * i), 8)
+
+
 class TestUnifiedEntryPoints:
     def test_1d_plan_carries_ir_and_trace(self):
         plan = compile_clause(simple_clause(), block_decomps())

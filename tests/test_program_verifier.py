@@ -52,6 +52,7 @@ from repro.analysis import (
 )
 from repro.core import PAR, AffineF, Bounds, IdentityF, SeparableMap
 from repro.machine.fused import FusedStrictError
+from repro.pipeline.kernels import flavor_nodes
 from repro.pipeline.region import Region
 from repro.pipeline import (
     clear_program_cache,
@@ -266,7 +267,7 @@ class TestKrnFixtures:
 
     def test_krn001_corrupt_gather_index(self):
         ir = self._plan()
-        rd = ir.kernels.shared[0].reads[0]
+        rd = flavor_nodes(ir, "shared")[0].reads[0]
         # a slice past B's extent [0, N): NumPy would clip it silently
         rd.mem = Region((slice(0, 100),), rd.mem.dims, rd.mem.shape)
         codes = {d.code for d in sanitize_kernels(ir)}
@@ -276,7 +277,7 @@ class TestKrnFixtures:
         """The acceptance fixture: a deliberately corrupted gather region
         is refused by ``--strict`` *before* any worker runs."""
         ir = self._plan()
-        rd = ir.kernels.shared[0].reads[0]
+        rd = flavor_nodes(ir, "shared")[0].reads[0]
         # a negative slice bound: NumPy would wrap it silently
         rd.mem = Region((slice(-N - 1, 6),), rd.mem.dims, rd.mem.shape)
         with pytest.raises(FusedStrictError, match="KRN001"):
@@ -286,6 +287,48 @@ class TestKrnFixtures:
                           processes=2)
         # non-strict keeps the report advisory
         check_kernels_strict(ir, False)
+
+    @pytest.fixture
+    def oob_lane_plans(self, monkeypatch):
+        """Lane plans whose node 0 gathers past every buffer."""
+        from repro.pipeline import kernels
+
+        real = kernels._build_nodes
+
+        def build(ir, local, dist, used):
+            nodes = real(ir, local, dist, used)
+            rd = nodes[0].reads[0]
+            rd.mem = Region((slice(0, 100),), rd.mem.dims, rd.mem.shape)
+            return nodes
+
+        monkeypatch.setattr(kernels, "_build_nodes", build)
+
+    @pytest.mark.parametrize("backend, entry", [
+        ("fused", "shared"), ("fused", "dist"), ("mp", "dist")])
+    def test_krn001_refuses_a_flavor_as_it_is_built(self, oob_lane_plans,
+                                                    backend, entry):
+        """Audit when built: the corrupt flavor never executes — the run
+        falls back to ``scalar`` with the KRN001 note, bit-identical, and
+        ``--strict`` refuses it (``mp`` through its ``gdist`` flavor)."""
+        from repro.codegen import compile_clause, run_distributed, run_shared
+        from repro.core import copy_env, evaluate_clause
+
+        cl = clause(1, N - 2, ref("A"), ref("B", c=-1) + ref("B", c=1))
+        decs = {"A": Block(N, P), "B": Block(N, P)}
+        env0 = block_env("A", "B")
+        want = evaluate_clause(cl, copy_env(env0))["A"]
+        run = run_shared if entry == "shared" else run_distributed
+        with pytest.raises(FusedStrictError, match="KRN001"):
+            run(compile_clause(cl, decs), copy_env(env0), backend=backend,
+                strict=True, processes=2)
+        clear_plan_cache()
+        plan = compile_clause(cl, decs)
+        m = run(plan, copy_env(env0), backend=backend, processes=2)
+        got = m.env["A"] if entry == "shared" else m.collect("A")
+        assert np.array_equal(got, want)
+        assert plan.ir.kernels.built() == {}
+        assert any("fell back to the scalar" in n and "KRN001" in n
+                   for n in plan.trace.notes)
 
     def test_krn002_source_audit(self):
         ir = self._plan()

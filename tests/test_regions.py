@@ -37,7 +37,7 @@ from repro.decomp import (
 from repro.diophantine.linear import CongruenceSolution
 from repro.machine import NodeStats
 from repro.pipeline import clear_plan_cache, compile_plan
-from repro.pipeline.kernels import _approx_nbytes, _leaves
+from repro.pipeline.kernels import _approx_nbytes, _leaves, flavor_nodes
 from repro.pipeline.region import (
     Region,
     compose,
@@ -547,16 +547,15 @@ class TestRegionKernelsDifferential:
                for name, dec in decomps.items()}
         plan, ran = check_all_tiers(clause, decomps, env,
                                     tiers=IN_PROCESS_TIERS)
-        k = plan.kernels
-        assert k is not None and k.shared is not None and k.dist is not None
+        shared, dist = (flavor_nodes(plan, f) for f in ("shared", "dist"))
         # every counter of every node is what the element oracle implies
         assert counters(ran["shared", "fused"]) == \
             expected_counters(plan, env, dist=False)
         assert counters(ran["dist", "fused"]) == \
             expected_counters(plan, env, dist=True)
         for p in range(plan.pmax):
-            assert_node_matches_member_vecs(plan, k.shared[p], p, False)
-            assert_node_matches_member_vecs(plan, k.dist[p], p, True)
+            assert_node_matches_member_vecs(plan, shared[p], p, False)
+            assert_node_matches_member_vecs(plan, dist[p], p, True)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +683,7 @@ def test_real_process_tiers_run_the_region_kernels(
         assert ran["dist", tier].runtime_stats, tier
     assert ran["dist", "mpi"].mode == "stub"
     assert all(a is b for a, b in zip(lower_dist(plan).nodes,
-                                      plan.kernels.gdist))
+                                      flavor_nodes(plan, "gdist")))
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +719,7 @@ class TestLoweringStaysClosedForm:
                     + Ref("B", SeparableMap([AffineF(1, 1)])))
         ir = compile_clause(cl, {"A": wdec(n, 4), "B": rdec(n, 4)})
         assert not verify_ir(ir).diagnostics
+        flavor_nodes(ir, "shared"), flavor_nodes(ir, "dist")
         stats = ir.kernels.region_stats
         assert stats["dist"]["vector"] == stats["shared"]["vector"] == 0
         assert stats["bytes"] < 1 << 16  # O(pmax), not int64 lanes
@@ -735,11 +735,12 @@ class TestLoweringStaysClosedForm:
                     Ref("T", SeparableMap([IdentityF(), IdentityF()])),
                     (s(-1, 0) + s(1, 0) + s(0, -1) + s(0, 1)) * 0.25)
         ir = compile_clause_nd_dist(cl, {"S": g, "T": g})
+        shared, dist = (flavor_nodes(ir, f) for f in ("shared", "dist"))
         stats = ir.kernels.region_stats
         assert stats["dist"]["vector"] == stats["shared"]["vector"] == 0
         assert stats["bytes"] < 1 << 20  # O(edge), not O(edge^2)
         assert all(nk.interior is not None and len(nk.blocks) <= 4
-                   for nk in ir.kernels.dist)
+                   for nk in dist)
 
 
     def test_e19_at_1024_reaches_the_workers_as_regions(self, monkeypatch):
@@ -785,21 +786,26 @@ class TestRegionReporting:
         return compile_plan(cl, {"A": wdec, "B": rdec})
 
     def test_describe_counts_slice_and_vector_regions(self):
-        k = self._plan(Block(64, 4), Block(64, 4)).kernels
+        ir = self._plan(Block(64, 4), Block(64, 4))
+        k = ir.kernels
+        assert "distributed: built on first use" in k.describe()
+        flavor_nodes(ir, "dist")
         stats = k.region_stats
         assert stats["dist"]["vector"] == 0 and stats["dist"]["slice"] > 0
         assert f"{stats['dist']['slice']} slice / 0 vector" in k.describe()
         assert f"{stats['bytes']} bytes" in k.describe()
 
     def test_vector_keys_are_counted_in_bytes(self):
-        sliced = self._plan(Block(64, 4), Block(64, 4)).kernels
-        multi = self._plan(BlockScatter(64, 4, 2), Block(64, 4)).kernels
-        assert multi.region_stats["dist"]["vector"] > 0
+        sliced = self._plan(Block(64, 4), Block(64, 4))
+        multi = self._plan(BlockScatter(64, 4, 2), Block(64, 4))
+        flavor_nodes(sliced, "dist")
         vector_bytes = sum(
-            r.nbytes for nk in multi.dist for b in nk.blocks
+            r.nbytes for nk in flavor_nodes(multi, "dist") for b in nk.blocks
             for r in (b.pos, b.loop, b.write))
+        assert multi.kernels.region_stats["dist"]["vector"] > 0
         assert vector_bytes > 0
-        assert _approx_nbytes(multi) >= _approx_nbytes(sliced) + vector_bytes
+        assert _approx_nbytes(multi.kernels) >= \
+            _approx_nbytes(sliced.kernels) + vector_bytes
 
     def test_cache_bytes_cover_what_an_mp_run_lowers(self):
         """The ``gdist`` flavor and the install envelope land on the
@@ -811,17 +817,19 @@ class TestRegionReporting:
 
         ir = self._plan(BlockScatter(64, 4, 2), Block(64, 4))
         k, before = ir.kernels, kernel_cache_info()["bytes"]
-        assert k.gdist is None and "real-process" not in k.describe()
+        assert "gdist" not in k.built()
+        assert "real-process distributed: built on first use" in k.describe()
         env = {"A": np.zeros(64), "B": np.arange(64.0)}
         try:
             m = run_distributed(ir, env, backend="mp", processes=2)
         finally:
             shutdown_runtime()
-        assert m.runtime_stats and k.gdist is not None
+        assert m.runtime_stats and "gdist" in k.built()
         prog_ = lower_dist(ir)
         assert k.mp_programs == {"gdist": prog_} and prog_.sched_cert.ok
         grown = len(prog_.native_source) + sum(
-            r.nbytes for r in _leaves(k.gdist) if isinstance(r, Region))
+            r.nbytes for r in _leaves(k.built()["gdist"])
+            if isinstance(r, Region))
         assert k.region_stats["gdist"]["vector"] > 0 and grown > 0
         assert kernel_cache_info()["bytes"] >= before + grown
         assert k.region_stats["bytes"] >= before + grown
@@ -834,8 +842,8 @@ class TestRegionReporting:
         vector."""
         ir = self._plan(Block(64, 4), Block(64, 4))
         dist, shared = lower_dist(ir), lower_shared(ir)
-        assert all(a is b for a, b in zip(dist.nodes, ir.kernels.gdist))
-        assert all(a is b for a, b in zip(shared.nodes, ir.kernels.shared))
+        assert dist.nodes is flavor_nodes(ir, "gdist")
+        assert shared.nodes is flavor_nodes(ir, "shared")
         assert not sanitize_kernels(ir)
         dist.nodes[1].interior.write = Region(
             [np.array([99, 17])], (0,), (2,))
@@ -854,7 +862,7 @@ class TestRegionReporting:
         prog_ = lower_dist(ir)
         _, cert = check_schedule([prog_])
         assert cert.ok and cert.messages > 0 and prog_.sched_cert is cert
-        local = dataclasses.replace(prog_, nodes=ir.kernels.dist)
+        local = dataclasses.replace(prog_, nodes=flavor_nodes(ir, "dist"))
         assert check_schedule([local])[1] == cert  # same sizes, same peers
         short = next(s for nd in prog_.nodes for s in nd.sends if s.peers)
         q, region = short.peers[0]
