@@ -34,7 +34,7 @@ def bench_metadata() -> dict:
     """Common provenance block stamped into every ``BENCH_*.json``:
     interpreter, platform, and which execution backends were actually
     available when the numbers were taken (so a fused-fallback run is
-    distinguishable from a real native/mpi run after the fact)."""
+    distinguishable from a real mpi run after the fact)."""
     import platform
 
     from repro.backends import availability_snapshot

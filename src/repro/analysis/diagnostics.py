@@ -80,8 +80,8 @@ CODES: Dict[str, str] = {
     "KRN001": "kernel index out of bounds: a precomputed gather/scatter "
               "index array escapes its flat-array extent",
     "KRN002": "kernel source audit: the rendered kernel uses a name or "
-              "operation outside the whitelist, or the fused and native "
-              "renderings disagree on NaN semantics (min/max)",
+              "operation outside the whitelist, or does not spell min/max "
+              "as the NaN-propagating NumPy forms",
     "KRN003": "dead guard: the clause guard can never fire over the "
               "loop domain (every iteration is filtered out)",
 }

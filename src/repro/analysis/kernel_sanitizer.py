@@ -1,10 +1,10 @@
 """Generated-kernel sanitizer (the ``KRN`` diagnostic family).
 
-The fused/native/mp tiers execute *generated artifacts*: exec-compiled
-NumPy source, njit scalar loops, and precomputed regions (slices and
-index vectors).  Until now those artifacts were trusted — a codegen bug
-would fault inside a worker (or worse, silently read the wrong slot).
-This module audits them statically, per plan:
+The fused/mp tiers execute *generated artifacts*: exec-compiled NumPy
+source and precomputed regions (slices and index vectors).  Until now
+those artifacts were trusted — a codegen bug would fault inside a worker
+(or worse, silently read the wrong slot).  This module audits them
+statically, per plan:
 
 ``KRN001``
     Every precomputed region stays inside the buffer it addresses: the
@@ -15,23 +15,21 @@ This module audits them statically, per plan:
     and again by :func:`sanitize_kernels`.
 
 ``KRN002``
-    AST audit of the rendered kernel sources.  The fused rendering may
-    only use the ``_i``/``_r`` vectors, whitelisted Python operators and
-    the element-wise ``_np`` calls the code generator emits; the native
-    scalar loop additionally gets its loop scaffolding.  Anything else —
+    AST audit of the rendered kernel source.  It may only use the
+    ``_i``/``_r`` vectors, whitelisted Python operators and the
+    element-wise ``_np`` calls the code generator emits.  Anything else —
     an injected name, a builtin ``min``/``max`` (which would change NaN
-    semantics relative to ``np.minimum``/``np.maximum``), an import —
-    is an error.  The check also cross-audits NaN parity: a clause using
-    ``min``/``max`` must route through ``_np.minimum``/``_np.maximum``
-    in *both* renderings.
+    semantics relative to ``np.minimum``/``np.maximum``), an import — is
+    an error.  The check also audits NaN parity: a clause using
+    ``min``/``max`` must route through ``_np.minimum``/``_np.maximum``.
 
 ``KRN003``
     A guard expression that references no data and is false on every
     domain index can never fire: the clause writes nothing (warning).
 
 ``check_kernels_strict`` is the run-time gate: ``run --strict`` for the
-mp/native backends refuses plans with KRN errors exactly as the fused
-backend refuses RACE/COMM.
+mp backend refuses plans with KRN errors exactly as the fused backend
+refuses RACE/COMM.
 """
 
 from __future__ import annotations
@@ -45,12 +43,8 @@ from .support import ENUM_BUDGET, range_count
 
 __all__ = ["sanitize_kernels", "audit_kernel_source", "check_kernels_strict"]
 
-#: names the fused (vector) rendering may reference
-_FUSED_NAMES = {"_np", "_i", "_r", "_rhs", "_guard"}
-#: extra names of the native scalar-loop scaffolding
-_NATIVE_NAMES = {"_kernel", "_lanes", "_scatter", "_out", "_m", "_t", "_l"}
-#: builtins the native rendering may call
-_NATIVE_CALLS = {"range", "abs"}
+#: names the rendered kernel may reference
+_KERNEL_NAMES = {"_np", "_i", "_r", "_rhs", "_guard"}
 #: element-wise ``_np`` attributes the code generators emit
 _NP_ATTRS = {"minimum", "maximum", "logical_and", "logical_or",
              "logical_not", "absolute"}
@@ -70,17 +64,13 @@ def _diag(code, message, *, severity=Severity.ERROR, clause="", access="",
 # KRN002: source audit
 # ---------------------------------------------------------------------------
 
-def audit_kernel_source(source: str, kind: str = "fused") -> List[str]:
-    """Whitelist audit of one rendered kernel source; returns violation
-    strings (empty = clean).  *kind* is ``"fused"`` (the exec'd NumPy
-    expression) or ``"native"`` (the njit scalar loop)."""
+def audit_kernel_source(source: str) -> List[str]:
+    """Whitelist audit of one rendered kernel source (the exec'd NumPy
+    expression); returns violation strings (empty = clean)."""
     try:
         tree = ast.parse(source)
     except SyntaxError as e:
         return [f"source does not parse: {e}"]
-    allowed_names = set(_FUSED_NAMES)
-    if kind == "native":
-        allowed_names |= _NATIVE_NAMES | _NATIVE_CALLS
     problems: List[str] = []
 
     def bad(node, why):
@@ -90,13 +80,10 @@ def audit_kernel_source(source: str, kind: str = "fused") -> List[str]:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             bad(node, "import statement in generated kernel")
         elif isinstance(node, ast.Name):
-            if node.id not in allowed_names:
+            if node.id not in _KERNEL_NAMES:
                 bad(node, f"name {node.id!r} outside the kernel whitelist")
         elif isinstance(node, ast.Attribute):
             v = node.value
-            if (kind == "native" and node.attr == "shape"
-                    and isinstance(v, ast.Name) and v.id in _NATIVE_NAMES):
-                continue  # `_scatter.shape[0]` loop scaffolding
             if not (isinstance(v, ast.Name) and v.id == "_np"):
                 bad(node, f"attribute access on non-_np value "
                           f"(.{node.attr})")
@@ -107,10 +94,8 @@ def audit_kernel_source(source: str, kind: str = "fused") -> List[str]:
             f = node.func
             if isinstance(f, ast.Attribute):
                 continue  # audited as Attribute above
-            if not (isinstance(f, ast.Name) and f.id in _NATIVE_CALLS
-                    and kind == "native"):
-                name = getattr(f, "id", type(f).__name__)
-                bad(node, f"call of {name!r} outside the kernel whitelist")
+            name = getattr(f, "id", type(f).__name__)
+            bad(node, f"call of {name!r} outside the kernel whitelist")
         elif isinstance(node, ast.BinOp):
             if not isinstance(node.op, _BINOPS):
                 bad(node, f"operator {type(node.op).__name__} not emitted "
@@ -145,39 +130,25 @@ def _ops_used(expr, out: set) -> set:
 def _audit_sources(ir, kernels) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     cname = ir.clause.name or "<anonymous>"
-    for why in audit_kernel_source(kernels.source, "fused"):
+    access = f"write:{kernels.write_name}"
+    for why in audit_kernel_source(kernels.source):
         out.append(_diag(
-            "KRN002", f"fused kernel source rejected: {why}",
-            clause=cname, access=f"write:{kernels.write_name}",
+            "KRN002", f"kernel source rejected: {why}",
+            clause=cname, access=access,
             hint="the rendered kernel escaped the code generator's "
                  "whitelist; recompile the plan (clear_plan_cache)"))
-    try:
-        from ..pipeline.native import render_native_source
-
-        native_src: Optional[str] = render_native_source(ir.clause)
-    except Exception:  # no native rendering: nothing to cross-audit
-        native_src = None
-    if native_src is not None:
-        for why in audit_kernel_source(native_src, "native"):
-            out.append(_diag(
-                "KRN002", f"native kernel source rejected: {why}",
-                clause=cname, access=f"write:{kernels.write_name}"))
-    # NaN parity: min/max must be the NaN-propagating NumPy forms in
-    # every rendering of this clause
+    # NaN parity: min/max must be the NaN-propagating NumPy forms
     ops = _ops_used(ir.clause.rhs, set())
     if ir.clause.guard is not None:
         _ops_used(ir.clause.guard, ops)
     for op, spelled in (("min", "_np.minimum"), ("max", "_np.maximum")):
-        if op not in ops:
-            continue
-        for label, src in (("fused", kernels.source), ("native", native_src)):
-            if src is not None and spelled not in src:
-                out.append(_diag(
-                    "KRN002",
-                    f"NaN-semantics parity broken: clause uses {op!r} but "
-                    f"the {label} rendering does not spell it {spelled} "
-                    "(builtin min/max does not propagate NaN)",
-                    clause=cname, access=f"write:{kernels.write_name}"))
+        if op in ops and spelled not in kernels.source:
+            out.append(_diag(
+                "KRN002",
+                f"NaN-semantics parity broken: clause uses {op!r} but the "
+                f"kernel source does not spell it {spelled} (builtin "
+                "min/max does not propagate NaN)",
+                clause=cname, access=access))
     return out
 
 
@@ -345,7 +316,7 @@ def sanitize_kernels(ir) -> List[Diagnostic]:
 
 
 def check_kernels_strict(ir, strict: bool) -> None:
-    """``run --strict`` gate for the mp/native tiers: refuse execution
+    """``run --strict`` gate for the mp tier: refuse execution
     when the kernel sanitizer finds a KRN error (mirrors the fused
     backend's RACE/COMM gate)."""
     if not strict:

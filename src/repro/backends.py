@@ -7,21 +7,19 @@ replicated write, pre-placed machine, availability probe), and where its
 runners live.  The CLI, the ``run_*`` entry points and ``run_program``
 all read this table, so an unknown name fails the same way everywhere (a
 one-line error listing the valid backends), an unavailable optional
-dependency (``native`` → numba, ``mpi`` → mpi4py) is reported the same
-way everywhere, and every fallback hop leaves exactly one trace note::
+dependency (``mpi`` → mpi4py) is reported the same way everywhere, and
+every fallback hop leaves exactly one trace note::
 
     backend='X' fell back to the Y path: why
 
-The declared chain is ``mpi → fused``, ``mp → fused``, ``native →
-fused``, ``fused → scalar``; ``scalar`` is the caller's own reference
-template and the end of every chain.  ``docs/execution.md`` renders the
-table.
+Every chain ends ``… → fused → scalar``; ``scalar`` is the caller's own
+reference template.  ``docs/execution.md`` renders the table.
 
 Target and transport are parameters of one computation, not code paths:
 :func:`dispatch` runs one clause (shared or distributed flavor),
 :func:`dispatch_program` tries the whole-program forms of the
 real-process tiers, :func:`dispatch_group` runs a fused clause group on
-the kernel tiers.
+the kernel tier.
 """
 
 from __future__ import annotations
@@ -161,26 +159,16 @@ def _load_mp() -> Impl:
                          run_distributed_mp, run_program_mp)
 
 
-def _kernel_impl(tier) -> Impl:
-    return Impl((tier.no_form,), {
-        "shared": lambda r: tier.run_shared(r.ir, r.env, r.machine,
-                                            r.strict),
-        "dist": lambda r: tier.run_distributed(r.ir, r.env, r.machine,
-                                               r.model, r.strict),
-        "group": tier.run_group,
-    })
-
-
-def _load_native() -> Impl:
-    from .machine.fused import NATIVE
-
-    return _kernel_impl(NATIVE)
-
-
 def _load_fused() -> Impl:
     from .machine.fused import FUSED
 
-    return _kernel_impl(FUSED)
+    return Impl((FUSED.no_form,), {
+        "shared": lambda r: FUSED.run_shared(r.ir, r.env, r.machine,
+                                             r.strict),
+        "dist": lambda r: FUSED.run_distributed(r.ir, r.env, r.machine,
+                                                r.model, r.strict),
+        "group": FUSED.run_group,
+    })
 
 
 #: name -> tier, in increasing order of specialization
@@ -189,9 +177,6 @@ TIERS: "OrderedDict[str, Tier]" = OrderedDict((t.name, t) for t in (
          None),
     Tier("fused", "compile-once fused node kernels, in-process",
          "scalar", _load_fused, (_SERIAL, _BROADCAST)),
-    Tier("native", "numba-njit compiled node kernels (falls back to fused "
-                   "when numba is absent)",
-         "fused", _load_native, (_SERIAL, _BROADCAST)),
     Tier("mp", "multi-process runtime: fused kernels on real OS processes",
          "fused", _load_mp, _owns_placement("mp runtime"),
          program="pipelining"),
@@ -222,7 +207,7 @@ class BackendAvailability(NamedTuple):
 
     backend: str
     available: bool
-    mode: str       # "builtin" | the probe's mode ("njit", "stub", ...)
+    mode: str       # "builtin" | the probe's mode ("mpi4py", "stub", ...)
     reason: str     # one-line availability note (the fallback message)
 
 
@@ -233,11 +218,6 @@ def backend_availability(backend: str) -> BackendAvailability:
     dependency backends delegate to their cached probe.  The ``reason``
     string is what the dispatcher puts on the trace when falling back.
     """
-    if backend == "native":
-        from .pipeline.native import native_support
-
-        s = native_support()
-        return BackendAvailability("native", s.available, s.mode, s.reason)
     if backend == "mpi":
         from .mpi.support import mpi_support
 
@@ -251,8 +231,16 @@ def backend_availability(backend: str) -> BackendAvailability:
 def availability_snapshot() -> "OrderedDict[str, dict]":
     """Every backend's availability as plain dicts (benchmark metadata,
     ``repro calibrate`` output)."""
-    return OrderedDict(
+    snap = OrderedDict(
         (name, backend_availability(name)._asdict()) for name in BACKENDS)
+    # the retired ``native`` tier keeps one row, for its only reader:
+    # benchmarks/ledger/runner.provenance records it as unmeasured.  The
+    # ledger change that stops reading it (ROADMAP 9(c)) deletes the row.
+    snap["native"] = BackendAvailability(
+        "native", False, "retired",
+        "retired: the njit node-kernel tier was removed; fused runs the "
+        "same kernels")._asdict()
+    return snap
 
 
 def backend_names() -> Tuple[str, ...]:
@@ -376,20 +364,11 @@ def dispatch_program(backend: str, pir, machine, *, strict: bool = False,
 
 
 def dispatch_group(backend: str, irs, machine, strict: bool, trace) -> bool:
-    """Run a fused clause group on the kernel tiers — ``native`` tries
-    its own walk first, every other non-scalar backend starts at the
-    ``fused`` walk (only the kernel tiers have one).  ``False`` leaves
-    the group to the caller's scalar walk, memory untouched."""
+    """Run a fused clause group on the ``fused`` walk — every non-scalar
+    backend starts there (only the kernel tier has one).  ``False``
+    leaves the group to the caller's scalar walk, memory untouched."""
     if backend == "scalar":
         return False
-    if backend == "native":
-        native = _impl("native")
-        try:
-            native.run["group"](irs, machine, strict)
-            return True
-        except native.no_form as err:
-            trace.note("backend='native' clause group fell back to the "
-                       f"fused walk: {err}")
     fused = _impl("fused")
     try:
         fused.run["group"](irs, machine, strict)

@@ -1,7 +1,7 @@
 """One snapshot surface for every compile-state cache.
 
 ``cache_stats()`` returns a plain-data dict (JSON-able) covering the
-plan, Table I, kernel, native, program and verify caches plus the
+plan, Table I, kernel, program and verify caches plus the
 compile single-flight counters.  Three consumers share it: the CLI
 (``repro compile --cache-stats`` text block, and machine-readable with
 ``--json``), the serve daemon's ``stats`` endpoint, and the benchmark
@@ -24,7 +24,7 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
     """Hit/miss/eviction/size counters of every cache, one nested dict.
 
     Keys: ``plan``, ``table1``, ``kernel`` (size-accounted: includes
-    ``bytes``/``max_bytes``), ``native``, ``program``, ``verify``, and
+    ``bytes``/``max_bytes``), ``program``, ``verify``, and
     ``singleflight`` (thread-level compile coalescing: ``leaders`` led
     a pipeline execution, ``waits`` piggybacked on one in flight).
     """
@@ -32,7 +32,6 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
     from .pipeline import (
         compile_flight,
         kernel_cache_info,
-        native_cache_info,
         plan_cache_info,
         program_cache_info,
     )
@@ -42,7 +41,6 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
         "plan": plan_cache_info(),
         "table1": table1_cache_info(),
         "kernel": kernel_cache_info(),
-        "native": native_cache_info(),
         "program": program_cache_info(),
         "verify": verify_cache_info(),
         "singleflight": compile_flight.info(),

@@ -206,12 +206,8 @@ def _compile_body(args) -> int:
                 print(kernels.source)
             else:
                 print("# no fused kernels on this plan")
-            if getattr(args, "explain", False):
-                if backend == "native":
-                    _explain_native(plan, kernels)
-                if backend == "mpi":
-                    _explain_mpi(plan, decomps,
-                                 getattr(args, "processes", None))
+            if getattr(args, "explain", False) and backend == "mpi":
+                _explain_mpi(plan, decomps, getattr(args, "processes", None))
             print()
             print(f"# {backend} backend: {BACKENDS[backend]} — runs the "
                   "kernels above;")
@@ -236,26 +232,6 @@ def _compile_body(args) -> int:
             print(pir.trace.pretty(verbose=args.verbose))
         print()
     return 0
-
-
-def _explain_native(plan, kernels) -> None:
-    """``compile --backend native --explain``: probe verdict plus the
-    generated scalar-loop kernel source (or the fallback reason)."""
-    from .pipeline import NativeBuildError, ensure_native, native_support
-
-    sup = native_support()
-    print(f"# native tier: available={sup.available} mode={sup.mode} "
-          f"({sup.reason})")
-    if kernels is None:
-        print("# native kernel unavailable: no fused kernels on this plan")
-        return
-    try:
-        nat = ensure_native(kernels, plan)
-    except NativeBuildError as e:
-        print(f"# native kernel unavailable ({e}); the fused tier runs")
-        return
-    print(f"# native kernels — {nat.describe()}")
-    print(nat.source)
 
 
 def _explain_mpi(plan, decomps, processes=None) -> None:
@@ -288,7 +264,7 @@ def _explain_mpi(plan, decomps, processes=None) -> None:
 
 
 def print_cache_stats() -> None:
-    """One unified block: plan, Table I, kernel, native, program, and
+    """One unified block: plan, Table I, kernel, program, and
     verifier-report caches (``--json`` emits the same snapshot as one
     machine-readable object, see :func:`repro.cacheinfo.cache_stats`)."""
     from .cacheinfo import cache_stats
@@ -296,7 +272,7 @@ def print_cache_stats() -> None:
     cs = cache_stats()
     pc, tc = cs["plan"], cs["table1"]
     kc, gc = cs["kernel"], cs["program"]
-    nc, vc = cs["native"], cs["verify"]
+    vc = cs["verify"]
     sf = cs["singleflight"]
     print("caches:")
     print(f"  plan:    hits={pc['hits']} misses={pc['misses']} "
@@ -309,10 +285,6 @@ def print_cache_stats() -> None:
           f"evictions={kc['evictions']} "
           f"size={kc['size']}/{kc['maxsize']} "
           f"bytes={kc['bytes']}/{kc['max_bytes']} enabled={kc['enabled']}")
-    print(f"  native:  builds={nc['builds']} hits={nc['hits']} "
-          f"failures={nc['failures']} disposed={nc['disposed']} "
-          f"jit={nc['jit_s'] * 1e3:.1f}ms mode={nc['mode']} "
-          f"available={nc['available']}")
     print(f"  program: hits={gc['hits']} misses={gc['misses']} "
           f"evictions={gc['evictions']} "
           f"size={gc['size']}/{gc['maxsize']} enabled={gc['enabled']}")
@@ -456,8 +428,7 @@ def cmd_run(args) -> int:
     swap = _parse_swap(getattr(args, "swap", []))
     av = backend_availability(args.backend)
     if not av.available:
-        # one generic line per out-of-process tier; the exact native
-        # wording is load-bearing (CI greps for it)
+        # one generic line per out-of-process tier
         print(f"note: {args.backend} tier unavailable ({av.reason}); "
               "running the fused fallback", file=sys.stderr)
     if args.shared:
@@ -668,15 +639,14 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--backend", default="scalar", metavar="BACKEND",
                       help="tier whose program is shown, one of: "
                            f"{', '.join(backend_names())} (scalar prints "
-                           "the §2.10 node program; fused/native/mp/mpi "
-                           "print the compile-once kernel source before "
-                           "it; with --explain native adds the njit "
-                           "scalar loop and the probe verdict, mpi the "
-                           "rank mapping)")
+                           "the §2.10 node program; fused/mp/mpi print "
+                           "the compile-once kernel source before it; "
+                           "with --explain mpi adds the probe verdict and "
+                           "the rank mapping)")
     comp.add_argument("--cache-stats", action="store_true",
                       help="print one unified block of plan-, Table I "
-                           "enumerator-, kernel-, native- (JIT time), and "
-                           "program-cache hit/miss/eviction counters "
+                           "enumerator-, kernel-, program- and verify-"
+                           "cache hit/miss/eviction counters "
                            "after compiling")
     comp.add_argument("--json", action="store_true",
                       help="with --cache-stats: emit the cache counters "
@@ -728,14 +698,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"one of: {', '.join(backend_names())} — scalar "
                           "per-element templates, the compile-once "
                           "fused kernel executor (interior computed "
-                          "while messages are in flight), the numba-njit "
-                          "native executor (fused fallback when numba is "
-                          "absent), the multi-process runtime (real "
+                          "while messages are in flight), the "
+                          "multi-process runtime (real "
                           "OS processes + shared memory), or the mpi "
                           "SPMD runtime under mpiexec (fused fallback "
                           "when mpi4py is absent)")
     run.add_argument("--strict", action="store_true",
-                     help="with --backend fused/native/mp/mpi: refuse to "
+                     help="with --backend fused/mp/mpi: refuse to "
                           "execute clauses the static verifier flagged "
                           "RACE*/COMM*")
     run.add_argument("--processes", "--np", dest="processes", type=int,

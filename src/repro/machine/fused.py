@@ -1,7 +1,7 @@
-"""In-process kernel executors (``backend="fused"`` and ``"native"``).
+"""The in-process kernel executor (``backend="fused"``).
 
 Where the scalar templates walk ``Modify_p`` / ``Reside_p`` element by
-element on every run, these executors run the **compile-once** kernels
+element on every run, this executor runs the **compile-once** kernels
 of the `lower-kernels` pass (:mod:`repro.pipeline.kernels`; the flavor a
 run needs is built, and bounds-audited, on its first use): every
 membership set and address is a precomputed
@@ -9,18 +9,11 @@ membership set and address is a precomputed
 Table I yields a progression, vectors only for the irregular remainder —
 and the clause body is one generated kernel.
 
-There is one executor, :class:`KernelTier`, and two instances of it.
-Both run the same schedule over the same per-read lane rows and differ
-only in the *entry* that computes and commits one lane block,
-``entry(block, rows, out) -> stored``:
-
-``FUSED``
-    the generated NumPy expression (:func:`region_entry`) over views of
-    the rows, a guard mask, one store through the block's write region;
-``NATIVE``
-    the njit-compiled (or, under ``REPRO_NATIVE_INTERP``, exec-compiled)
-    scalar loop of :mod:`repro.pipeline.native`, fed the lane vectors
-    the regions materialize on demand (:func:`_lane_entry`).
+There is one executor, :class:`KernelTier`, and one instance of it,
+``FUSED``.  Its *entry* computes and commits one lane block,
+``entry(block, rows, out) -> stored``: the generated NumPy expression
+(:func:`region_entry`) over views of the rows, a guard mask, one store
+through the block's write region.
 
 The distributed program keeps the overlap schedule: post sends, post
 non-blocking receives, commit the *interior* block while messages are
@@ -31,7 +24,7 @@ statement as a generator over the simulated mailbox; its one sibling,
 blocking over real transports, is
 :func:`repro.runtime.worker.run_sequence` (DESIGN.md says why the two
 stay apart).  Both run the same node kernels through the same rows
-(:func:`_lane_row`) and entries.
+(:func:`_lane_row`) and entry.
 
 Statistics match the element oracle of ``tests/test_regions.py``
 (``expected_counters``: membership vectors from ``enumerate(p)`` and
@@ -49,30 +42,26 @@ every stencil shift), a view of the node's *framed* buffer
 the drain writes each received strip into the ghost cells beside the
 tile; other fetched reads assemble a row buffer (:func:`_lane_row`).
 
-A plan with no form on a tier raises that tier's ``no_form`` exception
-(reason in ``args[0]``), which the dispatcher catches to fall to the
-next tier with a trace note.  ``strict=True`` composes the static
+A plan with no fused form raises :class:`KernelBuildError` (reason in
+``args[0]``), which the dispatcher catches to fall to the scalar
+template with a trace note.  ``strict=True`` composes the static
 verifier with execution: a clause whose ``verify-plan`` report carries
-any RACE* or COMM* finding (native: also any KRN* error) is refused with
-the diagnostic code in the error message.
+any RACE* or COMM* finding is refused with the diagnostic code in the
+error message.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional
 
 import numpy as np
 
-from ..analysis.kernel_sanitizer import check_kernels_strict
 from ..pipeline.kernels import KernelBuildError, flavor_nodes
-from ..pipeline.native import NativeBuildError, ensure_native
 from .distributed import DistributedMachine, NodeContext
 from .shared import SharedMachine
 
 __all__ = [
     "FUSED",
-    "NATIVE",
     "FusedStrictError",
     "KernelTier",
     "check_strict",
@@ -125,38 +114,6 @@ def region_entry(rhs, guard):
     return entry
 
 
-def _lane_entry(kernel):
-    """The one adaptor of the njit ABI: *kernel* (the compiled scalar
-    loop of :mod:`repro.pipeline.native`) under the block convention.
-    Its signature takes lanes, not regions — stacked ``int64[ndim, n]``
-    index vectors, C-contiguous ``float64[nreads, n]`` rows, flat
-    offsets into the raveled target buffer (from the target's own offset
-    and strides in it) — which the block's regions materialize once and
-    keep."""
-
-    def entry(blk, rows, out) -> int:
-        stacked = np.empty((len(rows), math.prod(blk.of)))
-        for flat, row in zip(stacked, rows):
-            np.copyto(flat.reshape(blk.of), row)
-        # the core of a framed node memory is a view ``reshape(-1)``
-        # would copy: store through the buffer it sits in
-        base = _flat_base(out)
-        offset = (out.__array_interface__["data"][0]
-                  - base.__array_interface__["data"][0]) // out.itemsize
-        scatter = offset + sum(v * (s // out.itemsize) for v, s in zip(
-            blk.write.index_vectors(), out.strides))
-        return kernel(np.stack(blk.loop.index_vectors()), stacked,
-                      blk.pos.flat(blk.of), scatter, base.reshape(-1))
-
-    return entry
-
-
-def _flat_base(out: np.ndarray) -> np.ndarray:
-    """The buffer a native store into *out* addresses: *out* itself, or
-    the frame that *out* — the core of a framed node memory — views."""
-    return out if out.flags.c_contiguous or out.base is None else out.base
-
-
 def _lane_row(r, arr, shape, prestate: bool) -> np.ndarray:
     """One read's float64 lane row from node (or global) memory *arr*.
 
@@ -174,12 +131,11 @@ def _lane_row(r, arr, shape, prestate: bool) -> np.ndarray:
 
 
 class KernelTier:
-    """The one in-process executor of compile-once kernels; this base
-    class is the ``fused`` (NumPy) tier."""
+    """The one in-process executor of compile-once kernels: the
+    ``fused`` (NumPy) tier."""
 
     #: "this plan has no form on this tier" (reason in ``args[0]``)
     no_form = KernelBuildError
-    _no_kernels = "no fused kernels on the plan"
 
     def bind(self, ir, flavor: str, strict: bool):
         """Gate on the static verifier, then resolve ``(kernels, nodes,
@@ -189,14 +145,9 @@ class KernelTier:
         check_strict(ir, strict)
         k = ir.kernels
         if k is None:
-            raise self.no_form(self._no_kernels)
+            raise self.no_form("no fused kernels on the plan")
         nodes = flavor_nodes(ir, flavor, strict, self.no_form)
         return k, nodes, region_entry(k.rhs, k.guard)
-
-    def check_target(self, k, target) -> None:
-        """Refuse a global write *target* this tier cannot store into:
-        the NumPy store goes through the write region on any dtype and
-        layout."""
 
     @staticmethod
     def _shared_rows(k, nk, genv) -> list:
@@ -222,7 +173,6 @@ class KernelTier:
             machine = SharedMachine(ir.pmax, env)
         genv = machine.env
         out = genv[k.write_name]
-        self.check_target(k, out)
 
         gathered = []
         for p, nk in enumerate(nodes):
@@ -255,11 +205,7 @@ class KernelTier:
         untouched.  One barrier is charged per node for the whole group,
         not per clause."""
         genv = machine.env
-        bound = []
-        for ir in irs:
-            k, nodes, entry = self.bind(ir, "shared", strict)
-            self.check_target(k, genv[k.write_name])
-            bound.append((k, nodes, entry))
+        bound = [self.bind(ir, "shared", strict) for ir in irs]
         for p in range(machine.pmax):
             for k, nodes, entry in bound:
                 if p >= len(nodes):
@@ -349,10 +295,7 @@ class KernelTier:
         strict: bool = False,
     ) -> DistributedMachine:
         """Place *env* (unless a pre-placed *machine* is given), run the
-        node programs, return the machine.  A node's write target is
-        float64 and contiguous as placed (``DistributedMachine.place``),
-        or the core of a ghost frame — a view of such a buffer; the tier
-        checks the buffer it will store through."""
+        node programs, return the machine."""
         k, nodes, entry = self.bind(ir, "dist", strict)
         if machine is None:
             machine = DistributedMachine(ir.pmax, model=model)
@@ -361,40 +304,12 @@ class KernelTier:
                 decs.setdefault(acc.name, acc.dec)
             for name, dec in decs.items():
                 machine.place(name, env[name], dec)
-        for mem in machine.memories:
-            self.check_target(k, _flat_base(mem[k.write_name]))
         machine.run(lambda ctx: self.node_program(k, nodes[ctx.p], entry,
                                                   ctx))
         return machine
 
 
-class _NativeTier(KernelTier):
-    """The ``native`` tier: the same schedule, committing through the
-    njit scalar loop.  Plans with no native form — numba absent,
-    unrenderable expressions, write buffers without a contiguous float64
-    flat view — raise :class:`~repro.pipeline.native.NativeBuildError`."""
-
-    no_form = NativeBuildError
-    _no_kernels = "plan carries no fused kernels (lower-kernels fallback)"
-
-    def bind(self, ir, flavor: str, strict: bool):
-        k, nodes, _ = super().bind(ir, flavor, strict)
-        check_kernels_strict(ir, strict)
-        return k, nodes, _lane_entry(ensure_native(k, ir).entry)
-
-    def check_target(self, k, target) -> None:
-        if not target.flags.c_contiguous:
-            raise NativeBuildError(
-                f"write target {k.write_name!r} is not C-contiguous; the "
-                "native scatter needs a flat view")
-        if target.dtype != np.float64:
-            raise NativeBuildError(
-                f"write target {k.write_name!r} is {target.dtype}; the njit "
-                "signature stores float64")
-
-
 FUSED = KernelTier()
-NATIVE = _NativeTier()
 
 run_shared_fused = FUSED.run_shared
 run_distributed_fused = FUSED.run_distributed

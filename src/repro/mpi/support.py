@@ -1,10 +1,9 @@
 """Availability probe and world detection for the MPI backend.
 
-Mirrors the native tier's single cached probe
-(:func:`repro.pipeline.native.native_support`): the backend registry,
-the CLI, the executors and the tests all consult :func:`mpi_support` —
-never ``import mpi4py`` directly — so "mpi4py not installed" surfaces
-exactly once, as a one-line trace-noted fallback to fused.
+One cached probe: the backend registry, the CLI, the executors and the
+tests all consult :func:`mpi_support` — never ``import mpi4py``
+directly — so "mpi4py not installed" surfaces exactly once, as a
+one-line trace-noted fallback to fused.
 
 Three modes:
 

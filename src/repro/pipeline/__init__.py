@@ -32,17 +32,6 @@ from .kernels import (
     kernel_cache_info,
 )
 from .manager import PassManager
-from .native import (
-    NativeBuildError,
-    NativeKernels,
-    NativeSupport,
-    ensure_native,
-    native_cache_info,
-    native_support,
-    render_native_source,
-    reset_native_stats,
-    reset_native_support,
-)
 from .passes import (
     EliminateBarriers,
     LicenseDoacross,
@@ -91,15 +80,6 @@ __all__ = [
     "kernel_cache",
     "kernel_cache_info",
     "clear_kernel_cache",
-    "NativeBuildError",
-    "NativeKernels",
-    "NativeSupport",
-    "native_support",
-    "reset_native_support",
-    "native_cache_info",
-    "reset_native_stats",
-    "ensure_native",
-    "render_native_source",
     "ProgramIR",
     "ProgramStep",
     "ProgramCache",

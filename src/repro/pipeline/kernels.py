@@ -232,11 +232,6 @@ class FusedKernels:
                          compare=False)
     #: install envelopes of :mod:`repro.runtime.lowering`, per flavor
     mp_programs: Dict[str, object] = field(default_factory=dict)
-    #: native (njit) tier riding on the same cache entry — built lazily
-    #: by :func:`repro.pipeline.native.ensure_native`; a build failure is
-    #: cached in ``native_note`` so the fallback reason is stable.
-    native: Optional[object] = None
-    native_note: Optional[str] = None
 
     @cached_property
     def region_stats(self) -> Dict[str, object]:
@@ -521,8 +516,8 @@ def flavor_nodes(ir, flavor: str, strict: bool = False,
 
 def recount(ir, landed) -> None:
     """Charge *landed* — something built on demand onto ``ir.kernels``
-    after its cache entry was sized (a flavor's nodes, a lowered
-    program's sources) — to the kernel cache's byte budget."""
+    after its cache entry was sized (a flavor's nodes) — to the kernel
+    cache's byte budget."""
     ir.kernels.__dict__.pop("region_stats", None)
     key = _kernel_key(ir) if kernel_cache.enabled else None
     if key is not None:
@@ -534,15 +529,6 @@ def recount(ir, landed) -> None:
 # ---------------------------------------------------------------------------
 
 _DEFAULT_MAXSIZE = 256
-
-
-def _dispose_native_tiers(entries) -> None:
-    """Drop the native (njit) artifacts riding on evicted entries so
-    the dispatchers and their compiled machine code can be collected."""
-    from .native import dispose_native  # local: kernels <- native cycle
-
-    for kernels in entries:
-        dispose_native(kernels)
 
 
 def _leaves(obj, _depth: int = 0):
@@ -624,8 +610,7 @@ class KernelCache:
             self._entries[key] = kernels
             self._entries.move_to_end(key)
             self._sizes[key] = nbytes
-            dropped = self._evict()
-        _dispose_native_tiers(dropped)
+            self._evict()
 
     def grow(self, key: tuple, nbytes: int) -> None:
         """A resident entry grew by *nbytes* after it was stored."""
@@ -634,31 +619,25 @@ class KernelCache:
                 return
             self._sizes[key] += nbytes
             self.bytes += nbytes
-            dropped = self._evict()
-        _dispose_native_tiers(dropped)
+            self._evict()
 
-    def _evict(self) -> list:
+    def _evict(self) -> None:
         """Drop oldest entries until both bounds hold (lock held)."""
-        dropped = []
         while len(self._entries) > 1 and (
                 len(self._entries) > self.maxsize
                 or self.bytes > self.max_bytes):
-            k, evicted = self._entries.popitem(last=False)
+            k, _ = self._entries.popitem(last=False)
             self.bytes -= self._sizes.pop(k, 0)
             self.evictions += 1
-            dropped.append(evicted)
-        return dropped
 
     def clear(self) -> None:
         with self._lock:
-            dropped = list(self._entries.values())
             self._entries.clear()
             self._sizes.clear()
             self.hits = 0
             self.misses = 0
             self.evictions = 0
             self.bytes = 0
-        _dispose_native_tiers(dropped)
 
     def info(self) -> Dict[str, object]:
         with self._lock:

@@ -19,9 +19,8 @@ table (:class:`repro.sets.enumerators.Enumeration`).
 
 Row-major order over a region is the lexicographic lane order every
 executor and message payload uses.  Vectors are built here and nowhere
-else: :meth:`Region.index_vectors` / :meth:`Region.flat` materialize
-them lazily for the consumers that truly need lanes (the njit entry,
-guarded or non-injective stores).
+else: :meth:`Region.index_vectors` materializes them lazily for the
+consumers that truly need lanes (guarded or non-injective stores).
 """
 
 from __future__ import annotations
@@ -314,12 +313,7 @@ class Region:
         """Per array axis the int64 index of every lane, row-major over
         ``shape`` — built on first use, then kept."""
         if self._vecs is None:
-            self._vecs = tuple(  # owned, contiguous: the njit signature
+            self._vecs = tuple(  # owned: kept across every store
                 np.array(np.broadcast_to(g, self.shape)).ravel()
                 for g in self.grids())
         return self._vecs
-
-    def flat(self, shape: Sequence[int]) -> np.ndarray:
-        """Row-major offset of every lane into an array of *shape*."""
-        v = self.index_vectors()
-        return v[0] if len(v) == 1 else np.ravel_multi_index(v, tuple(shape))

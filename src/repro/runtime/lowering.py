@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..pipeline.kernels import _FLAVORS, flavor_nodes, recount
+from ..pipeline.kernels import _FLAVORS, flavor_nodes
 
 __all__ = [
     "MpLoweringError",
@@ -61,10 +61,6 @@ class MpProgram:
     #: the plan's own node kernels (its ``shared`` / ``gdist`` flavor)
     nodes: Sequence = ()
     decomps: Dict[str, object] = field(default_factory=dict)
-    #: njit-compilable scalar-loop source (None when the clause has no
-    #: native rendering); each worker probes numba on install and
-    #: compiles this once, falling back to the NumPy kernel otherwise
-    native_source: Optional[str] = None
     #: the static schedule verdict of the last sequence this program
     #: was checked in (:func:`repro.analysis.check_schedule`)
     sched_cert: Optional[object] = None
@@ -78,20 +74,7 @@ class MpProgram:
         (round-robin ``node % nprocs``) ride the pipe."""
         mine = tuple(nd for nd in self.nodes if nd.p % nprocs == rank)
         return (self.token, self.flavor, self.source, self.nreads,
-                self.write_name, mine, self.native_source)
-
-
-def _native_source_of(ir):
-    """The clause's njit-compilable scalar-loop source, or ``None`` when
-    it has no native rendering (the worker then keeps the NumPy kernel).
-    Rendering is pure codegen — numba availability is probed worker-side
-    at install time, not here."""
-    from ..pipeline.native import NativeBuildError, render_native_source
-
-    try:
-        return render_native_source(ir.clause)
-    except NativeBuildError:
-        return None
+                self.write_name, mine)
 
 
 def _envelope(ir, nodes_of: str, strict: bool = False) -> MpProgram:
@@ -112,9 +95,7 @@ def _envelope(ir, nodes_of: str, strict: bool = False) -> MpProgram:
                 nodes=nodes,
                 decomps={} if flavor == "shared" else {
                     acc.name: acc.dec for acc in reversed(ir.accesses())},
-                native_source=_native_source_of(ir),
             )
-            recount(ir, prog.native_source)
     return prog
 
 

@@ -55,9 +55,6 @@ _REPORT_GRACE = 5.0
 
 
 def _start_method() -> str:
-    override = os.environ.get("REPRO_MP_START")
-    if override:
-        return override
     methods = mp.get_all_start_methods()
     return "fork" if "fork" in methods else methods[0]
 

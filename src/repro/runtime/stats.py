@@ -59,8 +59,6 @@ class RuntimeStats:
     recv_count: int = 0
     recv_bytes: int = 0
     total_s: float = 0.0
-    #: the worker ran the njit (or interp-mode) native kernel this run
-    native: bool = False
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -68,8 +66,7 @@ class RuntimeStats:
     def describe(self) -> str:
         return (
             f"worker {self.rank} (pid {self.pid}): "
-            f"nodes {list(self.nodes)}"
-            + ("  [native]" if self.native else "") + "  "
+            f"nodes {list(self.nodes)}  "
             f"kernel {self.kernel_s * 1e3:.2f} ms  "
             f"barrier {self.barrier_s * 1e3:.2f} ms  "
             f"sent {self.send_count} msg / {self.send_bytes} B  "

@@ -53,7 +53,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..machine.fused import _lane_entry, _lane_row, region_entry
+from ..machine.fused import _lane_row, region_entry
 from .shm import attach_segment
 from .stats import (
     PH_BARRIER,
@@ -85,31 +85,13 @@ class Installed:
     """One installed program on this process: its node kernels, the
     entry that computes and commits one lane block (``entry(block,
     rows, out) -> stored``, as in :mod:`repro.machine.fused`) and the
-    reusable send buffers of :class:`QueueTransport`.
-
-    When the payload carries a native scalar-loop source and this
-    process's numba probe succeeds, the njit dispatcher is compiled here
-    — once per install, so pipelined time loops never pay JIT in the hot
-    path — and replaces the NumPy entry; any probe or compile failure
-    silently keeps the NumPy kernel (same results, the parent's trace
-    already notes availability)."""
+    reusable send buffers of :class:`QueueTransport`."""
 
     def __init__(self, payload):
         (self.token, self.flavor, source, self.nreads, self.write_name,
-         self.my_nodes, native_source) = payload
+         self.my_nodes) = payload
         self.entry = region_entry(*_compile_kernel(source))
-        self.native = False
         self.bufs: Dict[tuple, np.ndarray] = {}
-        if native_source is not None:
-            from ..pipeline.native import compile_native_entry, native_support
-
-            if native_support().available:
-                try:
-                    self.entry = _lane_entry(
-                        compile_native_entry(native_source)[0])
-                    self.native = True
-                except Exception:
-                    pass
 
 
 def run_sequence(insts, steps, swap, flags, arrays, transport):
@@ -133,8 +115,7 @@ def run_sequence(insts, steps, swap, flags, arrays, transport):
     nodes = sorted({nd.p for inst in insts for nd in inst.my_nodes})
     first = nodes[0] if nodes else -1
     stats = RuntimeStats(rank=transport.rank, pid=os.getpid(),
-                         nodes=tuple(nodes),
-                         native=any(inst.native for inst in insts))
+                         nodes=tuple(nodes))
     counts = {p: {"sends": 0, "recvs": 0, "elements_sent": 0,
                   "elements_received": 0, "local_updates": 0,
                   "iterations": 0, "barriers": 0} for p in nodes}

@@ -1,6 +1,6 @@
 """``repro serve`` — the long-lived compile-and-run service.
 
-The compile-once pipeline's expensive artifacts (plans, fused/native
+The compile-once pipeline's expensive artifacts (plans, fused
 kernels, verifier certificates, warm worker pools) are process-global
 by design; this package makes them reachable from *many clients* over a
 socket instead of dying with each CLI invocation.  Layers:

@@ -84,7 +84,7 @@ def fig2_params():
 # the cross-tier differential
 # ---------------------------------------------------------------------------
 
-IN_PROCESS_TIERS = ("scalar", "fused", "native")
+IN_PROCESS_TIERS = ("scalar", "fused")
 ALL_TIERS = IN_PROCESS_TIERS + ("mp", "mpi")
 
 
@@ -113,21 +113,6 @@ def mpi_stub():
     return _pinned("REPRO_MPI_STUB", reset_mpi_support)
 
 
-def native_interp():
-    """Run the native tier as exec-compiled Python: the whole native
-    stack (lane adaptor, flat stores) without numba.  A native build —
-    or the reason it failed — is cached on the kernel entry, so the
-    plan caches are dropped on the way in and out."""
-    from repro.pipeline import clear_plan_cache
-    from repro.pipeline.native import reset_native_support
-
-    def reset():
-        reset_native_support()
-        clear_plan_cache()
-
-    return _pinned("REPRO_NATIVE_INTERP", reset)
-
-
 def counters(machine):
     """Per-node counters minus the simulator's scheduler resumptions
     (real processes have no scheduler to count)."""
@@ -136,7 +121,7 @@ def counters(machine):
 
 #: one machine, several tiers: every hand-over between an executor that
 #: frames node memory with ghost cells and one that sees only the core
-MIXED_TIERS = ("fused", "scalar", "fused", "native", "scalar")
+MIXED_TIERS = ("fused", "scalar", "fused", "scalar")
 
 
 def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2,
@@ -154,10 +139,9 @@ def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2,
     *clause* may be a sequence of clauses over the same arrays (its
     first is what the fresh-machine runs above execute).  With *steps*,
     the clauses then run *steps* times in rotation on ONE pre-placed
-    distributed machine per in-process tier (``native`` as
-    exec-compiled Python, for the whole call), and once through
-    :data:`MIXED_TIERS` on a single machine: every placed array bit-identical to the evaluator's
-    after every step, fresh data re-placed half way honoured, the
+    distributed machine per in-process tier, and once through
+    :data:`MIXED_TIERS` on a single machine: every placed array
+    bit-identical to the evaluator's after every step, fresh data re-placed half way honoured, the
     batching tiers' counters equal step for step, no tier falling
     back."""
     from repro.codegen.dist_tmpl import run_distributed
@@ -171,8 +155,6 @@ def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2,
     with contextlib.ExitStack() as stack:
         if "mpi" in tiers:
             stack.enter_context(mpi_stub())
-        if steps:
-            stack.enter_context(native_interp())
         plans = [compile_clause(c, decomps) if c.domain.dim == 1
                  else compile_clause_nd_dist(c, decomps) for c in clauses]
         clause, plan = clauses[0], plans[0]
@@ -215,8 +197,6 @@ def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2,
                 persistent(MIXED_TIERS)
             assert not any("fell back" in note for p in plans
                            for note in p.trace.notes)
-            assert "native" not in inproc or all(
-                p.kernels.native.mode == "interp" for p in plans)
             stepwise = [v for t, v in per_step.items() if t != "scalar"]
             assert all(v == stepwise[0] for v in stepwise)
     batching = {t: v for t, v in moved.items() if t != "scalar"}

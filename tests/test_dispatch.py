@@ -1,4 +1,4 @@
-"""The one dispatcher (:mod:`repro.backends`): 4 entry points x 5
+"""The one dispatcher (:mod:`repro.backends`): 4 entry points x 4
 backends x forced conditions.
 
 Every case asserts three things: the tier that actually ran (runners are
@@ -35,12 +35,12 @@ from repro.decomp import Block, GridDecomposition, Replicated
 from repro.machine import DeadlockError, DistributedMachine
 from repro.machine.fused import FusedStrictError
 from repro.mpi import reset_mpi_support
-from repro.pipeline import clear_plan_cache, reset_native_support
+from repro.pipeline import clear_plan_cache
 from repro.pipeline.kernels import flavor_nodes
 from repro.runtime import shutdown_runtime
 
 N, P = 16, 4
-BACKENDS = ("scalar", "fused", "native", "mp", "mpi")
+BACKENDS = ("scalar", "fused", "mp", "mpi")
 ENTRIES = ("shared", "shared_nd", "dist", "dist_nd")
 
 SERIAL = "sequential (•) clause is a serial chain"
@@ -124,18 +124,14 @@ def run_case(entry, backend, *, seq=False, replicated=False,
 
 @pytest.fixture(autouse=True)
 def all_tiers_available(monkeypatch):
-    """Default condition: every tier can run here — native as
-    exec-compiled Python, mpi on the threaded stub."""
-    monkeypatch.setenv("REPRO_NATIVE_INTERP", "1")
-    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    """Default condition: every tier can run here — mpi on the threaded
+    stub."""
     monkeypatch.setenv("REPRO_MPI_STUB", "1")
     monkeypatch.delenv("REPRO_NO_MPI", raising=False)
-    reset_native_support()
     reset_mpi_support()
     clear_plan_cache()
     yield
     monkeypatch.undo()
-    reset_native_support()
     reset_mpi_support()
     clear_plan_cache()
 
@@ -187,14 +183,6 @@ def test_every_tier_runs_itself_when_it_can(entry, backend, ran):
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
-def test_no_native_hops_to_fused(entry, ran, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-    reset_native_support()
-    check(entry, "native", ran, "fused",
-          [fell("native", "fused", "disabled by REPRO_NO_NATIVE")])
-
-
-@pytest.mark.parametrize("entry", ENTRIES)
 def test_no_mpi_hops_to_fused(entry, ran, monkeypatch):
     monkeypatch.setenv("REPRO_NO_MPI", "1")
     reset_mpi_support()
@@ -205,8 +193,6 @@ def test_no_mpi_hops_to_fused(entry, ran, monkeypatch):
 SEQ_CHAINS = {
     "scalar": [],
     "fused": [fell("fused", "scalar", SERIAL)],
-    "native": [fell("native", "fused", SERIAL),
-               fell("fused", "scalar", SERIAL)],
     "mp": [fell("mp", "fused", SERIAL + "; scalar path kept"),
            fell("fused", "scalar", SERIAL)],
     "mpi": [fell("mpi", "fused", SERIAL + "; scalar path kept"),
@@ -224,7 +210,6 @@ TO_TEMPLATE = fell("fused", "scalar", BROADCAST, "template")
 REPLICATED_CHAINS = {
     "scalar": [],
     "fused": [TO_TEMPLATE],
-    "native": [fell("native", "fused", BROADCAST), TO_TEMPLATE],
     "mp": [fell("mp", "fused", "replicated write is a per-copy broadcast"),
            TO_TEMPLATE],
     "mpi": [fell("mpi", "fused", "replicated write is a per-copy broadcast"),
@@ -258,7 +243,7 @@ def no_form_chain(entry, backend):
                         what)]
 
 
-@pytest.mark.parametrize("backend", ("fused", "mp", "mpi", "native"))
+@pytest.mark.parametrize("backend", ("fused", "mp", "mpi"))
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_clause_with_no_fused_form_runs_the_vector_tier(entry, backend,
                                                         ran):
@@ -313,10 +298,10 @@ def test_projected_read_on_every_backend(dims, entry, backend, ran):
 # retired names
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ("vector", "overlap"))
+@pytest.mark.parametrize("name", ("vector", "overlap", "native"))
 def test_retired_backend_names_are_unknown(name, tmp_path):
-    """``vector`` and ``overlap`` were tiers once; they get the one-line
-    error any unknown name gets, from every entry point."""
+    """``vector``, ``overlap`` and ``native`` were tiers once; they get
+    the one-line error any unknown name gets, from every entry point."""
     import asyncio
 
     from repro.cli import main
@@ -324,7 +309,7 @@ def test_retired_backend_names_are_unknown(name, tmp_path):
     from repro.serve import ERR_BADREQ, ReproService
 
     line = (f"unknown backend {name!r} for {{}}; valid backends: "
-            "scalar, fused, native, mp, mpi")
+            "scalar, fused, mp, mpi")
     clause, decomps, env0 = clause_for("dist"), decomps_for("dist"), \
         env_for("dist")
     plan = compile_clause(clause, decomps)
@@ -360,6 +345,18 @@ def test_retired_backend_names_are_unknown(name, tmp_path):
     assert error == {"code": ERR_BADREQ, "message": line.format("serve")}
 
 
+def test_retired_native_keeps_one_availability_row():
+    """The ledger's provenance still reads ``native``'s availability:
+    one retired row in the snapshot, and an unknown name everywhere
+    else."""
+    row = backends.availability_snapshot()["native"]
+    assert row["available"] is False and row["mode"] == "retired"
+    assert row["reason"].startswith("retired:")
+    assert "native" not in backends.backend_names()
+    with pytest.raises(backends.UnknownBackendError):
+        backends.backend_availability("native")
+
+
 # ---------------------------------------------------------------------------
 # the two nd gaps the shared dispatcher closes
 # ---------------------------------------------------------------------------
@@ -376,7 +373,7 @@ def racy(entry):
     return cl, {"A": Block(N, P)}, {"A": np.ones(N)}
 
 
-@pytest.mark.parametrize("backend", ("fused", "native", "mp", "mpi"))
+@pytest.mark.parametrize("backend", ("fused", "mp", "mpi"))
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_strict_refuses_a_flagged_clause_on_every_kernel_tier(entry,
                                                               backend):
@@ -391,7 +388,7 @@ def test_run_program_strict_reaches_nd_steps():
 
     cl, decomps, env0 = racy("shared_nd")
     pir = compile_program([cl], decomps)
-    for backend in ("fused", "native", "mp", "mpi"):
+    for backend in ("fused", "mp", "mpi"):
         with pytest.raises(FusedStrictError, match="RACE003"):
             run_program(pir, copy_env(env0), backend=backend, strict=True,
                         processes=2)
@@ -429,14 +426,14 @@ LAYOUTS = {
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-@pytest.mark.parametrize("backend", ("fused", "native"))
+@pytest.mark.parametrize("backend", ("fused",))
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_any_env_dtype_and_layout_is_exact_or_a_noted_hop(entry, backend,
                                                           layout, ran):
     """Machines hold float64: a float32 / int64 / Fortran-order /
     strided env array ends bit-identical to the float64 evaluator on
-    the tier asked for, or on fused after one noted native -> fused hop
-    (a shared write target with no contiguous float64 flat view)."""
+    ``fused``, with no hop and no note — the store goes through the
+    write region on any dtype and layout."""
     clause = clause_for(entry)
     env0 = {k: LAYOUTS[layout](v) for k, v in env_for(entry).items()}
     write = clause.lhs.name
@@ -446,13 +443,7 @@ def test_any_env_dtype_and_layout_is_exact_or_a_noted_hop(entry, backend,
     m = RUN[entry](plan, env0, backend=backend)
     got = m.collect(write) if entry.startswith("dist") else m.env[write]
     assert np.array_equal(got, ref)
-    if ran == [backend]:
-        assert plan.trace.notes == []
-    else:
-        assert ran == ["fused"]
-        (note,) = plan.trace.notes
-        assert note.startswith(
-            fell("native", "fused", f"write target {write!r} is not C-"))
+    assert ran == [backend] and plan.trace.notes == []
 
 
 # ---------------------------------------------------------------------------

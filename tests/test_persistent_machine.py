@@ -118,9 +118,7 @@ def fetched(nk):
 
 @pytest.mark.parametrize("name", CASES)
 def test_every_tier_reruns_on_one_machine(name):
-    """8 executions per in-process tier (``native`` as exec-compiled
-    Python: the flat store into a framed core) plus the mixed-tier
-    sequence, all on pre-placed machines — and the lane plans they ran
+    """8 executions per in-process tier plus the mixed-tier sequence, all on pre-placed machines — and the lane plans they ran
     against the element oracle."""
     clear_plan_cache()
     clauses, decomps, views = case(name)

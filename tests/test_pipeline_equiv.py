@@ -358,18 +358,15 @@ class TestFallbacks:
 
 
 class TestAllBackendsAgree:
-    """The fused-backend acceptance property: scalar, fused, native, mp
-    and mpi executions produce bit-identical post-state memories, and
-    the batching backends (fused / native / mp / mpi) exchange exactly
-    the same messages, across decomposition kinds.
+    """The fused-backend acceptance property: scalar, fused, mp and mpi
+    executions produce bit-identical post-state memories, and the
+    batching backends (fused / mp / mpi) exchange exactly the same
+    messages, across decomposition kinds.
 
     The mp backend runs the same kernels on real OS processes — a small
     fixed worker count keeps the hypothesis sweep fast (the pool is
-    persistent, so only the first example pays the spawn).  The native
-    backend runs the njit scalar-loop kernels when numba is present and
-    degrades to the fused tier otherwise — bit-identity is required
-    either way (the interp-mode native stack is exercised separately in
-    ``tests/test_native.py``).  The mpi backend is pinned to its
+    persistent, so only the first example pays the spawn).  The mpi
+    backend is pinned to its
     threaded stub transport here (real ``mpiexec`` would pay a process
     launch per hypothesis example); when even the stub is unavailable
     it degrades to fused, and bit-identity + message parity are
@@ -444,7 +441,7 @@ class TestAllBackendsAgree:
         return Program([c1, c2, c3]), [block, block, scatter]
 
     def test_program_backends_bit_identical(self):
-        """All five backends agree on a 3-clause program with a
+        """scalar, fused and mp agree on a 3-clause program with a
         redistribution boundary — with and without elision/fusion."""
         from repro.pipeline import (
             compile_program,

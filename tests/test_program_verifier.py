@@ -14,8 +14,8 @@ re-derivation (``verify_program`` / ``check_schedule`` /
   path.
 
 The acceptance property closes the loop: any program the verifier
-certifies PROG-clean is bit-identical across the scalar, fused, native
-and mp backends.
+certifies PROG-clean is bit-identical across the scalar, fused and mp
+backends.
 """
 
 import dataclasses
@@ -342,6 +342,20 @@ class TestKrnFixtures:
         assert notes
         assert any("open" in note for note in notes)
 
+    def test_krn002_nan_parity(self):
+        """A clause using ``min`` must render it as ``_np.minimum``:
+        builtin ``min`` does not propagate NaN."""
+        from repro.core.expr import BinOp
+
+        cl = clause(0, N - 1, ref("A"), BinOp("min", ref("B"), ref("B")))
+        ir = compile_plan(cl, {"A": Block(N, P), "B": Block(N, P)})
+        assert "_np.minimum" in ir.kernels.source
+        assert not sanitize_kernels(ir)
+        ir.kernels.source = ir.kernels.source.replace("_np.minimum", "min")
+        found = [d.message for d in sanitize_kernels(ir)
+                 if d.code == "KRN002"]
+        assert any("NaN-semantics parity broken" in m for m in found)
+
     def test_krn003_dead_guard(self):
         never = LoopIndex(0) < Const(0)
         cl = clause(0, N - 1, ref("A"), ref("B"), guard=never)
@@ -439,7 +453,7 @@ class TestCheckCLI:
 
 class TestProgCleanBackendIdentity:
     """The acceptance property: a program the verifier certifies
-    PROG-clean is bit-identical across the scalar, fused, native and mp
+    PROG-clean is bit-identical across the scalar, fused and mp
     backends."""
 
     KINDS = {"block": lambda n: Block(n, P),
@@ -467,7 +481,7 @@ class TestProgCleanBackendIdentity:
         assert verification.ok, verification.pretty()
         env0 = block_env("A", "B", "D", "E", seed=seed)
         ref_out = evaluate_program_reference(pir, env0)
-        for backend in ("scalar", "fused", "native", "mp"):
+        for backend in ("scalar", "fused", "mp"):
             m, _ = run_program(pir, copy_env(env0), backend=backend,
                                processes=2)
             for name in ("D", "E"):

@@ -229,9 +229,26 @@ class TestRegion:
                 flat[mask.ravel()]
         want[keys] = flat
         assert np.array_equal(got, want) and stored == flat.size
-        assert np.array_equal(
-            region.flat((6, 8)),
-            np.ravel_multi_index(region.index_vectors(), (6, 8)))
+
+    def test_lane_vectors_are_built_once_per_block(self):
+        """The vector path of :meth:`store` materializes a region's lane
+        vectors on first use and keeps them, whatever the step count —
+        on a bare region and on a block of a lowered plan alike."""
+        region = Region([np.array([5, 0, 3]), prog(1, 1, 4)], (0, 1), (3, 4))
+        out = np.zeros((6, 8))
+        region.store(out, np.ones(region.shape))
+        vecs = region.index_vectors()
+        region.store(out, np.ones(region.shape))
+        assert region.index_vectors() is vecs
+        n = 24
+        cl = Clause(IndexSet(Bounds((1,), (n - 2,))),
+                    Ref("A", SeparableMap([IdentityF()])),
+                    Ref("B", SeparableMap([AffineF(1, -1)])) * 0.5)
+        ir = compile_plan(cl, {"A": Block(n, 4), "B": Block(n, 4)})
+        blk = lower_dist(ir).nodes[1].interior
+        vecs = blk.loop.index_vectors()
+        assert vecs is blk.loop.index_vectors()
+        assert all(v.dtype == np.int64 for v in vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +256,13 @@ class TestRegion:
 # from ``enumerate(p)`` and ``proc_array`` / ``local_array`` — what the
 # retired vector tier executed, independent of repro.pipeline.region
 # ---------------------------------------------------------------------------
+
+def _offsets(region, shape):
+    """Row-major offset of every lane of *region* into an array of
+    *shape*."""
+    v = region.index_vectors()
+    return v[0] if len(v) == 1 else np.ravel_multi_index(v, tuple(shape))
+
 
 def _member_vecs(ir, acc, p, flat=True):
     """Per-loop-dimension index vectors whose implicit Cartesian product
@@ -482,11 +506,11 @@ def assert_node_matches_member_vecs(ir, nk, p, local):
     if getattr(nk, "interior", None) is not None:
         blocks.insert(0, nk.interior)
         inner = np.nonzero(_interior_mask(ir, p, idx))[0]
-        assert np.array_equal(nk.interior.pos.flat(nk.shape), inner)
-    covered = np.concatenate([b.pos.flat(nk.shape) for b in blocks])
+        assert np.array_equal(_offsets(nk.interior.pos, nk.shape), inner)
+    covered = np.concatenate([_offsets(b.pos, nk.shape) for b in blocks])
     assert np.array_equal(np.sort(covered), np.arange(n))
     for blk in blocks:
-        lanes = blk.pos.flat(nk.shape)
+        lanes = _offsets(blk.pos, nk.shape)
         sub = [v[lanes] for v in idx]
         assert_region(blk.loop, sub)
         assert_region(blk.write, lane_vectors(ir.write, sub, local, nk))
@@ -523,14 +547,14 @@ def assert_node_matches_member_vecs(ir, nk, p, local):
                     (max(a, c), max(b, d))
                     for (a, b), (c, d) in zip(over, old))
             continue
-        assert np.array_equal(r.lanes.flat(nk.shape),
+        assert np.array_equal(_offsets(r.lanes, nk.shape),
                               np.nonzero(src == p)[0])
         assert_region(r.mem, lane_vectors(
             acc, [v[src == p] for v in idx], True, nk))
         for s, fill in r.sources:
-            assert np.array_equal(fill.flat(nk.shape),
+            assert np.array_equal(_offsets(fill, nk.shape),
                                   np.nonzero(src == s)[0])
-            assert not np.isin(fill.flat(nk.shape), inner).any()
+            assert not np.isin(_offsets(fill, nk.shape), inner).any()
     assert nk.margins == margins
     for name, m in margins.items():
         acc = next(a for a in ir.reads if a.name == name)
@@ -749,7 +773,7 @@ class TestLoweringStaysClosedForm:
         pipe to each worker is O(segments)."""
         import pickle
 
-        for owner, name in ((Region, "index_vectors"), (Region, "flat"),
+        for owner, name in ((Region, "index_vectors"),
                             (np, "ravel_multi_index")):
             monkeypatch.setattr(owner, name, _boom)
         n = 1024
@@ -808,9 +832,9 @@ class TestRegionReporting:
             _approx_nbytes(sliced.kernels) + vector_bytes
 
     def test_cache_bytes_cover_what_an_mp_run_lowers(self):
-        """The ``gdist`` flavor and the install envelope land on the
-        cached entry after it was first sized: the byte budget must see
-        them, and ``describe()`` must report them."""
+        """The ``gdist`` flavor an mp run builds lands on the cached
+        entry after it was first sized: the byte budget must see it,
+        and ``describe()`` must report it."""
         from repro.codegen.dist_tmpl import run_distributed
         from repro.pipeline import kernel_cache_info
         from repro.runtime import shutdown_runtime
@@ -827,7 +851,7 @@ class TestRegionReporting:
         assert m.runtime_stats and "gdist" in k.built()
         prog_ = lower_dist(ir)
         assert k.mp_programs == {"gdist": prog_} and prog_.sched_cert.ok
-        grown = len(prog_.native_source) + sum(
+        grown = sum(
             r.nbytes for r in _leaves(k.built()["gdist"])
             if isinstance(r, Region))
         assert k.region_stats["gdist"]["vector"] > 0 and grown > 0

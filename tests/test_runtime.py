@@ -297,8 +297,7 @@ def _run_args(prog_file, *extra):
 
 class TestBackendRegistryCLI:
     def test_registry_lists_all_backends(self):
-        assert backend_names() == ("scalar", "fused", "native", "mp",
-                                   "mpi")
+        assert backend_names() == ("scalar", "fused", "mp", "mpi")
 
     def test_unknown_backend_is_one_line_error(self):
         plan, env0 = stencil_plan(), env1d()
@@ -378,3 +377,59 @@ def test_mp_run_survives_a_malformed_process_count(monkeypatch):
     m = run_shared(plan, copy_env(env0), backend="mp")
     assert np.array_equal(m.env["A"], ref["A"])
     assert m.runtime_stats
+
+
+def test_env_var_bounds_cache_size(monkeypatch):
+    """``REPRO_CACHE_SIZE=1``: storing a second kernel entry evicts the
+    first."""
+    from repro.pipeline import compile_plan
+    from repro.pipeline.kernels import KernelCache
+
+    monkeypatch.setenv("REPRO_CACHE_SIZE", "1")
+    kc = KernelCache()
+    assert kc.maxsize == 1
+    decomps = {"A": Block(N, P), "B": Block(N, P)}
+    scaled = Clause(IndexSet(Bounds((0,), (N - 1,))),
+                    Ref("A", SeparableMap([IdentityF()])),
+                    Ref("B", SeparableMap([IdentityF()])) * 2.0)
+    kc.store(("a",), compile_plan(stencil_clause(), decomps).kernels)
+    kc.store(("b",), compile_plan(scaled, decomps).kernels)
+    assert kc.info()["evictions"] == 1 and kc.info()["size"] == 1
+
+
+def test_payload_carries_only_the_workers_own_nodes():
+    """An install payload is ``(token, flavor, source, nreads, write,
+    nodes)``; the nodes that ride the pipe are the plan's own node
+    kernels, round-robin ``node % nprocs``."""
+    from repro.pipeline.kernels import flavor_nodes
+    from repro.runtime.lowering import lower_dist
+
+    plan = stencil_plan()
+    prog = lower_dist(plan.ir)
+    payload = prog.payload_for(0, 2)
+    assert payload[:5] == (prog.token, "dist", plan.ir.kernels.source,
+                           prog.nreads, "A")
+    assert [nd.p for nd in payload[5]] == [0, 2]
+    gdist = flavor_nodes(plan.ir, "gdist")
+    assert all(nd is gdist[nd.p] for nd in payload[5])
+
+
+def test_send_buffers_are_reused_per_step():
+    from types import SimpleNamespace
+
+    from repro.runtime.worker import QueueTransport
+
+    inbox = SimpleNamespace(sent=[])
+    inbox.put = inbox.sent.append
+    transport = QueueTransport(0, 1, [inbox], None, [0, 0])
+    transport.rid = (1, 0)
+    inst = SimpleNamespace(bufs={})
+    b1 = transport.send(inst, 0, 0, 1, np.arange(3.0))
+    b2 = transport.send(inst, 0, 0, 1, np.arange(3.0) + 5)
+    assert b1 is b2 and np.array_equal(b2, [5.0, 6.0, 7.0])
+    assert [m[:4] for m in inbox.sent] == [((1, 0), 1, 0, 0)] * 2
+    # another (read, peer) slot gets its own buffer
+    assert transport.send(inst, 0, 1, 1, np.arange(3.0)) is not b1
+    # ...and so does another installed program
+    other = SimpleNamespace(bufs={})
+    assert transport.send(other, 0, 0, 1, np.arange(3.0)) is not b1
