@@ -41,7 +41,7 @@ from .codegen import compile_clause, emit_distributed_source, run_distributed
 from .core import copy_env, evaluate_program
 from .core.rewrite import derive_spmd
 from .decomp import Block, BlockScatter, Decomposition, Replicated, Scatter, SingleOwner
-from .frontend import translate_source
+from .frontend import TranslateError, translate_source
 
 __all__ = ["main", "parse_decomposition"]
 
@@ -107,7 +107,12 @@ def _read_file(path: str) -> str:
 
 def _load_program(args):
     source = sys.stdin.read() if args.file == "-" else _read_file(args.file)
-    return translate_source(source, _parse_params(args.param))
+    params = _parse_params(args.param)
+    try:
+        return translate_source(source, params)
+    except (SyntaxError, TranslateError) as e:
+        # LexError and ParseError are SyntaxErrors
+        raise SystemExit(f"error: {args.file}: {e}") from None
 
 
 def _decomps(args) -> Dict[str, Decomposition]:
@@ -264,17 +269,20 @@ def _explain_mpi(plan, decomps, processes=None) -> None:
 
 
 def print_cache_stats() -> None:
-    """One unified block: plan, Table I, kernel, program, and
+    """One unified block: parse memo, plan, Table I, kernel, program, and
     verifier-report caches (``--json`` emits the same snapshot as one
     machine-readable object, see :func:`repro.cacheinfo.cache_stats`)."""
     from .cacheinfo import cache_stats
 
     cs = cache_stats()
-    pc, tc = cs["plan"], cs["table1"]
+    fc, pc, tc = cs["parse"], cs["plan"], cs["table1"]
     kc, gc = cs["kernel"], cs["program"]
     vc = cs["verify"]
     sf = cs["singleflight"]
     print("caches:")
+    print(f"  parse:   hits={fc['hits']} misses={fc['misses']} "
+          f"evictions={fc['evictions']} "
+          f"size={fc['size']}/{fc['maxsize']} bytes={fc['bytes']}")
     print(f"  plan:    hits={pc['hits']} misses={pc['misses']} "
           f"evictions={pc['evictions']} "
           f"size={pc['size']}/{pc['maxsize']} enabled={pc['enabled']}")
@@ -644,9 +652,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "with --explain mpi adds the probe verdict and "
                            "the rank mapping)")
     comp.add_argument("--cache-stats", action="store_true",
-                      help="print one unified block of plan-, Table I "
-                           "enumerator-, kernel-, program- and verify-"
-                           "cache hit/miss/eviction counters "
+                      help="print one unified block of parse-, plan-, "
+                           "Table I enumerator-, kernel-, program- and "
+                           "verify-cache hit/miss/eviction counters "
                            "after compiling")
     comp.add_argument("--json", action="store_true",
                       help="with --cache-stats: emit the cache counters "

@@ -2,7 +2,13 @@
 
 from .ast import Assign, Bin, Block, For, If, Node, Num, Subscript, Un, Var
 from .lexer import LexError, tokenize
-from .parser import ParseError, Parser, parse
+from .parser import (
+    ParseError,
+    Parser,
+    clear_parse_cache,
+    parse,
+    parse_cache_info,
+)
 from .translate import (
     TranslateError,
     classify_index_expr,
@@ -16,6 +22,8 @@ __all__ = [
     "parse",
     "Parser",
     "ParseError",
+    "parse_cache_info",
+    "clear_parse_cache",
     "translate",
     "translate_source",
     "TranslateError",

@@ -1,9 +1,13 @@
-"""AST of the Fig. 1 imperative mini-language."""
+"""AST of the Fig. 1 imperative mini-language.
+
+Every node is immutable — frozen dataclasses, statement bodies as
+tuples — so :func:`~repro.frontend.parser.parse` can hand one memoized
+tree to every caller that submits the same text.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from dataclasses import dataclass
 
 __all__ = [
     "Node", "Num", "Var", "Bin", "Un", "Subscript",
@@ -55,20 +59,27 @@ class Assign(Node):
     value: Node
 
 
-@dataclass
+@dataclass(frozen=True)
 class If(Node):
     cond: Node
-    body: List[Node] = field(default_factory=list)
-    orelse: List[Node] = field(default_factory=list)
+    body: tuple = ()
+    orelse: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "body", tuple(self.body))
+        object.__setattr__(self, "orelse", tuple(self.orelse))
 
 
-@dataclass
+@dataclass(frozen=True)
 class For(Node):
     var: str
     lo: Node
     hi: Node
     order: str  # 'par' | 'seq'
-    body: List[Node] = field(default_factory=list)
+    body: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "body", tuple(self.body))
 
 
 @dataclass(frozen=True)
@@ -86,8 +97,11 @@ class ViewDecl(Node):
         object.__setattr__(self, "formals", tuple(self.formals))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Block(Node):
     """Top-level statement sequence."""
 
-    body: List[Node] = field(default_factory=list)
+    body: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "body", tuple(self.body))

@@ -17,11 +17,18 @@ paper's ``for`` — annotate ``par`` to assert independence)::
     prod    := unary (('*'|'/'|'div'|'mod') unary)*
     unary   := '-' unary | atom
     atom    := NUM | IDENT ('[' expr (',' expr)* ']')? | '(' expr ')'
+
+:func:`parse` is a pure function of the text (parameters only enter in
+``translate``), so its immutable AST is memoized on the text in a
+bounded LRU: a daemon that sees one program a thousand times lexes and
+parses it once.
 """
 
 from __future__ import annotations
 
-from typing import List
+import threading
+from collections import OrderedDict
+from typing import Dict, List, Optional
 
 from .ast import (
     Assign,
@@ -39,7 +46,8 @@ from .ast import (
 from .lexer import tokenize
 from .tokens import Token
 
-__all__ = ["ParseError", "Parser", "parse"]
+__all__ = ["ParseError", "Parser", "parse", "parse_cache_info",
+           "clear_parse_cache"]
 
 
 class ParseError(SyntaxError):
@@ -242,6 +250,81 @@ class Parser:
         )
 
 
+class _ParseCache:
+    """Thread-safe LRU of parsed programs keyed on the source text,
+    bounded by ``REPRO_CACHE_SIZE`` (read on first use: the env reader
+    lives in ``pipeline``, which the frontend does not import)."""
+
+    DEFAULT_MAXSIZE = 256
+
+    def __init__(self):
+        self._maxsize: Optional[int] = None
+        self._entries: "OrderedDict[str, Block]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = self.misses = self.evictions = self.bytes = 0
+
+    @property
+    def maxsize(self) -> int:
+        if self._maxsize is None:
+            from ..pipeline.cache import _env_number
+
+            self._maxsize = _env_number("REPRO_CACHE_SIZE",
+                                        self.DEFAULT_MAXSIZE)
+        return self._maxsize
+
+    def get(self, source: str) -> Optional[Block]:
+        with self._lock:
+            tree = self._entries.get(source)
+            if tree is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(source)
+            self.hits += 1
+            return tree
+
+    def put(self, source: str, tree: Block) -> None:
+        maxsize = self.maxsize
+        with self._lock:
+            if source not in self._entries:
+                self.bytes += len(source.encode())
+            self._entries[source] = tree
+            while len(self._entries) > maxsize:
+                old, _ = self._entries.popitem(last=False)
+                self.bytes -= len(old.encode())
+                self.evictions += 1
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.hits = self.misses = self.evictions = self.bytes = 0
+
+    def info(self) -> Dict[str, int]:
+        maxsize = self.maxsize
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "evictions": self.evictions,
+                    "size": len(self._entries), "maxsize": maxsize,
+                    "bytes": self.bytes}
+
+
+_parse_cache = _ParseCache()
+
+
 def parse(source: str) -> Block:
-    """Parse a program text into its AST."""
-    return Parser(tokenize(source)).parse_program()
+    """Parse a program text into its (immutable, shared) AST."""
+    tree = _parse_cache.get(source)
+    if tree is None:
+        tree = Parser(tokenize(source)).parse_program()
+        _parse_cache.put(source, tree)
+    return tree
+
+
+def parse_cache_info() -> Dict[str, int]:
+    """Hit/miss/eviction/size counters and the text bytes held by the
+    parse memo (``cache_stats()["parse"]``)."""
+    return _parse_cache.info()
+
+
+def clear_parse_cache() -> None:
+    """Drop every memoized AST and reset the counters."""
+    _parse_cache.clear()

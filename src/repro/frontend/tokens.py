@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 __all__ = ["Token", "KEYWORDS", "SYMBOLS"]
 
@@ -19,8 +18,7 @@ SYMBOLS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'num' | 'ident' | 'kw' | 'sym' | 'eof'
     value: Hashable
     line: int

@@ -174,12 +174,17 @@ _FLIGHT_WAIT = 60.0
 
 def _cached_hit(key, clause, decomps, successor, verify):
     hit = plan_cache.lookup(key, clause, decomps, successor)
-    if hit is None:
-        return None
-    if verify and hit.diagnostics is None:
-        PassManager([VerifyPlan()]).run(hit)
-        plan_cache.attach_diagnostics(key, hit.diagnostics)
+    if hit is not None and verify:
+        _verify_plan_hit(hit)
     return hit
+
+
+def _verify_plan_hit(ir: PlanIR) -> None:
+    """Verify a cache hit whose entry was compiled unverified, and
+    attach the report to the entry so later hits reuse the verdict."""
+    if ir.diagnostics is None:
+        PassManager([VerifyPlan()]).run(ir)
+        plan_cache.attach_diagnostics(ir.trace.cache_key, ir.diagnostics)
 
 
 def _compile_fresh(clause, decomps, successor, require_read_decomps,

@@ -55,7 +55,7 @@ import numpy as np
 from ..core.clause import Clause, Ordering
 from ..decomp.multidim import GridDecomposition
 from ..machine.shared import SharedMachine
-from . import compile_plan
+from . import _verify_plan_hit, compile_plan
 from .cache import _clone_hit, _env_number, plan_key
 from .trace import PassRecord, PipelineTrace
 
@@ -220,7 +220,7 @@ class ProgramCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-        return _clone_program_hit(pir, key, clauses)
+        return _clone_program_hit(pir, key, clauses, decomps_list)
 
     def store(self, key, pir: ProgramIR) -> None:
         with self._lock:
@@ -229,6 +229,18 @@ class ProgramCache:
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self.evictions += 1
+
+    def attach_diagnostics(self, key, reports) -> None:
+        """Attach per-step verification reports to the cached entry for
+        *key* (a hit was verified on demand; future hits reuse the
+        verdicts)."""
+        with self._lock:
+            pir = self._entries.get(key)
+            if pir is None:
+                return
+            for st, report in zip(pir.steps, reports):
+                if st.ir.diagnostics is None:
+                    st.ir.diagnostics = report
 
     def clear(self) -> None:
         with self._lock:
@@ -249,10 +261,13 @@ class ProgramCache:
             }
 
 
-def _clone_program_hit(pir: ProgramIR, key, clauses) -> ProgramIR:
+def _clone_program_hit(pir: ProgramIR, key, clauses,
+                       decomps_list) -> ProgramIR:
     """Clone a cached program with a fresh hit-marked trace, re-anchoring
-    every step's Plan IR onto the caller's clause objects (executors key
-    pre-fetched values by ``Ref`` identity — see the plan cache)."""
+    every step onto the caller's objects: its clause, its successor (the
+    caller's next clause) and the caller's decompositions, merged as
+    ``_pass_compile_clauses`` merges them.  Executors key pre-fetched
+    values by ``Ref`` identity — see the plan cache."""
     trace = PipelineTrace(
         label=pir.trace.label,
         records=list(pir.trace.records),
@@ -260,11 +275,29 @@ def _clone_program_hit(pir: ProgramIR, key, clauses) -> ProgramIR:
         cache_key=key,
     )
     steps = []
-    for st, clause in zip(pir.steps, clauses):
-        ir = _clone_hit(st.ir, st.ir.trace.cache_key, clause,
-                        st.ir.decomps, st.ir.successor)
-        steps.append(dataclasses.replace(st, clause=clause, ir=ir))
+    for k, (st, clause) in enumerate(zip(pir.steps, clauses)):
+        successor, decs = None, decomps_list[k]
+        if st.ir.successor is not None:
+            successor = clauses[k + 1]
+            decs = {**decomps_list[k + 1], **decomps_list[k]}
+        ir = _clone_hit(st.ir, st.ir.trace.cache_key, clause, decs,
+                        successor)
+        steps.append(dataclasses.replace(st, clause=clause, decomps=decs,
+                                         ir=ir))
     return dataclasses.replace(pir, steps=steps, trace=trace)
+
+
+def _verify_program_hit(pir: ProgramIR, key) -> None:
+    """``compile_plan``'s rule one level up: a program hit whose entry
+    was compiled unverified is verified step by step on demand, and the
+    verdicts are attached to the entry (and to the plan cache), so the
+    next verified hit runs no pass at all."""
+    if all(st.ir.diagnostics is not None for st in pir.steps):
+        return
+    for st in pir.steps:
+        _verify_plan_hit(st.ir)
+    program_cache.attach_diagnostics(
+        key, [st.ir.diagnostics for st in pir.steps])
 
 
 #: the process-global program cache used by ``compile_program``
@@ -544,6 +577,9 @@ def compile_program(
     Compiled programs are memoized on a structural key; a hit returns a
     clone whose program trace carries ``cache_hit=True`` and whose
     per-clause IRs are re-anchored onto the caller's clause objects.
+    *verify* follows ``compile_plan``'s rule: a verified entry serves
+    both kinds of call, and a hit on an unverified entry is verified on
+    demand, with the per-step verdicts attached back to the entry.
     """
     clauses = list(program)
     if not clauses:
@@ -561,13 +597,13 @@ def compile_program(
     opts = dict(repeat=repeat, swap=swap,
                 eliminate_barriers=eliminate_barriers, fuse=fuse,
                 elide=elide)
-    key = None
-    if not verify:
-        key = program_cache.key_for(clauses, decomps_list, **opts)
-        if key is not None:
-            hit = program_cache.lookup(key, clauses, decomps_list)
-            if hit is not None:
-                return hit
+    key = program_cache.key_for(clauses, decomps_list, **opts)
+    if key is not None:
+        hit = program_cache.lookup(key, clauses, decomps_list)
+        if hit is not None:
+            if verify:
+                _verify_program_hit(hit, key)
+            return hit
     label = f"program[{len(clauses)}]"
     if repeat > 1:
         label += f" repeat({repeat})"

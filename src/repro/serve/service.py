@@ -5,9 +5,15 @@ one response dict (``handle``), and the server layer feeds it lines from
 sockets.  Design of the hot path:
 
 * **Warm caches are the product.**  Every compile routes through the
-  ordinary process-global structural caches (plan, kernel, Table I,
-  verify, program), so all clients share one warm state — the service
-  adds no cache of its own, it *multiplexes* the existing ones.
+  ordinary process-global caches (the frontend's parse memo; plan,
+  kernel, Table I, verify, program), so all clients share one warm
+  state — the service adds no cache of its own, it *multiplexes* the
+  existing ones.
+* **A hot compile is lookups.**  A seen text hits the parse memo (only
+  ``translate`` runs, so every request gets fresh clauses); a program
+  is one ``compile_program`` call whose verified cache entry serves the
+  request, and its per-clause entries are read off ``pir.steps`` — no
+  clause is compiled twice, and a warm request runs no pass.
 * **Single-flight compilation.**  N concurrent identical compile/check
   requests collapse onto one pipeline execution via an async
   :class:`~repro.serve.singleflight.SingleFlight` keyed on the request's
@@ -287,15 +293,22 @@ class ReproService:
         verify = bool(req.get("verify", False))
         with self._count_lock:
             self.compiles_executed += 1
-        clauses_out = []
         try:
-            for k, clause in enumerate(p.clauses):
-                successor = p.clauses[k + 1] if k + 1 < len(p.clauses) \
-                    else None
-                ir = compile_plan(clause, p.decomps, successor=successor,
-                                  verify=verify)
+            # a program compiles each clause once, inside compile_program:
+            # its per-clause entries are read off the steps, so a warm
+            # request is one program-cache lookup
+            pir = None
+            if p.is_program:
+                pir = compile_program(p.program, p.decomps, repeat=p.steps,
+                                      swap=p.swap, verify=verify)
+                irs = [st.ir for st in pir.steps]
+            else:
+                irs = [compile_plan(clause, p.decomps, verify=verify)
+                       for clause in p.clauses]
+            clauses_out = []
+            for ir in irs:
                 entry = {
-                    "name": clause.name,
+                    "name": ir.clause.name,
                     "cache_hit": bool(ir.trace.cache_hit),
                     "rules": ir.rules(),
                     "fused": ir.kernels is not None,
@@ -305,9 +318,7 @@ class ReproService:
                 clauses_out.append(entry)
             result: Dict[str, Any] = {"clauses": clauses_out,
                                       "backend": p.backend}
-            if p.is_program:
-                pir = compile_program(p.program, p.decomps, repeat=p.steps,
-                                      swap=p.swap, verify=verify)
+            if pir is not None:
                 result["program"] = {
                     "cache_hit": bool(pir.trace.cache_hit),
                     "steps": len(pir.steps),

@@ -471,6 +471,9 @@ class TestCheckCLI:
         assert "caches:" in out
         assert "plan:" in out and "table1:" in out and "kernel:" in out
         assert "misses=1" in out
+        (parse_line,) = [ln for ln in out.splitlines()
+                         if ln.strip().startswith("parse:")]
+        assert "hits=" in parse_line and "bytes=" in parse_line
 
 
 # ---------------------------------------------------------------------------

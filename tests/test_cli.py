@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +145,51 @@ class TestCommands:
                 "--array", "A=block:20", "--array", "B=block:20",
                 "--param", "n=oops",
             ])
+
+
+class TestFrontendErrors:
+    """A program the frontend rejects is a one-line error, never a
+    traceback."""
+
+    ARRAYS = ["--array", "A=block:8", "--array", "B=block:8"]
+
+    @pytest.fixture
+    def superscript_file(self, tmp_path):
+        f = tmp_path / "bad.pal"
+        f.write_text("A[i] := B[\u00b2];\n", encoding="utf-8")
+        return f
+
+    @pytest.mark.parametrize("command", ["compile", "run", "check", "derive"])
+    def test_unicode_digit_is_a_lex_error(self, command, superscript_file):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(superscript_file), *self.ARRAYS])
+        assert str(exc.value) == (f"error: {superscript_file}: unexpected "
+                                  "character '\u00b2' at line 1, column 11")
+
+    @pytest.mark.parametrize("text, message", [
+        ("for i := 0 to 3 do A[i] := 1 od", "expected ';', got 'od'"),
+        ("A[0] := 1;", "top-level statements must be loops"),
+    ])
+    def test_parse_and_translate_errors(self, tmp_path, text, message):
+        f = tmp_path / "bad.pal"
+        f.write_text(text)
+        with pytest.raises(SystemExit, match=message):
+            main(["compile", str(f), *self.ARRAYS])
+
+    def test_exit_status_1_and_one_stderr_line(self, superscript_file):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(pathlib.Path(__file__).parent.parent / "src"),
+             env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "compile", str(superscript_file),
+             *self.ARRAYS],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: {superscript_file}: unexpected character '\u00b2' "
+            "at line 1, column 11"]
 
 
 class TestSpecFileIntegration:

@@ -1,7 +1,12 @@
 """Tests for the mini-language front end (lexer, parser, translation)."""
 
+import dataclasses
+import pathlib
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Ordering, copy_env, evaluate_program
 from repro.core.ifunc import AffineF, ConstantF, ModularF
@@ -9,13 +14,115 @@ from repro.frontend import (
     LexError,
     ParseError,
     TranslateError,
+    clear_parse_cache,
     parse,
+    parse_cache_info,
     tokenize,
     translate,
     translate_source,
 )
 from repro.frontend import ast as A
+from repro.frontend import lexer
+from repro.frontend.tokens import KEYWORDS, SYMBOLS
 from repro.frontend.translate import classify_index_expr
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def oracle_tokenize(source):
+    """The character-loop lexer the regex pass replaced, kept as the
+    differential oracle: ``(kind, value, line, col)`` tuples."""
+    out = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+
+    def peek(ahead=0):
+        j = i + ahead
+        return source[j] if j < n else ""
+
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch == "#" or (ch == "*" and peek(1) == "*"):
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if ch.isdigit():
+            start = i
+            while i < n and source[i].isdigit():
+                i += 1
+            out.append(("num", int(source[start:i]), line, col))
+            col += i - start
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (source[i].isalnum() or source[i] == "_"):
+                i += 1
+            word = source[start:i]
+            out.append(("kw" if word in KEYWORDS else "ident", word, line,
+                        col))
+            col += i - start
+            continue
+        for sym in SYMBOLS:
+            if source.startswith(sym, i):
+                out.append(("sym", sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise LexError(
+                f"unexpected character {ch!r} at line {line}, column {col}"
+            )
+    out.append(("eof", None, line, col))
+    return out
+
+
+def both_lexers(source):
+    """``(oracle, regex)`` outcomes: token tuples or the error text."""
+    outcomes = []
+    for lex in (oracle_tokenize, tokenize):
+        try:
+            outcomes.append([tuple(t) for t in lex(source)])
+        except LexError as e:
+            outcomes.append(f"LexError: {e}")
+    return outcomes
+
+
+def ledger_sources():
+    """Every text the compile-cold and serve-mixed workloads compile."""
+    from benchmarks.ledger.compilecold import FAMILIES, KINDS, SIZES
+    from benchmarks.ledger.servemixed import RUN_PROGRAM, two_clause_source
+
+    out = [RUN_PROGRAM] + [two_clause_source(k) for k in (2, 17, 60)]
+    for family in FAMILIES:
+        for kind in KINDS:
+            for n, pmax in SIZES:
+                out.append(family(n, kind, pmax, 5)[0])
+    return out
+
+
+def comment(body):
+    return ("# " if len(body) % 2 else "**") + body
+
+
+#: tokens, comments, whitespace and short runs of any printable ASCII
+_ASCII_SOUP = st.lists(st.one_of(
+    st.sampled_from(sorted(KEYWORDS) + SYMBOLS),
+    st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c",
+                     "\x1f"]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True),
+    st.integers(0, 10 ** 9).map(str),
+    st.text(string.printable.replace("\n", ""), max_size=8).map(comment),
+    st.text(string.printable, max_size=3),
+), max_size=40).map("".join)
 
 
 class TestLexer:
@@ -57,6 +164,136 @@ class TestLexer:
         toks = tokenize("form for")
         assert toks[0].kind == "ident"
         assert toks[1].kind == "kw"
+
+    @pytest.mark.parametrize("source, where", [
+        ("A[i] := B[²];", "'²' at line 1, column 11"),
+        ("for i := 0 to 3 do\n  A[i] := B[i\u00a0+ 1];\nod", "'\\xa0' at line 2, column 14"),
+        ("x\u0661", "'\u0661' at line 1, column 2"),
+    ])
+    def test_non_ascii_outside_comments_is_a_lex_error(self, source, where):
+        with pytest.raises(LexError) as exc:
+            tokenize(source)
+        assert str(exc.value) == f"unexpected character {where}"
+
+    def test_non_ascii_inside_comments_is_skipped(self):
+        toks = tokenize("x # (•) ²\ny ** é\n")
+        assert [(t.kind, t.value, t.line) for t in toks] == [
+            ("ident", "x", 1), ("ident", "y", 2), ("eof", None, 3)]
+
+
+class TestLexerMatchesTheCharacterLoop:
+    """The regex pass emits the old character loop's exact
+    ``(kind, value, line, col)`` stream on every ASCII input."""
+
+    @pytest.mark.parametrize("pal", sorted((ROOT / "examples" / "programs")
+                                           .glob("*.pal")),
+                             ids=lambda p: p.stem)
+    def test_example_programs(self, pal):
+        oracle, regex = both_lexers(pal.read_text())
+        assert regex == oracle
+
+    def test_ledger_sources(self):
+        for source in ledger_sources():
+            oracle, regex = both_lexers(source)
+            assert regex == oracle, source
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ASCII_SOUP)
+    def test_token_soup(self, source):
+        oracle, regex = both_lexers(source)
+        assert regex == oracle
+
+    def test_trailing_comment_keeps_the_eof_column(self):
+        for source in ("a # tail", "a\n** tail", "#", ""):
+            oracle, regex = both_lexers(source)
+            assert regex == oracle, source
+
+
+class TestParseMemo:
+    """``parse`` is memoized on the text; its AST is immutable, and
+    ``translate`` still builds fresh clauses for every caller."""
+
+    SOURCE = ("for i := 0 to 9 par do\n"
+              "    if B[i] > 0 then A[i] := B[i] + 1; fi;\nod;\n")
+
+    def setup_method(self):
+        clear_parse_cache()
+
+    def test_second_parse_is_a_lookup(self, monkeypatch):
+        first = parse(self.SOURCE)
+
+        def no_lexing(source):
+            raise AssertionError("a memoized text was lexed again")
+
+        monkeypatch.setattr(lexer, "tokenize", no_lexing)
+        monkeypatch.setattr("repro.frontend.parser.tokenize", no_lexing)
+        assert parse(self.SOURCE) is first
+        info = parse_cache_info()
+        assert (info["hits"], info["misses"], info["size"]) == (1, 1, 1)
+        assert info["bytes"] == len(self.SOURCE.encode())
+
+    def test_ast_is_immutable(self):
+        block = parse(self.SOURCE)
+        (loop,) = block.body
+        (iff,) = loop.body
+        assert isinstance(block.body, tuple)
+        assert isinstance(loop.body, tuple)
+        assert isinstance(iff.body, tuple) and isinstance(iff.orelse, tuple)
+        for node, name in ((block, "body"), (loop, "body"), (loop, "var"),
+                           (iff, "orelse"), (iff.body[0], "value")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
+        # nodes built by hand are frozen the same way
+        assert A.Block([loop]).body == (loop,)
+
+    def test_translate_builds_fresh_clauses(self):
+        one = translate_source(self.SOURCE)
+        two = translate_source(self.SOURCE)
+        assert parse_cache_info()["hits"] == 1
+        for a, b in zip(one, two):
+            assert a is not b and a.lhs is not b.lhs
+            assert repr(a) == repr(b)
+
+    def test_params_enter_after_the_memo(self):
+        src = "for i := 0 to n par do A[i] := 0; od"
+        assert translate_source(src, {"n": 3}).clauses[0].domain \
+            .bounds.scalar() == (0, 3)
+        assert translate_source(src, {"n": 7}).clauses[0].domain \
+            .bounds.scalar() == (0, 7)
+        assert parse_cache_info()["hits"] == 1
+
+    def test_lru_is_bounded(self, monkeypatch):
+        from repro.frontend.parser import _parse_cache
+
+        monkeypatch.setattr(_parse_cache, "_maxsize", 2)
+        for k in range(4):
+            parse(f"for i := 0 to {k} do A[i] := 0; od")
+        info = parse_cache_info()
+        assert (info["size"], info["evictions"]) == (2, 2)
+
+    def test_env_var_bounds_the_memo(self, monkeypatch):
+        from repro.frontend.parser import _ParseCache
+
+        monkeypatch.setenv("REPRO_CACHE_SIZE", "3")
+        assert _ParseCache().maxsize == 3
+        monkeypatch.delenv("REPRO_CACHE_SIZE")
+        assert _ParseCache().maxsize == _ParseCache.DEFAULT_MAXSIZE
+
+    def test_clear_all_caches_empties_the_memo(self, monkeypatch):
+        from repro.cacheinfo import clear_all_caches
+
+        parse(self.SOURCE)
+        assert parse_cache_info()["size"] == 1
+        assert clear_all_caches()["parse"] == {
+            "hits": 0, "misses": 0, "evictions": 0, "size": 0,
+            "maxsize": parse_cache_info()["maxsize"], "bytes": 0}
+        lexed = []
+        real = lexer.tokenize
+        monkeypatch.setattr("repro.frontend.parser.tokenize",
+                            lambda source: lexed.append(source)
+                            or real(source))
+        parse(self.SOURCE)  # a cold compile still parses
+        assert lexed == [self.SOURCE]
 
 
 class TestParser:

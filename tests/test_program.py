@@ -189,6 +189,29 @@ class TestProgramCache:
         assert pir2.steps[0].clause is not pir1.steps[0].clause
         assert pir2.groups == pir1.groups
 
+    def test_hit_reanchors_every_step(self):
+        """A hit is re-anchored step by step onto the caller's objects:
+        clause, write and read refs, successor, and decompositions."""
+        self._compile()
+        program = Program([scale_clause("B", "A"), scale_clause("C", "B")])
+        decomps = {n: Block(N, P) for n in "ABC"}
+        pir = compile_program(program, decomps)
+        assert pir.trace.cache_hit
+        clauses = list(program)
+        assert pir.steps[0].ir.successor is not None  # 1-D, same placement
+        for k, st in enumerate(pir.steps):
+            clause = clauses[k]
+            assert st.clause is clause and st.ir.clause is clause
+            assert st.ir.write.ref is clause.lhs
+            assert [acc.ref for acc in st.ir.reads] == clause.reads()
+            assert all(acc.ref is r
+                       for acc, r in zip(st.ir.reads, clause.reads()))
+            want = clauses[k + 1] if k + 1 < len(clauses) else None
+            assert st.ir.successor is want
+            for name, dec in st.decomps.items():
+                assert dec is decomps[name]
+                assert st.ir.decomps[name] is decomps[name]
+
     def test_options_are_part_of_the_key(self):
         program = Program([scale_clause("B", "A"), scale_clause("C", "B")])
         decomps = {n: Block(N, P) for n in "ABC"}

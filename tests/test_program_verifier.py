@@ -55,10 +55,12 @@ from repro.machine.fused import FusedStrictError
 from repro.pipeline.kernels import flavor_nodes
 from repro.pipeline.region import Region
 from repro.pipeline import (
+    PassManager,
     clear_program_cache,
     compile_plan,
     compile_program,
     evaluate_program_reference,
+    program_cache_info,
     run_program,
 )
 from repro.runtime import run_shared_mp
@@ -389,11 +391,16 @@ class TestVerifyCache:
         assert v1.ok and v2.ok
 
     def test_unkeyed_program_not_cached(self):
-        pir = self._pir()
-        pir = compile_program(
-            [st.clause for st in pir.steps],
-            {n: Block(N, P) for n in "UVW"}, verify=True)
-        assert pir.cache_key is None  # verify=True bypasses program cache
+        class Unkeyed(Block):
+            def cache_key(self):
+                return None  # opts every compile that touches it out
+
+        c1 = clause(0, N - 1, ref("V"), ref("U"))
+        c2 = clause(0, N - 1, ref("W"), ref("V"))
+        decs = {"U": Unkeyed(N, P), "V": Block(N, P), "W": Block(N, P)}
+        pir = compile_program([c1, c2], decs, verify=True)
+        assert pir.cache_key is None
+        assert program_cache_info()["size"] == 0
         before = verify_cache_info()["size"]
         verify_program(pir)
         assert verify_cache_info()["size"] == before
@@ -403,6 +410,56 @@ class TestVerifyCache:
         verify_program(pir)
         clear_verify_cache()
         assert verify_cache_info()["size"] == 0
+
+    def test_verified_program_hits_the_program_cache(self, monkeypatch):
+        runs = []
+        real_run = PassManager.run
+
+        def counted(manager, ir):
+            runs.append([ps.name for ps in manager.passes])
+            return real_run(manager, ir)
+
+        monkeypatch.setattr(PassManager, "run", counted)
+
+        def summaries(pir):
+            return [st.ir.diagnostics.summary() for st in pir.steps]
+
+        # a verified miss, then a verified hit with the same verdicts
+        decs = {n: Block(N, P) for n in "UVW"}
+        pair = [clause(0, N - 1, ref("V"), ref("U")),
+                clause(0, N - 1, ref("W"), ref("V"))]
+        miss = compile_program(pair, decs, verify=True)
+        assert not miss.trace.cache_hit and miss.cache_key is not None
+        runs.clear()
+        hit = compile_program(pair, decs, verify=True)
+        assert hit.trace.cache_hit and runs == []
+        assert summaries(hit) == summaries(miss)
+        # the verified entry serves an unverified call too
+        assert compile_program(pair, decs).trace.cache_hit
+
+        # an unverified entry (the barrier is kept, so fuse-clauses
+        # attached no RACE verdict) is verified once, on demand
+        decs = {n: Block(N, P) for n in "ABC"}
+        pair = [clause(1, N - 1, ref("A"), ref("B")),
+                clause(1, N - 1, ref("C"), ref("A", c=-1))]
+        plain = compile_program(pair, decs)
+        assert all(st.ir.diagnostics is None for st in plain.steps)
+        runs.clear()
+        first = compile_program(pair, decs, verify=True)
+        assert first.trace.cache_hit
+        assert runs == [["verify-plan"], ["verify-plan"]]
+        runs.clear()
+        again = compile_program(pair, decs, verify=True)
+        assert again.trace.cache_hit and runs == []
+        assert summaries(again) == summaries(first)
+        # ...and the verdicts landed on the plan cache entries as well
+        for st in again.steps:
+            assert compile_plan(st.clause, st.decomps,
+                                successor=st.ir.successor,
+                                verify=True).trace.cache_hit
+        assert runs == []
+        info = program_cache_info()
+        assert (info["hits"], info["misses"]) == (4, 2)
 
 
 class TestCheckCLI:

@@ -441,6 +441,75 @@ class TestService:
         run_service(body)
 
 
+TWO_CLAUSE = ("for i := 1 to 22 par do\n"
+              "    B[i] := A[i - 1] + 3 * A[i] + A[i + 1];\nod;\n"
+              "for i := 1 to 22 par do\n"
+              "    C[i] := B[i - 1] + 3 * B[i + 1];\nod;\n")
+
+
+class TestHotCompile:
+    """A repeated verified compile is lookups: the parse memo, then one
+    program-cache lookup — no lexing, no parsing, no pass."""
+
+    @staticmethod
+    def _req(program=TWO_CLAUSE):
+        return {"op": "compile", "program": program, "verify": True,
+                "arrays": ["A=block:24", "B=block:24", "C=block:24"]}
+
+    def test_hot_request_runs_no_frontend_and_no_pass(self, monkeypatch):
+        from repro.cacheinfo import cache_stats, clear_all_caches
+        from repro.frontend import lexer, parser
+        from repro.pipeline import PassManager
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a hot compile lexed or ran a pass")
+
+        async def body(service):
+            clear_all_caches()
+            cold = await service.handle(self._req())
+            assert cold["ok"], cold
+            assert not any(c["cache_hit"] for c in cold["result"]["clauses"])
+            warm = await service.handle(self._req())
+            monkeypatch.setattr(lexer, "tokenize", boom)
+            monkeypatch.setattr(parser, "tokenize", boom)
+            monkeypatch.setattr(PassManager, "run", boom)
+            before = cache_stats()
+            hot = await service.handle(self._req())
+            after = cache_stats()
+            assert hot == warm
+            assert all(c["cache_hit"] for c in hot["result"]["clauses"])
+            assert all(c["diagnostics"]["ok"]
+                       for c in hot["result"]["clauses"])
+            assert hot["result"]["program"]["cache_hit"] is True
+
+            def moved(cache, kind):
+                return after[cache][kind] - before[cache][kind]
+
+            assert (moved("parse", "hits"), moved("parse", "misses")) \
+                == (1, 0)
+            assert (moved("program", "hits"), moved("program", "misses")) \
+                == (1, 0)
+            assert (moved("plan", "hits"), moved("plan", "misses")) == (0, 0)
+            monkeypatch.undo()
+            fresh = await service.handle(
+                self._req(TWO_CLAUSE.replace("3 *", "5 *")))
+            assert fresh["ok"], fresh
+            assert fresh["result"]["clauses"][0]["cache_hit"] is False
+
+        run_service(body, single_flight=False)
+
+    def test_unverified_entry_is_verified_on_a_verified_request(self):
+        async def body(service):
+            plain = await service.handle({**self._req(), "verify": False})
+            assert "diagnostics" not in plain["result"]["clauses"][0]
+            hot = await service.handle(self._req())
+            assert hot["result"]["program"]["cache_hit"] is True
+            assert [c["diagnostics"]["ok"]
+                    for c in hot["result"]["clauses"]] == [True, True]
+
+        run_service(body)
+
+
 # ---------------------------------------------------------------------------
 # the daemon, end to end
 # ---------------------------------------------------------------------------
