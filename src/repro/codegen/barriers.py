@@ -20,10 +20,10 @@ the write, ``p != q``; and two consecutive clauses conflict iff what *p*
 writes in one meets what ``q != p`` touches in the other — flow and
 output (``w1`` against ``r2``, ``w2``), anti (``w2`` against ``r1``).
 Two progressions meet in one congruence, so a Block/Scatter/one-course
-pair costs O(pmax²) integer operations whatever the array size; an
-irregular key (multi-course BS(b), a modular access) is a sorted vector
-filtered by the same ``meet`` — one mechanism, the all-slice pair being
-its O(1) case.  (The element-by-element enumeration this replaced is the
+pair — or a pair of multi-course BS(b) two-level keys, one congruence
+per level — costs O(pmax²) integer operations whatever the array size;
+an irregular key (a modular access) is a sorted vector filtered by the
+same ``meet`` — one mechanism, the all-slice pair being its O(1) case.  (The element-by-element enumeration this replaced is the
 oracle of ``tests/test_barriers.py``.)
 """
 

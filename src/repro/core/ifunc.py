@@ -85,14 +85,6 @@ class IFunc:
 
     # -- classification (Table I dispatch) -----------------------------------
 
-    @property
-    def is_constant(self) -> bool:
-        return False
-
-    @property
-    def is_affine(self) -> bool:
-        return False
-
     def monotone_direction(self, imin: int, imax: int) -> int:
         """+1 increasing, -1 decreasing, 0 neither/unknown on [imin, imax]."""
         raise NotImplementedError
@@ -143,10 +135,6 @@ class ConstantF(IFunc):
     def __call__(self, i: int) -> int:
         return self.c
 
-    @property
-    def is_constant(self) -> bool:
-        return True
-
     def monotone_direction(self, imin: int, imax: int) -> int:
         return 0
 
@@ -180,10 +168,6 @@ class AffineF(IFunc):
 
     def __call__(self, i: int) -> int:
         return self.a * i + self.c
-
-    @property
-    def is_affine(self) -> bool:
-        return True
 
     def monotone_direction(self, imin: int, imax: int) -> int:
         return 1 if self.a > 0 else -1

@@ -107,10 +107,6 @@ def derivation_forms(clause: Clause, decomps: Dict[str, Decomposition]):
     return [(s.rule, s.form) for s in derive_spmd(clause, decomps).steps]
 
 
-def _guard_ok(clause: Clause, idx, env) -> bool:
-    return clause.guard is None or bool(clause.guard.eval(idx, env))
-
-
 def derive_spmd(
     clause: Clause, decomps: Dict[str, Decomposition]
 ) -> SPMDDerivation:

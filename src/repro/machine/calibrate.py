@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import LatencyModel
 
 __all__ = [
     "CalibrationError",
@@ -72,12 +71,6 @@ class MachineDescription:
     method: str               # "mpi-pingpong" | "pipe-pingpong"
     points: Tuple[Tuple[int, float], ...] = ()   # (size, one_way_s)
     meta: Dict[str, object] = field(default_factory=dict)
-
-    def latency_model(self) -> LatencyModel:
-        """The measured coefficients as a simulator latency model
-        (virtual time unit = one second)."""
-        return LatencyModel(alpha=self.alpha_s, beta=self.beta_s,
-                            t_element=self.t_element_s)
 
     def cost_model(self, name: str = "calibrated"):
         """A :class:`~repro.machine.costmodel.CostModel` normalized so

@@ -29,9 +29,6 @@ class NodeStats:
     #: virtual clock under the optional latency model (stays 0.0 without it)
     vtime: float = 0.0
 
-    def busy_work(self) -> int:
-        return self.local_updates + self.elements_sent + self.elements_received
-
 
 @dataclass
 class MachineStats:

@@ -35,7 +35,6 @@ __all__ = [
     "in_mpi_world",
     "mpi_support",
     "reset_mpi_support",
-    "world_size_hint",
 ]
 
 #: environment markers set by the common launchers (OpenMPI, MPICH/
@@ -79,20 +78,6 @@ def find_launcher() -> Optional[str]:
 def in_mpi_world() -> bool:
     """True when this process was started by an MPI launcher."""
     return any(m in os.environ for m in _WORLD_MARKERS)
-
-
-def world_size_hint() -> Optional[int]:
-    """World size from the launcher environment, without touching
-    ``MPI.Init`` (importing mpi4py initializes MPI, which is only safe
-    when actually launched)."""
-    for m in ("OMPI_COMM_WORLD_SIZE", "PMI_SIZE", "MV2_COMM_WORLD_SIZE"):
-        v = os.environ.get(m)
-        if v:
-            try:
-                return int(v)
-            except ValueError:
-                continue
-    return None
 
 
 def _probe() -> MpiSupport:

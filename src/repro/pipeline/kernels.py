@@ -38,6 +38,7 @@ entry, and the executor falls back with it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -232,6 +233,9 @@ class FusedKernels:
                          compare=False)
     #: install envelopes of :mod:`repro.runtime.lowering`, per flavor
     mp_programs: Dict[str, object] = field(default_factory=dict)
+    #: the kernel-cache key the entry is stored under (:func:`recount`)
+    cache_key: Optional[tuple] = field(default=None, repr=False,
+                                       compare=False)
 
     @cached_property
     def region_stats(self) -> Dict[str, object]:
@@ -243,7 +247,7 @@ class FusedKernels:
         out: Dict[str, object] = {"bytes": 0}
         out.update((f, {"slice": 0, "vector": 0}) for f in _FLAVORS)
         distinct = {}  # by identity: programs share the nodes
-        for name in self.__dataclass_fields__:
+        for name in self.__dataclass_fields__.keys() - {"cache_key"}:
             for x in _leaves(getattr(self, name), 1):
                 distinct[id(x)] = x
                 if name in _FLAVORS and isinstance(x, Region):
@@ -519,9 +523,8 @@ def recount(ir, landed) -> None:
     after its cache entry was sized (a flavor's nodes) — to the kernel
     cache's byte budget."""
     ir.kernels.__dict__.pop("region_stats", None)
-    key = _kernel_key(ir) if kernel_cache.enabled else None
-    if key is not None:
-        kernel_cache.grow(key, _approx_nbytes(landed))
+    if ir.kernels.cache_key is not None and kernel_cache.enabled:
+        kernel_cache.grow(ir.kernels.cache_key, _nodes_nbytes(landed))
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +565,18 @@ def _approx_nbytes(obj) -> int:
     not ``sys.getsizeof`` truth."""
     # by identity: programs share the nodes
     return _nbytes({id(x): x for x in _leaves(obj)}.values())
+
+
+def _nodes_nbytes(nodes) -> int:
+    """:func:`_approx_nbytes` of node kernels, read off their fields
+    instead of walked: each region, lane grid and name once."""
+    parts = {id(x): x for nk in nodes for x in itertools.chain(
+        *((b.pos, b.loop, b.write, *b.grids) for b in nk.commits),
+        *((r.name, r.mem, r.lanes, *(g for _, g in r.sources))
+          for r in nk.reads),
+        *((s.name, *(g for _, g in s.peers)) for s in nk.sends))
+        if x is not None}
+    return _nbytes(parts.values())
 
 
 #: default resident-byte budget for the kernel cache (256 MiB);
@@ -693,5 +708,6 @@ def attach_kernels(ir) -> List[str]:
         return [f"no fused kernel: {e}"]
     ir.kernels = kernels
     if key is not None:
+        kernels.cache_key = key
         kernel_cache.store(key, kernels)
     return [f"compiled fused kernels: {kernels.describe()}"]

@@ -2,42 +2,66 @@
 
 Table I hands every node its membership as a few arithmetic
 progressions ``gen_p(t) = x_p + stride·t``.  A **key** keeps one axis of
-such a set in the form NumPy indexes fastest: a ``slice`` when the axis
-is one progression, an int64 vector for the irregular remainder
-(multi-course BS(b), modular breakpoints, non-injective maps).  A
-:class:`Region` is a tuple of keys — one per array axis — laid over a
-block of lanes: all-slice regions address memory by basic slicing (a
-view), anything else through ``np.ix_`` (a copy), so a slice is the
-special case of the one mechanism and not a fast path beside it.
+such a set in one of three forms: a ``slice`` when the axis is one
+progression, a :class:`TwoLevel` ``outer ⊗ inner`` for a run of equal
+courses (multi-course BS(b): Theorem 2's course ``k`` and offset
+``t``), an int64 vector for the irregular remainder (modular
+breakpoints, non-injective maps, clipped courses).  A :class:`Region`
+is a tuple of keys — one per array axis — laid over a block of lanes:
+all-slice regions address memory by basic slicing (a view), anything
+else through ``np.ix_`` (a copy), so a slice is the special case of the
+one mechanism and not a fast path beside it.
 
 Every compile-time membership computation — the kernels' lane plans,
 `split-interior`, the §2.9 barrier proof, the static analyses — runs on
 keys through :func:`meet` (∩), :func:`minus` (∖), :func:`image`,
-:func:`compose` and :func:`locate`, O(1) on progressions.  Table I
-builds each enumeration's key itself, by array arithmetic on its segment
-table (:class:`repro.sets.enumerators.Enumeration`).
+:func:`compose` and :func:`locate`: O(1) on progressions, one congruence
+per level on two-level keys, exact vector arithmetic elsewhere.  Table I
+builds each enumeration's key itself (:mod:`repro.sets.enumerators`).
 
 Row-major order over a region is the lexicographic lane order every
 executor and message payload uses.  Vectors are built here and nowhere
-else: :meth:`Region.index_vectors` materializes them lazily for the
-consumers that truly need lanes (guarded or non-injective stores).
+else: a :class:`Region` unrolls a two-level key, and
+:meth:`Region.index_vectors` materializes lane vectors lazily for the
+consumers that truly need them (guarded or non-injective stores).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.ifunc import AffineF, ConstantF, apply_ifunc
 
-__all__ = ["Key", "Region", "prog", "klen", "vec", "compress",
-           "compose", "locate", "meet", "minus", "image", "overhang"]
-
-Key = Union[slice, np.ndarray]
+__all__ = ["Key", "Region", "TwoLevel", "prog", "tiles", "klen", "vec",
+           "compress", "compose", "locate", "meet", "minus", "image",
+           "overhang"]
 
 _BIG = 1 << 62
+
+
+class TwoLevel(NamedTuple):
+    """``outer ⊗ inner``: ``start + ostep·k + istep·t`` (``k < ocount``,
+    ``t < icount``) course after course, the inner span shorter than the
+    outer step — strictly monotone, never one progression (:func:`tiles`)."""
+
+    start: int
+    ostep: int
+    ocount: int
+    istep: int
+    icount: int
+
+    @property
+    def size(self) -> int:
+        return self.ocount * self.icount
+
+    def __setitem__(self, pos, value):
+        raise ValueError("keys are read-only")  # as a shared vector key
+
+
+Key = Union[slice, TwoLevel, np.ndarray]
 
 
 def prog(start: int, step: int, count: int) -> Key:
@@ -58,6 +82,22 @@ def prog(start: int, step: int, count: int) -> Key:
     return slice(start, last - 1 if last else None, step)
 
 
+def tiles(start: int, ostep: int, ocount: int, istep: int,
+          icount: int) -> Key:
+    """``{start + ostep·k + istep·t}`` as a key: a :class:`TwoLevel`, or a
+    progression when one course, one offset or touching courses make it."""
+    if min(ocount, icount) <= 1 or ostep == istep * icount:
+        return prog(start, istep if icount > 1 else ostep,
+                    max(ocount, 0) * max(icount, 0))
+    return TwoLevel(start, ostep, ocount, istep, icount)
+
+
+def _unroll(key: TwoLevel) -> np.ndarray:
+    """The members of a two-level key as an int64 vector."""
+    return (key.start + key.ostep * np.arange(key.ocount, dtype=np.int64)[
+        :, None] + key.istep * np.arange(key.icount, dtype=np.int64)).ravel()
+
+
 def _ssc(key: slice) -> Tuple[int, int, int]:
     """``(start, step, count)`` of a slice read as a literal progression
     (no wrap-around: a negative bound is a negative index)."""
@@ -76,7 +116,18 @@ def vec(key: Key) -> np.ndarray:
     if isinstance(key, slice):
         start, step, count = _ssc(key)
         return start + step * np.arange(count, dtype=np.int64)
-    return key
+    return _unroll(key) if isinstance(key, TwoLevel) else key
+
+
+def _ends(key: Key) -> Tuple[int, int]:
+    """The first and last element of a non-empty key."""
+    if isinstance(key, np.ndarray):
+        return int(key[0]), int(key[-1])
+    if isinstance(key, slice):
+        start, step, count = _ssc(key)
+        return start, start + step * (count - 1)
+    return key.start, key.start + key.ostep * (key.ocount - 1) \
+        + key.istep * (key.icount - 1)
 
 
 def compress(v: np.ndarray) -> Key:
@@ -92,9 +143,15 @@ def compress(v: np.ndarray) -> Key:
 
 def compose(base: Key, pos: Key) -> Key:
     """``base[pos]`` as a key."""
+    if isinstance(base, TwoLevel):
+        k, t = np.divmod(vec(pos), base.icount)
+        return compress(base.start + base.ostep * k + base.istep * t)
     if not isinstance(base, slice):
-        return compress(base[pos])
+        return compress(base[vec(pos) if isinstance(pos, TwoLevel) else pos])
     b0, bs, _ = _ssc(base)
+    if isinstance(pos, TwoLevel):
+        return tiles(b0 + bs * pos.start, bs * pos.ostep, pos.ocount,
+                     bs * pos.istep, pos.icount)
     if isinstance(pos, slice):
         p0, ps, pn = _ssc(pos)
         return prog(b0 + bs * p0, bs * ps, pn)
@@ -103,8 +160,8 @@ def compose(base: Key, pos: Key) -> Key:
 
 def meet(a: Key, b: Key) -> Key:
     """The members two ascending (sorted, distinct) keys share: two
-    progressions meet in a progression (one congruence, O(1)); a vector
-    is filtered."""
+    progressions meet in a progression (one congruence, O(1)), a
+    two-level key one in one congruence per level; a vector is filtered."""
     if isinstance(a, slice) and isinstance(b, slice):
         (a0, s, an), (b0, t, bn) = _ssc(a), _ssc(b)
         g = math.gcd(s, t)
@@ -116,38 +173,90 @@ def meet(a: Key, b: Key) -> Key:
         first += lcm * max(0, -((first - max(a0, b0)) // lcm))
         last = min(a0 + s * (an - 1), b0 + t * (bn - 1))
         return prog(first, lcm, (last - first) // lcm + 1)
-    if isinstance(a, slice):
+    if isinstance(a, slice) or isinstance(b, TwoLevel):
         a, b = b, a
+    if isinstance(a, TwoLevel):
+        both = _meet2(a, b)
+        if both is not None:
+            return both
+        a = vec(a)
     if isinstance(b, slice):
         b0, t, bn = _ssc(b)
         return compress(
             a[(a >= b0) & (a <= b0 + t * (bn - 1)) & ((a - b0) % t == 0)])
-    return compress(np.intersect1d(a, b, assume_unique=True))
+    return compress(np.intersect1d(a, vec(b), assume_unique=True))
+
+
+def _meet2(a: TwoLevel, b: Key) -> Optional[Key]:
+    """:func:`meet` of a two-level key with a progression or a two-level
+    key of its period in closed form (``None``: no one key holds it)."""
+    if isinstance(b, slice):
+        b0, t, bn = _ssc(b)
+        # b's residue class against one course, or against the starts
+        inner = a.ostep % t == 0
+        if not bn or not inner and a.istep % t:
+            return None if bn else prog(0, 1, 0)
+        r = a.start + (b0 - a.start) % t
+        keep = meet(prog(a.start, a.istep, a.icount) if inner else
+                    prog(a.start, a.ostep, a.ocount),
+                    prog(r, t, (_ends(a)[1] - r) // t + 1))
+        if not isinstance(keep, slice):  # negative members
+            return None
+        s0, ss, sn = _ssc(keep)
+        return _clip(tiles(s0, a.ostep, a.ocount, ss, sn) if inner else
+                     tiles(s0, ss, sn, a.istep, a.icount),
+                     b0, b0 + t * (bn - 1))
+    if not isinstance(b, TwoLevel) or b.ostep != a.ostep:
+        return None
+    # b's course k' starts r into a's course k' + q, maybe reaching k' + q + 1
+    q, r = divmod(b.start - a.start, a.ostep)
+    hits = [(j, both) for j in (0, 1) if klen(both := meet(
+        prog(a.ostep * j, a.istep, a.icount), prog(r, b.istep, b.icount)))]
+    if len(hits) != 1:
+        return None if hits else prog(0, 1, 0)
+    (j, both), = hits
+    s0, ss, sn = _ssc(both)  # offsets into a's course k' + q
+    k0, k1 = max(0, q + j), min(a.ocount, b.ocount + q + j)
+    return tiles(a.start + a.ostep * (k0 - j) + s0, a.ostep, k1 - k0, ss, sn)
+
+
+def _clip(key: Key, lo: int, hi: int) -> Optional[Key]:
+    """The members of an ascending slice or two-level key within
+    ``[lo, hi]`` — ``None`` when that is part of a course beside others."""
+    if isinstance(key, slice):  # no negative members
+        return meet(key, prog(max(lo, 0), 1, hi - max(lo, 0) + 1))
+    s, o, span = key.start, key.ostep, key.istep * (key.icount - 1)
+    ka = max(0, -((s + span - lo) // o))     # first course reaching lo
+    kb = min(key.ocount - 1, (hi - s) // o)  # last course starting <= hi
+    if ka <= kb and (s + o * ka < lo or s + o * kb + span > hi):
+        return None
+    return tiles(s + o * ka, o, kb - ka + 1, key.istep, key.icount)
 
 
 def minus(a: Key, b: Key) -> Key:
     """The members of ascending key *a* that ascending key *b* lacks: a
-    progression losing a run of its terms at one end stays a
-    progression (O(1)); anything else is one ``setdiff1d``."""
+    progression or two-level key losing a run at one end keeps its form
+    (O(1)); anything else is one ``setdiff1d``."""
     both = meet(a, b)
     lost, left = klen(both), klen(a) - klen(both)
     if not left:
         return prog(0, 1, 0)
     if not lost:
-        return a if isinstance(a, slice) else compress(a)
-    if isinstance(a, slice) and isinstance(both, slice):
-        (a0, s, an), (b0, t, _) = _ssc(a), _ssc(both)
-        if t == s or lost == 1:  # consecutive terms of a
-            if b0 == a0:
-                return prog(a0 + s * lost, s, left)
-            if b0 + s * (lost - 1) == a0 + s * (an - 1):
-                return prog(a0, s, left)
+        return compress(a) if isinstance(a, np.ndarray) else a
+    (a0, a1), (b0, b1) = _ends(a), _ends(both)
+    if not isinstance(a, np.ndarray) and (a0 == b0 or a1 == b1):
+        rest = _clip(a, b1 + 1, a1) if a0 == b0 else _clip(a, a0, b0 - 1)
+        if rest is not None and klen(rest) == left:
+            return rest
     return compress(np.setdiff1d(vec(a), vec(both), assume_unique=True))
 
 
 def _ascending(key: Key) -> Key:
     """The key's distinct elements in ascending order (what
     :func:`meet` takes)."""
+    if isinstance(key, TwoLevel):
+        return key if key.ostep > 0 else TwoLevel(
+            _ends(key)[1], -key.ostep, key.ocount, -key.istep, key.icount)
     if not isinstance(key, slice):  # most vector keys are built sorted
         return key if (np.diff(key) > 0).all() else np.unique(key)
     start, step, count = _ssc(key)
@@ -157,9 +266,15 @@ def _ascending(key: Key) -> Key:
 def locate(sub: Key, base: Key) -> Key:
     """Positions of *sub*'s elements within the ascending key *base*
     (``sub ⊆ base``) — the inverse of :func:`compose`."""
+    if isinstance(base, TwoLevel):
+        k, r = np.divmod(vec(sub) - base.start, base.ostep)
+        return compress(k * base.icount + r // base.istep)
     if not isinstance(base, slice):
         return compress(np.searchsorted(base, vec(sub)))
     b0, bs, _ = _ssc(base)
+    if isinstance(sub, TwoLevel):
+        return tiles((sub.start - b0) // bs, sub.ostep // bs, sub.ocount,
+                     sub.istep // bs, sub.icount)
     if isinstance(sub, slice):
         s0, ss, sn = _ssc(sub)
         return prog((s0 - b0) // bs, ss // bs, sn)
@@ -168,12 +283,15 @@ def locate(sub: Key, base: Key) -> Key:
 
 def image(f, key: Key) -> Key:
     """``f`` over a key of loop indices: affine functions map a
-    progression to a progression in O(1); anything else is evaluated
-    element-wise and re-compressed."""
-    if isinstance(key, slice) and isinstance(f, (AffineF, ConstantF)):
-        i0, st, n = _ssc(key)
+    progression to a progression and a two-level key to a two-level key
+    in O(1); anything else is evaluated element-wise and re-compressed."""
+    if not isinstance(key, np.ndarray) and isinstance(f, (AffineF, ConstantF)):
         a = getattr(f, "a", 0)
-        return prog(a * i0 + f.c, a * st, n)
+        if isinstance(key, slice):
+            i0, st, n = _ssc(key)
+            return prog(a * i0 + f.c, a * st, n)
+        return tiles(a * key.start + f.c, a * key.ostep, key.ocount,
+                     a * key.istep, key.icount)  # a = 0: one element
     return compress(apply_ifunc(f, vec(key)))
 
 
@@ -204,7 +322,9 @@ class Region:
 
     def __init__(self, keys: Sequence[Key], dims: Sequence[int],
                  shape: Sequence[int]):
-        self.keys, self.dims = tuple(keys), tuple(dims)
+        self.keys = tuple(_unroll(k) if isinstance(k, TwoLevel) else k
+                          for k in keys)
+        self.dims = tuple(dims)
         self.shape = tuple(int(n) for n in shape)
         self.size = math.prod(self.shape)
         #: every key is a slice: basic indexing, :meth:`take` is a view
@@ -236,13 +356,10 @@ class Region:
         """Per array axis the ``(min, max)`` index addressed (``None``
         for an empty key) — exact from a slice's first and last element,
         from min/max of a vector."""
-        out = []
-        for k, n in zip(self.keys, self._kshape):
-            if isinstance(k, slice):
-                start, step, _ = _ssc(k)
-                k = np.array([start, start + step * (n - 1)])
-            out.append((int(k.min()), int(k.max())) if n else None)
-        return tuple(out)
+        return tuple(
+            None if not n else tuple(sorted(_ends(k))) if isinstance(k, slice)
+            else (int(k.min()), int(k.max()))
+            for k, n in zip(self.keys, self._kshape))
 
     def overlap(self, other: "Region") -> Optional[Tuple[int, ...]]:
         """The smallest element both regions address (``None``:
@@ -253,8 +370,7 @@ class Region:
             both = meet(_ascending(a), _ascending(b))
             if not klen(both):
                 return None
-            first.append(_ssc(both)[0] if isinstance(both, slice)
-                         else int(both[0]))
+            first.append(_ends(both)[0])
         return tuple(first)
 
     def take(self, arr: np.ndarray) -> np.ndarray:

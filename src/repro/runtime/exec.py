@@ -70,9 +70,6 @@ class MpMachine:
                 f"(placed: {sorted(self.arrays)})")
         return np.array(self.arrays[name])
 
-    def global_view(self, name: str) -> np.ndarray:
-        return self.arrays[name]
-
 
 def _fill_stats(stats: MachineStats, replies) -> List[RuntimeStats]:
     workers = []

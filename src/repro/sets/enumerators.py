@@ -18,7 +18,8 @@ benchmarks can reproduce the paper's overhead arguments quantitatively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Tuple
 
 import numpy as np
@@ -29,7 +30,7 @@ from ..decomp.block import Block
 from ..decomp.blockscatter import BlockScatter
 from ..decomp.replicated import Replicated, SingleOwner
 from ..decomp.scatter import Scatter
-from ..pipeline.region import Key, compress, prog, vec
+from ..pipeline.region import Key, compress, prog, tiles, vec
 from .membership import Work, modify_naive
 
 __all__ = [
@@ -83,36 +84,51 @@ def _expand(lo: np.ndarray, hi: np.ndarray, step: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Enumeration:
     """Which rule fired, the segment table that *is* ``Modify_p`` (or
-    ``Reside_p``) — row ``r`` the range ``lo[r] .. hi[r]`` by ``step[r]``
-    — and its ``key`` (:mod:`repro.pipeline.region`), the members
-    ascending and distinct.  Read-only: shared, never copied."""
+    ``Reside_p``) — row ``r`` the range ``lo[r] .. hi[r]`` by ``step[r]``,
+    built on first access for a grid of courses — and its ``key``
+    (:mod:`repro.pipeline.region`), the members ascending and distinct.
+    Read-only: shared, never copied."""
 
     rule: str
-    lo: np.ndarray
-    hi: np.ndarray
-    step: np.ndarray
     key: Key
+    #: the ``(lo, hi, step)`` rows, or the grid :func:`_grid_rows` reads
+    source: tuple = field(repr=False)
 
     @classmethod
     def table(cls, rule: str, lo=(), hi=(), step=1) -> "Enumeration":
         """The rows ``lo .. hi`` by *step* (scalars broadcast) in the
         order given, empty rows dropped."""
-        lo, hi, step = np.broadcast_arrays(
-            *(np.asarray(a, dtype=np.int64) for a in (lo, hi, step)))
+        lo, hi, step = (np.asarray(a, dtype=np.int64) for a in (lo, hi, step))
+        if lo.shape == hi.shape and not step.ndim:  # the common call
+            lo, hi = lo.reshape(-1), hi.reshape(-1)
+            step = np.full(lo.size, step)
+        else:
+            lo, hi, step = (a.reshape(-1) for a in np.broadcast_arrays(
+                lo, hi, step))
         live = lo <= hi
-        lo, hi, step = lo[live], hi[live], step[live]
+        if not live.all():
+            lo, hi, step = lo[live], hi[live], step[live]
         if (step < 1).any():
             raise ValueError("step must be >= 1")
-        if lo.size == 1:
-            key = prog(int(lo[0]), int(step[0]),
-                       int((hi[0] - lo[0]) // step[0]) + 1)
+        if lo.size <= 1:
+            key = prog(int(lo[0]), int(step[0]), int(
+                (hi[0] - lo[0]) // step[0]) + 1) if lo.size else prog(0, 1, 0)
         else:
             v = _expand(lo, hi, step)
             key = compress(v if (v[1:] > v[:-1]).all() else np.unique(v))
         for a in (lo, hi, step, key):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
-        return cls(rule, lo, hi, step, key)
+        return cls(rule, key, (lo, hi, step))
+
+    @cached_property
+    def _rows(self) -> tuple:
+        return self.source if len(self.source) == 3 \
+            else _grid_rows(self.key, *self.source)
+
+    lo = property(lambda self: self._rows[0])
+    hi = property(lambda self: self._rows[1])
+    step = property(lambda self: self._rows[2])
 
     @property
     def segments(self) -> List[Segment]:
@@ -132,6 +148,19 @@ class Enumeration:
         walks a shared index set in the same order, so a message payload
         carries values only, never positions."""
         return vec(self.key)
+
+
+def _grid_rows(key: Key, start: int, ostep: int, ocount: int, istep: int,
+               icount: int, per_member: bool) -> tuple:
+    """The read-only rows of a course grid: one single-point row per
+    member, or one row per course."""
+    lo = vec(key) if per_member \
+        else start + ostep * np.arange(ocount, dtype=np.int64)
+    rows = (lo, lo if per_member else lo + istep * (icount - 1),
+            np.full(lo.size, 1 if per_member else istep, dtype=np.int64))
+    for a in rows:
+        a.flags.writeable = False
+    return rows
 
 
 def _whole(rule: str, owns: bool, imin: int, imax: int,
@@ -217,22 +246,38 @@ def enum_repeated_block(
     d: BlockScatter, f: IFunc, imin: int, imax: int, p: int, work: Work
 ) -> Enumeration:
     """Theorem 2 (*Repeated Block*): one contiguous ``j`` range per course
-    ``k``, obtained from the preimage of each owned data block."""
-    rows: List[Tuple[int, int]] = []
+    ``k``, obtained from the preimage of each owned data block — one
+    grid when the clipping leaves every course whole and (affine ``f``,
+    slope dividing the stride) each a translate of the first."""
+    rule, stride = "thm2-repeated-block", d.b * d.pmax
     kmin, kmax = _course_range(d, f, imin, imax, p)
+    # the courses whose block starts inside the array: one preimage each
+    kmax = min(kmax, floor_div(d.n - 1 - d.b * p, stride))
+    courses = max(0, kmax - kmin + 1)
+    work.iterations += courses
+    work.preimage_calls += courses
+
+    def block(k: int, lo: int = -(1 << 62), hi: int = 1 << 62, n=1 << 62):
+        first = d.b * (p + k * d.pmax)
+        return f.preimage(first, min(first + d.b - 1, n - 1), lo, hi)
+
+    if courses and isinstance(f, AffineF) and stride % f.a == 0:
+        whole, shift = block(kmin), stride // f.a * (kmax - kmin)
+        if whole and block(kmin, imin, imax, d.n) == whole and block(
+                kmax, imin, imax, d.n) == [(x + shift, y + shift)
+                                           for x, y in whole]:
+            (j0, j1), = whole
+            work.emitted += courses * (j1 - j0 + 1)
+            grid = (min(j0, j0 + shift), abs(stride // f.a), courses, 1,
+                    j1 - j0 + 1)
+            return Enumeration(rule, tiles(*grid), grid + (False,))
+    rows: List[Tuple[int, int]] = []
     for k in range(kmin, kmax + 1):
-        t = p + k * d.pmax
-        lo = d.b * t
-        hi = min(lo + d.b - 1, d.n - 1)
-        if lo > hi:
-            continue
-        work.iterations += 1
-        work.preimage_calls += 1
-        for jmin, jmax in f.preimage(lo, hi, imin, imax):
+        for jmin, jmax in block(k, imin, imax, d.n):
             rows.append((jmin, jmax))
             work.emitted += jmax - jmin + 1
     rows.sort(key=lambda r: r[0])
-    return Enumeration.table("thm2-repeated-block", *zip(*rows))
+    return Enumeration.table(rule, *zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +291,17 @@ def enum_repeated_scatter(
     ``b`` offsets of the owned block position; per offset, the courses
     ``k`` with ``f⁻¹(t + b.k.pmax) ∈ Z`` are found — in closed form via a
     congruence on ``k`` for affine ``f``, or by divisibility testing
-    otherwise.  Favourable when ``b <= f(imax)/(2.pmax)``."""
+    otherwise.  Favourable when ``b <= f(imax)/(2.pmax)``.  Under affine
+    ``f`` each offset's members are one progression, all of one step:
+    one grid when of one length, their first members a progression."""
+    rule = "repeated-scatter"
     kmin, kmax = _course_range(d, f, imin, imax, p)
     if kmax < kmin:
-        return Enumeration.table("repeated-scatter")
+        return Enumeration.table(rule)
     stride = d.b * d.pmax
     if isinstance(f, AffineF):
-        # the whole (offset x course) grid by array arithmetic: one row
-        # per offset t, one column per candidate course of that offset
-        t = d.b * p + np.arange(d.b, dtype=np.int64)[:, None]
+        # array arithmetic over the b offsets t, never over the courses
+        t = d.b * p + np.arange(d.b, dtype=np.int64)
         first, every, solvable = kmin, 1, True
         if abs(f.a) != 1:
             from ..diophantine.euclid import extended_euclid
@@ -270,16 +317,32 @@ def enum_repeated_scatter(
             every = a // res.g
             # particular solution of stride.k ≡ c - t (mod a), from kmin on
             first = kmin + (res.x * (rhs // res.g) % every - kmin) % every
-        k = first + every * np.arange((kmax - kmin) // every + 1,
-                                      dtype=np.int64)
-        v = t + k * stride
-        live = solvable & (k <= kmax) & (v < d.n)
+        # per offset the last course whose element lies inside the array
+        last = np.minimum(kmax, (d.n - 1 - t) // stride)
         if abs(f.a) == 1:  # no congruence to prune with: every course tested
-            tested = int(live.sum())
+            tested = int(np.maximum(0, last - kmin + 1).sum())
             work.iterations += tested
             work.tests += tested
-        i, r = np.divmod(v - f.c, f.a)
-        pts = np.sort(i[live & (r == 0) & (imin <= i) & (i <= imax)])
+        # course first + every.j holds i = i0 + step.j, imin <= i <= imax
+        step = stride * every // f.a
+        i0 = (t + first * stride - f.c) // f.a
+        near, far = (imin, imax) if step > 0 else (imax, imin)
+        jlo = np.maximum(0, -((i0 - near) // step))
+        jhi = np.minimum((last - first) // every, (far - i0) // step)
+        count = np.where(solvable, jhi - jlo + 1, 0)
+        live = count > 0
+        low = (i0 + step * (jlo if step > 0 else jhi))[live]
+        order = np.argsort(low)
+        low, count = low[order], count[live][order]
+        work.emitted += int(count.sum())
+        u, gaps = abs(step), np.diff(low)
+        if low.size and (count == count[0]).all() and \
+                (gaps == gaps[:1]).all() and low[-1] - low[0] < u:
+            grid = (int(low[0]), u, int(count[0]),
+                    int(gaps[0]) if gaps.size else 1, low.size)
+            return Enumeration(rule, tiles(*grid), grid + (True,))
+        pts = np.sort(_expand(low, low + u * (count - 1),
+                              np.full(low.size, u)))
     else:
         pts = []
         for off in range(d.b):
@@ -292,8 +355,8 @@ def enum_repeated_scatter(
                 work.tests += 1
                 pts.extend(f.solve(v, imin, imax))
         pts.sort()
-    work.emitted += len(pts)
-    return Enumeration.table("repeated-scatter", pts, pts)
+        work.emitted += len(pts)
+    return Enumeration.table(rule, pts, pts)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,11 @@ from repro.diophantine.linear import CongruenceSolution
 from repro.machine import NodeStats
 from repro.pipeline import clear_plan_cache, compile_plan
 from repro.pipeline.kernels import _approx_nbytes, _leaves, flavor_nodes
+from repro.analysis.support import first_members
 from repro.pipeline.region import (
     Region,
+    TwoLevel,
+    _ascending,
     compose,
     compress,
     image,
@@ -49,6 +52,7 @@ from repro.pipeline.region import (
     minus,
     overhang,
     prog,
+    tiles,
     vec,
 )
 from repro.runtime.lowering import lower_dist, lower_shared
@@ -166,6 +170,89 @@ class TestKeys:
         assert overhang(vec(key), own, slice(0, on)) is None
         assert overhang(key, own, np.arange(on)) is None
         assert overhang(key, own, slice(1, on + 1)) is None
+
+
+def two_levels():
+    """``tiles`` keys: empty levels, single courses and inner spans one
+    short of the outer step included (``gap`` 1)."""
+    return st.tuples(st.integers(0, 30), st.integers(1, 4),
+                     st.integers(0, 5), st.integers(1, 6),
+                     st.integers(0, 5)).map(
+        lambda t: (t[0], t[1] * max(t[2] - 1, 0) + t[3], t[4], t[1], t[2]))
+
+
+def grid_members(start, ostep, ocount, istep, icount):
+    return [start + ostep * k + istep * t
+            for k in range(ocount) for t in range(icount)]
+
+
+class TestTwoLevelKeys:
+    """The two-level key ``outer ⊗ inner`` through the whole algebra,
+    against the set it stands for."""
+
+    @given(two_levels())
+    def test_members_and_length(self, g):
+        key = tiles(*g)
+        assert vec(key).tolist() == grid_members(*g) and \
+            klen(key) == g[2] * g[4]
+        if isinstance(key, TwoLevel):
+            assert len(set(np.diff(vec(key)).tolist())) > 1
+        else:  # one course, one offset or touching courses
+            assert g[2] * g[4] == 0 or g[2] == 1 or g[4] == 1 \
+                or g[1] == g[3] * g[4]
+
+    @given(two_levels(), st.one_of(two_levels().map(lambda g: tiles(*g)),
+                                   keys()))
+    def test_meet_and_minus_against_every_form(self, g, other):
+        key = tiles(*g)
+        a, b = set(grid_members(*g)), set(vec(other).tolist())
+        assert vec(meet(key, other)).tolist() == sorted(a & b)
+        assert vec(meet(other, key)).tolist() == sorted(a & b)
+        assert vec(minus(key, other)).tolist() == sorted(a - b)
+        assert vec(minus(other, key)).tolist() == sorted(b - a)
+
+    @given(two_levels(), st.data())
+    def test_compose_and_locate_round_trip(self, g, data):
+        key = tiles(*g)
+        n = klen(key)
+        if not n:
+            return
+        pos = data.draw(st.one_of(
+            st.tuples(st.integers(0, n - 1), st.integers(1, 4),
+                      st.integers(0, n)).map(
+                lambda t: prog(t[0], t[1],
+                               min(t[2], (n - 1 - t[0]) // t[1] + 1))),
+            st.lists(st.integers(0, n - 1), max_size=8, unique=True).map(
+                lambda xs: np.array(sorted(xs), dtype=np.int64))))
+        sub = compose(key, pos)
+        assert vec(sub).tolist() == vec(key)[vec(pos)].tolist()
+        assert vec(locate(sub, key)).tolist() == vec(pos).tolist()
+        for cap in (0, 1, 3, n + 2):
+            assert first_members(key, cap) == grid_members(*g)[:cap]
+
+    @given(two_levels(), st.sampled_from([1, -1, 2, -2, 3, -3]),
+           st.integers(-20, 40))
+    def test_image_under_affine_maps(self, g, a, c):
+        f = AffineF(a, c)
+        key = image(f, tiles(*g))
+        want = [f(i) for i in grid_members(*g)]
+        assert vec(key).tolist() == want and klen(key) == len(want)
+        assert vec(_ascending(key)).tolist() == sorted(want)
+
+    @given(two_levels(), st.booleans())
+    def test_region_take_and_store(self, g, guarded):
+        key = tiles(*g)
+        members = grid_members(*g)
+        region = Region([key], (0,), (len(members),))
+        arr = np.arange(200.0)
+        assert region.take(arr).tolist() == arr[members].tolist()
+        values = np.arange(len(members), dtype=np.float64) + 0.5
+        mask = np.arange(len(members)) % 2 == 0 if guarded else None
+        got, want = np.zeros(200), np.zeros(200)
+        stored = region.store(got, values, mask)
+        keep = np.ones(len(members), bool) if mask is None else mask
+        want[np.array(members, dtype=np.int64)[keep]] = values[keep]
+        assert np.array_equal(got, want) and stored == int(keep.sum())
 
 
 class TestRegion:

@@ -20,13 +20,15 @@ from repro.core import (
 from repro.core.ifunc import AffineF, ConstantF, ModularF, MonotoneF
 from repro.decomp import Block, BlockScatter, Replicated, Scatter, SingleOwner
 from repro.diophantine.linear import solve_scatter_congruence
-from repro.pipeline import compile_program
+from repro.pipeline import compile_plan, compile_program
 from repro.pipeline.region import vec
 from repro.sets import (
     Segment,
     Work,
     choose_rule,
     clear_table1_cache,
+    enum_repeated_block,
+    enum_repeated_scatter,
     enum_scatter_linear,
     modify_naive,
     optimize_access,
@@ -336,3 +338,111 @@ class TestNoSegmentOnTheCompilePath:
         for p in range(4):
             own = da.owned_indices(p)
             assert rt.segments("write", p) == [(i, i, 1) for i in own.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# the two repeated forms against the naive scan, and their Work
+# ---------------------------------------------------------------------------
+
+class TestRepeatedFormsDifferential:
+    """Both Theorem 2 forms under an affine access, whichever key they
+    return (two-level grid or vector): the members, the rows and the
+    row-order members against the naive scan over ``[imin, imax]``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 400), st.integers(1, 6), st.integers(1, 9),
+           st.sampled_from([1, -1, 2, -2, 3, -3, 5]), st.integers(-50, 80),
+           st.integers(-40, 300), st.integers(-3, 400))
+    def test_members_rows_and_order(self, n, pmax, b, a, c, imin, width):
+        d, f, imax = BlockScatter(n, pmax, b), AffineF(a, c), imin + width
+        for p in range(pmax):
+            want = [i for i in range(imin, imax + 1)
+                    if 0 <= f(i) < n and d.proc(f(i)) == p]
+            for fn in (enum_repeated_block, enum_repeated_scatter):
+                e = fn(d, f, imin, imax, p, Work())
+                assert vec(e.key).tolist() == want
+                assert sorted(e.indices()) == want and e.count() == len(want)
+                segs = e.segments
+                assert [i for s in segs for i in s.indices()] == want
+                if fn is enum_repeated_scatter:  # one point per member
+                    assert all(s.lo == s.hi for s in segs)
+                else:  # one contiguous run per owned block
+                    assert all(s.step == 1 and f(s.lo) // b == f(s.hi) // b
+                               for s in segs)
+
+    @pytest.mark.parametrize("dd, ff, imin, imax, p, block, scatter", [
+        # Work as (tests, iterations, euclid_steps, preimage_calls, emitted)
+        ((16384, 4, 8), (1, 0), 0, 16383, 1,
+         (0, 512, 0, 512, 4096), (4096, 4096, 0, 0, 4096)),
+        ((1000, 3, 5), (2, 1), 0, 498, 2,
+         (0, 66, 0, 66, 165), (0, 5, 2, 0, 165)),
+        ((997, 4, 6), (-1, 996), 0, 996, 3,
+         (0, 41, 0, 41, 246), (246, 246, 0, 0, 246)),
+        ((500, 4, 8), (3, 7), 10, 150, 0,
+         (0, 14, 0, 14, 36), (0, 8, 3, 0, 36)),
+        ((300, 2, 4), (-2, 299), 0, 149, 1,
+         (0, 37, 0, 37, 74), (0, 4, 1, 0, 74)),
+        ((400, 5, 3), (5, 2), 3, 79, 4,
+         (0, 25, 0, 25, 25), (0, 3, 1, 0, 25)),
+    ])
+    def test_work_is_pinned(self, dd, ff, imin, imax, p, block, scatter):
+        """The closed-form counts equal what walking every course cost."""
+        for fn, want in ((enum_repeated_block, block),
+                         (enum_repeated_scatter, scatter)):
+            w = Work()
+            fn(BlockScatter(*dd), AffineF(*ff), imin, imax, p, w)
+            assert (w.tests, w.iterations, w.euclid_steps, w.preimage_calls,
+                    w.emitted) == want
+
+
+def _unrolled(*a, **kw):
+    raise AssertionError("a two-level key was unrolled on the compile path")
+
+
+class TestNoVectorOnTheCompilePath:
+    """A multi-course BS(b) access compiles on its two-level key: at
+    2^18 neither the key's member vector nor the enumeration's rows (nor
+    a table of one row per member) are built by compiling, verifying or
+    proving the §2.9 barrier — only a run unrolls them, into exactly the
+    regions it always ran."""
+
+    def test_bs1d_at_2_18(self, monkeypatch):
+        import repro.pipeline.region as region
+        import repro.sets.enumerators as enumerators
+
+        n = 2**18
+        da, db = BlockScatter(n, 4, 8), Scatter(2 * n, 4)
+        cl = Clause(IndexSet.range1d(0, n - 1),
+                    Ref("A", SeparableMap([IdentityF()])),
+                    Ref("B", SeparableMap([AffineF(2, 1)])) + 1.0)
+        nxt = Clause(IndexSet.range1d(0, n - 1),
+                     Ref("C", SeparableMap([IdentityF()])),
+                     Ref("A", SeparableMap([IdentityF()])) * 2.0)
+        decomps = {"A": da, "B": db, "C": da}
+        clear_all_caches()
+        monkeypatch.setattr(region, "_unroll", _unrolled)
+        monkeypatch.setattr(enumerators, "_grid_rows", _unrolled)
+        table = enumerators.Enumeration.table
+
+        def few_rows(rule, lo=(), hi=(), step=1):
+            assert np.size(lo) <= 64, "a per-member table on the compile path"
+            return table(rule, lo, hi, step)
+
+        monkeypatch.setattr(enumerators.Enumeration, "table",
+                            staticmethod(few_rows))
+        plan = compile_clause(cl, decomps)
+        assert plan.rules() == {"write:A": "repeated-scatter",
+                                "read0:B": "thm3-cor1"}
+        assert isinstance(plan.member_keys(plan.write)[1][0],
+                          region.TwoLevel)
+        assert plan.interior_split.totals() == (n, n // 4, n - n // 4)
+        report = compile_plan(cl, decomps, verify=True).diagnostics
+        assert report.ok and not report.diagnostics
+        pir = compile_program([cl, nxt], decomps)
+        assert [s.ir.barrier_needed for s in pir.steps] == [False, True]
+        monkeypatch.undo()
+        rng = np.random.default_rng(7)
+        env = {"A": rng.random(n), "B": rng.random(2 * n)}
+        got = run_distributed(plan, copy_env(env), backend="fused")
+        want = evaluate_clause(cl, copy_env(env))["A"]
+        assert np.array_equal(got.collect("A"), want)
