@@ -16,12 +16,12 @@ so the matching can be *proven* at compile time:
              out-of-range write element ``f(i)`` — the message targets a
              node that does not exist or never posts the receive.
 
-Everything runs in the key algebra of :mod:`repro.pipeline.region` on
-the plan's membership keys: ``Modify_p`` minus ``Reside_p`` and the
-out-of-bounds witnesses are both :func:`~repro.pipeline.region.minus`
-(the in-bounds loop indices come from the exact integer preimage) —
-O(1) for a pair of progressions, one NumPy evaluation under
-:data:`~repro.analysis.support.ENUM_BUDGET` only for opaque functions.
+Everything runs in the key algebra of :mod:`repro.pipeline.region`: an
+access's out-of-bounds loop indices are one key, the span minus the
+exact integer preimage of the array (one NumPy evaluation under
+:data:`~repro.analysis.support.ENUM_BUDGET` only for opaque functions),
+met with each node's ``Modify_p`` / ``Reside_p`` only when non-empty —
+an access in bounds costs O(1), not O(P), key operations.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import List
 
 from ..core.clause import Ordering
 from ..core.ifunc import apply_ifunc
-from ..pipeline.region import Key, compress, minus, prog, vec
+from ..pipeline.region import Key, compress, klen, meet, minus, prog, vec
 from .diagnostics import Diagnostic, Severity
 from .support import ENUM_BUDGET, BudgetExceeded, first_members
 
@@ -85,8 +85,15 @@ def analyze_comm(ir) -> List[Diagnostic]:
                  "plan instead of mutating it",
         ))
 
+    # the loop indices whose write, and whose read, leaves its array:
+    # one key each over the span, met with the nodes' keys only when
+    # non-empty (a write scan over budget is reported for every read)
     wf = w.funcs[0]
-    lanes = ir.member_keys(w)
+    full = prog(span[0], 1, span[1] - span[0] + 1)
+    try:
+        bad_write = _outside(full, _in_bounds(wf, w.dec.n, *span))
+    except BudgetExceeded as exc:
+        bad_write = exc
     for acc in ir.reads:
         if not acc.placed or acc.replicated or not acc.axes \
                 or acc.axes[0].access is None:
@@ -96,22 +103,26 @@ def analyze_comm(ir) -> List[Diagnostic]:
         recv_witness: dict = {}
         send_witness: dict = {}
         try:
-            read_ok = _in_bounds(g, n_read, *span)
-            write_ok = _in_bounds(wf, w.dec.n, *span)
-            for p, ((modify,), (reside,)) in enumerate(
-                    zip(lanes, ir.member_keys(acc))):
+            bad_read = _outside(full, _in_bounds(g, n_read, *span))
+            if isinstance(bad_write, BudgetExceeded):
+                raise bad_write
+            if klen(bad_read):
                 # receives node p posts with no matching owner anywhere:
                 # the part of Modify_p whose read leaves the array (and
                 # that Reside_p does not claim all the same)
-                bad = first_members(
-                    minus(_outside(modify, read_ok), reside), _MAX_WITNESSES)
-                if bad:
-                    recv_witness[p] = bad
+                for p, ((modify,), (reside,)) in enumerate(
+                        zip(ir.member_keys(w), ir.member_keys(acc))):
+                    bad = first_members(minus(meet(modify, bad_read),
+                                              reside), _MAX_WITNESSES)
+                    if bad:
+                        recv_witness[p] = bad
+            if klen(bad_write):
                 # sends node p issues toward an out-of-range target
-                bad = first_members(_outside(reside, write_ok),
-                                    _MAX_WITNESSES)
-                if bad:
-                    send_witness[p] = bad
+                for p, (reside,) in enumerate(ir.member_keys(acc)):
+                    bad = first_members(meet(reside, bad_write),
+                                        _MAX_WITNESSES)
+                    if bad:
+                        send_witness[p] = bad
         except BudgetExceeded as exc:
             out.append(Diagnostic(
                 code="CHK001",

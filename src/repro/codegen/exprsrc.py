@@ -109,8 +109,8 @@ def expr_src(
     if isinstance(expr, BinOp):
         left = expr_src(expr.left, ref_render, var)
         right = expr_src(expr.right, ref_render, var)
-        if expr.op in ("min", "max"):
-            return f"{expr.op}({left}, {right})"
+        if expr.op in ("min", "max"):  # core.expr's, bound at exec time
+            return f"_{expr.op}imum({left}, {right})"
         return f"({left} {_BINOP_PY[expr.op]} {right})"
     if isinstance(expr, UnOp):
         inner = expr_src(expr.operand, ref_render, var)
@@ -122,10 +122,10 @@ def expr_src(
     raise CodegenError(f"cannot render expression node {type(expr).__name__}")
 
 
-#: operators whose scalar Python spelling (builtin min/max, short-circuit
-#: and/or/not) does not broadcast over ndarrays — the fused kernel source
-#: (:mod:`repro.pipeline.kernels`) uses the element-wise NumPy
-#: counterparts instead.
+#: operators whose scalar Python spelling (the min/max helpers, the
+#: short-circuit and/or/not) does not broadcast over ndarrays — the fused
+#: kernel source (:mod:`repro.pipeline.kernels`) uses the element-wise
+#: NumPy counterparts instead.
 _VEC_CALLS = {
     "min": "_np.minimum",
     "max": "_np.maximum",

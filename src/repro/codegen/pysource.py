@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-from ..core.expr import Ref
+from ..core.expr import OPS, Ref
 from ..pipeline.ir import PlanIR
 from .exprsrc import CodegenError, expr_src, ifunc_src, local_src, proc_src
 from .gensrc import SUPPORT_HELPERS, segments_source
@@ -226,7 +226,9 @@ def emit_shared_source(plan: PlanIR) -> str:
 
 
 def _exec_source(source: str, entry: str):
-    namespace: Dict[str, object] = {}
+    # min / max as the evaluator computes them (NumPy's NaN and tie rule)
+    namespace: Dict[str, object] = {"_minimum": OPS["min"],
+                                    "_maximum": OPS["max"]}
     full = SUPPORT_HELPERS + "\n\n" + source
     code = compile(full, f"<generated {entry}>", "exec")
     exec(code, namespace)  # noqa: S102 - generated by us, from our own AST

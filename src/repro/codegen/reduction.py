@@ -29,7 +29,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..core.clause import Clause, Ordering
-from ..core.expr import Expr, Ref, eval_fetched
+from ..core.expr import OPS, Expr, Ref, eval_fetched
 from ..core.ifunc import AffineF
 from ..core.indexset import IndexSet
 from ..decomp.base import Decomposition
@@ -44,8 +44,8 @@ __all__ = ["ReduceOp", "ReducePlan", "compile_reduce", "run_reduce",
 _OPS = {
     "+": (lambda a, b: a + b, 0.0),
     "*": (lambda a, b: a * b, 1.0),
-    "min": (min, float("inf")),
-    "max": (max, float("-inf")),
+    "min": (OPS["min"], float("inf")),
+    "max": (OPS["max"], float("-inf")),
 }
 
 

@@ -35,6 +35,18 @@ Index = Tuple[int, ...]
 Env = Mapping[str, "object"]  # name -> numpy array (or nested sequence)
 
 
+def _minimum(a, b):
+    """``np.minimum`` on scalars, every tier's rule: a NaN operand wins, a
+    tie is the second operand (Python's ``min`` keeps the first one and
+    drops a NaN that comes second)."""
+    return a if a < b or a != a else b
+
+
+def _maximum(a, b):
+    """``np.maximum`` on two scalars (see :func:`_minimum`)."""
+    return a if a > b or a != a else b
+
+
 OPS: Dict[str, Callable] = {
     "+": operator.add,
     "-": operator.sub,
@@ -42,8 +54,8 @@ OPS: Dict[str, Callable] = {
     "/": operator.truediv,
     "div": operator.floordiv,
     "mod": operator.mod,
-    "min": min,
-    "max": max,
+    "min": _minimum,
+    "max": _maximum,
     ">": operator.gt,
     ">=": operator.ge,
     "<": operator.lt,

@@ -151,16 +151,14 @@ def compile_plan(
             # independently rather than block forever — store simply
             # overwrites whatever the leader eventually produces
             ir = _compile_fresh(clause, decomps, successor,
-                                require_read_decomps, None, verify)
-            ir.trace.cache_key = key
+                                require_read_decomps, None, verify, key)
             plan_cache.store(key, ir)
             return ir
         # the leader failed (or its entry was already evicted): loop and
         # contend for leadership ourselves
     try:
         ir = _compile_fresh(clause, decomps, successor,
-                            require_read_decomps, None, verify)
-        ir.trace.cache_key = key
+                            require_read_decomps, None, verify, key)
         plan_cache.store(key, ir)
         return ir
     finally:
@@ -188,13 +186,15 @@ def _verify_plan_hit(ir: PlanIR) -> None:
 
 
 def _compile_fresh(clause, decomps, successor, require_read_decomps,
-                   passes, verify) -> PlanIR:
+                   passes, verify, key=None) -> PlanIR:
     ir = PlanIR(
         clause=clause,
         decomps=dict(decomps),
         successor=successor,
         require_read_decomps=require_read_decomps,
     )
+    # set before the passes run: `lower-kernels` keys its cache on it
+    ir.trace.cache_key = key
     run_passes = passes
     if passes is None and verify:
         run_passes = default_passes(verify=True)

@@ -38,7 +38,7 @@ from .region import Key, klen, meet, prog
 from .trace import PipelineTrace
 
 __all__ = ["AxisAccess", "AccessIR", "NodeSplit", "InteriorSplit", "PlanIR",
-           "access_spec"]
+           "PlanFacts", "access_spec"]
 
 Index = Tuple[int, ...]
 
@@ -98,9 +98,6 @@ class AccessIR:
             return self.dec.grid_coord(p)
         return (p,)
 
-    def rules(self) -> List[str]:
-        return [ax.rule for ax in self.axes]
-
     # -- scalar placement (per element; the kernels address whole
     # -- regions through :mod:`repro.pipeline.region`) ---------------------
 
@@ -140,12 +137,6 @@ class AccessIR:
             range(lo, hi + 1) if found is None else found
             for found, (lo, hi) in zip(per_loop, loop_bounds))))
 
-    def describe(self) -> str:
-        shape = ",".join(f.name for f in self.funcs) if self.funcs else "?"
-        rules = ("[" + ", ".join(self.rules()) + "]") if self.axes else "[]"
-        dec = repr(self.dec) if self.placed else "<unplaced>"
-        return f"{self.label}:{self.name}[{shape}] under {dec} {rules}"
-
 
 @dataclass
 class NodeSplit:
@@ -163,8 +154,8 @@ class NodeSplit:
     modify: List[Key]    # per loop dim
     interior: List[Key]  # per loop dim
 
-    # computed once: ``PlanIR.describe()`` reads the totals on every
-    # pass-trace snapshot, and the keys are final once built
+    # computed once: every pass-trace snapshot (``PlanIR.facts``) reads
+    # the totals, and the keys are final once built
 
     @cached_property
     def modify_count(self) -> int:
@@ -186,7 +177,12 @@ class InteriorSplit:
     per_node: Dict[int, NodeSplit] = field(default_factory=dict)
 
     def totals(self) -> Tuple[int, int, int]:
-        """``(modify, interior, boundary)`` element totals over all nodes."""
+        """``(modify, interior, boundary)`` element totals over all nodes
+        (summed once: the split is final once built)."""
+        return self._totals
+
+    @cached_property
+    def _totals(self) -> Tuple[int, int, int]:
         m = sum(ns.modify_count for ns in self.per_node.values())
         i = sum(ns.interior_count for ns in self.per_node.values())
         return m, i, m - i
@@ -287,18 +283,57 @@ class PlanIR:
                 out[key] = ax.rule
         return out
 
+    def facts(self) -> "PlanFacts":
+        """What :meth:`describe` prints, as a value snapshot."""
+        return PlanFacts(
+            clause=self.clause,
+            accesses=tuple([
+                (acc.label, acc.name, acc.funcs, acc.dec,
+                 tuple([ax.rule for ax in acc.axes]))
+                for acc in self.accesses()]),
+            reduction=self.reduction is not None,
+            doacross=tuple(self.doacross_distances.items()),
+            split=(self.interior_split.totals()
+                   if self.interior_split is not None else None),
+            barrier=self.barrier_needed,
+        )
+
     def describe(self) -> str:
+        return str(self.facts())
+
+
+@dataclass(frozen=True)
+class PlanFacts:
+    """The facts :meth:`PlanIR.describe` prints, held as values (the
+    clause and decompositions are the compile's inputs, never mutated):
+    the pass trace keeps one per pass boundary and renders its text only
+    when a reader asks (``compile --explain --verbose``)."""
+
+    clause: Clause
+    #: per access: ``(label, array, index functions, decomposition, rules)``
+    accesses: tuple
+    reduction: bool
+    doacross: tuple
+    split: Optional[Tuple[int, int, int]]
+    barrier: bool
+
+    @cached_property
+    def text(self) -> str:
         lines = [repr(self.clause)]
-        for acc in self.accesses():
-            lines.append("  " + acc.describe())
-        flags = []
-        if self.reduction is not None:
-            flags.append("reduction")
-        if self.doacross_distances:
-            flags.append(f"doacross={self.doacross_distances}")
-        if self.interior_split is not None:
-            m, i, b = self.interior_split.totals()
+        for label, name, funcs, dec, rules in self.accesses:
+            shape = ",".join(f.name for f in funcs) if funcs else "?"
+            dec = "<unplaced>" if dec is None else repr(dec)
+            lines.append(f"  {label}:{name}[{shape}] under {dec} "
+                         f"[{', '.join(rules)}]")
+        flags = ["reduction"] if self.reduction else []
+        if self.doacross:
+            flags.append(f"doacross={dict(self.doacross)}")
+        if self.split is not None:
+            m, i, b = self.split
             flags.append(f"interior={i}/{m} boundary={b}")
-        flags.append(f"barrier={'kept' if self.barrier_needed else 'eliminated'}")
+        flags.append(f"barrier={'kept' if self.barrier else 'eliminated'}")
         lines.append("  " + " ".join(flags))
         return "\n".join(lines)
+
+    def __str__(self) -> str:
+        return self.text

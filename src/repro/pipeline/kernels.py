@@ -681,14 +681,18 @@ def clear_kernel_cache() -> None:
 
 
 def _kernel_key(ir) -> Optional[tuple]:
-    key = plan_key(ir.clause, ir.decomps, successor=ir.successor,
-                   require_read_decomps=ir.require_read_decomps)
+    """The plan key ``compile_plan`` put on the trace, or computed here
+    when none was set (custom passes, a disabled plan cache)."""
+    key = ir.trace.cache_key
     if key is None:
-        return None
-    try:
-        hash(key)
-    except TypeError:
-        return None
+        key = plan_key(ir.clause, ir.decomps, successor=ir.successor,
+                       require_read_decomps=ir.require_read_decomps)
+        if key is None:
+            return None
+        try:
+            hash(key)
+        except TypeError:
+            return None
     return ("kern",) + key
 
 

@@ -2,7 +2,8 @@
 
 Each pass application is timed (wall clock), its rewrite count and notes
 captured, and before/after IR snapshots stored — the compiler's flight
-recorder, dumped by ``repro compile --explain``.
+recorder, dumped by ``repro compile --explain``.  A snapshot is a value
+(:class:`~repro.pipeline.ir.PlanFacts`) rendered only when read.
 """
 
 from __future__ import annotations
@@ -28,20 +29,21 @@ class PassManager:
     def run(self, ir: PlanIR) -> PlanIR:
         if not ir.trace.label:
             ir.trace.label = f"clause {ir.clause.name!r}"
-        after = ir.describe()
+        after = ir.facts()
         for ps in self.passes:
-            before = after  # one render per boundary
+            before = after  # one snapshot per boundary
             t0 = perf_counter()
             rewrites, notes = ps.run(ir)
             wall_ms = (perf_counter() - t0) * 1e3
-            after = ir.describe()
+            after = ir.facts()
+            if after == before:  # a pass that changed nothing shown
+                after = before
             ir.trace.add(PassRecord(
                 name=ps.name,
                 paper=ps.paper,
                 wall_ms=wall_ms,
                 rewrites=rewrites,
                 notes=list(notes),
-                before=before,
-                after=after,
+                snapshots=(before, after),
             ))
         return ir

@@ -163,6 +163,8 @@ def meet(a: Key, b: Key) -> Key:
     progressions meet in a progression (one congruence, O(1)), a
     two-level key one in one congruence per level; a vector is filtered."""
     if isinstance(a, slice) and isinstance(b, slice):
+        if a == b:  # e.g. an access's in-bounds band and its whole span
+            return a
         (a0, s, an), (b0, t, bn) = _ssc(a), _ssc(b)
         g = math.gcd(s, t)
         if not an or not bn or (b0 - a0) % g:

@@ -4,10 +4,11 @@ Every compilation routed through :class:`~repro.pipeline.manager.PassManager`
 leaves behind a :class:`PipelineTrace`: one :class:`PassRecord` per pass,
 carrying the pass name, the paper section it implements, wall time,
 how many rewrites it applied, free-form notes, and before/after IR
-snapshots.  The CLI dumps it (``repro compile --explain``) and the
-§2.6-2.7 derivation chain (:meth:`repro.core.rewrite.SPMDDerivation.as_trace`)
-reuses the same record format, so one introspection surface covers both
-the executable derivation and the production compile path.
+snapshots (rendered to text when read).  The CLI dumps it
+(``repro compile --explain``) and the §2.6-2.7 derivation chain
+(:meth:`repro.core.rewrite.SPMDDerivation.as_trace`) reuses the same
+record format, so one introspection surface covers both the executable
+derivation and the production compile path.
 
 This module is a leaf: it imports nothing from the rest of the package.
 """
@@ -15,7 +16,7 @@ This module is a leaf: it imports nothing from the rest of the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["PassRecord", "PipelineTrace"]
 
@@ -29,8 +30,12 @@ class PassRecord:
     wall_ms: float = 0.0
     rewrites: int = 0
     notes: List[str] = field(default_factory=list)
-    before: str = ""
-    after: str = ""
+    #: the IR before and after the pass, as objects whose ``str()`` is
+    #: its text (:class:`~repro.pipeline.ir.PlanFacts` renders on first read)
+    snapshots: Tuple[object, object] = ("", "")
+
+    before = property(lambda self: str(self.snapshots[0]))
+    after = property(lambda self: str(self.snapshots[1]))
 
     def headline(self) -> str:
         head = f"{self.name:20s} rewrites={self.rewrites:<3d} {self.wall_ms:7.3f} ms"

@@ -387,6 +387,20 @@ class TestLauncherProtocol:
                 capture_output=True, text=True).stdout
             assert "sleep" not in out
 
+    def test_job_directory_is_private(self, monkeypatch, tmp_path):
+        # job.pkl is unpickled by the ranks: the directory holding it is
+        # readable and writable by its owner only (mkdtemp's 0700)
+        seen = tmp_path / "seen"
+        monkeypatch.setenv("REPRO_MPIEXEC", _fake_launcher(
+            tmp_path,
+            f'"$3" -c "import os, sys; print(oct(os.stat(sys.argv[1])'
+            f'.st_mode & 0o777), sorted(os.listdir(sys.argv[1])))" '
+            f'"$7" > {seen}\nexit 0\n'))
+        with pytest.raises(MpiLaunchError, match="no result"):
+            launch_job(_tiny_job(), {"A": np.zeros(4)}, 2, 5.0)
+        assert seen.read_text().split(None, 1) == [
+            "0o700", "['env.npz', 'job.pkl']\n"]
+
     def test_silent_success_raises_no_result(self, monkeypatch,
                                              tmp_path):
         monkeypatch.setenv("REPRO_MPIEXEC", _fake_launcher(
