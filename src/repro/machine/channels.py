@@ -61,7 +61,6 @@ class Network:
         self.pmax = pmax
         self.model = model
         self._queues: Dict[Tuple[int, int], Deque[Message]] = {}
-        self.total_messages = 0
 
     def _q(self, src: int, dst: int) -> Deque[Message]:
         key = (src, dst)
@@ -88,7 +87,6 @@ class Network:
         if self.model is not None:
             deliver = now + self.model.message_time(_payload_elements(payload))
         self._q(src, dst).append(Message(src, dst, tag, payload, deliver))
-        self.total_messages += 1
 
     def try_recv(self, dst: int, src: int, tag: Tag) -> Optional[Message]:
         """Receive the matching message if already delivered, else None.

@@ -23,8 +23,7 @@ from ..decomp.multidim import GridDecomposition
 from .channels import LatencyModel, Network
 from .memory import LocalMemory, gather_global, scatter_global
 from .ndmemory import gather_global_nd, scatter_global_nd
-from .scheduler import Barrier, Irecv, NodeGen, Probe, Recv, RecvFuture, \
-    Yield, run_spmd
+from .scheduler import Barrier, NodeGen, Recv, run_spmd
 from .stats import MachineStats
 
 __all__ = ["NodeContext", "DistributedMachine"]
@@ -63,25 +62,8 @@ class NodeContext:
         """Blocking receive *request* — ``value = yield ctx.recv(src, tag)``."""
         return Recv(src, tag)
 
-    def irecv(self, src: int, tag: Hashable) -> Irecv:
-        """Non-blocking receive *request* — ``handle = yield ctx.irecv(...)``
-        resumes immediately with a :class:`RecvFuture`."""
-        return Irecv(src, tag)
-
-    def probe(self, handles) -> Probe:
-        """Wait-any *request* over posted handles —
-        ``done = yield ctx.probe(handles)``."""
-        return Probe(handles)
-
     def barrier(self) -> Barrier:
         return Barrier()
-
-    def charge_elements(self, n: int) -> None:
-        """Advance this node's virtual clock by *n* computed elements
-        (no-op without a latency model)."""
-        model = self.machine.model
-        if model is not None and n:
-            self.stats.vtime += n * model.t_element
 
     def note_received(self, payload: Any) -> Any:
         """Book-keeping hook generated programs call on each received value."""
@@ -90,9 +72,6 @@ class NodeContext:
         return payload
 
     # -- local data ----------------------------------------------------------
-
-    def array(self, name: str) -> np.ndarray:
-        return self.mem[name]
 
     def update(self, name: str, slot: int, value) -> None:
         self.mem[name][slot] = value
@@ -142,9 +121,6 @@ class DistributedMachine:
 
     # -- execution -----------------------------------------------------------
 
-    def contexts(self) -> List[NodeContext]:
-        return [NodeContext(p, self) for p in range(self.pmax)]
-
     def run(
         self,
         make_program: Callable[[NodeContext], NodeGen],
@@ -158,7 +134,8 @@ class DistributedMachine:
         Pass a list as *trace* to collect scheduler
         :class:`~repro.machine.scheduler.TraceEvent` records.
         """
-        programs = [make_program(ctx) for ctx in self.contexts()]
+        programs = [make_program(NodeContext(p, self))
+                    for p in range(self.pmax)]
         run_spmd(programs, self.network, self.stats, trace=trace)
         if check_drained:
             self.network.drain_check()

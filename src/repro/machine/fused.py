@@ -15,16 +15,17 @@ There is one executor, :class:`KernelTier`, and one instance of it,
 (:func:`region_entry`) over views of the rows, a guard mask, one store
 through the block's write region.
 
-The distributed program keeps the overlap schedule: post sends, post
-non-blocking receives, commit the *interior* block while messages are
-in flight, drain with Probe, then commit the *boundary* strips.  A plan
-compiled without an interior split simply has no interior and degrades
-to drain-then-compute — still bit-identical.  This is the schedule's
-statement as a generator over the simulated mailbox; its one sibling,
-blocking over real transports, is
-:func:`repro.runtime.worker.run_sequence` (DESIGN.md says why the two
-stay apart).  Both run the same node kernels through the same rows
-(:func:`_lane_row`) and entry.
+The distributed run keeps the overlap schedule: send, commit the
+*interior* block while messages are in flight, drain, then commit the
+*boundary* strips.  A plan compiled without an interior split simply
+has no interior and degrades to drain-then-compute — still
+bit-identical.  The schedule is stated once, as
+:func:`repro.runtime.worker.run_sequence`; in process every node sits
+on the calling process and :class:`LocalTransport` carries the
+messages (and, under a latency model, the virtual clocks), where the
+mp workers and MPI ranks pass their own transports.  All of them run
+the same node kernels through the same rows (:func:`_lane_row`) and
+entry.
 
 Statistics match the element oracle of ``tests/test_regions.py``
 (``expected_counters``: membership vectors from ``enumerate(p)`` and
@@ -57,17 +58,18 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..pipeline.kernels import KernelBuildError, flavor_nodes
-from .distributed import DistributedMachine, NodeContext
+from .distributed import DistributedMachine
+from .scheduler import DeadlockError
 from .shared import SharedMachine
 
 __all__ = [
     "FUSED",
     "FusedStrictError",
     "KernelTier",
+    "LocalTransport",
     "check_strict",
     "region_entry",
     "run_shared_fused",
-    "run_distributed_fused",
 ]
 
 
@@ -222,70 +224,6 @@ class KernelTier:
 
     # -- distributed memory (overlap schedule) -------------------------------
 
-    @staticmethod
-    def node_program(k, nk, entry, ctx: NodeContext):
-        """Node *nk*'s program, driven entirely by precomputed regions:
-        memory regions feed the sends, non-blocking receives fill lane
-        regions of the read rows, and the interior block commits while
-        messages are in flight."""
-
-        def program():
-            # what the regions address: each array's core, or its ghost
-            # frame — resolved first, since a wider request moves the core
-            frames = {name: ctx.mem.frame(name, m)
-                      for name, m in nk.margins.items()}
-            bufs = {**ctx.mem.arrays, **frames}
-
-            # ---- send phase: one memory region, one message per peer -----
-            for s in nk.sends:
-                ctx.stats.iterations += s.count
-                buf = bufs[s.name]
-                for q, region in s.peers:
-                    # row-major over the region = lexicographic lane
-                    # order; always a fresh pre-clause copy
-                    ctx.send(q, ("fus", s.pos), region.full(buf).flatten())
-
-            # ---- update phase ---------------------------------------------
-            ctx.stats.iterations += nk.n
-            if nk.n:
-                rows = []
-                pending = []  # (handle, buffer, region of it to fill)
-                for r in nk.reads:
-                    row = _lane_row(r, bufs[r.name], nk.shape,
-                                    r.name == k.write_name)
-                    rows.append(row)
-                    # a ghost read's row is a view of the frame: its
-                    # strips land in the ghost cells beside the tile
-                    into = row if r.lanes is not None else bufs[r.name]
-                    for src, fill in r.sources:
-                        handle = yield ctx.irecv(src, ("fus", r.pos))
-                        pending.append((handle, into, fill))
-
-                out = bufs[k.write_name]
-
-                def commit(blocks):
-                    ctx.charge_elements(sum(b.pos.size for b in blocks))
-                    for blk in blocks:
-                        ctx.stats.local_updates += int(entry(blk, rows, out))
-
-                # interior kernel while messages are in flight
-                commit([nk.interior] if nk.interior is not None else [])
-
-                while pending:
-                    done = yield ctx.probe([h for h, _, _ in pending])
-                    i = next(j for j, (h, _, _) in enumerate(pending)
-                             if h is done)
-                    _, into, fill = pending.pop(i)
-                    fill.put(into, np.asarray(
-                        ctx.note_received(done.payload),
-                        dtype=np.float64).reshape(fill.shape))
-
-                commit(nk.blocks)
-
-            yield ctx.barrier()
-
-        return program()
-
     def run_distributed(
         self,
         ir,
@@ -295,7 +233,11 @@ class KernelTier:
         strict: bool = False,
     ) -> DistributedMachine:
         """Place *env* (unless a pre-placed *machine* is given), run the
-        node programs, return the machine."""
+        clause as :func:`~repro.runtime.worker.run_sequence` with every
+        node on this process over a :class:`LocalTransport`, return the
+        machine."""
+        from ..runtime.worker import Installed, run_sequence
+
         k, nodes, entry = self.bind(ir, "dist", strict)
         if machine is None:
             machine = DistributedMachine(ir.pmax, model=model)
@@ -304,12 +246,105 @@ class KernelTier:
                 decs.setdefault(acc.name, acc.dec)
             for name, dec in decs.items():
                 machine.place(name, env[name], dec)
-        machine.run(lambda ctx: self.node_program(k, nodes[ctx.p], entry,
-                                                  ctx))
+        memories = machine.memories
+
+        def memory(nk):  # each array's core, or its ghost frame
+            mem = memories[nk.p]
+            if not nk.margins:
+                return mem.arrays
+            # frames first: a wider request moves the core
+            frames = {name: mem.frame(name, m)
+                      for name, m in nk.margins.items()}
+            return {**mem.arrays, **frames}
+
+        inst = Installed((0, "dist", None, k.nreads, k.write_name, nodes),
+                         entry)
+        run_sequence([inst], 1, (), (True,), memory,
+                     LocalTransport(machine.stats, nodes, machine.model),
+                     machine.stats)
         return machine
+
+
+class LocalTransport:
+    """:func:`~repro.runtime.worker.run_sequence`'s transport with every
+    node on this process: a send files a fresh pre-state copy under
+    ``(dst, src, read pos)``, the drain delivers each into its fill
+    region, the barrier is free (every node sends before any commits).
+    A missing or stray message is a :class:`DeadlockError` in the
+    scheduler's shape, raised before anything is delivered.  Under a
+    latency model the nodes' clocks advance here: a send is stamped
+    ``vtime + alpha + beta * n``, the interior is charged before the
+    drain folds in the latest stamp, the boundary after it, and the end
+    of the clause syncs every node to the laggard."""
+
+    rank = 0
+
+    def __init__(self, stats, nodes, model=None):
+        self.stats, self.nodes, self.model = stats, nodes, model
+        self.phase, self.inbox, self.stamps, self.stray = None, {}, {}, []
+
+    def set_phase(self, idx: int, node: int = -1) -> None:
+        self.phase = idx, node
+
+    def post(self, seq: int, expect) -> None:
+        self.missing = {(dst, src, pos): (into, fill)
+                        for dst, src, pos, into, fill in expect}
+
+    def send(self, inst, p, pos, q, values) -> np.ndarray:
+        key = q, p, pos
+        if key in self.inbox:
+            self.stray.append(key)
+        # row-major over the region = lexicographic lane order
+        buf = self.inbox[key] = values.flatten()
+        if self.model is not None:
+            self.stamps[key] = self.stats[p].vtime \
+                + self.model.message_time(buf.size)
+        return buf
+
+    def barrier(self, node: int) -> None:
+        pass
+
+    def drain(self, deliver) -> None:
+        inbox, missing = self.inbox, self.missing
+        if self.stray or inbox.keys() != missing.keys():
+            raise self._mismatch()
+        if self.model is not None:
+            self._charge(lambda nk: () if nk.interior is None
+                         else (nk.interior,))
+            for (dst, _, _), t in self.stamps.items():
+                self.stats[dst].vtime = max(self.stats[dst].vtime, t)
+        for key, (into, fill) in missing.items():
+            deliver(key[0], into, fill, inbox[key])
+        inbox.clear()
+
+    def finish(self) -> None:
+        if self.model is not None:
+            self._charge(lambda nk: nk.blocks)
+            vmax = max(self.stats[nk.p].vtime for nk in self.nodes)
+            for nk in self.nodes:
+                self.stats[nk.p].vtime = vmax
+            self.stamps.clear()
+
+    def _charge(self, blocks_of) -> None:
+        for nk in self.nodes:
+            self.stats[nk.p].vtime += self.model.t_element * sum(
+                b.pos.size for b in blocks_of(nk))
+
+    def _mismatch(self) -> DeadlockError:
+        expected, sent = self.missing.keys(), self.inbox.keys()
+        waits: Dict[int, tuple] = {}
+        for dst, src, pos in sorted(expected - sent):
+            waits[dst] = waits.get(dst, ()) + ((src, pos),)
+        stray = sorted(((src, dst, pos) for dst, src, pos
+                        in [*(sent - expected), *self.stray]),
+                       key=lambda m: (m[1], m[0], m[2]))
+        return DeadlockError(
+            f"deadlock at the drain; nodes waiting for (src, pos): "
+            f"{waits}; undelivered messages: {len(stray)} {stray!r}",
+            blocked={p: ("probe", w) for p, w in waits.items()},
+            undelivered=stray)
 
 
 FUSED = KernelTier()
 
 run_shared_fused = FUSED.run_shared
-run_distributed_fused = FUSED.run_distributed

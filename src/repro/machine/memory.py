@@ -26,7 +26,8 @@ class LocalMemory:
         self.p = p
         #: name -> the **core**: what placement and every ``mem[name]`` see
         self.arrays: Dict[str, np.ndarray] = {}
-        #: name -> (core, frame buffer, its per-axis (lo, hi) margins)
+        #: name -> (core, frame buffer, its per-axis (lo, hi) margins,
+        #: {margins asked for: the view handed out})
         self._frames: Dict[str, tuple] = {}
 
     def frame(self, name: str, margins) -> np.ndarray:
@@ -37,11 +38,14 @@ class LocalMemory:
         The first request moves the core into a wider buffer once
         (``arrays[name]`` becomes a view of it), a wider one grows it, a
         covered one is a sub-view; a re-placement (a new
-        ``arrays[name]``) drops the frame."""
+        ``arrays[name]``) drops the frame.  A repeated request returns
+        the view it got last time."""
         core = self.arrays[name]
         held = self._frames.get(name)
-        buf, old = held[1:] if held is not None and held[0] is core \
-            else (core, ((0, 0),) * core.ndim)
+        buf, old, views = held[1:] if held is not None and held[0] is core \
+            else (core, ((0, 0),) * core.ndim, {})
+        if margins in views:
+            return views[margins]
         have = tuple((max(lo, a), max(hi, b))
                      for (lo, hi), (a, b) in zip(margins, old))
         if have != old:
@@ -51,9 +55,12 @@ class LocalMemory:
                           for (lo, _), n in zip(have, core.shape))
             buf[inner] = core
             core = self.arrays[name] = buf[inner]
-            self._frames[name] = (core, buf, have)
-        return buf[tuple(slice(a - lo, a + n + hi) for (lo, hi), (a, _), n
-                         in zip(margins, have, core.shape))]
+            views = {}
+            self._frames[name] = (core, buf, have, views)
+        views[margins] = buf[tuple(
+            slice(a - lo, a + n + hi)
+            for (lo, hi), (a, _), n in zip(margins, have, core.shape))]
+        return views[margins]
 
     def alloc(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
         arr = np.zeros(max(size, 0), dtype=dtype)

@@ -136,19 +136,36 @@ def run_spmd(
     scheduler observation — the raw material for pipeline/overlap
     analysis (:mod:`repro.machine.trace`).
     """
-    pmax = len(programs)
     live: Dict[int, NodeGen] = dict(enumerate(programs))
     waiting: Dict[int, Any] = {}  # p -> pending request
-    send_value: Dict[int, Any] = {}  # p -> value to send into the generator
     at_barrier: set[int] = set()
 
     def emit(round_, p, kind):
         if trace is not None:
             trace.append(TraceEvent(round_, p, kind))
 
+    def advance(p, value):
+        """Resume node *p* with *value*; record its next request or
+        retire it."""
+        try:
+            waiting[p] = live[p].send(value)
+        except StopIteration:
+            del live[p]
+            waiting.pop(p, None)
+            return
+        if stats is not None:
+            stats[p].steps += 1
+
+    def resume(round_, p, kind, value=None):
+        waiting.pop(p, None)
+        emit(round_, p, kind)
+        advance(p, value)
+        if p not in live:
+            emit(round_, p, "retire")
+
     # Start every program to its first request.
     for p in list(live):
-        _advance(p, live, waiting, None, stats)
+        advance(p, None)
         emit(0, p, "step" if p in live else "retire")
 
     rounds = 0
@@ -163,19 +180,12 @@ def run_spmd(
             if stats is not None:
                 # a barrier synchronizes the virtual clocks to the laggard
                 vmax = max((stats[p].vtime for p in at_barrier), default=0.0)
-            for p in sorted(at_barrier):
-                if stats is not None:
+                for p in at_barrier:
                     stats[p].barriers += 1
                     stats[p].vtime = vmax
-                waiting.pop(p, None)
-                send_value[p] = None
             at_barrier.clear()
             for p in sorted(live):
-                emit(rounds, p, "barrier")
-                _advance(p, live, waiting, send_value.pop(p, None), stats)
-                if p not in live:
-                    emit(rounds, p, "retire")
-            progressed = True
+                resume(rounds, p, "barrier")
             continue
 
         for p in sorted(live):
@@ -186,19 +196,10 @@ def run_spmd(
                     if stats is not None:
                         stats[p].recvs += 1
                         stats[p].vtime = max(stats[p].vtime, msg.deliver_time)
-                    waiting.pop(p)
-                    emit(rounds, p, "recv")
-                    _advance(p, live, waiting, msg.payload, stats)
-                    if p not in live:
-                        emit(rounds, p, "retire")
+                    resume(rounds, p, "recv", msg.payload)
                     progressed = True
             elif isinstance(req, Irecv):
-                fut = RecvFuture(req.src, req.tag)
-                waiting.pop(p)
-                emit(rounds, p, "step")
-                _advance(p, live, waiting, fut, stats)
-                if p not in live:
-                    emit(rounds, p, "retire")
+                resume(rounds, p, "step", RecvFuture(req.src, req.tag))
                 progressed = True
             elif isinstance(req, Probe):
                 hit = None
@@ -217,27 +218,13 @@ def run_spmd(
                         hit = h
                         break
                 if hit is not None:
-                    waiting.pop(p)
-                    emit(rounds, p, "recv")
-                    _advance(p, live, waiting, hit, stats)
-                    if p not in live:
-                        emit(rounds, p, "retire")
+                    resume(rounds, p, "recv", hit)
                     progressed = True
-            elif isinstance(req, Yield):
-                waiting.pop(p)
-                emit(rounds, p, "step")
-                _advance(p, live, waiting, None, stats)
-                if p not in live:
-                    emit(rounds, p, "retire")
+            elif isinstance(req, (Yield, type(None))):
+                resume(rounds, p, "step")
                 progressed = True
             elif isinstance(req, Barrier):
                 at_barrier.add(p)
-            elif req is None:
-                emit(rounds, p, "step")
-                _advance(p, live, waiting, None, stats)
-                if p not in live:
-                    emit(rounds, p, "retire")
-                progressed = True
             else:  # pragma: no cover - defensive
                 raise TypeError(f"node {p} yielded unknown request {req!r}")
 
@@ -274,25 +261,3 @@ def run_spmd(
                 blocked=blocked,
                 undelivered=undelivered,
             )
-
-
-def _advance(
-    p: int,
-    live: Dict[int, NodeGen],
-    waiting: Dict[int, Any],
-    value: Any,
-    stats: Optional[MachineStats],
-) -> None:
-    """Resume node *p* with *value*; record its next request or retire it."""
-    gen = live.get(p)
-    if gen is None:
-        return
-    try:
-        req = gen.send(value)
-    except StopIteration:
-        live.pop(p, None)
-        waiting.pop(p, None)
-        return
-    if stats is not None:
-        stats[p].steps += 1
-    waiting[p] = req

@@ -31,6 +31,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..machine.stats import NodeStats
 from ..runtime.stats import RuntimeStats
 from .support import find_launcher
 
@@ -111,7 +112,7 @@ def launch_job(job, arrays: Dict[str, np.ndarray], nranks: int,
         with open(stats_path) as fh:
             payload = json.load(fh)
         stats = [_stats_from(d) for d in payload["stats"]]
-        counts = [{int(p): c for p, c in by.items()}
+        counts = [{int(p): NodeStats(**c) for p, c in by.items()}
                   for by in payload["counts"]]
         return arrays, stats, counts
     finally:

@@ -208,7 +208,7 @@ def run_job(comm, job: MpiJob, arrays: Dict[str, np.ndarray]):
         insts = [Installed(prog.payload_for(comm.rank, comm.size))
                  for prog in job.progs]
         stats, counts = run_sequence(
-            insts, job.repeat, job.swap, job.flags, arrays,
+            insts, job.repeat, job.swap, job.flags, lambda node: arrays,
             MpiTransport(comm, job.progs, phase, job.fault_rank))
 
         # ---- exchange authoritative post-state + observability ------------
@@ -267,7 +267,7 @@ def _main_job(comm, jobdir: str) -> int:
         np.savez(os.path.join(jobdir, "result.npz"), **arrays)
         payload = {
             "stats": [s.as_dict() for s in stats],
-            "counts": [{str(p): c for p, c in by.items()}
+            "counts": [{str(p): vars(c) for p, c in by.items()}
                        for by in counts],
         }
         with open(os.path.join(jobdir, "stats.json"), "w") as fh:

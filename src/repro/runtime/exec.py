@@ -77,7 +77,7 @@ def _fill_stats(stats: MachineStats, replies) -> List[RuntimeStats]:
         workers.append(rstats)
         for p, c in counts.items():
             node = stats[p]
-            for attr, value in c.items():
+            for attr, value in vars(c).items():
                 setattr(node, attr, getattr(node, attr) + value)
     workers.sort(key=lambda s: s.rank)
     return workers

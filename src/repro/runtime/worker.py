@@ -1,18 +1,19 @@
-"""Worker process main loop — and the one real-process schedule.
+"""Worker process main loop — and the one distributed kernel schedule.
 
 :func:`run_sequence` is the overlap schedule, stated once for every
-real-process transport, over the plan's own node kernels — the regions
-the in-process tiers execute, through the same rows
+transport, over the plan's own node kernels, through the same rows
 (:func:`repro.machine.fused._lane_row`) and entries: the pool workers
 below run it over :class:`QueueTransport` (global arrays in shared
 memory, one inbox queue per worker, the pool's ``mp.Barrier``), the MPI
 ranks of :mod:`repro.mpi.rank` over ``MpiTransport`` (private rank
-memories, ``Irecv``/``Isend``/``Waitall``).  Per clause:
+memories, ``Irecv``/``Isend``/``Waitall``), and the in-process ``fused``
+run over :class:`repro.machine.fused.LocalTransport` (every node on one
+rank, each in its own ``LocalMemory``).  Per clause:
 
 1. **gather**    — one lane row per read of each owned node: a view of
-                   the array where every lane is resident (a pre-state
-                   copy only of the write target), else a buffer holding
-                   the resident lanes, the rest left to fill;
+                   the array (or ghost frame) where every lane is resident
+                   (a pre-state copy only of the write target), else a
+                   buffer holding the resident lanes, the rest left to fill;
 2. **post**      — tell the transport which ``(dst node, src node, read
                    pos)`` messages this clause expects (MPI posts its
                    ``Irecv``s here, before anything is sent);
@@ -27,7 +28,7 @@ memories, ``Irecv``/``Isend``/``Waitall``).  Per clause:
 5. **interior**  — the interior block commits through its write region
                    while messages are in flight;
 6. **drain**     — the transport delivers the expected messages into
-                   the rows' fill regions;
+                   their fill regions (of the row, or of the frame);
 7. **boundary**  — the remaining blocks commit; then the transport
                    completes its sends.
 
@@ -54,6 +55,7 @@ from typing import Dict
 import numpy as np
 
 from ..machine.fused import _lane_row, region_entry
+from ..machine.stats import NodeStats
 from .shm import attach_segment
 from .stats import (
     PH_BARRIER,
@@ -84,20 +86,25 @@ def _compile_kernel(source: str):
 class Installed:
     """One installed program on this process: its node kernels, the
     entry that computes and commits one lane block (``entry(block,
-    rows, out) -> stored``, as in :mod:`repro.machine.fused`) and the
-    reusable send buffers of :class:`QueueTransport`."""
+    rows, out) -> stored``, as in :mod:`repro.machine.fused`; compiled
+    from the payload's source unless given) and the reusable send
+    buffers of :class:`QueueTransport`."""
 
-    def __init__(self, payload):
+    def __init__(self, payload, entry=None):
         (self.token, self.flavor, source, self.nreads, self.write_name,
          self.my_nodes) = payload
-        self.entry = region_entry(*_compile_kernel(source))
+        self.entry = entry if entry is not None \
+            else region_entry(*_compile_kernel(source))
         self.bufs: Dict[tuple, np.ndarray] = {}
 
 
-def run_sequence(insts, steps, swap, flags, arrays, transport):
-    """``steps`` iterations of the installed clause sequence *insts*
-    against the global *arrays*, every clause in the order of the module
-    docstring; returns ``(RuntimeStats, {node: counters})``.
+def run_sequence(insts, steps, swap, flags, memory, transport, counts=None):
+    """``steps`` iterations of the installed clause sequence *insts*,
+    every clause in the order of the module docstring, against the
+    arrays ``memory(node)`` returns for each node kernel — the global
+    arrays on a real process, the node's ``LocalMemory`` with its ghost
+    frames in process; returns ``(RuntimeStats, counts)``, *counts*
+    mapping each node to the ``NodeStats`` its counters went to.
 
     Every process executes the same barrier sequence (one pre-commit
     wait per clause, plus one end-of-clause wait where ``flags[k]`` keeps
@@ -105,7 +112,7 @@ def run_sequence(insts, steps, swap, flags, arrays, transport):
     end-of-clause barrier is skipped at fused boundaries — the fusion
     certificate rules out cross-processor traffic there — and after the
     very last clause of the very last step.  Buffer pairs in *swap* are
-    exchanged in the local array dict after every step (zero-copy; the
+    exchanged in each memory dict after every step (zero-copy; the
     parent maps names back accordingly).  A single clause is the
     sequence of one program with ``steps=1``.
 
@@ -116,9 +123,8 @@ def run_sequence(insts, steps, swap, flags, arrays, transport):
     first = nodes[0] if nodes else -1
     stats = RuntimeStats(rank=transport.rank, pid=os.getpid(),
                          nodes=tuple(nodes))
-    counts = {p: {"sends": 0, "recvs": 0, "elements_sent": 0,
-                  "elements_received": 0, "local_updates": 0,
-                  "iterations": 0, "barriers": 0} for p in nodes}
+    if counts is None:
+        counts = {p: NodeStats() for p in nodes}
     set_phase = transport.set_phase
 
     def barrier() -> None:
@@ -126,76 +132,85 @@ def run_sequence(insts, steps, swap, flags, arrays, transport):
         transport.barrier(first)
         stats.barrier_s += time.perf_counter() - t0
 
-    def deliver(dst, row, fill, payload) -> None:
-        fill.put(row, payload.reshape(fill.shape))
+    def deliver(dst, into, fill, payload) -> None:
+        fill.put(into, payload.reshape(fill.shape))
         c = counts[dst]
-        c["recvs"] += 1
-        c["elements_received"] += int(payload.size)
+        c.recvs += 1
+        c.elements_received += int(payload.size)
         stats.recv_count += 1
         stats.recv_bytes += int(payload.nbytes)
 
-    def commit(inst, rows_by, phase, interior: bool) -> None:
-        t0 = time.perf_counter()
-        out = arrays[inst.write_name]
-        for node in inst.my_nodes:
-            blocks = node.blocks if not interior else \
-                () if node.interior is None else (node.interior,)
-            if blocks:
-                set_phase(phase, node.p)
-                counts[node.p]["local_updates"] += sum(
-                    int(inst.entry(blk, rows_by[node.p], out))
-                    for blk in blocks)
-        stats.kernel_s += time.perf_counter() - t0
-
     nclauses = len(insts)
+    held = {}  # id -> every memory dict handed out (the swap's targets)
     for step in range(steps):
         for k, inst in enumerate(insts):
+            write, entry = inst.write_name, inst.entry
             # ---- gather: the lane rows; what they lack is expected -------
-            rows_by = {}
-            expect = []  # (dst node, src node, read pos, row, fill region)
+            work = []    # (node, its counters, its memory, its rows)
+            expect = []  # (dst node, src node, read pos, buffer, fill)
             for node in inst.my_nodes:
                 set_phase(PH_GATHER, node.p)
-                counts[node.p]["iterations"] += node.n
-                rows = rows_by[node.p] = [
-                    _lane_row(r, arrays[r.name], node.shape,
-                              r.name == inst.write_name)
-                    for r in node.reads]
-                expect += [(node.p, src, r.pos, row, fill)
-                           for r, row in zip(node.reads, rows)
-                           for src, fill in r.sources]
+                c = counts[node.p]
+                c.iterations += node.n
+                arrays = memory(node)
+                held[id(arrays)] = arrays
+                rows = [_lane_row(r, arrays[r.name], node.shape,
+                                  r.name == write) for r in node.reads]
+                for r, row in zip(node.reads, rows):
+                    if r.sources:
+                        # a ghost read's row is a view of its frame: the
+                        # strips land in the ghost cells beside the tile
+                        into = row if r.lanes is not None \
+                            else arrays[r.name]
+                        expect += [(node.p, src, r.pos, into, fill)
+                                   for src, fill in r.sources]
+                work.append((node, c, arrays, rows))
             transport.post(step * nclauses + k, expect)
 
             # ---- send: pre-state payloads, one per (read, peer) ----------
-            for node in inst.my_nodes:
+            for node, c, arrays, _ in work:
                 set_phase(PH_SEND, node.p)
-                c = counts[node.p]
                 for s in node.sends:
-                    c["iterations"] += s.count
+                    c.iterations += s.count
                     for q, region in s.peers:
                         buf = transport.send(inst, node.p, s.pos, q,
                                              region.full(arrays[s.name]))
-                        c["sends"] += 1
-                        c["elements_sent"] += int(buf.size)
+                        c.sends += 1
+                        c.elements_sent += int(buf.size)
                         stats.send_count += 1
                         stats.send_bytes += int(buf.nbytes)
 
             # ---- pre-commit barrier --------------------------------------
             barrier()
-            for node in inst.my_nodes:
-                counts[node.p]["barriers"] += 1
+            for _, c, _, _ in work:
+                c.barriers += 1
 
             # ---- interior (messages may still be in flight), drain,
             # boundary, send completion ------------------------------------
-            commit(inst, rows_by, PH_INTERIOR, True)
+            t0 = time.perf_counter()
+            for node, c, arrays, rows in work:
+                if node.interior is not None:
+                    set_phase(PH_INTERIOR, node.p)
+                    c.local_updates += int(entry(node.interior, rows,
+                                                 arrays[write]))
+            t1 = time.perf_counter()
             set_phase(PH_DRAIN, first)
             transport.drain(deliver)
-            commit(inst, rows_by, PH_BOUNDARY, False)
+            t2 = time.perf_counter()
+            for node, c, arrays, rows in work:
+                if node.blocks:
+                    set_phase(PH_BOUNDARY, node.p)
+                    for blk in node.blocks:
+                        c.local_updates += int(entry(blk, rows,
+                                                     arrays[write]))
+            stats.kernel_s += t1 - t0 + time.perf_counter() - t2
             transport.finish()
 
             if flags[k] and not (step == steps - 1 and k == nclauses - 1):
                 barrier()
-        for a, b in swap:
-            arrays[a], arrays[b] = arrays[b], arrays[a]
+        for arrays in held.values():
+            for a, b in swap:
+                arrays[a], arrays[b] = arrays[b], arrays[a]
 
     set_phase(PH_DONE, first)
     stats.total_s = time.perf_counter() - t_start
@@ -325,7 +340,8 @@ def worker_main(rank, nprocs, conn, inboxes, barrier, phase_table,
             set_phase(PH_DELAY, min((nd.p for inst in insts
                                      for nd in inst.my_nodes), default=-1))
             time.sleep(float(fault_delay[1]))
-        return run_sequence(insts, steps, swap, flags, arrays, transport)
+        return run_sequence(insts, steps, swap, flags, lambda node: arrays,
+                            transport)
 
     set_phase(PH_IDLE)
     while True:
