@@ -39,6 +39,15 @@ from .test_persistent_machine import (
 )
 
 
+@pytest.fixture(autouse=True)
+def _fresh_plans():
+    """The error tests corrupt cached node kernels: no plan outlives a
+    test."""
+    clear_plan_cache()
+    yield
+    clear_plan_cache()
+
+
 def oracle_node_program(k, nk, entry, ctx):
     """Node *nk*'s program as a generator over the simulated mailbox:
     sends first, non-blocking receives posted into the rows (a ghost
@@ -134,7 +143,6 @@ MODEL = LatencyModel(alpha=100.0, beta=0.1, t_element=1.0)
 @pytest.mark.parametrize("model", (None, MODEL), ids=("plain", "model"))
 @pytest.mark.parametrize("name", CASES)
 def test_fresh_machine_matches_the_generator_oracle(name, model):
-    clear_plan_cache()
     clauses, decomps = with_extra(name)
     env = env_for(decomps)
     plan = compiled(clauses[0], decomps)
@@ -147,7 +155,6 @@ def test_the_cases_cover_every_read_shape():
     """Ghost reads (``lanes`` None, strips into the frame), fetched reads
     with a lane row, a pre-state copy of the write target and a guard
     are all among the cases."""
-    clear_plan_cache()
     shapes = set()
     for name in CASES:
         clauses, decomps = with_extra(name)
@@ -171,7 +178,6 @@ def test_the_cases_cover_every_read_shape():
 def test_persistent_machine_matches_the_generator_oracle(name, model):
     """S→T, T→S, ... for 5 steps on one pre-placed machine per side:
     the frames of the first step are the memory of every later one."""
-    clear_plan_cache()
     clauses, decomps = with_extra(name)
     env = env_for(decomps)
     plans = [compiled(c, decomps) for c in clauses]
@@ -188,30 +194,9 @@ def test_persistent_machine_matches_the_generator_oracle(name, model):
                          for nk in flavor_nodes(plan, "dist"))
 
 
-def test_e13_closed_form_on_a_block_pair():
-    """The counters of one E13 step in closed form: two halo messages
-    per interior partition boundary, one element each."""
-    clear_plan_cache()
-    clauses, decomps, _ = case("e13-block-block")
-    plan = compiled(clauses[0], decomps)
-    m = run_new(plan, placed(plan, env_for(decomps)))
-    assert m.stats.total_messages() == m.stats.total_elements_moved() == 6
-    assert [n.barriers for n in m.stats.nodes] == [1] * 4
-    assert m.stats.total_updates() == 22
-
-
 # ---------------------------------------------------------------------------
 # message errors on the local transport
 # ---------------------------------------------------------------------------
-
-@pytest.fixture(autouse=True)
-def _fresh_plans():
-    """The error tests corrupt cached node kernels: no plan outlives a
-    test."""
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
-
 
 def block_stencil():
     decomps = {"A": Block(24, 4), "B": Block(24, 4)}
@@ -264,7 +249,6 @@ def test_e19_makespan_closed_form_on_a_2x2_grid():
     synced to the laggard — the closed form of ``TestLatencyModel``, on
     the 2-D grid: each node gets one strip of n/2 - 1 lanes per
     neighbour."""
-    clear_plan_cache()
     n = 64
     g = GridDecomposition([Block(n, 2), Block(n, 2)])
     plan = compiled(e19(n, "S", "T"), {"S": g, "T": g})
@@ -277,4 +261,4 @@ def test_e19_makespan_closed_form_on_a_2x2_grid():
         assert inner + edge == (n // 2 - 1) ** 2
         want.append(max(inner * t, hop) + edge * t)
     assert m.stats.makespan() == max(want) == (n // 2 - 1) ** 2 * t
-    assert all(n.vtime == m.stats.makespan() for n in m.stats.nodes)
+    assert all(node.vtime == m.stats.makespan() for node in m.stats.nodes)
