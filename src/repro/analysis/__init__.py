@@ -36,8 +36,8 @@ from .lint import analyze_lint
 from .program_verifier import (ProgramVerification, clear_verify_cache,
                                verify_cache_info, verify_program)
 from .races import analyze_races
-from .schedule import (ScheduleCertificate, certificate_for, check_schedule,
-                       cite_certificate)
+from .schedule import (PhaseBarrier, ScheduleCertificate, certificate_for,
+                       check_schedule, cite_certificate, phase_barriers)
 from .verifier import annotate_deadlock, verify_clause, verify_ir
 
 __all__ = [
@@ -55,9 +55,11 @@ __all__ = [
     "sanitize_kernels",
     "audit_kernel_source",
     "check_kernels_strict",
+    "PhaseBarrier",
     "ScheduleCertificate",
     "check_schedule",
     "certificate_for",
+    "phase_barriers",
     "cite_certificate",
     "ProgramVerification",
     "verify_program",

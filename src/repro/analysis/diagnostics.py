@@ -73,7 +73,8 @@ CODES: Dict[str, str] = {
                 "has no matching expected gather (or the lane counts "
                 "disagree)",
     "SCHED002": "barrier placement: a fused clause boundary lets a node "
-                "gather elements another node commits in the same phase",
+                "gather elements another node commits in the same phase, "
+                "or an elided pre-commit barrier lets a commit race a read",
     "SCHED003": "wait-for cycle: the node wait-for graph has a cycle "
                 "through an unmatched message — the blocked wait "
                 "propagates around the cycle (deadlock)",

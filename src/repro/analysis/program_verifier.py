@@ -50,7 +50,8 @@ import numpy as np
 from ..core.ifunc import apply_ifunc
 from .diagnostics import Diagnostic, DiagnosticReport, Severity
 from .kernel_sanitizer import sanitize_kernels
-from .schedule import ScheduleCertificate, check_schedule
+from .schedule import (PhaseBarrier, ScheduleCertificate, check_schedule,
+                       phase_barriers)
 from .support import ENUM_BUDGET
 
 __all__ = [
@@ -89,6 +90,9 @@ class ProgramVerification:
     #: the static schedule proof over the lowered mp programs, when the
     #: program has an mp form (None = no mp form, noted on the report)
     certificate: Optional[ScheduleCertificate] = None
+    #: per clause, the pre-commit barrier that proof certifies
+    #: (:func:`~repro.analysis.schedule.phase_barriers`)
+    phase: Tuple[PhaseBarrier, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -486,7 +490,9 @@ def _verify_pipeline(pir, report: DiagnosticReport) -> None:
 
 def _verify_schedule(pir, report: DiagnosticReport):
     """Run the static schedule check over every step's shared-flavor
-    program — the node kernels ``run_program_mp`` executes."""
+    program — the node kernels ``run_program_mp`` executes, under the
+    pre-commit waits it keeps; returns ``(certificate, phase barriers)``,
+    ``(None, ())`` without an mp form."""
     from ..runtime.lowering import MpLoweringError, lower_shared
 
     progs = []
@@ -499,11 +505,14 @@ def _verify_schedule(pir, report: DiagnosticReport):
                 f"schedule of clause {st.index} ({st.name}) unverified: "
                 f"no mp form ({why})",
                 severity=Severity.INFO, clause=st.name))
-            return None
-    diags, cert = check_schedule(progs, flags=pir.barrier_flags(),
+            return None, ()
+    flags = pir.barrier_flags()
+    phase = phase_barriers(progs, flags)
+    diags, cert = check_schedule(progs, flags=flags,
+                                 phase=[b.kept for b in phase],
                                  repeat=pir.repeat)
     report.extend(diags)
-    return cert
+    return cert, phase
 
 
 def _verify_kernels(pir, report: DiagnosticReport) -> None:
@@ -548,13 +557,14 @@ def verify_program(
         key = (pir.cache_key, bool(schedule), bool(sanitize))
         cached = verify_cache.lookup(key)
         if cached is not None:
+            pir.phase = cached.phase
             _trace_verification(pir, cached, cache_hit=True)
             return cached
     report = DiagnosticReport(clause="<program>")
     fused_ok = _verify_fusion(pir, report)
     elided_ok = _verify_elisions(pir, report)
     _verify_pipeline(pir, report)
-    cert = _verify_schedule(pir, report) if schedule else None
+    cert, phase = _verify_schedule(pir, report) if schedule else (None, ())
     if sanitize:
         _verify_kernels(pir, report)
     report.finish()
@@ -562,7 +572,9 @@ def verify_program(
         program=report,
         steps=[_step_report(st) for st in pir.steps],
         certificate=cert,
+        phase=phase,
     )
+    pir.phase = phase
     verification._certified_pairs = fused_ok
     verification._certified_elisions = elided_ok
     if key is not None:

@@ -24,6 +24,9 @@ before a worker ever spawns:
     here against the kernels' global regions rather than the access
     algebra: two product regions share an element iff their keys meet
     on every axis (:meth:`~repro.pipeline.region.Region.overlap`).
+    Likewise a clause whose pre-commit (phase) barrier is elided must
+    meet every condition of :func:`phase_barriers` — re-checked on the
+    node kernels that run, whoever supplied the elision vector.
 
 ``SCHED003``
     Wait-for acyclicity.  Node ``q`` waits on node ``p`` when its gather
@@ -40,15 +43,17 @@ certificate is distinguishable from an uncertified schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, Severity
 
 __all__ = [
+    "PhaseBarrier",
     "ScheduleCertificate",
     "check_schedule",
     "certificate_for",
     "cite_certificate",
+    "phase_barriers",
 ]
 
 
@@ -62,6 +67,7 @@ class ScheduleCertificate:
     flavors: Tuple[str, ...]
     messages: int          #: matched (dst, src, pos) send keys
     barriers: int          #: kept end-of-clause barriers
+    phase_barriers: int = 0       #: kept pre-commit (phase) barriers
     codes: Tuple[str, ...] = ()   #: offending SCHED codes (empty = ok)
 
     @property
@@ -70,7 +76,8 @@ class ScheduleCertificate:
 
     def describe(self) -> str:
         head = (f"{self.nclauses} clause(s) x {self.pmax} node(s), "
-                f"{self.messages} send key(s), {self.barriers} barrier(s)")
+                f"{self.messages} send key(s), {self.barriers} barrier(s), "
+                f"{self.phase_barriers} phase barrier(s)")
         if self.ok:
             return (f"schedule statically certified deadlock-free: {head}; "
                     "every send matched 1:1, wait-for graph acyclic "
@@ -222,10 +229,80 @@ def _check_fused_boundaries(progs, flags) -> List[Diagnostic]:
     return out
 
 
+def _phase_hazards(progs, flags, k: int) -> List[Tuple[str, dict]]:
+    """Why clause *k*'s pre-commit barrier must stay, as ``(reason,
+    witnesses)`` per violated condition of :func:`phase_barriers`;
+    empty when the wait may go."""
+    out: List[Tuple[str, dict]] = []
+    senders = sorted({nd.p for prog in progs for nd in prog.nodes
+                      if any(s.peers for s in nd.sends)
+                      or any(rd.sources for rd in nd.reads)})
+    if senders:
+        out.append((f"the program moves messages (node {senders[0]} "
+                    "sends or expects one)", {senders[0]: []}))
+    if not flags[k - 1]:
+        out.append((f"boundary {(k - 1) % len(progs)}->{k} keeps no "
+                    "end-of-clause barrier", {}))
+    prog = progs[k]
+    commits = [(nd.p, blk.write) for nd in prog.nodes for blk in nd.commits]
+    for nd in prog.nodes:
+        hits: Dict[int, tuple] = {}
+        for rd in nd.reads:
+            if rd.name != prog.write_name:
+                continue
+            for p, write in commits:
+                e = rd.mem.overlap(write) if p != nd.p else None
+                if e is not None:
+                    hits[p] = min(e, hits.get(p, e))
+        for p, e in sorted(hits.items()):
+            out.append((f"node {nd.p} reads element "
+                        f"{e if len(e) > 1 else e[0]} of "
+                        f"{prog.write_name!r}, which node {p} writes",
+                        {nd.p: [p]}))
+    return out
+
+
+class PhaseBarrier(NamedTuple):
+    """One clause's pre-commit (phase) barrier: is it waited, and why."""
+
+    kept: bool
+    why: str
+
+
+def phase_barriers(progs, flags) -> Tuple[PhaseBarrier, ...]:
+    """Per clause of the sequence *progs* under the end-of-clause flags
+    *flags*: may the pre-commit (phase) barrier be skipped?  The one
+    place this is decided (§2.9 fn. 1: a barrier goes when no processor
+    can observe another's write — within one clause, DILD independence).
+    The wait goes when all three hold:
+
+    * the sequence moves no message (every read resident): a sending
+      schedule's pre-commit barrier also guards the queue transport's
+      send-buffer reuse and MPI's tag window;
+    * no node's read regions of the write array meet another node's
+      write regions (:meth:`~repro.pipeline.region.Region.overlap`);
+    * the preceding boundary — for clause 0 the wrap-around from the
+      previous step — keeps its end-of-clause barrier, so every earlier
+      commit is visible and no earlier read is still in flight.
+
+    :func:`check_schedule` certifies every elided wait again."""
+    progs = list(progs)
+    out = []
+    for k in range(len(progs)):
+        hazards = _phase_hazards(progs, flags, k)
+        out.append(PhaseBarrier(True, f"kept: {hazards[0][0]}") if hazards
+                   else PhaseBarrier(False, (
+                       "elided: no node reads another's writes of "
+                       f"{progs[k].write_name!r} and the preceding "
+                       "boundary barriers")))
+    return tuple(out)
+
+
 def check_schedule(
     progs: Sequence[object],
     *,
     flags: Optional[Sequence[bool]] = None,
+    phase: Optional[Sequence[bool]] = None,
     repeat: int = 1,
 ) -> Tuple[List[Diagnostic], ScheduleCertificate]:
     """Statically verify a program sequence (``MpProgram`` per clause)
@@ -233,21 +310,15 @@ def check_schedule(
     left on every program as ``sched_cert``.
 
     *flags* are the per-clause barrier flags (``ProgramIR.barrier_flags``);
-    omitted means every clause barriers.  The certificate is the static
-    deadlock-freedom proof — denied (``ok=False``) when any SCHED error
-    was found."""
+    omitted means every clause barriers.  *phase* are the per-clause
+    pre-commit barrier flags (:func:`phase_barriers`); omitted means
+    every clause waits, and every elided wait is certified again here.
+    The certificate is the static deadlock-freedom proof — denied
+    (``ok=False``) when any SCHED error was found."""
     progs = list(progs)
     out: List[Diagnostic] = []
-    if flags is None:
-        flags = [True] * len(progs)
-    flags = list(flags)
-    if len(flags) != len(progs):
-        out.append(_diag(
-            "SCHED002",
-            f"barrier flag vector has {len(flags)} entries for "
-            f"{len(progs)} lowered clause(s) — the pre-commit protocol "
-            "cannot line up"))
-        flags = (flags + [True] * len(progs))[:len(progs)]
+    flags = _flag_vector(flags, progs, "barrier", out)
+    phase = _flag_vector(phase, progs, "phase barrier", out)
     messages = 0
     for k, prog in enumerate(progs):
         label = f"clause{k}"
@@ -255,18 +326,42 @@ def check_schedule(
         out += diags
         messages += matched
         out += _check_cycles(prog, label, unmatched)
+        if not phase[k]:
+            out += [_diag("SCHED002",
+                          f"{label}: pre-commit barrier elided, but "
+                          f"{reason} — a commit can race a read",
+                          clause=label, witnesses=witnesses)
+                    for reason, witnesses in _phase_hazards(progs, flags, k)]
     out += _check_fused_boundaries(progs, flags)
+    steps = max(1, int(repeat))
     cert = ScheduleCertificate(
         nclauses=len(progs),
         pmax=max((p.pmax for p in progs), default=0),
         flavors=tuple(sorted({p.flavor for p in progs})),
         messages=messages,
-        barriers=sum(1 for f in flags if f) * max(1, int(repeat)),
+        barriers=sum(1 for f in flags if f) * steps,
+        phase_barriers=sum(1 for f in phase if f) * steps,
         codes=tuple(sorted({d.code for d in out if d.is_error})),
     )
     for prog in progs:
         prog.sched_cert = cert
     return out, cert
+
+
+def _flag_vector(flags, progs, what: str, out: List[Diagnostic]) -> list:
+    """*flags* as one boolean per clause (all ``True`` when omitted); a
+    vector of the wrong length is a SCHED002 error, padded with ``True``."""
+    if flags is None:
+        return [True] * len(progs)
+    flags = list(flags)
+    if len(flags) != len(progs):
+        out.append(_diag(
+            "SCHED002",
+            f"{what} flag vector has {len(flags)} entries for "
+            f"{len(progs)} lowered clause(s) — the pre-commit protocol "
+            "cannot line up"))
+        flags = (flags + [True] * len(progs))[:len(progs)]
+    return flags
 
 
 def certificate_for(progs, *, flags=None, repeat=1) -> ScheduleCertificate:

@@ -259,7 +259,7 @@ class KernelTier:
 
         inst = Installed((0, "dist", None, k.nreads, k.write_name, nodes),
                          entry)
-        run_sequence([inst], 1, (), (True,), memory,
+        run_sequence([inst], 1, (), (True,), (True,), memory,
                      LocalTransport(machine.stats, nodes, machine.model),
                      machine.stats)
         return machine
@@ -283,8 +283,8 @@ class LocalTransport:
         self.stats, self.nodes, self.model = stats, nodes, model
         self.phase, self.inbox, self.stamps, self.stray = None, {}, {}, []
 
-    def set_phase(self, idx: int, node: int = -1) -> None:
-        self.phase = idx, node
+    def set_phase(self, idx: int, node: int = -1, seq: int = -1) -> None:
+        self.phase = idx, node, seq
 
     def post(self, seq: int, expect) -> None:
         self.missing = {(dst, src, pos): (into, fill)

@@ -234,12 +234,12 @@ def _drive(progs, flags, repeat: int, swap, genv, machine, pmax: int,
     *genv*; copy every written (or swapped) array back and fill
     *machine*'s counters.  Returns ``(transport mode, world size)``."""
     _guard_tags(progs)
-    cert = _certify(progs, strict, flags=flags, repeat=repeat)
+    cert, phase = _certify(progs, strict, flags, repeat)
     names, changed = _touched(progs, swap)
     arrays = _as_arrays(genv, names)
     nranks = _nranks(processes, pmax)
-    job = MpiJob(progs=tuple(progs), flags=tuple(flags), repeat=repeat,
-                 swap=tuple(swap), names=tuple(names),
+    job = MpiJob(progs=tuple(progs), flags=tuple(flags), phase=phase,
+                 repeat=repeat, swap=tuple(swap), names=tuple(names),
                  grid_shape=grid_shape, timeout=timeout or DEFAULT_TIMEOUT,
                  fault_rank=fault_rank)
     mode, stats, counts = _execute(job, arrays, nranks, cert)
@@ -264,7 +264,8 @@ def run_shared_mpi(
     _fault_rank: int = -1,
 ) -> SharedMachine:
     """Execute a ``//`` clause's shared kernels SPMD over MPI ranks (the
-    degenerate no-send flavor: the pre-commit barrier is the only
+    degenerate no-send flavor: the pre-commit barrier, where
+    :func:`~repro.analysis.phase_barriers` keeps it, is the only
     communication beside the final state exchange)."""
     _check(ir, strict)
     prog = lower_shared(ir, strict)

@@ -13,17 +13,20 @@ messages:
 * **send**      — ``Isend`` a fresh contiguous pre-state copy per
                   (read, peer) pair (valid until the clause's
                   ``Waitall``);
-* **barrier**   — the pre-commit barrier (kept for schedule parity with
-                  the shm runtime; rank memories are private, so it also
-                  pins the per-clause skew to one clause);
+* **barrier**   — the pre-commit barrier, where the job's ``phase``
+                  flags keep it (:func:`repro.analysis.phase_barriers`:
+                  every clause of a sequence that moves messages keeps
+                  it; rank memories are private, so it also pins the
+                  per-clause skew to one clause);
 * **drain**     — ``Waitall`` the receives, fill the rows' fill regions;
 * **finish**    — ``Waitall`` the sends (send buffers stay referenced
                   until here).
 
 Tags encode ``(seq, dst node, src node, pos)`` — the same key the shm
 queues use — with the clause sequence number taken modulo
-:data:`TAG_SEQ_WINDOW`.  The per-clause pre-commit barrier bounds rank
-skew to a single clause, so a window of 16 can never alias.
+:data:`TAG_SEQ_WINDOW`.  The per-clause pre-commit barrier of a sending
+sequence bounds rank skew to a single clause, so a window of 16 can
+never alias.
 
 Nodes attach to ranks round-robin (``node % size``) exactly like the
 worker pool multiplexes nodes onto processes; with one rank per node and
@@ -95,6 +98,7 @@ class MpiJob:
 
     progs: tuple                    # MpProgram per clause
     flags: tuple                    # end-of-clause barrier flags
+    phase: tuple = ()               # pre-commit barrier flags
     repeat: int = 1
     swap: tuple = ()                # buffer pairs exchanged per step
     names: tuple = ()               # global array names shipped
@@ -116,7 +120,7 @@ class MpiTransport:
         self.phase = phase
         self.fault_rank = fault_rank
 
-    def set_phase(self, idx: int, node: int = -1) -> None:
+    def set_phase(self, idx: int, node: int = -1, seq: int = -1) -> None:
         self.phase[0] = PHASES[idx]
 
     def _tag(self, dst: int, src: int, pos: int) -> int:
@@ -148,7 +152,6 @@ class MpiTransport:
         if self.fault_rank == self.rank and self.seq == 0:
             raise RuntimeError(
                 f"injected fault on rank {self.rank} (test hook)")
-        self.phase[0] = "barrier"
         self.comm.barrier()
 
     def drain(self, deliver) -> None:
@@ -208,7 +211,8 @@ def run_job(comm, job: MpiJob, arrays: Dict[str, np.ndarray]):
         insts = [Installed(prog.payload_for(comm.rank, comm.size))
                  for prog in job.progs]
         stats, counts = run_sequence(
-            insts, job.repeat, job.swap, job.flags, lambda node: arrays,
+            insts, job.repeat, job.swap, job.flags, job.phase,
+            lambda node: arrays,
             MpiTransport(comm, job.progs, phase, job.fault_rank))
 
         # ---- exchange authoritative post-state + observability ------------
@@ -362,10 +366,11 @@ def _selftest_job(pmax: int, n: int = 48):
     }
     jobs = [
         ("E19", MpiJob(progs=(lower_dist(plan19),), flags=(True,),
-                       names=("S", "T"), grid_shape=grid.grid_shape),
+                       phase=(True,), names=("S", "T"),
+                       grid_shape=grid.grid_shape),
          plan19, "T"),
         ("E13", MpiJob(progs=(lower_dist(plan13),), flags=(True,),
-                       names=("A", "B")),
+                       phase=(True,), names=("A", "B")),
          plan13, "A"),
     ]
     return jobs, env

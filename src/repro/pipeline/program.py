@@ -123,6 +123,9 @@ class ProgramIR:
     #: one shared-memory session and the worker pool hot across steps
     pipelined: bool = False
     pipeline_reason: str = ""
+    #: per clause, ``(kept, why)`` of the real-process pre-commit barrier
+    #: as ``verify_program`` certified it; () = not verified yet
+    phase: Tuple[Tuple[bool, str], ...] = ()
     trace: PipelineTrace = field(default_factory=PipelineTrace)
     cache_key: Optional[tuple] = None
 
@@ -149,8 +152,11 @@ class ProgramIR:
                  f"{len(self.groups)} phase(s), repeat={self.repeat}"]
         for st in self.steps:
             tail = "fused-with-next" if not st.barrier_after else "barrier"
+            why = self.phase[st.index][1] if self.phase \
+                else "not derived (verify_program derives it)"
             lines.append(f"  {st.index}: {st.name} "
-                         f"[{'nd' if st.nd else '1-D'}] -> {tail}")
+                         f"[{'nd' if st.nd else '1-D'}] -> {tail}; "
+                         f"phase barrier {why}")
         lines.append(f"  elided redistributions: {len(self.elided)}; "
                      f"kept: {len(self.redistributions)}")
         if self.repeat > 1:

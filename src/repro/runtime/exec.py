@@ -94,13 +94,17 @@ def _check(ir, strict: bool) -> None:
     check_kernels_strict(ir, strict)
 
 
-def _certify(progs, strict: bool, *, flags=None, repeat: int = 1):
-    """Static schedule proof before any worker spawns (runtime failures
-    cite the certificate); under ``--strict``, refuse to launch on a
-    denied one."""
-    from ..analysis import check_schedule
+def _certify(progs, strict: bool, flags, repeat: int):
+    """The pre-commit waits the sequence keeps (:func:`phase_barriers`),
+    then the static schedule proof over both barrier vectors before any
+    worker spawns (runtime failures cite the certificate); under
+    ``--strict``, refuse to launch on a denied one.  Returns
+    ``(certificate, phase flags)``."""
+    from ..analysis import check_schedule, phase_barriers
 
-    diags, cert = check_schedule(progs, flags=flags, repeat=repeat)
+    phase = tuple(b.kept for b in phase_barriers(progs, flags))
+    diags, cert = check_schedule(progs, flags=flags, phase=phase,
+                                 repeat=repeat)
     if strict and not cert.ok:
         from ..machine.fused import FusedStrictError
 
@@ -108,7 +112,7 @@ def _certify(progs, strict: bool, *, flags=None, repeat: int = 1):
         raise FusedStrictError(
             f"execution refused under --strict: schedule certificate "
             f"denied ({', '.join(cert.codes)}) — {first.message}")
-    return cert
+    return cert, phase
 
 
 def _touched(progs, swap):
@@ -126,7 +130,7 @@ def _drive(progs, flags, repeat: int, swap, genv, machine, pmax: int,
     backing the global arrays *genv*; copy every written (or swapped)
     array back and fill *machine*'s counters.  A single clause is the
     sequence of one program with ``repeat=1``."""
-    cert = _certify(progs, strict, flags=flags, repeat=repeat)
+    cert, phase = _certify(progs, strict, flags, repeat)
     names, changed = _touched(progs, swap)
     for name in names:
         if name not in genv:
@@ -135,7 +139,8 @@ def _drive(progs, flags, repeat: int, swap, genv, machine, pmax: int,
     session = ShmSession({name: genv[name] for name in names})
     try:
         replies = pool.run_seq(progs, session.spec(), repeat, swap, flags,
-                               timeout or DEFAULT_TIMEOUT, fault_delay)
+                               phase, timeout or DEFAULT_TIMEOUT,
+                               fault_delay)
         # workers swap their name -> segment maps after every step, so
         # after an odd number of steps a pair's contents sit swapped
         mapping = {name: name for name in names}
@@ -185,8 +190,9 @@ def run_program_mp(
     """Execute a whole compiled program (``ProgramIR``) on the worker
     pool: every clause lowered once, ONE shared-memory session across
     all clauses and all ``repeat`` iterations, end-of-clause barriers
-    only where the fusion pass kept them, and worker-side buffer swaps
-    between iterations.  Returns ``(machine, barriers)``.
+    only where the fusion pass kept them, pre-commit barriers only where
+    :func:`~repro.analysis.phase_barriers` keeps them, and worker-side
+    buffer swaps between iterations.  Returns ``(machine, barriers)``.
 
     Raises :class:`MpLoweringError` when the program has no whole-program
     mp form — a sequential clause, a clause without shared kernels, or an

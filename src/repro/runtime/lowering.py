@@ -9,8 +9,11 @@ list with what a worker needs to install it: a process-unique ``token``
 names and the decompositions.
 
 * ``shared`` — the ``shared`` flavor: no sends, every read resident,
-  one block per node committed after the pre-commit barrier (which is
-  exactly the §2.9 phase barrier).
+  one block per node.  Its pre-commit barrier is the §2.9 phase
+  barrier, and it is the flavor whose pre-commit wait
+  :func:`repro.analysis.phase_barriers` can prove unneeded: with no
+  node reading another's writes of the target, a time loop waits once
+  per clause, at the end-of-clause barrier.
 * ``dist``   — the ``gdist`` flavor: the §2.10 overlap schedule (sends,
   fills, interior block, boundary strips) over the *identity* address
   map, because real processes index the global arrays in shared or

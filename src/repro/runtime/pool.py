@@ -11,9 +11,10 @@ mid-run is detected immediately (not at timeout), and a hung run is
 detected when the per-run timeout (plus a small reporting grace) lapses.
 Both paths raise :class:`WorkerCrashError` naming the culprit worker,
 its phase and node — blame goes to a dead worker first, else to the
-worker furthest behind in the schedule (the laggard everyone else is
-stuck waiting for).  The pool then self-heals by respawning every
-worker; the next run reinstalls programs and proceeds normally.
+worker furthest behind in the schedule by ``(clause sequence, phase)``
+(the laggard everyone else is stuck waiting for).  The pool then
+self-heals by respawning every worker; the next run reinstalls programs
+and proceeds normally.
 
 :func:`shutdown_runtime` — also registered ``atexit`` and invoked by
 ``clear_plan_cache()`` — terminates every pool and unlinks any
@@ -34,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..pipeline.cache import _env_number
 from .shm import unlink_leftovers
-from .stats import PHASES, phase_of
+from .stats import PHASES, SLOTS, phase_of
 from .worker import worker_main
 
 __all__ = [
@@ -98,8 +99,10 @@ class WorkerPool:
             from multiprocessing import resource_tracker
 
             resource_tracker.ensure_running()
-        self.barrier = ctx.Barrier(self.nprocs)
-        self.phase_table = ctx.Array("i", 2 * self.nprocs, lock=False)
+        # the barrier: one arrival generation per worker, read and
+        # written under the pool's lock (QueueTransport.barrier)
+        self.arrivals = ctx.Array("q", self.nprocs, lock=ctx.Lock())
+        self.phase_table = ctx.Array("q", SLOTS * self.nprocs, lock=False)
         self.inboxes = [ctx.Queue() for _ in range(self.nprocs)]
         self.conns, self.procs = [], []
         for rank in range(self.nprocs):
@@ -107,7 +110,7 @@ class WorkerPool:
             proc = ctx.Process(
                 target=worker_main,
                 args=(rank, self.nprocs, child, self.inboxes,
-                      self.barrier, self.phase_table,
+                      self.arrivals, self.phase_table,
                       self.method != "fork"),
                 daemon=True, name=f"repro-mp-w{rank}")
             proc.start()
@@ -123,8 +126,9 @@ class WorkerPool:
     def pids(self) -> List[int]:
         return [p.pid for p in self.procs]
 
-    def phases(self) -> List[Tuple[str, int]]:
-        """Per-worker (phase name, current node) snapshot."""
+    def phases(self) -> List[Tuple[str, int, int]]:
+        """Per-worker (phase name, current node, clause sequence)
+        snapshot."""
         return [phase_of(self.phase_table, r) for r in range(self.nprocs)]
 
     def _teardown(self) -> None:
@@ -175,23 +179,24 @@ class WorkerPool:
         culprit = rank
         if culprit is None:
             # blame a dead worker first, else the live laggard — the
-            # worker earliest in the schedule (idle/done workers have
-            # already finished or reported, so they are not stuck)
+            # worker earliest in the schedule by (clause sequence, phase);
+            # idle/done workers have already finished or reported, so
+            # they are not stuck
             active = [r for r in range(self.nprocs)
                       if snapshot[r][0] not in ("idle", "done")]
             if dead:
                 culprit = dead[0]
             elif active:
                 order = {name: i for i, name in enumerate(PHASES)}
-                culprit = min(
-                    active,
-                    key=lambda r: order.get(snapshot[r][0], len(PHASES)))
+                culprit = min(active, key=lambda r: (
+                    snapshot[r][2], order.get(snapshot[r][0], len(PHASES))))
             else:
                 culprit = fallback if fallback is not None else 0
-        phase, node = snapshot[culprit]
+        phase, node, _ = snapshot[culprit]
         table = ", ".join(
             f"w{r}={ph}" + (f"@n{nd}" if nd >= 0 else "")
-            for r, (ph, nd) in enumerate(snapshot))
+            + (f"#{seq}" if seq >= 0 else "")
+            for r, (ph, nd, seq) in enumerate(snapshot))
         msg = (f"mp runtime: worker {culprit} {reason} in phase {phase!r}"
                + (f" on node {node}" if node >= 0 else "")
                + (f" (exit code {exitcode})" if exitcode is not None else "")
@@ -242,10 +247,9 @@ class WorkerPool:
                 if msg[0] == "err":
                     _, _rid, r, phase, node, tb = msg
                     tail = tb.strip().splitlines()[-1] if tb else "error"
-                    # a broken barrier / drain timeout usually means some
-                    # *other* worker is stuck — let the snapshot decide
-                    blame = None if ("BrokenBarrierError" in tb
-                                    or "TimeoutError" in tb) else r
+                    # a barrier / drain timeout usually means some *other*
+                    # worker is stuck — let the snapshot decide
+                    blame = None if "TimeoutError" in tb else r
                     self._fail(f"failed ({tail})", blame, fallback=r)
                 out = match(msg)
                 if out is not None and rank not in got:
@@ -265,14 +269,15 @@ class WorkerPool:
         self._await_each(match, deadline, "program install")
         self.installed.add(prog.token)
 
-    def run_seq(self, progs, shm_spec, steps: int, swap, flags,
+    def run_seq(self, progs, shm_spec, steps: int, swap, flags, phase,
                 timeout: Optional[float] = None, fault_delay=None) -> list:
         """Execute ``steps`` iterations of the (auto-installed) clause
         sequence *progs* against one set of segments, buffer pairs in
-        *swap* exchanged worker-side after every step — a single clause
-        is the sequence of one program with ``steps=1``.  One command,
-        one reply per worker for the whole time loop: the per-rank
-        ``(RuntimeStats, {node: counters})``."""
+        *swap* exchanged worker-side after every step, end-of-clause
+        waits where *flags* and pre-commit waits where *phase* keep them
+        — a single clause is the sequence of one program with
+        ``steps=1``.  One command, one reply per worker for the whole
+        time loop: the per-rank ``(RuntimeStats, {node: counters})``."""
         timeout = float(timeout) if timeout else DEFAULT_TIMEOUT
         deadline = time.monotonic() + timeout + _REPORT_GRACE
         if not self.alive():
@@ -284,7 +289,7 @@ class WorkerPool:
         for rank in range(self.nprocs):
             self._send(rank, ("runseq", tokens, run_id, shm_spec,
                               int(steps), tuple(swap), tuple(flags),
-                              timeout, fault_delay))
+                              tuple(phase), timeout, fault_delay))
 
         def match(msg):
             if msg[0] == "done" and msg[1] == run_id:

@@ -7,8 +7,10 @@ queues — alongside the per-node logical counters that feed the existing
 parity with the in-process backends stays assertable).
 
 ``PHASES`` is the worker run schedule; the pool's shared phase table
-stores an index into it per worker so a crash or timeout can be
-attributed to the phase (and node) the worker was in.
+stores per worker an index into it, the current node and the clause
+sequence number, so a crash or timeout can be attributed to the phase
+(and node) the worker was in, and blame goes to the worker furthest
+behind by ``(sequence, phase)``.
 """
 
 from __future__ import annotations
@@ -18,31 +20,38 @@ from typing import Dict, Tuple
 
 __all__ = ["PHASES", "RuntimeStats", "phase_of"]
 
-#: Worker phases in schedule order.  Low index = further behind — the
-#: pool's blame heuristic picks the laggard on a hang.
+#: Worker phases in :func:`~repro.runtime.worker.run_sequence` order.
+#: Low index = further behind within one clause — the pool's blame
+#: heuristic picks the laggard on a hang.  ``barrier`` is the pre-commit
+#: wait, ``end-barrier`` the end-of-clause one.
 PHASES = (
     "idle",
     "install",
     "fault-delay",
-    "send",
     "gather",
+    "send",
     "barrier",
     "interior",
     "drain",
     "boundary",
+    "end-barrier",
     "done",
 )
 
-(PH_IDLE, PH_INSTALL, PH_DELAY, PH_SEND, PH_GATHER, PH_BARRIER,
- PH_INTERIOR, PH_DRAIN, PH_BOUNDARY, PH_DONE) = range(len(PHASES))
+(PH_IDLE, PH_INSTALL, PH_DELAY, PH_GATHER, PH_SEND, PH_BARRIER,
+ PH_INTERIOR, PH_DRAIN, PH_BOUNDARY, PH_END_BARRIER,
+ PH_DONE) = range(len(PHASES))
+
+#: phase-table slots per worker: phase index, node, clause sequence
+SLOTS = 3
 
 
-def phase_of(phase_table, rank: int) -> Tuple[str, int]:
-    """Worker *rank*'s ``(phase name, current node)`` as last reported
-    in the pool's shared phase table."""
-    pi = int(phase_table[2 * rank])
+def phase_of(phase_table, rank: int) -> Tuple[str, int, int]:
+    """Worker *rank*'s ``(phase name, current node, clause sequence)``
+    as last reported in the pool's shared phase table (-1: none)."""
+    pi, node, seq = phase_table[SLOTS * rank:SLOTS * rank + SLOTS]
     return (PHASES[pi] if 0 <= pi < len(PHASES) else str(pi),
-            int(phase_table[2 * rank + 1]))
+            int(node), int(seq))
 
 
 @dataclass
@@ -53,7 +62,8 @@ class RuntimeStats:
     pid: int
     nodes: Tuple[int, ...] = ()
     kernel_s: float = 0.0      # fused interior + boundary kernel time
-    barrier_s: float = 0.0     # pre-commit barrier wait
+    barrier_s: float = 0.0     # every barrier wait (phase + end-of-clause)
+    barrier_waits: int = 0     # physical barrier waits
     send_count: int = 0
     send_bytes: int = 0
     recv_count: int = 0
@@ -68,7 +78,8 @@ class RuntimeStats:
             f"worker {self.rank} (pid {self.pid}): "
             f"nodes {list(self.nodes)}  "
             f"kernel {self.kernel_s * 1e3:.2f} ms  "
-            f"barrier {self.barrier_s * 1e3:.2f} ms  "
+            f"barrier {self.barrier_s * 1e3:.2f} ms / "
+            f"{self.barrier_waits} wait(s)  "
             f"sent {self.send_count} msg / {self.send_bytes} B  "
             f"recv {self.recv_count} msg / {self.recv_bytes} B  "
             f"total {self.total_s * 1e3:.2f} ms"

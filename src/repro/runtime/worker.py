@@ -4,11 +4,11 @@
 transport, over the plan's own node kernels, through the same rows
 (:func:`repro.machine.fused._lane_row`) and entries: the pool workers
 below run it over :class:`QueueTransport` (global arrays in shared
-memory, one inbox queue per worker, the pool's ``mp.Barrier``), the MPI
-ranks of :mod:`repro.mpi.rank` over ``MpiTransport`` (private rank
-memories, ``Irecv``/``Isend``/``Waitall``), and the in-process ``fused``
-run over :class:`repro.machine.fused.LocalTransport` (every node on one
-rank, each in its own ``LocalMemory``).  Per clause:
+memory, one inbox queue per worker, the pool's shared-memory generation
+barrier), the MPI ranks of :mod:`repro.mpi.rank` over ``MpiTransport``
+(private rank memories, ``Irecv``/``Isend``/``Waitall``), and the
+in-process ``fused`` run over :class:`repro.machine.fused.LocalTransport`
+(every node on one rank, each in its own ``LocalMemory``).  Per clause:
 
 1. **gather**    — one lane row per read of each owned node: a view of
                    the array (or ghost frame) where every lane is resident
@@ -19,18 +19,26 @@ rank, each in its own ``LocalMemory``).  Per clause:
                    ``Irecv``s here, before anything is sent);
 3. **send**      — the send regions of pre-state, one message per
                    (read, peer), row-major = lexicographic lane order;
-4. **barrier**   — the pre-commit barrier: every send and row copy on
-                   every process happened against pre-state.  Every
-                   commit of clause *k* sits between pre-commit barrier
-                   *k* and *k+1* on every process, and clause *k*
-                   commits nothing but its write target — which is why
-                   the rows of every other array may stay views;
+4. **barrier**   — the pre-commit (phase) barrier: every send and row
+                   copy on every process happened against pre-state.
+                   Where :func:`repro.analysis.phase_barriers` proves no
+                   process can observe another's commit (no messages, no
+                   node reading another's writes of the target, the
+                   preceding boundary barriered) the wait is skipped —
+                   the §2.9 template's one wait per clause;
 5. **interior**  — the interior block commits through its write region
                    while messages are in flight;
 6. **drain**     — the transport delivers the expected messages into
                    their fill regions (of the row, or of the frame);
 7. **boundary**  — the remaining blocks commit; then the transport
-                   completes its sends.
+                   completes its sends;
+8. **end-barrier** — the end-of-clause barrier, where the clause keeps
+                   one.  Clause *k* commits nothing but its write target,
+                   and a global wait (a kept pre-commit one, or the
+                   end-of-clause one before or after) separates each of
+                   its commits from every other clause's reads on other
+                   processes — which is why the rows of every other
+                   array may stay views.
 
 Each worker owns a command pipe to the parent, one inbox queue (its end
 of the inter-node message fabric) and a slice of the pool's shared phase
@@ -63,11 +71,13 @@ from .stats import (
     PH_DELAY,
     PH_DONE,
     PH_DRAIN,
+    PH_END_BARRIER,
     PH_GATHER,
     PH_IDLE,
     PH_INSTALL,
     PH_INTERIOR,
     PH_SEND,
+    SLOTS,
     RuntimeStats,
     phase_of,
 )
@@ -98,7 +108,8 @@ class Installed:
         self.bufs: Dict[tuple, np.ndarray] = {}
 
 
-def run_sequence(insts, steps, swap, flags, memory, transport, counts=None):
+def run_sequence(insts, steps, swap, flags, phase, memory, transport,
+                 counts=None):
     """``steps`` iterations of the installed clause sequence *insts*,
     every clause in the order of the module docstring, against the
     arrays ``memory(node)`` returns for each node kernel — the global
@@ -106,18 +117,21 @@ def run_sequence(insts, steps, swap, flags, memory, transport, counts=None):
     frames in process; returns ``(RuntimeStats, counts)``, *counts*
     mapping each node to the ``NodeStats`` its counters went to.
 
-    Every process executes the same barrier sequence (one pre-commit
-    wait per clause, plus one end-of-clause wait where ``flags[k]`` keeps
-    the barrier), so barrier generations stay globally ordered.  The
-    end-of-clause barrier is skipped at fused boundaries — the fusion
-    certificate rules out cross-processor traffic there — and after the
-    very last clause of the very last step.  Buffer pairs in *swap* are
-    exchanged in each memory dict after every step (zero-copy; the
-    parent maps names back accordingly).  A single clause is the
-    sequence of one program with ``steps=1``.
+    Every process executes the same barrier sequence, so barrier
+    generations stay globally ordered: a pre-commit wait where
+    ``phase[k]`` keeps it, an end-of-clause wait where ``flags[k]``
+    does.  The end-of-clause barrier is skipped at fused boundaries —
+    the fusion certificate rules out cross-processor traffic there — and
+    after the very last clause of the very last step.  Every clause
+    counts one §2.9 barrier per node (``NodeStats.barriers``) whichever
+    waits it makes; ``RuntimeStats.barrier_waits`` counts the waits.
+    Buffer pairs in *swap* are exchanged in each memory dict after every
+    step (zero-copy; the parent maps names back accordingly).  A single
+    clause is the sequence of one program with ``steps=1``.
 
     *transport* supplies only ``post/send/barrier/drain/finish`` and
-    ``set_phase`` (progress reporting for crash attribution)."""
+    ``set_phase(phase, node, seq)`` (progress reporting for crash
+    attribution)."""
     t_start = time.perf_counter()
     nodes = sorted({nd.p for inst in insts for nd in inst.my_nodes})
     first = nodes[0] if nodes else -1
@@ -127,10 +141,12 @@ def run_sequence(insts, steps, swap, flags, memory, transport, counts=None):
         counts = {p: NodeStats() for p in nodes}
     set_phase = transport.set_phase
 
-    def barrier() -> None:
+    def barrier(ph: int, seq: int) -> None:
+        set_phase(ph, first, seq)
         t0 = time.perf_counter()
         transport.barrier(first)
         stats.barrier_s += time.perf_counter() - t0
+        stats.barrier_waits += 1
 
     def deliver(dst, into, fill, payload) -> None:
         fill.put(into, payload.reshape(fill.shape))
@@ -145,11 +161,12 @@ def run_sequence(insts, steps, swap, flags, memory, transport, counts=None):
     for step in range(steps):
         for k, inst in enumerate(insts):
             write, entry = inst.write_name, inst.entry
+            seq = step * nclauses + k
             # ---- gather: the lane rows; what they lack is expected -------
             work = []    # (node, its counters, its memory, its rows)
             expect = []  # (dst node, src node, read pos, buffer, fill)
             for node in inst.my_nodes:
-                set_phase(PH_GATHER, node.p)
+                set_phase(PH_GATHER, node.p, seq)
                 c = counts[node.p]
                 c.iterations += node.n
                 arrays = memory(node)
@@ -165,11 +182,11 @@ def run_sequence(insts, steps, swap, flags, memory, transport, counts=None):
                         expect += [(node.p, src, r.pos, into, fill)
                                    for src, fill in r.sources]
                 work.append((node, c, arrays, rows))
-            transport.post(step * nclauses + k, expect)
+            transport.post(seq, expect)
 
             # ---- send: pre-state payloads, one per (read, peer) ----------
             for node, c, arrays, _ in work:
-                set_phase(PH_SEND, node.p)
+                set_phase(PH_SEND, node.p, seq)
                 for s in node.sends:
                     c.iterations += s.count
                     for q, region in s.peers:
@@ -180,8 +197,9 @@ def run_sequence(insts, steps, swap, flags, memory, transport, counts=None):
                         stats.send_count += 1
                         stats.send_bytes += int(buf.nbytes)
 
-            # ---- pre-commit barrier --------------------------------------
-            barrier()
+            # ---- pre-commit barrier (where the clause keeps one) ---------
+            if phase[k]:
+                barrier(PH_BARRIER, seq)
             for _, c, _, _ in work:
                 c.barriers += 1
 
@@ -190,16 +208,16 @@ def run_sequence(insts, steps, swap, flags, memory, transport, counts=None):
             t0 = time.perf_counter()
             for node, c, arrays, rows in work:
                 if node.interior is not None:
-                    set_phase(PH_INTERIOR, node.p)
+                    set_phase(PH_INTERIOR, node.p, seq)
                     c.local_updates += int(entry(node.interior, rows,
                                                  arrays[write]))
             t1 = time.perf_counter()
-            set_phase(PH_DRAIN, first)
+            set_phase(PH_DRAIN, first, seq)
             transport.drain(deliver)
             t2 = time.perf_counter()
             for node, c, arrays, rows in work:
                 if node.blocks:
-                    set_phase(PH_BOUNDARY, node.p)
+                    set_phase(PH_BOUNDARY, node.p, seq)
                     for blk in node.blocks:
                         c.local_updates += int(entry(blk, rows,
                                                      arrays[write]))
@@ -207,12 +225,12 @@ def run_sequence(insts, steps, swap, flags, memory, transport, counts=None):
             transport.finish()
 
             if flags[k] and not (step == steps - 1 and k == nclauses - 1):
-                barrier()
+                barrier(PH_END_BARRIER, seq)
         for arrays in held.values():
             for a, b in swap:
                 arrays[a], arrays[b] = arrays[b], arrays[a]
 
-    set_phase(PH_DONE, first)
+    set_phase(PH_DONE, first, -1)
     stats.total_s = time.perf_counter() - t_start
     return stats, counts
 
@@ -220,21 +238,22 @@ def run_sequence(insts, steps, swap, flags, memory, transport, counts=None):
 class QueueTransport:
     """The pool's transport: payloads travel over one inbox queue per
     worker, matched by ``(dst node, src node, read pos)`` under a
-    ``(run id, clause seq)`` tag; the barrier is the pool's
-    ``mp.Barrier``; progress goes to the shared phase table.  One
-    instance lives as long as its worker; :meth:`start` arms it for a
-    run."""
+    ``(run id, clause seq)`` tag; the barrier is a generation count per
+    worker in the pool's shared *arrivals* array; progress goes to the
+    shared phase table.  One instance lives as long as its worker;
+    :meth:`start` arms it for a run."""
 
-    def __init__(self, rank, nprocs, inboxes, barrier, phase_table):
+    def __init__(self, rank, nprocs, inboxes, arrivals, phase_table):
         self.rank = rank
         self.nprocs = nprocs
         self.inboxes = inboxes
-        self.mp_barrier = barrier
+        self.arrivals = arrivals
         self.phase_table = phase_table
+        self.generation = 0  # barriers this worker has passed
 
-    def set_phase(self, idx: int, node: int = -1) -> None:
-        self.phase_table[2 * self.rank] = idx
-        self.phase_table[2 * self.rank + 1] = node
+    def set_phase(self, idx: int, node: int = -1, seq: int = -1) -> None:
+        base = SLOTS * self.rank
+        self.phase_table[base:base + SLOTS] = idx, node, seq
 
     def start(self, run_id, timeout: float) -> None:
         self.run_id = run_id
@@ -261,10 +280,10 @@ class QueueTransport:
         # Payload buffers are reused across steps of a pipelined loop
         # (and across runs): between two uses of the same (program,
         # node, read, peer) buffer sits at least one global pre-commit
-        # barrier that every worker only passes after the previous
-        # message was drained — i.e. fully pickled off this buffer by
-        # the queue's feeder thread — so depth-1 reuse can never corrupt
-        # an in-flight message.
+        # barrier (a sending program keeps every one) that every worker
+        # only passes after the previous message was drained — i.e.
+        # fully pickled off this buffer by the queue's feeder thread —
+        # so depth-1 reuse can never corrupt an in-flight message.
         buf = inst.bufs.get((p, pos, q))
         if buf is None:
             buf = inst.bufs[p, pos, q] = np.empty(values.shape)
@@ -273,8 +292,21 @@ class QueueTransport:
         return buf
 
     def barrier(self, node: int) -> None:
-        self.set_phase(PH_BARRIER, node)
-        self.mp_barrier.wait(self.remaining())
+        # publish this worker's arrival at the next generation, then
+        # yield the CPU until every worker has published it too; the
+        # array's lock is taken for both, a full memory barrier, so
+        # every commit made before the wait is visible after it
+        self.generation += 1
+        gen, lock = self.generation, self.arrivals.get_lock()
+        arrived = self.arrivals.get_obj()
+        with lock:
+            arrived[self.rank] = gen
+        while True:
+            with lock:
+                if min(arrived) >= gen:
+                    return
+            self.remaining()
+            os.sched_yield()
 
     def drain(self, deliver) -> None:
         missing, rid = self.missing, self.rid
@@ -326,22 +358,22 @@ def _attached(shm_spec, untrack, body):
                 pass
 
 
-def worker_main(rank, nprocs, conn, inboxes, barrier, phase_table,
+def worker_main(rank, nprocs, conn, inboxes, arrivals, phase_table,
                 untrack=False):
     """Entry point of one pool worker (runs until exit/EOF)."""
     plans: "OrderedDict[int, Installed]" = OrderedDict()
-    transport = QueueTransport(rank, nprocs, inboxes, barrier, phase_table)
+    transport = QueueTransport(rank, nprocs, inboxes, arrivals, phase_table)
     set_phase = transport.set_phase
 
-    def run(insts, steps, swap, flags, fault_delay, arrays):
+    def run(insts, steps, swap, flags, phase, fault_delay, arrays):
         if fault_delay is not None and fault_delay[0] == rank:
             # test hook: park this worker so crash/timeout paths are
             # deterministically exercisable
             set_phase(PH_DELAY, min((nd.p for inst in insts
                                      for nd in inst.my_nodes), default=-1))
             time.sleep(float(fault_delay[1]))
-        return run_sequence(insts, steps, swap, flags, lambda node: arrays,
-                            transport)
+        return run_sequence(insts, steps, swap, flags, phase,
+                            lambda node: arrays, transport)
 
     set_phase(PH_IDLE)
     while True:
@@ -363,7 +395,7 @@ def worker_main(rank, nprocs, conn, inboxes, barrier, phase_table,
                            traceback.format_exc()))
             set_phase(PH_IDLE)
         elif kind == "runseq":
-            (_, tokens, run_id, shm_spec, steps, swap, flags,
+            (_, tokens, run_id, shm_spec, steps, swap, flags, phase,
              timeout, fault_delay) = msg
             try:
                 insts = []
@@ -377,12 +409,13 @@ def worker_main(rank, nprocs, conn, inboxes, barrier, phase_table,
                 transport.start(run_id, timeout)
                 stats, counts = _attached(
                     shm_spec, untrack, lambda arrays: run(
-                        insts, steps, swap, flags, fault_delay, arrays))
+                        insts, steps, swap, flags, phase, fault_delay,
+                        arrays))
                 conn.send(("done", run_id, rank, stats, counts))
             except BaseException:
-                phase, node = phase_of(phase_table, rank)
+                name, node, _ = phase_of(phase_table, rank)
                 try:
-                    conn.send(("err", run_id, rank, phase, node,
+                    conn.send(("err", run_id, rank, name, node,
                                traceback.format_exc()))
                 except Exception:
                     return
