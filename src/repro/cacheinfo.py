@@ -27,8 +27,12 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
     text it holds), ``plan``, ``table1``, ``kernel`` (size-accounted:
     includes ``bytes``/``max_bytes``), ``program``, ``verify``, and
     ``singleflight`` (thread-level compile coalescing: ``leaders`` led
-    a pipeline execution, ``waits`` piggybacked on one in flight).
+    a pipeline execution, ``waits`` piggybacked on one in flight) and
+    ``shm`` (the mp runtime's arena: ``segments`` and their ``bytes``;
+    zeros when the runtime was never imported).
     """
+    import sys
+
     from .analysis import verify_cache_info
     from .frontend import parse_cache_info
     from .pipeline import (
@@ -39,6 +43,7 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
     )
     from .sets.table1 import table1_cache_info
 
+    shm = sys.modules.get("repro.runtime.shm")  # never import it to read it
     return {
         "parse": parse_cache_info(),
         "plan": plan_cache_info(),
@@ -47,6 +52,8 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
         "program": program_cache_info(),
         "verify": verify_cache_info(),
         "singleflight": compile_flight.info(),
+        "shm": shm.arena_info() if shm is not None
+        else {"segments": 0, "bytes": 0},
     }
 
 

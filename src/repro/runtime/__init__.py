@@ -12,7 +12,8 @@ Layers
 
 ``lowering``   plan IR -> :class:`MpProgram`: the install envelope
                around the plan's own node kernels (regions)
-``shm``        per-run shared-memory sessions + leak-proof unlinking
+``shm``        the pool-lifetime shared-memory arena + leak-proof
+               unlinking
 ``worker``     the worker main loop, and ``run_sequence`` — the one
                real-process schedule the MPI ranks run too
 ``pool``       persistent :class:`WorkerPool`, crash/timeout detection,
@@ -45,7 +46,7 @@ from .pool import (
     runtime_info,
     shutdown_runtime,
 )
-from .shm import ShmSession, active_segments
+from .shm import ShmArena, active_segments
 from .stats import RuntimeStats
 
 __all__ = [
@@ -54,7 +55,7 @@ __all__ = [
     "MpMachine",
     "MpProgram",
     "RuntimeStats",
-    "ShmSession",
+    "ShmArena",
     "WorkerCrashError",
     "WorkerPool",
     "active_segments",

@@ -9,7 +9,8 @@ dispatch branches of the code generators call.  Both:
   :mod:`repro.runtime.lowering` — a plan with no mp form raises
   :class:`~repro.runtime.lowering.MpLoweringError`, which the
   dispatchers catch to fall back to the in-process fused path;
-* back the global arrays with a per-run :class:`~repro.runtime.shm.ShmSession`
+* copy the global arrays into the pool-lifetime arena
+  (:data:`~repro.runtime.shm.ARENA`, its lock held for the whole run)
   and execute on the persistent pool;
 * aggregate the workers' per-node counters into the existing
   :class:`~repro.machine.stats.MachineStats` (counter-for-counter with
@@ -32,7 +33,7 @@ from ..machine.stats import MachineStats
 from ..pipeline.cache import _env_number
 from .lowering import MpLoweringError, lower_dist, lower_shared
 from .pool import DEFAULT_TIMEOUT, WorkerCrashError, get_pool
-from .shm import ShmSession
+from .shm import ARENA
 from .stats import RuntimeStats
 
 __all__ = ["MpMachine", "run_distributed_mp", "run_program_mp",
@@ -126,37 +127,39 @@ def _touched(progs, swap):
 def _drive(progs, flags, repeat: int, swap, genv, machine, pmax: int,
            strict: bool, processes, timeout, fault_delay) -> None:
     """Certify, then run ``repeat`` iterations of the lowered clause
-    sequence *progs* on the pool against ONE shared-memory session
-    backing the global arrays *genv*; copy every written (or swapped)
-    array back and fill *machine*'s counters.  A single clause is the
-    sequence of one program with ``repeat=1``."""
+    sequence *progs* on the pool against the arena holding the global
+    arrays *genv*; copy every written (or swapped) array back and fill
+    *machine*'s counters.  A failed run releases the arena before it
+    raises.  A single clause is the sequence of one program with
+    ``repeat=1``."""
     cert, phase = _certify(progs, strict, flags, repeat)
     names, changed = _touched(progs, swap)
     for name in names:
         if name not in genv:
             raise KeyError(f"environment is missing array {name!r}")
-    pool = get_pool(_nprocs(processes, pmax))
-    session = ShmSession({name: genv[name] for name in names})
-    try:
-        replies = pool.run_seq(progs, session.spec(), repeat, swap, flags,
-                               phase, timeout or DEFAULT_TIMEOUT,
-                               fault_delay)
-        # workers swap their name -> segment maps after every step, so
-        # after an odd number of steps a pair's contents sit swapped
-        mapping = {name: name for name in names}
-        if repeat % 2:
-            for a, b in swap:
-                mapping[a], mapping[b] = b, a
-        for name in changed:
-            np.copyto(genv[name], session.views[mapping[name]])
-        machine.runtime_stats = _fill_stats(machine.stats, replies)
-    except WorkerCrashError as err:
-        from ..analysis import cite_certificate
+    with ARENA.lock:
+        try:
+            pool = get_pool(_nprocs(processes, pmax))
+            spec = ARENA.load({name: genv[name] for name in names})
+            replies = pool.run_seq(progs, spec, repeat, swap, flags, phase,
+                                   timeout or DEFAULT_TIMEOUT, fault_delay)
+            # workers swap their name -> segment maps after every step,
+            # so after an odd number of steps a pair's contents sit
+            # swapped
+            mapping = {name: name for name in names}
+            if repeat % 2:
+                for a, b in swap:
+                    mapping[a], mapping[b] = b, a
+            for name in changed:
+                np.copyto(genv[name], ARENA.views[mapping[name]])
+            machine.runtime_stats = _fill_stats(machine.stats, replies)
+        except BaseException as err:
+            ARENA.close()
+            if isinstance(err, WorkerCrashError):
+                from ..analysis import cite_certificate
 
-        cite_certificate(err, cert)
-        raise
-    finally:
-        session.close()
+                cite_certificate(err, cert)
+            raise
 
 
 def run_shared_mp(
@@ -188,7 +191,7 @@ def run_program_mp(
     _fault_delay=None,
 ):
     """Execute a whole compiled program (``ProgramIR``) on the worker
-    pool: every clause lowered once, ONE shared-memory session across
+    pool: every clause lowered once, ONE load of the arena across
     all clauses and all ``repeat`` iterations, end-of-clause barriers
     only where the fusion pass kept them, pre-commit barriers only where
     :func:`~repro.analysis.phase_barriers` keeps them, and worker-side
@@ -198,7 +201,7 @@ def run_program_mp(
     mp form — a sequential clause, a clause without shared kernels, or an
     unpipelined time loop (a surviving redistribution boundary or an
     incompatible swap pair) — in which case the caller falls back to
-    driving clauses individually, one session per clause per step.
+    driving clauses individually, one run per clause per step.
     """
     for st in pir.steps:
         _check(st.ir, strict)

@@ -17,9 +17,9 @@ self-heals by respawning every worker; the next run reinstalls programs
 and proceeds normally.
 
 :func:`shutdown_runtime` — also registered ``atexit`` and invoked by
-``clear_plan_cache()`` — terminates every pool and unlinks any
-shared-memory segments still registered, so test runs never leak
-``/dev/shm`` entries or processes.
+``clear_plan_cache()`` and the SIGTERM handler — terminates every pool
+and releases the shared-memory arena the pools share, so test runs never
+leak ``/dev/shm`` entries or processes.
 """
 
 from __future__ import annotations
@@ -374,9 +374,10 @@ def get_pool(nprocs: int) -> WorkerPool:
 
 
 def shutdown_runtime() -> None:
-    """Terminate every worker pool and unlink any shared-memory segment
-    this process still has registered.  Safe to call repeatedly; also
-    runs atexit and from ``clear_plan_cache()``."""
+    """Terminate every worker pool, then release the shared-memory arena
+    and any other segment this process still has registered.  Safe to
+    call repeatedly; also runs atexit, from ``clear_plan_cache()`` and
+    on SIGTERM."""
     for pool in list(_POOLS.values()):
         try:
             pool.shutdown()

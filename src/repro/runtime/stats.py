@@ -1,8 +1,8 @@
 """Per-worker observability for the multi-process runtime.
 
 Each worker reports one :class:`RuntimeStats` record per run — wall-clock
-split into kernel and barrier time plus real bytes moved over the
-queues — alongside the per-node logical counters that feed the existing
+split into kernel and barrier time, real bytes moved over the queues and
+the minor page faults the run took — alongside the per-node logical counters that feed the existing
 :class:`~repro.machine.stats.MachineStats` machinery (so message/element
 parity with the in-process backends stays assertable).
 
@@ -69,6 +69,7 @@ class RuntimeStats:
     recv_count: int = 0
     recv_bytes: int = 0
     total_s: float = 0.0
+    minflt: int = 0            # minor page faults (mp workers: getrusage)
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -82,5 +83,6 @@ class RuntimeStats:
             f"{self.barrier_waits} wait(s)  "
             f"sent {self.send_count} msg / {self.send_bytes} B  "
             f"recv {self.recv_count} msg / {self.recv_bytes} B  "
-            f"total {self.total_s * 1e3:.2f} ms"
+            f"total {self.total_s * 1e3:.2f} ms  "
+            f"minflt {self.minflt}"
         )

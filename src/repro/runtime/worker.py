@@ -41,10 +41,11 @@ in-process ``fused`` run over :class:`repro.machine.fused.LocalTransport`
                    array may stay views.
 
 Each worker owns a command pipe to the parent, one inbox queue (its end
-of the inter-node message fabric) and a slice of the pool's shared phase
-table.  Installed programs are kept in a small LRU keyed by the
-program's token; the kernel source is ``exec``-compiled once per
-install, exactly like the fused backend does in-process.
+of the inter-node message fabric), a slice of the pool's shared phase
+table and its mappings of the parent's shared-memory arena, kept from
+run to run (:func:`_attached`).  Installed programs are kept in a small
+LRU keyed by the program's token; the kernel source is ``exec``-compiled
+once per install, exactly like the fused backend does in-process.
 
 Every blocking operation carries the remaining per-run timeout, so a
 worker never hangs: it reports a failure (with its phase) and the parent
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import os
 import queue as queue_mod
+import resource
 import time
 import traceback
 from collections import OrderedDict
@@ -64,7 +66,7 @@ import numpy as np
 
 from ..machine.fused import _lane_row, region_entry
 from ..machine.stats import NodeStats
-from .shm import attach_segment
+from .shm import ARENA, attach_segment
 from .stats import (
     PH_BARRIER,
     PH_BOUNDARY,
@@ -338,30 +340,39 @@ class QueueTransport:
         pass  # a queue put completes on its own
 
 
-def _attached(shm_spec, untrack, body):
-    """Attach the run's segments, call ``body(arrays)``, always detach."""
-    segs, arrays = {}, {}
-    try:
-        for name, (segname, shape) in shm_spec.items():
+def _attached(maps, shm_spec, untrack):
+    """The run's arrays over this worker's mappings *maps* (segment name
+    -> ``(segment, view)``, kept across runs): a segment the spec names
+    for the first time is attached, a mapping it no longer names is
+    closed.  A segment name is never reused, so a mapping never goes
+    stale while the spec names it."""
+    named = {segname for segname, _ in shm_spec.values()}
+    for segname in set(maps) - named:
+        seg = maps.pop(segname)[0]  # the view goes with the entry
+        try:
+            seg.close()
+        except Exception:
+            # a view pinned elsewhere keeps the mapping open; it goes
+            # when this worker exits
+            pass
+    for segname, shape in shm_spec.values():
+        if segname not in maps:
             seg = attach_segment(segname, untrack=untrack)
-            segs[name] = seg
-            arrays[name] = np.ndarray(shape, dtype=np.float64, buffer=seg.buf)
-        return body(arrays)
-    finally:
-        arrays.clear()
-        for seg in segs.values():
-            try:
-                seg.close()
-            except Exception:
-                # a traceback frame can pin a view on the error path;
-                # the fd is reclaimed when the pool respawns this worker
-                pass
+            maps[segname] = seg, np.ndarray(shape, dtype=np.float64,
+                                            buffer=seg.buf)
+    return {name: maps[segname][1]
+            for name, (segname, _) in shm_spec.items()}
 
 
 def worker_main(rank, nprocs, conn, inboxes, arrivals, phase_table,
                 untrack=False):
     """Entry point of one pool worker (runs until exit/EOF)."""
+    # a forked worker inherits the parent's arena; dropping it unmaps
+    # it here, so a segment the parent unlinks is not pinned for life
+    ARENA.views.clear()
+    ARENA.segs.clear()
     plans: "OrderedDict[int, Installed]" = OrderedDict()
+    maps: Dict[str, tuple] = {}
     transport = QueueTransport(rank, nprocs, inboxes, arrivals, phase_table)
     set_phase = transport.set_phase
 
@@ -406,11 +417,13 @@ def worker_main(rank, nprocs, conn, inboxes, arrivals, phase_table,
                             f"program {token} is not installed on "
                             f"worker {rank}")
                     insts.append(inst)
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 transport.start(run_id, timeout)
-                stats, counts = _attached(
-                    shm_spec, untrack, lambda arrays: run(
-                        insts, steps, swap, flags, phase, fault_delay,
-                        arrays))
+                stats, counts = run(insts, steps, swap, flags, phase,
+                                    fault_delay,
+                                    _attached(maps, shm_spec, untrack))
+                stats.minflt = (resource.getrusage(resource.RUSAGE_SELF)
+                                .ru_minflt - faults)
                 conn.send(("done", run_id, rank, stats, counts))
             except BaseException:
                 name, node, _ = phase_of(phase_table, rank)

@@ -10,12 +10,14 @@ registry surfaced through the CLI.
 
 import os
 import signal
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from benchmarks.ledger.stencils import e19_clause, grid2x2
 from repro import (
     Block,
     Clause,
@@ -32,6 +34,7 @@ from repro import (
     shutdown_runtime,
 )
 from repro.backends import UnknownBackendError, backend_names
+from repro.cacheinfo import cache_stats
 from repro.cli import main
 from repro.codegen.nddist import (
     collect_nd,
@@ -39,16 +42,21 @@ from repro.codegen.nddist import (
     run_distributed_nd,
 )
 from repro.core import AffineF, Bounds, Const, IdentityF
+from repro.core.clause import Program
 from repro.core.expr import BinOp
 from repro.decomp import GridDecomposition
 from repro.machine.fused import FusedStrictError
+from repro.machine.shared import SharedMachine
+from repro.pipeline import compile_program, run_program
 from repro.runtime import (
     active_segments,
     get_pool,
     run_distributed_mp,
+    run_program_mp,
     run_shared_mp,
     runtime_info,
 )
+from repro.runtime.shm import ARENA
 
 N, P = 48, 4
 
@@ -275,6 +283,115 @@ class TestDisposal:
         assert np.array_equal(m.collect("A"), ref)
 
 
+def e19_loop(n, steps):
+    grid = grid2x2(n)
+    return compile_program(Program([e19_clause(n)]), {"S": grid, "T": grid},
+                           repeat=steps, swap=(("S", "T"),))
+
+
+def e19_env(n, seed):
+    rng = np.random.default_rng(seed)
+    return {k: rng.random((n, n)) for k in "ST"}
+
+
+def run_e19_mp(pir, env, **kw):
+    machine, _ = run_program_mp(pir, SharedMachine(pir.pmax, copy_env(env)),
+                                processes=2, **kw)
+    return machine
+
+
+def assert_bits_match_fused(pir, env, got):
+    want, _ = run_program(pir, copy_env(env), backend="fused")
+    for name in "ST":
+        assert np.array_equal(got.env[name].view(np.uint64),
+                              want.env[name].view(np.uint64)), name
+
+
+def shm_files():
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {f for f in os.listdir("/dev/shm") if f.startswith("repro-mp-")}
+
+
+class TestArena:
+    """The pool-lifetime arena: a warm run reuses its segments and the
+    workers' mappings of them; only memory survives a run, never data."""
+
+    def test_warm_runs_see_their_own_inputs_in_the_same_segments(self):
+        specs = []
+        for seed, steps in enumerate((3, 4, 3)):
+            pir, env = e19_loop(64, steps), e19_env(64, seed)
+            assert_bits_match_fused(pir, env, run_e19_mp(pir, env))
+            specs.append(ARENA.spec())
+        assert specs[0] == specs[1] == specs[2]
+        assert cache_stats()["shm"] == {"segments": 2,
+                                        "bytes": 2 * 64 * 64 * 8}
+
+    def test_a_resized_array_gets_a_new_segment(self):
+        run_e19_mp(e19_loop(64, 2), e19_env(64, 0))
+        old = active_segments()
+        pir, env = e19_loop(96, 2), e19_env(96, 1)
+        assert_bits_match_fused(pir, env, run_e19_mp(pir, env))
+        assert len(active_segments()) == 2
+        assert not old & (active_segments() | shm_files())
+
+    def test_arrays_a_run_does_not_name_are_unlinked(self):
+        run_e19_mp(e19_loop(64, 2), e19_env(64, 0))
+        old = active_segments()
+        plan, env0 = stencil_plan(), env1d(4)
+        mm = run_shared(plan, copy_env(env0), backend="mp", processes=2)
+        ref = evaluate_clause(stencil_clause(), copy_env(env0))["A"]
+        assert np.array_equal(mm.env["A"], ref)
+        assert sorted(ARENA.views) == ["A", "B"]
+        assert not old & (active_segments() | shm_files())
+
+    def test_a_timed_out_run_releases_the_arena(self):
+        pir, env = e19_loop(64, 3), e19_env(64, 2)
+        run_e19_mp(pir, env)
+        with pytest.raises(WorkerCrashError):
+            run_e19_mp(pir, env, timeout=0.5, _fault_delay=(1, 8.0))
+        assert active_segments() == frozenset()
+        assert cache_stats()["shm"] == {"segments": 0, "bytes": 0}
+        assert_bits_match_fused(pir, env, run_e19_mp(pir, env))
+
+    def test_two_threads_queue_on_the_arena(self):
+        runs = [(e19_loop(64, 3), e19_env(64, 5)),
+                (e19_loop(96, 4), e19_env(96, 6))]
+        got, errors = {}, []
+
+        def body(k):
+            try:
+                for _ in range(3):
+                    got[k] = run_e19_mp(*runs[k])
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=body, args=(k,)) for k in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for k, (pir, env) in enumerate(runs):
+            assert_bits_match_fused(pir, env, got[k])
+
+    def test_warm_workers_fault_in_a_tenth_of_the_cold_pages(self):
+        pir, env = e19_loop(384, 100), e19_env(384, 0)
+        shutdown_runtime()
+        cold = run_e19_mp(pir, env).runtime_stats
+        warm = run_e19_mp(pir, env).runtime_stats
+        assert len(cold) == len(warm) == 2
+        for c, w in zip(cold, warm):
+            assert w.minflt * 10 <= c.minflt, (c.minflt, w.minflt)
+            assert f"minflt {w.minflt}" in w.describe()
+
+
 PROGRAM = """
 for i := 1 to n - 2 par do
     A[i] := B[i - 1] + B[i + 1];
@@ -324,6 +441,7 @@ class TestBackendRegistryCLI:
         assert "OK" in out
         assert "worker 0" in out
         assert "kernel" in out
+        assert "minflt" in out
 
     def test_cli_run_mp_shared(self, prog_file, capsys):
         rc = main(_run_args(prog_file, "--backend", "mp", "--shared",
