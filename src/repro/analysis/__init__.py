@@ -18,7 +18,7 @@ families):
 * :mod:`~repro.analysis.schedule` — static message matching and
   deadlock-freedom certification over the lowered mp schedule
 * :mod:`~repro.analysis.kernel_sanitizer` — generated-kernel audit
-  (index bounds, source whitelist, NaN parity, dead guards)
+  (index bounds, source whitelist, dead guards)
 
 Findings are :class:`Diagnostic` records with stable codes (catalogued
 in ``docs/analysis.md``), aggregated per clause into a

@@ -17,11 +17,9 @@ statically, per plan:
 ``KRN002``
     AST audit of the rendered kernel source.  It may only use the
     ``_i``/``_r`` vectors, whitelisted Python operators and the
-    element-wise ``_np`` calls the code generator emits.  Anything else —
-    an injected name, a builtin ``min``/``max`` (which would change NaN
-    semantics relative to ``np.minimum``/``np.maximum``), an import — is
-    an error.  The check also audits NaN parity: a clause using
-    ``min``/``max`` must route through ``_np.minimum``/``_np.maximum``.
+    element-wise ``_np`` calls of the operator table
+    (:data:`repro.core.expr.OPS`).  Anything else — an injected name, a
+    builtin call, an import — is an error.
 
 ``KRN003``
     A guard expression that references no data and is false on every
@@ -35,9 +33,10 @@ refuses RACE/COMM.
 from __future__ import annotations
 
 import ast
+import re
 from typing import List, Optional, Tuple
 
-from ..core.expr import BinOp, Ref, UnOp
+from ..core.expr import OPS, UNARY_OPS
 from .diagnostics import Diagnostic, Severity
 from .support import ENUM_BUDGET, range_count
 
@@ -45,9 +44,9 @@ __all__ = ["sanitize_kernels", "audit_kernel_source", "check_kernels_strict"]
 
 #: names the rendered kernel may reference
 _KERNEL_NAMES = {"_np", "_i", "_r", "_rhs", "_guard"}
-#: element-wise ``_np`` attributes the code generators emit
-_NP_ATTRS = {"minimum", "maximum", "logical_and", "logical_or",
-             "logical_not", "absolute"}
+#: element-wise ``_np`` attributes the operator table spells
+_NP_ATTRS = {name for op in (*OPS.values(), *UNARY_OPS.values())
+             for name in re.findall(r"_np\.(\w+)", op.np)}
 
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod)
 _CMPOPS = (ast.Gt, ast.GtE, ast.Lt, ast.LtE, ast.Eq, ast.NotEq)
@@ -116,40 +115,13 @@ def audit_kernel_source(source: str) -> List[str]:
     return problems
 
 
-def _ops_used(expr, out: set) -> set:
-    if isinstance(expr, BinOp):
-        out.add(expr.op)
-        _ops_used(expr.left, out)
-        _ops_used(expr.right, out)
-    elif isinstance(expr, UnOp):
-        out.add(expr.op)
-        _ops_used(expr.operand, out)
-    return out
-
-
 def _audit_sources(ir, kernels) -> List[Diagnostic]:
-    out: List[Diagnostic] = []
-    cname = ir.clause.name or "<anonymous>"
-    access = f"write:{kernels.write_name}"
-    for why in audit_kernel_source(kernels.source):
-        out.append(_diag(
-            "KRN002", f"kernel source rejected: {why}",
-            clause=cname, access=access,
-            hint="the rendered kernel escaped the code generator's "
-                 "whitelist; recompile the plan (clear_plan_cache)"))
-    # NaN parity: min/max must be the NaN-propagating NumPy forms
-    ops = _ops_used(ir.clause.rhs, set())
-    if ir.clause.guard is not None:
-        _ops_used(ir.clause.guard, ops)
-    for op, spelled in (("min", "_np.minimum"), ("max", "_np.maximum")):
-        if op in ops and spelled not in kernels.source:
-            out.append(_diag(
-                "KRN002",
-                f"NaN-semantics parity broken: clause uses {op!r} but the "
-                f"kernel source does not spell it {spelled} (builtin "
-                "min/max does not propagate NaN)",
-                clause=cname, access=access))
-    return out
+    return [_diag("KRN002", f"kernel source rejected: {why}",
+                  clause=ir.clause.name or "<anonymous>",
+                  access=f"write:{kernels.write_name}",
+                  hint="the rendered kernel escaped the code generator's "
+                       "whitelist; recompile the plan (clear_plan_cache)")
+            for why in audit_kernel_source(kernels.source)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +229,9 @@ def _check_bounds(ir, flavor: str, nodes) -> List[Diagnostic]:
 # KRN003: dead guards
 # ---------------------------------------------------------------------------
 
-def _has_refs(expr) -> bool:
-    if isinstance(expr, Ref):
-        return True
-    if isinstance(expr, BinOp):
-        return _has_refs(expr.left) or _has_refs(expr.right)
-    if isinstance(expr, UnOp):
-        return _has_refs(expr.operand)
-    return False
-
-
 def _check_guard(ir) -> List[Diagnostic]:
     guard = ir.clause.guard
-    if guard is None or _has_refs(guard):
+    if guard is None or next(guard.refs(), None) is not None:
         return []  # data-dependent guards are not statically decidable
     bounds = list(ir.loop_bounds)
     total = 1

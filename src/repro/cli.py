@@ -38,7 +38,7 @@ from .backends import (
     validate_backend,
 )
 from .codegen import compile_clause, emit_distributed_source, run_distributed
-from .core import copy_env, evaluate_program
+from .core import copy_env, evaluate_program, matches_reference
 from .core.rewrite import derive_spmd
 from .decomp import Block, BlockScatter, Decomposition, Replicated, Scatter, SingleOwner
 from .frontend import TranslateError, translate_source
@@ -465,7 +465,7 @@ def cmd_run(args) -> int:
         ok = True
         names = {c.lhs.name for c in program} | {n for pr in swap for n in pr}
         for name in sorted(names):
-            good = np.allclose(machine.env[name], ref[name])
+            good = matches_reference(machine.env[name], ref[name])
             ok &= good
             print(f"array {name}: {'OK' if good else 'MISMATCH'}")
         tail = f" over {steps} step(s)" if steps > 1 else ""
@@ -493,7 +493,7 @@ def cmd_run(args) -> int:
             return 3
         result = machine.collect(plan.write_name)
         env0[plan.write_name] = result  # thread state between clauses
-        good = np.allclose(result, ref[plan.write_name])
+        good = matches_reference(result, ref[plan.write_name])
         ok &= good
         s = machine.stats
         print(f"clause {clause.name}: {'OK' if good else 'MISMATCH'}  "

@@ -6,16 +6,17 @@ Three small compilers used by the node-program emitter:
 * :func:`proc_src` / :func:`local_src` — a decomposition's placement
   functions applied to a value expression (inlined per decomposition kind,
   exactly the formulas of Fig. 2);
-* :func:`expr_src`    — element-wise expression trees to Python, with data
-  references resolved through a caller-supplied renderer (local array
-  subscript in shared-memory code, fetched temp in distributed code).
+* :func:`expr_src`    — element-wise expression trees to Python or NumPy
+  source, with data references resolved through a caller-supplied
+  renderer (local array subscript in shared-memory code, fetched temp in
+  distributed code, lane vector in a fused kernel).
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from ..core.expr import BinOp, Const, Expr, LoopIndex, Ref, UnOp
+from ..core.expr import OPS, UNARY_OPS, BinOp, Const, Expr, LoopIndex, Ref, UnOp
 from ..core.ifunc import AffineF, ComposedF, ConstantF, IFunc, ModularF
 from ..decomp.base import Decomposition
 from ..decomp.block import Block
@@ -85,50 +86,36 @@ def local_src(d: Decomposition, value: str) -> str:
     raise CodegenError(f"no local() source for {type(d).__name__}")
 
 
-_BINOP_PY = {
-    "+": "+", "-": "-", "*": "*", "/": "/", "div": "//", "mod": "%",
-    ">": ">", ">=": ">=", "<": "<", "<=": "<=", "=": "==", "!=": "!=",
-    "and": "and", "or": "or",
-}
+def _loop_var(dim: int) -> str:
+    return "i" if dim == 0 else f"i{dim}"
 
 
 def expr_src(
-    expr: Expr, ref_render: Callable[[Ref], str], var: str = "i"
+    expr: Expr,
+    ref_render: Callable[[Ref], str],
+    index_render: Callable[[int], str] = _loop_var,
+    spelling: str = "py",
 ) -> str:
-    """Python source for an expression tree.
+    """Source for an expression tree, every operator spelled from
+    :data:`~repro.core.expr.OPS`: its ``spelling`` column, ``"py"`` for
+    the emitted SPMD source (scalars) or ``"np"`` for the fused kernels
+    (ndarrays).
 
     *ref_render* maps each data reference to its source form — e.g.
-    ``lambda r: f"B_loc[{...}]"`` or a fetched temp name.
+    ``lambda r: f"B_loc[{...}]"`` or a fetched temp name — and
+    *index_render* loop dimension *d* to the loop index's.
     """
     if isinstance(expr, Const):
         return repr(expr.value)
     if isinstance(expr, LoopIndex):
-        return var if expr.dim == 0 else f"{var}{expr.dim}"
+        return index_render(expr.dim)
     if isinstance(expr, Ref):
         return ref_render(expr)
     if isinstance(expr, BinOp):
-        left = expr_src(expr.left, ref_render, var)
-        right = expr_src(expr.right, ref_render, var)
-        if expr.op in ("min", "max"):  # core.expr's, bound at exec time
-            return f"_{expr.op}imum({left}, {right})"
-        return f"({left} {_BINOP_PY[expr.op]} {right})"
+        return getattr(OPS[expr.op], spelling).format(
+            expr_src(expr.left, ref_render, index_render, spelling),
+            expr_src(expr.right, ref_render, index_render, spelling))
     if isinstance(expr, UnOp):
-        inner = expr_src(expr.operand, ref_render, var)
-        if expr.op == "abs":
-            return f"abs({inner})"
-        if expr.op == "not":
-            return f"(not {inner})"
-        return f"(-{inner})"
+        return getattr(UNARY_OPS[expr.op], spelling).format(
+            expr_src(expr.operand, ref_render, index_render, spelling))
     raise CodegenError(f"cannot render expression node {type(expr).__name__}")
-
-
-#: operators whose scalar Python spelling (the min/max helpers, the
-#: short-circuit and/or/not) does not broadcast over ndarrays — the fused
-#: kernel source (:mod:`repro.pipeline.kernels`) uses the element-wise
-#: NumPy counterparts instead.
-_VEC_CALLS = {
-    "min": "_np.minimum",
-    "max": "_np.maximum",
-    "and": "_np.logical_and",
-    "or": "_np.logical_or",
-}

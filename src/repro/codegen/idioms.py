@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..core.clause import Clause, Ordering
-from ..core.expr import BinOp, Expr, Ref
+from ..core.expr import REDUCIBLE, BinOp, Expr, Ref
 from ..core.ifunc import ConstantF
 from ..decomp.base import Decomposition
 from ..machine.distributed import DistributedMachine
@@ -32,8 +32,6 @@ from .reduction import compile_reduce, run_reduce
 
 __all__ = ["RecognizedReduction", "recognize_reduction",
            "run_clause_or_reduction"]
-
-_REDUCIBLE = {"+", "*", "min", "max"}
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ def recognize_reduction(clause: Clause) -> Optional[RecognizedReduction]:
     if not isinstance(wf, ConstantF):
         return None
     rhs = clause.rhs
-    if not isinstance(rhs, BinOp) or rhs.op not in _REDUCIBLE:
+    if not isinstance(rhs, BinOp) or rhs.op not in REDUCIBLE:
         return None
     # one operand must be the accumulator read, the other the body
     for acc_side, body in ((rhs.left, rhs.right), (rhs.right, rhs.left)):

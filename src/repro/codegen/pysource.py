@@ -226,9 +226,9 @@ def emit_shared_source(plan: PlanIR) -> str:
 
 
 def _exec_source(source: str, entry: str):
-    # min / max as the evaluator computes them (NumPy's NaN and tie rule)
-    namespace: Dict[str, object] = {"_minimum": OPS["min"],
-                                    "_maximum": OPS["max"]}
+    # the operators the source calls by name, as the evaluator computes them
+    namespace: Dict[str, object] = {
+        op.fn.__name__: op.fn for op in OPS.values() if op.py.startswith("_")}
     full = SUPPORT_HELPERS + "\n\n" + source
     code = compile(full, f"<generated {entry}>", "exec")
     exec(code, namespace)  # noqa: S102 - generated by us, from our own AST

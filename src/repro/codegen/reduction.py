@@ -29,7 +29,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..core.clause import Clause, Ordering
-from ..core.expr import OPS, Expr, Ref, eval_fetched
+from ..core.expr import OPS, REDUCIBLE, Expr, Ref, eval_fetched
 from ..core.ifunc import AffineF
 from ..core.indexset import IndexSet
 from ..decomp.base import Decomposition
@@ -41,13 +41,6 @@ from .plan import compile_clause
 __all__ = ["ReduceOp", "ReducePlan", "compile_reduce", "run_reduce",
            "reference_reduce"]
 
-_OPS = {
-    "+": (lambda a, b: a + b, 0.0),
-    "*": (lambda a, b: a * b, 1.0),
-    "min": (OPS["min"], float("inf")),
-    "max": (OPS["max"], float("-inf")),
-}
-
 
 @dataclass(frozen=True)
 class ReduceOp:
@@ -56,19 +49,19 @@ class ReduceOp:
     name: str
 
     def __post_init__(self):
-        if self.name not in _OPS:
+        if self.name not in REDUCIBLE:
             raise ValueError(
                 f"unsupported reduction op {self.name!r}; "
-                f"choose from {sorted(_OPS)}"
+                f"choose from {sorted(REDUCIBLE)}"
             )
 
     @property
     def fn(self):
-        return _OPS[self.name][0]
+        return OPS[self.name].fn
 
     @property
     def identity(self) -> float:
-        return _OPS[self.name][1]
+        return OPS[self.name].identity
 
 
 @dataclass

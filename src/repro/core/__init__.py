@@ -7,6 +7,7 @@ from .evaluator import (
     copy_env,
     evaluate_clause,
     evaluate_program,
+    matches_reference,
 )
 from .expr import BinOp, Const, Expr, LoopIndex, Ref, UnOp
 from .ifunc import (
@@ -66,6 +67,7 @@ __all__ = [
     "PAR",
     "evaluate_clause",
     "evaluate_program",
+    "matches_reference",
     "copy_env",
     "WriteConflictError",
 ]

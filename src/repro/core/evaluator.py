@@ -20,7 +20,8 @@ import numpy as np
 
 from .clause import Clause, Ordering, Program
 
-__all__ = ["evaluate_clause", "evaluate_program", "copy_env", "WriteConflictError"]
+__all__ = ["evaluate_clause", "evaluate_program", "copy_env", "matches_reference",
+           "WriteConflictError"]
 
 Env = Dict[str, np.ndarray]
 
@@ -32,6 +33,13 @@ class WriteConflictError(RuntimeError):
 def copy_env(env: Env) -> Env:
     """Deep-copy an environment of numpy arrays."""
     return {k: np.array(v, copy=True) for k, v in env.items()}
+
+
+def matches_reference(got, ref) -> bool:
+    """A run's verdict: bit-identity to the evaluator up to NaN payloads
+    and the sign of zero (every tier computes an operator the same way,
+    so a tolerance would only hide a disagreement)."""
+    return bool(np.array_equal(got, ref, equal_nan=True))
 
 
 def _store(arr: np.ndarray, idx: Tuple[int, ...], value) -> None:

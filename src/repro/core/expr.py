@@ -14,8 +14,11 @@ Expressions also serve as guards (predicates on data values, e.g.
 
 from __future__ import annotations
 
+import math
 import operator
-from typing import Callable, Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Mapping, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .view import IndexMap, SeparableMap
 
@@ -26,7 +29,9 @@ __all__ = [
     "Ref",
     "BinOp",
     "UnOp",
+    "Op",
     "OPS",
+    "REDUCIBLE",
     "UNARY_OPS",
     "eval_fetched",
 ]
@@ -35,41 +40,96 @@ Index = Tuple[int, ...]
 Env = Mapping[str, "object"]  # name -> numpy array (or nested sequence)
 
 
+class Op(NamedTuple):
+    """One element-wise operator: how every tier computes and spells it.
+
+    ``fn`` computes it on scalars (the evaluator, the scalar templates and
+    the emitted SPMD source, which calls it by name when ``py`` does);
+    ``py`` and ``np`` are the source templates of the emitted SPMD
+    source and of the fused NumPy kernels; ``identity`` is set on the
+    reducible ops.
+    """
+
+    fn: Callable
+    py: str
+    np: str
+    identity: Optional[float] = None
+
+
+def _infix(fn: Callable, sym: str, identity: Optional[float] = None) -> Op:
+    src = f"({{}} {sym} {{}})"
+    return Op(fn, src, src, identity)
+
+
+def _call(fn: Callable, np_src: str, identity: Optional[float] = None) -> Op:
+    return Op(fn, fn.__name__ + "({}, {})", np_src, identity)
+
+
+# Every op follows NumPy's rule on scalars: a NaN operand of min/max
+# wins and a tie is the second operand (Python's min/max keep the first
+# and drop a NaN that comes second); and/or/not give booleans; a zero
+# divisor gives NumPy's inf, NaN or 0 (Python raises).  The operator
+# callables of + - * and the comparisons already give NumPy's bits.
+
 def _minimum(a, b):
-    """``np.minimum`` on scalars, every tier's rule: a NaN operand wins, a
-    tie is the second operand (Python's ``min`` keeps the first one and
-    drops a NaN that comes second)."""
     return a if a < b or a != a else b
 
 
 def _maximum(a, b):
-    """``np.maximum`` on two scalars (see :func:`_minimum`)."""
     return a if a > b or a != a else b
 
 
-OPS: Dict[str, Callable] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "div": operator.floordiv,
-    "mod": operator.mod,
-    "min": _minimum,
-    "max": _maximum,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "<": operator.lt,
-    "<=": operator.le,
-    "=": operator.eq,
-    "!=": operator.ne,
-    "and": lambda a, b: bool(a) and bool(b),
-    "or": lambda a, b: bool(a) or bool(b),
+def _logical_and(a, b):
+    return bool(a) and bool(b)
+
+
+def _logical_or(a, b):
+    return bool(a) or bool(b)
+
+
+def _by_zero(ufunc, a, b):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ufunc(a, b)
+
+
+def _true_divide(a, b):
+    return a / b if b else _by_zero(np.true_divide, a, b)
+
+
+def _floor_divide(a, b):
+    return a // b if b else _by_zero(np.floor_divide, a, b)
+
+
+def _remainder(a, b):
+    return a % b if b else _by_zero(np.remainder, a, b)
+
+
+OPS: Dict[str, Op] = {
+    "+": _infix(operator.add, "+", 0.0),
+    "-": _infix(operator.sub, "-"),
+    "*": _infix(operator.mul, "*", 1.0),
+    "/": _call(_true_divide, "({} / {})"),
+    "div": _call(_floor_divide, "({} // {})"),
+    "mod": _call(_remainder, "({} % {})"),
+    "min": _call(_minimum, "_np.minimum({}, {})", math.inf),
+    "max": _call(_maximum, "_np.maximum({}, {})", -math.inf),
+    ">": _infix(operator.gt, ">"),
+    ">=": _infix(operator.ge, ">="),
+    "<": _infix(operator.lt, "<"),
+    "<=": _infix(operator.le, "<="),
+    "=": _infix(operator.eq, "=="),
+    "!=": _infix(operator.ne, "!="),
+    "and": _call(_logical_and, "_np.logical_and({}, {})"),
+    "or": _call(_logical_or, "_np.logical_or({}, {})"),
 }
 
-UNARY_OPS: Dict[str, Callable] = {
-    "-": operator.neg,
-    "not": operator.not_,
-    "abs": abs,
+#: the associative-commutative ops a reduction folds with
+REDUCIBLE = frozenset(k for k, op in OPS.items() if op.identity is not None)
+
+UNARY_OPS: Dict[str, Op] = {
+    "-": Op(operator.neg, "(-{})", "(-{})"),
+    "not": Op(operator.not_, "(not {})", "_np.logical_not({})"),
+    "abs": Op(abs, "abs({})", "_np.absolute({})"),
 }
 
 
@@ -201,7 +261,8 @@ class BinOp(Expr):
         self.right = right
 
     def eval(self, idx: Index, env: Env):
-        return OPS[self.op](self.left.eval(idx, env), self.right.eval(idx, env))
+        return OPS[self.op].fn(self.left.eval(idx, env),
+                               self.right.eval(idx, env))
 
     def refs(self) -> Iterator["Ref"]:
         yield from self.left.refs()
@@ -223,7 +284,7 @@ class UnOp(Expr):
         self.operand = operand
 
     def eval(self, idx: Index, env: Env):
-        return UNARY_OPS[self.op](self.operand.eval(idx, env))
+        return UNARY_OPS[self.op].fn(self.operand.eval(idx, env))
 
     def refs(self) -> Iterator["Ref"]:
         yield from self.operand.refs()
@@ -244,10 +305,10 @@ def eval_fetched(expr, idx: Index, by_ref: Dict[int, float]):
     if isinstance(expr, LoopIndex):
         return idx[expr.dim]
     if isinstance(expr, BinOp):
-        return OPS[expr.op](
+        return OPS[expr.op].fn(
             eval_fetched(expr.left, idx, by_ref),
             eval_fetched(expr.right, idx, by_ref),
         )
     if isinstance(expr, UnOp):
-        return UNARY_OPS[expr.op](eval_fetched(expr.operand, idx, by_ref))
+        return UNARY_OPS[expr.op].fn(eval_fetched(expr.operand, idx, by_ref))
     raise TypeError(f"cannot evaluate expression node {type(expr).__name__}")

@@ -49,7 +49,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.clause import Ordering
-from ..core.expr import BinOp, Const, LoopIndex, Ref, UnOp
 from .cache import _env_number, plan_key
 from .region import Region, compose, image, klen, locate, meet, minus, \
     overhang, prog
@@ -76,46 +75,30 @@ class KernelBuildError(ValueError):
 # fused expression codegen
 # ---------------------------------------------------------------------------
 
-def _render(expr, posmap: Dict[int, int], used: set) -> str:
-    """ndarray-safe source for an expression tree: loop index *d* is the
-    vector ``_i[d]`` (recorded in *used*), read at position *p* is the
-    value vector ``_r[p]``."""
-    from ..codegen.exprsrc import _BINOP_PY, _VEC_CALLS
-
-    if isinstance(expr, Const):
-        return repr(expr.value)
-    if isinstance(expr, LoopIndex):
-        used.add(expr.dim)
-        return f"_i[{expr.dim}]"
-    if isinstance(expr, Ref):
-        return f"_r[{posmap[id(expr)]}]"
-    if isinstance(expr, BinOp):
-        left = _render(expr.left, posmap, used)
-        right = _render(expr.right, posmap, used)
-        if expr.op in _VEC_CALLS:
-            return f"{_VEC_CALLS[expr.op]}({left}, {right})"
-        return f"({left} {_BINOP_PY[expr.op]} {right})"
-    if isinstance(expr, UnOp):
-        inner = _render(expr.operand, posmap, used)
-        if expr.op == "abs":
-            return f"_np.absolute({inner})"
-        if expr.op == "not":
-            return f"_np.logical_not({inner})"
-        return f"(-{inner})"
-    raise KernelBuildError(
-        f"no closed-form source for expression node {type(expr).__name__}"
-    )
-
-
 def _emit_source(clause) -> Tuple[str, Callable, Optional[Callable], set]:
     """Generate, compile and return ``(source, rhs_fn, guard_fn, loop
     dims the source reads)``.
 
     The body becomes one fused NumPy expression over the node's index
     vectors ``_i`` and pre-gathered read value vectors ``_r`` — no tree
-    walk survives into the run."""
+    walk survives into the run.  Loop index *d* is the vector ``_i[d]``
+    (recorded in ``used``), read at position *p* the value vector
+    ``_r[p]``."""
+    from ..codegen.exprsrc import CodegenError, expr_src
+
     posmap = {id(ref): pos for pos, ref in enumerate(clause.reads())}
     used: set = set()
+
+    def index(dim: int) -> str:
+        used.add(dim)
+        return f"_i[{dim}]"
+
+    try:
+        rhs, guard = (None if e is None else expr_src(
+            e, lambda r: f"_r[{posmap[id(r)]}]", index, "np")
+            for e in (clause.rhs, clause.guard))
+    except CodegenError as e:
+        raise KernelBuildError(str(e)) from None
     lines = [
         f"# fused kernel for clause {clause.name!r}",
         f"#   {clause!r}",
@@ -123,14 +106,10 @@ def _emit_source(clause) -> Tuple[str, Callable, Optional[Callable], set]:
         "# _r[k]: lane values of read k (memory view / received message)",
         "",
         "def _rhs(_i, _r):",
-        f"    return {_render(clause.rhs, posmap, used)}",
+        f"    return {rhs}",
     ]
-    if clause.guard is not None:
-        lines += [
-            "",
-            "def _guard(_i, _r):",
-            f"    return {_render(clause.guard, posmap, used)}",
-        ]
+    if guard is not None:
+        lines += ["", "def _guard(_i, _r):", f"    return {guard}"]
     source = "\n".join(lines) + "\n"
     ns: Dict[str, object] = {"_np": np}
     exec(compile(source, "<fused-kernel>", "exec"), ns)  # noqa: S102

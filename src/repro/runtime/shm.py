@@ -35,7 +35,6 @@ import numpy as np
 __all__ = [
     "ARENA",
     "ShmArena",
-    "ShmSession",
     "active_segments",
     "arena_info",
     "attach_segment",
@@ -138,9 +137,6 @@ class ShmArena:
         for name in list(self.segs):
             self._drop(name)
 
-
-#: ``ShmSession(arrays)``: an arena of a caller's own, loaded once
-ShmSession = ShmArena
 
 #: the runtime's one arena, shared by every pool
 ARENA = ShmArena()

@@ -453,7 +453,7 @@ class ReproService:
 
     def _execute(self, req, p: _Parsed, env0) -> Dict[str, Any]:
         from ..codegen import compile_clause, run_distributed
-        from ..core import copy_env, evaluate_program
+        from ..core import copy_env, evaluate_program, matches_reference
 
         strict = bool(req.get("strict", False))
         processes = req.get("processes")
@@ -473,7 +473,7 @@ class ReproService:
                 processes=processes, timeout=timeout)
             names = sorted({c.lhs.name for c in p.clauses}
                            | {n for pr in p.swap for n in pr})
-            match = all(np.allclose(machine.env[name], ref[name])
+            match = all(matches_reference(machine.env[name], ref[name])
                         for name in names)
             return {
                 "mode": "shared",
@@ -501,7 +501,7 @@ class ReproService:
                                       timeout=timeout)
             result = machine.collect(plan.write_name)
             env[plan.write_name] = result
-            good = bool(np.allclose(result, ref[plan.write_name]))
+            good = matches_reference(result, ref[plan.write_name])
             match &= good
             s = self._machine_stats(machine)
             stats_total = s if stats_total is None else {

@@ -289,3 +289,50 @@ class TestSharedProgramMode:
         ])
         assert rc == 0
         assert "2 barrier(s)" in capsys.readouterr().out
+
+
+class TestRunVerdict:
+    """``run`` judges a result by exact equality, NaNs equal: every tier
+    computes an operator the way the evaluator does, so a tolerance
+    could only hide a disagreement."""
+
+    ARRAYS = ["--pmax", "2", "--array", "A=block:8", "--array", "B=block:8"]
+
+    def run(self, tmp_path, rhs, *extra):
+        f = tmp_path / "p.pal"
+        f.write_text(f"for i := 0 to 7 par do A[i] := {rhs}; od\n")
+        return main(["run", str(f), *self.ARRAYS, *extra])
+
+    @pytest.mark.parametrize("mode", [[], ["--shared"]],
+                             ids=["distributed", "shared"])
+    @pytest.mark.parametrize("backend", ["scalar", "fused", "mp"])
+    def test_bit_identical_nan_result_is_ok(self, tmp_path, capsys,
+                                            backend, mode):
+        rc = self.run(tmp_path, "(B[i] - B[i]) / 0", "--backend", backend,
+                      *mode)
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "OK" in out and "MISMATCH" not in out
+
+    @pytest.mark.parametrize("backend", ["scalar", "fused", "mp"])
+    def test_zero_divisor_runs(self, tmp_path, capsys, backend):
+        rc = self.run(tmp_path, "1 div (i - 3)", "--backend", backend,
+                      "--show")
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "A = [-1. -1. -1.  0.  1.  0.  0.  0.]" in out
+
+    def test_one_ulp_is_a_mismatch(self, tmp_path, capsys, monkeypatch):
+        import repro.cli as cli
+
+        evaluate = cli.evaluate_program
+
+        def nudged(program, env):
+            out = evaluate(program, env)
+            out["A"][5] = np.nextafter(out["A"][5], np.inf)
+            return out
+
+        monkeypatch.setattr(cli, "evaluate_program", nudged)
+        rc = self.run(tmp_path, "B[i] * 3")
+        assert rc == 1
+        assert "MISMATCH" in capsys.readouterr().out

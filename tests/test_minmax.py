@@ -1,13 +1,18 @@
-"""``min``/``max`` follow NumPy's rule on every tier, bit for bit.
+"""Every operator follows NumPy's rule on every tier, bit for bit.
 
-The kernels compute ``np.minimum``/``np.maximum``: a NaN operand wins
-and a tie is the second operand (``np.minimum(0.0, -0.0)`` is ``-0.0``).
-Python's ``min``/``max`` keep the first operand of a tie and drop a NaN
-that comes second, so a scalar path spelled with them disagrees with the
-kernels silently — ``np.array_equal`` cannot see a signed-zero
-difference and never calls two NaNs equal.  Every operand pair over
-{NaN, ±inf, ±0, 5e-324, ±1}, in both argument orders, is compared here
-by its bit pattern on every tier that evaluates the clause.
+The kernels compute each operator with its NumPy spelling, so NumPy's
+rule is the one every tier follows (``core/expr.OPS``): a NaN operand of
+``min``/``max`` wins and a tie is the second operand
+(``np.minimum(0.0, -0.0)`` is ``-0.0``); ``and``/``or``/``not`` give
+booleans; a zero divisor in ``/``, ``div`` and ``mod`` gives NumPy's
+inf, NaN or 0.  Python's own ``min``/``max`` keep the first operand of a
+tie and drop a NaN that comes second, its ``and`` returns an operand and
+its division raises, so a scalar path spelled with them disagrees with
+the kernels — and ``np.array_equal`` cannot see a signed-zero difference
+and never calls two NaNs equal.  Every op of the table is compared here
+by its bit pattern on every tier that evaluates a clause: every operand
+pair over {NaN, ±inf, ±0, 5e-324, ±1, 3, -2.5} in both orders, and
+Python-scalar operands (``1 div (i - 3)``) for the divisions.
 """
 
 import itertools
@@ -21,21 +26,38 @@ from repro.codegen.shared_tmpl import run_shared
 from repro.core import (
     BinOp,
     Clause,
+    Const,
     IdentityF,
     IndexSet,
+    LoopIndex,
     Ref,
     SeparableMap,
+    UnOp,
     copy_env,
     evaluate_clause,
 )
-from repro.core.expr import OPS
+from repro.core.expr import OPS, UNARY_OPS
 from repro.decomp import Block, Scatter
 from repro.machine import DistributedMachine, SharedMachine
 
-VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.0, -1.0]
+VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.0, -1.0, 3.0, -2.5]
 PAIRS = list(itertools.product(VALUES, repeat=2))  # both orders
 N = len(PAIRS)
-NUMPY = {"min": np.minimum, "max": np.maximum}
+LANES = np.arange(N)
+
+#: the oracle, independent of the table: each op's NumPy ufunc
+BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply,
+          "/": np.true_divide, "div": np.floor_divide, "mod": np.remainder,
+          "min": np.minimum, "max": np.maximum,
+          ">": np.greater, ">=": np.greater_equal, "<": np.less,
+          "<=": np.less_equal, "=": np.equal, "!=": np.not_equal,
+          "and": np.logical_and, "or": np.logical_or}
+UNARY = {"-": np.negative, "not": np.logical_not, "abs": np.absolute}
+#: unary cases by id ("-" is also a binary op)
+UNARY_CASES = {"neg": "-", "not": "not", "abs": "abs"}
+#: Python-int operands: the divisor is 0 at i = 3
+SCALAR_CASES = {f"1 {op} (i - 3)": op for op in ("/", "div", "mod")}
+CASES = [*BINARY, *UNARY_CASES, *SCALAR_CASES]
 
 
 def bits(a) -> np.ndarray:
@@ -52,26 +74,57 @@ def ref(name: str) -> Ref:
     return Ref(name, SeparableMap([IdentityF()]))
 
 
-def clause(op: str) -> Clause:
-    return Clause(IndexSet.range1d(0, N - 1), ref("A"),
-                  BinOp(op, ref("B"), ref("C")), name=op)
+def rhs(case: str):
+    if case in UNARY_CASES:
+        return UnOp(UNARY_CASES[case], ref("B"))
+    if case in SCALAR_CASES:
+        return BinOp(SCALAR_CASES[case], Const(1),
+                     BinOp("-", LoopIndex(0), Const(3)))
+    return BinOp(case, ref("B"), ref("C"))
+
+
+def clause(case: str) -> Clause:
+    return Clause(IndexSet.range1d(0, N - 1), ref("A"), rhs(case),
+                  name=case)
+
+
+def operands(case: str) -> tuple:
+    """The operand vectors of *case*, Python scalars where the clause
+    has them."""
+    e = env()
+    if case in UNARY_CASES:
+        return (list(e["B"]),)
+    if case in SCALAR_CASES:
+        return [1] * N, [int(i) - 3 for i in LANES]
+    return list(e["B"]), list(e["C"])
+
+
+def want(case: str) -> np.ndarray:
+    fn = UNARY[UNARY_CASES[case]] if case in UNARY_CASES \
+        else BINARY[SCALAR_CASES.get(case, case)]
+    args = [np.array(v) for v in operands(case)]
+    with np.errstate(all="ignore"):
+        return bits(fn(*args))
 
 
 #: A and C blocked, B scattered: every node both receives and sends
 DECOMPS = {"A": Block(N, 4), "B": Scatter(N, 4), "C": Block(N, 4)}
 
 
-def want(op: str) -> np.ndarray:
-    e = env()
-    return bits(NUMPY[op](e["B"], e["C"]))
+def test_every_op_of_the_table_is_covered():
+    assert set(BINARY) == set(OPS)
+    assert set(UNARY) == set(UNARY_OPS)
 
 
-@pytest.mark.parametrize("op", ["min", "max"])
 class TestNumPyRule:
+    @pytest.mark.parametrize("op", CASES)
     def test_scalar_op_is_numpy_on_every_pair(self, op):
-        got = [OPS[op](a, b) for a, b in PAIRS]
+        table = UNARY_OPS[UNARY_CASES[op]] if op in UNARY_CASES \
+            else OPS[SCALAR_CASES.get(op, op)]
+        got = [table.fn(*args) for args in zip(*operands(op))]
         assert (bits(got) == want(op)).all()
 
+    @pytest.mark.parametrize("op", ["min", "max"])
     def test_python_builtin_disagrees(self, op):
         # the disagreement this pins down: a NaN second operand, and a
         # signed-zero tie
@@ -79,10 +132,12 @@ class TestNumPyRule:
         got = bits([builtin(a, b) for a, b in PAIRS])
         assert (got != want(op)).any()
 
+    @pytest.mark.parametrize("op", CASES)
     def test_evaluator(self, op):
         out = evaluate_clause(clause(op), env())["A"]
         assert (bits(out) == want(op)).all()
 
+    @pytest.mark.parametrize("op", CASES)
     @pytest.mark.parametrize("backend", ["scalar", "fused", "mp"])
     def test_shared(self, op, backend):
         plan = compile_clause(clause(op), DECOMPS)
@@ -90,6 +145,7 @@ class TestNumPyRule:
         assert (bits(m.env["A"]) == want(op)).all()
         assert not plan.trace.notes  # the tier ran: no fallback hop
 
+    @pytest.mark.parametrize("op", CASES)
     @pytest.mark.parametrize("backend", ["scalar", "fused", "mp"])
     def test_distributed(self, op, backend):
         plan = compile_clause(clause(op), DECOMPS)
@@ -97,10 +153,10 @@ class TestNumPyRule:
         assert (bits(m.collect("A")) == want(op)).all()
         assert not plan.trace.notes
 
+    @pytest.mark.parametrize("op", CASES)
     def test_emitted_spmd_source(self, op):
         plan = compile_clause(clause(op), DECOMPS)
-        src, factory = compile_distributed(plan)
-        assert f"_{'minimum' if op == 'min' else 'maximum'}(" in src
+        _, factory = compile_distributed(plan)
         m = DistributedMachine(plan.pmax)
         e = env()
         for name, dec in DECOMPS.items():
@@ -108,6 +164,7 @@ class TestNumPyRule:
         m.run(factory)
         assert (bits(m.collect("A")) == want(op)).all()
 
+    @pytest.mark.parametrize("op", CASES)
     def test_emitted_shared_source(self, op):
         plan = compile_clause(clause(op), DECOMPS)
         _, phase = compile_shared(plan)

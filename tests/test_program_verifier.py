@@ -345,8 +345,9 @@ class TestKrnFixtures:
         assert any("open" in note for note in notes)
 
     def test_krn002_nan_parity(self):
-        """A clause using ``min`` must render it as ``_np.minimum``:
-        builtin ``min`` does not propagate NaN."""
+        """A clause using ``min`` renders it as ``_np.minimum``; a
+        builtin ``min`` (which does not propagate NaN) is outside the
+        kernel whitelist."""
         from repro.core.expr import BinOp
 
         cl = clause(0, N - 1, ref("A"), BinOp("min", ref("B"), ref("B")))
@@ -356,7 +357,8 @@ class TestKrnFixtures:
         ir.kernels.source = ir.kernels.source.replace("_np.minimum", "min")
         found = [d.message for d in sanitize_kernels(ir)
                  if d.code == "KRN002"]
-        assert any("NaN-semantics parity broken" in m for m in found)
+        assert any("name 'min' outside the kernel whitelist" in m
+                   for m in found)
 
     def test_krn003_dead_guard(self):
         never = LoopIndex(0) < Const(0)

@@ -688,10 +688,10 @@ _POOL_SIGTERM_SCRIPT = r"""
 import os, sys, time
 import numpy as np
 from repro.runtime.pool import get_pool
-from repro.runtime.shm import ShmSession
+from repro.runtime.shm import ShmArena
 
 pool = get_pool(2)            # installs the SIGTERM handler
-sess = ShmSession({"X": np.zeros(64)})
+sess = ShmArena({"X": np.zeros(64)})
 print("PIDS", " ".join(str(p) for p in pool.pids()), flush=True)
 print("SEGS", " ".join(seg.name for seg in sess.segs.values()), flush=True)
 print("READY", flush=True)
