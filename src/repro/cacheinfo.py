@@ -9,8 +9,8 @@ endpoint, and the benchmark harnesses.
 
 ``clear_all_caches()`` is the admin reset behind the serve ``clear``
 op: it drops every cache (parsed texts, plans, kernels, programs,
-Table I memos, verify reports) and disposes any live worker pools,
-returning the fresh snapshot.
+Table I memos, verify reports), empties the node-memory pool and
+disposes any live worker pools, returning the fresh snapshot.
 """
 
 from __future__ import annotations
@@ -27,14 +27,18 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
     text it holds), ``plan``, ``table1``, ``kernel`` (size-accounted:
     includes ``bytes``/``max_bytes``), ``program``, ``verify``, and
     ``singleflight`` (thread-level compile coalescing: ``leaders`` led
-    a pipeline execution, ``waits`` piggybacked on one in flight) and
+    a pipeline execution, ``waits`` piggybacked on one in flight),
     ``shm`` (the mp runtime's arena: ``segments`` and their ``bytes``;
-    zeros when the runtime was never imported).
+    zeros when the runtime was never imported) and ``node_memory`` (the
+    in-process pool of node-memory buffers, see
+    :func:`repro.machine.memory.lease`: ``leases``, ``reused``,
+    ``free_bytes``, ``peak_bytes``).
     """
     import sys
 
     from .analysis import verify_cache_info
     from .frontend import parse_cache_info
+    from .machine.memory import lease_info
     from .pipeline import (
         compile_flight,
         kernel_cache_info,
@@ -54,14 +58,16 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
         "singleflight": compile_flight.info(),
         "shm": shm.arena_info() if shm is not None
         else {"segments": 0, "bytes": 0},
+        "node_memory": lease_info(),
     }
 
 
 def clear_all_caches() -> Dict[str, Dict[str, object]]:
-    """Drop every cache and dispose live worker pools; returns the
-    post-clear :func:`cache_stats` snapshot."""
+    """Drop every cache, empty the node-memory pool and dispose live
+    worker pools; returns the post-clear :func:`cache_stats` snapshot."""
     from .analysis import clear_verify_cache
     from .frontend import clear_parse_cache
+    from .machine.memory import clear_leases
     from .pipeline import clear_plan_cache
     from .sets.table1 import clear_table1_cache
 
@@ -69,4 +75,5 @@ def clear_all_caches() -> Dict[str, Dict[str, object]]:
     clear_plan_cache()  # also kernels, programs, and the mp runtime
     clear_table1_cache()
     clear_verify_cache()
+    clear_leases()
     return cache_stats()

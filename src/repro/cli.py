@@ -269,8 +269,9 @@ def _explain_mpi(plan, decomps, processes=None) -> None:
 
 
 def print_cache_stats() -> None:
-    """One unified block: parse memo, plan, Table I, kernel, program, and
-    verifier-report caches (``--json`` emits the same snapshot as one
+    """One unified block: parse memo, plan, Table I, kernel, program and
+    verifier-report caches, the mp runtime's shared-memory arena and the
+    node-memory pool (``--json`` emits the same snapshot as one
     machine-readable object, see :func:`repro.cacheinfo.cache_stats`)."""
     from .cacheinfo import cache_stats
 
@@ -279,6 +280,7 @@ def print_cache_stats() -> None:
     kc, gc = cs["kernel"], cs["program"]
     vc = cs["verify"]
     sf = cs["singleflight"]
+    sm, nm = cs["shm"], cs["node_memory"]
     print("caches:")
     print(f"  parse:   hits={fc['hits']} misses={fc['misses']} "
           f"evictions={fc['evictions']} "
@@ -301,6 +303,9 @@ def print_cache_stats() -> None:
           f"size={vc['size']}/{vc['maxsize']} enabled={vc['enabled']}")
     print(f"  flight:  leaders={sf['leaders']} waits={sf['waits']} "
           f"inflight={sf['inflight']}")
+    print(f"  shm:     segments={sm['segments']} bytes={sm['bytes']}")
+    print(f"  node_memory: leases={nm['leases']} reused={nm['reused']} "
+          f"free_bytes={nm['free_bytes']} peak_bytes={nm['peak_bytes']}")
 
 
 def cmd_check(args) -> int:

@@ -33,9 +33,9 @@ def make_redistribution_program(
         p = ctx.p
         old = ctx.mem[name]
 
-        # Allocate the destination-layout buffer.
-        new_size = plan.dst.local_size(p)
-        new = np.zeros(max(new_size, 0), dtype=old.dtype if old.size else float)
+        # The destination-layout buffer (node memory: zeroed, leased).
+        new = ctx.mem.alloc(name, plan.dst.local_size(p),
+                            dtype=old.dtype if old.size else float)
 
         # Pack and send one coalesced message per destination processor.
         out_pairs = sorted(
@@ -62,7 +62,6 @@ def make_redistribution_program(
                 new[dl] = value
                 ctx.stats.local_updates += 1
 
-        ctx.mem.arrays[name] = new
         yield ctx.barrier()
 
     return program()

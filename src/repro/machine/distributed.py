@@ -22,21 +22,12 @@ from ..decomp.base import Decomposition
 from ..decomp.multidim import GridDecomposition
 from .channels import LatencyModel, Network
 from .memory import LocalMemory, gather_global, scatter_global
-from .ndmemory import gather_global_nd, scatter_global_nd
 from .scheduler import Barrier, NodeGen, Recv, run_spmd
 from .stats import MachineStats
 
 __all__ = ["NodeContext", "DistributedMachine"]
 
 AnyDec = Union[Decomposition, GridDecomposition]
-
-
-def _movers(d: AnyDec):
-    """``(scatter, gather)`` for *d* — the one place the machine tells a
-    grid from a 1-D decomposition."""
-    if isinstance(d, GridDecomposition):
-        return scatter_global_nd, gather_global_nd
-    return scatter_global, gather_global
 
 
 class NodeContext:
@@ -93,16 +84,18 @@ class DistributedMachine:
 
     # -- data placement -----------------------------------------------------
 
-    def place(self, name: str, global_array: np.ndarray, d: AnyDec) -> None:
+    def place(self, name: str, global_array: np.ndarray, d: AnyDec,
+              margins: Optional[Dict[int, tuple]] = None) -> None:
         """Distribute a global array onto the nodes under decomposition *d*
-        (1-D or grid)."""
+        (1-D or grid); *margins* (node -> per-axis ``(lo, hi)``) places a
+        node's core inside a ghost frame of that width
+        (:func:`~repro.machine.memory.scatter_global`)."""
         if d.pmax != self.pmax:
             raise ValueError(
                 f"decomposition pmax={d.pmax} != machine pmax={self.pmax}"
             )
-        scatter, _ = _movers(d)
-        scatter(name, np.asarray(global_array, dtype=np.float64), d,
-                self.memories)
+        scatter_global(name, np.asarray(global_array, dtype=np.float64), d,
+                       self.memories, margins)
         self.decomps[name] = d
 
     def collect(self, name: str) -> np.ndarray:
@@ -113,8 +106,7 @@ class DistributedMachine:
                 f"array {name!r} was never placed on this machine "
                 f"(placed: {sorted(self.decomps)})"
             )
-        _, gather = _movers(d)
-        return gather(name, d, self.memories)
+        return gather_global(name, d, self.memories)
 
     def decomposition(self, name: str) -> AnyDec:
         return self.decomps[name]

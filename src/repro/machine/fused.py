@@ -232,7 +232,8 @@ class KernelTier:
         model=None,
         strict: bool = False,
     ) -> DistributedMachine:
-        """Place *env* (unless a pre-placed *machine* is given), run the
+        """Place *env* (unless a pre-placed *machine* is given: each
+        array lands in the ghost frame its node kernels ask for), run the
         clause as :func:`~repro.runtime.worker.run_sequence` with every
         node on this process over a :class:`LocalTransport`, return the
         machine."""
@@ -245,7 +246,11 @@ class KernelTier:
             for acc in ir.reads:
                 decs.setdefault(acc.name, acc.dec)
             for name, dec in decs.items():
-                machine.place(name, env[name], dec)
+                # straight into the frame the node kernels ask for: the
+                # array is copied in once, not again when it is framed
+                machine.place(name, env[name], dec, {
+                    nk.p: nk.margins[name] for nk in nodes
+                    if name in nk.margins})
         memories = machine.memories
 
         def memory(nk):  # each array's core, or its ghost frame

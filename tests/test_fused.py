@@ -26,6 +26,7 @@ from repro.core import (
 )
 from repro.core.expr import BinOp
 from repro.decomp import Block, GridDecomposition, Replicated, Scatter
+from repro.machine import DistributedMachine
 from repro.machine.fused import FusedStrictError, run_shared_fused
 from repro.pipeline import (
     clear_plan_cache,
@@ -313,6 +314,27 @@ class TestFusedCLI:
         assert "caches:" in out
         for line in ("plan:", "table1:", "kernel:"):
             assert line in out
+
+    def test_cache_stats_text_and_json_agree(self, stencil_prog, capsys):
+        """The text block prints the ``shm`` and ``node_memory`` rows of
+        the snapshot ``--json`` emits, value for value."""
+        import json
+
+        from repro.cli import main
+
+        m = DistributedMachine(4)  # some node memory: non-zero counters
+        m.place("A", np.ones(1 << 12), Block(1 << 12, 4))
+        main(["compile", stencil_prog, "--cache-stats"] + self._arrays())
+        text = capsys.readouterr().out
+        main(["compile", stencil_prog, "--cache-stats", "--json"]
+             + self._arrays())
+        snap = json.loads(capsys.readouterr().out)
+        assert snap["node_memory"]["leases"] > 0
+        for key in ("shm", "node_memory"):
+            row, = [ln for ln in text.splitlines()
+                    if ln.strip().startswith(key + ":")]
+            fields = dict(kv.split("=") for kv in row.split(":", 1)[1].split())
+            assert {k: int(v) for k, v in fields.items()} == snap[key]
 
 
 # ---------------------------------------------------------------------------

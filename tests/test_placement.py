@@ -8,11 +8,15 @@ element — live on here as the reference every layout is compared with.
 
 import gc
 import itertools
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cacheinfo import cache_stats, clear_all_caches
 from repro.codegen.nddist import (
     collect_nd,
     compile_clause_nd_dist,
@@ -44,6 +48,7 @@ from repro.machine import (
     gather_global,
     scatter_global,
 )
+from repro.machine.memory import clear_leases, lease
 from repro.machine.ndmemory import gather_global_nd, scatter_global_nd
 
 SETTINGS = settings(
@@ -94,11 +99,36 @@ def memories(pmax):
     return [LocalMemory(p) for p in range(pmax)]
 
 
-def assert_same_memory(got, want):
-    assert got.shape == want.shape
-    assert got.dtype == want.dtype
-    assert got.flags.c_contiguous and got.flags.owndata
-    assert np.array_equal(got, want)
+#: NaN (two payloads, both signs), ±inf and ±0: placement and collection
+#: must carry every bit pattern through
+SPECIALS = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0,
+                     np.int64(0x7FF0000000000ABC).view(np.float64)])
+
+
+def with_specials(arr):
+    """*arr* with every other element one of :data:`SPECIALS`."""
+    flat = arr.reshape(-1)
+    flat[::2] = np.resize(SPECIALS, flat[::2].size)
+    return arr
+
+
+def bits(arr):
+    return arr.view(np.int64) if arr.dtype == np.float64 else arr
+
+
+def assert_same_memory(mems, arr, wants):
+    """Each node memory is the oracle's, bit for bit, C-contiguous — and
+    private: no node view shares memory with the caller's array or with
+    another node."""
+    for mem, want in zip(mems, wants):
+        got = mem["A"]
+        assert got.shape == want.shape
+        assert got.dtype == want.dtype
+        assert got.flags.c_contiguous
+        assert np.array_equal(bits(got), bits(want))
+        assert not np.shares_memory(got, arr)
+    for a, b in itertools.combinations(mems, 2):
+        assert not np.shares_memory(a["A"], b["A"])
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +203,19 @@ class TestPlacement1D:
     def test_node_memories_match_oracle_and_roundtrip(self):
         rng = np.random.default_rng(7)
         for d in ALL_1D:
-            arr = rng.random(d.n)
+            arr = with_specials(rng.random(d.n))
             mems = memories(d.pmax)
             scatter_global("A", arr, d, mems)
-            for mem, want in zip(mems, oracle_scatter(arr, d)):
-                assert_same_memory(mem["A"], want)
-            assert np.array_equal(gather_global("A", d, mems), arr), d
+            assert_same_memory(mems, arr, oracle_scatter(arr, d))
+            out = gather_global("A", d, mems)
+            assert np.array_equal(bits(out), bits(arr)), d
 
     def test_dtype_follows_the_global_array(self):
         d = BlockScatter(23, 3, 4)
         arr = np.arange(23, dtype=np.int32)
         mems = memories(3)
         scatter_global("A", arr, d, mems)
-        for mem, want in zip(mems, oracle_scatter(arr, d)):
-            assert_same_memory(mem["A"], want)
+        assert_same_memory(mems, arr, oracle_scatter(arr, d))
         out = gather_global("A", d, mems, dtype=np.int32)
         assert out.dtype == np.int32 and np.array_equal(out, arr)
 
@@ -230,16 +259,17 @@ grids = st.one_of(
 
 
 def check_grid(grid, seed=0):
-    arr = np.random.default_rng(seed).random(grid.shape)
+    arr = with_specials(np.random.default_rng(seed).random(grid.shape))
     mems = memories(grid.pmax)
     scatter_global_nd("A", arr, grid, mems)
-    for p, (mem, want) in enumerate(zip(mems, oracle_scatter_nd(arr, grid))):
-        assert_same_memory(mem["A"], want)
+    assert_same_memory(mems, arr, oracle_scatter_nd(arr, grid))
+    for p, mem in enumerate(mems):
         assert mem["A"].shape == grid.local_shape(p)
         own = [as_list(ix, n)
                for ix, n in zip(grid.owned_indices(p), grid.shape)]
         assert list(itertools.product(*own)) == grid.owned(p)
-    assert np.array_equal(gather_global_nd("A", grid, mems), arr)
+    out = gather_global_nd("A", grid, mems)
+    assert np.array_equal(bits(out), bits(arr))
 
 
 class TestPlacementGrid:
@@ -293,6 +323,200 @@ class TestNoAliasing:
         assert np.array_equal(out, before)
         out[...] = -9.0
         assert np.array_equal(m.collect("A"), before)
+
+
+# ---------------------------------------------------------------------------
+# node memory is leased: memory survives a machine, data never does
+# ---------------------------------------------------------------------------
+
+#: a page and more per node, so every core and frame is pooled
+PAGED_1D = Block(1 << 12, 4)
+PAGED_GRID = GridDecomposition([Block(64, 2), Block(64, 2)])
+
+
+def pool_counts():
+    return cache_stats()["node_memory"]
+
+
+class TestLeases:
+    @pytest.fixture(autouse=True)
+    def empty_pool(self):
+        clear_leases()
+        yield
+        clear_leases()
+
+    def test_a_view_that_outlives_its_machine_keeps_its_buffer(self):
+        arr = np.random.default_rng(1).random(PAGED_1D.n)
+        m = DistributedMachine(4)
+        m.place("A", arr, PAGED_1D)
+        kept = m.memories[1]["A"][10:20]
+        want = kept.copy()
+        del m
+        gc.collect()
+        for _ in range(3):  # the same shapes, again and again
+            again = DistributedMachine(4)
+            again.place("A", -arr, PAGED_1D)
+            assert not any(np.shares_memory(kept, mem["A"])
+                           for mem in again.memories)
+            del again
+        assert np.array_equal(bits(kept), bits(want))
+
+    @pytest.mark.parametrize("dec, margins", [
+        (Permuted(4 * 700, 4), ((2, 3),)),   # slot 0 of every node unowned
+        (PAGED_1D, ((1, 1),)),
+        (PAGED_GRID, ((1, 2), (3, 1))),
+    ], ids=["permuted", "block", "grid"])
+    @pytest.mark.parametrize("framing", ["placed", "grown"])
+    def test_a_dirty_buffer_reads_zero_where_placement_owns_nothing(
+            self, dec, margins, framing):
+        arr = with_specials(np.random.default_rng(2).random(global_shape(dec)))
+        want = (oracle_scatter_nd(arr, dec)
+                if isinstance(dec, GridDecomposition)
+                else oracle_scatter(arr, dec))
+
+        def placed():
+            m = DistributedMachine(dec.pmax)
+            if framing == "placed":
+                m.place("A", arr, dec, {p: margins for p in range(dec.pmax)})
+            else:
+                m.place("A", arr, dec)
+            return m, [mem.frame("A", margins) for mem in m.memories]
+
+        m, frames = placed()
+        for frame in frames:
+            frame[...] = np.nan
+        del m, frames, frame
+        before = pool_counts()
+        m, frames = placed()
+        after = pool_counts()
+        # every dirty frame is leased again; a grown frame's first core
+        # may have been evicted (idle bytes stay within the peak)
+        reused = after["reused"] - before["reused"]
+        assert reused >= dec.pmax
+        if framing == "placed":
+            assert reused == after["leases"] - before["leases"]
+        for mem, frame, core in zip(m.memories, frames, want):
+            inner = tuple(slice(lo, lo + n)
+                          for (lo, _), n in zip(margins, core.shape))
+            ghosts = np.ones(frame.shape, bool)
+            ghosts[inner] = False
+            assert not frame[ghosts].any()
+            assert np.array_equal(bits(frame[inner]), bits(core))
+            assert np.array_equal(bits(mem["A"]), bits(core))
+        assert np.array_equal(bits(m.collect("A")), bits(arr))
+
+    def test_a_second_identical_oneshot_run_is_served_from_the_pool(self):
+        n = 1 << 12
+        clause = Clause(IndexSet.range1d(1, n - 2),
+                        Ref("A", SeparableMap([IdentityF()])),
+                        BinOp("+", Ref("B", SeparableMap([AffineF(1, -1)])),
+                              Ref("B", SeparableMap([AffineF(1, 1)]))))
+        decs = {"A": Block(n, 4), "B": Block(n, 4)}
+        plan = compile_clause_nd_dist(clause, decs)
+        rng = np.random.default_rng(3)
+        env = {"A": rng.random(n), "B": rng.random(n)}
+        first = run_distributed_nd(plan, env, backend="fused")
+        got = first.collect("A")
+        # B went straight into its ghost frame
+        assert all(mem._frames["B"][0] is mem["B"] for mem in first.memories
+                   if mem["B"].size)
+        del first
+        before = pool_counts()
+        second = run_distributed_nd(plan, env, backend="fused")
+        after = pool_counts()
+        assert after["leases"] - before["leases"] == 8
+        assert after["reused"] - before["reused"] == 8
+        assert np.array_equal(bits(second.collect("A")), bits(got))
+        assert after["free_bytes"] <= after["peak_bytes"]
+
+    def test_idle_bytes_stay_within_the_peak_and_clear_empties_them(self):
+        for n in (1 << 12, 1 << 13, 1 << 14, 1 << 12):
+            m = DistributedMachine(4)
+            m.place("A", np.ones(n), Block(n, 4))
+            live = sum(mem["A"].nbytes for mem in m.memories)
+            del m
+            counts = pool_counts()
+            assert counts["peak_bytes"] >= live
+            assert counts["free_bytes"] <= counts["peak_bytes"]
+        assert clear_all_caches()["node_memory"] == {
+            "leases": 0, "reused": 0, "free_bytes": 0, "peak_bytes": 0}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_writes_none_of_the_parents_memory(self):
+        n = PAGED_1D.n
+        arr = np.random.default_rng(4).random(n)
+        m = DistributedMachine(4)
+        m.place("A", arr, PAGED_1D)
+        idle = DistributedMachine(4)  # its buffers go idle, holding 7s
+        idle.place("A", np.full(n, 7.0), PAGED_1D)
+        shape = idle.memories[0]["A"].shape
+        del idle
+        gc.collect()
+        assert pool_counts()["free_bytes"] > 0
+        pid = os.fork()
+        if pid == 0:  # the child: write everything it can reach
+            ok = False
+            try:
+                ok = pool_counts()["free_bytes"] == 0
+                for mem in m.memories:
+                    mem["A"][...] = -1
+                child = DistributedMachine(4)
+                child.place("A", np.full(n, -1.0), PAGED_1D)
+                held = [lease(shape) for _ in range(8)]
+                for buf in held:
+                    buf[...] = -1
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert np.array_equal(m.collect("A"), arr)
+        before = pool_counts()
+        held = [lease(shape) for _ in range(4)]
+        assert pool_counts()["reused"] - before["reused"] == 4
+        for buf in held:
+            assert (buf == 7.0).all()
+
+    def test_threads_place_and_drop_machines_at_once(self):
+        """More threads than cores; each machine is cyclic garbage, so
+        its buffers go back inside a gc pass — on any thread, maybe while
+        another one leases."""
+        errors = []
+
+        def work(seed):
+            try:
+                rng = np.random.default_rng(seed)
+                for _ in range(40):
+                    dec = PAGED_GRID if rng.random() < 0.5 else PAGED_1D
+                    arr = with_specials(rng.random(global_shape(dec)))
+                    m = DistributedMachine(4)
+                    m.place("A", arr, dec)
+                    m.memories[0].frame("A", ((1, 1),) * len(arr.shape))
+                    m.cycle = m
+                    if not np.array_equal(bits(m.collect("A")), bits(arr)):
+                        errors.append(f"seed {seed}: collect differs")
+                    del m
+                    if rng.random() < 0.3:
+                        gc.collect()
+            except Exception as e:  # noqa: BLE001 — reported below
+                errors.append(repr(e))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,))
+                       for seed in (11, 12, 13, 14)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "a lease deadlocked"
+        assert errors == []
+        gc.collect()
+        counts = pool_counts()
+        assert counts["free_bytes"] <= counts["peak_bytes"]
+        assert counts["reused"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def test_persistent_machine_matches_the_generator_oracle(name, model):
         run_oracle(plan, old)
         run_new(plan, new)
         assert_same(plan, old, new, decomps)
-    framed = any(mem[name].base is not None
+    framed = any(name in mem._frames and mem._frames[name][0] is mem[name]
                  for mem in new.memories for name in decomps)
     assert framed == any(nk.margins for plan in plans
                          for nk in flavor_nodes(plan, "dist"))
