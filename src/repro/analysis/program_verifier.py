@@ -40,14 +40,13 @@ the ``verify`` line.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.ifunc import apply_ifunc
+from ..pipeline.cache import _StructuralCache
 from .diagnostics import Diagnostic, DiagnosticReport, Severity
 from .kernel_sanitizer import sanitize_kernels
 from .schedule import (PhaseBarrier, ScheduleCertificate, check_schedule,
@@ -62,8 +61,6 @@ __all__ = [
     "verify_cache_info",
     "clear_verify_cache",
 ]
-
-_DEFAULT_MAXSIZE = 64
 
 
 class _Undecidable(Exception):
@@ -136,58 +133,11 @@ class ProgramVerification:
 # the verifier-report cache (the `verify` line of --cache-stats)
 # ---------------------------------------------------------------------------
 
-class VerifyCache:
+class VerifyCache(_StructuralCache):
     """Thread-safe LRU of :class:`ProgramVerification`, keyed on the
     structural program key — warm compiles skip re-verification."""
 
-    def __init__(self, maxsize: Optional[int] = None):
-        from ..pipeline.cache import _env_number
-
-        self.maxsize = (_env_number("REPRO_CACHE_SIZE", _DEFAULT_MAXSIZE)
-                        if maxsize is None else maxsize)
-        self.enabled = True
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[tuple, ProgramVerification]" = \
-            OrderedDict()
-        self._lock = threading.Lock()
-
-    def lookup(self, key) -> Optional[ProgramVerification]:
-        with self._lock:
-            v = self._entries.get(key)
-            if v is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return v
-
-    def store(self, key, verification: ProgramVerification) -> None:
-        with self._lock:
-            self._entries[key] = verification
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    def info(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "enabled": self.enabled,
-            }
+    DEFAULT_MAXSIZE = 64
 
 
 #: the process-global verifier-report cache

@@ -44,9 +44,13 @@ SEQ = Ordering.SEQ
 PAR = Ordering.PAR
 
 
-@dataclass
+@dataclass(frozen=True)
 class Clause:
-    """``∆(i ∈ domain) ◊ (lhs := rhs)`` with an optional data guard."""
+    """``∆(i ∈ domain) ◊ (lhs := rhs)`` with an optional data guard.
+
+    Frozen: the frontend's translation memo and the plan/program caches
+    share one clause object between every caller of the same text, so
+    a variant is built with ``dataclasses.replace``."""
 
     domain: IndexSet
     lhs: Ref

@@ -6,6 +6,7 @@ from .parser import (
     ParseError,
     Parser,
     clear_parse_cache,
+    count_parse_hit,
     parse,
     parse_cache_info,
 )
@@ -24,6 +25,7 @@ __all__ = [
     "ParseError",
     "parse_cache_info",
     "clear_parse_cache",
+    "count_parse_hit",
     "translate",
     "translate_source",
     "TranslateError",

@@ -21,7 +21,8 @@ paper's ``for`` — annotate ``par`` to assert independence)::
 :func:`parse` is a pure function of the text (parameters only enter in
 ``translate``), so its immutable AST is memoized on the text in a
 bounded LRU: a daemon that sees one program a thousand times lexes and
-parses it once.
+parses it once.  The same entry keeps the text's translations, keyed by
+their parameters (see :func:`repro.frontend.translate_source`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .lexer import tokenize
 from .tokens import Token
 
 __all__ = ["ParseError", "Parser", "parse", "parse_cache_info",
-           "clear_parse_cache"]
+           "clear_parse_cache", "count_parse_hit"]
 
 
 class ParseError(SyntaxError):
@@ -250,16 +251,29 @@ class Parser:
         )
 
 
+class _Memo:
+    """One text's memo entry: its AST and its translations by params."""
+
+    __slots__ = ("tree", "translations")
+
+    def __init__(self, tree: Block):
+        self.tree = tree
+        self.translations: Dict[tuple, object] = {}
+
+
 class _ParseCache:
     """Thread-safe LRU of parsed programs keyed on the source text,
     bounded by ``REPRO_CACHE_SIZE`` (read on first use: the env reader
-    lives in ``pipeline``, which the frontend does not import)."""
+    lives in ``pipeline``, which the frontend does not import).  Each
+    entry also keeps up to :attr:`TRANSLATIONS` translations of its
+    text, the oldest dropped first; they leave with the text."""
 
     DEFAULT_MAXSIZE = 256
+    TRANSLATIONS = 8
 
     def __init__(self):
         self._maxsize: Optional[int] = None
-        self._entries: "OrderedDict[str, Block]" = OrderedDict()
+        self._entries: "OrderedDict[str, _Memo]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = self.misses = self.evictions = self.bytes = 0
 
@@ -272,26 +286,39 @@ class _ParseCache:
                                         self.DEFAULT_MAXSIZE)
         return self._maxsize
 
-    def get(self, source: str) -> Optional[Block]:
+    def get(self, source: str, count: bool = True) -> Optional[_Memo]:
+        """The text's entry, or ``None``; *count* False only peeks (no
+        counter moves, no LRU touch)."""
         with self._lock:
-            tree = self._entries.get(source)
-            if tree is None:
+            entry = self._entries.get(source)
+            if count and entry is None:
                 self.misses += 1
-                return None
-            self._entries.move_to_end(source)
-            self.hits += 1
-            return tree
+            elif count:
+                self._entries.move_to_end(source)
+                self.hits += 1
+            return entry
 
-    def put(self, source: str, tree: Block) -> None:
+    def put(self, source: str, tree: Block) -> _Memo:
         maxsize = self.maxsize
         with self._lock:
-            if source not in self._entries:
+            entry = self._entries.get(source)
+            if entry is None:
                 self.bytes += len(source.encode())
-            self._entries[source] = tree
+                entry = self._entries[source] = _Memo(tree)
             while len(self._entries) > maxsize:
                 old, _ = self._entries.popitem(last=False)
                 self.bytes -= len(old.encode())
                 self.evictions += 1
+            return entry
+
+    def keep(self, entry: _Memo, key: tuple, program):
+        """Memoize *program* as the translation *key* of *entry*; a
+        translation already there wins, so racing threads share one."""
+        with self._lock:
+            kept = entry.translations.setdefault(key, program)
+            while len(entry.translations) > self.TRANSLATIONS:
+                del entry.translations[next(iter(entry.translations))]
+            return kept
 
     def clear(self) -> None:
         with self._lock:
@@ -310,13 +337,25 @@ class _ParseCache:
 _parse_cache = _ParseCache()
 
 
+def _memo(source: str) -> _Memo:
+    """The text's memo entry, lexed and parsed on a miss."""
+    entry = _parse_cache.get(source)
+    if entry is None:
+        entry = _parse_cache.put(
+            source, Parser(tokenize(source)).parse_program())
+    return entry
+
+
 def parse(source: str) -> Block:
     """Parse a program text into its (immutable, shared) AST."""
-    tree = _parse_cache.get(source)
-    if tree is None:
-        tree = Parser(tokenize(source)).parse_program()
-        _parse_cache.put(source, tree)
-    return tree
+    return _memo(source).tree
+
+
+def count_parse_hit(source: str) -> None:
+    """Count a hit on *source* (and touch it), as :func:`parse` would:
+    a caller that peeked with ``translate_source(..., probe=True)``
+    counts its hit once the rest of its lookups succeeded."""
+    _parse_cache.get(source)
 
 
 def parse_cache_info() -> Dict[str, int]:
@@ -326,5 +365,5 @@ def parse_cache_info() -> Dict[str, int]:
 
 
 def clear_parse_cache() -> None:
-    """Drop every memoized AST and reset the counters."""
+    """Drop every memoized AST and translation and reset the counters."""
     _parse_cache.clear()

@@ -33,7 +33,7 @@ from ..core.ifunc import AffineF, ConstantF, IFunc, ModularF
 from ..core.indexset import IndexSet
 from ..core.view import ProjectedMap
 from . import ast as A
-from .parser import parse
+from .parser import _memo, _parse_cache
 
 __all__ = ["TranslateError", "translate", "translate_source", "classify_index_expr"]
 
@@ -386,7 +386,25 @@ def translate(block: A.Block, params: Optional[Dict[str, int]] = None) -> Progra
 
 
 def translate_source(
-    source: str, params: Optional[Dict[str, int]] = None
-) -> Program:
-    """Parse + translate in one step."""
-    return translate(parse(source), params)
+    source: str, params: Optional[Dict[str, int]] = None, *,
+    probe: bool = False,
+) -> Optional[Program]:
+    """Parse + translate in one step, both memoized: the translation is
+    kept beside the text's AST, keyed by *params*, and every call gets
+    a fresh :class:`Program` around the very same (frozen) clauses.
+
+    *probe* only looks: the memoized translation, or ``None`` when there
+    is none yet; it never lexes, parses or translates and moves no
+    counter (the serve loop's lookup)."""
+    key = tuple(sorted((params or {}).items()))
+    if probe:
+        entry = _parse_cache.get(source, count=False)
+        program = None if entry is None else entry.translations.get(key)
+    else:
+        entry = _memo(source)
+        program = entry.translations.get(key)
+        if program is None:
+            program = _parse_cache.keep(entry, key,
+                                        translate(entry.tree, params))
+    return None if program is None else Program(list(program),
+                                                program.name)

@@ -67,6 +67,7 @@ __all__ = [
     "default_passes",
     "access_spec",
     "compile_plan",
+    "cached_plan",
     "CompileFlight",
     "compile_flight",
     "PlanCache",
@@ -84,6 +85,7 @@ __all__ = [
     "ProgramStep",
     "ProgramCache",
     "compile_program",
+    "cached_program",
     "run_program",
     "evaluate_program_reference",
     "program_key",
@@ -170,11 +172,23 @@ def compile_plan(
 _FLIGHT_WAIT = 60.0
 
 
-def _cached_hit(key, clause, decomps, successor, verify):
-    hit = plan_cache.lookup(key, clause, decomps, successor)
+def _cached_hit(key, clause, decomps, successor, verify, probe=False):
+    hit = plan_cache.lookup(key, clause, decomps, successor, probe=probe,
+                            verify=verify)
     if hit is not None and verify:
         _verify_plan_hit(hit)
     return hit
+
+
+def cached_plan(clause: Clause, decomps: Dict[str, object], *,
+                verify: bool = False) -> Optional[PlanIR]:
+    """What :func:`compile_plan` would return from its cache, or ``None``
+    where it would compile or verify: a miss counts nothing.  The
+    lookup for a caller that must not compute (the serve loop)."""
+    key = plan_cache.key_for(clause, decomps)
+    if key is None:
+        return None
+    return _cached_hit(key, clause, decomps, None, verify, probe=True)
 
 
 def _verify_plan_hit(ir: PlanIR) -> None:
@@ -207,6 +221,7 @@ from .program import (  # noqa: E402
     ProgramCache,
     ProgramIR,
     ProgramStep,
+    cached_program,
     clear_program_cache,
     compile_program,
     evaluate_program_reference,

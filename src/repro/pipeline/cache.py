@@ -107,17 +107,23 @@ def _expr_key(e: Expr) -> tuple:
 
 
 def _clause_key(clause: Clause) -> tuple:
-    dom = clause.domain
-    pred = ("TRUE",) if dom.predicate is TRUE else ("opaque", dom.predicate)
-    return (
-        clause.ordering.value,
-        dom.bounds.lower,
-        dom.bounds.upper,
-        pred,
-        _expr_key(clause.lhs),
-        _expr_key(clause.rhs),
-        None if clause.guard is None else _expr_key(clause.guard),
-    )
+    """The clause's structural key, derived once per clause object
+    (clauses are frozen) and kept on it."""
+    key = clause.__dict__.get("_structural_key")
+    if key is None:
+        dom = clause.domain
+        pred = (("TRUE",) if dom.predicate is TRUE
+                else ("opaque", dom.predicate))
+        key = clause.__dict__["_structural_key"] = (
+            clause.ordering.value,
+            dom.bounds.lower,
+            dom.bounds.upper,
+            pred,
+            _expr_key(clause.lhs),
+            _expr_key(clause.rhs),
+            None if clause.guard is None else _expr_key(clause.guard),
+        )
+    return key
 
 
 def _decomps_key(clause: Clause, decomps: Dict[str, object]) -> Optional[tuple]:
@@ -166,11 +172,16 @@ def plan_key(
 
 # -- the cache ---------------------------------------------------------------
 
-class PlanCache:
-    """Thread-safe LRU cache of compiled :class:`~repro.pipeline.ir.PlanIR`."""
+class _StructuralCache:
+    """Thread-safe, counted LRU on structural keys (made by
+    ``_make_key``): the plan, program, kernel and verify caches, which
+    differ only in their keys, their clones, the kernel cache's byte
+    budget and what counts as verified."""
+
+    DEFAULT_MAXSIZE = _DEFAULT_MAXSIZE
 
     def __init__(self, maxsize: Optional[int] = None):
-        self.maxsize = (_env_number("REPRO_CACHE_SIZE", _DEFAULT_MAXSIZE)
+        self.maxsize = (_env_number("REPRO_CACHE_SIZE", self.DEFAULT_MAXSIZE)
                         if maxsize is None else maxsize)
         self.enabled = True
         self.hits = 0
@@ -179,13 +190,12 @@ class PlanCache:
         self._entries: "OrderedDict[tuple, object]" = OrderedDict()
         self._lock = threading.Lock()
 
-    def key_for(self, clause, decomps, *, successor=None,
-                require_read_decomps=True) -> Optional[tuple]:
-        """`plan_key` guarded by an enabled check and a hashability probe."""
+    def key_for(self, *args, **kwargs) -> Optional[tuple]:
+        """The structural key guarded by an enabled check and a
+        hashability probe."""
         if not self.enabled:
             return None
-        key = plan_key(clause, decomps, successor=successor,
-                       require_read_decomps=require_read_decomps)
+        key = self._make_key(*args, **kwargs)
         if key is None:
             return None
         try:
@@ -194,27 +204,71 @@ class PlanCache:
             return None
         return key
 
-    def lookup(self, key: tuple, clause=None, decomps=None, successor=None):
-        """Return a cloned hit (``trace.cache_hit=True``) or ``None``.
-
-        When *clause* is given the clone is re-anchored onto the caller's
-        clause and ``Ref`` objects (see :func:`_clone_hit`)."""
+    def _get(self, key: tuple, probe: bool, verify: bool):
+        """The entry for *key*, or ``None``.  A *probe* that misses counts
+        nothing, and with *verify* an entry without its verdicts is a
+        miss: a probe's hit is lookups alone."""
         with self._lock:
-            ir = self._entries.get(key)
-            if ir is None:
+            entry = self._entries.get(key)
+            if probe and (entry is None
+                          or verify and not self._verified(entry)):
+                return None
+            if entry is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-        return _clone_hit(ir, key, clause, decomps, successor)
+            return entry
 
-    def store(self, key: tuple, ir) -> None:
+    def lookup(self, key: tuple):
+        return self._get(key, False, False)
+
+    def store(self, key: tuple, entry) -> None:
         with self._lock:
-            self._entries[key] = ir
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self.evictions += 1
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._zero()
+
+    def _zero(self) -> None:
+        """Reset the counters (lock held)."""
+        self.hits = self.misses = self.evictions = 0
+
+    def info(self) -> Dict[str, object]:
+        with self._lock:
+            return self._info()
+
+    def _info(self) -> Dict[str, object]:
+        return {"hits": self.hits, "misses": self.misses,
+                "evictions": self.evictions, "size": len(self._entries),
+                "maxsize": self.maxsize, "enabled": self.enabled}
+
+
+class PlanCache(_StructuralCache):
+    """Thread-safe LRU cache of compiled :class:`~repro.pipeline.ir.PlanIR`."""
+
+    _make_key = staticmethod(plan_key)
+
+    @staticmethod
+    def _verified(ir) -> bool:
+        return ir.diagnostics is not None
+
+    def lookup(self, key: tuple, clause=None, decomps=None, successor=None,
+               *, probe=False, verify=False):
+        """Return a cloned hit (``trace.cache_hit=True``) or ``None``;
+        *probe* and *verify* as in :meth:`_get`.
+
+        When *clause* is given the clone is re-anchored onto the caller's
+        clause and ``Ref`` objects (see :func:`_clone_hit`)."""
+        ir = self._get(key, probe, verify)
+        return None if ir is None else _clone_hit(ir, key, clause, decomps,
+                                                 successor)
 
     def attach_diagnostics(self, key: tuple, report) -> None:
         """Attach a verification report to the cached entry for *key*
@@ -225,24 +279,6 @@ class PlanCache:
             ir = self._entries.get(key)
             if ir is not None and ir.diagnostics is None:
                 ir.diagnostics = report
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    def info(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "enabled": self.enabled,
-            }
 
 
 def _clone_hit(ir, key: tuple, clause=None, decomps=None, successor=None):
@@ -258,7 +294,9 @@ def _clone_hit(ir, key: tuple, clause=None, decomps=None, successor=None):
     pre-fetched values by ``id(ref)`` while evaluating the clause's
     expression tree, so the plan's refs must be the very objects inside
     the clause the caller holds — the structural key guarantees the
-    position-by-position swap is sound."""
+    position-by-position swap is sound.  A caller holding the entry's
+    own clause and successor (a memoized translation) has nothing to
+    re-anchor: its clone differs from the entry by the trace alone."""
     trace = PipelineTrace(
         label=ir.trace.label,
         records=list(ir.trace.records),
@@ -266,7 +304,8 @@ def _clone_hit(ir, key: tuple, clause=None, decomps=None, successor=None):
         cache_key=key,
         diagnostics=ir.diagnostics,
     )
-    if clause is None:
+    if clause is None or (clause is ir.clause
+                          and successor is ir.successor):
         return dataclasses.replace(ir, trace=trace)
     clone = dataclasses.replace(
         ir,

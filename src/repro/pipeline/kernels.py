@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
@@ -49,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.clause import Ordering
-from .cache import _env_number, plan_key
+from .cache import _env_number, _StructuralCache, plan_key
 from .region import Region, compose, image, klen, locate, meet, minus, \
     overhang, prog
 
@@ -510,8 +509,6 @@ def recount(ir, landed) -> None:
 # the kernel cache
 # ---------------------------------------------------------------------------
 
-_DEFAULT_MAXSIZE = 256
-
 
 def _leaves(obj, _depth: int = 0):
     """The ndarray, text and :class:`Region` leaves of a kernel entry,
@@ -563,7 +560,7 @@ def _nodes_nbytes(nodes) -> int:
 _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 
-class KernelCache:
+class KernelCache(_StructuralCache):
     """Thread-safe, size-accounted LRU cache of :class:`FusedKernels`,
     keyed by the plan cache's structural keys — warm recompiles skip
     codegen entirely.  Eviction fires on *either* bound: entry count
@@ -574,28 +571,11 @@ class KernelCache:
 
     def __init__(self, maxsize: Optional[int] = None,
                  max_bytes: Optional[int] = None):
-        self.maxsize = (_env_number("REPRO_CACHE_SIZE", _DEFAULT_MAXSIZE)
-                        if maxsize is None else maxsize)
+        super().__init__(maxsize)
         self.max_bytes = (_env_number("REPRO_CACHE_BYTES", _DEFAULT_MAX_BYTES)
                           if max_bytes is None else max_bytes)
-        self.enabled = True
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self.bytes = 0
-        self._entries: "OrderedDict[tuple, FusedKernels]" = OrderedDict()
         self._sizes: Dict[tuple, int] = {}
-        self._lock = threading.Lock()
-
-    def lookup(self, key: tuple) -> Optional[FusedKernels]:
-        with self._lock:
-            k = self._entries.get(key)
-            if k is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return k
 
     def store(self, key: tuple, kernels: FusedKernels) -> None:
         nbytes = kernels.region_stats["bytes"]  # walked outside the lock
@@ -624,27 +604,14 @@ class KernelCache:
             self.bytes -= self._sizes.pop(k, 0)
             self.evictions += 1
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._sizes.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.bytes = 0
+    def _zero(self) -> None:
+        super()._zero()
+        self._sizes.clear()
+        self.bytes = 0
 
-    def info(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "bytes": self.bytes,
-                "max_bytes": self.max_bytes,
-                "enabled": self.enabled,
-            }
+    def _info(self) -> Dict[str, object]:
+        return {**super()._info(), "bytes": self.bytes,
+                "max_bytes": self.max_bytes}
 
 
 #: process-global kernel cache (cleared alongside the plan cache)

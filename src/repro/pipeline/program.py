@@ -44,9 +44,7 @@ alongside the plan/kernel/Table I caches.
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,7 +54,7 @@ from ..core.clause import Clause, Ordering
 from ..decomp.multidim import GridDecomposition
 from ..machine.shared import SharedMachine
 from . import _verify_plan_hit, compile_plan
-from .cache import _clone_hit, _env_number, plan_key
+from .cache import _clone_hit, _StructuralCache, plan_key
 from .trace import PassRecord, PipelineTrace
 
 __all__ = [
@@ -66,13 +64,12 @@ __all__ = [
     "program_cache",
     "program_key",
     "compile_program",
+    "cached_program",
     "run_program",
     "evaluate_program_reference",
     "program_cache_info",
     "clear_program_cache",
 ]
-
-_DEFAULT_MAXSIZE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -192,49 +189,24 @@ def program_key(
             bool(eliminate_barriers), bool(fuse), bool(elide))
 
 
-class ProgramCache:
+class ProgramCache(_StructuralCache):
     """Thread-safe LRU of compiled :class:`ProgramIR` (structural keys,
     eviction-counted, ``REPRO_CACHE_SIZE`` respected)."""
 
-    def __init__(self, maxsize: Optional[int] = None):
-        self.maxsize = (_env_number("REPRO_CACHE_SIZE", _DEFAULT_MAXSIZE)
-                        if maxsize is None else maxsize)
-        self.enabled = True
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[tuple, ProgramIR]" = OrderedDict()
-        self._lock = threading.Lock()
+    DEFAULT_MAXSIZE = 64
+    _make_key = staticmethod(program_key)
 
-    def key_for(self, clauses, decomps_list, **opts) -> Optional[tuple]:
-        if not self.enabled:
-            return None
-        key = program_key(clauses, decomps_list, **opts)
-        if key is None:
-            return None
-        try:
-            hash(key)
-        except TypeError:
-            return None
-        return key
+    @staticmethod
+    def _verified(pir: ProgramIR) -> bool:
+        return all(st.ir.diagnostics is not None for st in pir.steps)
 
-    def lookup(self, key, clauses, decomps_list) -> Optional[ProgramIR]:
-        with self._lock:
-            pir = self._entries.get(key)
-            if pir is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-        return _clone_program_hit(pir, key, clauses, decomps_list)
-
-    def store(self, key, pir: ProgramIR) -> None:
-        with self._lock:
-            self._entries[key] = pir
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+    def lookup(self, key, clauses, decomps_list, *, probe=False,
+               verify=False) -> Optional[ProgramIR]:
+        """A cloned hit or ``None``; *probe* and *verify* as in
+        :meth:`~repro.pipeline.cache._StructuralCache._get`."""
+        pir = self._get(key, probe, verify)
+        return None if pir is None else _clone_program_hit(
+            pir, key, clauses, decomps_list)
 
     def attach_diagnostics(self, key, reports) -> None:
         """Attach per-step verification reports to the cached entry for
@@ -248,24 +220,6 @@ class ProgramCache:
                 if st.ir.diagnostics is None:
                     st.ir.diagnostics = report
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    def info(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "enabled": self.enabled,
-            }
-
 
 def _clone_program_hit(pir: ProgramIR, key, clauses,
                        decomps_list) -> ProgramIR:
@@ -273,7 +227,9 @@ def _clone_program_hit(pir: ProgramIR, key, clauses,
     every step onto the caller's objects: its clause, its successor (the
     caller's next clause) and the caller's decompositions, merged as
     ``_pass_compile_clauses`` merges them.  Executors key pre-fetched
-    values by ``Ref`` identity — see the plan cache."""
+    values by ``Ref`` identity — see the plan cache.  A step whose
+    clause and successor already are the caller's keeps its own
+    decompositions and gets a fresh trace alone."""
     trace = PipelineTrace(
         label=pir.trace.label,
         records=list(pir.trace.records),
@@ -285,6 +241,11 @@ def _clone_program_hit(pir: ProgramIR, key, clauses,
         successor, decs = None, decomps_list[k]
         if st.ir.successor is not None:
             successor = clauses[k + 1]
+        if clause is st.clause and successor is st.ir.successor:
+            steps.append(dataclasses.replace(
+                st, ir=_clone_hit(st.ir, st.ir.trace.cache_key)))
+            continue
+        if successor is not None:
             decs = {**decomps_list[k + 1], **decomps_list[k]}
         ir = _clone_hit(st.ir, st.ir.trace.cache_key, clause, decs,
                         successor)
@@ -298,7 +259,7 @@ def _verify_program_hit(pir: ProgramIR, key) -> None:
     was compiled unverified is verified step by step on demand, and the
     verdicts are attached to the entry (and to the plan cache), so the
     next verified hit runs no pass at all."""
-    if all(st.ir.diagnostics is not None for st in pir.steps):
+    if program_cache._verified(pir):
         return
     for st in pir.steps:
         _verify_plan_hit(st.ir)
@@ -559,6 +520,45 @@ def _normalize_decomps(decomps, nclauses: int) -> List[Dict[str, object]]:
     return out
 
 
+def _program_lookup(program, decomps, repeat, swap, eliminate_barriers,
+                    fuse, elide, verify, probe=False):
+    """``compile_program``'s hit path, shared with :func:`cached_program`:
+    the normalized inputs, the key and the (verified) hit or ``None``."""
+    clauses = list(program)
+    if not clauses:
+        raise ValueError("cannot compile an empty program")
+    if repeat < 1:
+        raise ValueError("repeat must be >= 1")
+    swap = tuple((str(a), str(b)) for a, b in swap)
+    seen = set()
+    for pair in swap:
+        for name in pair:
+            if name in seen:
+                raise ValueError(f"array {name!r} appears in two swap pairs")
+            seen.add(name)
+    decomps_list = _normalize_decomps(decomps, len(clauses))
+    key = program_cache.key_for(
+        clauses, decomps_list, repeat=repeat, swap=swap,
+        eliminate_barriers=eliminate_barriers, fuse=fuse, elide=elide)
+    hit = None
+    if key is not None:
+        hit = program_cache.lookup(key, clauses, decomps_list, probe=probe,
+                                   verify=verify)
+        if hit is not None and verify:
+            _verify_program_hit(hit, key)
+    return clauses, decomps_list, swap, key, hit
+
+
+def cached_program(program, decomps, *, repeat: int = 1,
+                   swap: Sequence[Tuple[str, str]] = (),
+                   verify: bool = False) -> Optional[ProgramIR]:
+    """What :func:`compile_program` would return from its cache, or
+    ``None`` where it would compile or verify: a miss counts nothing.
+    The lookup for a caller that must not compute (the serve loop)."""
+    return _program_lookup(program, decomps, repeat, swap, True, True, True,
+                           verify, probe=True)[4]
+
+
 def compile_program(
     program,
     decomps,
@@ -587,29 +587,11 @@ def compile_program(
     both kinds of call, and a hit on an unverified entry is verified on
     demand, with the per-step verdicts attached back to the entry.
     """
-    clauses = list(program)
-    if not clauses:
-        raise ValueError("cannot compile an empty program")
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    swap = tuple((str(a), str(b)) for a, b in swap)
-    seen = set()
-    for pair in swap:
-        for name in pair:
-            if name in seen:
-                raise ValueError(f"array {name!r} appears in two swap pairs")
-            seen.add(name)
-    decomps_list = _normalize_decomps(decomps, len(clauses))
-    opts = dict(repeat=repeat, swap=swap,
-                eliminate_barriers=eliminate_barriers, fuse=fuse,
-                elide=elide)
-    key = program_cache.key_for(clauses, decomps_list, **opts)
-    if key is not None:
-        hit = program_cache.lookup(key, clauses, decomps_list)
-        if hit is not None:
-            if verify:
-                _verify_program_hit(hit, key)
-            return hit
+    clauses, decomps_list, swap, key, hit = _program_lookup(
+        program, decomps, repeat, swap, eliminate_barriers, fuse, elide,
+        verify)
+    if hit is not None:
+        return hit
     label = f"program[{len(clauses)}]"
     if repeat > 1:
         label += f" repeat({repeat})"

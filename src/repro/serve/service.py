@@ -9,11 +9,13 @@ sockets.  Design of the hot path:
   kernel, Table I, verify, program), so all clients share one warm
   state — the service adds no cache of its own, it *multiplexes* the
   existing ones.
-* **A hot compile is lookups.**  A seen text hits the parse memo (only
-  ``translate`` runs, so every request gets fresh clauses); a program
-  is one ``compile_program`` call whose verified cache entry serves the
-  request, and its per-clause entries are read off ``pir.steps`` — no
-  clause is compiled twice, and a warm request runs no pass.
+* **A hot compile is lookups.**  A seen text hits the parse memo, which
+  keeps its translation too: every request for it shares one set of
+  frozen clauses.  A program is one program-cache lookup whose entry
+  already holds those clauses, so the hit re-anchors nothing and only
+  gets a fresh trace; its per-clause entries are read off
+  ``pir.steps``.  A warm request lexes, parses, translates and runs no
+  pass.
 * **Single-flight compilation.**  N concurrent identical compile/check
   requests collapse onto one pipeline execution via an async
   :class:`~repro.serve.singleflight.SingleFlight` keyed on the request's
@@ -21,11 +23,20 @@ sockets.  Design of the hot path:
   :data:`~repro.pipeline.cache.compile_flight` guards the structural
   key itself).  Failures are never cached; cancelled clients never
   cancel the shared work.
-* **The event loop never computes.**  CPU-heavy work (parsing,
-  pipeline passes, verification, executing runs) happens on a bounded
-  ``ThreadPoolExecutor``; the loop only routes requests and awaits
-  futures.  ``backend="mp"`` runs additionally serialize on one lock —
-  the :class:`~repro.runtime.pool.WorkerPool` command protocol is
+* **The event loop never parses, translates, compiles, verifies or
+  executes.**  It answers a ``compile`` itself when every step is a
+  lookup: a memoized translation, then a program-cache (or plan-cache)
+  hit that already holds its verdicts when ``verify`` is asked.  The
+  probe is the caches' own hit path
+  (:func:`~repro.pipeline.cached_program`,
+  :func:`~repro.pipeline.cached_plan`); a probe that misses counts
+  nothing and takes no lock an executor thread holds across long work.
+  Everything else (``run``, ``check``, every miss) happens on a bounded
+  ``ThreadPoolExecutor`` under single-flight, while the loop routes
+  requests and awaits futures: an executor hop buys a pure-Python
+  lookup nothing, since the GIL serializes it anyway.
+  ``backend="mp"`` runs additionally serialize on one lock — the
+  :class:`~repro.runtime.pool.WorkerPool` command protocol is
   parent-side single-threaded by design.
 * **Per-tenant quotas and deadlines.**  A tenant exceeding its
   concurrent in-flight cap gets ``quota-exceeded`` immediately; a
@@ -118,6 +129,7 @@ class ReproService:
         self.requests: Dict[str, int] = {}
         self.errors: Dict[str, int] = {}
         self.compiles_executed = 0
+        self.answered_on_loop = 0
         self.checks_executed = 0
         self.runs_executed = 0
         self.draining = False
@@ -195,13 +207,24 @@ class ReproService:
             self.draining = True
             return {"draining": True}
         if op == "compile":
-            return await self._coalesced(req, self._do_compile)
+            return await self._coalesced(req, self._do_compile,
+                                         self._compile_on_loop)
         if op == "check":
             return await self._coalesced(req, self._do_check)
         return await self._offload(self._do_run, req)
 
-    async def _coalesced(self, req, worker) -> Dict[str, Any]:
+    async def _coalesced(self, req, worker, on_loop=None) -> Dict[str, Any]:
         key = request_key(req) if self.single_flight else None
+        # a request identical to one in flight joins it; any other is
+        # answered here when that takes lookups alone
+        if on_loop is not None and key not in self.flight:
+            result = on_loop(req)
+            if result is not None:
+                self.answered_on_loop += 1
+                return result
+            # a miss yields once, so requests that arrived together are
+            # all probed before the executor computes any of them
+            await asyncio.sleep(0)
         if key is None:
             return await self._offload(worker, req)
         return await self.flight.do(
@@ -229,6 +252,7 @@ class ReproService:
                 "requests": dict(self.requests),
                 "errors": dict(self.errors),
                 "compiles_executed": self.compiles_executed,
+                "answered_on_loop": self.answered_on_loop,
                 "checks_executed": self.checks_executed,
                 "runs_executed": self.runs_executed,
                 "singleflight": {
@@ -247,7 +271,10 @@ class ReproService:
 
     # -- executor-side workers ----------------------------------------------
 
-    def _parse(self, req: Dict[str, Any]) -> _Parsed:
+    def _parse(self, req: Dict[str, Any], probe: bool = False
+               ) -> Optional[_Parsed]:
+        """The request's program fields; with *probe*, ``None`` unless
+        the text's translation is memoized (nothing is translated)."""
         from ..cli import _parse_swap, parse_decomposition
         from ..frontend import translate_source
 
@@ -273,7 +300,7 @@ class ReproService:
         try:
             swap = _parse_swap(swap_items)
             decomps = dict(parse_decomposition(a, pmax) for a in arrays)
-            program = translate_source(source, params)
+            program = translate_source(source, params, probe=probe)
         except SystemExit as e:
             raise ServiceError(ERR_BADREQ, str(e)) from None
         except (KeyError, ValueError, SyntaxError) as e:
@@ -282,58 +309,84 @@ class ReproService:
         if not decomps:
             raise ServiceError(ERR_BADREQ,
                                "no decompositions: pass \"arrays\"")
+        if program is None:
+            return None
         return _Parsed(program=program, clauses=list(program),
                        decomps=decomps, pmax=pmax, steps=steps, swap=swap,
                        backend=backend)
+
+    def _compile_on_loop(self, req: Dict[str, Any]
+                         ) -> Optional[Dict[str, Any]]:
+        """The ``compile`` result when every step is a lookup, or
+        ``None``: nothing was counted, and the request goes on to the
+        executor (which reports any error)."""
+        from ..frontend import count_parse_hit
+        from ..pipeline import cached_plan, cached_program
+
+        try:
+            p = self._parse(req, probe=True)
+            result = None if p is None else self._compile(
+                p, req, cached_program, cached_plan)
+        except (ServiceError, KeyError, ValueError, NotImplementedError):
+            return None
+        if result is not None:
+            count_parse_hit(req["program"])
+        return result
 
     def _do_compile(self, req: Dict[str, Any]) -> Dict[str, Any]:
         from ..pipeline import compile_plan, compile_program
 
         p = self._parse(req)
-        verify = bool(req.get("verify", False))
         with self._count_lock:
             self.compiles_executed += 1
         try:
-            # a program compiles each clause once, inside compile_program:
-            # its per-clause entries are read off the steps, so a warm
-            # request is one program-cache lookup
-            pir = None
-            if p.is_program:
-                pir = compile_program(p.program, p.decomps, repeat=p.steps,
-                                      swap=p.swap, verify=verify)
-                irs = [st.ir for st in pir.steps]
-            else:
-                irs = [compile_plan(clause, p.decomps, verify=verify)
-                       for clause in p.clauses]
-            clauses_out = []
-            for ir in irs:
-                entry = {
-                    "name": ir.clause.name,
-                    "cache_hit": bool(ir.trace.cache_hit),
-                    "rules": ir.rules(),
-                    "fused": ir.kernels is not None,
-                }
-                if verify and ir.diagnostics is not None:
-                    entry["diagnostics"] = ir.diagnostics.summary()
-                clauses_out.append(entry)
-            result: Dict[str, Any] = {"clauses": clauses_out,
-                                      "backend": p.backend}
-            if pir is not None:
-                result["program"] = {
-                    "cache_hit": bool(pir.trace.cache_hit),
-                    "steps": len(pir.steps),
-                    "repeat": pir.repeat,
-                    "barriers_per_step": pir.barriers_per_step(),
-                    "pipelined": pir.pipelined,
-                    "pipeline_reason": pir.pipeline_reason,
-                    "describe": pir.describe(),
-                }
-            return result
-        except ServiceError:
-            raise
+            return self._compile(p, req, compile_program, compile_plan)
         except (KeyError, ValueError, NotImplementedError) as e:
             raise ServiceError(ERR_COMPILE,
                                f"{type(e).__name__}: {e}") from None
+
+    @staticmethod
+    def _compile(p: _Parsed, req, program_fn, plan_fn
+                 ) -> Optional[Dict[str, Any]]:
+        """The ``compile`` result through *program_fn* / *plan_fn* (the
+        compiling or the cache-only pair), ``None`` when one of them
+        returns it.  A program compiles each clause once, inside
+        *program_fn*: its per-clause entries are read off the steps."""
+        verify = bool(req.get("verify", False))
+        pir = None
+        if p.is_program:
+            pir = program_fn(p.program, p.decomps, repeat=p.steps,
+                             swap=p.swap, verify=verify)
+            irs = [st.ir for st in pir.steps] if pir else [None]
+        else:
+            irs = [plan_fn(clause, p.decomps, verify=verify)
+                   for clause in p.clauses]
+        if any(ir is None for ir in irs):
+            return None
+        clauses_out = []
+        for ir in irs:
+            entry = {
+                "name": ir.clause.name,
+                "cache_hit": bool(ir.trace.cache_hit),
+                "rules": ir.rules(),
+                "fused": ir.kernels is not None,
+            }
+            if verify and ir.diagnostics is not None:
+                entry["diagnostics"] = ir.diagnostics.summary()
+            clauses_out.append(entry)
+        result: Dict[str, Any] = {"clauses": clauses_out,
+                                  "backend": p.backend}
+        if pir is not None:
+            result["program"] = {
+                "cache_hit": bool(pir.trace.cache_hit),
+                "steps": len(pir.steps),
+                "repeat": pir.repeat,
+                "barriers_per_step": pir.barriers_per_step(),
+                "pipelined": pir.pipelined,
+                "pipeline_reason": pir.pipeline_reason,
+                "describe": pir.describe(),
+            }
+        return result
 
     def _do_check(self, req: Dict[str, Any]) -> Dict[str, Any]:
         """The ``repro check --json`` schema, served warm."""

@@ -31,6 +31,9 @@ class SingleFlight:
     def inflight(self) -> int:
         return len(self._inflight)
 
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._inflight
+
     async def do(self, key: Hashable,
                  thunk: Callable[[], Awaitable[Any]]) -> Any:
         """Run ``thunk()`` for *key*, or piggyback on the one in flight."""

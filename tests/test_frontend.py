@@ -26,6 +26,8 @@ from repro.frontend import lexer
 from repro.frontend.tokens import KEYWORDS, SYMBOLS
 from repro.frontend.translate import classify_index_expr
 
+from .conftest import check_all_tiers
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -210,8 +212,8 @@ class TestLexerMatchesTheCharacterLoop:
 
 
 class TestParseMemo:
-    """``parse`` is memoized on the text; its AST is immutable, and
-    ``translate`` still builds fresh clauses for every caller."""
+    """``parse`` is memoized on the text; its AST is immutable, and so
+    are the clauses the memo keeps per text and params."""
 
     SOURCE = ("for i := 0 to 9 par do\n"
               "    if B[i] > 0 then A[i] := B[i] + 1; fi;\nod;\n")
@@ -246,13 +248,17 @@ class TestParseMemo:
         # nodes built by hand are frozen the same way
         assert A.Block([loop]).body == (loop,)
 
-    def test_translate_builds_fresh_clauses(self):
+    def test_translate_shares_frozen_clauses(self):
         one = translate_source(self.SOURCE)
         two = translate_source(self.SOURCE)
         assert parse_cache_info()["hits"] == 1
-        for a, b in zip(one, two):
-            assert a is not b and a.lhs is not b.lhs
-            assert repr(a) == repr(b)
+        assert one is not two and one.clauses is not two.clauses
+        assert all(a is b for a, b in zip(one, two))
+        src = "for i := 0 to n par do A[i] := B[i]; od"
+        three, seven = (translate_source(src, {"n": n}) for n in (3, 7))
+        assert three.clauses[0] is not seven.clauses[0]
+        assert translate_source(src, {"n": 3}).clauses[0] \
+            is three.clauses[0]
 
     def test_params_enter_after_the_memo(self):
         src = "for i := 0 to n par do A[i] := 0; od"
@@ -294,6 +300,131 @@ class TestParseMemo:
                             or real(source))
         parse(self.SOURCE)  # a cold compile still parses
         assert lexed == [self.SOURCE]
+
+
+class TestSharedTranslations:
+    """Every caller of one ``(text, params)`` shares one set of frozen
+    clauses, which compiling, verifying and running never change."""
+
+    SOURCE = ("for i := 1 to n - 2 par do\n"
+              "    B[i] := A[i - 1] + 3 * A[i] + A[i + 1];\nod;\n")
+
+    def setup_method(self):
+        clear_parse_cache()
+
+    def test_probe_only_looks(self, monkeypatch):
+        import sys
+
+        def boom(*args):
+            raise AssertionError("a probe translated")
+
+        monkeypatch.setattr(sys.modules["repro.frontend.translate"],
+                            "translate", boom)
+        assert translate_source(self.SOURCE, {"n": 8}, probe=True) is None
+        assert parse_cache_info()["hits"] + \
+            parse_cache_info()["misses"] == 0
+        monkeypatch.undo()
+        kept = translate_source(self.SOURCE, {"n": 8})
+        got = translate_source(self.SOURCE, {"n": 8}, probe=True)
+        assert got.clauses == kept.clauses
+        assert got.clauses[0] is kept.clauses[0]
+        assert (parse_cache_info()["hits"], parse_cache_info()["misses"]) \
+            == (0, 1)
+
+    def test_clear_all_caches_drops_the_translations(self):
+        from repro.cacheinfo import clear_all_caches
+
+        first = translate_source(self.SOURCE, {"n": 8}).clauses[0]
+        clear_all_caches()
+        assert translate_source(self.SOURCE, {"n": 8}, probe=True) is None
+        assert translate_source(self.SOURCE, {"n": 8}).clauses[0] \
+            is not first
+
+    def test_an_evicted_text_is_translated_again(self, monkeypatch):
+        import sys
+
+        from repro.frontend.parser import _parse_cache
+
+        module = sys.modules["repro.frontend.translate"]
+        translated = []
+        real = module.translate
+        monkeypatch.setattr(module, "translate",
+                            lambda tree, params: translated.append(tree)
+                            or real(tree, params))
+        monkeypatch.setattr(_parse_cache, "_maxsize", 1)
+        first = translate_source(self.SOURCE, {"n": 8}).clauses[0]
+        translate_source(self.SOURCE, {"n": 8})
+        assert len(translated) == 1
+        translate_source("for i := 0 to 3 par do A[i] := 0; od", {})
+        again = translate_source(self.SOURCE, {"n": 8}).clauses[0]
+        assert len(translated) == 3 and again is not first
+
+    def test_translations_per_text_are_bounded(self):
+        from repro.frontend.parser import _ParseCache
+
+        for n in range(_ParseCache.TRANSLATIONS + 1):
+            translate_source(self.SOURCE, {"n": 8 + n})
+        assert translate_source(self.SOURCE, {"n": 8}, probe=True) is None
+        assert translate_source(self.SOURCE, {"n": 9}, probe=True) \
+            is not None
+
+    def test_racing_threads_share_one_translation(self):
+        import sys
+        import threading
+
+        got, go = [], threading.Barrier(8)
+
+        def worker():
+            go.wait(timeout=10)
+            for _ in range(20):
+                got.append(translate_source(self.SOURCE, {"n": 8})
+                           .clauses[0])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 160
+        assert all(c is got[-1] for c in got)
+
+    def test_clause_fields_are_frozen(self):
+        (clause,) = translate_source(self.SOURCE, {"n": 8})
+        for f in dataclasses.fields(clause):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(clause, f.name, getattr(clause, f.name))
+        renamed = dataclasses.replace(clause, name="other")
+        assert (renamed.name, clause.name) == ("other", "clause1")
+
+    def test_compile_verify_run_leave_a_memoized_clause_unchanged(self):
+        from repro.decomp import Block, Scatter
+        from repro.pipeline import compile_plan, compile_program, run_program
+        from repro.pipeline.cache import _clause_key
+
+        def fingerprint(clause):
+            # a replace() copy derives its key afresh from the sub-objects
+            return _clause_key(dataclasses.replace(clause)), repr(clause)
+
+        n = 32
+        (clause,) = translate_source(self.SOURCE, {"n": n})
+        before = fingerprint(clause)
+        rng = np.random.default_rng(5)
+        env = {"A": rng.random(n), "B": rng.random(n)}
+        for decomps in ({"A": Block(n, 4), "B": Block(n, 4)},
+                        {"A": Scatter(n, 4), "B": Block(n, 4)}):
+            compile_plan(clause, decomps, verify=True)
+            check_all_tiers(clause, decomps, env)
+            pir = compile_program([clause], decomps, verify=True)
+            run_program(pir, copy_env(env), backend="fused")
+        (again,) = translate_source(self.SOURCE, {"n": n})
+        assert again is clause
+        assert fingerprint(clause) == before
 
 
 class TestParser:

@@ -1,5 +1,7 @@
 """Tests for the inspector/executor machinery (indirect accesses, §3)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,7 @@ class TestValidation:
 
     def test_table_must_cover_domain(self):
         cl = indirect_clause(np.arange(5))
-        cl.domain = IndexSet.range1d(0, 9)
+        cl = dataclasses.replace(cl, domain=IndexSet.range1d(0, 9))
         with pytest.raises(ValueError, match="does not cover"):
             compile_indirect(cl, {"A": Block(10, 2), "B": Block(10, 2)})
 

@@ -1,5 +1,7 @@
 """Tests for d-dimensional distributed SPMD generation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,7 +90,7 @@ class TestCompilation:
 
     def test_seq_rejected(self):
         cl = shift_clause()
-        cl.ordering = SEQ
+        cl = dataclasses.replace(cl, ordering=SEQ)
         with pytest.raises(ValueError, match="// clauses"):
             compile_clause_nd_dist(cl, {"T": grid(), "S": grid()})
 
@@ -172,7 +174,8 @@ class TestExecution:
 
     def test_guarded_2d(self):
         cl = shift_clause()
-        cl.guard = Ref("S", SeparableMap([IdentityF(), IdentityF()])) > 0.5
+        cl = dataclasses.replace(
+            cl, guard=Ref("S", SeparableMap([IdentityF(), IdentityF()])) > 0.5)
         env0 = env2d(seed=7)
         ref = evaluate_clause(cl, copy_env(env0))["T"]
         plan = compile_clause_nd_dist(cl, {"T": grid("scatter", "block"),

@@ -1,5 +1,7 @@
 """Tests for multi-dimensional SPMD generation over processor grids."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,8 @@ class TestExecution:
 
     def test_guarded_2d(self):
         cl = scale_clause()
-        cl.guard = Ref("M", SeparableMap([IdentityF(), IdentityF()])) > 0.5
+        cl = dataclasses.replace(
+            cl, guard=Ref("M", SeparableMap([IdentityF(), IdentityF()])) > 0.5)
         env0 = env2d(seed=4)
         ref = evaluate_clause(cl, copy_env(env0))["N"]
         m = run_shared_nd(

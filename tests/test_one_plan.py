@@ -8,6 +8,8 @@ template's accounting at every rank — and the two real preconditions
 placed) are coded one-line errors.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,6 @@ def test_membership_tests_are_charged_on_grids():
     dist = run_distributed_nd(compile_clause_nd_dist(clause, decomps),
                               env_2d())
     assert dist.stats.total_tests() > 0
-    clause.ordering = SEQ
+    clause = dataclasses.replace(clause, ordering=SEQ)
     seq = run_shared_nd(compile_clause_nd(clause, decomps), env_2d())
     assert seq.stats.total_tests() == (M - 2) ** 2

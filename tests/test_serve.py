@@ -510,6 +510,135 @@ class TestHotCompile:
         run_service(body)
 
 
+def counter_deltas(before, after):
+    """Every numeric counter of two ``cache_stats()`` snapshots,
+    after minus before."""
+    return {(cache, name): after[cache][name] - value
+            for cache, fields in before.items()
+            for name, value in fields.items()
+            if isinstance(value, int) and not isinstance(value, bool)}
+
+
+class TestAnsweredOnLoop:
+    """A warm compile is answered on the event loop by lookups alone;
+    anything else reaches the executor exactly as before."""
+
+    _req = staticmethod(TestHotCompile._req)
+
+    def test_warm_request_never_reaches_the_executor(self, monkeypatch):
+        import sys
+
+        from repro.cacheinfo import cache_stats, clear_all_caches
+        from repro.frontend import lexer, parser
+        from repro.pipeline import PassManager
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a warm compile left the lookups")
+
+        async def body(service):
+            clear_all_caches()
+            assert (await service.handle(self._req()))["ok"]
+            executed = service.compiles_executed
+            monkeypatch.setattr(service.executor, "submit", boom)
+            monkeypatch.setattr(lexer, "tokenize", boom)
+            monkeypatch.setattr(parser, "tokenize", boom)
+            monkeypatch.setattr(sys.modules["repro.frontend.translate"],
+                                "translate", boom)
+            monkeypatch.setattr(PassManager, "run", boom)
+            before = cache_stats()
+            hot = await service.handle(self._req())
+            moved = counter_deltas(before, cache_stats())
+            assert hot["ok"], hot
+            assert all(c["cache_hit"] and c["diagnostics"]["ok"]
+                       for c in hot["result"]["clauses"])
+            for cache, want in (("parse", (1, 0)), ("program", (1, 0)),
+                                ("plan", (0, 0))):
+                assert (moved[cache, "hits"], moved[cache, "misses"]) \
+                    == want, cache
+            assert service.compiles_executed == executed
+            assert service.answered_on_loop == 1
+            server = service.stats()["server"]
+            assert server["answered_on_loop"] == 1
+            assert server["compiles_executed"] == executed
+
+        run_service(body)
+
+    def test_loop_result_equals_the_executor_result(self):
+        single = {"op": "compile", "program": PROG, "arrays": ARRAYS,
+                  "verify": True}
+
+        async def body(service):
+            for req in (self._req(), {**self._req(), "verify": False},
+                        single):
+                await service.handle(req)
+                hot = await service.handle(req)
+                assert service.answered_on_loop >= 1
+                assert hot["result"] == service._do_compile(req)
+
+        run_service(body)
+
+    def test_a_cold_request_counts_as_without_the_probe(self):
+        from repro.cacheinfo import cache_stats, clear_all_caches
+
+        async def body(service):
+            for req in (self._req(), compile_req(verify=True)):
+                clear_all_caches()
+                before = cache_stats()
+                service._do_compile(req)
+                direct = counter_deltas(before, cache_stats())
+                clear_all_caches()
+                before = cache_stats()
+                assert (await service.handle(req))["ok"]
+                assert counter_deltas(before, cache_stats()) == direct
+            assert service.answered_on_loop == 0
+
+        run_service(body)
+
+    def test_first_verified_request_over_an_unverified_entry(self):
+        from repro.cacheinfo import cache_stats
+
+        async def body(service):
+            await service.handle({**self._req(), "verify": False})
+            executed = service.compiles_executed
+            before = cache_stats()
+            first = await service.handle(self._req())
+            moved = counter_deltas(before, cache_stats())
+            assert (moved["parse", "hits"], moved["parse", "misses"]) \
+                == (1, 0)
+            assert service.compiles_executed == executed + 1
+            assert service.answered_on_loop == 0
+            assert [c["diagnostics"]["ok"]
+                    for c in first["result"]["clauses"]] == [True, True]
+            second = await service.handle(self._req())
+            assert service.compiles_executed == executed + 1
+            assert service.answered_on_loop == 1
+            assert second == first
+
+        run_service(body)
+
+    def test_hot_requests_overtake_a_slow_miss(self):
+        async def body(service):
+            await service.handle(self._req())
+            slow_wrapper(service, delay=0.5)
+            done = []
+
+            async def tagged(tag, req):
+                resp = await service.handle(req)
+                done.append(tag)
+                return resp
+
+            miss = asyncio.ensure_future(tagged("miss", compile_req()))
+            await asyncio.sleep(0.05)  # the miss occupies the one worker
+            hot = await asyncio.gather(
+                *[tagged("hot", self._req()) for _ in range(3)])
+            assert all(r["ok"] for r in hot)
+            assert (await miss)["ok"]
+            assert done == ["hot"] * 3 + ["miss"]
+            assert service.compiles_executed == 2
+
+        run_service(body, workers=1)
+
+
 # ---------------------------------------------------------------------------
 # the daemon, end to end
 # ---------------------------------------------------------------------------
@@ -662,6 +791,68 @@ class TestServeDaemon:
             assert proc.wait(timeout=30) == 0
         finally:
             stop_daemon(proc)
+
+    def test_cold_burst_executes_once_and_the_ablation_each(self, tmp_path):
+        """N identical verified compiles of a twelve-clause program,
+        released together against a cold daemon, run the pipeline once
+        and coalesce N - 1; without single-flight, more than one runs
+        it (a request that arrives after the first stored its entry is
+        answered on the loop)."""
+        names = "ABCDEFGHIJKLM"
+        clauses = "".join(
+            "for i := 1 to n - 2 par do\n"
+            f"    {dst}[i] := {src}[i - 1] + {k} * {src}[i] + {src}[i + 1];"
+            "\nod;\n" for k, (src, dst) in enumerate(
+                zip(names, names[1:]), start=2))
+        req = {"program": clauses, "params": {"n": 2048}, "pmax": 16,
+               "arrays": [f"{x}=block:2048" for x in names],
+               "verify": True}
+        burst = 8
+
+        def cold_burst(sock):
+            clients = [connect(sock, retries=20, delay=0.05, timeout=120)
+                       for _ in range(burst)]
+            go = threading.Barrier(burst)
+            results = [None] * burst
+
+            def fire(k):
+                go.wait()
+                results[k] = clients[k].call("compile", **req)
+
+            try:
+                clients[0].call("clear")
+                before = clients[0].call("stats")["server"]
+                threads = [threading.Thread(target=fire, args=(k,))
+                           for k in range(burst)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                after = clients[0].call("stats")["server"]
+                clients[0].call("shutdown")
+            finally:
+                for c in clients:
+                    c.close()
+            assert all(r is not None and len(r["clauses"]) == 12
+                       for r in results)
+            return {k: after[k] - before[k] for k in ("compiles_executed",
+                                                      "answered_on_loop")}, \
+                after["singleflight"]["coalesced"] \
+                - before["singleflight"]["coalesced"]
+
+        for extra, check in (
+                ((), lambda moved, coalesced: (
+                    moved["compiles_executed"] == 1
+                    and coalesced == burst - 1)),
+                (("--no-single-flight",), lambda moved, coalesced: (
+                    moved["compiles_executed"] > 1 and coalesced == 0))):
+            proc, sock = start_daemon(tmp_path, *extra)
+            try:
+                moved, coalesced = cold_burst(sock)
+                assert check(moved, coalesced), (extra, moved, coalesced)
+                assert proc.wait(timeout=30) == 0
+            finally:
+                stop_daemon(proc)
 
     def test_client_connect_retry_helper(self, tmp_path):
         proc, sock = start_daemon(tmp_path)
