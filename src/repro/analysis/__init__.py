@@ -14,9 +14,11 @@ and, at whole-program granularity (the ``PROG``/``SCHED``/``KRN``
 families):
 
 * :mod:`~repro.analysis.program_verifier` — independent re-derivation of
-  every fuse/elide/pipeline decision over a :class:`ProgramIR`
+  every fuse/elide/pipeline decision over a :class:`ProgramIR`, on keys
+  (:mod:`~repro.analysis.dependence`: the PROG001 element walk)
 * :mod:`~repro.analysis.schedule` — static message matching and
-  deadlock-freedom certification over the lowered mp schedule
+  deadlock-freedom certification over the lowered mp schedule or the
+  plans' footprints
 * :mod:`~repro.analysis.kernel_sanitizer` — generated-kernel audit
   (index bounds, source whitelist, dead guards)
 

@@ -12,7 +12,8 @@ statically, per plan:
     the declared array extents, dist-kernel regions (gathers, sends,
     ghost fills, stores) against the node's local buffer shape plus its
     ghost margins — on each flavor as it is built (a finding refuses it)
-    and again by :func:`sanitize_kernels`.
+    and again by :func:`sanitize_kernels`; and the plan's footprint,
+    unbuilt (:func:`~repro.analysis.verify_program`).
 
 ``KRN002``
     AST audit of the rendered kernel source.  It may only use the
@@ -37,6 +38,7 @@ import re
 from typing import List, Optional, Tuple
 
 from ..core.expr import OPS, UNARY_OPS
+from ..pipeline.region import span
 from .diagnostics import Diagnostic, Severity
 from .support import ENUM_BUDGET, range_count
 
@@ -146,14 +148,12 @@ def _extents(ir, name: str) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _violation(region, extents) -> Optional[Tuple[int, int, object]]:
-    """First ``(axis, index, extent)`` of a region escaping its array: a
-    slice is checked at its first and last element, a vector at its min
-    and max — exact without enumeration.  A safety property, not an
-    optimisation: NumPy silently wraps a negative slice bound and clips
-    one past the end.  Negative indices are flagged even without known
-    extents."""
-    spans = region.extent()
+def _violation(spans, extents) -> Optional[Tuple[int, int, object]]:
+    """First ``(axis, index, extent)`` of a region escaping its array,
+    from its per-axis ``(min, max)`` *spans* — exact without enumeration.
+    A safety property, not an optimisation: NumPy silently wraps a
+    negative slice bound and clips one past the end.  Negative indices
+    are flagged even without known extents."""
     if extents is None or len(extents) != len(spans):
         extents = (None,) * len(spans)
     for axis, (span, n) in enumerate(zip(spans, extents)):
@@ -194,6 +194,23 @@ def _node_keys(nd, write_name):
                write_name, blk.write)
 
 
+def _bound(ir, flavor: str, p: int, what: str, access: str, spans,
+           shape) -> List[Diagnostic]:
+    """KRN001 for one region of node *p* (per-axis *spans*) in *shape*."""
+    hit = _violation(spans, shape)
+    if hit is None:
+        return []
+    axis, v, n = hit
+    return [_diag(
+        "KRN001",
+        f"{flavor} kernel of node {p}: {what} holds "
+        f"index {v} outside [0, {n}) at axis {axis}",
+        clause=ir.clause.name or "<anonymous>",
+        access=access, witnesses={p: [v]},
+        hint="a corrupted or stale key would fault (or "
+             "silently wrap or clip) at run time")]
+
+
 def _check_bounds(ir, flavor: str, nodes) -> List[Diagnostic]:
     """Every region of one flavor's *nodes* against the buffer it
     addresses: node *p*'s local buffers for the ``dist`` flavor — framed
@@ -211,17 +228,24 @@ def _check_bounds(ir, flavor: str, nodes) -> List[Diagnostic]:
             if shape is not None and name in nd.margins:
                 shape = tuple(lo + n + hi for (lo, hi), n
                               in zip(nd.margins[name], shape))
-            hit = _violation(region, shape)
-            if hit is not None:
-                axis, v, n = hit
-                out.append(_diag(
-                    "KRN001",
-                    f"{flavor} kernel of node {nd.p}: {what} holds "
-                    f"index {v} outside [0, {n}) at axis {axis}",
-                    clause=ir.clause.name or "<anonymous>",
-                    access=access, witnesses={nd.p: [v]},
-                    hint="a corrupted or stale key would fault (or "
-                         "silently wrap or clip) at run time"))
+            out += _bound(ir, flavor, nd.p, what, access,
+                          tuple(map(span, region.keys)), shape)
+    return out
+
+
+def _check_footprint(ir) -> List[Diagnostic]:
+    """KRN001 over the plan's footprint: what its ``shared`` flavor
+    would gather and store, without building it."""
+    out, w = [], ir.write.name
+    shapes = {acc.name: _extents(ir, acc.name) for acc in ir.accesses()}
+    for p, (write, reads) in enumerate(ir.footprint().per_node):
+        rows = [(f"gather of read {a!r} (pos {k})", f"read{k}:{a}", a, keys)
+                for k, a, keys in reads]
+        if write is not None:
+            rows.append((f"store of write {w!r}", f"write:{w}", w, write))
+        for what, access, name, keys in rows:
+            out += _bound(ir, "shared", p, what, access,
+                          tuple(map(span, keys)), shapes[name])
     return out
 
 

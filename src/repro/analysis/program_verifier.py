@@ -5,33 +5,33 @@ The inter-clause passes of :mod:`repro.pipeline.program` *prove* things
 redistribution preserves the layout contract, a pipelined time loop is
 re-placement free.  This module re-derives each of those claims
 independently and cross-checks the optimizer against the result, in the
-spirit of translation validation: the passes use the region key
-algebra, the verifier enumerates the element relation directly
-(as NumPy arrays, budget-bounded), so a disagreement is an optimizer bug
+spirit of translation validation, so a disagreement is an optimizer bug
 surfaced at compile time rather than a wrong answer at run time.
 
 ``PROG001``
     Every pair of clauses inside a fused phase is re-checked for
     cross-processor flow/anti/output dependences (the Bernstein
     conditions, instance-owner granularity — the DILD step-independence
-    relation).  A fusion the verifier cannot certify — budget exceeded,
-    opaque accesses — is also an error: the pass claimed a proof the
-    checker cannot reproduce.
+    relation) by :mod:`~repro.analysis.dependence`'s element walk.  A
+    fusion it cannot certify is also an error: the pass claimed a proof
+    the checker cannot reproduce.
 
 ``PROG002``
-    Every elided redistribution boundary is re-checked element-wise:
-    the producer-side and consumer-side decompositions must map every
-    element to the same processor (MDH-style (de)composition agreement,
-    not just structural ``cache_key`` equality).
+    Every elided redistribution boundary is re-checked on per-node owned
+    keys (``owned_indices``, per axis for a grid): the producer-side and
+    consumer-side decompositions must have every node own the same key
+    on every axis (MDH-style (de)composition agreement, not structural
+    ``cache_key`` equality) — O(P) key operations at any array size.
 
 ``PROG003``
     A pipelined time loop re-verifies its own preconditions: a repeat
     count above one, no surviving redistribution boundary, and
-    element-wise placement agreement of every swap pair.
+    placement agreement of every swap pair, on owned keys.
 
 :func:`verify_program` aggregates these with the per-clause reports, the
-static schedule check (:mod:`repro.analysis.schedule`) over the lowered
-mp programs, and the generated-kernel sanitizer
+static schedule check (:mod:`repro.analysis.schedule`) over the steps'
+footprints — what their ``shared`` flavor would read and write; no node
+kernel is built — and the generated-kernel sanitizer
 (:mod:`repro.analysis.kernel_sanitizer`).  Certified-clean results are
 cached in a bounded LRU keyed on the structural program key, so warm
 compiles skip re-verification; ``compile --cache-stats`` reports it as
@@ -40,18 +40,19 @@ the ``verify`` line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.ifunc import apply_ifunc
 from ..pipeline.cache import _StructuralCache
+from ..pipeline.region import klen, meet, minus, prog, span
+from .dependence import _diag, _Undecidable, verify_fusion
 from .diagnostics import Diagnostic, DiagnosticReport, Severity
-from .kernel_sanitizer import sanitize_kernels
+from .kernel_sanitizer import _check_footprint, sanitize_kernels
 from .schedule import (PhaseBarrier, ScheduleCertificate, check_schedule,
                        phase_barriers)
-from .support import ENUM_BUDGET
 
 __all__ = [
     "ProgramVerification",
@@ -61,15 +62,6 @@ __all__ = [
     "verify_cache_info",
     "clear_verify_cache",
 ]
-
-
-class _Undecidable(Exception):
-    """The independent re-derivation cannot decide (reason in args)."""
-
-
-def _diag(code, message, **kw):
-    kw.setdefault("severity", Severity.ERROR)
-    return Diagnostic(code=code, message=message, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -153,190 +145,60 @@ def clear_verify_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# PROG001: independent Bernstein/DILD dependence re-derivation
+# PROG002/003: placement agreement on owned keys
 # ---------------------------------------------------------------------------
 
-def _instances(ir) -> Tuple[np.ndarray, np.ndarray]:
-    """``(i, owner)`` per parameter instance of a 1-D clause — the
-    executing processor under owner-computes is the write element's
-    owner."""
-    if len(ir.loop_bounds) != 1:
-        raise _Undecidable("clause is not 1-D")
-    w = ir.write
-    if w is None or w.replicated or not w.funcs:
-        raise _Undecidable("write access has no placed closed form")
-    lo, hi = ir.loop_bounds[0]
-    if hi - lo + 1 > ENUM_BUDGET:
-        raise _Undecidable("domain exceeds the enumeration budget")
-    i = np.arange(lo, hi + 1, dtype=np.int64)
-    try:
-        e = apply_ifunc(w.funcs[0], i)
-        owner = np.asarray(w.dec.proc_array(e), dtype=np.int64)
-    except Exception as exc:
-        raise _Undecidable(f"owner derivation failed: {exc}") from exc
-    return i, owner
-
-
-def _access_elems(ir, acc, i: np.ndarray) -> np.ndarray:
-    if acc.replicated:
-        raise _Undecidable(f"access of {acc.name!r} is replicated")
-    if not acc.funcs or len(acc.funcs) != 1:
-        raise _Undecidable(f"access of {acc.name!r} has no rank-1 "
-                           "closed form")
-    try:
-        return apply_ifunc(acc.funcs[0], i)
-    except Exception as exc:
-        raise _Undecidable(
-            f"index function of {acc.name!r} is opaque: {exc}") from exc
-
-
-def _cross_witness(e_a, o_a, i_a, e_b, o_b, i_b):
-    """First ``(ia, ib, elem, pa, pb)`` with ``e_a[x] == e_b[y]`` and
-    ``o_a[x] != o_b[y]`` — a cross-processor element sharing between the
-    two instance sets — or ``None``.
-
-    Exact also for non-injective a-sides: per matched element it is
-    enough to compare against the first and last a-owner in sorted
-    order (if they differ, some a-owner differs from any b-owner)."""
-    if e_a.size == 0 or e_b.size == 0:
-        return None
-    order = np.argsort(e_a, kind="stable")
-    es, os_, is_ = e_a[order], o_a[order], i_a[order]
-    lo = np.searchsorted(es, e_b, side="left")
-    hi = np.searchsorted(es, e_b, side="right")
-    found = lo < hi
-    if not found.any():
-        return None
-    fl, fh = lo[found], hi[found]
-    mismatch = (os_[fl] != o_b[found]) | (os_[fh - 1] != o_b[found])
-    if not mismatch.any():
-        return None
-    pos = int(np.argmax(mismatch))
-    b_lane = int(np.nonzero(found)[0][pos])
-    a_slot = int(fl[pos]) if os_[fl[pos]] != o_b[b_lane] \
-        else int(fh[pos] - 1)
-    return (int(is_[a_slot]), int(i_b[b_lane]), int(e_b[b_lane]),
-            int(os_[a_slot]), int(o_b[b_lane]))
-
-
-def _check_fused_pair(st1, st2, boundary: str) -> List[Diagnostic]:
-    """All three Bernstein conditions between two clauses sharing a
-    fused phase, at instance-owner granularity."""
-    ir1, ir2 = st1.ir, st2.ir
-    i1, o1 = _instances(ir1)
-    i2, o2 = _instances(ir2)
-    w1 = _access_elems(ir1, ir1.write, i1)
-    w2 = _access_elems(ir2, ir2.write, i2)
-    deps = []
-    # flow: st1 writes an element another processor's st2 instance reads
-    for acc in ir2.reads:
-        if acc.name != ir1.write.name:
-            continue
-        r2 = _access_elems(ir2, acc, i2)
-        hit = _cross_witness(w1, o1, i1, r2, o2, i2)
-        if hit is not None:
-            deps.append(("flow", acc, hit))
-    # anti: st1 reads an element another processor's st2 instance writes
-    for acc in ir1.reads:
-        if acc.name != ir2.write.name:
-            continue
-        r1 = _access_elems(ir1, acc, i1)
-        hit = _cross_witness(w2, o2, i2, r1, o1, i1)
-        if hit is not None:
-            ia, ib, elem, pa, pb = hit
-            deps.append(("anti", acc, (ib, ia, elem, pb, pa)))
-    # output: both clauses write the same element on different processors
-    if ir1.write.name == ir2.write.name:
-        hit = _cross_witness(w1, o1, i1, w2, o2, i2)
-        if hit is not None:
-            deps.append(("output", ir2.write, hit))
-    out = []
-    for kind, acc, (ia, ib, elem, pa, pb) in deps:
-        out.append(_diag(
-            "PROG001",
-            f"fused phase {boundary} ({st1.name}+{st2.name}): "
-            f"cross-processor {kind} dependence on {acc.name}[{elem}] — "
-            f"instance i={ia} runs on p{pa}, instance i={ib} on p{pb}, "
-            "but no barrier separates the clauses",
-            clause=st2.name, access=acc.label,
-            witnesses={pa: [ia], pb: [ib]},
-            hint="the eliminate-barriers proof and the independent "
-                 "dependence re-derivation disagree: optimizer bug"))
-    return out
-
-
-def _verify_fusion(pir, report: DiagnosticReport) -> int:
-    """PROG001 over every pair inside every fused phase; returns the
-    number of certified pairs."""
-    certified = 0
-    for group in pir.groups:
-        if len(group) < 2:
-            continue
-        for j_pos, j in enumerate(group):
-            for k in group[j_pos + 1:]:
-                st1, st2 = pir.steps[j], pir.steps[k]
-                boundary = f"{j}->{k}"
-                try:
-                    found = _check_fused_pair(st1, st2, boundary)
-                except _Undecidable as why:
-                    report.add(_diag(
-                        "PROG001",
-                        f"fused phase {boundary} ({st1.name}+{st2.name}) "
-                        f"cannot be certified: {why} — the fusion pass "
-                        "claimed a proof the verifier cannot reproduce",
-                        clause=st2.name,
-                        hint="keep the barrier (fuse=False) or make the "
-                             "accesses closed-form"))
-                    continue
-                if found:
-                    report.extend(found)
-                else:
-                    certified += 1
-    return certified
-
-
-# ---------------------------------------------------------------------------
-# PROG002/003: element-wise placement agreement
-# ---------------------------------------------------------------------------
-
-def _layout_vec(dec) -> np.ndarray:
-    """Element -> owning processor, derived from ``proc_array`` (not from
-    ``cache_key`` — that is what the pass used)."""
-    from ..decomp.multidim import GridDecomposition
-
+def _axes(dec) -> tuple:
+    """The per-axis 1-D decompositions of *dec* (itself when 1-D)."""
     if dec is None:
         raise _Undecidable("no decomposition")
-    if isinstance(dec, GridDecomposition):
-        vecs = []
-        for ax in dec.dims:
-            vecs.append(_layout_vec(ax))
-        out = np.zeros(1, dtype=np.int64)
-        for g, v in zip(dec.grid_shape, vecs):
-            out = (out[:, None] * g + v[None, :]).ravel()
-        return out
-    n = getattr(dec, "n", None)
-    if n is None or n > ENUM_BUDGET:
-        raise _Undecidable("decomposition has no bounded element range")
-    if getattr(dec, "is_replicated", False):
-        return np.full(int(n), -1, dtype=np.int64)  # every copy everywhere
-    pa = getattr(dec, "proc_array", None)
-    if not callable(pa):
-        raise _Undecidable(f"{type(dec).__name__} has no proc_array")
-    return np.asarray(pa(np.arange(int(n), dtype=np.int64)),
-                      dtype=np.int64)
+    return getattr(dec, "dims", (dec,))
+
+
+def _owned(axes) -> Dict[int, tuple]:
+    """Per processor, numbered row-major over the grid, its owned key on
+    every axis; a replicated axis owns it whole, as processor -1."""
+    cells = {0: ()}
+    for ax in axes:
+        per = [(-1, slice(0, ax.n))] if ax.is_replicated else [
+            (c, ax.owned_indices(c)) for c in range(ax.pmax)]
+        cells = {p * ax.pmax + c: keys + (key,)
+                 for p, keys in cells.items() for c, key in per}
+    return cells
+
+
+def _first_outside(a: tuple, b: tuple) -> Optional[tuple]:
+    """The row-major first element of the product of keys *a* outside
+    the product *b*: per axis *d* where it may leave *b*, the first
+    member of the ``meet`` before *d*, the ``minus`` at *d*, *a* after."""
+    found = []
+    for d in range(len(a)):
+        parts = [meet(x, y) for x, y in zip(a[:d], b[:d])] \
+            + [minus(a[d], b[d])] + list(a[d + 1:])
+        if all(map(klen, parts)):
+            found.append(tuple(span(k)[0] for k in parts))
+    return min(found, default=None)
 
 
 def _placement_witness(d1, d2):
-    """First element two decompositions place on different processors,
-    as ``(elem, p1, p2)``; ``None`` when the layouts agree."""
-    l1, l2 = _layout_vec(d1), _layout_vec(d2)
-    if l1.shape != l2.shape:
-        return (0, int(l1.size), int(l2.size))
-    diff = l1 != l2
-    if not diff.any():
+    """First element, row-major, that two decompositions place on
+    different processors, as ``(elem, p1, p2)``; ``None`` when every
+    node owns the same key on every axis under both."""
+    if d1 is d2 and d1 is not None:  # one object places one way
         return None
-    e = int(np.argmax(diff))
-    return (e, int(l1[e]), int(l2[e]))
+    ax1, ax2 = _axes(d1), _axes(d2)
+    shape = tuple(a.n for a in ax1)
+    if shape != tuple(a.n for a in ax2):
+        return (0, math.prod(shape), math.prod(a.n for a in ax2))
+    own2, empty = _owned(ax2), (prog(0, 1, 0),) * len(shape)
+    found = [(e, p) for p, keys in _owned(ax1).items()
+             if (e := _first_outside(keys, own2.get(p, empty))) is not None]
+    if not found:
+        return None
+    idx, p1 = min(found)
+    p2 = next((q for q, keys in own2.items() if all(
+        klen(meet(k, prog(i, 1, 1))) for k, i in zip(keys, idx))), None)
+    return (int(np.ravel_multi_index(idx, shape)), p1, p2)
 
 
 def _resolve_boundary(pir, label):
@@ -439,26 +301,29 @@ def _verify_pipeline(pir, report: DiagnosticReport) -> None:
 # ---------------------------------------------------------------------------
 
 def _verify_schedule(pir, report: DiagnosticReport):
-    """Run the static schedule check over every step's shared-flavor
-    program — the node kernels ``run_program_mp`` executes, under the
-    pre-commit waits it keeps; returns ``(certificate, phase barriers)``,
-    ``(None, ())`` without an mp form."""
-    from ..runtime.lowering import MpLoweringError, lower_shared
-
-    progs = []
+    """The static schedule check over every step's footprint (what the
+    ``shared`` flavor ``run_program_mp`` runs would touch), building no
+    node kernel: ``(certificate, phase barriers)``, or ``(None, ())``
+    and the lowering's reason when a step has no mp form."""
     for st in pir.steps:
-        try:
-            progs.append(lower_shared(st.ir))
-        except MpLoweringError as why:
+        why = "plan carries no fused kernels (lower-kernels fallback)"
+        if st.ir.kernels is not None:
+            try:
+                found = _check_footprint(st.ir)
+                why = found and f"KRN001: {found[0].message}"
+            except Exception as e:  # enumerator/placement surprises
+                why = f"{type(e).__name__}: {e}"
+        if why:
             report.add(_diag(
                 "CHK001",
                 f"schedule of clause {st.index} ({st.name}) unverified: "
                 f"no mp form ({why})",
                 severity=Severity.INFO, clause=st.name))
             return None, ()
+    fps = [st.ir.footprint() for st in pir.steps]
     flags = pir.barrier_flags()
-    phase = phase_barriers(progs, flags)
-    diags, cert = check_schedule(progs, flags=flags,
+    phase = phase_barriers(fps, flags)
+    diags, cert = check_schedule(fps, flags=flags,
                                  phase=[b.kept for b in phase],
                                  repeat=pir.repeat)
     report.extend(diags)
@@ -496,9 +361,10 @@ def verify_program(
     """Verify one compiled :class:`~repro.pipeline.program.ProgramIR`.
 
     Re-derives the optimizer's inter-clause claims (PROG001-PROG003),
-    statically checks the lowered message schedule (SCHED001-SCHED003,
-    yielding a :class:`ScheduleCertificate`), audits the generated
-    kernels (KRN001-KRN003), and bundles the per-clause reports.
+    statically checks the message schedule on the steps' footprints
+    (SCHED001-SCHED003, yielding a :class:`ScheduleCertificate`), audits
+    the generated kernels (KRN001-KRN003), and bundles the per-clause
+    reports.
 
     Certified results are cached on ``pir.cache_key``; a warm compile of
     a structurally identical program skips re-verification entirely."""
@@ -511,7 +377,7 @@ def verify_program(
             _trace_verification(pir, cached, cache_hit=True)
             return cached
     report = DiagnosticReport(clause="<program>")
-    fused_ok = _verify_fusion(pir, report)
+    fused_ok = verify_fusion(pir, report)
     elided_ok = _verify_elisions(pir, report)
     _verify_pipeline(pir, report)
     cert, phase = _verify_schedule(pir, report) if schedule else (None, ())
@@ -555,7 +421,7 @@ def _trace_verification(pir, verification: ProgramVerification,
     elisions = getattr(verification, "_certified_elisions", 0)
     if elisions:
         rec.notes.append(f"{elisions} elided boundary(ies) re-certified "
-                         "element-wise (MDH layout agreement)")
+                         "on owned keys (MDH layout agreement)")
     if verification.certificate is not None:
         rec.notes.append(verification.certificate.describe())
     rec.rewrites = 0

@@ -1,13 +1,13 @@
 """Static message-schedule verification (the ``SCHED`` family).
 
-Every kernel tier — the simulator, the mp workers, the MPI ranks —
-executes the plan's node kernels: per-node send plans, gather plans and
-blocks computed once at compile time as regions
-(:mod:`repro.pipeline.kernels`), wrapped per clause in an
-:class:`~repro.runtime.lowering.MpProgram`.  Because every send peer and
-every expected gather source is a compile-time constant, the whole
-message schedule can be proven consistent on the very objects that run,
-before a worker ever spawns:
+Every kernel tier executes the plan's node kernels, wrapped per clause
+in an :class:`~repro.runtime.lowering.MpProgram`; every send peer,
+gather source and touched element is settled by the plan's membership
+keys.  So the schedule is proven before a worker ever spawns: messages
+on a lowered program's send and gather plans, barriers on the plan's
+:class:`~repro.pipeline.ir.Footprint` (per node, the keys it writes and
+reads) — which is all :func:`repro.analysis.verify_program` needs: it
+builds no node kernel.
 
 ``SCHED001``
     Bidirectional message matching.  Every ``(dst, src, pos)`` send key
@@ -18,15 +18,14 @@ before a worker ever spawns:
 
 ``SCHED002``
     Barrier placement.  At a fused clause boundary (barrier eliminated)
-    no node may gather elements of the producer's write that a
-    *different* node commits in the same phase — that is exactly the
+    no node may read elements of the producer's write that a
+    *different* node writes in the same phase — that is exactly the
     cross-processor dependence the fusion proof rules out, re-checked
-    here against the kernels' global regions rather than the access
-    algebra: two product regions share an element iff their keys meet
-    on every axis (:meth:`~repro.pipeline.region.Region.overlap`).
-    Likewise a clause whose pre-commit (phase) barrier is elided must
-    meet every condition of :func:`phase_barriers` — re-checked on the
-    node kernels that run, whoever supplied the elision vector.
+    here on the footprints rather than the access algebra: two products
+    of keys share an element iff their keys meet on every axis
+    (:func:`~repro.pipeline.region.overlap`).  Likewise a clause whose
+    pre-commit (phase) barrier is elided must meet every condition of
+    :func:`phase_barriers`, whoever supplied the elision vector.
 
 ``SCHED003``
     Wait-for acyclicity.  Node ``q`` waits on node ``p`` when its gather
@@ -45,6 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..pipeline.ir import Footprint
+from ..pipeline.region import overlap
 from .diagnostics import Diagnostic, Severity
 
 __all__ = [
@@ -88,6 +89,21 @@ class ScheduleCertificate:
 def _diag(code, message, **kw):
     kw.setdefault("severity", Severity.ERROR)
     return Diagnostic(code=code, message=message, **kw)
+
+
+def _seen(reads, fp: Footprint, me: int) -> Dict[int, tuple]:
+    """Per node other than *me*, the smallest element of *fp*'s write
+    array that the read keys *reads* (``(pos, array, keys)``) meet in
+    that node's write keys."""
+    hits: Dict[int, tuple] = {}
+    for _pos, array, keys in reads:
+        for p, (write, _) in enumerate(fp.per_node):
+            if array != fp.write_name or p == me or write is None:
+                continue
+            e = overlap(keys, write)
+            if e is not None:
+                hits[p] = min(e, hits.get(p, e))
+    return hits
 
 
 def _match_messages(prog, label: str) -> Tuple[List[Diagnostic], int, set]:
@@ -186,46 +202,27 @@ def _check_cycles(prog, label: str, unmatched: set) -> List[Diagnostic]:
 
 
 def _check_fused_boundaries(progs, flags) -> List[Diagnostic]:
-    """SCHED002 over maximal fused runs: a consumer clause must not
-    gather elements of an earlier in-run producer's write that another
-    node commits (no barrier separates them)."""
+    """SCHED002 over maximal fused runs: a consumer clause must not read
+    elements of an earlier in-run producer's write that another node
+    writes (no barrier separates them)."""
     out: List[Diagnostic] = []
-    runs: List[List[int]] = []
-    current = [0]
-    for k in range(len(progs) - 1):
-        if flags[k]:
-            runs.append(current)
-            current = [k + 1]
-        else:
-            current.append(k + 1)
-    runs.append(current)
-    for run in runs:
-        for j_pos, j in enumerate(run):
-            prod = progs[j]
-            commits = [(nd.p, blk.write) for nd in prod.nodes
-                       for blk in nd.commits]
-            for k in run[j_pos + 1:]:
-                for nd in progs[k].nodes:
-                    for rd in nd.reads:
-                        if rd.name != prod.write_name:
-                            continue
-                        hits: Dict[int, tuple] = {}
-                        for p, write in commits:
-                            e = rd.mem.overlap(write) if p != nd.p else None
-                            if e is not None:
-                                hits[p] = min(e, hits.get(p, e))
-                        for p, e in hits.items():
-                            out.append(_diag(
-                                "SCHED002",
-                                f"fused boundary {j}->{k}: node "
-                                f"{nd.p} gathers element "
-                                f"{e if len(e) > 1 else e[0]} of "
-                                f"{prod.write_name!r} which node {p} "
-                                "commits in the same phase (no "
-                                "barrier separates them)",
-                                clause=f"clause{k}",
-                                access=f"read{rd.pos}:{rd.name}",
-                                witnesses={nd.p: [p]}))
+    fps = [getattr(prog, "footprint", prog) for prog in progs]
+    for j, prod in enumerate(fps):
+        k = j
+        while k + 1 < len(fps) and not flags[k]:  # j's fused run
+            k += 1
+            for q, (_, reads) in enumerate(fps[k].per_node):
+                for rd in reads:
+                    for p, e in _seen([rd], prod, q).items():
+                        out.append(_diag(
+                            "SCHED002",
+                            f"fused boundary {j}->{k}: node {q} gathers "
+                            f"element {e if len(e) > 1 else e[0]} of "
+                            f"{prod.write_name!r} which node {p} commits "
+                            "in the same phase (no barrier separates them)",
+                            clause=f"clause{k}",
+                            access=f"read{rd[0]}:{rd[1]}",
+                            witnesses={q: [p]}))
     return out
 
 
@@ -243,22 +240,13 @@ def _phase_hazards(progs, flags, k: int) -> List[Tuple[str, dict]]:
     if not flags[k - 1]:
         out.append((f"boundary {(k - 1) % len(progs)}->{k} keeps no "
                     "end-of-clause barrier", {}))
-    prog = progs[k]
-    commits = [(nd.p, blk.write) for nd in prog.nodes for blk in nd.commits]
-    for nd in prog.nodes:
-        hits: Dict[int, tuple] = {}
-        for rd in nd.reads:
-            if rd.name != prog.write_name:
-                continue
-            for p, write in commits:
-                e = rd.mem.overlap(write) if p != nd.p else None
-                if e is not None:
-                    hits[p] = min(e, hits.get(p, e))
-        for p, e in sorted(hits.items()):
-            out.append((f"node {nd.p} reads element "
+    fp = getattr(progs[k], "footprint", progs[k])
+    for q, (_, reads) in enumerate(fp.per_node):
+        for p, e in sorted(_seen(reads, fp, q).items()):
+            out.append((f"node {q} reads element "
                         f"{e if len(e) > 1 else e[0]} of "
-                        f"{prog.write_name!r}, which node {p} writes",
-                        {nd.p: [p]}))
+                        f"{fp.write_name!r}, which node {p} writes",
+                        {q: [p]}))
     return out
 
 
@@ -279,8 +267,8 @@ def phase_barriers(progs, flags) -> Tuple[PhaseBarrier, ...]:
     * the sequence moves no message (every read resident): a sending
       schedule's pre-commit barrier also guards the queue transport's
       send-buffer reuse and MPI's tag window;
-    * no node's read regions of the write array meet another node's
-      write regions (:meth:`~repro.pipeline.region.Region.overlap`);
+    * no node's read keys of the write array meet another node's write
+      keys (the footprints, :func:`~repro.pipeline.region.overlap`);
     * the preceding boundary — for clause 0 the wrap-around from the
       previous step — keeps its end-of-clause barrier, so every earlier
       commit is visible and no earlier read is still in flight.
@@ -305,9 +293,10 @@ def check_schedule(
     phase: Optional[Sequence[bool]] = None,
     repeat: int = 1,
 ) -> Tuple[List[Diagnostic], ScheduleCertificate]:
-    """Statically verify a program sequence (``MpProgram`` per clause)
+    """Statically verify a program sequence — per clause a lowered
+    ``MpProgram`` or a plan's :class:`~repro.pipeline.ir.Footprint` —
     and return ``(diagnostics, certificate)``; the certificate is also
-    left on every program as ``sched_cert``.
+    left on every lowered program as ``sched_cert``.
 
     *flags* are the per-clause barrier flags (``ProgramIR.barrier_flags``);
     omitted means every clause barriers.  *phase* are the per-clause
@@ -344,7 +333,8 @@ def check_schedule(
         codes=tuple(sorted({d.code for d in out if d.is_error})),
     )
     for prog in progs:
-        prog.sched_cert = cert
+        if not isinstance(prog, Footprint):
+            prog.sched_cert = cert
     return out, cert
 
 

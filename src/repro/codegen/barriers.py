@@ -13,7 +13,8 @@ and this module proves it in the key algebra of
 :mod:`repro.pipeline.region`, never by walking elements: processor *p*
 runs exactly ``Modify_p`` (a Table I key; the whole domain on every
 processor for a replicated write), so what it touches through an access
-``g`` is the key ``image(g, Modify_p)``, and an element has ONE writing
+``g`` is the key ``image(g, Modify_p)`` — its row of the plan's
+:meth:`~repro.pipeline.ir.PlanIR.footprint` — and an element has ONE writing
 processor unless the write is replicated.  Hence a clause overlaps itself
 iff *q*'s image under a read of the written array meets *p*'s image under
 the write, ``p != q``; and two consecutive clauses conflict iff what *p*
@@ -23,8 +24,9 @@ Two progressions meet in one congruence, so a Block/Scatter/one-course
 pair — or a pair of multi-course BS(b) two-level keys, one congruence
 per level — costs O(pmax²) integer operations whatever the array size;
 an irregular key (a modular access) is a sorted vector filtered by the
-same ``meet`` — one mechanism, the all-slice pair being its O(1) case.  (The element-by-element enumeration this replaced is the
-oracle of ``tests/test_barriers.py``.)
+same ``meet`` — one mechanism, the all-slice pair being its O(1) case.
+(The element-by-element enumeration this replaced is the oracle of
+``tests/test_barriers.py``.)
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from ..core.clause import Clause, Ordering, Program
 from ..decomp.base import Decomposition
 from ..machine.shared import SharedMachine
 from ..pipeline.ir import PlanIR
-from ..pipeline.region import Key, _ascending, image, klen, meet
+from ..pipeline.region import overlap
 from .plan import check_canonical
 
 __all__ = [
@@ -49,55 +51,43 @@ __all__ = [
 ]
 
 
-class _Footprint:
-    """What one clause touches, per processor, under owner-computes:
-    read off *ir* when it is the plan being compiled, else off a
-    front-only IR (the canonical-form contract, `substitute-views`,
-    `optimize-membership`: no split, no lowering, no cache entry).
-    Guards are reads that *may* happen: every guarded iteration counts
-    for both its reads and its write."""
+def _front(clause: Clause, decomps, ir: Optional[PlanIR] = None) -> PlanIR:
+    """*ir* when it is the plan being compiled, else a front-only IR of
+    *clause* (the canonical-form contract, `substitute-views`,
+    `optimize-membership`: no split, no lowering, no cache entry)."""
+    check_canonical(clause, decomps)
+    if ir is None:
+        from ..pipeline.passes import OptimizeMembership, SubstituteViews
 
-    def __init__(self, clause: Clause, decomps, ir: Optional[PlanIR] = None):
-        check_canonical(clause, decomps)
-        if ir is None:
-            from ..pipeline.passes import OptimizeMembership, SubstituteViews
+        ir = PlanIR(clause=clause, decomps=dict(decomps))
+        SubstituteViews().run(ir)
+        OptimizeMembership().run(ir)
+    return ir
 
-            ir = PlanIR(clause=clause, decomps=dict(decomps))
-            SubstituteViews().run(ir)
-            OptimizeMembership().run(ir)
-        self.ir, self.write = ir, ir.write
-        self.modify: List[Key] = [k[0] for k in ir.member_keys(ir.write)]
-        self._touched: Dict[tuple, Key] = {}
 
-    def touched(self, acc, p: int) -> Key:
-        """``image(acc, Modify_p)``, ascending — made on first demand,
-        so a pair that conflicts on its first processors never images
-        the rest."""
-        if (acc.pos, p) not in self._touched:
-            self._touched[acc.pos, p] = _ascending(
-                image(acc.funcs[0], self.modify[p]))
-        return self._touched[acc.pos, p]
+def _crossed(w: PlanIR, r: PlanIR, name: str, write_too=False) -> bool:
+    """Is an element plan *w* writes touched — through *r*'s reads of
+    array *name*, and its write when *write_too* — by a processor that
+    does not write it?  What a processor touches is its row of the
+    plans' :meth:`~repro.pipeline.ir.PlanIR.footprint`; guards are
+    reads that *may* happen: every guarded iteration counts."""
+    pmax, replicated = w.pmax, w.write.replicated
+    return any(
+        overlap(write, keys) is not None
+        for p, (write, _) in enumerate(w.footprint().per_node) if write
+        for q, (own, reads) in enumerate(r.footprint().per_node)
+        if (q >= pmax if replicated else q != p)
+        for keys in [k for _, a, k in reads if a == name]
+        + ([own] if write_too and own else []))
 
-    def reads_of(self, name: str) -> list:
-        return [acc for acc in self.ir.reads if acc.name == name]
 
-    def crossed(self, other: "_Footprint", accs: list) -> bool:
-        """Is an element this clause writes touched — through one of
-        *other*'s accesses *accs* — by a processor that does not write
-        it?"""
-        pmax = len(self.modify)
-        return any(
-            klen(meet(self.touched(self.write, p), other.touched(acc, q)))
-            for acc in accs
-            for p in range(pmax)
-            for q in range(len(other.modify))
-            if (q >= pmax if self.write.replicated else q != p))
-
-    def overlap(self) -> bool:
-        if self.write.replicated and len(self.modify) > 1 \
-                and any(map(klen, self.modify)):
-            return True  # every processor writes every element
-        return self.crossed(self, self.reads_of(self.write.name))
+def _overlaps(ir: PlanIR) -> bool:
+    """Does an element of one processor's write meet another's access
+    of the written array within the clause?"""
+    if ir.write.replicated and ir.pmax > 1 \
+            and any(w for w, _ in ir.footprint().per_node):
+        return True  # every processor writes every element
+    return _crossed(ir, ir, ir.write.name)
 
 
 def has_cross_processor_overlap(
@@ -106,22 +96,20 @@ def has_cross_processor_overlap(
     """True when, within ONE clause, an element is written by one
     processor and read (or written) by a different one — i.e. the global
     double-buffer of the unfused template is load-bearing."""
-    return _Footprint(clause, decomps).overlap()
+    return _overlaps(_front(clause, decomps))
 
 
 def _removable(c1: Clause, c2: Clause, decomps, ir1: Optional[PlanIR]) -> bool:
     if c1.ordering is not Ordering.PAR or c2.ordering is not Ordering.PAR:
         return False
-    f1 = _Footprint(c1, decomps, ir1)
-    if f1.overlap():
+    ir1 = _front(c1, decomps, ir1)
+    if _overlaps(ir1):
         return False
-    f2 = _Footprint(c2, decomps)
-    after = f2.reads_of(f1.write.name)
-    if f2.write.name == f1.write.name:
-        after.append(f2.write)
+    ir2 = _front(c2, decomps)
+    w1, w2 = ir1.write.name, ir2.write.name
     # flow (w1 ∩ r2), output (w1 ∩ w2), anti (r1 ∩ w2) across processors
-    return not (f2.overlap() or f1.crossed(f2, after)
-                or f2.crossed(f1, f1.reads_of(f2.write.name)))
+    return not (_overlaps(ir2) or _crossed(ir1, ir2, w1, w2 == w1)
+                or _crossed(ir2, ir1, w2))
 
 
 def barrier_removable(

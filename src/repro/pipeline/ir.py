@@ -34,11 +34,11 @@ from ..core.clause import Clause
 from ..core.expr import Ref
 from ..core.view import ProjectedMap, SeparableMap
 from ..decomp.multidim import GridDecomposition
-from .region import Key, klen, meet, prog
+from .region import Key, image, klen, meet, prog
 from .trace import PipelineTrace
 
-__all__ = ["AxisAccess", "AccessIR", "NodeSplit", "InteriorSplit", "PlanIR",
-           "PlanFacts", "access_spec"]
+__all__ = ["AxisAccess", "AccessIR", "Footprint", "NodeSplit",
+           "InteriorSplit", "PlanIR", "PlanFacts", "access_spec"]
 
 Index = Tuple[int, ...]
 
@@ -188,6 +188,20 @@ class InteriorSplit:
         return m, i, m - i
 
 
+@dataclass(frozen=True)
+class Footprint:
+    """Per node ``(write keys, ((read pos, array, keys), ...))``, a key
+    per array axis: each access's ``image`` of the node's row of
+    ``member_keys(write)`` — the ``shared`` flavor's regions, unbuilt
+    (``(None, ())``: no lanes).  No node kernels: it sends nothing."""
+
+    write_name: str
+    pmax: int
+    per_node: tuple
+    flavor = "shared"
+    nodes = ()
+
+
 @dataclass
 class PlanIR:
     """The unified plan: clause + substituted accesses + pass-derived
@@ -217,8 +231,9 @@ class PlanIR:
     #: node kernels for ``backend="fused"``; None when no fused form
     #: exists — the executors fall back to the scalar templates)
     kernels: Optional[object] = None
-    #: the memo of :meth:`member_keys`, by read position (write: ``None``)
-    _keys: Dict[Optional[int], list] = field(default_factory=dict, repr=False)
+    #: the memo of :meth:`member_keys`, by read position (write: ``None``),
+    #: and of :meth:`footprint` (``"footprint"``)
+    _keys: Dict[object, object] = field(default_factory=dict, repr=False)
 
     trace: PipelineTrace = field(default_factory=PipelineTrace)
 
@@ -261,6 +276,21 @@ class PlanIR:
                 per_node.append([f if k is None else k
                                  for k, f in zip(keys, full)])
         return self._keys[acc.pos]
+
+    def footprint(self) -> Footprint:
+        """The plan's :class:`Footprint`, memoized like
+        :meth:`member_keys`."""
+        if "footprint" not in self._keys:
+            def keys(acc, row):
+                return tuple(map(image, acc.funcs, [row[d] for d in acc.dims]))
+
+            self._keys["footprint"] = Footprint(
+                self.write.name, self.pmax, tuple(
+                    (keys(self.write, row), tuple(
+                        (a.pos, a.name, keys(a, row)) for a in self.reads))
+                    if all(map(klen, row)) else (None, ())
+                    for row in self.member_keys(self.write)))
+        return self._keys["footprint"]
 
     def writers_of(self, idx: Index) -> List[int]:
         """Processors that update the element written at loop index

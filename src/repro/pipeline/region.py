@@ -37,7 +37,7 @@ from ..core.ifunc import AffineF, ConstantF, apply_ifunc
 
 __all__ = ["Key", "Region", "TwoLevel", "prog", "tiles", "klen", "vec",
            "compress", "compose", "locate", "meet", "minus", "image",
-           "overhang"]
+           "overhang", "overlap", "span"]
 
 _BIG = 1 << 62
 
@@ -253,6 +253,29 @@ def minus(a: Key, b: Key) -> Key:
     return compress(np.setdiff1d(vec(a), vec(both), assume_unique=True))
 
 
+def span(key: Key) -> Optional[Tuple[int, int]]:
+    """The ``(min, max)`` element of a key (``None`` when empty) — from a
+    progression's or two-level key's ends, a vector's min and max."""
+    if not klen(key):
+        return None
+    if isinstance(key, np.ndarray):
+        return int(key.min()), int(key.max())
+    return tuple(sorted(_ends(key)))
+
+
+def overlap(a: Sequence[Key], b: Sequence[Key]) -> Optional[Tuple[int, ...]]:
+    """The smallest element two products of keys (one key per axis) both
+    hold (``None``: disjoint) — they intersect iff their keys meet on
+    every axis, so this is O(1) per progression-keyed axis."""
+    first = []
+    for x, y in zip(a, b):
+        both = meet(_ascending(x), _ascending(y))
+        if not klen(both):
+            return None
+        first.append(_ends(both)[0])
+    return tuple(first)
+
+
 def _ascending(key: Key) -> Key:
     """The key's distinct elements in ascending order (what
     :func:`meet` takes)."""
@@ -353,27 +376,6 @@ class Region:
         """Resident bytes of the vector keys (slices cost nothing)."""
         held = () if self.sliced else self._index
         return sum(int(a.nbytes) for a in held + (self._vecs or ()))
-
-    def extent(self) -> Tuple[Optional[Tuple[int, int]], ...]:
-        """Per array axis the ``(min, max)`` index addressed (``None``
-        for an empty key) — exact from a slice's first and last element,
-        from min/max of a vector."""
-        return tuple(
-            None if not n else tuple(sorted(_ends(k))) if isinstance(k, slice)
-            else (int(k.min()), int(k.max()))
-            for k, n in zip(self.keys, self._kshape))
-
-    def overlap(self, other: "Region") -> Optional[Tuple[int, ...]]:
-        """The smallest element both regions address (``None``:
-        disjoint) — two products intersect iff their keys meet on every
-        axis, so this is O(1) per slice-keyed axis."""
-        first = []
-        for a, b in zip(self.keys, other.keys):
-            both = meet(_ascending(a), _ascending(b))
-            if not klen(both):
-                return None
-            first.append(_ends(both)[0])
-        return tuple(first)
 
     def take(self, arr: np.ndarray) -> np.ndarray:
         """*arr* over this region, laid along the lane axes

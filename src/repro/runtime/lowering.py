@@ -64,6 +64,9 @@ class MpProgram:
     #: the plan's own node kernels (its ``shared`` / ``gdist`` flavor)
     nodes: Sequence = ()
     decomps: Dict[str, object] = field(default_factory=dict)
+    #: the plan's footprint (:meth:`~repro.pipeline.ir.PlanIR.footprint`):
+    #: what the schedule check's barrier placement reads
+    footprint: Optional[object] = None
     #: the static schedule verdict of the last sequence this program
     #: was checked in (:func:`repro.analysis.check_schedule`)
     sched_cert: Optional[object] = None
@@ -95,7 +98,7 @@ def _envelope(ir, nodes_of: str, strict: bool = False) -> MpProgram:
                 nreads=k.nreads, write_name=k.write_name,
                 array_names=tuple(sorted(
                     {k.write_name} | {acc.name for acc in ir.reads})),
-                nodes=nodes,
+                nodes=nodes, footprint=ir.footprint(),
                 decomps={} if flavor == "shared" else {
                     acc.name: acc.dec for acc in reversed(ir.accesses())},
             )

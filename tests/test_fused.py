@@ -372,7 +372,8 @@ class TestLowerWhatRuns:
 
     @pytest.mark.parametrize("text", [ROTATE, CHAIN], ids=["rotate", "chain"])
     def test_compile_verify_run_fused_never_build_dist(self, text, builds):
-        """A cold compile, verify and shared ``run_program`` build the
+        """A cold compile and verify build no node kernels (the verifier
+        proves on keys); the shared ``run_program`` then builds the
         ``shared`` flavor only — bit-identical to the evaluator, no
         fallback."""
         from repro.analysis import verify_program
@@ -391,6 +392,9 @@ class TestLowerWhatRuns:
         pir = compile_program(program, decomps)
         assert builds == []  # the compile built no node kernels at all
         assert verify_program(pir).ok
+        assert builds == []  # ... and neither did the verification
+        for st in pir.steps:
+            assert st.ir.kernels.built() == {}
         machine, _ = run_program(pir, copy_env(env), backend="fused")
         for name, want in expected.items():
             assert np.array_equal(machine.env[name], want)

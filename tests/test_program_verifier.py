@@ -165,6 +165,42 @@ class TestProgFixtures:
         assert verification.summary()["certified_deadlock_free"]
 
 
+class TestLargeArrays:
+    """Placement agreement has no element budget: a 2**21-element Block
+    time loop is certified (it once read PROG003 "no bounded element
+    range" plus two CHK001 warnings)."""
+
+    BIG = 1 << 21
+    SOURCE = (f"for i := 1 to {BIG - 2} par do\n"
+              "    V[i] := U[i - 1] + U[i + 1];\nod\n")
+    SPEC = (f"distribute U[{BIG}](block) on {P};\n"
+            f"distribute V[{BIG}](block) on {P};\n")
+
+    def test_verify_program_certifies(self):
+        c = clause(1, self.BIG - 2, ref("V"),
+                   ref("U", c=-1) + ref("U", c=1))
+        decs = {"U": Block(self.BIG, P), "V": Block(self.BIG, P)}
+        pir = compile_program([c], decs, repeat=3, swap=(("U", "V"),))
+        assert pir.pipelined
+        verification = verify_prog(pir)
+        assert verification.ok, verification.pretty()
+        assert not verification.program.has("PROG003")
+        assert not verification.program.has("CHK001")
+        assert verification.certificate.ok
+
+    def test_check_cli_strict(self, tmp_path, capsys):
+        from repro.cli import main
+
+        pal, spec = tmp_path / "big.pal", tmp_path / "big.spec"
+        pal.write_text(self.SOURCE)
+        spec.write_text(self.SPEC)
+        rc = main(["check", str(pal), "--spec", str(spec), "--strict",
+                   "--steps", "3", "--swap", "V:U"])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "verify <program>: clean" in out
+
+
 class TestSchedFixtures:
     """Static message-matching proof over lowered node programs."""
 

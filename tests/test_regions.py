@@ -51,6 +51,7 @@ from repro.pipeline.region import (
     meet,
     minus,
     overhang,
+    overlap,
     prog,
     tiles,
     vec,
@@ -292,7 +293,9 @@ class TestRegion:
         elements = [set(zip(*(v.tolist() for v in r.index_vectors())))
                     for r in (a, b)]
         shared = elements[0] & elements[1]
-        assert a.overlap(b) == (min(shared) if shared else None)
+        # on the raw keys too: a footprint keeps its two-level keys
+        assert overlap(a.keys, b.keys) == overlap(k[:2], k[2:]) == \
+            (min(shared) if shared else None)
 
     def test_clipping_slice_raises_instead_of_shrinking(self):
         with pytest.raises(IndexError):
