@@ -30,26 +30,6 @@ def print_table(title: str, header: list[str], rows: list[list]) -> None:
         print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
 
 
-def bench_metadata() -> dict:
-    """Common provenance block stamped into every ``BENCH_*.json``:
-    interpreter, platform, and which execution backends were actually
-    available when the numbers were taken (so a fused-fallback run is
-    distinguishable from a real mpi run after the fact)."""
-    import platform
-
-    from repro.backends import availability_snapshot
-
-    return {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "backend_availability": {
-            name: dict(av)
-            for name, av in availability_snapshot().items()
-        },
-    }
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(2026)

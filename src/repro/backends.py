@@ -65,10 +65,6 @@ class Run(NamedTuple):
     processes: Optional[int] = None
     timeout: Optional[float] = None
 
-    def process_opts(self) -> dict:
-        return {"strict": self.strict, "processes": self.processes,
-                "timeout": self.timeout}
-
 
 class Need(NamedTuple):
     """One precondition of a tier: a request of one of *flavors* for
@@ -123,40 +119,24 @@ def _owns_placement(who: str) -> Tuple[Need, ...]:
     )
 
 
-def _process_impl(no_form, shared, dist, program) -> Impl:
-    """The real-process drivers share one calling convention."""
-    return Impl(no_form, {
-        "shared": lambda r: shared(r.ir, r.env, r.machine,
-                                   **r.process_opts()),
-        "dist": lambda r: dist(r.ir, r.env, **r.process_opts()),
-        "program": lambda r: program(r.ir, r.machine, **r.process_opts()),
-    })
-
-
-def _load_mpi() -> Impl:
-    from .mpi.exec import (
-        MpiUnavailableError,
-        run_distributed_mpi,
-        run_program_mpi,
-        run_shared_mpi,
-    )
-    from .runtime import MpLoweringError
-
-    return _process_impl((MpLoweringError, MpiUnavailableError),
-                         run_shared_mpi, run_distributed_mpi,
-                         run_program_mpi)
-
-
-def _load_mp() -> Impl:
-    from .runtime import (
-        MpLoweringError,
+def _process_impl(tier: str) -> Impl:
+    """A real-process tier: one set of entries, its launch a parameter."""
+    from .runtime.exec import (
+        launch_of,
         run_distributed_mp,
         run_program_mp,
         run_shared_mp,
     )
 
-    return _process_impl((MpLoweringError,), run_shared_mp,
-                         run_distributed_mp, run_program_mp)
+    def opts(r: Run) -> dict:
+        return {"strict": r.strict, "processes": r.processes,
+                "timeout": r.timeout, "launch": tier}
+
+    return Impl(launch_of(tier).no_form, {
+        "shared": lambda r: run_shared_mp(r.ir, r.env, r.machine, **opts(r)),
+        "dist": lambda r: run_distributed_mp(r.ir, r.env, **opts(r)),
+        "program": lambda r: run_program_mp(r.ir, r.machine, **opts(r)),
+    })
 
 
 def _load_fused() -> Impl:
@@ -178,12 +158,14 @@ TIERS: "OrderedDict[str, Tier]" = OrderedDict((t.name, t) for t in (
     Tier("fused", "compile-once fused node kernels, in-process",
          "scalar", _load_fused, (_SERIAL, _BROADCAST)),
     Tier("mp", "multi-process runtime: fused kernels on real OS processes",
-         "fused", _load_mp, _owns_placement("mp runtime"),
+         "fused", lambda: _process_impl("mp"),
+         _owns_placement("mp runtime"),
          program="pipelining"),
     Tier("mpi", "multi-node SPMD under mpiexec: nonblocking point-to-point "
                 "messages over a Cartesian process grid (falls back to "
                 "fused when mpi4py is absent)",
-         "fused", _load_mpi, _owns_placement("MPI backend"),
+         "fused", lambda: _process_impl("mpi"),
+         _owns_placement("MPI backend"),
          probed=True, program="execution"),
 ))
 

@@ -243,7 +243,8 @@ def _explain_mpi(plan, decomps, processes=None) -> None:
     """``compile --backend mpi --explain``: probe verdict plus the
     node -> rank attachment over the Cartesian process grid."""
     from .mpi import mpi_support
-    from .mpi.exec import _nranks
+    from .mpi.launcher import MPI
+    from .runtime.exec import _nprocs
 
     sup = mpi_support()
     print(f"# mpi tier: available={sup.available} mode={sup.mode} "
@@ -251,7 +252,7 @@ def _explain_mpi(plan, decomps, processes=None) -> None:
     pmax = plan.pmax
     wd = decomps.get(getattr(plan, "write_name", ""))
     grid = tuple(getattr(wd, "grid_shape", ()) or (pmax,))
-    size = _nranks(processes, pmax)
+    size = _nprocs(processes, pmax, MPI.knob)
     cart = ("Cartesian communicator dims="
             + "x".join(str(g) for g in grid)
             if len(grid) > 1

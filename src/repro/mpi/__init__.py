@@ -13,9 +13,14 @@ Layers:
 :mod:`support`   cached availability probe (mpi4py / stub / none)
 :mod:`transport` mpi4py adapter + in-process stub world (threads)
 :mod:`rank`      the SPMD runner; ``python -m repro.mpi.rank`` entry
-:mod:`launcher`  out-of-world self-exec under ``mpiexec``
-:mod:`exec`      parent-side drivers wired into ``backend="mpi"``
+:mod:`launcher`  the tier's :class:`~repro.runtime.exec.Launch`
+                 (stub threads, in-world, or self-exec under
+                 ``mpiexec``) that :func:`repro.runtime.exec._drive`
+                 runs on ``backend="mpi"``
 =============  ==========================================================
+
+The parent-side entries are the real-process tiers' one set,
+``repro.runtime.run_{shared,distributed,program}_mp(..., launch="mpi")``.
 
 Heavy submodules load lazily so ``python -m repro.mpi.rank`` does not
 re-import itself and probing availability stays import-free.
@@ -29,9 +34,9 @@ from .support import (
 )
 
 __all__ = [
+    "MPI",
     "MpiJob",
     "MpiLaunchError",
-    "MpiMachine",
     "MpiRankError",
     "MpiSupport",
     "MpiUnavailableError",
@@ -40,27 +45,19 @@ __all__ = [
     "max_tag",
     "mpi_support",
     "reset_mpi_support",
-    "run_distributed_mpi",
-    "run_program_mpi",
-    "run_shared_mpi",
 ]
 
-_EXEC = ("MpiMachine", "MpiRankError", "MpiUnavailableError",
-         "run_distributed_mpi", "run_program_mpi", "run_shared_mpi")
+_LAUNCHER = ("MPI", "MpiLaunchError", "MpiRankError", "MpiUnavailableError")
 _RANK = ("MpiJob", "encode_tag", "max_tag")
 
 
 def __getattr__(name: str):
-    if name in _EXEC:
-        from . import exec as _exec_mod
+    if name in _LAUNCHER:
+        from . import launcher as _launcher_mod
 
-        return getattr(_exec_mod, name)
+        return getattr(_launcher_mod, name)
     if name in _RANK:
         from . import rank as _rank_mod
 
         return getattr(_rank_mod, name)
-    if name == "MpiLaunchError":
-        from .launcher import MpiLaunchError
-
-        return MpiLaunchError
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -56,7 +56,7 @@ import os
 import pickle
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -105,7 +105,6 @@ class MpiJob:
     grid_shape: tuple = ()          # () = no Cartesian attachment
     timeout: float = 120.0
     fault_rank: int = -1            # test hook: this rank raises mid-run
-    meta: dict = field(default_factory=dict)
 
 
 class MpiTransport:
@@ -313,11 +312,16 @@ def _exchange(comm, buf: np.ndarray) -> None:
         comm.waitall([comm.isend(buf, dest=0, tag=8)])
 
 
-def _selftest_job(pmax: int, n: int = 48):
-    """E19 (2-D five-point stencil on a grid) + E13 (1-D stencil): the
-    acceptance workloads, compiled exactly as the benchmarks do."""
-    from ..codegen import compile_clause
-    from ..codegen.nddist import compile_clause_nd_dist
+def _selftest(nranks: int, rank: int = 0) -> int:
+    """E19 (2-D five-point stencil on a grid) and E13 (1-D stencil), the
+    acceptance workloads, through the parent-side driver on the ``mpi``
+    launch: every rank checks bit-identity with fused, rank 0 reports."""
+    from ..codegen import compile_clause, run_distributed
+    from ..codegen.nddist import (
+        collect_nd,
+        compile_clause_nd_dist,
+        run_distributed_nd,
+    )
     from ..core import (
         AffineF,
         Bounds,
@@ -327,13 +331,15 @@ def _selftest_job(pmax: int, n: int = 48):
         IndexSet,
         Ref,
         SeparableMap,
+        copy_env,
     )
     from ..core.expr import BinOp
     from ..decomp import Block, GridDecomposition
-    from ..runtime.lowering import lower_dist
+    from ..runtime.exec import run_distributed_mp
 
+    n = 48
     sides = {1: (1, 1), 2: (2, 1), 4: (2, 2), 8: (4, 2)}
-    side = sides.get(pmax, (pmax, 1))
+    side = sides.get(nranks, (nranks, 1))
 
     def sref(di, dj):
         fi = AffineF(1, di) if di else IdentityF()
@@ -348,91 +354,44 @@ def _selftest_job(pmax: int, n: int = 48):
                     BinOp("+", sref(0, -1), sref(0, 1)))),
     )
     grid = GridDecomposition([Block(n, side[0]), Block(n, side[1])])
-    plan19 = compile_clause_nd_dist(e19, {"T": grid, "S": grid})
-
     e13 = Clause(
         domain=IndexSet.range1d(1, n - 2),
         lhs=Ref("A", SeparableMap([AffineF(1, 0)])),
         rhs=Ref("B", SeparableMap([AffineF(1, -1)]))
         + Ref("B", SeparableMap([AffineF(1, 1)])),
     )
-    plan13 = compile_clause(
-        e13, {"A": Block(n, pmax), "B": Block(n, pmax)})
-
     rng = np.random.default_rng(2026)
     env = {
         "S": rng.random((n, n)), "T": np.zeros((n, n)),
         "A": np.zeros(n), "B": rng.random(n),
     }
-    jobs = [
-        ("E19", MpiJob(progs=(lower_dist(plan19),), flags=(True,),
-                       phase=(True,), names=("S", "T"),
-                       grid_shape=grid.grid_shape),
-         plan19, "T"),
-        ("E13", MpiJob(progs=(lower_dist(plan13),), flags=(True,),
-                       phase=(True,), names=("A", "B")),
-         plan13, "A"),
+    runs = [
+        ("E19", compile_clause_nd_dist(e19, {"T": grid, "S": grid}), "T",
+         lambda plan: collect_nd(run_distributed_nd(
+             plan, copy_env(env), backend="fused"), "T")),
+        ("E13", compile_clause(e13, {"A": Block(n, nranks),
+                                     "B": Block(n, nranks)}), "A",
+         lambda plan: run_distributed(
+             plan, copy_env(env), backend="fused").collect("A")),
     ]
-    return jobs, env
-
-
-def _fused_reference(plan, env, label: str) -> np.ndarray:
-    from ..codegen import run_distributed
-    from ..codegen.nddist import collect_nd, run_distributed_nd
-    from ..core import copy_env
-
-    if label == "E19":
-        m = run_distributed_nd(plan, copy_env(env), backend="fused")
-        return collect_nd(m, "T")
-    m = run_distributed(plan, copy_env(env), backend="fused")
-    return m.collect("A")
-
-
-def _main_selftest(comm, stub: bool) -> int:
-    jobs, env = _selftest_job(comm.size)
     ok = True
-    for label, job, plan, write in jobs:
-        arrays = {name: np.ascontiguousarray(env[name], dtype=np.float64)
-                  .copy() for name in env}
-        run_job(attach(comm, job), job, arrays)
-        if comm.rank == 0:
-            ref = _fused_reference(plan, env, label)
-            same = bool(np.array_equal(arrays[write], ref))
-            ok &= same
-            mode = "stub" if stub else "mpi4py"
-            print(f"repro.mpi selftest [{mode}] {label} P={comm.size}: "
+    for label, plan, write, fused in runs:
+        m = run_distributed_mp(plan.ir, copy_env(env), processes=nranks,
+                               launch="mpi")
+        same = bool(np.array_equal(m.collect(write), fused(plan)))
+        ok &= same
+        if rank == 0:
+            print(f"repro.mpi selftest [{m.mode}] {label} P={nranks}: "
                   f"bit-identical to fused: {same}")
-    if comm.rank == 0:
+    if rank == 0:
         print("repro.mpi selftest:", "OK" if ok else "FAILED")
-    comm.barrier()
     return 0 if ok else 1
-
-
-def _stub_selftest(nranks: int) -> int:
-    """Selftest without mpi4py: same runner, stub transport."""
-    import threading
-
-    from .transport import StubWorld
-
-    world = StubWorld(nranks, timeout=120.0)
-    codes = [0] * nranks
-    threads = []
-    for r in range(nranks):
-        def body(r=r):
-            codes[r] = _main_selftest(world.comm(r), stub=True)
-        t = threading.Thread(target=body, name=f"repro-mpi-stub-{r}",
-                             daemon=True)
-        threads.append(t)
-        t.start()
-    for t in threads:
-        t.join(180.0)
-    return max(codes)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     import argparse
 
-    from .support import in_mpi_world, mpi_support
+    from .support import in_mpi_world, mpi_support, reset_mpi_support
 
     ap = argparse.ArgumentParser(
         prog="python -m repro.mpi.rank",
@@ -466,14 +425,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.pingpong:
             return _main_pingpong(
                 comm, [int(s) for s in args.sizes.split(",")], args.reps)
-        return _main_selftest(comm, stub=False)
+        return _selftest(comm.size, comm.rank)
     if args.job or args.pingpong:
         print(f"error: --job/--pingpong need an MPI world ({sup.reason})",
               file=sys.stderr)
         return 2
     print(f"note: {sup.reason}; running the selftest on the stub "
           f"transport with {args.nranks} thread-ranks", file=sys.stderr)
-    return _stub_selftest(args.nranks)
+    os.environ.pop("REPRO_NO_MPI", None)
+    os.environ["REPRO_MPI_STUB"] = "1"
+    reset_mpi_support()
+    return _selftest(args.nranks)
 
 
 if __name__ == "__main__":  # pragma: no cover

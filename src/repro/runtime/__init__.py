@@ -18,8 +18,11 @@ Layers
                real-process schedule the MPI ranks run too
 ``pool``       persistent :class:`WorkerPool`, crash/timeout detection,
                self-healing respawn, :func:`shutdown_runtime`
-``exec``       ``run_shared_mp`` / ``run_distributed_mp`` drivers and
-               the :class:`MpMachine` result surface
+``exec``       the one parent-side driver of both real-process tiers:
+               ``run_shared_mp`` / ``run_distributed_mp`` /
+               ``run_program_mp``, the launch (``"mp"`` here, ``"mpi"``
+               in :mod:`repro.mpi.launcher`) a parameter, and the
+               :class:`MpMachine` result surface
 ``stats``      per-worker :class:`RuntimeStats` observability
 
 See ``docs/runtime.md`` for the process model and failure semantics.

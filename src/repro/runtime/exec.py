@@ -1,29 +1,32 @@
-"""Parent-side drivers: run compiled plans on the worker pool.
+"""The one parent-side driver: run compiled plans on real processes.
 
-``run_shared_mp`` / ``run_distributed_mp`` are what the ``backend="mp"``
-dispatch branches of the code generators call.  Both:
+``run_shared_mp`` / ``run_distributed_mp`` / ``run_program_mp`` are what
+the ``backend="mp"`` and ``backend="mpi"`` dispatch branches call, the
+tier their *launch* argument.  Every run goes through :func:`_drive`:
 
 * gate on the static verifier exactly like fused ``--strict``
   (:func:`repro.machine.fused.check_strict`);
 * wrap the plan's node kernels once (cached on them) via
-  :mod:`repro.runtime.lowering` — a plan with no mp form raises
+  :mod:`repro.runtime.lowering` — a plan with no such form raises
   :class:`~repro.runtime.lowering.MpLoweringError`, which the
   dispatchers catch to fall back to the in-process fused path;
-* copy the global arrays into the pool-lifetime arena
-  (:data:`~repro.runtime.shm.ARENA`, its lock held for the whole run)
-  and execute on the persistent pool;
-* aggregate the workers' per-node counters into the existing
+* certify the schedule before anything runs, and cite the certificate
+  on a process failing mid-run;
+* aggregate the per-node counters into the existing
   :class:`~repro.machine.stats.MachineStats` (counter-for-counter with
-  the fused backend) and attach the per-worker
+  the fused backend) and attach the per-process
   :class:`~repro.runtime.stats.RuntimeStats` as ``runtime_stats``.
 
-Node programs multiplex round-robin onto workers (``node % nprocs``)
-when fewer processes than nodes are requested.
+A :class:`Launch` holds what differs: :data:`MP` runs the persistent
+worker pool over the shared-memory arena, :data:`repro.mpi.launcher.MPI`
+SPMD ranks with private memories.  Node programs multiplex round-robin
+onto processes (``node % nprocs``) when fewer processes than nodes are
+requested.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,15 +35,30 @@ from ..machine.shared import SharedMachine
 from ..machine.stats import MachineStats
 from ..pipeline.cache import _env_number
 from .lowering import MpLoweringError, lower_dist, lower_shared
-from .pool import DEFAULT_TIMEOUT, WorkerCrashError, get_pool
+from .pool import WorkerCrashError, get_pool
 from .shm import ARENA
 from .stats import RuntimeStats
 
-__all__ = ["MpMachine", "run_distributed_mp", "run_program_mp",
-           "run_shared_mp"]
+__all__ = ["MP", "Launch", "MpMachine", "launch_of", "run_distributed_mp",
+           "run_program_mp", "run_shared_mp"]
 
-#: default worker-count ceiling when ``processes`` is not given
+#: default process-count ceiling when ``processes`` is not given
 _DEFAULT_MAX_PROCESSES = 8
+
+
+class Launch(NamedTuple):
+    """What differs between the real-process tiers."""
+
+    #: ``(progs, flags, phase, repeat, swap, names, changed, genv,
+    #: nprocs, timeout, fault) -> (mode, [(RuntimeStats, counters)])``;
+    #: leaves every *changed* array's post-state in *genv*
+    run: Callable
+    knob: str           # environment variable giving the process count
+    #: private rank memories: programs run the ``dist`` flavor
+    private: bool
+    crash: type         # the mid-run failure that cites the certificate
+    no_form: tuple = (MpLoweringError,)
+    guard: Callable = lambda progs: None    # refusal before certifying
 
 
 def _nprocs(processes: Optional[int], pmax: int,
@@ -51,9 +69,11 @@ def _nprocs(processes: Optional[int], pmax: int,
 
 
 class MpMachine:
-    """Result surface of a distributed mp run: global post-state plus
-    the usual stats counters (duck-compatible with ``collect``/``stats``
-    consumers of the simulated distributed machine)."""
+    """Result surface of a distributed real-process run: global
+    post-state plus the usual stats counters (duck-compatible with
+    ``collect``/``stats`` consumers of the simulated distributed
+    machine).  ``mode`` records the transport that ran (``"shm"``,
+    ``"mpi4py"``, ``"stub"``); ``nranks`` the process count."""
 
     is_mp = True
 
@@ -63,6 +83,11 @@ class MpMachine:
         self.stats = MachineStats.for_nodes(pmax)
         self.arrays: Dict[str, np.ndarray] = {}
         self.runtime_stats: List[RuntimeStats] = []
+        self.mode, self.nranks = "?", 0
+
+    @property
+    def is_mpi(self) -> bool:
+        return self.mode in ("mpi4py", "stub")
 
     def collect(self, name: str) -> np.ndarray:
         if name not in self.arrays:
@@ -70,6 +95,47 @@ class MpMachine:
                 f"array {name!r} was never placed on this machine "
                 f"(placed: {sorted(self.arrays)})")
         return np.array(self.arrays[name])
+
+
+def _run_pool(progs, flags, phase, repeat, swap, names, changed, genv,
+              nprocs, timeout, fault):
+    """The ``mp`` launch: load the global arrays into the pool-lifetime
+    arena (its lock held for the whole run) and execute on the
+    persistent pool.  A failed run releases the arena before it
+    raises."""
+    with ARENA.lock:
+        try:
+            pool = get_pool(nprocs)
+            spec = ARENA.load({name: genv[name] for name in names})
+            replies = pool.run_seq(progs, spec, repeat, swap, flags, phase,
+                                   timeout, fault)
+            # workers swap their name -> segment maps after every step,
+            # so after an odd number of steps a pair's contents sit
+            # swapped
+            mapping = {name: name for name in names}
+            if repeat % 2:
+                for a, b in swap:
+                    mapping[a], mapping[b] = b, a
+            for name in changed:
+                np.copyto(genv[name], ARENA.views[mapping[name]])
+            return "shm", replies
+        except BaseException:
+            ARENA.close()
+            raise
+
+
+#: the multi-process runtime's launch (``backend="mp"``)
+MP = Launch(_run_pool, "REPRO_MP_PROCESSES", False, WorkerCrashError)
+
+
+def launch_of(tier: str) -> Launch:
+    if tier == "mpi":
+        from ..mpi.launcher import MPI
+
+        return MPI
+    if tier != "mp":
+        raise ValueError(f"no real-process launch named {tier!r}")
+    return MP
 
 
 def _fill_stats(stats: MachineStats, replies) -> List[RuntimeStats]:
@@ -98,7 +164,7 @@ def _check(ir, strict: bool) -> None:
 def _certify(progs, strict: bool, flags, repeat: int):
     """The pre-commit waits the sequence keeps (:func:`phase_barriers`),
     then the static schedule proof over both barrier vectors before any
-    worker spawns (runtime failures cite the certificate); under
+    process starts (runtime failures cite the certificate); under
     ``--strict``, refuse to launch on a denied one.  Returns
     ``(certificate, phase flags)``."""
     from ..analysis import check_schedule, phase_barriers
@@ -124,42 +190,31 @@ def _touched(progs, swap):
             {p.write_name for p in progs} | swapped)
 
 
-def _drive(progs, flags, repeat: int, swap, genv, machine, pmax: int,
-           strict: bool, processes, timeout, fault_delay) -> None:
+def _drive(launch: Launch, progs, flags, repeat: int, swap, genv, machine,
+           pmax: int, strict: bool, processes, timeout, fault):
     """Certify, then run ``repeat`` iterations of the lowered clause
-    sequence *progs* on the pool against the arena holding the global
-    arrays *genv*; copy every written (or swapped) array back and fill
-    *machine*'s counters.  A failed run releases the arena before it
-    raises.  A single clause is the sequence of one program with
-    ``repeat=1``."""
+    sequence *progs* under *launch*, starting from the global arrays
+    *genv*; every written (or swapped) array ends back in *genv* and
+    *machine*'s counters are filled.  A single clause is the sequence
+    of one program with ``repeat=1``.  Returns ``(transport mode,
+    process count)``."""
+    launch.guard(progs)
     cert, phase = _certify(progs, strict, flags, repeat)
     names, changed = _touched(progs, swap)
     for name in names:
         if name not in genv:
             raise KeyError(f"environment is missing array {name!r}")
-    with ARENA.lock:
-        try:
-            pool = get_pool(_nprocs(processes, pmax))
-            spec = ARENA.load({name: genv[name] for name in names})
-            replies = pool.run_seq(progs, spec, repeat, swap, flags, phase,
-                                   timeout or DEFAULT_TIMEOUT, fault_delay)
-            # workers swap their name -> segment maps after every step,
-            # so after an odd number of steps a pair's contents sit
-            # swapped
-            mapping = {name: name for name in names}
-            if repeat % 2:
-                for a, b in swap:
-                    mapping[a], mapping[b] = b, a
-            for name in changed:
-                np.copyto(genv[name], ARENA.views[mapping[name]])
-            machine.runtime_stats = _fill_stats(machine.stats, replies)
-        except BaseException as err:
-            ARENA.close()
-            if isinstance(err, WorkerCrashError):
-                from ..analysis import cite_certificate
+    nprocs = _nprocs(processes, pmax, launch.knob)
+    try:
+        mode, replies = launch.run(progs, flags, phase, repeat, swap, names,
+                                   changed, genv, nprocs, timeout, fault)
+    except launch.crash as err:
+        from ..analysis import cite_certificate
 
-                cite_certificate(err, cert)
-            raise
+        cite_certificate(err, cert)
+        raise
+    machine.runtime_stats = _fill_stats(machine.stats, replies)
+    return mode, nprocs
 
 
 def run_shared_mp(
@@ -169,7 +224,8 @@ def run_shared_mp(
     strict: bool = False,
     processes: Optional[int] = None,
     timeout: Optional[float] = None,
-    _fault_delay=None,
+    launch: str = "mp",
+    _fault=None,
 ) -> SharedMachine:
     """Execute a ``//`` clause's shared kernels on real processes; the
     returned :class:`SharedMachine` holds post-state and counters."""
@@ -177,8 +233,8 @@ def run_shared_mp(
     prog = lower_shared(ir, strict)
     if machine is None:
         machine = SharedMachine(ir.pmax, env)
-    _drive([prog], (True,), 1, (), machine.env, machine, ir.pmax, strict,
-           processes, timeout, _fault_delay)
+    _drive(launch_of(launch), [prog], (True,), 1, (), machine.env, machine,
+           ir.pmax, strict, processes, timeout, _fault)
     return machine
 
 
@@ -188,29 +244,44 @@ def run_program_mp(
     strict: bool = False,
     processes: Optional[int] = None,
     timeout: Optional[float] = None,
-    _fault_delay=None,
+    launch: str = "mp",
+    _fault=None,
 ):
-    """Execute a whole compiled program (``ProgramIR``) on the worker
-    pool: every clause lowered once, ONE load of the arena across
-    all clauses and all ``repeat`` iterations, end-of-clause barriers
-    only where the fusion pass kept them, pre-commit barriers only where
-    :func:`~repro.analysis.phase_barriers` keeps them, and worker-side
+    """Execute a whole compiled program (``ProgramIR``) on real
+    processes: every clause lowered once, ONE session (arena load or
+    MPI world) across all clauses and all ``repeat`` iterations,
+    end-of-clause barriers only where the fusion pass kept them,
+    pre-commit barriers only where
+    :func:`~repro.analysis.phase_barriers` keeps them, and process-side
     buffer swaps between iterations.  Returns ``(machine, barriers)``.
 
-    Raises :class:`MpLoweringError` when the program has no whole-program
-    mp form — a sequential clause, a clause without shared kernels, or an
-    unpipelined time loop (a surviving redistribution boundary or an
-    incompatible swap pair) — in which case the caller falls back to
-    driving clauses individually, one run per clause per step.
+    Pool workers share the global arrays and run the ``shared`` flavor.
+    MPI ranks have private memories, so every step runs the ``dist``
+    flavor (cross-node reads travel as messages) and a surviving
+    redistribution boundary has no whole-program form: the producing
+    ranks are not the ones the consumer's send plan reads from.
+
+    Raises :class:`MpLoweringError` when the program has no
+    whole-program form — a sequential clause, a clause without shared
+    kernels, or an unpipelined time loop — in which case the caller
+    falls back to driving clauses individually, one run per clause per
+    step.
     """
+    tier = launch_of(launch)
     for st in pir.steps:
         _check(st.ir, strict)
     if pir.repeat > 1 and not pir.pipelined:
         raise MpLoweringError(
             f"time loop is not pipelined ({pir.pipeline_reason})")
-    _drive([lower_shared(st.ir, strict) for st in pir.steps],
+    if tier.private and pir.redistributions:
+        label, name, _ = pir.redistributions[0]
+        raise MpLoweringError(
+            f"redistribution boundary survives elision ({name!r} at "
+            f"{label}): private rank memories would read stale data")
+    lower = lower_dist if tier.private else lower_shared
+    _drive(tier, [lower(st.ir, strict) for st in pir.steps],
            pir.barrier_flags(), pir.repeat, pir.swap, machine.env, machine,
-           pir.pmax, strict, processes, timeout, _fault_delay)
+           pir.pmax, strict, processes, timeout, _fault)
     return machine, pir.barriers_per_step() * pir.repeat
 
 
@@ -220,15 +291,17 @@ def run_distributed_mp(
     strict: bool = False,
     processes: Optional[int] = None,
     timeout: Optional[float] = None,
-    _fault_delay=None,
+    launch: str = "mp",
+    _fault=None,
 ) -> MpMachine:
     """Execute a ``//`` clause's distributed program on real processes
-    (real messages over the worker queues, overlap schedule)."""
+    (real messages, overlap schedule)."""
     _check(ir, strict)
     prog = lower_dist(ir, strict)
     machine = MpMachine(ir.pmax, prog.decomps)
     for name, arr in env.items():
         machine.arrays[name] = np.asarray(arr, dtype=np.float64).copy()
-    _drive([prog], (True,), 1, (), machine.arrays, machine, ir.pmax, strict,
-           processes, timeout, _fault_delay)
+    machine.mode, machine.nranks = _drive(
+        launch_of(launch), [prog], (True,), 1, (), machine.arrays, machine,
+        ir.pmax, strict, processes, timeout, _fault)
     return machine

@@ -80,6 +80,16 @@ def fig2_params():
     return {"n": 15, "pmax": 4}
 
 
+def own_shm_segments() -> set:
+    """The ``/dev/shm`` segments this process created: the runtime names
+    them ``repro-mp-<creator pid % 100000>-<n>``, so a concurrent run
+    elsewhere on the host never reads as a leak here."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    prefix = f"repro-mp-{os.getpid() % 100000}-"
+    return {f for f in os.listdir("/dev/shm") if f.startswith(prefix)}
+
+
 # ---------------------------------------------------------------------------
 # the cross-tier differential
 # ---------------------------------------------------------------------------

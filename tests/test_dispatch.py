@@ -460,6 +460,16 @@ def test_collect_of_unknown_name_is_a_one_line_error(backend):
         m.collect("Z")
 
 
+@pytest.mark.parametrize("backend", ("mp", "mpi"))
+def test_a_missing_env_array_is_a_key_error(backend):
+    plan = compile_clause(clause_for("dist"), decomps_for("dist"))
+    env = {"A": env_for("dist")["A"]}
+    for run in (run_shared, run_distributed):
+        with pytest.raises(KeyError, match="environment is missing array "
+                                           "'B'"):
+            run(plan, dict(env), backend=backend, processes=2)
+
+
 def test_mp_really_ran_on_other_processes():
     plan = compile_clause(clause_for("dist"), decomps_for("dist"))
     m = run_distributed(plan, env_for("dist"), backend="mp", processes=2)

@@ -61,17 +61,21 @@ from repro.machine.calibrate import (
 )
 from repro.machine.fused import FusedStrictError
 from repro.mpi import mpi_support, reset_mpi_support
-from repro.mpi.exec import (
+from repro.mpi.launcher import (
     MAX_PORTABLE_TAG,
+    MPI,
+    MpiLaunchError,
     MpiRankError,
     MpiUnavailableError,
     _guard_tags,
-    _nranks,
-    run_distributed_mpi,
+    launch_job,
 )
-from repro.mpi.launcher import MpiLaunchError, launch_job
 from repro.mpi.rank import TAG_SEQ_WINDOW, MpiJob, encode_tag, max_tag
 from repro.mpi.support import find_launcher
+from repro.runtime import active_segments
+from repro.runtime.exec import _nprocs, run_distributed_mp
+
+from .conftest import own_shm_segments
 
 N, P = 48, 4
 
@@ -196,12 +200,12 @@ class TestTagEncoding:
         _guard_tags([ok])  # no raise
 
     def test_nranks_resolution(self, monkeypatch):
-        assert _nranks(None, 4) == 4
-        assert _nranks(None, 32) == 8        # default ceiling
-        assert _nranks(16, 4) == 4           # clamped to pmax
-        assert _nranks(2, 4) == 2
+        assert _nprocs(None, 4, MPI.knob) == 4
+        assert _nprocs(None, 32, MPI.knob) == 8        # default ceiling
+        assert _nprocs(16, 4, MPI.knob) == 4           # clamped to pmax
+        assert _nprocs(2, 4, MPI.knob) == 2
         monkeypatch.setenv("REPRO_MPI_RANKS", "3")
-        assert _nranks(None, 8) == 3
+        assert _nprocs(None, 8, MPI.knob) == 3
 
 
 class TestStubBitIdentity:
@@ -278,6 +282,61 @@ class TestStubBitIdentity:
             assert np.allclose(mme.env[name], ref[name]), name
 
 
+@pytest.mark.parametrize("workload", ["e13", "e19", "loop"])
+def test_the_probed_transport_matches_fused_at_four_ranks(monkeypatch,
+                                                          workload):
+    """On the transport the probe picks — real ``mpiexec`` ranks where
+    mpi4py and a launcher are installed, the stub otherwise — P = 4
+    runs of the E13 clause, the E19 grid clause and a 20-step pipelined
+    loop are bit-identical to fused, never fall back, and the clauses
+    move exactly fused's messages."""
+    from repro.pipeline import compile_program, run_program
+
+    reset_mpi_support()
+    if not mpi_support().available:
+        monkeypatch.setenv("REPRO_MPI_STUB", "1")
+        monkeypatch.delenv("REPRO_NO_MPI", raising=False)
+        reset_mpi_support()
+    try:
+        mode = mpi_support().mode
+        if workload == "loop":
+            cl = Clause(
+                IndexSet(Bounds((1,), (N - 2,))),
+                Ref("U", SeparableMap([IdentityF()])),
+                (Ref("V", SeparableMap([AffineF(1, -1)]))
+                 + Ref("V", SeparableMap([AffineF(1, 1)]))) * 0.5,
+            )
+            pir = compile_program(Program([cl]),
+                                  {"U": Block(N, P), "V": Block(N, P)},
+                                  repeat=20, swap=[("U", "V")])
+            env0 = {"U": np.zeros(N),
+                    "V": np.random.default_rng(5).random(N)}
+            mf, _ = run_program(pir, copy_env(env0), backend="fused")
+            mm, _ = run_program(pir, copy_env(env0), backend="mpi",
+                                processes=P)
+            assert mm.runtime_stats and pir.trace.notes == []
+            for name in "UV":
+                assert np.array_equal(mf.env[name], mm.env[name]), name
+            return
+        if workload == "e13":
+            plan, env0, run, write = (stencil_plan(), env1d(), run_distributed,
+                                      "A")
+        else:
+            g = GridDecomposition([Block(24, 2), Block(24, 2)])
+            plan = compile_clause_nd_dist(grid_clause(24), {"T": g, "S": g})
+            rng = np.random.default_rng(3)
+            env0 = {"S": rng.random((24, 24)), "T": np.zeros((24, 24))}
+            run, write = run_distributed_nd, "T"
+        mf = run(plan, copy_env(env0), backend="fused")
+        mm = run(plan, copy_env(env0), backend="mpi", processes=P)
+        assert mm.is_mpi and mm.mode == mode and mm.nranks == P
+        assert np.array_equal(mf.collect(write), mm.collect(write))
+        assert _counters(mf) == _counters(mm)
+    finally:
+        monkeypatch.undo()
+        reset_mpi_support()
+
+
 class TestStrictGating:
     def test_mpi_refuses_racy_clause_under_strict(self, stub_mode):
         cl = Clause(
@@ -302,8 +361,8 @@ class TestFaultInjection:
     def test_fault_names_rank_phase_and_certificate(self, stub_mode):
         plan, env0 = stencil_plan(), env1d()
         with pytest.raises(MpiRankError) as err:
-            run_distributed_mpi(plan.ir, copy_env(env0), processes=P,
-                                _fault_rank=1)
+            run_distributed_mp(plan.ir, copy_env(env0), processes=P,
+                               launch="mpi", _fault=1)
         e = err.value
         assert e.rank == 1
         assert e.phase not in ("", "?")
@@ -314,8 +373,8 @@ class TestFaultInjection:
     def test_fault_leaves_no_stray_resources(self, stub_mode):
         plan, env0 = stencil_plan(), env1d()
         with pytest.raises(MpiRankError):
-            run_distributed_mpi(plan.ir, copy_env(env0), processes=P,
-                                _fault_rank=2)
+            run_distributed_mp(plan.ir, copy_env(env0), processes=P,
+                               launch="mpi", _fault=2)
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             alive = [t for t in threading.enumerate()
@@ -324,10 +383,7 @@ class TestFaultInjection:
                 break
             time.sleep(0.05)
         assert alive == [], "stub rank threads outlived the failed run"
-        if os.path.isdir("/dev/shm"):
-            leaked = [f for f in os.listdir("/dev/shm")
-                      if f.startswith("repro-mpi")]
-            assert leaked == []
+        assert own_shm_segments() <= active_segments()
         if shutil.which("ps"):
             out = subprocess.run(
                 ["ps", "--ppid", str(os.getpid()), "-o", "comm="],
@@ -337,10 +393,11 @@ class TestFaultInjection:
     def test_world_recovers_after_fault(self, stub_mode):
         plan, env0 = stencil_plan(), env1d()
         with pytest.raises(MpiRankError):
-            run_distributed_mpi(plan.ir, copy_env(env0), processes=P,
-                                _fault_rank=0)
+            run_distributed_mp(plan.ir, copy_env(env0), processes=P,
+                               launch="mpi", _fault=0)
         ref = evaluate_clause(stencil_clause(), copy_env(env0))["A"]
-        m = run_distributed_mpi(plan.ir, copy_env(env0), processes=P)
+        m = run_distributed_mp(plan.ir, copy_env(env0), processes=P,
+                               launch="mpi")
         assert np.array_equal(m.collect("A"), ref)
 
 

@@ -53,6 +53,8 @@ from repro.runtime import (
 from repro.runtime.exec import _certify
 from repro.runtime.lowering import lower_dist, lower_shared
 
+from .conftest import mpi_stub, own_shm_segments
+
 N, P, STEPS = 24, 4, 100
 
 
@@ -134,13 +136,20 @@ class TestCertificate:
         prog = lower_shared(self_overlap_plan().ir)
         with pytest.raises(FusedStrictError, match="SCHED002"):
             _certify([prog], True, (True,), 1)
-        # through the public entry point, on a RACE-clean clause whose
-        # schedule sends: the launch is refused before any worker runs
+        # through the public entry point on both launches, on a
+        # RACE-clean clause whose schedule sends: the launch is refused,
+        # with the same text, before any worker or rank runs
         shutdown_runtime()
         env = {"A": np.zeros(N), "B": np.arange(N, dtype=float)}
-        with pytest.raises(FusedStrictError, match="SCHED002"):
-            run_distributed_mp(e13_plan().ir, env, strict=True,
-                               processes=2)
+        for launch in ("mp", "mpi"):
+            with mpi_stub(), pytest.raises(FusedStrictError) as err:
+                run_distributed_mp(e13_plan().ir, env, strict=True,
+                                   processes=2, launch=launch)
+            assert str(err.value) == (
+                "execution refused under --strict: schedule certificate "
+                "denied (SCHED002) — clause0: pre-commit barrier elided, "
+                "but the program moves messages (node 0 sends or expects "
+                "one) — a commit can race a read"), launch
         assert runtime_info() == {}  # no worker was spawned
 
     def test_sending_schedule_and_fused_boundary_keep_the_wait(self):
@@ -215,16 +224,14 @@ class TestFaultsAtTheBarrier:
         t0 = time.monotonic()
         with pytest.raises(WorkerCrashError) as err:
             run_program_mp(pir, SharedMachine(pir.pmax, copy_env(env)),
-                           processes=2, _fault_delay=(1, 8.0))
+                           processes=2, _fault=(1, 8.0))
         t.join()
         assert time.monotonic() - t0 < 30.0
         assert err.value.rank == 1
         assert "[SCHED certificate" in str(err.value)
         assert all(_gone(pid) for pid in before)
         assert active_segments() == frozenset()
-        if os.path.isdir("/dev/shm"):
-            assert [f for f in os.listdir("/dev/shm")
-                    if f.startswith("repro-mp-")] == []
+        assert own_shm_segments() == set()
         got, _ = run_program(pir, copy_env(env), backend="mp", processes=2)
         for name in "ST":
             assert np.array_equal(got.env[name], want.env[name])

@@ -33,6 +33,8 @@ from repro.pipeline import (
     run_program,
 )
 
+from .conftest import mpi_stub
+
 N, P = 32, 4
 
 
@@ -279,20 +281,28 @@ class TestRunProgram:
                         (backend, repeat, name)
 
     def test_mp_pipelined_loop_matches_reference(self):
+        """On both real-process launches, including the odd-``repeat``
+        copy-back: pool workers leave a swapped pair in each other's
+        segments, MPI ranks swap their dicts."""
         program = Program([stencil_clause("V", "U")])
         decomps = {"U": Block(N, P), "V": Block(N, P)}
         env0 = env_for("UV", seed=4)
-        for repeat in (2, 5):       # even and odd swap parity
-            pir = compile_program(program, decomps, repeat=repeat,
-                                  swap=(("U", "V"),))
-            assert pir.pipelined
-            ref = evaluate_program_reference(pir, env0)
-            m, barriers = run_program(pir, copy_env(env0), backend="mp",
-                                      processes=2)
-            assert barriers == repeat
-            for name in "UV":
-                assert np.array_equal(m.env[name], ref[name]), \
-                    (repeat, name)
+        with mpi_stub():
+            for backend in ("mp", "mpi"):
+                for repeat in (2, 5):       # even and odd swap parity
+                    pir = compile_program(program, decomps, repeat=repeat,
+                                          swap=(("U", "V"),))
+                    assert pir.pipelined
+                    ref = evaluate_program_reference(pir, env0)
+                    m, barriers = run_program(pir, copy_env(env0),
+                                              backend=backend, processes=2)
+                    assert barriers == repeat
+                    assert not any("fell back" in note
+                                   or "unavailable" in note
+                                   for note in pir.trace.notes), backend
+                    for name in "UV":
+                        assert np.array_equal(m.env[name], ref[name]), \
+                            (backend, repeat, name)
 
     def test_fused_group_runs_group_kernels(self):
         program = Program([scale_clause("B", "A"), scale_clause("C", "B")])

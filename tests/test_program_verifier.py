@@ -288,7 +288,7 @@ class TestSchedFixtures:
         env0 = block_env("A", "B")
         with pytest.raises(WorkerCrashError) as err:
             run_shared_mp(ir, copy_env(env0), processes=2,
-                          timeout=0.5, _fault_delay=(1, 8.0))
+                          timeout=0.5, _fault=(1, 8.0))
         assert "SCHED certificate" in str(err.value)
 
 

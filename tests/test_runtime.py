@@ -58,6 +58,8 @@ from repro.runtime import (
 )
 from repro.runtime.shm import ARENA
 
+from .conftest import own_shm_segments
+
 N, P = 48, 4
 
 
@@ -183,7 +185,7 @@ class TestRobustness:
         t0 = time.monotonic()
         with pytest.raises(WorkerCrashError) as err:
             run_distributed_mp(plan.ir, copy_env(env0), processes=P,
-                               timeout=0.5, _fault_delay=(1, 8.0))
+                               timeout=0.5, _fault=(1, 8.0))
         assert time.monotonic() - t0 < 30.0
         assert err.value.rank == 1
         assert err.value.phase == "fault-delay"
@@ -210,7 +212,7 @@ class TestRobustness:
         t0 = time.monotonic()
         with pytest.raises(WorkerCrashError) as err:
             run_distributed_mp(plan.ir, copy_env(env0), processes=P,
-                               _fault_delay=(1, 8.0))
+                               _fault=(1, 8.0))
         t.join()
         assert time.monotonic() - t0 < 30.0
         assert err.value.rank == 1
@@ -263,10 +265,7 @@ class TestDisposal:
         shutdown_runtime()
         assert runtime_info() == {}
         assert active_segments() == frozenset()
-        if os.path.isdir("/dev/shm"):
-            leaked = [f for f in os.listdir("/dev/shm")
-                      if f.startswith("repro-mp-")]
-            assert leaked == []
+        assert own_shm_segments() == set()
 
     def test_clear_plan_cache_disposes_runtime(self):
         plan, env0 = stencil_plan(), env1d()
@@ -307,12 +306,6 @@ def assert_bits_match_fused(pir, env, got):
                               want.env[name].view(np.uint64)), name
 
 
-def shm_files():
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return {f for f in os.listdir("/dev/shm") if f.startswith("repro-mp-")}
-
-
 class TestArena:
     """The pool-lifetime arena: a warm run reuses its segments and the
     workers' mappings of them; only memory survives a run, never data."""
@@ -327,13 +320,20 @@ class TestArena:
         assert cache_stats()["shm"] == {"segments": 2,
                                         "bytes": 2 * 64 * 64 * 8}
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="segments are not files on this platform")
+    def test_the_leak_scan_sees_the_segments_this_process_holds(self):
+        run_e19_mp(e19_loop(64, 2), e19_env(64, 0))
+        held = active_segments()
+        assert len(held) == 2 and held <= own_shm_segments()
+
     def test_a_resized_array_gets_a_new_segment(self):
         run_e19_mp(e19_loop(64, 2), e19_env(64, 0))
         old = active_segments()
         pir, env = e19_loop(96, 2), e19_env(96, 1)
         assert_bits_match_fused(pir, env, run_e19_mp(pir, env))
         assert len(active_segments()) == 2
-        assert not old & (active_segments() | shm_files())
+        assert not old & (active_segments() | own_shm_segments())
 
     def test_arrays_a_run_does_not_name_are_unlinked(self):
         run_e19_mp(e19_loop(64, 2), e19_env(64, 0))
@@ -343,13 +343,13 @@ class TestArena:
         ref = evaluate_clause(stencil_clause(), copy_env(env0))["A"]
         assert np.array_equal(mm.env["A"], ref)
         assert sorted(ARENA.views) == ["A", "B"]
-        assert not old & (active_segments() | shm_files())
+        assert not old & (active_segments() | own_shm_segments())
 
     def test_a_timed_out_run_releases_the_arena(self):
         pir, env = e19_loop(64, 3), e19_env(64, 2)
         run_e19_mp(pir, env)
         with pytest.raises(WorkerCrashError):
-            run_e19_mp(pir, env, timeout=0.5, _fault_delay=(1, 8.0))
+            run_e19_mp(pir, env, timeout=0.5, _fault=(1, 8.0))
         assert active_segments() == frozenset()
         assert cache_stats()["shm"] == {"segments": 0, "bytes": 0}
         assert_bits_match_fused(pir, env, run_e19_mp(pir, env))
@@ -457,7 +457,6 @@ class TestBackendRegistryCLI:
 # ---------------------------------------------------------------------------
 
 def _read_knob(name):
-    from repro.mpi.exec import _nranks
     from repro.pipeline.cache import PlanCache, _env_number
     from repro.pipeline.kernels import KernelCache
     from repro.runtime.exec import _nprocs
@@ -466,7 +465,7 @@ def _read_knob(name):
         "REPRO_CACHE_SIZE": lambda: PlanCache().maxsize,
         "REPRO_CACHE_BYTES": lambda: KernelCache().max_bytes,
         "REPRO_MP_PROCESSES": lambda: _nprocs(None, 64),
-        "REPRO_MPI_RANKS": lambda: _nranks(None, 64),
+        "REPRO_MPI_RANKS": lambda: _nprocs(None, 64, "REPRO_MPI_RANKS"),
         # read once, when repro.runtime.pool is imported
         "REPRO_MP_TIMEOUT": lambda: _env_number("REPRO_MP_TIMEOUT", 60.0,
                                                 float),
