@@ -8,12 +8,12 @@ statically, per plan:
 
 ``KRN001``
     Every precomputed region stays inside the buffer it addresses: the
-    regions of the global-address flavors (``shared``, ``gdist``) against
-    the declared array extents, dist-kernel regions (gathers, sends,
-    ghost fills, stores) against the node's local buffer shape plus its
-    ghost margins — on each flavor as it is built (a finding refuses it)
-    and again by :func:`sanitize_kernels`; and the plan's footprint,
-    unbuilt (:func:`~repro.analysis.verify_program`).
+    regions of the global-address flavors (``union``, ``shared``,
+    ``gdist``) against the declared array extents, dist-kernel regions
+    (gathers, sends, ghost fills, stores) against the node's local
+    buffer shape plus its ghost margins — on each flavor as it is built
+    (a finding refuses it) and again by :func:`sanitize_kernels`; and the
+    plan's footprint, unbuilt (:func:`~repro.analysis.verify_program`).
 
 ``KRN002``
     AST audit of the rendered kernel source.  It may only use the
@@ -203,8 +203,8 @@ def _bound(ir, flavor: str, p: int, what: str, access: str, spans,
     axis, v, n = hit
     return [_diag(
         "KRN001",
-        f"{flavor} kernel of node {p}: {what} holds "
-        f"index {v} outside [0, {n}) at axis {axis}",
+        f"{flavor} kernel" + ("" if flavor == "union" else f" of node {p}")
+        + f": {what} holds index {v} outside [0, {n}) at axis {axis}",
         clause=ir.clause.name or "<anonymous>",
         access=access, witnesses={p: [v]},
         hint="a corrupted or stale key would fault (or "

@@ -44,8 +44,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..pipeline.cache import _StructuralCache
 from ..pipeline.region import klen, meet, minus, prog, span
 from .dependence import _diag, _Undecidable, verify_fusion
@@ -198,7 +196,9 @@ def _placement_witness(d1, d2):
     idx, p1 = min(found)
     p2 = next((q for q, keys in own2.items() if all(
         klen(meet(k, prog(i, 1, 1))) for k, i in zip(keys, idx))), None)
-    return (int(np.ravel_multi_index(idx, shape)), p1, p2)
+    # row-major: the sum of index x stride
+    return (sum(int(i) * math.prod(shape[k + 1:]) for k, i in enumerate(idx)),
+            p1, p2)
 
 
 def _resolve_boundary(pir, label):

@@ -15,6 +15,13 @@ There is one executor, :class:`KernelTier`, and one instance of it,
 (:func:`region_entry`) over views of the rows, a guard mask, one store
 through the block's write region.
 
+A shared run is the §2.9 template with every node in one address space:
+the nodes' ``Modify_p`` partition the written domain and every phase
+reads pre-state, so the P node programs add up to one — the ``union``
+flavor, ONE block over every node's lanes, one kernel call per clause.
+Each node is still charged its own iterations, stores and barrier, read
+off its keys (:attr:`~repro.pipeline.kernels.NodeKernel.parts`).
+
 The distributed run keeps the overlap schedule: send, commit the
 *interior* block while messages are in flight, drain, then commit the
 *boundary* strips.  A plan compiled without an interior split simply
@@ -152,10 +159,27 @@ class KernelTier:
         return k, nodes, region_entry(k.rhs, k.guard)
 
     @staticmethod
-    def _shared_rows(k, nk, genv) -> list:
-        """One node's read rows against global pre-state."""
-        return [_lane_row(r, genv[r.name], nk.shape, r.name == k.write_name)
-                for r in nk.reads]
+    def _commit(k, union, genv, stats) -> None:
+        """One ``//`` clause as one kernel call over the *union* block:
+        its read rows against pre-state (a copy of the write target's),
+        the guard and the body, then one store — a repeated address
+        resolves last-lane-wins in lexicographic order over the union,
+        which restricted to the one node writing it is that node's
+        order.  Each node is charged its lanes and its stores: the whole
+        of its lanes, or the guard mask over their positions."""
+        for p, n, _ in union.parts:
+            stats[p].iterations += n
+        if not union.n:
+            return
+        blk = union.blocks[0]  # holds every lane: its rows are the reads'
+        sub = [_lane_row(r, genv[r.name], union.shape, r.name == k.write_name)
+               for r in union.reads]
+        mask = None if k.guard is None else np.broadcast_to(
+            np.asarray(k.guard(blk.grids, sub), dtype=bool), union.shape)
+        blk.write.store(genv[k.write_name], k.rhs(blk.grids, sub), mask)
+        for p, n, pos in union.parts:
+            stats[p].local_updates += n if mask is None \
+                else int(np.count_nonzero(pos.take(mask)))
 
     # -- shared memory ------------------------------------------------------
 
@@ -166,58 +190,37 @@ class KernelTier:
         machine: Optional[SharedMachine] = None,
         strict: bool = False,
     ) -> SharedMachine:
-        """Execute a ``//`` clause with the precompiled shared kernels:
-        gather every node's read rows against pre-state first, then one
-        compute+commit per node in node order (all phases read
-        pre-state, like the scalar template)."""
-        k, nodes, entry = self.bind(ir, "shared", strict)
+        """Execute a ``//`` clause as one kernel call over the union of
+        every node's ``Modify_p`` (:meth:`_commit`); each node is charged
+        its own counters and one barrier, like the scalar template."""
+        k, (union,), _ = self.bind(ir, "union", strict)
         if machine is None:
             machine = SharedMachine(ir.pmax, env)
-        genv = machine.env
-        out = genv[k.write_name]
-
-        gathered = []
-        for p, nk in enumerate(nodes):
-            machine.stats[p].iterations += nk.n
-            gathered.append(self._shared_rows(k, nk, genv) if nk.n else None)
-
-        for p, rows in enumerate(gathered):
+        self._commit(k, union, machine.env, machine.stats)
+        for p in range(ir.pmax):
             machine.stats[p].barriers += 1
-            if rows is not None:
-                machine.stats[p].local_updates += int(
-                    entry(nodes[p].blocks[0], rows, out))
         return machine
 
     def run_group(self, irs, machine: SharedMachine,
                   strict: bool = False) -> SharedMachine:
         """Execute a *fused clause group* (consecutive clauses whose
-        barriers were proven removable) with the shared kernels.
+        barriers were proven removable): each clause in order as one
+        kernel call over its union block (:meth:`_commit`).
 
-        The walk is node-major — node p runs every clause of the group
-        (one gather, one compute+commit per clause) before node p+1
-        starts — which matches the legacy scalar group walk order
-        exactly.  The fusion certificate (no cross-processor
-        flow/anti/output dependence, no intra-clause overlap) is what
-        makes this order and the all-nodes-phase order produce identical
-        values; bit-identity with the scalar walk is asserted by the
-        equivalence tests.
+        The walk is clause-major, where the scalar group walk
+        (``program._run_group_scalar``, the oracle) is node-major.  The
+        fusion certificate (no cross-processor flow/anti/output
+        dependence, no intra-clause overlap) is what makes the two
+        orders produce identical values; bit-identity and equal
+        per-node counters are asserted by the equivalence tests.
 
         Every clause is bound before the first commit, so a group with
         no form on this tier raises :attr:`no_form` with memory
         untouched.  One barrier is charged per node for the whole group,
         not per clause."""
-        genv = machine.env
-        bound = [self.bind(ir, "shared", strict) for ir in irs]
-        for p in range(machine.pmax):
-            for k, nodes, entry in bound:
-                if p >= len(nodes):
-                    continue
-                nk = nodes[p]
-                machine.stats[p].iterations += nk.n
-                if nk.n:
-                    machine.stats[p].local_updates += int(entry(
-                        nk.blocks[0], self._shared_rows(k, nk, genv),
-                        genv[k.write_name]))
+        bound = [self.bind(ir, "union", strict) for ir in irs]
+        for k, (union,), _ in bound:
+            self._commit(k, union, machine.env, machine.stats)
         for p in range(machine.pmax):
             machine.stats[p].barriers += 1
         return machine

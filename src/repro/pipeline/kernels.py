@@ -19,7 +19,12 @@ This module pushes that last mile into compile time:
 * the interior/boundary split of the `split-interior` pass is baked into
   an interior block plus at most ``2*ndim`` boundary strips, so the
   fused distributed program computes its interior while messages are in
-  flight.
+  flight;
+* in one address space the §2.9 node programs add up to one program:
+  the ``union`` flavor is ONE block over the union of every node's
+  ``Modify_p`` (each node's counters read off its own keys), so an
+  in-process shared run is one kernel call per clause.  The per-node
+  ``shared`` flavor is what real processes install.
 
 The traced `lower-kernels` pass renders the source; each flavor's nodes
 are built by :func:`flavor_nodes` on first use and audited as they land,
@@ -49,8 +54,8 @@ import numpy as np
 
 from ..core.clause import Ordering
 from .cache import _env_number, _StructuralCache, plan_key
-from .region import Region, compose, image, klen, locate, meet, minus, \
-    overhang, prog
+from .region import Region, compose, image, join, klen, locate, meet, \
+    minus, overhang, prog
 
 __all__ = [
     "FusedKernels",
@@ -169,6 +174,10 @@ class NodeKernel:
     #: array -> per-axis ``(lo, hi)`` ghost widths this node's regions of
     #: it are shifted by (``dist`` flavor: ``LocalMemory.frame``)
     margins: Dict[str, tuple] = field(default_factory=dict)
+    #: ``union`` flavor: per node with lanes ``(p, lane count, where
+    #: they sit in the block)`` — a position :class:`Region` for a guarded
+    #: clause (its mask counts the node's stores), else ``None``
+    parts: tuple = ()
 
     @property
     def n(self) -> int:
@@ -183,9 +192,10 @@ class NodeKernel:
 
 #: flavor -> (node-local address map?, distributed schedule?): the
 #: simulator's ``dist`` nodes address their own memories, the real
-#: processes run the same schedule over the global arrays (``gdist``)
-_FLAVORS = {"shared": (False, False), "dist": (True, True),
-            "gdist": (False, True)}
+#: processes run the same schedule over the global arrays (``gdist``);
+#: ``union`` is ``shared`` over one node holding every node's lanes
+_FLAVORS = {"union": (False, False), "shared": (False, False),
+            "dist": (True, True), "gdist": (False, True)}
 _REPLICATED = "replicated write (per-copy broadcast)"
 
 
@@ -200,6 +210,8 @@ class FusedKernels:
     nreads: int
     write_name: str
     used: tuple = ()                # loop dims whose ``_i`` the source reads
+    union: Optional[List[NodeKernel]] = None
+    union_note: Optional[str] = None
     shared: Optional[List[NodeKernel]] = None
     shared_note: Optional[str] = None
     dist: Optional[List[NodeKernel]] = None
@@ -241,8 +253,9 @@ class FusedKernels:
     def describe(self) -> str:
         stats = self.region_stats
         parts = []
-        for flavor, label in (("shared", "shared"), ("dist", "distributed"),
-                              ("gdist", "real-process distributed")):
+        for flavor, label in (("union", "shared"), ("dist", "distributed"),
+                              ("gdist", "real-process distributed"),
+                              ("shared", "real-process shared")):
             nodes, note = getattr(self, flavor), getattr(self, flavor + "_note")
             if nodes is not None:
                 ghost: Dict[str, tuple] = {}  # the widest frame of any node
@@ -250,8 +263,9 @@ class FusedKernels:
                     for name, m in nk.margins.items():
                         ghost[name] = _widest(m, ghost.get(name, m))
                 parts.append(
-                    f"{label}: {len(nodes)} node kernels "
-                    f"({stats[flavor]['slice']} slice / "
+                    f"{label}: " + ("one kernel" if flavor == "union"
+                                    else f"{len(nodes)} node kernels") +
+                    f" ({stats[flavor]['slice']} slice / "
                     f"{stats[flavor]['vector']} vector regions" + "".join(
                         f", ghost {name}"
                         f"[{', '.join(f'{lo}:{hi}' for lo, hi in m)}]"
@@ -283,15 +297,47 @@ def _strips(inner: list, shape: tuple) -> list:
     return out
 
 
-def _build_nodes(ir, local: bool, dist: bool, used) -> list:
+def _union(ir, lanes, guarded: bool) -> Tuple[list, tuple]:
+    """Per loop dim the union of every node's *lanes* (the ``union``
+    flavor's one lane set) and its :attr:`NodeKernel.parts`.  When the
+    node lane counts sum to the loop range's size the union is that
+    range (O(1)); otherwise it is the per-dim :func:`join`, and a write
+    that is not replicated must tile its product exactly: separable
+    accesses over distinct loop dims make ``Modify_p`` products, so a
+    count that does not add up is a wrong plan, never a silent one."""
+    counts = [math.prod(map(klen, row)) for row in lanes]
+    union = [prog(lo, 1, hi - lo + 1) for lo, hi in ir.loop_bounds]
+    owned = not ir.write.replicated
+    if not owned or sum(counts) != math.prod(map(klen, union)):
+        rows = [row for row, n in zip(lanes, counts) if n]
+        union = [join([row[d] for row in rows]) for d in range(len(union))]
+        if owned and sum(counts) != math.prod(map(klen, union)):
+            raise KernelBuildError(
+                f"the nodes' {sum(counts)} lanes do not tile the "
+                f"{math.prod(map(klen, union))}-lane product of their union")
+    return union, tuple(
+        (p, n, Region([locate(k, u) for k, u in zip(row, union)],
+                      range(len(union)), tuple(map(klen, row)))
+         if guarded else None)
+        for p, (row, n) in enumerate(zip(lanes, counts)) if n)
+
+
+def _build_nodes(ir, local: bool, dist: bool, used,
+                 union: bool = False) -> list:
     """The one lane-plan builder, from the accesses' membership keys
     (:meth:`PlanIR.member_keys`), for every executor.  *local* selects
     the address map — node-local slots through the decompositions'
     ``owned_indices`` / ``local_indices`` pairs, or the identity (the
     global arrays) — and *dist* the schedule shape: sends, fills and the
     interior split, or every read a resident gather and one block per
-    node.  *used* are the loop dims whose index the kernel body reads."""
-    write, nd, nodes = ir.write, len(ir.loop_bounds), range(ir.pmax)
+    node.  *used* are the loop dims whose index the kernel body reads.
+    With *union* the nodes are one: every node's lanes (:func:`_union`)."""
+    write, nd = ir.write, len(ir.loop_bounds)
+    lanes, parts = ir.member_keys(write), ()
+    if union:
+        keys, parts = _union(ir, lanes, ir.clause.guard is not None)
+        lanes = [keys]
+    nodes = range(len(lanes))
     if dist and write.replicated:
         raise KernelBuildError(_REPLICATED)
     for acc in ir.accesses() if dist else ():
@@ -303,7 +349,6 @@ def _build_nodes(ir, local: bool, dist: bool, used) -> list:
     slots: Dict[tuple, tuple] = {}
     where: Dict[tuple, list] = {}
     out: list = []
-    lanes = ir.member_keys(write)
 
     def placed(acc, p):
         """Per array axis of *acc* on node *p*: ``(owned, slots)``."""
@@ -433,6 +478,8 @@ def _build_nodes(ir, local: bool, dist: bool, used) -> list:
             nk.blocks = tuple(block(p, pos) for pos in _strips(inner, shape))
         else:
             nk.blocks = (block(p, whole),)
+    if union:
+        out[0].parts = parts
     return out
 
 
@@ -474,7 +521,9 @@ def flavor_nodes(ir, flavor: str, strict: bool = False,
             from ..analysis.kernel_sanitizer import _check_bounds
 
             try:
-                nodes = _build_nodes(ir, *_FLAVORS[flavor], k.used)
+                nodes = _build_nodes(ir, *_FLAVORS[flavor], k.used,
+                                     union=True) if flavor == "union" \
+                    else _build_nodes(ir, *_FLAVORS[flavor], k.used)
                 found = _check_bounds(ir, flavor, nodes)
                 if found:
                     raise KernelBuildError(f"KRN001: {found[0].message}")
@@ -550,7 +599,8 @@ def _nodes_nbytes(nodes) -> int:
         *((b.pos, b.loop, b.write, *b.grids) for b in nk.commits),
         *((r.name, r.mem, r.lanes, *(g for _, g in r.sources))
           for r in nk.reads),
-        *((s.name, *(g for _, g in s.peers)) for s in nk.sends))
+        *((s.name, *(g for _, g in s.peers)) for s in nk.sends),
+        (pos for _, _, pos in nk.parts))
         if x is not None}
     return _nbytes(parts.values())
 

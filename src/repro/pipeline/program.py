@@ -623,10 +623,11 @@ def _run_step(st: ProgramStep, machine: SharedMachine, backend: str,
 
 def _run_group_scalar(steps: List[ProgramStep],
                       machine: SharedMachine) -> None:
-    """The legacy fused-group walk: node-major, each node committing its
-    own writes per clause as it goes (the §2.9 phase of each clause, one
-    node at a time) — legal exactly because the barrier proof showed no
-    datum crosses a processor across (or within) the fused phases."""
+    """The scalar fused-group walk, oracle of the kernel tier's
+    clause-major one: node-major, each node committing its own writes
+    per clause as it goes (the §2.9 phase of each clause, one node at a
+    time) — legal exactly because the barrier proof showed no datum
+    crosses a processor across (or within) the fused phases."""
     from ..codegen.shared_tmpl import shared_phase
 
     phases = [shared_phase(st.ir, machine) for st in steps]

@@ -14,10 +14,11 @@ one mechanism and not a fast path beside it.
 
 Every compile-time membership computation — the kernels' lane plans,
 `split-interior`, the §2.9 barrier proof, the static analyses — runs on
-keys through :func:`meet` (∩), :func:`minus` (∖), :func:`image`,
-:func:`compose` and :func:`locate`: O(1) on progressions, one congruence
-per level on two-level keys, exact vector arithmetic elsewhere.  Table I
-builds each enumeration's key itself (:mod:`repro.sets.enumerators`).
+keys through :func:`meet` (∩), :func:`minus` (∖), :func:`join` (∪),
+:func:`image`, :func:`compose` and :func:`locate`: O(1) on progressions,
+one congruence per level on two-level keys, exact vector arithmetic
+elsewhere.  Table I builds each enumeration's key itself
+(:mod:`repro.sets.enumerators`).
 
 Row-major order over a region is the lexicographic lane order every
 executor and message payload uses.  Vectors are built here and nowhere
@@ -36,8 +37,8 @@ import numpy as np
 from ..core.ifunc import AffineF, ConstantF, apply_ifunc
 
 __all__ = ["Key", "Region", "TwoLevel", "prog", "tiles", "klen", "vec",
-           "compress", "compose", "locate", "meet", "minus", "image",
-           "overhang", "overlap", "span"]
+           "compress", "compose", "join", "locate", "meet", "minus",
+           "image", "overhang", "overlap", "span"]
 
 _BIG = 1 << 62
 
@@ -251,6 +252,21 @@ def minus(a: Key, b: Key) -> Key:
         if rest is not None and klen(rest) == left:
             return rest
     return compress(np.setdiff1d(vec(a), vec(both), assume_unique=True))
+
+
+def join(keys: Sequence[Key]) -> Key:
+    """The members any of the ascending *keys* holds, ascending: the one
+    key when they all are that key (O(1) per progression), else one
+    sort of their elements."""
+    keys = [k for k in keys if klen(k)]
+    if not keys:
+        return prog(0, 1, 0)
+    first = keys[0]
+    if all(type(k) is type(first) and (
+            np.array_equal(k, first) if isinstance(k, np.ndarray)
+            else k == first) for k in keys[1:]):
+        return first
+    return compress(np.unique(np.concatenate([vec(k) for k in keys])))
 
 
 def span(key: Key) -> Optional[Tuple[int, int]]:

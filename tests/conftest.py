@@ -142,12 +142,15 @@ def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2,
     post-state bit-identical to the sequential evaluator, the batching
     tiers (everything but scalar) exchanging exactly the same messages
     and elements, batching changing only how elements are packed, never
-    which move — and the real-process tiers agreeing with ``fused`` on
-    every counter of every node.  Returns ``(plan, {(machine, tier):
-    machine})``.
+    which move — the ``fused`` shared run agreeing with ``scalar``, and
+    the real-process tiers with ``fused``, on every counter of every
+    node.  Returns ``(plan, {(machine, tier): machine})``.
 
     *clause* may be a sequence of clauses over the same arrays (its
-    first is what the fresh-machine runs above execute).  With *steps*,
+    first is what the fresh-machine runs above execute); the in-process
+    tiers then also run them as one compiled program on the shared
+    machine — a fused group node-major on ``scalar``, clause-major on
+    ``fused`` — with the same post-state and counters.  With *steps*,
     the clauses then run *steps* times in rotation on ONE pre-placed
     distributed machine per in-process tier, and once through
     :data:`MIXED_TIERS` on a single machine: every placed array
@@ -200,8 +203,23 @@ def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2,
                 seen.append(counters(m))
             return seen
 
+        inproc = [t for t in IN_PROCESS_TIERS if t in tiers]
+        if len(clauses) > 1 and len(inproc) > 1:
+            from repro.core import evaluate_program
+            from repro.pipeline import compile_program, run_program
+
+            pir = compile_program(clauses, decomps)
+            want = evaluate_program(clauses, copy_env(env))
+            per_tier = []
+            for tier in inproc:
+                m, _ = run_program(pir, copy_env(env), backend=tier)
+                for k in decomps:
+                    assert np.array_equal(m.env[k], want[k]), (tier, k)
+                per_tier.append([dict(c, membership_tests=0)
+                                 for c in counters(m)])
+            assert not pir.trace.notes
+            assert all(c == per_tier[0] for c in per_tier), per_tier
         if steps:
-            inproc = [t for t in IN_PROCESS_TIERS if t in tiers]
             per_step = {t: persistent([t] * steps) for t in inproc}
             if set(MIXED_TIERS) <= set(inproc):
                 persistent(MIXED_TIERS)
@@ -213,6 +231,12 @@ def check_all_tiers(clause, decomps, env, tiers=ALL_TIERS, processes=2,
     assert len(set(batching.values())) <= 1, batching
     if "scalar" in moved and batching:
         assert moved["scalar"][1] == next(iter(batching.values()))[1]
+    if {"scalar", "fused"} <= set(tiers):
+        # the one-kernel shared run charges each node what its own walk
+        # of Modify_p charges, minus the membership tests some Table I
+        # rules pay per element on the scalar walk (a kernel tests none)
+        assert [dict(c, membership_tests=0) for c in counters(
+            ran["shared", "scalar"])] == counters(ran["shared", "fused"])
     if "fused" in tiers:
         for machine, tier in ran:
             if tier in ("mp", "mpi"):

@@ -203,11 +203,11 @@ class TestSingleFlightFlavorBuild:
 
         calls, lock, real = [], threading.Lock(), kernels._build_nodes
 
-        def build(ir, local, dist, used):
+        def build(ir, local, dist, used, union=False):
             with lock:
-                calls.append((local, dist))
+                calls.append((local, dist, union))
             time.sleep(0.02)  # widen the window a second build would hit
-            return real(ir, local, dist, used)
+            return real(ir, local, dist, used, union=union)
 
         monkeypatch.setattr(kernels, "_build_nodes", build)
         decomps = {"A": Block(N, P), "B": Block(N, P)}
@@ -225,9 +225,9 @@ class TestSingleFlightFlavorBuild:
         results, errors = hammer(first_runs, n=8)
         assert errors == [] and len(results) == 8
         assert all(np.array_equal(a, want) for r in results for a in r)
-        assert sorted(calls) == [(False, False), (True, True)]
+        assert sorted(calls) == [(False, False, True), (True, True, False)]
         built = plan.kernels.built()
-        assert set(built) == {"shared", "dist"}
+        assert set(built) == {"union", "dist"}
         assert kernel_cache_info()["bytes"] == before + sum(
             kernels._approx_nbytes(nodes) for nodes in built.values())
 

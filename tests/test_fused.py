@@ -37,6 +37,8 @@ from repro.pipeline import (
 )
 from repro.pipeline.kernels import KernelBuildError, flavor_nodes
 
+from .conftest import IN_PROCESS_TIERS, check_all_tiers
+
 N, P = 24, 4
 
 
@@ -186,6 +188,8 @@ class TestFallbacks:
         a = run_distributed(plan, copy_env(env0),
                             backend="fused").collect("r")
         assert np.array_equal(a, ref)
+        # shared: one kernel call, every node charged its full copy
+        check_all_tiers(cl, decomps, env0, tiers=IN_PROCESS_TIERS)
 
     def test_fused_executor_refuses_without_kernels(self):
         ir = compile_plan(stencil_clause(SEQ), {"A": Block(N, P),
@@ -199,12 +203,29 @@ class TestFallbacks:
         template with the reason the build failed."""
         plan = compile_clause(stencil_clause(), {"A": Block(N, P),
                                                  "B": Block(N, P)})
-        plan.ir.kernels.shared_note = "no dense local layout"
+        plan.ir.kernels.union_note = "no dense local layout"
         env0 = env1d()
         ref = evaluate_clause(stencil_clause(), copy_env(env0))["A"]
         m = run_shared(plan, copy_env(env0), backend="fused")
         assert np.array_equal(m.env["A"], ref)
         assert any("no dense local layout" in n for n in plan.trace.notes)
+
+    def test_lanes_that_do_not_tile_their_union_fall_back(self):
+        """Node lanes that overlap (node 1 claiming node 0's too) do not
+        add up to the product of their union: the one-block flavor
+        refuses with both counts, and the run falls back to the scalar
+        template instead of storing a lane twice."""
+        plan = compile_clause(stencil_clause(), {"A": Block(N, P),
+                                                 "B": Block(N, P)})
+        plan.ir.member_keys(plan.ir.write)[1][0] = slice(1, 12, 1)
+        with pytest.raises(KernelBuildError,
+                           match="27 lanes do not tile the 22-lane"):
+            flavor_nodes(plan.ir, "union")
+        env0 = env1d()
+        ref = evaluate_clause(stencil_clause(), copy_env(env0))["A"]
+        m = run_shared(plan, copy_env(env0), backend="fused")
+        assert np.array_equal(m.env["A"], ref)
+        assert any("do not tile" in n for n in plan.trace.notes)
 
     def test_grid_plan_builds_raveled_kernels(self):
         g = GridDecomposition([Block(8, 2), Block(8, 2)])
@@ -355,17 +376,18 @@ CHAIN = ("for i := 1 to 254 par do\n"
 class TestLowerWhatRuns:
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Every ``(local, dist)`` flavor shape built while armed; a
-        ``dist=True`` build raises (the executor would fall back)."""
+        """Every ``(local, dist)`` flavor shape built while armed —
+        ``"union"`` for the one-block shared flavor; a ``dist=True``
+        build raises (the executor would fall back)."""
         from repro.pipeline import kernels
 
         seen, real = [], kernels._build_nodes
 
-        def build(ir, local, dist, used):
-            seen.append((local, dist))
+        def build(ir, local, dist, used, union=False):
+            seen.append("union" if union else (local, dist))
             if dist:
                 raise AssertionError("a distributed flavor was built")
-            return real(ir, local, dist, used)
+            return real(ir, local, dist, used, union=union)
 
         monkeypatch.setattr(kernels, "_build_nodes", build)
         return seen
@@ -374,8 +396,9 @@ class TestLowerWhatRuns:
     def test_compile_verify_run_fused_never_build_dist(self, text, builds):
         """A cold compile and verify build no node kernels (the verifier
         proves on keys); the shared ``run_program`` then builds the
-        ``shared`` flavor only — bit-identical to the evaluator, no
-        fallback."""
+        one-block ``union`` flavor only — never the per-node ``shared``
+        lane plans real processes install — bit-identical to the
+        evaluator, no fallback."""
         from repro.analysis import verify_program
         from repro.cacheinfo import clear_all_caches
         from repro.core import evaluate_program
@@ -398,10 +421,10 @@ class TestLowerWhatRuns:
         machine, _ = run_program(pir, copy_env(env), backend="fused")
         for name, want in expected.items():
             assert np.array_equal(machine.env[name], want)
-        assert set(builds) == {(False, False)}
+        assert set(builds) == {"union"}
         assert not pir.trace.notes
         for st in pir.steps:
-            assert set(st.ir.kernels.built()) == {"shared"}
+            assert set(st.ir.kernels.built()) == {"union"}
             assert not st.ir.trace.notes
 
     def test_pre_placed_e19_never_builds_shared(self, monkeypatch):

@@ -22,8 +22,11 @@ from repro.core import (
     AffineF,
     Bounds,
     Clause,
+    Const,
     IdentityF,
     IndexSet,
+    LoopIndex,
+    MonotoneF,
     Ref,
     SeparableMap,
     copy_env,
@@ -31,7 +34,7 @@ from repro.core import (
 )
 from repro.decomp import Block, BlockScatter, GridDecomposition, Scatter
 from repro.machine import DistributedMachine, fused
-from repro.pipeline import clear_plan_cache
+from repro.pipeline import clear_plan_cache, compile_program
 from repro.pipeline.kernels import flavor_nodes
 from repro.pipeline.region import Region
 
@@ -81,6 +84,23 @@ def case(name):
     if name == "guarded-stencil":
         return ([stencil(64, 1, "U", "V", guard=ref1("U", 1, 0) > 0.5)],
                 {"U": Block(64, 4), "V": Block(64, 4)}, True)
+    if name == "masked-node":  # node 0 keeps none of its lanes
+        return ([stencil(64, 1, "U", "V", guard=LoopIndex(0) > Const(20))],
+                {"U": Block(64, 4), "V": Block(64, 4)}, True)
+    if name == "half-write":  # A[i div 2]: two lanes store each address
+        half = MonotoneF(lambda i: i // 2, 1, "i div 2")
+        return ([Clause(IndexSet.range1d(1, 46),
+                        Ref("A", SeparableMap([half])),
+                        ref1("B", 1, -1) + ref1("B", 1, 1))],
+                {"A": Block(24, 4), "B": Block(48, 4)}, True)
+    if name == "pmax-over-domain":  # nodes 0, 5, 6 and 7 have no lanes
+        return ([e13(6, "B", "A")], {"A": Block(6, 8), "B": Block(6, 8)},
+                None)
+    if name == "fused-pair":  # one fused group: no barrier between them
+        return ([stencil(24, 1, "U", "V"),
+                 Clause(IndexSet.range1d(1, 22), ref1("W", 1, 0),
+                        ref1("V", 1, 0) * 2.0)],
+                {x: Block(24, 4) for x in "UVW"}, True)
     if name == "shift-block-1":  # the widest margin a block can have
         return ([Clause(IndexSet.range1d(0, 24 - 1 - 5), ref1("A", 1, 0),
                         ref1("B", 1, 5) * 0.5)],
@@ -100,6 +120,7 @@ def case(name):
 
 
 CASES = ("e19-2x2", "e13-block-block", "radius3-pingpong", "guarded-stencil",
+         "masked-node", "half-write", "pmax-over-domain", "fused-pair",
          "shift-block-1", "reversed", "reversed-shift", "bs1d")
 
 
@@ -147,6 +168,8 @@ def test_every_tier_reruns_on_one_machine(name):
     if name == "reversed-shift":
         assert [nk.margins for nk in dist] == [{}, {"B": ((0, 2),)}, {}]
         assert dist[1].reads[0].mem.keys == (slice(7, 1, -1),)
+    if name == "fused-pair":
+        assert compile_program(clauses, decomps).groups == [[0, 1]]
 
 
 def test_frame_keeps_the_core_and_follows_a_replacement():

@@ -798,6 +798,11 @@ def test_real_process_tiers_run_the_region_kernels(
     assert ran["dist", "mpi"].mode == "stub"
     assert all(a is b for a, b in zip(lower_dist(plan).nodes,
                                       flavor_nodes(plan, "gdist")))
+    # real processes install the per-node shared lane plans; in process
+    # the same clause ran as one block
+    built = plan.kernels.built()
+    assert lower_shared(plan).nodes is built["shared"]
+    assert len(built["shared"]) == plan.pmax and len(built["union"]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -833,9 +838,11 @@ class TestLoweringStaysClosedForm:
                     + Ref("B", SeparableMap([AffineF(1, 1)])))
         ir = compile_clause(cl, {"A": wdec(n, 4), "B": rdec(n, 4)})
         assert not verify_ir(ir).diagnostics
-        flavor_nodes(ir, "shared"), flavor_nodes(ir, "dist")
+        for flavor in ("union", "shared", "dist"):
+            flavor_nodes(ir, flavor)
         stats = ir.kernels.region_stats
         assert stats["dist"]["vector"] == stats["shared"]["vector"] == 0
+        assert stats["union"]["vector"] == 0
         assert stats["bytes"] < 1 << 16  # O(pmax), not int64 lanes
 
     def test_e19_block_x_block_at_1024(self):
