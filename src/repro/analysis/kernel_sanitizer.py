@@ -16,11 +16,15 @@ statically, per plan:
     plan's footprint, unbuilt (:func:`~repro.analysis.verify_program`).
 
 ``KRN002``
-    AST audit of the rendered kernel source.  It may only use the
-    ``_i``/``_r`` vectors, whitelisted Python operators and the
-    element-wise ``_np`` calls of the operator table
-    (:data:`repro.core.expr.OPS`).  Anything else — an injected name, a
-    builtin call, an import — is an error.
+    AST audit of the rendered kernel source, on the tree
+    :func:`repro.pipeline.kernels.compile_kernel` then compiles (one
+    parse; the verdict rides on the kernel entry).  It may only use the
+    names of :data:`repro.core.expr.KERNEL_NAMES`, the ufuncs the
+    operator table spells (:data:`repro.core.expr.OPS` /
+    ``UNARY_OPS``), each call's ``out=`` a scratch slot ``_s[k]``, and
+    negative literals.  Anything else — an injected name, a builtin
+    call, an infix operator, a store into a read row, an import — is an
+    error.
 
 ``KRN003``
     A guard expression that references no data and is false on every
@@ -34,24 +38,21 @@ refuses RACE/COMM.
 from __future__ import annotations
 
 import ast
-import re
 from typing import List, Optional, Tuple
 
-from ..core.expr import OPS, UNARY_OPS
+from ..core.expr import KERNEL_NAMES, OPS, UNARY_OPS
 from ..pipeline.region import span
 from .diagnostics import Diagnostic, Severity
 from .support import ENUM_BUDGET, range_count
 
-__all__ = ["sanitize_kernels", "audit_kernel_source", "check_kernels_strict"]
+__all__ = ["sanitize_kernels", "audit_kernel_source", "audit_kernel_tree",
+           "check_kernels_strict"]
 
-#: names the rendered kernel may reference
-_KERNEL_NAMES = {"_np", "_i", "_r", "_rhs", "_guard"}
-#: element-wise ``_np`` attributes the operator table spells
-_NP_ATTRS = {name for op in (*OPS.values(), *UNARY_OPS.values())
-             for name in re.findall(r"_np\.(\w+)", op.np)}
-
-_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod)
-_CMPOPS = (ast.Gt, ast.GtE, ast.Lt, ast.LtE, ast.Eq, ast.NotEq)
+#: names the rendered kernel may reference, and the ones it subscripts
+_KERNEL_NAMES = frozenset(KERNEL_NAMES)
+_ARGS = frozenset(("_i", "_r", "_s"))
+#: the ``_np`` ufuncs the operator table spells
+_NP_ATTRS = frozenset(op.np for op in (*OPS.values(), *UNARY_OPS.values()))
 
 
 def _diag(code, message, *, severity=Severity.ERROR, clause="", access="",
@@ -66,58 +67,113 @@ def _diag(code, message, *, severity=Severity.ERROR, clause="", access="",
 # ---------------------------------------------------------------------------
 
 def audit_kernel_source(source: str) -> List[str]:
-    """Whitelist audit of one rendered kernel source (the exec'd NumPy
-    expression); returns violation strings (empty = clean)."""
+    """Whitelist audit of one kernel source text; returns violation
+    strings (empty = clean)."""
     try:
         tree = ast.parse(source)
     except SyntaxError as e:
         return [f"source does not parse: {e}"]
+    return audit_kernel_tree(tree)
+
+
+def audit_kernel_tree(tree) -> List[str]:
+    """Audit one parsed kernel source against the slot form's grammar,
+    and nothing else: ``def _rhs`` / ``def _guard`` over ``(_i, _r,
+    _s)``, holding ``_np.<ufunc>(operand, ..., out=_s[k])`` calls and
+    one ``return operand``.  An operand is a grid ``_i[d]``, a row
+    ``_r[k]`` or a slot ``_s[k]``, a number, or a ufunc call with no
+    ``out`` (a scalar-only subexpression); every ufunc is one the
+    operator table spells.  Returns violation strings (empty = clean)."""
     problems: List[str] = []
 
     def bad(node, why):
         problems.append(f"line {getattr(node, 'lineno', '?')}: {why}")
 
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            bad(node, "import statement in generated kernel")
-        elif isinstance(node, ast.Name):
-            if node.id not in _KERNEL_NAMES:
-                bad(node, f"name {node.id!r} outside the kernel whitelist")
-        elif isinstance(node, ast.Attribute):
-            v = node.value
-            if not (isinstance(v, ast.Name) and v.id == "_np"):
-                bad(node, f"attribute access on non-_np value "
-                          f"(.{node.attr})")
-            elif node.attr not in _NP_ATTRS:
-                bad(node, f"_np.{node.attr} is not an emitted element-wise "
-                          "call")
-        elif isinstance(node, ast.Call):
+    def name(node):
+        if node.id not in _KERNEL_NAMES:
+            bad(node, f"name {node.id!r} outside the kernel whitelist")
+
+    def expr(node):
+        t = type(node)
+        if t is ast.Subscript:
+            v, k = node.value, node.slice
+            if type(v) is ast.Name and v.id in _ARGS and type(k) is \
+                    ast.Constant and type(k.value) is int:
+                return
+            bad(node, f"subscript {ast.unparse(node)} is not a grid, row "
+                      "or slot")
+        elif t is ast.Constant:
+            if type(node.value) in (int, float, bool):
+                return
+            bad(node, f"constant {node.value!r} not emitted")
+        elif t is ast.UnaryOp:
+            if type(node.op) is ast.USub and type(node.operand) \
+                    is ast.Constant:
+                return
+            bad(node, f"unary {type(node.op).__name__} not emitted")
+        elif t is ast.Call:
             f = node.func
-            if isinstance(f, ast.Attribute):
-                continue  # audited as Attribute above
-            name = getattr(f, "id", type(f).__name__)
-            bad(node, f"call of {name!r} outside the kernel whitelist")
-        elif isinstance(node, ast.BinOp):
-            if not isinstance(node.op, _BINOPS):
-                bad(node, f"operator {type(node.op).__name__} not emitted "
-                          "by the code generator")
-        elif isinstance(node, ast.Compare):
-            for op in node.ops:
-                if not isinstance(op, _CMPOPS):
-                    bad(node, f"comparison {type(op).__name__} not emitted "
-                              "by the code generator")
-        elif isinstance(node, ast.UnaryOp):
-            if not isinstance(node.op, (ast.USub, ast.Not)):
-                bad(node, f"unary {type(node.op).__name__} not emitted")
-        elif isinstance(node, (ast.Lambda, ast.Await, ast.Yield,
-                               ast.YieldFrom, ast.Global, ast.Nonlocal,
-                               ast.Delete, ast.With, ast.Try, ast.Raise,
-                               ast.ClassDef, ast.While)):
-            bad(node, f"{type(node).__name__} statement in generated kernel")
+            if type(f) is ast.Attribute and type(f.value) is ast.Name \
+                    and f.value.id == "_np":
+                if f.attr not in _NP_ATTRS:
+                    bad(node, f"_np.{f.attr} is not an emitted element-wise "
+                              "call")
+            else:
+                label = f.id if type(f) is ast.Name else type(f).__name__
+                bad(node, f"call of {label!r} outside the kernel whitelist")
+                expr(f)
+            for a in node.args:
+                expr(a)
+            for kw in node.keywords:
+                if kw.arg != "out":
+                    bad(node, f"keyword {kw.arg}= not emitted by the "
+                              "code generator")
+                elif not (type(kw.value) is ast.Subscript
+                          and type(kw.value.value) is ast.Name
+                          and kw.value.value.id == "_s"):
+                    bad(node, f"out={ast.unparse(kw.value)} is not a "
+                              "scratch slot _s[k]")
+                expr(kw.value)
+            return
+        elif t is ast.Name:
+            return name(node)
+        else:
+            bad(node, f"{t.__name__} not emitted: every operator is a "
+                      "ufunc call")
+        for child in ast.iter_child_nodes(node):  # name what it reaches
+            if isinstance(child, ast.expr):
+                expr(child)
+
+    for fn in tree.body:
+        if type(fn) is not ast.FunctionDef:
+            bad(fn, f"{type(fn).__name__} statement in generated kernel")
+            for node in ast.walk(fn):
+                if type(node) is ast.Name:
+                    name(node)
+            continue
+        if fn.name not in ("_rhs", "_guard") or fn.decorator_list or [
+                a.arg for a in fn.args.args] != ["_i", "_r", "_s"]:
+            bad(fn, f"def {fn.name} is not a kernel function "
+                    "(_rhs/_guard over _i, _r, _s)")
+        for st in fn.body:
+            t = type(st)
+            if t is ast.Return or t is ast.Expr and type(st.value) \
+                    is ast.Call:
+                expr(st.value)
+            else:
+                bad(st, f"{t.__name__} statement in generated kernel")
+                for node in ast.walk(st):
+                    if type(node) is ast.Name:
+                        name(node)
     return problems
 
 
 def _audit_sources(ir, kernels) -> List[Diagnostic]:
+    """KRN002 as recorded when the source was compiled: an entry only
+    exists for a clean source, so only a text that is not the one
+    compiled (``kernels.audited``) is parsed and audited again."""
+    if kernels.source is kernels.audited:
+        return []
     return [_diag("KRN002", f"kernel source rejected: {why}",
                   clause=ir.clause.name or "<anonymous>",
                   access=f"write:{kernels.write_name}",

@@ -6,10 +6,11 @@ Three small compilers used by the node-program emitter:
 * :func:`proc_src` / :func:`local_src` — a decomposition's placement
   functions applied to a value expression (inlined per decomposition kind,
   exactly the formulas of Fig. 2);
-* :func:`expr_src`    — element-wise expression trees to Python or NumPy
-  source, with data references resolved through a caller-supplied
-  renderer (local array subscript in shared-memory code, fetched temp in
-  distributed code, lane vector in a fused kernel).
+* :func:`expr_src`    — element-wise expression trees to one Python
+  expression, or to straight-line NumPy ufunc calls into scratch slots
+  (a fused kernel), with data references resolved through a
+  caller-supplied renderer (local array subscript in shared-memory
+  code, fetched temp in distributed code, lane row in a fused kernel).
 """
 
 from __future__ import annotations
@@ -94,28 +95,33 @@ def expr_src(
     expr: Expr,
     ref_render: Callable[[Ref], str],
     index_render: Callable[[int], str] = _loop_var,
-    spelling: str = "py",
+    slots=None,
 ) -> str:
     """Source for an expression tree, every operator spelled from
-    :data:`~repro.core.expr.OPS`: its ``spelling`` column, ``"py"`` for
-    the emitted SPMD source (scalars) or ``"np"`` for the fused kernels
-    (ndarrays).
+    :data:`~repro.core.expr.OPS`.
+
+    Without *slots* the expression is one Python expression in the
+    table's ``py`` spelling (the emitted SPMD source, scalars).  With
+    *slots* (the fused kernels' ``pipeline.kernels.Slots``) every
+    operator becomes a straight-line call of its ``np`` ufunc, appended
+    by ``slots.call`` (which picks the ``out=`` scratch slot), and the
+    return value is the source of the result — a slot, a leaf, or a
+    scalar-only ufunc call.
 
     *ref_render* maps each data reference to its source form — e.g.
     ``lambda r: f"B_loc[{...}]"`` or a fetched temp name — and
     *index_render* loop dimension *d* to the loop index's.
     """
-    if isinstance(expr, Const):
-        return repr(expr.value)
-    if isinstance(expr, LoopIndex):
-        return index_render(expr.dim)
-    if isinstance(expr, Ref):
-        return ref_render(expr)
-    if isinstance(expr, BinOp):
-        return getattr(OPS[expr.op], spelling).format(
-            expr_src(expr.left, ref_render, index_render, spelling),
-            expr_src(expr.right, ref_render, index_render, spelling))
-    if isinstance(expr, UnOp):
-        return getattr(UNARY_OPS[expr.op], spelling).format(
-            expr_src(expr.operand, ref_render, index_render, spelling))
+    if isinstance(expr, (Const, LoopIndex, Ref)):
+        src = repr(expr.value) if isinstance(expr, Const) \
+            else index_render(expr.dim) if isinstance(expr, LoopIndex) \
+            else ref_render(expr)
+        return src if slots is None else slots.leaf(expr, src)
+    if isinstance(expr, (BinOp, UnOp)):
+        binary = isinstance(expr, BinOp)
+        op = (OPS if binary else UNARY_OPS)[expr.op]
+        args = [expr_src(e, ref_render, index_render, slots) for e in (
+            (expr.left, expr.right) if binary else (expr.operand,))]
+        return op.py.format(*args) if slots is None \
+            else slots.call(op.np, args)
     raise CodegenError(f"cannot render expression node {type(expr).__name__}")

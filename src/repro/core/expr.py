@@ -33,6 +33,7 @@ __all__ = [
     "OPS",
     "REDUCIBLE",
     "UNARY_OPS",
+    "KERNEL_NAMES",
     "eval_fetched",
 ]
 
@@ -45,9 +46,9 @@ class Op(NamedTuple):
 
     ``fn`` computes it on scalars (the evaluator, the scalar templates and
     the emitted SPMD source, which calls it by name when ``py`` does);
-    ``py`` and ``np`` are the source templates of the emitted SPMD
-    source and of the fused NumPy kernels; ``identity`` is set on the
-    reducible ops.
+    ``py`` is its source template in the emitted SPMD source and ``np``
+    the NumPy ufunc the fused kernels call (``_np.<np>(..., out=_s[k])``,
+    :data:`KERNEL_NAMES`); ``identity`` is set on the reducible ops.
     """
 
     fn: Callable
@@ -56,13 +57,13 @@ class Op(NamedTuple):
     identity: Optional[float] = None
 
 
-def _infix(fn: Callable, sym: str, identity: Optional[float] = None) -> Op:
-    src = f"({{}} {sym} {{}})"
-    return Op(fn, src, src, identity)
+def _infix(fn: Callable, sym: str, ufunc: str,
+           identity: Optional[float] = None) -> Op:
+    return Op(fn, f"({{}} {sym} {{}})", ufunc, identity)
 
 
-def _call(fn: Callable, np_src: str, identity: Optional[float] = None) -> Op:
-    return Op(fn, fn.__name__ + "({}, {})", np_src, identity)
+def _call(fn: Callable, ufunc: str, identity: Optional[float] = None) -> Op:
+    return Op(fn, fn.__name__ + "({}, {})", ufunc, identity)
 
 
 # Every op follows NumPy's rule on scalars: a NaN operand of min/max
@@ -105,32 +106,37 @@ def _remainder(a, b):
 
 
 OPS: Dict[str, Op] = {
-    "+": _infix(operator.add, "+", 0.0),
-    "-": _infix(operator.sub, "-"),
-    "*": _infix(operator.mul, "*", 1.0),
-    "/": _call(_true_divide, "({} / {})"),
-    "div": _call(_floor_divide, "({} // {})"),
-    "mod": _call(_remainder, "({} % {})"),
-    "min": _call(_minimum, "_np.minimum({}, {})", math.inf),
-    "max": _call(_maximum, "_np.maximum({}, {})", -math.inf),
-    ">": _infix(operator.gt, ">"),
-    ">=": _infix(operator.ge, ">="),
-    "<": _infix(operator.lt, "<"),
-    "<=": _infix(operator.le, "<="),
-    "=": _infix(operator.eq, "=="),
-    "!=": _infix(operator.ne, "!="),
-    "and": _call(_logical_and, "_np.logical_and({}, {})"),
-    "or": _call(_logical_or, "_np.logical_or({}, {})"),
+    "+": _infix(operator.add, "+", "add", 0.0),
+    "-": _infix(operator.sub, "-", "subtract"),
+    "*": _infix(operator.mul, "*", "multiply", 1.0),
+    "/": _call(_true_divide, "true_divide"),
+    "div": _call(_floor_divide, "floor_divide"),
+    "mod": _call(_remainder, "remainder"),
+    "min": _call(_minimum, "minimum", math.inf),
+    "max": _call(_maximum, "maximum", -math.inf),
+    ">": _infix(operator.gt, ">", "greater"),
+    ">=": _infix(operator.ge, ">=", "greater_equal"),
+    "<": _infix(operator.lt, "<", "less"),
+    "<=": _infix(operator.le, "<=", "less_equal"),
+    "=": _infix(operator.eq, "==", "equal"),
+    "!=": _infix(operator.ne, "!=", "not_equal"),
+    "and": _call(_logical_and, "logical_and"),
+    "or": _call(_logical_or, "logical_or"),
 }
 
 #: the associative-commutative ops a reduction folds with
 REDUCIBLE = frozenset(k for k, op in OPS.items() if op.identity is not None)
 
 UNARY_OPS: Dict[str, Op] = {
-    "-": Op(operator.neg, "(-{})", "(-{})"),
-    "not": Op(operator.not_, "(not {})", "_np.logical_not({})"),
-    "abs": Op(abs, "abs({})", "_np.absolute({})"),
+    "-": Op(operator.neg, "(-{})", "negative"),
+    "not": Op(operator.not_, "(not {})", "logical_not"),
+    "abs": Op(abs, "abs({})", "absolute"),
 }
+
+#: every name a fused kernel's source may bind or read: the NumPy module
+#: its ufuncs hang off, the loop index grids, the read rows, the scratch
+#: slots and the two functions it defines
+KERNEL_NAMES = ("_np", "_i", "_r", "_s", "_rhs", "_guard")
 
 
 class Expr:

@@ -7,13 +7,18 @@ run needs is built, and bounds-audited, on its first use): every
 membership set and address is a precomputed
 :class:`~repro.pipeline.region.Region` — slices of node memory wherever
 Table I yields a progression, vectors only for the irregular remainder —
-and the clause body is one generated kernel.
+and the clause body is one generated kernel: straight-line NumPy ufunc
+calls writing into numbered scratch slots.
 
 There is one executor, :class:`KernelTier`, and one instance of it,
 ``FUSED``.  Its *entry* computes and commits one lane block,
-``entry(block, rows, out) -> stored``: the generated NumPy expression
+``entry(block, rows, out) -> stored``: the generated ufunc calls
 (:func:`region_entry`) over views of the rows, a guard mask, one store
-through the block's write region.
+through the block's write region.  Every entry passes the kernel the
+calling thread's slot arrays for the block
+(:func:`~repro.pipeline.kernels.scratch`: dtype and shape fixed when
+the block was built), so a warm kernel call allocates nothing, and two
+threads running kernels at once never share a slot.
 
 A shared run is the §2.9 template with every node in one address space:
 the nodes' ``Modify_p`` partition the written domain and every phase
@@ -22,11 +27,17 @@ flavor, ONE block over every node's lanes, one kernel call per clause.
 Each node is still charged its own iterations, stores and barrier, read
 off its keys (:attr:`~repro.pipeline.kernels.NodeKernel.parts`).
 
-The distributed run keeps the overlap schedule: send, commit the
-*interior* block while messages are in flight, drain, then commit the
-*boundary* strips.  A plan compiled without an interior split simply
-has no interior and degrades to drain-then-compute — still
-bit-identical.  The schedule is stated once, as
+The distributed run is the §2.10 template: send, receive, then update
+``Modify_p``.  In process (the ``dist`` flavor) each node commits its
+whole ``Modify_p`` as ONE block after the drain — with every node on
+one process no message is in flight to overlap, and one call over the
+node's block beats an interior block and its boundary strips.  The
+real-process flavor (``gdist``) keeps the overlap split: the *interior*
+block commits while messages are in flight, the *boundary* strips after
+the drain.  Under a latency model :class:`LocalTransport` still charges
+the split's interior lanes before the drain
+(:attr:`~repro.pipeline.kernels.NodeKernel.inner`), so the modeled
+clocks are the overlap schedule's.  The schedule is stated once, as
 :func:`repro.runtime.worker.run_sequence`; in process every node sits
 on the calling process and :class:`LocalTransport` carries the
 messages (and, under a latency model, the virtual clocks), where the
@@ -64,7 +75,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..pipeline.kernels import KernelBuildError, flavor_nodes
+from ..pipeline.kernels import KernelBuildError, flavor_nodes, scratch
 from .distributed import DistributedMachine
 from .scheduler import DeadlockError
 from .shared import SharedMachine
@@ -112,13 +123,16 @@ def check_strict(ir, strict: bool) -> None:
 def region_entry(rhs, guard):
     """The generated NumPy kernel over one lane block —
     ``entry(block, rows, out) -> stored``: the block's views of the lane
-    rows, one fused expression over the open-grid ``_i``, one store
-    through the block's write region."""
+    rows, the guard's and the body's ufunc calls over the open-grid
+    ``_i`` into this thread's scratch slots for the block
+    (:func:`~repro.pipeline.kernels.scratch`), one store through the
+    block's write region."""
 
     def entry(blk, rows, out) -> int:
         sub = [blk.pos.take(row) for row in rows]
-        mask = None if guard is None else guard(blk.grids, sub)
-        return blk.write.store(out, rhs(blk.grids, sub), mask)
+        s = scratch(blk.scratch)
+        mask = None if guard is None else guard(blk.grids, sub, s)
+        return blk.write.store(out, rhs(blk.grids, sub, s), mask)
 
     return entry
 
@@ -174,9 +188,10 @@ class KernelTier:
         blk = union.blocks[0]  # holds every lane: its rows are the reads'
         sub = [_lane_row(r, genv[r.name], union.shape, r.name == k.write_name)
                for r in union.reads]
+        s = scratch(blk.scratch)  # the mask's slot outlives the body
         mask = None if k.guard is None else np.broadcast_to(
-            np.asarray(k.guard(blk.grids, sub), dtype=bool), union.shape)
-        blk.write.store(genv[k.write_name], k.rhs(blk.grids, sub), mask)
+            np.asarray(k.guard(blk.grids, sub, s), dtype=bool), union.shape)
+        blk.write.store(genv[k.write_name], k.rhs(blk.grids, sub, s), mask)
         for p, n, pos in union.parts:
             stats[p].local_updates += n if mask is None \
                 else int(np.count_nonzero(pos.take(mask)))
@@ -317,8 +332,7 @@ class LocalTransport:
         if self.stray or inbox.keys() != missing.keys():
             raise self._mismatch()
         if self.model is not None:
-            self._charge(lambda nk: () if nk.interior is None
-                         else (nk.interior,))
+            self._charge(lambda nk: nk.inner)
             for (dst, _, _), t in self.stamps.items():
                 self.stats[dst].vtime = max(self.stats[dst].vtime, t)
         for key, (into, fill) in missing.items():
@@ -327,16 +341,15 @@ class LocalTransport:
 
     def finish(self) -> None:
         if self.model is not None:
-            self._charge(lambda nk: nk.blocks)
+            self._charge(lambda nk: nk.n - nk.inner)
             vmax = max(self.stats[nk.p].vtime for nk in self.nodes)
             for nk in self.nodes:
                 self.stats[nk.p].vtime = vmax
             self.stamps.clear()
 
-    def _charge(self, blocks_of) -> None:
+    def _charge(self, lanes_of) -> None:
         for nk in self.nodes:
-            self.stats[nk.p].vtime += self.model.t_element * sum(
-                b.pos.size for b in blocks_of(nk))
+            self.stats[nk.p].vtime += self.model.t_element * lanes_of(nk)
 
     def _mismatch(self) -> DeadlockError:
         expected, sent = self.missing.keys(), self.inbox.keys()

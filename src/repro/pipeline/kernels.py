@@ -7,8 +7,12 @@ tree-walk the clause's expression element by element on every run.
 This module pushes that last mile into compile time:
 
 * the clause body (and guard) are lowered **once per plan** to generated
-  Python/NumPy source — a single fused ufunc expression line, compiled
-  with :func:`compile`/``exec`` and attached to the IR;
+  NumPy source — straight-line ufunc calls, each writing ``out=`` into a
+  numbered scratch slot (:class:`Slots`) — audited (KRN002) and compiled
+  from one parse by :func:`compile_kernel`, the one place kernel source
+  becomes code, and attached to the IR; every kernel entry passes the
+  calling thread's slot arrays for its block (:func:`scratch`), so a
+  warm kernel call allocates nothing;
 * per node, every membership set, owning processor and local-buffer
   address is resolved at kernel-build time into **regions**
   (:mod:`repro.pipeline.region`): per array axis a ``slice`` where
@@ -17,9 +21,12 @@ This module pushes that last mile into compile time:
   memory by basic slicing (views) wherever the closed forms allow and
   through ``np.ix_`` otherwise, never through per-lane index arrays;
 * the interior/boundary split of the `split-interior` pass is baked into
-  an interior block plus at most ``2*ndim`` boundary strips, so the
-  fused distributed program computes its interior while messages are in
-  flight;
+  an interior block plus at most ``2*ndim`` boundary strips for real
+  processes (``gdist``), which compute their interior while messages are
+  in flight; in process (``dist``) each node commits its whole
+  ``Modify_p`` as one block after the drain — §2.10's send, receive,
+  then update — keeping only the interior's lane count for the latency
+  model;
 * in one address space the §2.9 node programs add up to one program:
   the ``union`` flavor is ONE block over the union of every node's
   ``Modify_p`` (each node's counters read off its own keys), so an
@@ -43,6 +50,8 @@ entry, and the executor falls back with it.
 
 from __future__ import annotations
 
+import ast
+import functools
 import itertools
 import math
 import threading
@@ -52,7 +61,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..codegen.exprsrc import CodegenError, expr_src
 from ..core.clause import Ordering
+from ..core.expr import Const, LoopIndex
 from .cache import _env_number, _StructuralCache, plan_key
 from .region import Region, compose, image, join, klen, locate, meet, \
     minus, overhang, prog
@@ -79,45 +90,172 @@ class KernelBuildError(ValueError):
 # fused expression codegen
 # ---------------------------------------------------------------------------
 
-def _emit_source(clause) -> Tuple[str, Callable, Optional[Callable], set]:
+_F8, _I8 = np.dtype(np.float64), np.dtype(np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _loop_dtype(ufunc: str, operands: tuple) -> np.dtype:
+    """The dtype *ufunc* computes for operands of these types — NumPy
+    dtypes, or ``int``/``float`` for a Python scalar (a weak operand)."""
+    return getattr(np, ufunc).resolve_dtypes((*operands, None))[-1]
+
+
+class Slots:
+    """The slot form of one kernel (:func:`~repro.codegen.exprsrc.expr_src`
+    with *slots*): straight-line ufunc calls, each writing ``out=`` into a
+    numbered scratch slot ``_s[k]``.  Every slot holds values of one dtype
+    over one set of loop dims (its broadcast shape on a block: the block's
+    extent on those dims, 1 on the rest), and is reused once the value in
+    it is dead — by the very call that reads it last, where the types
+    agree (an exact overlap, which NumPy computes in place).  A value over
+    no dim (scalar-only) takes no slot: its call returns a NumPy scalar.
+
+    Leaves are typed by the kernel convention: read row ``_r[k]`` float64
+    over every loop dim, index grid ``_i[d]`` int64 over dim *d*, a
+    constant a Python scalar; a call's dtype is its ufunc's loop for its
+    operands' (:func:`_loop_dtype`), so a slot is exactly the array the
+    ufunc would have allocated."""
+
+    def __init__(self, nd: int):
+        self.nd = nd
+        self.lines: List[str] = []
+        self.specs: List[tuple] = []      # slot k -> (dtype, dims)
+        self._free: Dict[tuple, list] = {}
+        self._kinds: Dict[str, tuple] = {}  # value source -> (type, dims)
+
+    def leaf(self, expr, src: str) -> str:
+        if isinstance(expr, Const):
+            v = expr.value
+            kind = (np.dtype(bool) if isinstance(v, bool) else type(v), ())
+        elif isinstance(expr, LoopIndex):
+            kind = (_I8, (expr.dim,))
+        else:
+            kind = (_F8, tuple(range(self.nd)))
+        self._kinds[src] = kind
+        return src
+
+    def call(self, ufunc: str, args: List[str]) -> str:
+        kinds = [self._kinds[a] for a in args]
+        dims = tuple(sorted({d for _, ds in kinds for d in ds}))
+        try:
+            dtype = _loop_dtype(ufunc, tuple(t for t, _ in kinds))
+        except TypeError as e:
+            raise CodegenError(f"_np.{ufunc} has no loop for "
+                               f"{[str(t) for t, _ in kinds]}: {e}") from None
+        call = f"_np.{ufunc}({', '.join(args)}"
+        if not dims:
+            src = call + ")"
+        else:
+            for a, kind in zip(args, kinds):  # dead from here on
+                if a.startswith("_s["):
+                    self._free.setdefault(kind, []).append(a)
+            free = self._free.get((dtype, dims))
+            if free:
+                src = free.pop()
+            else:
+                src = f"_s[{len(self.specs)}]"
+                self.specs.append((dtype, dims))
+            self.lines.append(f"{call}, out={src})")
+        self._kinds[src] = (dtype, dims)
+        return src
+
+
+def _emit_source(clause) -> Tuple[str, Callable, Optional[Callable], set,
+                                  tuple]:
     """Generate, compile and return ``(source, rhs_fn, guard_fn, loop
-    dims the source reads)``.
+    dims the source reads, slot specs)``.
 
-    The body becomes one fused NumPy expression over the node's index
-    vectors ``_i`` and pre-gathered read value vectors ``_r`` — no tree
-    walk survives into the run.  Loop index *d* is the vector ``_i[d]``
-    (recorded in ``used``), read at position *p* the value vector
-    ``_r[p]``."""
-    from ..codegen.exprsrc import CodegenError, expr_src
-
+    The body becomes straight-line NumPy ufunc calls (:class:`Slots`)
+    over the node's index grids ``_i`` and pre-gathered read rows ``_r``
+    into the scratch slots ``_s`` — no tree walk, and no temporary,
+    survives into the run.  Loop index *d* is the grid ``_i[d]``
+    (recorded in ``used``), read at position *p* the row ``_r[p]``.  The
+    guard renders first: its mask's slot is never freed, so no call of
+    the body writes it."""
     posmap = {id(ref): pos for pos, ref in enumerate(clause.reads())}
     used: set = set()
+    slots = Slots(clause.domain.dim)
 
     def index(dim: int) -> str:
         used.add(dim)
         return f"_i[{dim}]"
 
+    def row(r) -> str:
+        return f"_r[{posmap[id(r)]}]"
+
     try:
-        rhs, guard = (None if e is None else expr_src(
-            e, lambda r: f"_r[{posmap[id(r)]}]", index, "np")
-            for e in (clause.rhs, clause.guard))
+        guard = None if clause.guard is None \
+            else expr_src(clause.guard, row, index, slots)
+        guard_lines, slots.lines = slots.lines, []
+        rhs = expr_src(clause.rhs, row, index, slots)
     except CodegenError as e:
         raise KernelBuildError(str(e)) from None
-    lines = [
+    lines = ["def _rhs(_i, _r, _s):",
+             *(f"    {ln}" for ln in slots.lines),
+             f"    return {rhs}"]
+    if guard is not None:
+        lines += ["", "def _guard(_i, _r, _s):",
+                  *(f"    {ln}" for ln in guard_lines),
+                  f"    return {guard}"]
+    code = "\n".join(lines) + "\n"
+    rhs_fn, guard_fn = compile_kernel(code)  # clauses with one body share it
+    source = "\n".join((
         f"# fused kernel for clause {clause.name!r}",
         f"#   {clause!r}",
         "# _i[d]: open-grid index vector of loop dim d (precomputed)",
         "# _r[k]: lane values of read k (memory view / received message)",
-        "",
-        "def _rhs(_i, _r):",
-        f"    return {rhs}",
-    ]
-    if guard is not None:
-        lines += ["", "def _guard(_i, _r):", f"    return {guard}"]
-    source = "\n".join(lines) + "\n"
+        "# _s[k]: scratch slot k (this thread's, one per block shape)",
+        "", code))
+    return source, rhs_fn, guard_fn, used, tuple(slots.specs)
+
+
+@functools.lru_cache(maxsize=256)
+def compile_kernel(source: str) -> Tuple[Callable, Optional[Callable]]:
+    """The one place kernel source becomes code, in process and on every
+    worker and rank: parse once, audit that tree (KRN002), compile the
+    same tree.  Returns ``(_rhs, _guard)``; a source the audit rejects
+    raises :class:`KernelBuildError` and never runs.  Memoized on the
+    text (the functions hold no state: slots are passed in), so clauses
+    with one body — a time loop's two sweeps, a program compiled under
+    several decompositions — parse and compile it once;
+    :func:`clear_kernel_cache` drops the memo."""
+    from ..analysis.kernel_sanitizer import audit_kernel_tree
+
+    tree = ast.parse(source)
+    problems = audit_kernel_tree(tree)
+    if problems:
+        raise KernelBuildError(f"KRN002: kernel source rejected: "
+                               f"{problems[0]}")
     ns: Dict[str, object] = {"_np": np}
-    exec(compile(source, "<fused-kernel>", "exec"), ns)  # noqa: S102
-    return source, ns["_rhs"], ns.get("_guard"), used
+    exec(compile(tree, "<fused-kernel>", "exec"), ns)  # noqa: S102
+    return ns["_rhs"], ns.get("_guard")
+
+
+#: per-thread scratch arena: slot specs -> this thread's slot arrays
+_ARENA = threading.local()
+#: bytes one thread's arena keeps before it drops its oldest slot sets
+_ARENA_BYTES = 64 << 20
+
+
+def scratch(specs: tuple) -> list:
+    """This thread's slot arrays for one block's slot *specs*
+    (``((dtype, shape), ...)``, :attr:`_Block.scratch`): allocated on the
+    first call, the same arrays on every later one — so a warm kernel
+    call allocates nothing.  Each thread owns its arena (the serve
+    executor and the threaded MPI stub run kernels concurrently); a call
+    finishes with its slots before the next on the same thread starts.
+    Past :data:`_ARENA_BYTES` the oldest slot sets are dropped."""
+    held = getattr(_ARENA, "held", None)
+    if held is None:
+        held = _ARENA.held = {}
+        _ARENA.nbytes = 0
+    s = held.get(specs)
+    if s is None:
+        s = held[specs] = [np.empty(shape, dtype) for dtype, shape in specs]
+        _ARENA.nbytes += sum(a.nbytes for a in s)
+        while _ARENA.nbytes > _ARENA_BYTES and len(held) > 1:
+            _ARENA.nbytes -= sum(a.nbytes for a in held.pop(next(iter(held))))
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +272,8 @@ class _Block:
     write: Region                   # where they store
     grids: tuple                    # ``_i``: open-grid aranges of ``loop``
                                     # (``None`` for dims the body ignores)
+    scratch: tuple = ()             # ``_s``: per slot ``(dtype, shape)``
+                                    # on this block (:func:`scratch`)
 
 
 @dataclass
@@ -161,9 +301,11 @@ class _Send:
 class NodeKernel:
     """One node's kernel: everything but the data — the one node type
     of every executor.  The distributed schedule sends first, commits
-    ``interior`` while messages fly and ``blocks`` (the <= 2*ndim
-    boundary strips) after the drain; the shared one is the degenerate
-    case: no sends, every read resident, one block."""
+    ``interior`` while messages fly and ``blocks`` after the drain: the
+    <= 2*ndim boundary strips over real transports (``gdist``), the
+    node's whole ``Modify_p`` in one block in process (``dist``, where
+    no message is in flight to overlap).  The shared one is the
+    degenerate case: no sends, every read resident, one block."""
 
     p: int                          # the node
     shape: tuple                    # lane shape: |Modify_p| per loop dim
@@ -171,6 +313,9 @@ class NodeKernel:
     blocks: tuple = ()              # lane blocks in commit order
     sends: tuple = ()
     interior: Optional[_Block] = None
+    #: lanes of the `split-interior` interior (committed as ``interior``
+    #: or not): what the latency model charges before the drain
+    inner: int = 0
     #: array -> per-axis ``(lo, hi)`` ghost widths this node's regions of
     #: it are shifted by (``dist`` flavor: ``LocalMemory.frame``)
     margins: Dict[str, tuple] = field(default_factory=dict)
@@ -191,9 +336,11 @@ class NodeKernel:
 
 
 #: flavor -> (node-local address map?, distributed schedule?): the
-#: simulator's ``dist`` nodes address their own memories, the real
-#: processes run the same schedule over the global arrays (``gdist``);
-#: ``union`` is ``shared`` over one node holding every node's lanes
+#: simulator's ``dist`` nodes address their own memories and commit one
+#: block each after the drain, the real processes run the same schedule
+#: over the global arrays and overlap the interior with their messages
+#: (``gdist``); ``union`` is ``shared`` over one node holding every
+#: node's lanes
 _FLAVORS = {"union": (False, False), "shared": (False, False),
             "dist": (True, True), "gdist": (False, True)}
 _REPLICATED = "replicated write (per-copy broadcast)"
@@ -210,6 +357,10 @@ class FusedKernels:
     nreads: int
     write_name: str
     used: tuple = ()                # loop dims whose ``_i`` the source reads
+    slots: tuple = ()               # per ``_s`` slot ``(dtype, loop dims)``
+    #: the source text KRN002 passed when it was compiled (an entry is
+    #: only built from a clean one): the verifier's verdict, read back
+    audited: Optional[str] = field(default=None, repr=False)
     union: Optional[List[NodeKernel]] = None
     union_note: Optional[str] = None
     shared: Optional[List[NodeKernel]] = None
@@ -322,17 +473,19 @@ def _union(ir, lanes, guarded: bool) -> Tuple[list, tuple]:
         for p, (row, n) in enumerate(zip(lanes, counts)) if n)
 
 
-def _build_nodes(ir, local: bool, dist: bool, used,
-                 union: bool = False) -> list:
+def _build_nodes(ir, local: bool, dist: bool, k, union: bool = False) -> list:
     """The one lane-plan builder, from the accesses' membership keys
     (:meth:`PlanIR.member_keys`), for every executor.  *local* selects
     the address map — node-local slots through the decompositions'
     ``owned_indices`` / ``local_indices`` pairs, or the identity (the
-    global arrays) — and *dist* the schedule shape: sends, fills and the
-    interior split, or every read a resident gather and one block per
-    node.  *used* are the loop dims whose index the kernel body reads.
+    global arrays) — and *dist* the schedule shape: sends and fills, or
+    every read a resident gather.  The interior of the split commits as
+    its own block only over the global arrays — real processes, whose
+    messages are in flight meanwhile; node-local (in-process) nodes
+    commit one block each after the drain.  *k* is the plan's
+    :class:`FusedKernels`: the loop dims its body reads and its slots.
     With *union* the nodes are one: every node's lanes (:func:`_union`)."""
-    write, nd = ir.write, len(ir.loop_bounds)
+    write, nd, used = ir.write, len(ir.loop_bounds), k.used
     lanes, parts = ir.member_keys(write), ()
     if union:
         keys, parts = _union(ir, lanes, ir.clause.guard is not None)
@@ -395,7 +548,10 @@ def _build_nodes(ir, local: bool, dist: bool, used,
                       range(nd), shape)
         return _Block(tuple(klen(i) for i in lanes[p]),
                       Region(pos, range(nd), shape), loop,
-                      region(write, p, loop.keys, shape), loop.grids(used))
+                      region(write, p, loop.keys, shape), loop.grids(used),
+                      tuple((dtype, tuple(n if d in dims else 1
+                                          for d, n in enumerate(shape)))
+                            for dtype, dims in k.slots))
 
     # per remote read: its residence, and who gathers what from whom
     reside = {acc.pos: ir.member_keys(acc) for acc in remote}
@@ -474,6 +630,8 @@ def _build_nodes(ir, local: bool, dist: bool, used,
         if inner and all(klen(j) for j in inner) and region(
                 write, p, [compose(i, j) for i, j in zip(lanes[p], whole)],
                 shape).view:
+            nk.inner = math.prod(map(klen, inner))
+        if nk.inner and not local:
             nk.interior = block(p, inner)
             nk.blocks = tuple(block(p, pos) for pos in _strips(inner, shape))
         else:
@@ -493,15 +651,16 @@ def build_kernels(ir) -> FusedKernels:
             "sequential (•) clause is a serial chain; scalar path kept")
     if ir.write is None:
         raise KernelBuildError("plan carries no substituted write access")
-    source, rhs, guard, used = _emit_source(clause)
     for acc in ir.accesses():
         if not acc.funcs or len(set(acc.dims)) != len(acc.dims):
             raise KernelBuildError(
                 f"{acc.label} {acc.name!r} has no separable access "
                 "functions over distinct loop dims")
+    source, rhs, guard, used, slots = _emit_source(clause)
     return FusedKernels(
         source=source, rhs=rhs, guard=guard, nreads=len(ir.reads),
-        write_name=ir.write.name, used=tuple(sorted(used)),
+        write_name=ir.write.name, used=tuple(sorted(used)), slots=slots,
+        audited=source,
         dist_note=_REPLICATED if ir.write.replicated else None,
     )
 
@@ -521,9 +680,9 @@ def flavor_nodes(ir, flavor: str, strict: bool = False,
             from ..analysis.kernel_sanitizer import _check_bounds
 
             try:
-                nodes = _build_nodes(ir, *_FLAVORS[flavor], k.used,
+                nodes = _build_nodes(ir, *_FLAVORS[flavor], k,
                                      union=True) if flavor == "union" \
-                    else _build_nodes(ir, *_FLAVORS[flavor], k.used)
+                    else _build_nodes(ir, *_FLAVORS[flavor], k)
                 found = _check_bounds(ir, flavor, nodes)
                 if found:
                     raise KernelBuildError(f"KRN001: {found[0].message}")
@@ -674,6 +833,7 @@ def kernel_cache_info() -> Dict[str, object]:
 
 def clear_kernel_cache() -> None:
     kernel_cache.clear()
+    compile_kernel.cache_clear()
 
 
 def _kernel_key(ir) -> Optional[tuple]:

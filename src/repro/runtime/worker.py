@@ -44,8 +44,10 @@ Each worker owns a command pipe to the parent, one inbox queue (its end
 of the inter-node message fabric), a slice of the pool's shared phase
 table and its mappings of the parent's shared-memory arena, kept from
 run to run (:func:`_attached`).  Installed programs are kept in a small
-LRU keyed by the program's token; the kernel source is ``exec``-compiled
-once per install, exactly like the fused backend does in-process.
+LRU keyed by the program's token; the kernel source is audited and
+compiled once per install by :func:`repro.pipeline.kernels.compile_kernel`,
+exactly as the fused backend does in process, and its entries take their
+scratch slots from the worker's own arena.
 
 Every blocking operation carries the remaining per-run timeout, so a
 worker never hangs: it reports a failure (with its phase) and the parent
@@ -66,6 +68,7 @@ import numpy as np
 
 from ..machine.fused import _lane_row, region_entry
 from ..machine.stats import NodeStats
+from ..pipeline.kernels import compile_kernel
 from .shm import ARENA, attach_segment
 from .stats import (
     PH_BARRIER,
@@ -89,24 +92,19 @@ __all__ = ["Installed", "QueueTransport", "run_sequence", "worker_main"]
 _PLAN_LRU = 64
 
 
-def _compile_kernel(source: str):
-    ns: Dict[str, object] = {"_np": np}
-    exec(compile(source, "<mp-kernel>", "exec"), ns)  # noqa: S102
-    return ns["_rhs"], ns.get("_guard")
-
-
 class Installed:
     """One installed program on this process: its node kernels, the
     entry that computes and commits one lane block (``entry(block,
     rows, out) -> stored``, as in :mod:`repro.machine.fused`; compiled
-    from the payload's source unless given) and the reusable send
-    buffers of :class:`QueueTransport`."""
+    from the payload's source unless given: a source that fails the
+    KRN002 audit is refused) and the reusable send buffers of
+    :class:`QueueTransport`."""
 
     def __init__(self, payload, entry=None):
         (self.token, self.flavor, source, self.nreads, self.write_name,
          self.my_nodes) = payload
         self.entry = entry if entry is not None \
-            else region_entry(*_compile_kernel(source))
+            else region_entry(*compile_kernel(source))
         self.bufs: Dict[tuple, np.ndarray] = {}
 
 

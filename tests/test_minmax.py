@@ -22,6 +22,7 @@ import pytest
 
 from repro.codegen import compile_clause, compile_distributed, compile_shared
 from repro.codegen.dist_tmpl import run_distributed
+from repro.codegen.nddist import compile_clause_nd_dist
 from repro.codegen.shared_tmpl import run_shared
 from repro.core import (
     BinOp,
@@ -30,6 +31,7 @@ from repro.core import (
     IdentityF,
     IndexSet,
     LoopIndex,
+    Bounds,
     Ref,
     SeparableMap,
     UnOp,
@@ -37,7 +39,8 @@ from repro.core import (
     evaluate_clause,
 )
 from repro.core.expr import OPS, UNARY_OPS
-from repro.decomp import Block, Scatter
+from repro.core.view import ProjectedMap
+from repro.decomp import Block, GridDecomposition, Scatter
 from repro.machine import DistributedMachine, SharedMachine
 
 VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.0, -1.0, 3.0, -2.5]
@@ -171,3 +174,83 @@ class TestNumPyRule:
         m = SharedMachine(plan.pmax, copy_env(env()))
         m.run_phase(lambda p: phase(p, m.env))
         assert (bits(m.env["A"]) == want(op)).all()
+
+
+# ---------------------------------------------------------------------------
+# the slot form: every op as a ufunc call into a scratch slot
+# ---------------------------------------------------------------------------
+
+#: a 2-D clause over every VALUES pair: U[i] varies along loop dim 0,
+#: V[j] along dim 1 — each read a row broadcast over the other dim
+M = len(VALUES)
+GRID = GridDecomposition([Block(M, 2), Block(M, 2)])
+SLOT_DECOMPS = {"A": GRID, "U": Scatter(M, 4), "V": Block(M, 4)}
+SLOT_TIERS = [("shared", "fused"), ("dist", "fused"),
+              ("shared", "mp"), ("dist", "mp")]
+
+
+def uref(name: str, dim: int) -> Ref:
+    return Ref(name, ProjectedMap([dim], [IdentityF()]))
+
+
+def ij(d: int):
+    return BinOp("-", LoopIndex(d), Const(3 + d))
+
+
+def slot_expr(op: str, a, b):
+    return UnOp(UNARY_CASES[op], a) if op in UNARY_CASES \
+        else BinOp(op, a, b)
+
+
+def slot_clause(op: str, shape: str) -> Clause:
+    """*op* over one operand mix: ``bcast`` the two broadcast rows,
+    ``int`` the int64 index grids (one divisor is 0 where i = 3),
+    ``scalar`` a scalar-only subexpression (*op* over ``1 / 0`` and 2:
+    no slot) against a row, ``guard`` the op as a guard whose mask must
+    survive a body that needs slots of the same dtype and shape.  Each
+    clause meets at most one NaN per element: NumPy's scalar math (the
+    evaluator) and its array loops propagate different operands of two
+    NaNs of opposite sign."""
+    u, v = uref("U", 0), uref("V", 1)
+    guard = None
+    if shape == "bcast":
+        rhs = slot_expr(op, BinOp("*", u, Const(1)), v)
+    elif shape == "int":
+        rhs = BinOp("+", slot_expr(op, ij(0), ij(1)), Const(0.5))
+    elif shape == "scalar":
+        inf = slot_expr(op, BinOp("/", Const(1), Const(0)), Const(2))
+        row = BinOp("+", v, BinOp("-", Const(2), Const(5)))
+        rhs = BinOp("+", inf, row) if op in UNARY_CASES \
+            else slot_expr(op, inf, row)
+    else:
+        guard = slot_expr(op, u, v)
+        rhs = BinOp("*", BinOp("-", u, v), BinOp("+", v, u))
+    dom = IndexSet(Bounds((0, 0), (M - 1, M - 1)))
+    return Clause(dom, Ref("A", SeparableMap([IdentityF(), IdentityF()])),
+                  rhs, guard=guard, name=f"{op}:{shape}")
+
+
+def slot_env() -> dict:
+    return {"A": np.full((M, M), 7.0), "U": np.array(VALUES),
+            "V": np.array(VALUES[::-1])}
+
+
+class TestSlotForm:
+    @pytest.mark.parametrize("shape", ["bcast", "int", "scalar", "guard"])
+    @pytest.mark.parametrize("op", [*BINARY, *UNARY_CASES])
+    def test_every_op_in_slots_is_the_evaluator(self, op, shape):
+        cl = slot_clause(op, shape)
+        with np.errstate(all="ignore"):
+            want = bits(evaluate_clause(cl, slot_env())["A"])
+        plan = compile_clause_nd_dist(cl, SLOT_DECOMPS)
+        src = plan.ir.kernels.source
+        assert "out=_s[" in src
+        if shape == "scalar":  # scalar-only: a ufunc call, no slot
+            assert "_np.true_divide(1, 0)" in src
+        for entry, backend in SLOT_TIERS:
+            run = run_shared if entry == "shared" else run_distributed
+            with np.errstate(all="ignore"):
+                m = run(plan, slot_env(), backend=backend, processes=2)
+            got = m.env["A"] if entry == "shared" else m.collect("A")
+            assert (bits(got) == want).all(), (entry, backend, src)
+        assert not plan.trace.notes  # every tier ran: no fallback hop

@@ -266,7 +266,7 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "_vec_index" not in out and "vector-form" not in out
-        kernel, template = out.index("def _rhs(_i, _r):"), \
+        kernel, template = out.index("def _rhs(_i, _r, _s):"), \
             out.index("def node_program(ctx, RT):")
         assert kernel < out.index("# scalar §2.10 node program") < template
 

@@ -381,6 +381,24 @@ class TestKrnFixtures:
         codes = {d.code for d in sanitize_kernels(ir)}
         assert "KRN002" in codes
 
+    @pytest.mark.parametrize("line, why", [
+        ("_np.add(_r[0], _r[1], out=_r[0])", "out=_r[0] is not a scratch slot"),
+        ("_np.add(_r[0], _r[1], out=tmp)",
+         "name 'tmp' outside the kernel whitelist"),
+        ("_np.sin(_r[0], out=_s[0])",
+         "_np.sin is not an emitted element-wise call"),
+    ], ids=["store-into-read-row", "store-into-undeclared", "unspelled-ufunc"])
+    def test_krn002_refuses_slot_form_escapes(self, line, why):
+        """The slot form's whitelist comes from the operator table: a
+        store into a read row or an undeclared name, or a ufunc the
+        table does not spell, is rejected — and never compiled."""
+        from repro.pipeline.kernels import KernelBuildError, compile_kernel
+
+        src = f"def _rhs(_i, _r, _s):\n    {line}\n    return _s[0]\n"
+        assert any(why in p for p in audit_kernel_source(src))
+        with pytest.raises(KernelBuildError, match="KRN002"):
+            compile_kernel(src)
+
     def test_krn002_direct_audit(self):
         notes = audit_kernel_source("def k():\n    return open('/etc')\n")
         assert notes

@@ -856,12 +856,20 @@ class TestLoweringStaysClosedForm:
                     Ref("T", SeparableMap([IdentityF(), IdentityF()])),
                     (s(-1, 0) + s(1, 0) + s(0, -1) + s(0, 1)) * 0.25)
         ir = compile_clause_nd_dist(cl, {"S": g, "T": g})
-        shared, dist = (flavor_nodes(ir, f) for f in ("shared", "dist"))
+        shared, dist, gdist = (flavor_nodes(ir, f)
+                               for f in ("shared", "dist", "gdist"))
         stats = ir.kernels.region_stats
         assert stats["dist"]["vector"] == stats["shared"]["vector"] == 0
+        assert stats["gdist"]["vector"] == 0
         assert stats["bytes"] < 1 << 20  # O(edge), not O(edge^2)
+        # real processes overlap the interior with their messages; in
+        # process each node commits its Modify_p as one block
         assert all(nk.interior is not None and len(nk.blocks) <= 4
-                   for nk in dist)
+                   for nk in gdist)
+        assert all(nk.interior is None and len(nk.blocks) == 1
+                   and nk.blocks[0].pos.size == nk.n == nk.inner + sum(
+                       b.pos.size for b in g_nk.blocks)
+                   for nk, g_nk in zip(dist, gdist))
 
 
     def test_e19_at_1024_reaches_the_workers_as_regions(self, monkeypatch):

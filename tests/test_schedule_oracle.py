@@ -51,8 +51,9 @@ def _fresh_plans():
 def oracle_node_program(k, nk, entry, ctx):
     """Node *nk*'s program as a generator over the simulated mailbox:
     sends first, non-blocking receives posted into the rows (a ghost
-    read's strips into its frame), the interior block committed while
-    messages are in flight, a probe-driven drain, then the boundary."""
+    read's strips into its frame), the split's interior lanes charged
+    (and committed, where the node has an interior block) while messages
+    are in flight, a probe-driven drain, then the rest."""
     frames = {name: ctx.mem.frame(name, m) for name, m in nk.margins.items()}
     bufs = {**ctx.mem.arrays, **frames}
     for s in nk.sends:
@@ -71,21 +72,21 @@ def oracle_node_program(k, nk, entry, ctx):
                 pending.append((handle, into, fill))
         out = bufs[k.write_name]
 
-        def commit(blocks):
-            n, model = sum(b.pos.size for b in blocks), ctx.machine.model
+        def commit(blocks, n):
+            model = ctx.machine.model
             if model is not None and n:
                 ctx.stats.vtime += n * model.t_element
             for blk in blocks:
                 ctx.stats.local_updates += int(entry(blk, rows, out))
 
-        commit([nk.interior] if nk.interior is not None else [])
+        commit([nk.interior] if nk.interior is not None else [], nk.inner)
         while pending:
             done = yield Probe([h for h, _, _ in pending])
             i = next(j for j, (h, _, _) in enumerate(pending) if h is done)
             _, into, fill = pending.pop(i)
             fill.put(into, np.asarray(ctx.note_received(done.payload),
                                       dtype=np.float64).reshape(fill.shape))
-        commit(nk.blocks)
+        commit(nk.blocks, nk.n - nk.inner)
     yield ctx.barrier()
 
 
@@ -256,9 +257,9 @@ def test_e19_makespan_closed_form_on_a_2x2_grid():
     t, hop = MODEL.t_element, MODEL.message_time(n // 2 - 1)
     want = []
     for nk in flavor_nodes(plan, "dist"):
-        inner = nk.interior.pos.size
-        edge = sum(b.pos.size for b in nk.blocks)
-        assert inner + edge == (n // 2 - 1) ** 2
+        ns = plan.interior_split.per_node[nk.p]
+        inner, edge = ns.interior_count, ns.boundary_count
+        assert inner + edge == (n // 2 - 1) ** 2 == nk.n
         want.append(max(inner * t, hop) + edge * t)
     assert m.stats.makespan() == max(want) == (n // 2 - 1) ** 2 * t
     assert all(node.vtime == m.stats.makespan() for node in m.stats.nodes)
