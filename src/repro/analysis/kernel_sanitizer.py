@@ -17,14 +17,14 @@ statically, per plan:
 
 ``KRN002``
     AST audit of the rendered kernel source, on the tree
-    :func:`repro.pipeline.kernels.compile_kernel` then compiles (one
+    :func:`repro.pipeline.kernels.compile_kernel` compiles (one
     parse; the verdict rides on the kernel entry).  It may only use the
     names of :data:`repro.core.expr.KERNEL_NAMES`, the ufuncs the
     operator table spells (:data:`repro.core.expr.OPS` /
     ``UNARY_OPS``), each call's ``out=`` a scratch slot ``_s[k]``, and
     negative literals.  Anything else — an injected name, a builtin
-    call, an infix operator, a store into a read row, an import — is an
-    error.
+    call, an infix operator, a store into a read row, a default or
+    annotation on a kernel function, an import — is an error.
 
 ``KRN003``
     A guard expression that references no data and is false on every
@@ -38,6 +38,7 @@ refuses RACE/COMM.
 from __future__ import annotations
 
 import ast
+import threading
 from typing import List, Optional, Tuple
 
 from ..core.expr import KERNEL_NAMES, OPS, UNARY_OPS
@@ -55,6 +56,14 @@ _ARGS = frozenset(("_i", "_r", "_s"))
 _NP_ATTRS = frozenset(op.np for op in (*OPS.values(), *UNARY_OPS.values()))
 
 
+#: held while an AST is converted (``ast.parse``, ``compile`` of a tree):
+#: CPython 3.11 keeps the converters' recursion depth per interpreter,
+#: so two threads converting at once — a garbage collection can switch
+#: threads mid-conversion — fail with ``SystemError`` ("AST constructor
+#: recursion depth mismatch")
+AST_LOCK = threading.RLock()
+
+
 def _diag(code, message, *, severity=Severity.ERROR, clause="", access="",
           span=None, witnesses=None, hint=""):
     return Diagnostic(code=code, message=message, severity=severity,
@@ -70,7 +79,8 @@ def audit_kernel_source(source: str) -> List[str]:
     """Whitelist audit of one kernel source text; returns violation
     strings (empty = clean)."""
     try:
-        tree = ast.parse(source)
+        with AST_LOCK:
+            tree = ast.parse(source)
     except SyntaxError as e:
         return [f"source does not parse: {e}"]
     return audit_kernel_tree(tree)
@@ -78,9 +88,10 @@ def audit_kernel_source(source: str) -> List[str]:
 
 def audit_kernel_tree(tree) -> List[str]:
     """Audit one parsed kernel source against the slot form's grammar,
-    and nothing else: ``def _rhs`` / ``def _guard`` over ``(_i, _r,
-    _s)``, holding ``_np.<ufunc>(operand, ..., out=_s[k])`` calls and
-    one ``return operand``.  An operand is a grid ``_i[d]``, a row
+    and nothing else: ``def _rhs`` / ``def _guard`` over exactly ``(_i,
+    _r, _s)`` (a default, annotation or decorator is code that runs at
+    ``def``, before any call), holding ``_np.<ufunc>(operand, ...,
+    out=_s[k])`` calls and one ``return operand``.  An operand is a grid ``_i[d]``, a row
     ``_r[k]`` or a slot ``_s[k]``, a number, or a ufunc call with no
     ``out`` (a scalar-only subexpression); every ufunc is one the
     operator table spells.  Returns violation strings (empty = clean)."""
@@ -151,17 +162,22 @@ def audit_kernel_tree(tree) -> List[str]:
                 if type(node) is ast.Name:
                     name(node)
             continue
-        if fn.name not in ("_rhs", "_guard") or fn.decorator_list or [
-                a.arg for a in fn.args.args] != ["_i", "_r", "_s"]:
+        a = fn.args
+        if fn.name not in ("_rhs", "_guard") or fn.decorator_list \
+                or fn.returns is not None or getattr(fn, "type_params", ()) \
+                or a.posonlyargs or a.vararg or a.kwonlyargs or a.kwarg \
+                or a.defaults or [(x.arg, x.annotation) for x in a.args] \
+                != [("_i", None), ("_r", None), ("_s", None)]:
             bad(fn, f"def {fn.name} is not a kernel function "
-                    "(_rhs/_guard over _i, _r, _s)")
+                    "(_rhs/_guard over exactly _i, _r, _s)")
         for st in fn.body:
             t = type(st)
-            if t is ast.Return or t is ast.Expr and type(st.value) \
-                    is ast.Call:
+            if t is ast.Return and st.value is not None or t is ast.Expr \
+                    and type(st.value) is ast.Call:
                 expr(st.value)
             else:
-                bad(st, f"{t.__name__} statement in generated kernel")
+                bad(st, "return without a value" if t is ast.Return
+                    else f"{t.__name__} statement in generated kernel")
                 for node in ast.walk(st):
                     if type(node) is ast.Name:
                         name(node)

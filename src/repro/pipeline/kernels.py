@@ -95,9 +95,15 @@ _F8, _I8 = np.dtype(np.float64), np.dtype(np.int64)
 
 @functools.lru_cache(maxsize=None)
 def _loop_dtype(ufunc: str, operands: tuple) -> np.dtype:
-    """The dtype *ufunc* computes for operands of these types — NumPy
-    dtypes, or ``int``/``float`` for a Python scalar (a weak operand)."""
-    return getattr(np, ufunc).resolve_dtypes((*operands, None))[-1]
+    """The dtype *ufunc* computes for operands of these kinds — per
+    operand a NumPy dtype and whether it is an array (else a NumPy
+    scalar), or ``int``/``float`` for a Python scalar — read off one
+    call on one-element operands of those kinds, so it is what this
+    NumPy's promotion rules give at run time."""
+    args = [t(1) if isinstance(t, type) else np.ones(1, t) if array
+            else t.type(1) for t, array in operands]
+    with np.errstate(all="ignore"):
+        return np.asarray(getattr(np, ufunc)(*args)).dtype
 
 
 class Slots:
@@ -138,8 +144,9 @@ class Slots:
         kinds = [self._kinds[a] for a in args]
         dims = tuple(sorted({d for _, ds in kinds for d in ds}))
         try:
-            dtype = _loop_dtype(ufunc, tuple(t for t, _ in kinds))
-        except TypeError as e:
+            dtype = _loop_dtype(ufunc, tuple((t, bool(ds))
+                                             for t, ds in kinds))
+        except Exception as e:  # no loop for these operands: no kernel
             raise CodegenError(f"_np.{ufunc} has no loop for "
                                f"{[str(t) for t, _ in kinds]}: {e}") from None
         call = f"_np.{ufunc}({', '.join(args)}"
@@ -197,15 +204,15 @@ def _emit_source(clause) -> Tuple[str, Callable, Optional[Callable], set,
         lines += ["", "def _guard(_i, _r, _s):",
                   *(f"    {ln}" for ln in guard_lines),
                   f"    return {guard}"]
-    code = "\n".join(lines) + "\n"
-    rhs_fn, guard_fn = compile_kernel(code)  # clauses with one body share it
     source = "\n".join((
         f"# fused kernel for clause {clause.name!r}",
         f"#   {clause!r}",
         "# _i[d]: open-grid index vector of loop dim d (precomputed)",
         "# _r[k]: lane values of read k (memory view / received message)",
         "# _s[k]: scratch slot k (this thread's, one per block shape)",
-        "", code))
+        "", *lines)) + "\n"
+    # the text workers and ranks install: one memo entry per kernel
+    rhs_fn, guard_fn = compile_kernel(source)
     return source, rhs_fn, guard_fn, used, tuple(slots.specs)
 
 
@@ -215,19 +222,21 @@ def compile_kernel(source: str) -> Tuple[Callable, Optional[Callable]]:
     worker and rank: parse once, audit that tree (KRN002), compile the
     same tree.  Returns ``(_rhs, _guard)``; a source the audit rejects
     raises :class:`KernelBuildError` and never runs.  Memoized on the
-    text (the functions hold no state: slots are passed in), so clauses
-    with one body — a time loop's two sweeps, a program compiled under
-    several decompositions — parse and compile it once;
+    text (the functions hold no state: slots are passed in), so a
+    kernel parses and compiles once per process — a program compiled
+    under several decompositions, the in-process plan and the ranks of
+    the threaded MPI stub share it;
     :func:`clear_kernel_cache` drops the memo."""
-    from ..analysis.kernel_sanitizer import audit_kernel_tree
+    from ..analysis.kernel_sanitizer import AST_LOCK, audit_kernel_tree
 
-    tree = ast.parse(source)
-    problems = audit_kernel_tree(tree)
-    if problems:
-        raise KernelBuildError(f"KRN002: kernel source rejected: "
-                               f"{problems[0]}")
     ns: Dict[str, object] = {"_np": np}
-    exec(compile(tree, "<fused-kernel>", "exec"), ns)  # noqa: S102
+    with AST_LOCK:
+        tree = ast.parse(source)
+        problems = audit_kernel_tree(tree)
+        if problems:
+            raise KernelBuildError(f"KRN002: kernel source rejected: "
+                                   f"{problems[0]}")
+        exec(compile(tree, "<fused-kernel>", "exec"), ns)  # noqa: S102
     return ns["_rhs"], ns.get("_guard")
 
 

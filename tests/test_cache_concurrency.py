@@ -167,6 +167,48 @@ class TestSingleFlightCompile:
         assert counter.calls == 8  # one pipeline execution per key
 
 
+class TestKernelSourceThreads:
+    def test_concurrent_kernel_compiles_convert_asts_one_at_a_time(self):
+        """Threads parsing and compiling distinct kernel sources at once
+        (the serve executor, the threaded MPI stub) all succeed.  The
+        cyclic garbage with a finalizer that yields makes a collection
+        during an AST conversion switch threads mid-conversion, which
+        CPython 3.11 answers with ``SystemError`` ("AST constructor
+        recursion depth mismatch") unless conversions are serialized."""
+        import gc
+
+        from repro.pipeline.kernels import compile_kernel
+
+        class Yields:
+            def __del__(self):
+                time.sleep(0)
+
+        counter = iter(range(10**6))
+        lock = threading.Lock()
+
+        def compile_many():
+            for _ in range(100):
+                for _ in range(20):
+                    y = Yields()
+                    y.cycle = y
+                with lock:
+                    k = next(counter)
+                compile_kernel(
+                    "def _rhs(_i, _r, _s):\n"
+                    f"    _np.multiply({k}, _r[1], out=_s[0])\n"
+                    "    _np.add(_r[0], _s[0], out=_s[0])\n"
+                    "    return _s[0]\n")
+
+        thresholds = gc.get_threshold()
+        gc.set_threshold(50, 1, 1)
+        try:
+            results, errors = hammer(compile_many, n=8)
+        finally:
+            gc.set_threshold(*thresholds)
+        assert errors == []
+        assert len(results) == 8
+
+
 class TestKernelCacheBytes:
     def test_bytes_accounted(self):
         assert kernel_cache_info()["bytes"] == 0

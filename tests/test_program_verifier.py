@@ -399,6 +399,30 @@ class TestKrnFixtures:
         with pytest.raises(KernelBuildError, match="KRN002"):
             compile_kernel(src)
 
+    @pytest.mark.parametrize("head, body, why", [
+        ("_i, _r, _s=__import__('os').system('exit 3')", "return _s[0]",
+         "is not a kernel function"),
+        ("_i, _r, _s, *, _k=open('x')", "return _s[0]",
+         "is not a kernel function"),
+        ("_i, _r, *_s", "return _s[0]", "is not a kernel function"),
+        ("_i, _r, _s: print('x')", "return _s[0]", "is not a kernel function"),
+        ("_i, _r, _s) -> print('x'", "return _s[0]",
+         "is not a kernel function"),
+        ("_i, _r, _s", "return", "return without a value"),
+    ], ids=["default", "kwonly-default", "vararg", "annotation", "returns",
+            "bare-return"])
+    def test_krn002_refuses_signature_escapes(self, head, body, why):
+        """A kernel function is exactly ``(_i, _r, _s)``: a default or
+        annotation is code that runs at ``def``, so the audit rejects it
+        before anything is compiled, and a bare return is a violation,
+        not an audit crash."""
+        from repro.pipeline.kernels import KernelBuildError, compile_kernel
+
+        src = f"def _rhs({head}):\n    {body}\n"
+        assert any(why in p for p in audit_kernel_source(src))
+        with pytest.raises(KernelBuildError, match="KRN002"):
+            compile_kernel(src)
+
     def test_krn002_direct_audit(self):
         notes = audit_kernel_source("def k():\n    return open('/etc')\n")
         assert notes
