@@ -161,12 +161,12 @@ def _redistribution_cost(
         dst = new[name]
         if src is dst:
             continue
+        plan = plan_redistribution(src, dst)  # O(P²) keys; checks both
         if isinstance(src, Replicated) or isinstance(dst, Replicated):
             # replication changes are a broadcast/collapse: charge the
             # full volume once
             total += model.alpha * (src.pmax - 1) + model.beta * src.n
             continue
-        plan = plan_redistribution(src, dst)
         total += (model.alpha * plan.message_count()
                   + model.beta * plan.moved_elements())
     return total

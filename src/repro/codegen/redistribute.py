@@ -1,10 +1,11 @@
 """Generated redistribution code (dynamic decompositions, paper §1/§5).
 
-Turns a :class:`~repro.decomp.dynamic.RedistributionPlan` into SPMD node
-programs for the distributed machine: every node packs one message per
-destination (coalesced — not one message per element), receives one
-message per source, and applies its intra-node moves from a shadow copy
-(so overlapping src/dst slots cannot clobber each other).
+Turns a :class:`~repro.decomp.dynamic.RedistributionPlan` (keys) into
+SPMD node programs for the distributed machine: every node sends one
+coalesced message per destination — :meth:`Region.take` of its old
+buffer, in ascending global order — and applies its stay (from the old
+buffer, a shadow copy) and each received payload with one
+:meth:`Region.put` each.
 
 This is the automation the paper's introduction asks for: redistribution
 derived entirely from the two decomposition specifications, never written
@@ -13,15 +14,19 @@ into the program text.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Tuple
-
-import numpy as np
+from typing import Generator
 
 from ..decomp.base import Decomposition
 from ..decomp.dynamic import RedistributionPlan, plan_redistribution
 from ..machine.distributed import DistributedMachine, NodeContext
+from ..pipeline.region import Key, Region, klen
 
 __all__ = ["make_redistribution_program", "run_redistribution"]
+
+
+def _slots(key: Key) -> Region:
+    """One 1-D buffer's slots as a region over as many lanes."""
+    return Region((key,), (0,), (klen(key),))
 
 
 def make_redistribution_program(
@@ -37,30 +42,18 @@ def make_redistribution_program(
         new = ctx.mem.alloc(name, plan.dst.local_size(p),
                             dtype=old.dtype if old.size else float)
 
-        # Pack and send one coalesced message per destination processor.
-        out_pairs = sorted(
-            q for (src, q) in plan.messages if src == p
-        )
-        for q in out_pairs:
-            triples = plan.messages[(p, q)]
-            payload = np.array([old[sl] for (sl, _dl, _gi) in triples])
-            ctx.send(q, ("redist", name), payload)
-
-        # Intra-node moves (from the old buffer — it is the shadow copy).
-        for sl, dl in plan.stay.get(p, []):
-            new[dl] = old[sl]
-            ctx.stats.local_updates += 1
-
-        # Receive one message per source processor; slot order is the
-        # sender's triple order, mirrored here from the same plan.
-        in_pairs = sorted(src for (src, q) in plan.messages if q == p)
-        for src in in_pairs:
-            triples = plan.messages[(src, p)]
-            payload = yield ctx.recv(src, ("redist", name))
-            ctx.note_received(payload)
-            for (_sl, dl, _gi), value in zip(triples, payload):
-                new[dl] = value
-                ctx.stats.local_updates += 1
+        # Sends (a message is a copy, not a view of node memory), then
+        # the stay and one receive per source, in source order.
+        moves = sorted(plan.moves.items())
+        for (src, q), (_g, sl, _dl) in moves:
+            if src == p and q != p:
+                ctx.send(q, ("redist", name), _slots(sl).take(old).copy())
+        for (src, q), (_g, sl, dl) in moves:
+            if q == p:
+                payload = _slots(sl).take(old) if src == p else \
+                    ctx.note_received((yield ctx.recv(src, ("redist", name))))
+                _slots(dl).put(new, payload)
+                ctx.stats.local_updates += klen(dl)
 
         yield ctx.barrier()
 

@@ -8,7 +8,7 @@ substitutes for a data structure to obtain SPMD programs.
 from .base import Decomposition
 from .block import Block
 from .blockscatter import BlockScatter
-from .dynamic import RedistributionPlan, Transfer, plan_redistribution
+from .dynamic import RedistributionPlan, plan_redistribution
 from .multidim import Collapsed, GridDecomposition
 from .replicated import Replicated, SingleOwner
 from .scatter import Scatter
@@ -24,7 +24,6 @@ __all__ = [
     "Collapsed",
     "GridDecomposition",
     "RedistributionPlan",
-    "Transfer",
     "plan_redistribution",
     "parse_spec",
     "parse_distribution",

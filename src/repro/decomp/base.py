@@ -98,6 +98,11 @@ class Decomposition:
             own = np.arange(*own.indices(self.n), dtype=np.int64)
         return self.local_array(own)
 
+    def placement_keys(self) -> list:
+        """Per processor ``(owned_indices(p), local_indices(p))``."""
+        return [(self.owned_indices(p), self.local_indices(p))
+                for p in range(self.pmax)]
+
     # -- caching ---------------------------------------------------------------
 
     def cache_key(self) -> Tuple:

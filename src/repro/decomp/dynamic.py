@@ -5,93 +5,81 @@ statements are not generated automatically and are intermingled with the
 program code" and lists dynamic decompositions as the target of further
 research (Section 5).  We implement the natural V-cal answer: given a
 source decomposition ``D1`` and target ``D2`` of the same structure, the
-communication set is derived purely from the two views —
-
-    element ``i`` moves ``D1.place(i) -> D2.place(i)`` whenever the owning
-    processors differ,
-
-and per-processor-pair transfers are coalesced into messages.  The plan is
-machine-independent data; :mod:`repro.codegen.redistribute` turns it into
+communication set is derived purely from the two views, by the rule of
+every exchange in the compiler (:func:`repro.pipeline.region.exchange`):
+what processor ``q`` receives from ``p`` is what ``q`` owns under ``D2``
+(what it needs) met with what ``p`` owns under ``D1``, on their
+``owned_indices`` keys — O(P²) key operations, not O(n).  A
+:class:`Replicated` source is its canonical copy on processor 0 (as its
+``proc``/``local`` report); a replicated destination needs the whole
+array everywhere.  :mod:`repro.codegen.redistribute` turns the plan into
 node programs for the simulated machines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
+from ..pipeline.region import Key, compose, exchange, klen, locate
 from .base import Decomposition
 
-__all__ = ["Transfer", "RedistributionPlan", "plan_redistribution"]
-
-
-@dataclass(frozen=True)
-class Transfer:
-    """One element's move: global index plus source/target placements."""
-
-    global_index: int
-    src_proc: int
-    src_local: int
-    dst_proc: int
-    dst_local: int
+__all__ = ["RedistributionPlan", "plan_redistribution"]
 
 
 @dataclass
 class RedistributionPlan:
-    """All transfers needed to change a structure from ``src`` to ``dst``.
+    """The keys that change a structure from ``src`` to ``dst``.
 
-    ``messages[(p, q)]`` lists the (src_local, dst_local, global_index)
-    triples processor ``p`` must ship to processor ``q``; ``stay[p]`` lists
-    the (src_local, dst_local) pairs that merely move within ``p``'s own
-    memory.
+    ``moves[(p, q)]`` is ``(global, src_slots, dst_slots)``: the global
+    indices processor ``p`` hands to ``q`` in ascending order (the
+    payload order), their slots in ``p``'s old buffer and in ``q``'s new
+    one.  ``p == q`` is a stay: a move within one memory.
     """
 
     src: Decomposition
     dst: Decomposition
-    messages: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = field(
-        default_factory=dict
-    )
-    stay: Dict[int, List[Tuple[int, int]]] = field(default_factory=dict)
+    moves: Dict[Tuple[int, int], Tuple[Key, Key, Key]]
 
-    # -- statistics the benchmarks report ---------------------------------
-
-    def moved_elements(self) -> int:
-        return sum(len(v) for v in self.messages.values())
-
-    def message_count(self) -> int:
-        return len(self.messages)
-
-    def stay_elements(self) -> int:
-        return sum(len(v) for v in self.stay.values())
+    # -- statistics the benchmarks report: counts over the keys -------------
 
     def volume_by_pair(self) -> Dict[Tuple[int, int], int]:
-        return {k: len(v) for k, v in self.messages.items()}
+        return {(p, q): klen(m[0]) for (p, q), m in self.moves.items()
+                if p != q}
+
+    def moved_elements(self) -> int:
+        return sum(self.volume_by_pair().values())
+
+    def message_count(self) -> int:
+        return len(self.volume_by_pair())
+
+    def stay_elements(self) -> int:
+        return sum(klen(m[0]) for (p, q), m in self.moves.items() if p == q)
 
     def max_fan_out(self) -> int:
         """Largest number of distinct destinations any processor sends to."""
-        fan: Dict[int, int] = {}
-        for (p, _q) in self.messages:
-            fan[p] = fan.get(p, 0) + 1
-        return max(fan.values(), default=0)
+        return max(Counter(p for p, _q in self.volume_by_pair()).values(),
+                   default=0)
 
 
 def plan_redistribution(src: Decomposition, dst: Decomposition) -> RedistributionPlan:
-    """Derive the full redistribution plan ``src -> dst``.
-
-    Both decompositions must cover the same global range.  O(n).
-    """
+    """Derive the full redistribution plan ``src -> dst``: both 1-D,
+    over the same global range.  O(P²) key operations."""
+    for d in (src, dst):
+        if not isinstance(d, Decomposition):
+            raise ValueError(
+                f"redistribution runs between 1-D decompositions, not {d!r}")
     if src.n != dst.n:
         raise ValueError(f"size mismatch: src n={src.n}, dst n={dst.n}")
     if src.pmax != dst.pmax:
-        raise ValueError(
-            f"processor count mismatch: src pmax={src.pmax}, dst pmax={dst.pmax}"
-        )
-    plan = RedistributionPlan(src, dst)
-    for i in range(src.n):
-        sp, sl = src.place(i)
-        dp, dl = dst.place(i)
-        if sp == dp:
-            plan.stay.setdefault(sp, []).append((sl, dl))
-        else:
-            plan.messages.setdefault((sp, dp), []).append((sl, dl, i))
-    return plan
+        raise ValueError(f"processor count mismatch: src pmax={src.pmax}, "
+                         f"dst pmax={dst.pmax}")
+    own, need = src.placement_keys(), dst.placement_keys()
+    if src.is_replicated:  # its canonical copy, on processor 0
+        own[1:] = [(slice(0, 0), slice(0, 0))] * (src.pmax - 1)
+    return RedistributionPlan(src, dst, {
+        (p, q): (g, compose(own[p][1], locate(g, own[p][0])),
+                 compose(need[q][1], locate(g, need[q][0])))
+        for (q, p), (g,) in exchange([[k] for k, _ in need],
+                                     [[k] for k, _ in own]).items()})

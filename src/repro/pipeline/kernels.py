@@ -65,7 +65,7 @@ from ..codegen.exprsrc import CodegenError, expr_src
 from ..core.clause import Ordering
 from ..core.expr import Const, LoopIndex
 from .cache import _env_number, _StructuralCache, plan_key
-from .region import Region, compose, image, join, klen, locate, meet, \
+from .region import Region, compose, exchange, image, join, klen, locate, \
     minus, overhang, prog
 
 __all__ = [
@@ -564,17 +564,8 @@ def _build_nodes(ir, local: bool, dist: bool, k, union: bool = False) -> list:
 
     # per remote read: its residence, and who gathers what from whom
     reside = {acc.pos: ir.member_keys(acc) for acc in remote}
-    moves = {}
-    for acc in remote:
-        for q in nodes:
-            for s in nodes:
-                both = []  # empty on one axis is empty: stop there
-                for x, y in zip(lanes[q], reside[acc.pos][s]):
-                    both.append(meet(x, y))
-                    if not klen(both[-1]):
-                        break
-                else:
-                    moves[acc.pos, q, s] = sub(q, both)
+    moves = {(acc.pos, q, s): sub(q, both) for acc in remote
+             for (q, s), both in exchange(lanes, reside[acc.pos]).items()}
 
     for p in nodes:
         shape = tuple(klen(i) for i in lanes[p])

@@ -13,11 +13,13 @@ else through ``np.ix_`` (a copy), so a slice is the special case of the
 one mechanism and not a fast path beside it.
 
 Every compile-time membership computation — the kernels' lane plans,
-`split-interior`, the §2.9 barrier proof, the static analyses — runs on
-keys through :func:`meet` (∩), :func:`minus` (∖), :func:`join` (∪),
+`split-interior`, the §2.9 barrier proof, the static analyses,
+redistribution plans (:mod:`repro.decomp.dynamic`) — runs on keys
+through :func:`meet` (∩), :func:`minus` (∖), :func:`join` (∪),
 :func:`image`, :func:`compose` and :func:`locate`: O(1) on progressions,
 one congruence per level on two-level keys, exact vector arithmetic
-elsewhere.  Table I builds each enumeration's key itself
+elsewhere; every communication set (kernel halo moves, redistribution)
+is one :func:`exchange`.  Table I builds each enumeration's key itself
 (:mod:`repro.sets.enumerators`).
 
 Row-major order over a region is the lexicographic lane order every
@@ -30,15 +32,16 @@ consumers that truly need them (guarded or non-injective stores).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import product
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.ifunc import AffineF, ConstantF, apply_ifunc
 
 __all__ = ["Key", "Region", "TwoLevel", "prog", "tiles", "klen", "vec",
-           "compress", "compose", "join", "locate", "meet", "minus",
-           "image", "overhang", "overlap", "span"]
+           "compress", "compose", "exchange", "join", "locate", "meet",
+           "minus", "image", "overhang", "overlap", "span"]
 
 _BIG = 1 << 62
 
@@ -188,6 +191,24 @@ def meet(a: Key, b: Key) -> Key:
         return compress(
             a[(a >= b0) & (a <= b0 + t * (bn - 1)) & ((a - b0) % t == 0)])
     return compress(np.intersect1d(a, vec(b), assume_unique=True))
+
+
+def exchange(need: Sequence[Sequence[Key]], own: Sequence[Sequence[Key]]
+             ) -> Dict[Tuple[int, int], List[Key]]:
+    """What node *q* takes from node *p*: per axis the :func:`meet` of
+    what *q* needs (``need[q]``, one ascending key per axis) and what *p*
+    owns (``own[p]``), ``{(q, p): keys}`` for every pair that meets on
+    every axis — an empty axis ends its pair.  O(P²) key operations."""
+    out = {}
+    for (q, wants), (p, has) in product(enumerate(need), enumerate(own)):
+        both = []
+        for x, y in zip(wants, has):
+            both.append(meet(x, y))
+            if not klen(both[-1]):
+                break
+        else:
+            out[q, p] = both
+    return out
 
 
 def _meet2(a: TwoLevel, b: Key) -> Optional[Key]:

@@ -17,8 +17,9 @@ from repro.decomp import Block, BlockScatter, Scatter, SingleOwner
 # hypothesis strategies
 # ---------------------------------------------------------------------------
 
-def decompositions(max_n: int = 64, max_p: int = 8):
-    """Strategy producing bijective 1-D decompositions."""
+def decompositions(max_n: int = 64, max_p: int = 8, n=None, pmax=None):
+    """Strategy producing bijective 1-D decompositions (of *n* elements
+    over *pmax* processors, when given)."""
 
     def build(draw_tuple):
         kind, n, pmax, b, owner = draw_tuple
@@ -34,8 +35,8 @@ def decompositions(max_n: int = 64, max_p: int = 8):
 
     return st.tuples(
         st.sampled_from(["block", "scatter", "bs", "single"]),
-        st.integers(1, max_n),
-        st.integers(1, max_p),
+        st.integers(1, max_n) if n is None else st.just(n),
+        st.integers(1, max_p) if pmax is None else st.just(pmax),
         st.integers(1, 8),
         st.integers(0, max_p - 1),
     ).map(build)

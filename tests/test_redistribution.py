@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.codegen import run_redistribution
-from repro.decomp import Block, BlockScatter, Scatter, SingleOwner
+from repro.decomp import Block, BlockScatter, Replicated, Scatter, SingleOwner
 from repro.machine import DistributedMachine
 
 
@@ -77,3 +77,18 @@ class TestRedistributionExecution:
         run_redistribution(m, "A", Scatter(20, 4))
         assert np.allclose(m.collect("A"), a)
         assert np.allclose(m.collect("B"), b)
+
+    def test_into_replicated_fills_every_copy(self):
+        # a replicated destination needs the whole array on every node
+        m, arr = machine_with(20, 4, Block(20, 4))
+        plan = run_redistribution(m, "A", Replicated(20, 4))
+        for p in range(4):
+            assert np.array_equal(m.memories[p]["A"], arr)
+        assert np.array_equal(m.collect("A"), arr)
+        assert m.stats.total_messages() == plan.message_count() == 12
+
+    def test_from_replicated_reads_the_canonical_copy(self):
+        m, arr = machine_with(20, 4, Replicated(20, 4))
+        plan = run_redistribution(m, "A", Scatter(20, 4))
+        assert np.array_equal(m.collect("A"), arr)
+        assert m.stats.total_messages() == plan.message_count() == 3
