@@ -10,10 +10,12 @@ every exchange in the compiler (:func:`repro.pipeline.region.exchange`):
 what processor ``q`` receives from ``p`` is what ``q`` owns under ``D2``
 (what it needs) met with what ``p`` owns under ``D1``, on their
 ``owned_indices`` keys — O(P²) key operations, not O(n).  A
-:class:`Replicated` source is its canonical copy on processor 0 (as its
-``proc``/``local`` report); a replicated destination needs the whole
-array everywhere.  :mod:`repro.codegen.redistribute` turns the plan into
-node programs for the simulated machines.
+:class:`Replicated` source feeding a partitioned destination is its
+canonical copy on processor 0 (as its ``proc``/``local`` report); a
+replicated destination needs the whole array everywhere, which a
+replicated source already holds: every copy stays.
+:mod:`repro.codegen.redistribute` turns the plan into node programs for
+the simulated machines.
 """
 
 from __future__ import annotations
@@ -76,10 +78,11 @@ def plan_redistribution(src: Decomposition, dst: Decomposition) -> Redistributio
         raise ValueError(f"processor count mismatch: src pmax={src.pmax}, "
                          f"dst pmax={dst.pmax}")
     own, need = src.placement_keys(), dst.placement_keys()
-    if src.is_replicated:  # its canonical copy, on processor 0
+    both = src.is_replicated and dst.is_replicated  # every copy stays
+    if src.is_replicated and not both:  # its canonical copy, on processor 0
         own[1:] = [(slice(0, 0), slice(0, 0))] * (src.pmax - 1)
+    met = exchange([[k] for k, _ in need], [[k] for k, _ in own])
     return RedistributionPlan(src, dst, {
         (p, q): (g, compose(own[p][1], locate(g, own[p][0])),
                  compose(need[q][1], locate(g, need[q][0])))
-        for (q, p), (g,) in exchange([[k] for k, _ in need],
-                                     [[k] for k, _ in own]).items()})
+        for (q, p), (g,) in met.items() if p == q or not both})

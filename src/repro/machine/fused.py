@@ -12,13 +12,24 @@ calls writing into numbered scratch slots.
 
 There is one executor, :class:`KernelTier`, and one instance of it,
 ``FUSED``.  Its *entry* computes and commits one lane block,
-``entry(block, rows, out) -> stored``: the generated ufunc calls
-(:func:`region_entry`) over views of the rows, a guard mask, one store
-through the block's write region.  Every entry passes the kernel the
-calling thread's slot arrays for the block
+``entry(block, rows, out, origin) -> stored`` (:func:`region_entry`):
+the generated ufunc calls over the rows, a guard mask, one store
+through the block's write region.  One function, :func:`_kernel`, is
+every kernel call — the entry's, :meth:`KernelTier._commit`'s, the mp
+workers' and the MPI ranks' — and each runs under
+``np.errstate(all="ignore")``, one per clause: the operator table
+defines every result.
+It passes the kernel the calling thread's slot arrays for the block
 (:func:`~repro.pipeline.kernels.scratch`: dtype and shape fixed when
 the block was built), so a warm kernel call allocates nothing, and two
 threads running kernels at once never share a slot.
+
+A block whose read rows share one row pitch runs as **spans**
+(:func:`_spans`): the same kernel over ONE flat run of memory per read,
+so each ufunc is one inner loop rather than one per lane row; the
+padding lanes between rows are computed and never stored.  ``dist``
+nodes over their ghost frames and the ``union`` block span; ``gdist``
+blocks and half-width ``shared`` blocks on real processes stay nd.
 
 A shared run is the §2.9 template with every node in one address space:
 the nodes' ``Modify_p`` partition the written domain and every phase
@@ -71,6 +82,7 @@ error message.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Optional
 
 import numpy as np
@@ -120,19 +132,80 @@ def check_strict(ir, strict: bool) -> None:
         )
 
 
+#: a span-capable block (:attr:`~repro.pipeline.kernels._Block.span`)
+#: runs as flat spans only while the padding — the cells between lane
+#: rows, computed and never stored — adds at most this fraction to its
+#: lanes.  One E19 body and its store over a 191 x 191 block, span time
+#: over nd time by padding (2 shared vCPUs, NumPy 2.4, median of 400):
+#: 0.01 -> 0.67, 0.25 -> 0.78-0.82, 0.5 -> 0.92, 0.75 -> 1.00-1.06,
+#: 1.0 -> 1.27 (a half-width block of a global array)
+SPAN_PAD = 0.25
+
+
+def _spans(blk, rows, origin):
+    """A span block's read rows as ONE flat run each and the padded
+    layout ``(h0, W1, ...)`` they share — ``None`` (keep nd) unless every
+    row has one strides tuple, views a C-contiguous array and pads at
+    most :data:`SPAN_PAD`.  A run is
+    :meth:`~repro.pipeline.region.Region.span` of the memory the row
+    views (*origin*: ``(reads, arrays, write)``), or of the row itself
+    where it is a copy: pre-state, or memory that is not float64."""
+    st, lanes = rows[0].strides, blk.pos.shape
+    if st[-1] != rows[0].itemsize or any(r.strides != st for r in rows):
+        return None
+    # lanes from the first to the last, row pitch included
+    end = 1 + sum((h - 1) * s for h, s in zip(lanes, st)) // st[-1]
+    if end > (1 + SPAN_PAD) * blk.pos.size:
+        return None
+    reads, arrays, write = origin
+    try:
+        spans = [blk.pos.span(row, end) if r.name == write
+                 or arrays[r.name].dtype != np.float64
+                 else r.mem.span(arrays[r.name], end)
+                 for r, row in zip(reads, rows)]
+    except ValueError:  # a row viewing no C-contiguous array
+        return None
+    return spans, (lanes[0],) + tuple(a // b for a, b in zip(st, st[1:]))
+
+
+def _kernel(blk, rows, origin, rhs, guard):
+    """The one kernel entry: the body (and guard) over one lane block,
+    ``-> (values in lane layout, mask)``.  A span block
+    (:attr:`~repro.pipeline.kernels._Block.span`; *origin*: what its
+    rows were cut from, :func:`_lane_rows`) whose rows allow it
+    (:func:`_spans`) runs the same ``_rhs`` over one flat run per read
+    into span slots and hands back the lane-shaped view of its result;
+    any other call runs over the block's nd views of the rows.  Either way the kernel writes into
+    this thread's slots (:func:`~repro.pipeline.kernels.scratch`).
+    Callers hold ``np.errstate(all="ignore")``: the operator table
+    defines every result, and padding lanes may compute on any cell."""
+    cut = _spans(blk, rows, origin) if origin is not None and blk.span \
+        else None
+    if cut is not None:
+        spans, padded = cut
+        flat, nd = scratch(blk.scratch, padded)
+        res = rhs(blk.grids, spans, flat)
+        # the result is a slot or a read row, in lane layout; or a scalar
+        for x, v in itertools.chain(zip(flat, nd), zip(spans, rows)):
+            if res is x:
+                return v, None
+        return res, None
+    sub = [blk.pos.take(row) for row in rows]
+    s = scratch(blk.scratch)
+    mask = None if guard is None else guard(blk.grids, sub, s)
+    return rhs(blk.grids, sub, s), mask
+
+
 def region_entry(rhs, guard):
     """The generated NumPy kernel over one lane block —
-    ``entry(block, rows, out) -> stored``: the block's views of the lane
-    rows, the guard's and the body's ufunc calls over the open-grid
-    ``_i`` into this thread's scratch slots for the block
-    (:func:`~repro.pipeline.kernels.scratch`), one store through the
-    block's write region."""
+    ``entry(block, rows, out, origin=None) -> stored``: :func:`_kernel`,
+    then one store through the block's write region.  Its caller,
+    :func:`~repro.runtime.worker.run_sequence` (in process, on mp
+    workers and on MPI ranks alike), holds ``np.errstate(all="ignore")``
+    around each clause's kernel calls."""
 
-    def entry(blk, rows, out) -> int:
-        sub = [blk.pos.take(row) for row in rows]
-        s = scratch(blk.scratch)
-        mask = None if guard is None else guard(blk.grids, sub, s)
-        return blk.write.store(out, rhs(blk.grids, sub, s), mask)
+    def entry(blk, rows, out, origin=None) -> int:
+        return blk.write.store(out, *_kernel(blk, rows, origin, rhs, guard))
 
     return entry
 
@@ -151,6 +224,16 @@ def _lane_row(r, arr, shape, prestate: bool) -> np.ndarray:
     row = np.empty(shape)
     r.lanes.put(row, r.mem.take(arr))
     return row
+
+
+def _lane_rows(node, arrays, write: str):
+    """A node's lane rows (:func:`_lane_row`) and, when its block may run
+    as spans, what :func:`_spans` cuts them from: ``(reads, arrays,
+    write)`` (else ``None``)."""
+    rows = [_lane_row(r, arrays[r.name], node.shape, r.name == write)
+            for r in node.reads]
+    span = node.blocks and node.blocks[0].span
+    return rows, (node.reads, arrays, write) if span else None
 
 
 class KernelTier:
@@ -186,12 +269,13 @@ class KernelTier:
         if not union.n:
             return
         blk = union.blocks[0]  # holds every lane: its rows are the reads'
-        sub = [_lane_row(r, genv[r.name], union.shape, r.name == k.write_name)
-               for r in union.reads]
-        s = scratch(blk.scratch)  # the mask's slot outlives the body
-        mask = None if k.guard is None else np.broadcast_to(
-            np.asarray(k.guard(blk.grids, sub, s), dtype=bool), union.shape)
-        blk.write.store(genv[k.write_name], k.rhs(blk.grids, sub, s), mask)
+        rows, origin = _lane_rows(union, genv, k.write_name)
+        with np.errstate(all="ignore"):
+            values, mask = _kernel(blk, rows, origin, k.rhs, k.guard)
+            if mask is not None:  # its slot outlives the body
+                mask = np.broadcast_to(np.asarray(mask, dtype=bool),
+                                       union.shape)
+            blk.write.store(genv[k.write_name], values, mask)
         for p, n, pos in union.parts:
             stats[p].local_updates += n if mask is None \
                 else int(np.count_nonzero(pos.take(mask)))

@@ -11,8 +11,11 @@ This module pushes that last mile into compile time:
   numbered scratch slot (:class:`Slots`) — audited (KRN002) and compiled
   from one parse by :func:`compile_kernel`, the one place kernel source
   becomes code, and attached to the IR; every kernel entry passes the
-  calling thread's slot arrays for its block (:func:`scratch`), so a
-  warm kernel call allocates nothing;
+  calling thread's slot arrays for its block (:func:`scratch`: views of
+  one growable buffer per thread), so a warm kernel call allocates
+  nothing — and since the body is straight-line elementwise calls, the
+  same source runs over a block's nd views or, where the block allows
+  (:attr:`_Block.span`), over one flat span per read;
 * per node, every membership set, owning processor and local-buffer
   address is resolved at kernel-build time into **regions**
   (:mod:`repro.pipeline.region`): per array axis a ``slice`` where
@@ -54,6 +57,7 @@ import ast
 import functools
 import itertools
 import math
+import mmap
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -240,30 +244,69 @@ def compile_kernel(source: str) -> Tuple[Callable, Optional[Callable]]:
     return ns["_rhs"], ns.get("_guard")
 
 
-#: per-thread scratch arena: slot specs -> this thread's slot arrays
+#: per-thread scratch arena: one growable byte buffer, and the slot
+#: views carved from it per slot specs.  The buffer is a private mapping
+#: that lives as long as its thread, outside the malloc heap that
+#: NumPy's own temporaries come from
 _ARENA = threading.local()
-#: bytes one thread's arena keeps before it drops its oldest slot sets
-_ARENA_BYTES = 64 << 20
+#: slot offsets in the arena are multiples of this many bytes
+_ALIGN = 64
+#: slot-spec sets whose views one thread keeps before it forgets them
+_VIEWS = 256
 
 
-def scratch(specs: tuple) -> list:
+def scratch(specs: tuple, padded: Optional[tuple] = None) -> list:
     """This thread's slot arrays for one block's slot *specs*
-    (``((dtype, shape), ...)``, :attr:`_Block.scratch`): allocated on the
-    first call, the same arrays on every later one — so a warm kernel
-    call allocates nothing.  Each thread owns its arena (the serve
-    executor and the threaded MPI stub run kernels concurrently); a call
-    finishes with its slots before the next on the same thread starts.
-    Past :data:`_ARENA_BYTES` the oldest slot sets are dropped."""
-    held = getattr(_ARENA, "held", None)
-    if held is None:
-        held = _ARENA.held = {}
-        _ARENA.nbytes = 0
-    s = held.get(specs)
-    if s is None:
-        s = held[specs] = [np.empty(shape, dtype) for dtype, shape in specs]
-        _ARENA.nbytes += sum(a.nbytes for a in s)
-        while _ARENA.nbytes > _ARENA_BYTES and len(held) > 1:
-            _ARENA.nbytes -= sum(a.nbytes for a in held.pop(next(iter(held))))
+    (``((dtype, shape), ...)``, :attr:`_Block.scratch`): views carved
+    from the thread's one arena buffer, the same views on every later
+    call — so a warm kernel call allocates nothing.  The buffer grows to
+    the largest slot set the thread has used (and drops the memoized
+    views when it does); every block's slots share it, which is safe
+    because a call finishes with its slots before the next on the same
+    thread starts.  Each thread owns its arena (the serve executor and
+    the threaded MPI stub run kernels concurrently).
+
+    With *padded* — the row-major layout ``(h0, W1, ...)`` a span
+    block's rows share, every slot of which spans the block's lanes
+    ``(h0, h1, ...)`` — the slots are **span** slots of that shape, and
+    the result is ``(flat, nd)``: per slot its first lanes up to the
+    block's last as one flat run (what the kernel writes) and the
+    lane-shaped view ``[:, :h1, ...]`` of it (what the store reads)."""
+    arena = _ARENA.__dict__
+    views = arena.get("views")
+    if views is None:
+        views = arena["views"] = {}
+    key = specs if padded is None else ("span", specs, padded)
+    s = views.get(key)
+    if s is not None:
+        return s
+    lanes = specs[0][1] if specs else ()
+    if padded is not None:
+        specs = tuple((dtype, padded) for dtype, _ in specs)
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize
+             for dtype, shape in specs]
+    room = [-(-n // _ALIGN) * _ALIGN for n in sizes]
+    need = sum(room)
+    buf = arena.get("buf")
+    grow = need > (0 if buf is None else buf.size)
+    if grow or len(views) >= _VIEWS:
+        views.clear()  # nothing holds an old view once its call is done
+    if grow:
+        buf = arena["buf"] = np.frombuffer(
+            mmap.mmap(-1, need, flags=mmap.MAP_PRIVATE), np.uint8)
+    flat, at = [], 0
+    for (dtype, _), n, r in zip(specs, sizes, room):
+        flat.append(buf[at:at + n].view(dtype))
+        at += r
+    s = [a.reshape(shape) for a, (_, shape) in zip(flat, specs)]
+    if padded is not None:
+        end = 0  # the last lane's offset in the padded layout, then + 1
+        for h, w in zip(lanes, padded):
+            end = end * w + h - 1
+        end += 1
+        crop = (slice(None),) + tuple(slice(h) for h in lanes[1:])
+        s = [a[:end] for a in flat], [a[crop] for a in s]
+    views[key] = s
     return s
 
 
@@ -283,6 +326,12 @@ class _Block:
                                     # (``None`` for dims the body ignores)
     scratch: tuple = ()             # ``_s``: per slot ``(dtype, shape)``
                                     # on this block (:func:`scratch`)
+    #: the block may run as one flat span per read (``machine.fused``):
+    #: it is its node's whole lane set over >= 2 loop dims, stores
+    #: through a view, has reads and every read row is a flat region of
+    #: memory (or a pre-state copy of one), and the body reads no ``_i``
+    #: and no guard
+    span: bool = False
 
 
 @dataclass
@@ -508,6 +557,9 @@ def _build_nodes(ir, local: bool, dist: bool, k, union: bool = False) -> list:
                 f"{acc.label} {acc.name!r} carries no decomposition placing "
                 "it axis by axis")
     remote = [acc for acc in ir.reads if dist and not acc.replicated]
+    # a flat span holds no index grid and no mask; every slot spans it
+    flat_body = nd >= 2 and not used and ir.clause.guard is None and all(
+        dims == tuple(range(nd)) for _, dims in k.slots)
     slots: Dict[tuple, tuple] = {}
     where: Dict[tuple, list] = {}
     out: list = []
@@ -636,6 +688,9 @@ def _build_nodes(ir, local: bool, dist: bool, k, union: bool = False) -> list:
             nk.blocks = tuple(block(p, pos) for pos in _strips(inner, shape))
         else:
             nk.blocks = (block(p, whole),)
+            nk.blocks[0].span = flat_body and nk.blocks[0].write.view \
+                and bool(reads) and all(r.lanes is None and r.mem.flat
+                                        for r in reads)
     if union:
         out[0].parts = parts
     return out

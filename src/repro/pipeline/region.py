@@ -380,7 +380,7 @@ class Region:
     ``dims[k]``."""
 
     __slots__ = ("keys", "dims", "shape", "size", "sliced", "view", "_index",
-                 "_kshape", "_perm", "_expand", "_vecs")
+                 "_kshape", "_perm", "_expand", "_vecs", "_box")
 
     def __init__(self, keys: Sequence[Key], dims: Sequence[int],
                  shape: Sequence[int]):
@@ -403,6 +403,7 @@ class Region:
         self.view = self.sliced and self._expand is None and all(
             n == self.shape[d] for n, d in zip(self._kshape, self.dims))
         self._vecs: Optional[tuple] = None
+        self._box: Optional[tuple] = None  # :meth:`_flat_box`, on first use
 
     def __reduce__(self):
         # an install payload carries the keys, never the derived vectors
@@ -425,6 +426,44 @@ class Region:
         if self._perm is not None:
             v = v.transpose(self._perm)
         return v if self._expand is None else v[self._expand]
+
+    def _flat_box(self) -> tuple:
+        """Per axis the ``[start, stop)`` of a :attr:`flat` region (empty
+        for any other), worked out on first use."""
+        if self._box is None:
+            self._box = tuple(
+                (start, start + count) for start, _, count
+                in map(_ssc, self.keys)) if self.view and self._perm is None \
+                and all(k.step in (1, None) for k in self.keys) else ()
+        return self._box
+
+    @property
+    def flat(self) -> bool:
+        """A view over every lane with unit-stride keys in lane order: the
+        lanes are one run of a C-contiguous array (:meth:`span`)."""
+        return bool(self._flat_box())
+
+    def span(self, arr: np.ndarray, length: int) -> np.ndarray:
+        """*length* elements of the C-contiguous *arr* read flat from this
+        :attr:`flat` region's first lane: a basic slice of
+        ``arr.reshape(-1)`` (a view, never a copy), which holds every lane
+        when *length* reaches the last.  The cells between two lane rows
+        (padding) are *arr*'s own, so a span never leaves its buffer; a
+        region or length that would clip raises, as :meth:`take` does."""
+        box = self._flat_box()
+        if not (box and arr.flags.c_contiguous and arr.ndim == len(box)):
+            raise ValueError(f"region {self.keys} is no flat run of an "
+                             f"array of shape {arr.shape}")
+        first = 0
+        for (start, stop), n in zip(box, arr.shape):
+            if stop > n:
+                raise IndexError(f"region {self.keys} escapes an array of "
+                                 f"shape {arr.shape}")
+            first = first * n + start
+        if first + length > arr.size:
+            raise IndexError(f"a {length}-lane span of region {self.keys} "
+                             f"escapes an array of shape {arr.shape}")
+        return arr.reshape(-1)[first:first + length]
 
     def full(self, arr: np.ndarray) -> np.ndarray:
         """:meth:`take` with every lane present (broadcast axes filled,

@@ -66,7 +66,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..machine.fused import _lane_row, region_entry
+from ..machine.fused import _lane_rows, region_entry
 from ..machine.stats import NodeStats
 from ..pipeline.kernels import compile_kernel
 from .shm import ARENA, attach_segment
@@ -163,7 +163,7 @@ def run_sequence(insts, steps, swap, flags, phase, memory, transport,
             write, entry = inst.write_name, inst.entry
             seq = step * nclauses + k
             # ---- gather: the lane rows; what they lack is expected -------
-            work = []    # (node, its counters, its memory, its rows)
+            work = []    # (node, counters, memory, rows, their origin)
             expect = []  # (dst node, src node, read pos, buffer, fill)
             for node in inst.my_nodes:
                 set_phase(PH_GATHER, node.p, seq)
@@ -171,8 +171,7 @@ def run_sequence(insts, steps, swap, flags, phase, memory, transport,
                 c.iterations += node.n
                 arrays = memory(node)
                 held[id(arrays)] = arrays
-                rows = [_lane_row(r, arrays[r.name], node.shape,
-                                  r.name == write) for r in node.reads]
+                rows, origin = _lane_rows(node, arrays, write)
                 for r, row in zip(node.reads, rows):
                     if r.sources:
                         # a ghost read's row is a view of its frame: the
@@ -181,11 +180,11 @@ def run_sequence(insts, steps, swap, flags, phase, memory, transport,
                             else arrays[r.name]
                         expect += [(node.p, src, r.pos, into, fill)
                                    for src, fill in r.sources]
-                work.append((node, c, arrays, rows))
+                work.append((node, c, arrays, rows, origin))
             transport.post(seq, expect)
 
             # ---- send: pre-state payloads, one per (read, peer) ----------
-            for node, c, arrays, _ in work:
+            for node, c, arrays, _, _ in work:
                 set_phase(PH_SEND, node.p, seq)
                 for s in node.sends:
                     c.iterations += s.count
@@ -200,28 +199,30 @@ def run_sequence(insts, steps, swap, flags, phase, memory, transport,
             # ---- pre-commit barrier (where the clause keeps one) ---------
             if phase[k]:
                 barrier(PH_BARRIER, seq)
-            for _, c, _, _ in work:
+            for _, c, _, _, _ in work:
                 c.barriers += 1
 
             # ---- interior (messages may still be in flight), drain,
-            # boundary, send completion ------------------------------------
-            t0 = time.perf_counter()
-            for node, c, arrays, rows in work:
-                if node.interior is not None:
-                    set_phase(PH_INTERIOR, node.p, seq)
-                    c.local_updates += int(entry(node.interior, rows,
-                                                 arrays[write]))
-            t1 = time.perf_counter()
-            set_phase(PH_DRAIN, first, seq)
-            transport.drain(deliver)
-            t2 = time.perf_counter()
-            for node, c, arrays, rows in work:
-                if node.blocks:
-                    set_phase(PH_BOUNDARY, node.p, seq)
-                    for blk in node.blocks:
-                        c.local_updates += int(entry(blk, rows,
+            # boundary, send completion; every kernel call of the clause
+            # under one errstate: the operator table defines every result
+            with np.errstate(all="ignore"):
+                t0 = time.perf_counter()
+                for node, c, arrays, rows, _ in work:
+                    if node.interior is not None:
+                        set_phase(PH_INTERIOR, node.p, seq)
+                        c.local_updates += int(entry(node.interior, rows,
                                                      arrays[write]))
-            stats.kernel_s += t1 - t0 + time.perf_counter() - t2
+                t1 = time.perf_counter()
+                set_phase(PH_DRAIN, first, seq)
+                transport.drain(deliver)
+                t2 = time.perf_counter()
+                for node, c, arrays, rows, origin in work:
+                    if node.blocks:
+                        set_phase(PH_BOUNDARY, node.p, seq)
+                        for blk in node.blocks:
+                            c.local_updates += int(entry(
+                                blk, rows, arrays[write], origin))
+                stats.kernel_s += t1 - t0 + time.perf_counter() - t2
             transport.finish()
 
             if flags[k] and not (step == steps - 1 and k == nclauses - 1):

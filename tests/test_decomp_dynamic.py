@@ -51,7 +51,11 @@ def expected_moves(src, dst):
     """``{(p, q): triples or pairs}`` by the walk.  A replicated
     destination needs the whole array on every processor: it is, for
     each ``q``, the walk into ``SingleOwner(n, pmax, q)``
-    (``local(i) = i``, as a replicated copy's)."""
+    (``local(i) = i``, as a replicated copy's).  From a replicated
+    source that copy is already there: every processor keeps its own."""
+    if src.is_replicated and dst.is_replicated:
+        return {(p, p): [(i, i) for i in range(src.n)]
+                for p in range(src.pmax)}
     targets = [SingleOwner(dst.n, dst.pmax, q) for q in range(dst.pmax)] \
         if dst.is_replicated else [dst]
     out = {}
@@ -181,6 +185,13 @@ class TestStatistics:
         assert plan.message_count() == 12
         assert (plan.moved_elements(), plan.stay_elements()) == (48, 16)
 
+    def test_replicated_to_replicated_moves_nothing(self):
+        # every copy already holds the array: each stays where it is
+        plan = plan_redistribution(Replicated(16, 4), Replicated(16, 4))
+        assert plan.message_count() == plan.moved_elements() == 0
+        assert plan.stay_elements() == 64
+        assert set(plan.moves) == {(p, p) for p in range(4)}
+
 
 class TestKeyPlanMatchesWalk:
     @given(redistributions())
@@ -189,12 +200,16 @@ class TestKeyPlanMatchesWalk:
         src, dst = pair
         plan = plan_redistribution(src, dst)
         want = expected_moves(src, dst)
+        both = src.is_replicated and dst.is_replicated
         assert set(plan.moves) == set(want)
         for (p, q), moved in want.items():
             got = key_triples(plan, p, q)
             if p == q:  # the walk's stay pairs carry no global index
                 assert [(sl, dl) for sl, dl, _ in got] == moved
-                assert all(src.place(gi) == (p, sl) for sl, _, gi in got)
+                # between replicated layouts each copy keeps its own
+                # (index gi at slot gi); else a stay sits where src put it
+                held = (lambda gi: (p, gi)) if both else src.place
+                assert all(held(gi) == (p, sl) for sl, _, gi in got)
             else:
                 assert got == moved
 

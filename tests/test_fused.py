@@ -481,10 +481,14 @@ class TestScratchSlots:
         """Every kernel call writes into this thread's scratch slots, so
         a warm in-process E19 time loop at 384^2 allocates no temporary
         a step: under 5 minor faults per step (one 1.1 MiB temporary per
-        operator, given back to the OS each step, cost ~560)."""
+        operator, given back to the OS each step, cost ~560) — as one
+        `union` block a clause, and as `dist` nodes whose blocks run as
+        flat spans over their ghost frames."""
         import resource
+        from unittest import mock
 
         from repro.core.clause import Program
+        from repro.pipeline.region import Region
         from repro.pipeline import compile_program, run_program
 
         n, steps = 384, 10
@@ -501,6 +505,67 @@ class TestScratchSlots:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / (3 * steps) < 5, faults
         assert not pir.trace.notes
+        # the same stencil as `dist` nodes over their own ghost frames on
+        # one pre-placed machine: each node's block runs as flat spans
+        from repro.codegen.nddist import compile_clause_nd_dist
+
+        plans = [compile_clause_nd_dist(e19(n, *pair), {"S": g, "T": g})
+                 for pair in (("S", "T"), ("T", "S"))]
+        m = run_distributed(plans[0], env, backend="fused")
+        for plan in plans:  # warm: both frames, both kernels
+            run_distributed(plan, None, machine=m, backend="fused")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(steps):
+            run_distributed(plans[0], None, machine=m, backend="fused")
+            run_distributed(plans[1], None, machine=m, backend="fused")
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / (2 * steps) < 5, faults
+        cut, cuts = Region.span, []
+        with mock.patch.object(Region, "span", lambda self, arr, length: (
+                cuts.append(length), cut(self, arr, length))[1]):
+            run_distributed(plans[0], None, machine=m, backend="fused")
+        assert len(cuts) == 4 * 4  # every read of every node's block
+
+    def test_every_block_carves_one_buffer_per_thread(self):
+        """Slot sets of every shape — nd and span — are views of one
+        buffer per thread, memoized per spec until it grows, so a thread
+        holds its largest slot set, not the sum of all it has used."""
+        import threading
+
+        from repro.pipeline.kernels import scratch
+
+        f8, b1 = np.dtype(np.float64), np.dtype(bool)
+        big = ((f8, (40, 40)), (b1, (40, 1)))
+        small = ((f8, (3, 5)),)
+        failures = []
+
+        def fresh_thread():  # an arena nothing has grown yet
+            try:
+                a, b = scratch(big), scratch(small)
+                assert scratch(big) is a and scratch(small) is b
+                assert [x.shape for x in a] == [(40, 40), (40, 1)]
+                assert a[1].dtype == b1
+                assert np.shares_memory(a[0], b[0])  # one buffer
+                assert not np.shares_memory(a[0], a[1])
+                # a span slot set: 4 rows of 7 lanes at pitch 9
+                flat, nd = scratch(((f8, (4, 7)),), (4, 9))
+                assert flat[0].shape == (3 * 9 + 7,)
+                assert nd[0].shape == (4, 7)
+                assert np.shares_memory(flat[0], a[0])
+                nd[0][...] = 1.0
+                assert flat[0][[0, 6, 9, 33]].tolist() == [1.0] * 4
+                grown = scratch(((f8, (80, 80)),))
+                assert not np.shares_memory(grown[0], a[0])
+                again = scratch(small)  # re-carved from the new buffer
+                assert again is not b
+                assert np.shares_memory(again[0], grown[0])
+            except BaseException as e:  # reported by the main thread
+                failures.append(e)
+
+        t = threading.Thread(target=fresh_thread)
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive() and not failures, failures
 
     def test_threads_running_kernels_own_their_slots(self):
         """Two threads run fused clauses in a loop — each its own, with

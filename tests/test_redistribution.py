@@ -87,6 +87,14 @@ class TestRedistributionExecution:
         assert np.array_equal(m.collect("A"), arr)
         assert m.stats.total_messages() == plan.message_count() == 12
 
+    def test_replicated_to_replicated_sends_nothing(self):
+        m, arr = machine_with(20, 4, Replicated(20, 4))
+        plan = run_redistribution(m, "A", Replicated(20, 4))
+        assert m.stats.total_messages() == plan.message_count() == 0
+        for p in range(4):
+            assert np.array_equal(m.memories[p]["A"], arr)
+        assert np.array_equal(m.collect("A"), arr)
+
     def test_from_replicated_reads_the_canonical_copy(self):
         m, arr = machine_with(20, 4, Replicated(20, 4))
         plan = run_redistribution(m, "A", Scatter(20, 4))
