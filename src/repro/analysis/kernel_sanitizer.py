@@ -275,8 +275,8 @@ def _bound(ir, flavor: str, p: int, what: str, access: str, spans,
     axis, v, n = hit
     return [_diag(
         "KRN001",
-        f"{flavor} kernel" + ("" if flavor == "union" else f" of node {p}")
-        + f": {what} holds index {v} outside [0, {n}) at axis {axis}",
+        f"{flavor} kernel of node {p}: {what} holds index {v} outside "
+        f"[0, {n}) at axis {axis}",
         clause=ir.clause.name or "<anonymous>",
         access=access, witnesses={p: [v]},
         hint="a corrupted or stale key would fault (or "
@@ -306,8 +306,9 @@ def _check_bounds(ir, flavor: str, nodes) -> List[Diagnostic]:
 
 
 def _check_footprint(ir) -> List[Diagnostic]:
-    """KRN001 over the plan's footprint: what its ``shared`` flavor
-    would gather and store, without building it."""
+    """KRN001 over the plan's footprint: what its ``union`` kernels
+    with one node per process would gather and store, without building
+    them."""
     out, w = [], ir.write.name
     shapes = {acc.name: _extents(ir, acc.name) for acc in ir.accesses()}
     for p, (write, reads) in enumerate(ir.footprint().per_node):
@@ -316,7 +317,7 @@ def _check_footprint(ir) -> List[Diagnostic]:
         if write is not None:
             rows.append((f"store of write {w!r}", f"write:{w}", w, write))
         for what, access, name, keys in rows:
-            out += _bound(ir, "shared", p, what, access,
+            out += _bound(ir, "union", p, what, access,
                           tuple(map(span, keys)), shapes[name])
     return out
 

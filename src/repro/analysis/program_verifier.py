@@ -302,7 +302,7 @@ def _verify_pipeline(pir, report: DiagnosticReport) -> None:
 
 def _verify_schedule(pir, report: DiagnosticReport):
     """The static schedule check over every step's footprint (what the
-    ``shared`` flavor ``run_program_mp`` runs would touch), building no
+    ``union`` kernels ``run_program_mp`` runs would touch), building no
     node kernel: ``(certificate, phase barriers)``, or ``(None, ())``
     and the lowering's reason when a step has no mp form."""
     for st in pir.steps:

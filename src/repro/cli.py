@@ -244,6 +244,7 @@ def _explain_mpi(plan, decomps, processes=None) -> None:
     node -> rank attachment over the Cartesian process grid."""
     from .mpi import mpi_support
     from .mpi.launcher import MPI
+    from .pipeline.kernels import owner
     from .runtime.exec import _nprocs
 
     sup = mpi_support()
@@ -258,9 +259,10 @@ def _explain_mpi(plan, decomps, processes=None) -> None:
             if len(grid) > 1
             else f"1-D communicator over {pmax} node(s)")
     print(f"# rank mapping: {size} rank(s), {cart}, row-major, "
-          "reorder=False; nodes attach round-robin (node % nranks)")
+          "reorder=False; each rank runs a contiguous run of nodes "
+          "(node * nranks // pmax)")
     for r in range(size):
-        nodes = [p for p in range(pmax) if p % size == r]
+        nodes = [p for p in range(pmax) if owner(p, pmax, size) == r]
         if len(grid) > 1:
             coords = [tuple(int(c) for c in np.unravel_index(p, grid))
                       for p in nodes]
@@ -724,8 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--processes", "--np", dest="processes", type=int,
                      default=None, metavar="N",
                      help="with --backend mp/mpi: worker process or MPI "
-                          "rank count (default: min(pmax, 8); nodes are "
-                          "multiplexed round-robin when N < pmax)")
+                          "rank count (default: min(pmax, 8); each runs a "
+                          "contiguous run of nodes when N < pmax)")
     run.add_argument("--timeout", type=float, default=None, metavar="SEC",
                      help="with --backend mp/mpi: per-run execution "
                           "timeout in seconds (a hung run raises a crash "

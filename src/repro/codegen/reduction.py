@@ -258,8 +258,9 @@ def reference_reduce(
     """Sequential oracle for the reduction."""
     op = plan.op
     acc = op.identity
-    for idx in plan.base.clause.domain:
-        if plan.guard is not None and not plan.guard.eval(idx, env):
-            continue
-        acc = op.fn(acc, plan.expr.eval(idx, env))
+    with np.errstate(all="ignore"):  # the operator table's results
+        for idx in plan.base.clause.domain:
+            if plan.guard is not None and not plan.guard.eval(idx, env):
+                continue
+            acc = op.fn(acc, plan.expr.eval(idx, env))
     return acc

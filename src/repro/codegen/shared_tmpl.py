@@ -98,12 +98,14 @@ def _run_shared_seq(plan: PlanIR, machine: SharedMachine) -> None:
     env = machine.env
     target = env[plan.write_name]
     tested = not plan.write.replicated
-    for idx in clause.domain.bounds:  # lexicographic — the • order
-        stats = machine.stats[plan.writers_of(idx)[0]]
-        stats.iterations += 1
-        if tested:
-            stats.membership_tests += 1
-        if clause.guard is not None and not clause.guard.eval(idx, env):
-            continue
-        target[clause.lhs.array_index(idx)] = clause.rhs.eval(idx, env)
-        stats.local_updates += 1
+    with np.errstate(all="ignore"):  # the operator table's results
+        for idx in clause.domain.bounds:  # lexicographic — the • order
+            stats = machine.stats[plan.writers_of(idx)[0]]
+            stats.iterations += 1
+            if tested:
+                stats.membership_tests += 1
+            if clause.guard is not None and \
+                    not clause.guard.eval(idx, env):
+                continue
+            target[clause.lhs.array_index(idx)] = clause.rhs.eval(idx, env)
+            stats.local_updates += 1

@@ -55,26 +55,27 @@ def evaluate_clause(clause: Clause, env: Env, check_conflicts: bool = False) -> 
     ordering, useful in tests.
     """
     target = env[clause.lhs.name]
-    if clause.ordering is Ordering.PAR:
-        # Evaluate all rhs against the pre-state, then commit.
-        pending: List[Tuple[Tuple[int, ...], object]] = []
-        seen = set() if check_conflicts else None
-        for idx in clause.iter_indices(env):
-            ai = clause.lhs.array_index(idx)
-            if seen is not None:
-                if ai in seen:
-                    raise WriteConflictError(
-                        f"clause {clause.name!r}: duplicate write to "
-                        f"{clause.lhs.name}[{ai}]"
-                    )
-                seen.add(ai)
-            pending.append((ai, clause.rhs.eval(idx, env)))
-        for ai, value in pending:
-            _store(target, ai, value)
-    else:
-        for idx in clause.iter_indices(env):
-            ai = clause.lhs.array_index(idx)
-            _store(target, ai, clause.rhs.eval(idx, env))
+    with np.errstate(all="ignore"):  # the operator table's results
+        if clause.ordering is Ordering.PAR:
+            # Evaluate all rhs against the pre-state, then commit.
+            pending: List[Tuple[Tuple[int, ...], object]] = []
+            seen = set() if check_conflicts else None
+            for idx in clause.iter_indices(env):
+                ai = clause.lhs.array_index(idx)
+                if seen is not None:
+                    if ai in seen:
+                        raise WriteConflictError(
+                            f"clause {clause.name!r}: duplicate write to "
+                            f"{clause.lhs.name}[{ai}]"
+                        )
+                    seen.add(ai)
+                pending.append((ai, clause.rhs.eval(idx, env)))
+            for ai, value in pending:
+                _store(target, ai, value)
+        else:
+            for idx in clause.iter_indices(env):
+                ai = clause.lhs.array_index(idx)
+                _store(target, ai, clause.rhs.eval(idx, env))
     return env
 
 

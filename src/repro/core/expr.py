@@ -71,6 +71,7 @@ def _call(fn: Callable, ufunc: str, identity: Optional[float] = None) -> Op:
 # and drop a NaN that comes second); and/or/not give booleans; a zero
 # divisor gives NumPy's inf, NaN or 0 (Python raises).  The operator
 # callables of + - * and the comparisons already give NumPy's bits.
+# Their callers hold np.errstate(all="ignore"), one per clause.
 
 def _minimum(a, b):
     return a if a < b or a != a else b
@@ -88,21 +89,16 @@ def _logical_or(a, b):
     return bool(a) or bool(b)
 
 
-def _by_zero(ufunc, a, b):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return ufunc(a, b)
-
-
 def _true_divide(a, b):
-    return a / b if b else _by_zero(np.true_divide, a, b)
+    return a / b if b else np.true_divide(a, b)
 
 
 def _floor_divide(a, b):
-    return a // b if b else _by_zero(np.floor_divide, a, b)
+    return a // b if b else np.floor_divide(a, b)
 
 
 def _remainder(a, b):
-    return a % b if b else _by_zero(np.remainder, a, b)
+    return a % b if b else np.remainder(a, b)
 
 
 OPS: Dict[str, Op] = {

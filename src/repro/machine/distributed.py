@@ -128,6 +128,7 @@ class DistributedMachine:
         """
         programs = [make_program(NodeContext(p, self))
                     for p in range(self.pmax)]
-        run_spmd(programs, self.network, self.stats, trace=trace)
+        with np.errstate(all="ignore"):  # the operator table's results
+            run_spmd(programs, self.network, self.stats, trace=trace)
         if check_drained:
             self.network.drain_check()

@@ -13,10 +13,10 @@ calls writing into numbered scratch slots.
 There is one executor, :class:`KernelTier`, and one instance of it,
 ``FUSED``.  Its *entry* computes and commits one lane block,
 ``entry(block, rows, out, origin) -> stored`` (:func:`region_entry`):
-the generated ufunc calls over the rows, a guard mask, one store
-through the block's write region.  One function, :func:`_kernel`, is
-every kernel call — the entry's, :meth:`KernelTier._commit`'s, the mp
-workers' and the MPI ranks' — and each runs under
+the generated ufunc calls over the rows (:func:`_kernel`), a guard
+mask, one store through the block's write region.  The entry is every
+kernel call — :meth:`KernelTier._commit`'s, the mp workers' and the
+MPI ranks' — and each runs under
 ``np.errstate(all="ignore")``, one per clause: the operator table
 defines every result.
 It passes the kernel the calling thread's slot arrays for the block
@@ -28,15 +28,16 @@ A block whose read rows share one row pitch runs as **spans**
 (:func:`_spans`): the same kernel over ONE flat run of memory per read,
 so each ufunc is one inner loop rather than one per lane row; the
 padding lanes between rows are computed and never stored.  ``dist``
-nodes over their ghost frames and the ``union`` block span; ``gdist``
-blocks and half-width ``shared`` blocks on real processes stay nd.
+nodes over their ghost frames and the ``union`` blocks (in process
+and on mp workers: whole grid rows) span; ``gdist`` blocks stay nd.
 
 A shared run is the §2.9 template with every node in one address space:
 the nodes' ``Modify_p`` partition the written domain and every phase
 reads pre-state, so the P node programs add up to one — the ``union``
-flavor, ONE block over every node's lanes, one kernel call per clause.
-Each node is still charged its own iterations, stores and barrier, read
-off its keys (:attr:`~repro.pipeline.kernels.NodeKernel.parts`).
+flavor, ONE block over every node's lanes (an mp worker's: over the
+nodes it owns), one kernel call per clause.  Each node is still charged
+its own iterations, stores and barrier, read off its keys
+(:attr:`~repro.pipeline.kernels.NodeKernel.parts`, :func:`charge_stores`).
 
 The distributed run is the §2.10 template: send, receive, then update
 ``Modify_p``.  In process (the ``dist`` flavor) each node commits its
@@ -97,6 +98,7 @@ __all__ = [
     "FusedStrictError",
     "KernelTier",
     "LocalTransport",
+    "charge_stores",
     "check_strict",
     "region_entry",
     "run_shared_fused",
@@ -198,16 +200,38 @@ def _kernel(blk, rows, origin, rhs, guard):
 
 def region_entry(rhs, guard):
     """The generated NumPy kernel over one lane block —
-    ``entry(block, rows, out, origin=None) -> stored``: :func:`_kernel`,
-    then one store through the block's write region.  Its caller,
+    ``entry(block, rows, out, origin=None, node=None, stats=None) ->
+    stored``: :func:`_kernel`, then one store through the block's write
+    region, charged to *stats* when given (:func:`charge_stores`).  Its
+    caller,
     :func:`~repro.runtime.worker.run_sequence` (in process, on mp
     workers and on MPI ranks alike), holds ``np.errstate(all="ignore")``
     around each clause's kernel calls."""
 
-    def entry(blk, rows, out, origin=None) -> int:
-        return blk.write.store(out, *_kernel(blk, rows, origin, rhs, guard))
+    def entry(blk, rows, out, origin=None, node=None, stats=None) -> int:
+        values, mask = _kernel(blk, rows, origin, rhs, guard)
+        stored = blk.write.store(out, values, mask)
+        if stats is not None:
+            charge_stores(node, stats, stored, mask)
+        return stored
 
     return entry
+
+
+def charge_stores(nk, stats, stored: int, mask) -> None:
+    """Charge one commit of node kernel *nk* — *stored* stores under the
+    guard *mask* — to the nodes it runs (:attr:`NodeKernel.parts`): all
+    of them to a one-node kernel, else to each node its lanes, or its
+    positions of the mask (read before the next kernel call: the mask
+    sits in a scratch slot)."""
+    if len(nk.parts) == 1:
+        stats[nk.p].local_updates += stored
+        return
+    if mask is not None:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), nk.shape)
+    for p, n, pos in nk.parts:
+        stats[p].local_updates += n if mask is None or not n \
+            else int(np.count_nonzero(pos.take(mask)))
 
 
 def _lane_row(r, arr, shape, prestate: bool) -> np.ndarray:
@@ -256,29 +280,22 @@ class KernelTier:
         return k, nodes, region_entry(k.rhs, k.guard)
 
     @staticmethod
-    def _commit(k, union, genv, stats) -> None:
+    def _commit(k, union, entry, genv, stats) -> None:
         """One ``//`` clause as one kernel call over the *union* block:
         its read rows against pre-state (a copy of the write target's),
         the guard and the body, then one store — a repeated address
         resolves last-lane-wins in lexicographic order over the union,
         which restricted to the one node writing it is that node's
-        order.  Each node is charged its lanes and its stores: the whole
-        of its lanes, or the guard mask over their positions."""
+        order.  Each node is charged its lanes and its stores
+        (:func:`charge_stores`)."""
         for p, n, _ in union.parts:
             stats[p].iterations += n
         if not union.n:
             return
-        blk = union.blocks[0]  # holds every lane: its rows are the reads'
         rows, origin = _lane_rows(union, genv, k.write_name)
-        with np.errstate(all="ignore"):
-            values, mask = _kernel(blk, rows, origin, k.rhs, k.guard)
-            if mask is not None:  # its slot outlives the body
-                mask = np.broadcast_to(np.asarray(mask, dtype=bool),
-                                       union.shape)
-            blk.write.store(genv[k.write_name], values, mask)
-        for p, n, pos in union.parts:
-            stats[p].local_updates += n if mask is None \
-                else int(np.count_nonzero(pos.take(mask)))
+        with np.errstate(all="ignore"):  # one block holds every lane
+            entry(union.blocks[0], rows, genv[k.write_name], origin, union,
+                  stats)
 
     # -- shared memory ------------------------------------------------------
 
@@ -292,10 +309,10 @@ class KernelTier:
         """Execute a ``//`` clause as one kernel call over the union of
         every node's ``Modify_p`` (:meth:`_commit`); each node is charged
         its own counters and one barrier, like the scalar template."""
-        k, (union,), _ = self.bind(ir, "union", strict)
+        k, (union,), entry = self.bind(ir, "union", strict)
         if machine is None:
             machine = SharedMachine(ir.pmax, env)
-        self._commit(k, union, machine.env, machine.stats)
+        self._commit(k, union, entry, machine.env, machine.stats)
         for p in range(ir.pmax):
             machine.stats[p].barriers += 1
         return machine
@@ -318,8 +335,8 @@ class KernelTier:
         untouched.  One barrier is charged per node for the whole group,
         not per clause."""
         bound = [self.bind(ir, "union", strict) for ir in irs]
-        for k, (union,), _ in bound:
-            self._commit(k, union, machine.env, machine.stats)
+        for k, (union,), entry in bound:
+            self._commit(k, union, entry, machine.env, machine.stats)
         for p in range(machine.pmax):
             machine.stats[p].barriers += 1
         return machine
@@ -364,8 +381,8 @@ class KernelTier:
                       for name, m in nk.margins.items()}
             return {**mem.arrays, **frames}
 
-        inst = Installed((0, "dist", None, k.nreads, k.write_name, nodes),
-                         entry)
+        inst = Installed((0, "dist", None, k.nreads, k.write_name,
+                          ir.pmax, nodes), entry)
         run_sequence([inst], 1, (), (True,), (True,), memory,
                      LocalTransport(machine.stats, nodes, machine.model),
                      machine.stats)

@@ -49,9 +49,8 @@ class SharedMachine:
         Committing after all nodes ran models the ``forall … barrier``
         template: no node observes another node's writes within a phase.
         """
-        buffers: List[List[Tuple[str, int, float]]] = []
-        for p in range(self.pmax):
-            buffers.append(phase(p))
+        with np.errstate(all="ignore"):  # the operator table's results
+            buffers = [phase(p) for p in range(self.pmax)]
         for p, buf in enumerate(buffers):
             for name, idx, value in buf:
                 self.env[name][idx] = value
@@ -65,10 +64,11 @@ class SharedMachine:
         """Execute a ``•``-ordered phase: nodes run and commit in *order*
         (default 0..pmax-1), each observing earlier nodes' writes —
         the degenerate DOACROSS schedule."""
-        for p in order if order is not None else range(self.pmax):
-            for name, idx, value in phase(p):
-                self.env[name][idx] = value
-                self.stats[p].local_updates += 1
+        with np.errstate(all="ignore"):
+            for p in order if order is not None else range(self.pmax):
+                for name, idx, value in phase(p):
+                    self.env[name][idx] = value
+                    self.stats[p].local_updates += 1
 
     def array(self, name: str) -> np.ndarray:
         return self.env[name]

@@ -28,9 +28,10 @@ queues use — with the clause sequence number taken modulo
 sequence bounds rank skew to a single clause, so a window of 16 can
 never alias.
 
-Nodes attach to ranks round-robin (``node % size``) exactly like the
-worker pool multiplexes nodes onto processes; with one rank per node and
-a grid decomposition, ranks are additionally attached through a
+Each rank runs one contiguous run of node ids
+(:func:`~repro.pipeline.kernels.owner`), exactly like the worker pool
+maps nodes onto processes; with one rank per node (the identity map)
+and a grid decomposition, ranks are additionally attached through a
 Cartesian communicator whose dims match the decomposition's grid shape
 (``reorder=False`` keeps cart ranks equal to linear node ids).
 
@@ -61,6 +62,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..pipeline.kernels import owner
 from ..runtime.stats import PHASES
 from ..runtime.worker import Installed, run_sequence
 
@@ -122,6 +124,9 @@ class MpiTransport:
     def set_phase(self, idx: int, node: int = -1, seq: int = -1) -> None:
         self.phase[0] = PHASES[idx]
 
+    def _rank_of(self, node) -> int:
+        return owner(int(node), self.pmax, self.comm.size)
+
     def _tag(self, dst: int, src: int, pos: int) -> int:
         return encode_tag(self.seq, dst, src, pos, self.pmax, self.nreads)
 
@@ -133,14 +138,14 @@ class MpiTransport:
         self.recvs = []
         for dst, src, pos, row, fill in expect:
             buf = np.empty(int(fill.size), dtype=np.float64)
-            req = self.comm.irecv(buf, source=int(src) % self.comm.size,
+            req = self.comm.irecv(buf, source=self._rank_of(src),
                                   tag=self._tag(dst, int(src), pos))
             self.recvs.append((req, dst, row, fill, buf))
 
     def send(self, inst, p, pos, q, values) -> np.ndarray:
         buf = values.flatten()  # a fresh contiguous pre-state copy
         self.sends.append(self.comm.isend(
-            buf, dest=int(q) % self.comm.size,
+            buf, dest=self._rank_of(q),
             tag=self._tag(int(q), p, pos)))
         self.bufs.append(buf)
         return buf
@@ -239,7 +244,8 @@ def run_job(comm, job: MpiJob, arrays: Dict[str, np.ndarray]):
 
 def attach(comm, job: MpiJob):
     """Cartesian attachment when the grid dims cover the world exactly
-    (one rank per node); round-robin multiplexing otherwise."""
+    (one rank per node); a contiguous run of nodes per rank otherwise
+    (:func:`~repro.pipeline.kernels.owner`)."""
     if job.grid_shape:
         total = 1
         for g in job.grid_shape:

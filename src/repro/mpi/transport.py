@@ -9,7 +9,8 @@ with two implementations:
     wraps an ``mpi4py.MPI`` communicator; ``make_cart`` calls
     ``Create_cart(dims=grid, periods=False, reorder=False)`` so the cart
     rank order matches the decomposition's row-major node numbering and
-    the runner's ``node % size`` attachment stays valid.
+    the runner's node-to-rank map (:func:`repro.pipeline.kernels.owner`,
+    the identity with one rank per node) stays valid.
 
 :class:`StubComm`
     ``REPRO_MPI_STUB`` testing mode: every rank is a thread of one

@@ -192,8 +192,9 @@ class InteriorSplit:
 class Footprint:
     """Per node ``(write keys, ((read pos, array, keys), ...))``, a key
     per array axis: each access's ``image`` of the node's row of
-    ``member_keys(write)`` — the ``shared`` flavor's regions, unbuilt
-    (``(None, ())``: no lanes).  No node kernels: it sends nothing."""
+    ``member_keys(write)`` — the regions of one-node ``union`` kernels,
+    unbuilt (``(None, ())``: no lanes).  No node kernels: it sends
+    nothing."""
 
     write_name: str
     pmax: int

@@ -31,10 +31,10 @@ This module pushes that last mile into compile time:
   then update — keeping only the interior's lane count for the latency
   model;
 * in one address space the §2.9 node programs add up to one program:
-  the ``union`` flavor is ONE block over the union of every node's
-  ``Modify_p`` (each node's counters read off its own keys), so an
-  in-process shared run is one kernel call per clause.  The per-node
-  ``shared`` flavor is what real processes install.
+  the ``union`` flavor is ONE block per process over the union of the
+  ``Modify_p`` of the nodes it owns (:func:`owner`; each node's
+  counters read off its own keys), so an in-process shared run is one
+  kernel call per clause, and an mp worker's block is whole grid rows.
 
 The traced `lower-kernels` pass renders the source; each flavor's nodes
 are built by :func:`flavor_nodes` on first use and audited as they land,
@@ -69,8 +69,8 @@ from ..codegen.exprsrc import CodegenError, expr_src
 from ..core.clause import Ordering
 from ..core.expr import Const, LoopIndex
 from .cache import _env_number, _StructuralCache, plan_key
-from .region import Region, compose, exchange, image, join, klen, locate, \
-    minus, overhang, prog
+from .region import Region, chain, compose, exchange, image, join, klen, \
+    locate, minus, overhang, prog
 
 __all__ = [
     "FusedKernels",
@@ -82,6 +82,7 @@ __all__ = [
     "build_kernels",
     "attach_kernels",
     "flavor_nodes",
+    "owner",
     "KernelBuildError",
 ]
 
@@ -377,9 +378,9 @@ class NodeKernel:
     #: array -> per-axis ``(lo, hi)`` ghost widths this node's regions of
     #: it are shifted by (``dist`` flavor: ``LocalMemory.frame``)
     margins: Dict[str, tuple] = field(default_factory=dict)
-    #: ``union`` flavor: per node with lanes ``(p, lane count, where
-    #: they sit in the block)`` — a position :class:`Region` for a guarded
-    #: clause (its mask counts the node's stores), else ``None``
+    #: per node the kernel runs ``(p, lane count, where they sit in the
+    #: block)`` — a position :class:`Region` on a guarded ``union``
+    #: kernel (its mask counts the node's stores), else ``None``
     parts: tuple = ()
 
     @property
@@ -397,10 +398,18 @@ class NodeKernel:
 #: simulator's ``dist`` nodes address their own memories and commit one
 #: block each after the drain, the real processes run the same schedule
 #: over the global arrays and overlap the interior with their messages
-#: (``gdist``); ``union`` is ``shared`` over one node holding every
-#: node's lanes
-_FLAVORS = {"union": (False, False), "shared": (False, False),
-            "dist": (True, True), "gdist": (False, True)}
+#: (``gdist``); ``union`` is the §2.9 template, one block per process
+#: over its nodes' lanes, every read resident
+_FLAVORS = {"union": (False, False), "dist": (True, True),
+            "gdist": (False, True)}
+
+
+def owner(p: int, pmax: int, nprocs: int) -> int:
+    """The process of *nprocs* that runs node *p* of *pmax*: each owns a
+    contiguous run of node ids (on a row-major grid, whole grid rows)."""
+    return p * nprocs // pmax
+
+
 _REPLICATED = "replicated write (per-copy broadcast)"
 
 
@@ -419,10 +428,9 @@ class FusedKernels:
     #: the source text KRN002 passed when it was compiled (an entry is
     #: only built from a clean one): the verifier's verdict, read back
     audited: Optional[str] = field(default=None, repr=False)
-    union: Optional[List[NodeKernel]] = None
+    #: process count -> its ``union`` kernels (one per run of nodes)
+    union: Dict[int, List[NodeKernel]] = field(default_factory=dict)
     union_note: Optional[str] = None
-    shared: Optional[List[NodeKernel]] = None
-    shared_note: Optional[str] = None
     dist: Optional[List[NodeKernel]] = None
     dist_note: Optional[str] = None
     gdist: Optional[List[NodeKernel]] = None
@@ -431,7 +439,8 @@ class FusedKernels:
     lock: object = field(default_factory=threading.RLock, repr=False,
                          compare=False)
     #: install envelopes of :mod:`repro.runtime.lowering`, per flavor
-    mp_programs: Dict[str, object] = field(default_factory=dict)
+    #: (``union``: per ``("union", process count)``)
+    mp_programs: Dict[object, object] = field(default_factory=dict)
     #: the kernel-cache key the entry is stored under (:func:`recount`)
     cache_key: Optional[tuple] = field(default=None, repr=False,
                                        compare=False)
@@ -455,25 +464,28 @@ class FusedKernels:
         return out
 
     def built(self) -> Dict[str, list]:
-        """flavor -> node kernels, of the flavors built so far."""
-        return {f: getattr(self, f) for f in _FLAVORS
-                if getattr(self, f) is not None}
+        """flavor -> node kernels, of the flavors built so far (the
+        ``union`` flavor's for every process count)."""
+        union = [nk for nodes in self.union.values() for nk in nodes]
+        out = {"union": union or None, "dist": self.dist, "gdist": self.gdist}
+        return {f: nodes for f, nodes in out.items() if nodes is not None}
 
     def describe(self) -> str:
-        stats = self.region_stats
+        stats, built = self.region_stats, self.built()
         parts = []
         for flavor, label in (("union", "shared"), ("dist", "distributed"),
-                              ("gdist", "real-process distributed"),
-                              ("shared", "real-process shared")):
-            nodes, note = getattr(self, flavor), getattr(self, flavor + "_note")
+                              ("gdist", "real-process distributed")):
+            nodes, note = built.get(flavor), getattr(self, flavor + "_note")
             if nodes is not None:
                 ghost: Dict[str, tuple] = {}  # the widest frame of any node
                 for nk in nodes:
                     for name, m in nk.margins.items():
                         ghost[name] = _widest(m, ghost.get(name, m))
                 parts.append(
-                    f"{label}: " + ("one kernel" if flavor == "union"
-                                    else f"{len(nodes)} node kernels") +
+                    f"{label}: " + (f"{len(nodes)} node kernels"
+                                    if flavor != "union" else "one kernel"
+                                    if len(nodes) == 1
+                                    else f"{len(nodes)} kernels") +
                     f" ({stats[flavor]['slice']} slice / "
                     f"{stats[flavor]['vector']} vector regions" + "".join(
                         f", ghost {name}"
@@ -506,32 +518,42 @@ def _strips(inner: list, shape: tuple) -> list:
     return out
 
 
-def _union(ir, lanes, guarded: bool) -> Tuple[list, tuple]:
-    """Per loop dim the union of every node's *lanes* (the ``union``
-    flavor's one lane set) and its :attr:`NodeKernel.parts`.  When the
-    node lane counts sum to the loop range's size the union is that
-    range (O(1)); otherwise it is the per-dim :func:`join`, and a write
-    that is not replicated must tile its product exactly: separable
-    accesses over distinct loop dims make ``Modify_p`` products, so a
-    count that does not add up is a wrong plan, never a silent one."""
+def _runs(ir, lanes, nprocs: int, guarded: bool) -> list:
+    """The ``union`` flavor's lane sets on *nprocs* processes, each
+    ``(lane key per loop dim, its parts)``: per process ONE set, the
+    per-dim join of the *lanes* of the nodes it owns (:func:`owner`).
+    Over every node that is the loop range when the node lane counts sum
+    to its size (O(1)), else the join, which a write that is not
+    replicated must tile exactly (a count that does not add up is a
+    wrong plan); a run of fewer nodes joins in closed form
+    (:func:`chain`) or splits into one set per node (Scatter)."""
     counts = [math.prod(map(klen, row)) for row in lanes]
-    union = [prog(lo, 1, hi - lo + 1) for lo, hi in ir.loop_bounds]
-    owned = not ir.write.replicated
-    if not owned or sum(counts) != math.prod(map(klen, union)):
-        rows = [row for row, n in zip(lanes, counts) if n]
-        union = [join([row[d] for row in rows]) for d in range(len(union))]
-        if owned and sum(counts) != math.prod(map(klen, union)):
+    owned, nd, pmax = not ir.write.replicated, len(ir.loop_bounds), len(lanes)
+    out = []
+    for r in range(nprocs):
+        run = [p for p in range(pmax) if owner(p, pmax, nprocs) == r]
+        n = sum(counts[p] for p in run)
+        union = [prog(lo, 1, hi - lo + 1) for lo, hi in ir.loop_bounds]
+        if nprocs > 1 or not owned or n != math.prod(map(klen, union)):
+            union = [(chain if nprocs > 1 else join)(
+                [lanes[p][d] for p in run]) for d in range(nd)]
+        if all(k is not None for k in union) and (
+                not owned or n == math.prod(map(klen, union))):
+            sets = [(union, run)]
+        elif nprocs == 1:
             raise KernelBuildError(
-                f"the nodes' {sum(counts)} lanes do not tile the "
+                f"the nodes' {n} lanes do not tile the "
                 f"{math.prod(map(klen, union))}-lane product of their union")
-    return union, tuple(
-        (p, n, Region([locate(k, u) for k, u in zip(row, union)],
-                      range(len(union)), tuple(map(klen, row)))
-         if guarded else None)
-        for p, (row, n) in enumerate(zip(lanes, counts)) if n)
+        else:
+            sets = [(lanes[p], [p]) for p in run]
+        out += [(keys, tuple((p, counts[p], Region(
+            [locate(k, u) for k, u in zip(lanes[p], keys)], range(nd),
+            tuple(map(klen, lanes[p]))) if guarded and counts[p] else None)
+            for p in nodes)) for keys, nodes in sets]
+    return out
 
 
-def _build_nodes(ir, local: bool, dist: bool, k, union: bool = False) -> list:
+def _build_nodes(ir, local: bool, dist: bool, k, union: int = 0) -> list:
     """The one lane-plan builder, from the accesses' membership keys
     (:meth:`PlanIR.member_keys`), for every executor.  *local* selects
     the address map — node-local slots through the decompositions'
@@ -542,12 +564,14 @@ def _build_nodes(ir, local: bool, dist: bool, k, union: bool = False) -> list:
     messages are in flight meanwhile; node-local (in-process) nodes
     commit one block each after the drain.  *k* is the plan's
     :class:`FusedKernels`: the loop dims its body reads and its slots.
-    With *union* the nodes are one: every node's lanes (:func:`_union`)."""
+    With *union*, a process count, a kernel runs one set of
+    :func:`_runs` as one block."""
     write, nd, used = ir.write, len(ir.loop_bounds), k.used
-    lanes, parts = ir.member_keys(write), ()
-    if union:
-        keys, parts = _union(ir, lanes, ir.clause.guard is not None)
-        lanes = [keys]
+    lanes = ir.member_keys(write)
+    runs = _runs(ir, lanes, union, ir.clause.guard is not None) \
+        if union else None
+    if runs:
+        lanes = [keys for keys, _ in runs]
     nodes = range(len(lanes))
     if dist and write.replicated:
         raise KernelBuildError(_REPLICATED)
@@ -621,7 +645,7 @@ def _build_nodes(ir, local: bool, dist: bool, k, union: bool = False) -> list:
 
     for p in nodes:
         shape = tuple(klen(i) for i in lanes[p])
-        nk = NodeKernel(p, shape)
+        nk = NodeKernel(p, shape, parts=((p, math.prod(shape), None),))
         out.append(nk)
         # a read with a remote source may claim ghost cells beside the
         # node's block — settled before any region of the array is built
@@ -691,8 +715,8 @@ def _build_nodes(ir, local: bool, dist: bool, k, union: bool = False) -> list:
             nk.blocks[0].span = flat_body and nk.blocks[0].write.view \
                 and bool(reads) and all(r.lanes is None and r.mem.flat
                                         for r in reads)
-    if union:
-        out[0].parts = parts
+    for nk, (_, parts) in zip(out, runs or ()):
+        nk.p, nk.parts = parts[0][0], parts
     return out
 
 
@@ -720,23 +744,30 @@ def build_kernels(ir) -> FusedKernels:
     )
 
 
+def _built(k, flavor: str, procs: int) -> Optional[list]:
+    """*flavor*'s node kernels on *k*, or ``None`` (not built yet)."""
+    return k.union.get(procs) if flavor == "union" else getattr(k, flavor)
+
+
 def flavor_nodes(ir, flavor: str, strict: bool = False,
-                 error=KernelBuildError) -> list:
-    """One flavor's node kernels of a compiled plan, built on first use
-    (once per cache entry, however many threads ask), charged to the
-    kernel cache and bounds-audited (KRN001) as they land: a finding
-    refuses the flavor, so no node kernel runs unaudited.  Raises
-    *error* with the reason the plan has no such form —
+                 error=KernelBuildError, procs: int = 1) -> list:
+    """One flavor's node kernels of a compiled plan (``union``: for
+    *procs* processes), built on first use (once per cache entry,
+    however many threads ask), charged to the kernel cache and
+    bounds-audited (KRN001) as they land: a finding refuses the flavor,
+    so no node kernel runs unaudited.  Raises *error* with the reason
+    the plan has no such form —
     :class:`~repro.machine.fused.FusedStrictError` for a refusal under
     *strict*."""
     k = ir.kernels
     with k.lock:
-        if getattr(k, flavor) is None and getattr(k, flavor + "_note") is None:
+        if _built(k, flavor, procs) is None \
+                and getattr(k, flavor + "_note") is None:
             from ..analysis.kernel_sanitizer import _check_bounds
 
             try:
                 nodes = _build_nodes(ir, *_FLAVORS[flavor], k,
-                                     union=True) if flavor == "union" \
+                                     union=procs) if flavor == "union" \
                     else _build_nodes(ir, *_FLAVORS[flavor], k)
                 found = _check_bounds(ir, flavor, nodes)
                 if found:
@@ -746,9 +777,12 @@ def flavor_nodes(ir, flavor: str, strict: bool = False,
             except Exception as e:  # enumerator/placement surprises
                 setattr(k, flavor + "_note", f"{type(e).__name__}: {e}")
             else:
-                setattr(k, flavor, nodes)
+                if flavor == "union":
+                    k.union[procs] = nodes
+                else:
+                    setattr(k, flavor, nodes)
                 recount(ir, nodes)
-    nodes, note = getattr(k, flavor), getattr(k, flavor + "_note")
+    nodes, note = _built(k, flavor, procs), getattr(k, flavor + "_note")
     if nodes is not None:
         return nodes
     if strict and note.startswith("KRN"):

@@ -40,8 +40,8 @@ import numpy as np
 from ..core.ifunc import AffineF, ConstantF, apply_ifunc
 
 __all__ = ["Key", "Region", "TwoLevel", "prog", "tiles", "klen", "vec",
-           "compress", "compose", "exchange", "join", "locate", "meet",
-           "minus", "image", "overhang", "overlap", "span"]
+           "chain", "compress", "compose", "exchange", "join", "locate",
+           "meet", "minus", "image", "overhang", "overlap", "span"]
 
 _BIG = 1 << 62
 
@@ -276,9 +276,18 @@ def minus(a: Key, b: Key) -> Key:
 
 
 def join(keys: Sequence[Key]) -> Key:
-    """The members any of the ascending *keys* holds, ascending: the one
-    key when they all are that key (O(1) per progression), else one
-    sort of their elements."""
+    """The members any of the ascending *keys* holds, ascending:
+    :func:`chain` where it applies, else one sort of their elements."""
+    joined = chain(keys)
+    return joined if joined is not None else compress(np.unique(
+        np.concatenate([vec(k) for k in keys if klen(k)])))
+
+
+def chain(keys: Sequence[Key]) -> Optional[Key]:
+    """:func:`join` in closed form (O(1) per progression): the one key
+    when the non-empty *keys* all are that key, the one progression when
+    they are progressions of one step, each starting where the one
+    before ends; else ``None``."""
     keys = [k for k in keys if klen(k)]
     if not keys:
         return prog(0, 1, 0)
@@ -287,7 +296,14 @@ def join(keys: Sequence[Key]) -> Key:
             np.array_equal(k, first) if isinstance(k, np.ndarray)
             else k == first) for k in keys[1:]):
         return first
-    return compress(np.unique(np.concatenate([vec(k) for k in keys])))
+    if not all(isinstance(k, slice) for k in keys):
+        return None
+    (start, step, count), *rest = sorted({_ssc(k) for k in keys})
+    for s, st, c in rest:
+        if st != step or s != start + step * count:
+            return None
+        count += c
+    return prog(start, step, count)
 
 
 def span(key: Key) -> Optional[Tuple[int, int]]:

@@ -19,9 +19,10 @@ tier their *launch* argument.  Every run goes through :func:`_drive`:
 
 A :class:`Launch` holds what differs: :data:`MP` runs the persistent
 worker pool over the shared-memory arena, :data:`repro.mpi.launcher.MPI`
-SPMD ranks with private memories.  Node programs multiplex round-robin
-onto processes (``node % nprocs``) when fewer processes than nodes are
-requested.
+SPMD ranks with private memories.  When fewer processes than nodes are
+requested, each process runs one contiguous run of node ids
+(:func:`~repro.pipeline.kernels.owner`: on a row-major grid, whole grid
+rows) — a shared clause as ONE block over its nodes' lanes.
 """
 
 from __future__ import annotations
@@ -191,20 +192,19 @@ def _touched(progs, swap):
 
 
 def _drive(launch: Launch, progs, flags, repeat: int, swap, genv, machine,
-           pmax: int, strict: bool, processes, timeout, fault):
-    """Certify, then run ``repeat`` iterations of the lowered clause
-    sequence *progs* under *launch*, starting from the global arrays
-    *genv*; every written (or swapped) array ends back in *genv* and
-    *machine*'s counters are filled.  A single clause is the sequence
-    of one program with ``repeat=1``.  Returns ``(transport mode,
-    process count)``."""
+           nprocs: int, strict: bool, timeout, fault):
+    """Certify, then run ``repeat`` iterations of the clause sequence
+    *progs*, lowered for *nprocs* processes, under *launch*, starting
+    from the global arrays *genv*; every written (or swapped) array ends
+    back in *genv* and *machine*'s counters are filled.  A single clause
+    is the sequence of one program with ``repeat=1``.  Returns
+    ``(transport mode, process count)``."""
     launch.guard(progs)
     cert, phase = _certify(progs, strict, flags, repeat)
     names, changed = _touched(progs, swap)
     for name in names:
         if name not in genv:
             raise KeyError(f"environment is missing array {name!r}")
-    nprocs = _nprocs(processes, pmax, launch.knob)
     try:
         mode, replies = launch.run(progs, flags, phase, repeat, swap, names,
                                    changed, genv, nprocs, timeout, fault)
@@ -230,11 +230,13 @@ def run_shared_mp(
     """Execute a ``//`` clause's shared kernels on real processes; the
     returned :class:`SharedMachine` holds post-state and counters."""
     _check(ir, strict)
-    prog = lower_shared(ir, strict)
+    tier = launch_of(launch)
+    nprocs = _nprocs(processes, ir.pmax, tier.knob)
+    prog = lower_shared(ir, strict, nprocs)
     if machine is None:
         machine = SharedMachine(ir.pmax, env)
-    _drive(launch_of(launch), [prog], (True,), 1, (), machine.env, machine,
-           ir.pmax, strict, processes, timeout, _fault)
+    _drive(tier, [prog], (True,), 1, (), machine.env, machine, nprocs,
+           strict, timeout, _fault)
     return machine
 
 
@@ -255,7 +257,8 @@ def run_program_mp(
     :func:`~repro.analysis.phase_barriers` keeps them, and process-side
     buffer swaps between iterations.  Returns ``(machine, barriers)``.
 
-    Pool workers share the global arrays and run the ``shared`` flavor.
+    Pool workers share the global arrays and run the ``union`` flavor:
+    one block per worker over the run of nodes it owns.
     MPI ranks have private memories, so every step runs the ``dist``
     flavor (cross-node reads travel as messages) and a surviving
     redistribution boundary has no whole-program form: the producing
@@ -278,10 +281,12 @@ def run_program_mp(
         raise MpLoweringError(
             f"redistribution boundary survives elision ({name!r} at "
             f"{label}): private rank memories would read stale data")
-    lower = lower_dist if tier.private else lower_shared
-    _drive(tier, [lower(st.ir, strict) for st in pir.steps],
+    nprocs = _nprocs(processes, pir.pmax, tier.knob)
+    _drive(tier, [lower_dist(st.ir, strict) if tier.private
+                  else lower_shared(st.ir, strict, nprocs)
+                  for st in pir.steps],
            pir.barrier_flags(), pir.repeat, pir.swap, machine.env, machine,
-           pir.pmax, strict, processes, timeout, _fault)
+           nprocs, strict, timeout, _fault)
     return machine, pir.barriers_per_step() * pir.repeat
 
 
@@ -301,7 +306,8 @@ def run_distributed_mp(
     machine = MpMachine(ir.pmax, prog.decomps)
     for name, arr in env.items():
         machine.arrays[name] = np.asarray(arr, dtype=np.float64).copy()
+    tier = launch_of(launch)
     machine.mode, machine.nranks = _drive(
-        launch_of(launch), [prog], (True,), 1, (), machine.arrays, machine,
-        ir.pmax, strict, processes, timeout, _fault)
+        tier, [prog], (True,), 1, (), machine.arrays, machine,
+        _nprocs(processes, ir.pmax, tier.knob), strict, timeout, _fault)
     return machine

@@ -68,7 +68,7 @@ import numpy as np
 
 from ..machine.fused import _lane_rows, region_entry
 from ..machine.stats import NodeStats
-from ..pipeline.kernels import compile_kernel
+from ..pipeline.kernels import compile_kernel, owner
 from .shm import ARENA, attach_segment
 from .stats import (
     PH_BARRIER,
@@ -93,16 +93,16 @@ _PLAN_LRU = 64
 
 
 class Installed:
-    """One installed program on this process: its node kernels, the
-    entry that computes and commits one lane block (``entry(block,
-    rows, out) -> stored``, as in :mod:`repro.machine.fused`; compiled
-    from the payload's source unless given: a source that fails the
-    KRN002 audit is refused) and the reusable send buffers of
-    :class:`QueueTransport`."""
+    """One installed program on this process: its node kernels (of the
+    plan's ``pmax`` nodes), the entry that computes and commits one lane
+    block (``entry(block, rows, out) -> stored``, as in
+    :mod:`repro.machine.fused`; compiled from the payload's source
+    unless given: a source that fails the KRN002 audit is refused) and
+    the reusable send buffers of :class:`QueueTransport`."""
 
     def __init__(self, payload, entry=None):
         (self.token, self.flavor, source, self.nreads, self.write_name,
-         self.my_nodes) = payload
+         self.pmax, self.my_nodes) = payload
         self.entry = entry if entry is not None \
             else region_entry(*compile_kernel(source))
         self.bufs: Dict[tuple, np.ndarray] = {}
@@ -115,7 +115,10 @@ def run_sequence(insts, steps, swap, flags, phase, memory, transport,
     arrays ``memory(node)`` returns for each node kernel — the global
     arrays on a real process, the node's ``LocalMemory`` with its ghost
     frames in process; returns ``(RuntimeStats, counts)``, *counts*
-    mapping each node to the ``NodeStats`` its counters went to.
+    mapping each node to the ``NodeStats`` its counters went to — every
+    node a kernel runs (:attr:`~repro.pipeline.kernels.NodeKernel.parts`:
+    one, or a ``union`` kernel's run of nodes) is charged its own
+    iterations, stores and barriers.
 
     Every process executes the same barrier sequence, so barrier
     generations stay globally ordered: a pre-commit wait where
@@ -133,7 +136,8 @@ def run_sequence(insts, steps, swap, flags, phase, memory, transport,
     ``set_phase(phase, node, seq)`` (progress reporting for crash
     attribution)."""
     t_start = time.perf_counter()
-    nodes = sorted({nd.p for inst in insts for nd in inst.my_nodes})
+    nodes = sorted({p for inst in insts for nd in inst.my_nodes
+                    for p, _, _ in nd.parts})
     first = nodes[0] if nodes else -1
     stats = RuntimeStats(rank=transport.rank, pid=os.getpid(),
                          nodes=tuple(nodes))
@@ -163,12 +167,12 @@ def run_sequence(insts, steps, swap, flags, phase, memory, transport,
             write, entry = inst.write_name, inst.entry
             seq = step * nclauses + k
             # ---- gather: the lane rows; what they lack is expected -------
-            work = []    # (node, counters, memory, rows, their origin)
+            work = []    # (node, memory, rows, their origin)
             expect = []  # (dst node, src node, read pos, buffer, fill)
             for node in inst.my_nodes:
                 set_phase(PH_GATHER, node.p, seq)
-                c = counts[node.p]
-                c.iterations += node.n
+                for p, n, _ in node.parts:
+                    counts[p].iterations += n
                 arrays = memory(node)
                 held[id(arrays)] = arrays
                 rows, origin = _lane_rows(node, arrays, write)
@@ -180,12 +184,13 @@ def run_sequence(insts, steps, swap, flags, phase, memory, transport,
                             else arrays[r.name]
                         expect += [(node.p, src, r.pos, into, fill)
                                    for src, fill in r.sources]
-                work.append((node, c, arrays, rows, origin))
+                work.append((node, arrays, rows, origin))
             transport.post(seq, expect)
 
             # ---- send: pre-state payloads, one per (read, peer) ----------
-            for node, c, arrays, _, _ in work:
+            for node, arrays, _, _ in work:
                 set_phase(PH_SEND, node.p, seq)
+                c = counts[node.p]
                 for s in node.sends:
                     c.iterations += s.count
                     for q, region in s.peers:
@@ -199,29 +204,30 @@ def run_sequence(insts, steps, swap, flags, phase, memory, transport,
             # ---- pre-commit barrier (where the clause keeps one) ---------
             if phase[k]:
                 barrier(PH_BARRIER, seq)
-            for _, c, _, _, _ in work:
-                c.barriers += 1
+            for node, _, _, _ in work:
+                for p, _, _ in node.parts:
+                    counts[p].barriers += 1
 
             # ---- interior (messages may still be in flight), drain,
             # boundary, send completion; every kernel call of the clause
             # under one errstate: the operator table defines every result
             with np.errstate(all="ignore"):
                 t0 = time.perf_counter()
-                for node, c, arrays, rows, _ in work:
+                for node, arrays, rows, _ in work:
                     if node.interior is not None:
                         set_phase(PH_INTERIOR, node.p, seq)
-                        c.local_updates += int(entry(node.interior, rows,
-                                                     arrays[write]))
+                        entry(node.interior, rows, arrays[write], None,
+                              node, counts)
                 t1 = time.perf_counter()
                 set_phase(PH_DRAIN, first, seq)
                 transport.drain(deliver)
                 t2 = time.perf_counter()
-                for node, c, arrays, rows, origin in work:
+                for node, arrays, rows, origin in work:
                     if node.blocks:
                         set_phase(PH_BOUNDARY, node.p, seq)
                         for blk in node.blocks:
-                            c.local_updates += int(entry(
-                                blk, rows, arrays[write], origin))
+                            entry(blk, rows, arrays[write], origin, node,
+                                  counts)
                 stats.kernel_s += t1 - t0 + time.perf_counter() - t2
             transport.finish()
 
@@ -289,7 +295,8 @@ class QueueTransport:
         if buf is None:
             buf = inst.bufs[p, pos, q] = np.empty(values.shape)
         np.copyto(buf, values)
-        self.inboxes[q % self.nprocs].put((self.rid, q, p, pos, buf))
+        self.inboxes[owner(q, inst.pmax, self.nprocs)].put(
+            (self.rid, q, p, pos, buf))
         return buf
 
     def barrier(self, node: int) -> None:

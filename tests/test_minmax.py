@@ -124,7 +124,8 @@ class TestNumPyRule:
     def test_scalar_op_is_numpy_on_every_pair(self, op):
         table = UNARY_OPS[UNARY_CASES[op]] if op in UNARY_CASES \
             else OPS[SCALAR_CASES.get(op, op)]
-        got = [table.fn(*args) for args in zip(*operands(op))]
+        with np.errstate(all="ignore"):  # as every tier's call site
+            got = [table.fn(*args) for args in zip(*operands(op))]
         assert (bits(got) == want(op)).all()
 
     @pytest.mark.parametrize("op", ["min", "max"])

@@ -537,8 +537,8 @@ class TestCLI:
         assert rc == 0
         assert "# mpi tier:" in out
         assert "rank mapping: 2 rank(s)" in out
-        assert "rank 0 <- nodes [0, 2]" in out
-        assert "rank 1 <- nodes [1, 3]" in out
+        assert "rank 0 <- nodes [0, 1]" in out
+        assert "rank 1 <- nodes [2, 3]" in out
 
     def test_calibrate_json(self, capsys):
         rc = main(["calibrate", "--sizes", "1,64", "--reps", "3",

@@ -43,6 +43,7 @@ from repro.core.clause import Program
 from repro.machine.fused import FusedStrictError
 from repro.machine.shared import SharedMachine
 from repro.pipeline import compile_program, run_program
+from repro.pipeline.kernels import owner
 from repro.runtime import (
     active_segments,
     get_pool,
@@ -241,7 +242,9 @@ class TestBlame:
     def test_a_worker_hung_in_a_kernel_is_blamed(self, monkeypatch):
         """Rank 1 sleeps inside its first kernel call; rank 0 times out
         at the end-of-clause barrier.  Blame goes to the laggard by
-        (clause sequence, phase), not to the waiter."""
+        (clause sequence, phase), not to the waiter, and names the block
+        of its own nodes it was in: on the 2x2 grid rank 1 owns nodes 2
+        and 3 (the lower grid row)."""
         import repro.runtime.worker as worker
 
         real = worker.region_entry
@@ -268,7 +271,8 @@ class TestBlame:
             assert time.monotonic() - t0 < 30.0
             assert err.value.rank == 1
             assert err.value.phase == "boundary"
-            assert "w1=boundary@n1#0" in str(err.value)
+            assert err.value.node == 2 and owner(2, pir.pmax, 2) == 1
+            assert "w1=boundary@n2#0" in str(err.value)
             assert pool.spawns == spawns + 1 and pool.alive()
         finally:
             shutdown_runtime()

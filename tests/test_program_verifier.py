@@ -278,7 +278,7 @@ class TestSchedFixtures:
         ir = compile_plan(cl, {"A": Block(N, P), "B": Block(N, P)})
         env0 = block_env("A", "B")
         run_shared_mp(ir, copy_env(env0), processes=2)
-        prog = lower_shared(ir)  # cached: the program that ran
+        prog = lower_shared(ir, procs=2)  # cached: the program that ran
         assert prog.sched_cert is not None
         assert prog.sched_cert.ok
 
@@ -305,7 +305,7 @@ class TestKrnFixtures:
 
     def test_krn001_corrupt_gather_index(self):
         ir = self._plan()
-        rd = flavor_nodes(ir, "shared")[0].reads[0]
+        rd = flavor_nodes(ir, "union", procs=2)[0].reads[0]
         # a slice past B's extent [0, N): NumPy would clip it silently
         rd.mem = Region((slice(0, 100),), rd.mem.dims, rd.mem.shape)
         codes = {d.code for d in sanitize_kernels(ir)}
@@ -315,7 +315,7 @@ class TestKrnFixtures:
         """The acceptance fixture: a deliberately corrupted gather region
         is refused by ``--strict`` *before* any worker runs."""
         ir = self._plan()
-        rd = flavor_nodes(ir, "shared")[0].reads[0]
+        rd = flavor_nodes(ir, "union", procs=2)[0].reads[0]
         # a negative slice bound: NumPy would wrap it silently
         rd.mem = Region((slice(-N - 1, 6),), rd.mem.dims, rd.mem.shape)
         with pytest.raises(FusedStrictError, match="KRN001"):

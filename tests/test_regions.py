@@ -661,7 +661,9 @@ class TestRegionKernelsDifferential:
                for name, dec in decomps.items()}
         plan, ran = check_all_tiers(clause, decomps, env,
                                     tiers=IN_PROCESS_TIERS)
-        shared, dist = (flavor_nodes(plan, f) for f in ("shared", "dist"))
+        # one process per node: each union kernel is one node's lanes
+        shared = flavor_nodes(plan, "union", procs=plan.pmax)
+        dist = flavor_nodes(plan, "dist")
         # every counter of every node is what the element oracle implies
         assert counters(ran["shared", "fused"]) == \
             expected_counters(plan, env, dist=False)
@@ -798,11 +800,14 @@ def test_real_process_tiers_run_the_region_kernels(
     assert ran["dist", "mpi"].mode == "stub"
     assert all(a is b for a, b in zip(lower_dist(plan).nodes,
                                       flavor_nodes(plan, "gdist")))
-    # real processes install the per-node shared lane plans; in process
-    # the same clause ran as one block
-    built = plan.kernels.built()
-    assert lower_shared(plan).nodes is built["shared"]
-    assert len(built["shared"]) == plan.pmax and len(built["union"]) == 1
+    # the two workers ran one union kernel per run of nodes (or per node
+    # where a run's lanes tile no product), every node in exactly one;
+    # in process the same clause ran as one block
+    groups = lower_shared(plan, procs=2).nodes
+    assert groups is flavor_nodes(plan, "union", procs=2)
+    assert [p for nk in groups for p, _, _ in nk.parts] == \
+        list(range(plan.pmax))
+    assert len(flavor_nodes(plan, "union")) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -838,11 +843,10 @@ class TestLoweringStaysClosedForm:
                     + Ref("B", SeparableMap([AffineF(1, 1)])))
         ir = compile_clause(cl, {"A": wdec(n, 4), "B": rdec(n, 4)})
         assert not verify_ir(ir).diagnostics
-        for flavor in ("union", "shared", "dist"):
-            flavor_nodes(ir, flavor)
+        for flavor, procs in (("union", 1), ("union", 2), ("dist", 1)):
+            flavor_nodes(ir, flavor, procs=procs)
         stats = ir.kernels.region_stats
-        assert stats["dist"]["vector"] == stats["shared"]["vector"] == 0
-        assert stats["union"]["vector"] == 0
+        assert stats["dist"]["vector"] == stats["union"]["vector"] == 0
         assert stats["bytes"] < 1 << 16  # O(pmax), not int64 lanes
 
     def test_e19_block_x_block_at_1024(self):
@@ -856,12 +860,16 @@ class TestLoweringStaysClosedForm:
                     Ref("T", SeparableMap([IdentityF(), IdentityF()])),
                     (s(-1, 0) + s(1, 0) + s(0, -1) + s(0, 1)) * 0.25)
         ir = compile_clause_nd_dist(cl, {"S": g, "T": g})
-        shared, dist, gdist = (flavor_nodes(ir, f)
-                               for f in ("shared", "dist", "gdist"))
+        shared = flavor_nodes(ir, "union", procs=2)
+        dist, gdist = (flavor_nodes(ir, f) for f in ("dist", "gdist"))
         stats = ir.kernels.region_stats
-        assert stats["dist"]["vector"] == stats["shared"]["vector"] == 0
+        assert stats["dist"]["vector"] == stats["union"]["vector"] == 0
         assert stats["gdist"]["vector"] == 0
         assert stats["bytes"] < 1 << 20  # O(edge), not O(edge^2)
+        # two workers: each runs one grid row of nodes as one span block
+        assert [[p for p, _, _ in nk.parts] for nk in shared] == \
+            [[0, 1], [2, 3]]
+        assert all(nk.blocks[0].span for nk in shared)
         # real processes overlap the interior with their messages; in
         # process each node commits its Modify_p as one block
         assert all(nk.interior is not None and len(nk.blocks) <= 4
@@ -891,7 +899,7 @@ class TestLoweringStaysClosedForm:
                     Ref("T", SeparableMap([IdentityF(), IdentityF()])),
                     (s(-1, 0) + s(1, 0) + s(0, -1) + s(0, 1)) * 0.25)
         ir = compile_clause_nd_dist(cl, {"S": g, "T": g})
-        progs = [lower_shared(ir), lower_dist(ir)]
+        progs = [lower_shared(ir, procs=2), lower_dist(ir)]
         for prog_ in progs:
             assert check_schedule([prog_])[1].ok
             for rank in range(2):
@@ -970,9 +978,9 @@ class TestRegionReporting:
         the one check: first/last element of a slice, min/max of a
         vector."""
         ir = self._plan(Block(64, 4), Block(64, 4))
-        dist, shared = lower_dist(ir), lower_shared(ir)
+        dist, shared = lower_dist(ir), lower_shared(ir, procs=2)
         assert dist.nodes is flavor_nodes(ir, "gdist")
-        assert shared.nodes is flavor_nodes(ir, "shared")
+        assert shared.nodes is flavor_nodes(ir, "union", procs=2)
         assert not sanitize_kernels(ir)
         dist.nodes[1].interior.write = Region(
             [np.array([99, 17])], (0,), (2,))
@@ -981,7 +989,7 @@ class TestRegionReporting:
                  if d.code == "KRN001"]
         assert len(found) == 2
         assert any("gdist kernel of node 1" in m and "99" in m for m in found)
-        assert any("shared kernel of node 0" in m and "-3" in m
+        assert any("union kernel of node 0" in m and "-3" in m
                    for m in found)
 
     def test_schedule_sizes_come_from_region_size(self):

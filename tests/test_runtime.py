@@ -516,19 +516,20 @@ def test_env_var_bounds_cache_size(monkeypatch):
 
 def test_payload_carries_only_the_workers_own_nodes():
     """An install payload is ``(token, flavor, source, nreads, write,
-    nodes)``; the nodes that ride the pipe are the plan's own node
-    kernels, round-robin ``node % nprocs``."""
-    from repro.pipeline.kernels import flavor_nodes
+    pmax, nodes)``; the nodes that ride the pipe are the plan's own node
+    kernels of the worker's contiguous run of node ids (``owner``)."""
+    from repro.pipeline.kernels import flavor_nodes, owner
     from repro.runtime.lowering import lower_dist
 
     plan = stencil_plan()
     prog = lower_dist(plan.ir)
     payload = prog.payload_for(0, 2)
-    assert payload[:5] == (prog.token, "dist", plan.ir.kernels.source,
-                           prog.nreads, "A")
-    assert [nd.p for nd in payload[5]] == [0, 2]
+    assert payload[:6] == (prog.token, "dist", plan.ir.kernels.source,
+                           prog.nreads, "A", P)
+    assert [nd.p for nd in payload[6]] == [0, 1]
+    assert [owner(p, P, 2) for p in range(P)] == [0, 0, 1, 1]
     gdist = flavor_nodes(plan.ir, "gdist")
-    assert all(nd is gdist[nd.p] for nd in payload[5])
+    assert all(nd is gdist[nd.p] for nd in payload[6])
 
 
 def test_send_buffers_are_reused_per_step():
@@ -540,7 +541,7 @@ def test_send_buffers_are_reused_per_step():
     inbox.put = inbox.sent.append
     transport = QueueTransport(0, 1, [inbox], None, [0, 0])
     transport.rid = (1, 0)
-    inst = SimpleNamespace(bufs={})
+    inst = SimpleNamespace(bufs={}, pmax=2)
     b1 = transport.send(inst, 0, 0, 1, np.arange(3.0))
     b2 = transport.send(inst, 0, 0, 1, np.arange(3.0) + 5)
     assert b1 is b2 and np.array_equal(b2, [5.0, 6.0, 7.0])
@@ -548,5 +549,5 @@ def test_send_buffers_are_reused_per_step():
     # another (read, peer) slot gets its own buffer
     assert transport.send(inst, 0, 1, 1, np.arange(3.0)) is not b1
     # ...and so does another installed program
-    other = SimpleNamespace(bufs={})
+    other = SimpleNamespace(bufs={}, pmax=2)
     assert transport.send(other, 0, 0, 1, np.arange(3.0)) is not b1

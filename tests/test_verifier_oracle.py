@@ -287,12 +287,13 @@ def oracle_check_schedule(progs, flags=None, phase=None, repeat=1):
 
 
 def oracle_verify_schedule(pir, report):
-    """The schedule step as it was: build every step's ``shared`` flavor
-    and check its node kernels."""
+    """The schedule step as it was: build every step's per-node shared
+    kernels — the ``union`` flavor with one process per node — and
+    check them."""
     progs = []
     for st_ in pir.steps:
         try:
-            progs.append(lower_shared(st_.ir))
+            progs.append(lower_shared(st_.ir, procs=st_.ir.pmax))
         except MpLoweringError as why:
             report.add(_diag(
                 "CHK001",
@@ -456,12 +457,14 @@ class TestScheduleOracle:
                              ids=[name for name, _ in CORPUS])
     def test_lowered_check_equals_the_node_computation(self, name, make):
         """``check_schedule`` over the lowered ``shared`` programs —
-        what ``run --backend mp`` certifies — under every barrier vector
-        forced down, so every SCHED002 reason is exercised."""
+        what ``run --backend mp`` certifies, here with one process per
+        node — under every barrier vector forced down, so every SCHED002
+        reason is exercised."""
         program, decomps, kw = make()
         pir = compile_program(program, decomps, **kw)
         try:
-            progs = [lower_shared(st_.ir) for st_ in pir.steps]
+            progs = [lower_shared(st_.ir, procs=st_.ir.pmax)
+                     for st_ in pir.steps]
         except MpLoweringError:
             return
         k = len(progs)
